@@ -24,7 +24,7 @@ def _emit(payload: dict, args) -> None:
     meta = {
         "command": args.command,
         "seed": getattr(args, "seed", None),
-        "threads": getattr(args, "threads", 1),
+        "threads": getattr(args, "threads", None),
         "cap": getattr(args, "cap", None),
         "tolerance": config.TOLERANCE,
     }
@@ -65,20 +65,23 @@ def _resolve_expression(args) -> BellExpression:
     raise SystemExit("no expression given")
 
 
+#: ``--known`` names.  The qutrit Niset-Cerf sets carry no subset
+#: structure, so their names give the family's two-setting inequality.
+_KNOWN_EXPRESSIONS = {
+    "shifts": lambda: upb.bell_from_set(upb.shifts()),
+    "genshifts2": lambda: upb.bell_from_set(upb.gen_shifts(2)),
+    "genshifts3": lambda: upb.bell_from_set(upb.gen_shifts(3)),
+    "nc-3-2": lambda: upb.bell_from_set(upb.niset_cerf(3, 2)),
+    "nc-3-3": lambda: upb.niset_cerf_inequality(3, 3),
+    "nc-4-3": lambda: upb.niset_cerf_inequality(4, 3),
+    "wupb": lambda: upb.bell_from_set(upb.wupb_example()),
+    "four-partite": lambda: upb.four_partite_tight_inequality(),
+}
+
+
 def _known_expression(name: str) -> BellExpression:
-    sets = {
-        "shifts": upb.shifts,
-        "genshifts2": lambda: upb.gen_shifts(2),
-        "genshifts3": lambda: upb.gen_shifts(3),
-        "nc-3-2": lambda: upb.niset_cerf(3, 2),
-        "nc-3-3": lambda: upb.niset_cerf(3, 3),
-        "nc-4-3": lambda: upb.niset_cerf(4, 3),
-        "wupb": upb.wupb_example,
-    }
-    if name == "four-partite":
-        return upb.four_partite_tight_inequality()
-    if name in sets:
-        return upb.bell_from_set(sets[name]())
+    if name in _KNOWN_EXPRESSIONS:
+        return _KNOWN_EXPRESSIONS[name]()
     raise ValueError(f"unknown inequality name {name!r}")
 
 
@@ -240,8 +243,6 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--cap", type=int, default=None)
         p.add_argument("--output", default=None)
 
@@ -263,7 +264,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("tobl", help="time-ordered bilocal maximum")
     p.add_argument("--gyni", type=int, default=None)
     p.add_argument("--expr", default=None)
-    common(p)
+    p.add_argument("--output", default=None)
 
     p = sub.add_parser("facet", help="tightness (facet) check")
     p.add_argument("--expr", default=None)
@@ -285,6 +286,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("witness", help="witness operator and bound-entangled state")
     p.add_argument("--set", default="shifts")
     p.add_argument("--starts", type=int, default=witness.DEFAULT_STARTS)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--d", type=int, default=2)

@@ -293,11 +293,12 @@ class DeterministicStrategy:
         return tuple(r[x] for r, x in zip(self.responses, xs))
 
 
-def enumerate_deterministic_strategies(
+def iter_deterministic_strategies(
     scenario: Scenario, cap: int | None = None
-) -> list[DeterministicStrategy]:
+) -> Iterator[DeterministicStrategy]:
     """All deterministic strategies, duplicate-free, in lexicographic order
-    of the response tables."""
+    of the response tables, generated lazily.  The cap on their number is
+    checked before the first one is produced."""
     cap = config.STRATEGY_CAP if cap is None else cap
     count = scenario.strategy_count()
     if count > cap:
@@ -306,7 +307,16 @@ def enumerate_deterministic_strategies(
         list(itertools.product(range(d), repeat=m))
         for m, d in zip(scenario.inputs, scenario.outputs)
     ]
-    return [DeterministicStrategy(combo) for combo in itertools.product(*per_party)]
+    for combo in itertools.product(*per_party):
+        yield DeterministicStrategy(combo)
+
+
+def enumerate_deterministic_strategies(
+    scenario: Scenario, cap: int | None = None
+) -> list[DeterministicStrategy]:
+    """:func:`iter_deterministic_strategies` as a list, for callers that
+    index or sample it."""
+    return list(iter_deterministic_strategies(scenario, cap))
 
 
 def box_from_strategy(scenario: Scenario, strategy: DeterministicStrategy) -> Box:

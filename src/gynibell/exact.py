@@ -4,8 +4,8 @@ Every exact computation in the package (simplex pivots, polytope bounds,
 affine ranks) runs on arbitrary-precision rationals.  ``fractions.Fraction``
 already keeps values in canonical lowest terms with a positive denominator,
 so ``Rat`` is an alias rather than a reimplementation; this module adds the
-constructor, the operation dispatcher and the string serialization the rest
-of the package standardizes on.
+constructor and the string serialization the rest of the package
+standardizes on.
 
 Serialized form is ``"p/q"`` in lowest terms, with the ``"/q"`` part omitted
 when the denominator is 1.  Values are immutable and safe to share between
@@ -29,27 +29,6 @@ def rat(numerator: int, denominator: int = 1) -> Fraction:
     return Fraction(numerator, denominator)
 
 
-def arith(a: Fraction, b: Fraction, op: str):
-    """Apply one of ``add, sub, mul, div, cmp`` to two rationals.
-
-    ``cmp`` returns -1, 0 or 1 (total order); the others return a canonical
-    ``Rat``.  Division by zero raises ``ZeroDivisionError``.
-    """
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b == 0:
-            raise ZeroDivisionError("division by zero")
-        return a / b
-    if op == "cmp":
-        return (a > b) - (a < b)
-    raise ValueError(f"unknown op {op!r}")
-
-
 def rat_to_str(r: Fraction) -> str:
     """Serialize to ``"p/q"`` (or just ``"p"`` when the denominator is 1)."""
     if r.denominator == 1:
@@ -64,7 +43,3 @@ def rat_from_str(s: str) -> Fraction:
         num, den = s.split("/", 1)
         return rat(int(num), int(den))
     return Fraction(int(s))
-
-
-def to_float(r: Fraction) -> float:
-    return float(r)

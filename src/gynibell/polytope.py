@@ -8,13 +8,14 @@ no-signaling condition.  Every optimizer hands back a certificate (an
 optimal box, a convex decomposition, or a separating inequality) that is
 re-verified with exact arithmetic before being returned.
 
-Affine ranks for dimension and facet (tightness) checks run in subset
-marginal coordinates: the linear map sending a table to the collection of
-"all parties in a subset produce fixed non-last outcomes" marginals is a
-bijection on the affine hull of normalized no-signaling tables (the table is
-reconstructed by inclusion-exclusion over last outcomes), so affine ranks of
-vertex sets agree with the full-coordinate ranks while the matrices stay
-small enough for exact elimination.
+The polytope dimension has a closed form.  Affine ranks for facet
+(tightness) checks run in subset marginal coordinates: the linear map
+sending a table to the collection of "all parties in a subset produce fixed
+non-last outcomes" marginals is a bijection on the affine hull of normalized
+no-signaling tables (the table is reconstructed by inclusion-exclusion over
+last outcomes), so affine ranks of vertex sets agree with the
+full-coordinate ranks while the matrices stay small enough for exact
+elimination.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import config, lp
-from ._rank import ExactRankAccumulator
+from ._rank import affine_rank
 from .core import (
     BellExpression,
     Box,
@@ -39,6 +40,7 @@ from .core import (
     enumerate_deterministic_strategies,
     expression_invariant_under,
     is_nonsignaling,
+    iter_deterministic_strategies,
 )
 
 _ZERO = Fraction(0)
@@ -77,42 +79,32 @@ def _decoded_terms(expression: BellExpression):
     return terms
 
 
-def _strategy_value(responses, terms) -> Fraction:
-    total = _ZERO
-    for pairs, c in terms:
-        for p, (x, a) in enumerate(pairs):
-            if responses[p][x] != a:
-                break
-        else:
-            total += c
-    return total
+def _valued_strategies(expression: BellExpression, cap: int | None = None):
+    """(value, strategy) for every deterministic strategy, lazily, in
+    enumeration order."""
+    terms = _decoded_terms(expression)
+    for strategy in iter_deterministic_strategies(expression.scenario, cap):
+        responses = strategy.responses
+        total = _ZERO
+        for pairs, c in terms:
+            for p, (x, a) in enumerate(pairs):
+                if responses[p][x] != a:
+                    break
+            else:
+                total += c
+        yield total, strategy
 
 
 def classical_max(expression: BellExpression, cap: int | None = None) -> ClassicalOptimum:
-    """Exact maximum over deterministic strategies, with an argmax strategy."""
-    scen = expression.scenario
-    terms = _decoded_terms(expression)
+    """Exact maximum over deterministic strategies, with an argmax strategy
+    (the first one in enumeration order that attains the maximum)."""
     best = None
     best_strategy = None
-    for strategy in _iter_strategies(scen, cap):
-        v = _strategy_value(strategy.responses, terms)
+    for v, strategy in _valued_strategies(expression, cap):
         if best is None or v > best:
             best = v
             best_strategy = strategy
     return ClassicalOptimum(best, best_strategy)
-
-
-def _iter_strategies(scenario: Scenario, cap: int | None = None):
-    cap = config.STRATEGY_CAP if cap is None else cap
-    count = scenario.strategy_count()
-    if count > cap:
-        raise ValueError(f"strategy enumeration cap exceeded: {count} > {cap}")
-    per_party = [
-        list(itertools.product(range(d), repeat=m))
-        for m, d in zip(scenario.inputs, scenario.outputs)
-    ]
-    for combo in itertools.product(*per_party):
-        yield DeterministicStrategy(combo)
 
 
 # ---------------------------------------------------------------------------
@@ -174,38 +166,40 @@ class NsOptimum(NamedTuple):
     box: Box
 
 
-def _index_orbits(scenario: Scenario, symmetries) -> list[int]:
-    """Orbit id per flattened (input, outcome) table index under the group
-    generated by the given relabelings."""
+def _table_permutation(scenario: Scenario, sym: Symmetry) -> list[int]:
+    """The permutation a relabeling induces on flattened (input, outcome)
+    table indices."""
     na = scenario.n_outputs
-    total = scenario.table_size
-    perms = []
-    for sym in symmetries:
-        perm = [0] * total
-        for x in range(scenario.n_inputs):
-            for a in range(na):
-                nx, na_ = sym.apply_index(scenario, x, a)
-                perm[x * na + a] = nx * na + na_
-        perms.append(perm)
-    orbit = [-1] * total
-    n_orbits = 0
-    for start in range(total):
+    perm = [0] * scenario.table_size
+    for x in range(scenario.n_inputs):
+        for a in range(na):
+            nx, na_ = sym.apply_index(scenario, x, a)
+            perm[x * na + a] = nx * na + na_
+    return perm
+
+
+def _orbits_of_permutations(n: int, perms) -> list[int]:
+    """Orbit id per index 0..n-1 under the group the permutations generate,
+    numbered in order of each orbit's smallest index."""
+    orbit = [-1] * n
+    count = 0
+    for start in range(n):
         if orbit[start] >= 0:
             continue
         stack = [start]
-        orbit[start] = n_orbits
+        orbit[start] = count
         while stack:
             i = stack.pop()
             for perm in perms:
                 j = perm[i]
                 if orbit[j] < 0:
-                    orbit[j] = n_orbits
+                    orbit[j] = count
                     stack.append(j)
-        n_orbits += 1
+        count += 1
     return orbit
 
 
-def _collapse_rows(rows, orbit, n_orbits):
+def _collapse_rows(rows, orbit):
     """Project equality rows onto orbit-constant variables, deduplicating."""
     seen = {}
     out = []
@@ -229,6 +223,35 @@ def _collapse_rows(rows, orbit, n_orbits):
     return out
 
 
+def _solve_collapsed(objective, rows, perms, max_pivots, label):
+    """Maximize ``objective`` over ``rows`` (variables >= 0) on the
+    variables that are constant on the orbits of the verified symmetry
+    permutations ``perms``; returns the value and the expanded solution.
+
+    Every permutation must fix both the objective and the feasible set:
+    group averaging then maps any optimum to an orbit-constant one, so the
+    collapsed optimum equals the full one.  With no permutations the LP is
+    posed exactly as given.
+    """
+    if perms:
+        orbit = _orbits_of_permutations(len(objective), perms)
+        # One table-sized list per generator, several MB for GYNI at N = 7:
+        # drop this reference so ns_max's list is freed before the solve.
+        del perms
+        collapsed = [_ZERO] * (max(orbit) + 1)
+        for j, c in enumerate(objective):
+            if c:
+                collapsed[orbit[j]] += c
+        problem = lp.make_problem(collapsed, "max", _collapse_rows(rows, orbit))
+    else:
+        orbit = range(len(objective))
+        problem = lp.make_problem(objective, "max", rows)
+    res = lp.solve(problem, max_pivots=max_pivots)
+    if res.status != "optimal":
+        raise lp.LPError(f"{label} LP returned {res.status}")
+    return res.value, [res.solution[o] for o in orbit]
+
+
 def ns_max(
     expression: BellExpression,
     use_symmetry: bool = True,
@@ -248,50 +271,33 @@ def ns_max(
     n = scen.table_size
     na = scen.n_outputs
     rows = _ns_equality_rows(scen)
-    if len(rows) > config.NS_LP_MAX_ROWS or n > config.NS_LP_MAX_COLS:
-        syms = list(expression.party_symmetries) if use_symmetry else []
-        if not syms:
-            raise ValueError(
-                f"no-signaling LP too large: {len(rows)} rows x {n} columns"
-            )
-
     syms = list(expression.party_symmetries) if use_symmetry else []
+    if not syms and (len(rows) > config.NS_LP_MAX_ROWS or n > config.NS_LP_MAX_COLS):
+        raise ValueError(
+            f"no-signaling LP too large: {len(rows)} rows x {n} columns"
+        )
+
     for sym in syms:
         if not expression_invariant_under(expression, sym):
             raise ValueError("declared symmetry does not fix the expression")
 
-    objective_full = [_ZERO] * n
+    objective = [_ZERO] * n
     for (x, a), c in expression.coeffs.items():
-        objective_full[x * na + a] += c
+        objective[x * na + a] += c
 
-    if syms:
-        orbit = _index_orbits(scen, syms)
-        n_orbits = max(orbit) + 1
-        collapsed = _collapse_rows(rows, orbit, n_orbits)
-        objective = [_ZERO] * n_orbits
-        for j, c in enumerate(objective_full):
-            if c:
-                objective[orbit[j]] += c
-        problem = lp.make_problem(objective, "max", collapsed)
-        res = lp.solve(problem, max_pivots=max_pivots)
-        if res.status != "optimal":
-            raise lp.LPError(f"no-signaling LP returned {res.status}")
-        table = [res.solution[orbit[j]] for j in range(n)]
-    else:
-        problem = lp.make_problem(objective_full, "max", rows)
-        res = lp.solve(problem, max_pivots=max_pivots)
-        if res.status != "optimal":
-            raise lp.LPError(f"no-signaling LP returned {res.status}")
-        table = list(res.solution)
+    value, table = _solve_collapsed(
+        objective, rows, [_table_permutation(scen, sym) for sym in syms],
+        max_pivots, "no-signaling",
+    )
 
     box = Box(scen, table, "exact")
     report = is_nonsignaling(box)
     if not report.is_nonsignaling:
         raise lp.LPError("optimal box failed the no-signaling recheck")
     achieved = bell_value(expression, box)
-    if achieved != res.value:
+    if achieved != value:
         raise lp.LPError("optimal box does not achieve the LP value")
-    return NsOptimum(res.value, box)
+    return NsOptimum(value, box)
 
 
 # ---------------------------------------------------------------------------
@@ -464,12 +470,7 @@ class _ToblLayout:
         can share the same table support.  Returns None when the party
         permutation scatters a bipartition outside the cyclic block layout.
         """
-        scen = self.scen
-        perm = [None] * self.n_vars
-        for x in range(scen.n_inputs):
-            for a in range(self.na):
-                nx, na_ = sym.apply_index(scen, x, a)
-                perm[x * self.na + a] = nx * self.na + na_
+        perm = _table_permutation(self.scen, sym) + [None] * (self.n_vars - self.n_table)
 
         pi = sym.party_perm
         inv_pi = [0] * 3
@@ -510,25 +511,6 @@ class _ToblLayout:
         if len(set(perm)) != self.n_vars:
             raise lp.LPError("induced variable map is not a permutation")
         return perm
-
-
-def _orbits_of_permutations(n: int, perms) -> list[int]:
-    orbit = [-1] * n
-    count = 0
-    for start in range(n):
-        if orbit[start] >= 0:
-            continue
-        stack = [start]
-        orbit[start] = count
-        while stack:
-            i = stack.pop()
-            for perm in perms:
-                j = perm[i]
-                if orbit[j] < 0:
-                    orbit[j] = count
-                    stack.append(j)
-        count += 1
-    return orbit
 
 
 def _rows_invariant_under(rows, perm) -> bool:
@@ -598,27 +580,7 @@ def tobl_max(
                     _rows_invariant_under(rows, perm):
                 perms.append(perm)
 
-    if perms:
-        orbit = _orbits_of_permutations(layout.n_vars, perms)
-        n_orbits = max(orbit) + 1
-        reduced_rows = _collapse_rows(rows, orbit, n_orbits)
-        reduced_obj = [_ZERO] * n_orbits
-        for j, c in enumerate(objective):
-            if c:
-                reduced_obj[orbit[j]] += c
-        problem = lp.make_problem(reduced_obj, "max", reduced_rows)
-        res = lp.solve(problem, max_pivots=max_pivots)
-        if res.status != "optimal":
-            raise lp.LPError(f"TOBL LP returned {res.status}")
-        solution = [res.solution[orbit[j]] for j in range(layout.n_vars)]
-        value = res.value
-    else:
-        problem = lp.make_problem(objective, "max", rows)
-        res = lp.solve(problem, max_pivots=max_pivots)
-        if res.status != "optimal":
-            raise lp.LPError(f"TOBL LP returned {res.status}")
-        solution = list(res.solution)
-        value = res.value
+    value, solution = _solve_collapsed(objective, rows, perms, max_pivots, "TOBL")
 
     # full-model feasibility recheck of the (possibly expanded) solution
     for row in rows:
@@ -723,54 +685,20 @@ def affine_rank_of_strategies(
     ``coords="cg"`` uses subset-marginal coordinates (default; equivalent on
     vertex sets and much smaller); ``coords="full"`` uses the raw table.
     """
-    if len(strategies) <= 1:
-        return 0
     if coords == "cg":
         mat = cg_coordinates_of_strategies(scenario, strategies)
     elif coords == "full":
         mat = _full_coordinates_of_strategies(scenario, strategies)
     else:
         raise ValueError("coords must be 'cg' or 'full'")
-    acc = ExactRankAccumulator(mat.shape[1])
-    base = mat[0]
-    for r in range(1, mat.shape[0]):
-        acc.add_row(mat[r] - base)
-    return acc.rank
+    return affine_rank(mat)
 
 
-def polytope_dimension(scenario: Scenario, cap: int | None = None) -> int:
-    """Exact affine rank of the set of all deterministic vertices.
-
-    Processed in chunks with an early exit at the coordinate-count ceiling
-    (an affine rank can never exceed the number of coordinates minus the
-    constant, so hitting the ceiling is already a proof).
-    """
-    ceiling = cg_dimension(scenario) - 1
-    acc = ExactRankAccumulator(cg_dimension(scenario))
-    base = None
-    chunk = []
-    chunk_size = 1024
-    for strategy in _iter_strategies(scenario, cap):
-        chunk.append(strategy)
-        if len(chunk) >= chunk_size:
-            base = _dimension_feed(scenario, acc, chunk, base)
-            chunk = []
-            if acc.rank >= ceiling:
-                return acc.rank
-    if chunk:
-        base = _dimension_feed(scenario, acc, chunk, base)
-    return acc.rank
-
-
-def _dimension_feed(scenario, acc, chunk, base):
-    mat = cg_coordinates_of_strategies(scenario, chunk)
-    start = 0
-    if base is None:
-        base = mat[0].copy()
-        start = 1
-    for r in range(start, mat.shape[0]):
-        acc.add_row(mat[r] - base)
-    return base
+def polytope_dimension(scenario: Scenario) -> int:
+    """Dimension of the local polytope, prod_i (m_i (d_i - 1) + 1) - 1
+    (Pironio, J. Math. Phys. 46, 062112 (2005)): the deterministic vertices
+    span every subset-marginal coordinate but the constant."""
+    return cg_dimension(scenario) - 1
 
 
 @dataclass(frozen=True)
@@ -804,11 +732,9 @@ def facet_check(
     here; a mismatch raises)."""
     scen = expression.scenario
     bound = Fraction(bound)
-    terms = _decoded_terms(expression)
     best = None
     saturating = []
-    for strategy in _iter_strategies(scen, cap):
-        v = _strategy_value(strategy.responses, terms)
+    for v, strategy in _valued_strategies(expression, cap):
         if best is None or v > best:
             best = v
         if v == bound:
@@ -817,7 +743,7 @@ def facet_check(
         raise ValueError(
             f"supplied bound {bound} is not the classical maximum {best}"
         )
-    dim = polytope_dimension(scen, cap)
+    dim = polytope_dimension(scen)
     rank = affine_rank_of_strategies(scen, saturating)
     return FacetReport(
         is_tight=bool(saturating) and rank == dim - 1,

@@ -153,6 +153,33 @@ def test_usage_error_exit_code():
     assert code == 2
 
 
+def test_seed_only_where_it_takes_effect():
+    code, _ = run_cli(["bounds", "--gyni", "3", "--set", "ns", "--seed", "1"])
+    assert code == 2
+    code, _ = run_cli(["tobl", "--gyni", "3", "--cap", "10"])
+    assert code == 2
+    code, text = run_cli(["bounds", "--gyni", "3", "--set", "classical"])
+    assert code == 0
+    assert set(json.loads(text)["meta"]) == {"command", "tolerance"}
+
+
+def test_every_known_name_resolves():
+    for name in cli._KNOWN_EXPRESSIONS:
+        expression = cli._known_expression(name)
+        assert expression.scenario.parties >= 3
+        assert expression.classical_bound == 1
+
+
+def test_facet_known_niset_cerf_qutrit_inequalities():
+    for name, rank, dim in (("nc-3-3", 105, 124), ("nc-4-3", 415, 624)):
+        code, text = run_cli(["facet", "--known", name])
+        assert code == 0
+        payload = json.loads(text)
+        assert payload["is_tight"] is False
+        assert (payload["affine_rank"], payload["polytope_dimension"]) == (rank, dim)
+        assert payload["bound"] == "1"
+
+
 def test_domain_error_exit_code(tmp_path):
     code, _ = run_cli(["membership", "--box", str(tmp_path / "missing.json")])
     assert code == 1

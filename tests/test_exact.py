@@ -26,16 +26,6 @@ def test_zero_denominator_rejected():
         exact.rat(1, 0)
 
 
-def test_arith_basics():
-    assert exact.arith(Fraction(1, 3), Fraction(1, 6), "add") == Fraction(1, 2)
-    assert exact.arith(Fraction(7, 6), Fraction(1), "cmp") == 1
-    assert exact.arith(Fraction(1, 4), Fraction(4, 3), "mul") == Fraction(1, 3)
-    with pytest.raises(ZeroDivisionError):
-        exact.arith(Fraction(1), Fraction(0), "div")
-    with pytest.raises(ValueError):
-        exact.arith(Fraction(1), Fraction(1), "pow")
-
-
 def test_serialization_round_trip():
     cases = [Fraction(-3, 2), Fraction(5), Fraction(0), Fraction(32, 21)]
     for r in cases:

@@ -11,14 +11,6 @@ from gynibell.polytope import affine_rank_of_strategies
 F = Fraction
 
 
-def dimension_oracle(scenario):
-    """Independent closed form: product over parties of m(d-1)+1, minus 1."""
-    n = 1
-    for m, d in zip(scenario.inputs, scenario.outputs):
-        n *= m * (d - 1) + 1
-    return n - 1
-
-
 # ---------------------------------------------------------------------------
 # classical maxima
 
@@ -210,10 +202,16 @@ def test_tobl_rejects_wrong_scenario():
         Scenario((2, 2), (2, 3)),
         Scenario((2, 2, 2), (2, 2, 3)),
         Scenario((2, 2, 2, 3), (2, 2, 2, 2)),
+        Scenario((2, 2), (1, 3)),  # a party with a single outcome
+        Scenario((1, 2), (3, 2)),  # a party with a single input
     ],
 )
 def test_polytope_dimension_matches_oracle(scenario):
-    assert gb.polytope_dimension(scenario) == dimension_oracle(scenario)
+    """The closed form against the exact affine rank of every vertex."""
+    oracle = affine_rank_of_strategies(
+        scenario, gb.enumerate_deterministic_strategies(scenario)
+    )
+    assert gb.polytope_dimension(scenario) == oracle
 
 
 def test_dimension_examples():
