@@ -24,7 +24,6 @@ def _emit(payload: dict, args) -> None:
     meta = {
         "command": args.command,
         "seed": getattr(args, "seed", None),
-        "threads": getattr(args, "threads", None),
         "cap": getattr(args, "cap", None),
         "tolerance": config.TOLERANCE,
     }
@@ -53,16 +52,15 @@ def _promise(args, n: int) -> InputDistribution:
 
 
 def _resolve_expression(args) -> BellExpression:
-    if getattr(args, "expr", None):
+    """The one expression the required ``--expr/--gyni/--known`` group names."""
+    if args.expr is not None:
         return BellExpression.from_json(_load_json(args.expr))
-    if getattr(args, "gyni", None):
-        game = gyni.gyni_expression(args.gyni, _promise(args, args.gyni))
-        if getattr(args, "form", "weighted") == "sum":
-            return gyni.gyni_sum_expression(args.gyni, _promise(args, args.gyni))
-        return game.expression
-    if getattr(args, "known", None):
-        return _known_expression(args.known)
-    raise SystemExit("no expression given")
+    if args.gyni is not None:
+        q = _promise(args, args.gyni)
+        if args.form == "sum":
+            return gyni.gyni_sum_expression(args.gyni, q)
+        return gyni.gyni_expression(args.gyni, q).expression
+    return _known_expression(args.known)
 
 
 #: ``--known`` names.  The qutrit Niset-Cerf sets carry no subset
@@ -144,7 +142,7 @@ def _cmd_bounds(args) -> dict:
 
 
 def _cmd_tobl(args) -> dict:
-    if args.gyni:
+    if args.gyni is not None:
         expression = gyni.gyni_sum_expression(args.gyni)
     else:
         expression = BellExpression.from_json(_load_json(args.expr))
@@ -173,9 +171,9 @@ def _cmd_upb(args) -> dict:
     out = {"label": pvs.label, "size": len(pvs), "dims": list(pvs.dims)}
     if args.check in ("indep", "all"):
         out["local_independence"] = upb.check_local_independence(pvs)
-    if args.check in ("wupb", "all"):
+    if args.check == "wupb":
         out["is_wupb"] = upb.is_wupb(pvs)
-    if args.check in ("upb", "all"):
+    if args.check in ("upb", "all"):  # the verdict carries is_wupb too
         verdict = upb.is_upb(pvs, cap=args.cap)
         out["is_upb"] = verdict.is_upb
         out["is_wupb"] = verdict.is_wupb
@@ -194,7 +192,7 @@ def _cmd_witness(args) -> dict:
     pi = witness.projector_onto_span(pvs)
     verdict = upb.is_upb(pvs, cap=args.cap)
     if verdict.is_upb:
-        eps = witness.epsilon_min(pi, starts=args.starts, seed=args.seed, threads=args.threads)
+        eps = witness.epsilon_min(pi, starts=args.starts, seed=args.seed)
     else:
         eps = witness.epsilon_min_restricted(pi, pvs)
     report = witness.witness_and_state(pvs, eps)
@@ -246,6 +244,13 @@ def _build_parser() -> _Parser:
         p.add_argument("--cap", type=int, default=None)
         p.add_argument("--output", default=None)
 
+    def expression_source(p, known=True):
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--expr")
+        group.add_argument("--gyni", type=int)
+        if known:
+            group.add_argument("--known")
+
     p = sub.add_parser("gyni", help="emit a GYNI game and optionally a bound")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--promise", default="parity")
@@ -253,23 +258,18 @@ def _build_parser() -> _Parser:
     common(p)
 
     p = sub.add_parser("bounds", help="optimize an expression over a correlation set")
-    p.add_argument("--expr", default=None)
-    p.add_argument("--gyni", type=int, default=None)
-    p.add_argument("--known", default=None)
+    expression_source(p)
     p.add_argument("--promise", default="parity")
     p.add_argument("--form", choices=["weighted", "sum"], default="weighted")
     p.add_argument("--set", choices=["classical", "ns", "tobl"], required=True)
     common(p)
 
     p = sub.add_parser("tobl", help="time-ordered bilocal maximum")
-    p.add_argument("--gyni", type=int, default=None)
-    p.add_argument("--expr", default=None)
+    expression_source(p, known=False)
     p.add_argument("--output", default=None)
 
     p = sub.add_parser("facet", help="tightness (facet) check")
-    p.add_argument("--expr", default=None)
-    p.add_argument("--gyni", type=int, default=None)
-    p.add_argument("--known", default=None)
+    expression_source(p)
     p.add_argument("--promise", default="parity")
     p.add_argument("--form", choices=["weighted", "sum"], default="weighted")
     common(p)
@@ -287,7 +287,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--set", default="shifts")
     p.add_argument("--starts", type=int, default=witness.DEFAULT_STARTS)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--d", type=int, default=2)

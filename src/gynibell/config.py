@@ -1,14 +1,16 @@
 """Global numeric knobs.
 
-There is a single floating-point tolerance for the whole package; every
+There is a single floating-point tolerance for the whole package: every
 numeric comparison (box normalization, orthogonality of product vectors,
-PPT eigenvalue cutoffs, ...) resolves through :func:`tol` so the knob can be
-turned in one place.  Exact-rational code paths never consult it.
+PPT eigenvalue cutoffs, Hermiticity, ...) reads :data:`TOLERANCE`, and no
+function takes a per-call override.  Exact-rational code paths never consult
+it.  The simplex pivot ceiling :data:`LP_MAX_PIVOTS` is global in the same
+way.
 """
 
 from __future__ import annotations
 
-#: Default tolerance for all floating-point comparisons.
+#: Tolerance for all floating-point comparisons.
 TOLERANCE = 1e-9
 
 #: Cap on the number of deterministic strategies enumerated per scenario.
@@ -24,8 +26,3 @@ LP_MAX_PIVOTS = 500_000
 #: Size guard for no-signaling LPs: (rows, columns) upper limits.
 NS_LP_MAX_ROWS = 20_000
 NS_LP_MAX_COLS = 200_000
-
-
-def tol(override: float | None = None) -> float:
-    """Return the effective tolerance: the override if given, else the global."""
-    return TOLERANCE if override is None else override

@@ -135,7 +135,7 @@ class Box:
 
     __slots__ = ("scenario", "mode", "_table")
 
-    def __init__(self, scenario: Scenario, table, mode: str, _validate: bool = True):
+    def __init__(self, scenario: Scenario, table, mode: str):
         self.scenario = scenario
         self.mode = mode
         if mode == "exact":
@@ -150,8 +150,7 @@ class Box:
             self._table = arr
         else:
             raise ValueError(f"unknown mode {mode!r}")
-        if _validate:
-            self.validate()
+        self.validate()
 
     # -- constructors
 
@@ -197,8 +196,8 @@ class Box:
 
     # -- invariants
 
-    def validate(self, tolerance: float | None = None) -> None:
-        eps = config.tol(tolerance)
+    def validate(self) -> None:
+        eps = config.TOLERANCE
         nx, na = self.scenario.n_inputs, self.scenario.n_outputs
         if self.mode == "exact":
             for x in range(nx):
@@ -366,14 +365,14 @@ def _party_marginal(box: Box, party: int, x_i: int):
     return marg
 
 
-def is_nonsignaling(box: Box, tolerance: float | None = None) -> NsReport:
+def is_nonsignaling(box: Box) -> NsReport:
     """Check the per-party no-signaling equalities, reporting any violations.
 
     For every party i, every context of the other inputs and every pair of
     inputs for i, the marginal over party i's outcome must agree (exactly in
-    exact mode, within tolerance in numeric mode).
+    exact mode, within ``config.TOLERANCE`` in numeric mode).
     """
-    eps = config.tol(tolerance)
+    eps = config.TOLERANCE
     scen = box.scenario
     violations = []
     for party in range(scen.parties):
@@ -579,7 +578,7 @@ def postselect(box: Box, party: int, x_value: int, a_value: int) -> Box:
             aa.insert(party, a_value)
             row[ao] = box.value(x_idx, scen.encode_outcome(tuple(aa)))
         norm = sum(row.values())
-        bad = norm == 0 if exact else float(norm) <= config.tol()
+        bad = norm == 0 if exact else float(norm) <= config.TOLERANCE
         if bad:
             raise ZeroDivisionError(
                 f"postselection on zero-probability event at party {party}"

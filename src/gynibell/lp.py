@@ -79,18 +79,15 @@ def make_constraint(coeffs, relation: str, rhs) -> Constraint:
 
 @dataclass(frozen=True)
 class LPProblem:
-    """max/min of objective . x subject to rows and per-variable bounds.
+    """max/min of objective . x subject to rows, over x >= 0.
 
-    Variables default to lower bound 0 and no upper bound.  Upper bounds are
-    materialized as extra rows, so use them sparingly on large problems.
+    Any other bound on a variable is written as a row.
     """
 
     n: int
     objective: tuple
     sense: str  # "max" | "min"
     constraints: tuple
-    lower: tuple | None = None
-    upper: tuple | None = None
 
     def __post_init__(self):
         if self.sense not in ("max", "min"):
@@ -98,33 +95,21 @@ class LPProblem:
         if len(self.objective) != self.n:
             raise ValueError("objective length mismatch")
 
-    def dump_text(self) -> str:
-        """One constraint per line, rationals as p/q, for external cross-checks."""
-        lines = [f"vars {self.n}", f"{self.sense} " + " ".join(str(c) for c in self.objective)]
-        for row in self.constraints:
-            body = " + ".join(f"{v}*x{i}" for i, v in row.coeffs) or "0"
-            lines.append(f"{body} {row.relation} {row.rhs}")
-        return "\n".join(lines) + "\n"
 
-
-def make_problem(objective, sense, constraints, lower=None, upper=None) -> LPProblem:
+def make_problem(objective, sense, constraints) -> LPProblem:
     obj = tuple(Fraction(c) for c in objective)
     rows = tuple(
         c if isinstance(c, Constraint) else make_constraint(*c) for c in constraints
     )
-    return LPProblem(
-        len(obj), obj, sense, rows,
-        None if lower is None else tuple(Fraction(v) for v in lower),
-        None if upper is None else tuple(None if v is None else Fraction(v) for v in upper),
-    )
+    return LPProblem(len(obj), obj, sense, rows)
 
 
 @dataclass
 class LPResult:
     """Solver outcome with exact certificates.
 
-    ``dual`` (optimal): one multiplier per original constraint, satisfying
-    ``value == dual . rhs + reduced-cost contribution of active bounds``.
+    ``dual`` (optimal): one multiplier per constraint, with
+    ``value == dual . rhs``.
     ``farkas`` (infeasible): row multipliers proving emptiness.
     ``ray`` (unbounded): feasible improving direction.
     """
@@ -137,26 +122,16 @@ class LPResult:
     ray: tuple | None = None
     pivots: int = 0
 
-    @property
-    def certificate(self):
-        if self.status == "optimal":
-            return self.dual
-        if self.status == "infeasible":
-            return self.farkas
-        return self.ray
-
 
 # ---------------------------------------------------------------------------
 # standard-form conversion
 #
 # internal form: minimize c.x  s.t.  A x = b, x >= 0, b >= 0
-# variable layout: [original shifted vars | slack/surplus | artificials]
+# variable layout: [original vars | slack/surplus | artificials]
 
 
 class _Standard:
-    __slots__ = (
-        "m", "n_orig", "cols", "b", "phase2_cost", "art_start", "row_mult", "shift",
-    )
+    __slots__ = ("m", "n_orig", "cols", "b", "phase2_cost", "art_start", "row_mult")
 
 
 def _standardize(problem: LPProblem) -> _Standard:
@@ -168,26 +143,13 @@ def _standardize(problem: LPProblem) -> _Standard:
     back to the rows as originally written.
     """
     n = problem.n
-    lower = problem.lower if problem.lower is not None else (_ZERO,) * n
-    rows = list(problem.constraints)
-    if problem.upper is not None:
-        for j, u in enumerate(problem.upper):
-            if u is not None:
-                rows.append(Constraint(((j, _ONE),), "<=", u))
+    rows = problem.constraints
 
     std = _Standard()
-    std.shift = lower
-    m = len(rows)
-    std.m = m
+    std.m = len(rows)
     std.n_orig = n
 
-    b = []
-    for row in rows:
-        rhs = row.rhs
-        for j, v in row.coeffs:
-            if lower[j]:
-                rhs -= v * lower[j]
-        b.append(rhs)
+    b = [row.rhs for row in rows]
 
     cost = [Fraction(c) for c in problem.objective]
     if problem.sense == "max":
@@ -250,10 +212,9 @@ class _Simplex:
     pivot).
     """
 
-    def __init__(self, std: _Standard, max_pivots: int | None):
+    def __init__(self, std: _Standard):
         self.std = std
         self.m = std.m
-        self.max_pivots = config.LP_MAX_PIVOTS if max_pivots is None else max_pivots
         self.pivots = 0
         m = self.m
         self.ncols = std.art_start + m
@@ -435,8 +396,8 @@ class _Simplex:
         bland = False
         y = self.duals(cost)
         while True:
-            if self.pivots > self.max_pivots:
-                raise LPError(f"pivot limit exceeded ({self.max_pivots})")
+            if self.pivots > config.LP_MAX_PIVOTS:
+                raise LPError(f"pivot limit exceeded ({config.LP_MAX_PIVOTS})")
             enter = self._price(cost, y, n_real, bland)
             if enter is None:
                 return "optimal"
@@ -473,10 +434,10 @@ class _Simplex:
 # public entry points
 
 
-def solve(problem: LPProblem, max_pivots: int | None = None) -> LPResult:
+def solve(problem: LPProblem) -> LPResult:
     """Solve exactly; the returned result has already passed verification."""
     std = _standardize(problem)
-    sx = _Simplex(std, max_pivots)
+    sx = _Simplex(std)
     m = std.m
 
     phase1_cost = [_ZERO] * std.art_start + [_ONE] * m
@@ -488,7 +449,7 @@ def solve(problem: LPProblem, max_pivots: int | None = None) -> LPResult:
     )
     if infeas != 0:
         y = sx.duals(phase1_cost)
-        farkas = _recover_row_multipliers(problem, std, y)
+        farkas = _recover_row_multipliers(std, y)
         _verify_infeasible(problem, farkas)
         return LPResult(status="infeasible", farkas=tuple(farkas), pivots=sx.pivots)
 
@@ -502,10 +463,10 @@ def solve(problem: LPProblem, max_pivots: int | None = None) -> LPResult:
     for i, bj in enumerate(sx.basis):
         if bj < std.art_start:
             x[bj] = sx.xb[i]
-    solution = [x[j] + std.shift[j] for j in range(std.n_orig)]
+    solution = x[: std.n_orig]
     value = sum((c * v for c, v in zip(problem.objective, solution)), _ZERO)
     y = sx.duals(std.phase2_cost)
-    dual = _recover_row_multipliers(problem, std, y)
+    dual = _recover_row_multipliers(std, y)
     if problem.sense == "max":
         dual = [-v for v in dual]
     res = LPResult(
@@ -519,28 +480,18 @@ def solve(problem: LPProblem, max_pivots: int | None = None) -> LPResult:
     return res
 
 
-def feasible_point(constraints, n: int, max_pivots: int | None = None) -> LPResult:
+def feasible_point(constraints, n: int) -> LPResult:
     """Phase-1 only: find any feasible point of the rows over x >= 0."""
-    problem = make_problem([_ZERO] * n, "min", constraints)
-    return solve(problem, max_pivots=max_pivots)
+    return solve(make_problem([_ZERO] * n, "min", constraints))
 
 
 # ---------------------------------------------------------------------------
 # certificate recovery and verification
 
 
-def _n_synth_rows(problem: LPProblem) -> int:
-    if problem.upper is None:
-        return 0
-    return sum(1 for u in problem.upper if u is not None)
-
-
-def _recover_row_multipliers(problem: LPProblem, std: _Standard, y):
-    """Undo the row sign flips; truncate multipliers of synthesized
-    upper-bound rows (they are only used internally)."""
-    full = [y[i] * std.row_mult[i] for i in range(std.m)]
-    keep = std.m - _n_synth_rows(problem)
-    return full[:keep]
+def _recover_row_multipliers(std: _Standard, y):
+    """Undo the row scaling and sign flips."""
+    return [y[i] * std.row_mult[i] for i in range(std.m)]
 
 
 def _recover_ray(std: _Standard, sx: _Simplex):
@@ -566,21 +517,11 @@ def _check_row(row: Constraint, lhs: Fraction) -> bool:
 
 def _verify_optimal(problem: LPProblem, res: LPResult) -> None:
     x = res.solution
-    lower = problem.lower if problem.lower is not None else (_ZERO,) * problem.n
-    for j in range(problem.n):
-        if x[j] < lower[j]:
-            raise LPError("verification failed: lower bound violated")
-        if problem.upper is not None and problem.upper[j] is not None and x[j] > problem.upper[j]:
-            raise LPError("verification failed: upper bound violated")
+    if any(v < 0 for v in x):
+        raise LPError("verification failed: negative variable")
     for row in problem.constraints:
         if not _check_row(row, _row_value(row, x)):
             raise LPError("verification failed: constraint violated")
-
-    if _n_synth_rows(problem):
-        # upper bounds were materialized as extra rows whose multipliers are
-        # not reported, so the duality identities below do not close; primal
-        # feasibility above is the full check in that case
-        return
 
     # dual sign feasibility: for max, multipliers of <= rows are >= 0 and of
     # >= rows are <= 0; reversed for min; equality rows are free
@@ -599,29 +540,24 @@ def _verify_optimal(problem: LPProblem, res: LPResult) -> None:
                 reduced[j] -= yv * v
     for j in range(problem.n):
         d = reduced[j]
-        at_lower = x[j] == lower[j]
         if problem.sense == "max":
             if d > 0:
                 raise LPError("verification failed: improving direction remains")
         else:
             if d < 0:
                 raise LPError("verification failed: improving direction remains")
-        if not at_lower and d != 0:
+        if x[j] and d != 0:
             raise LPError("verification failed: complementary slackness")
 
     dual_obj = sum((yv * row.rhs for yv, row in zip(res.dual, problem.constraints)), _ZERO)
-    bound_part = sum((reduced[j] * lower[j] for j in range(problem.n)), _ZERO)
-    if dual_obj + bound_part != res.value:
+    if dual_obj != res.value:
         raise LPError("verification failed: strong duality")
 
 
 def _verify_infeasible(problem: LPProblem, farkas) -> None:
     """The multipliers must combine the rows into an impossibility:
     sign-compatible per relation, combination <= 0 on every column, yet
-    positive on the right-hand side (after accounting for lower bounds)."""
-    if _n_synth_rows(problem):
-        return
-    lower = problem.lower if problem.lower is not None else (_ZERO,) * problem.n
+    positive on the right-hand side."""
     comb = [_ZERO] * problem.n
     rhs = _ZERO
     for y, row in zip(farkas, problem.constraints):
@@ -635,8 +571,7 @@ def _verify_infeasible(problem: LPProblem, farkas) -> None:
                 comb[j] += y * v
     if any(c > 0 for c in comb):
         raise LPError("farkas verification failed: positive column")
-    gap = rhs - sum((comb[j] * lower[j] for j in range(problem.n)), _ZERO)
-    if gap <= 0:
+    if rhs <= 0:
         raise LPError("farkas verification failed: rhs not positive")
 
 

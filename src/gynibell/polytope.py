@@ -223,7 +223,7 @@ def _collapse_rows(rows, orbit):
     return out
 
 
-def _solve_collapsed(objective, rows, perms, max_pivots, label):
+def _solve_collapsed(objective, rows, perms, label):
     """Maximize ``objective`` over ``rows`` (variables >= 0) on the
     variables that are constant on the orbits of the verified symmetry
     permutations ``perms``; returns the value and the expanded solution.
@@ -246,17 +246,13 @@ def _solve_collapsed(objective, rows, perms, max_pivots, label):
     else:
         orbit = range(len(objective))
         problem = lp.make_problem(objective, "max", rows)
-    res = lp.solve(problem, max_pivots=max_pivots)
+    res = lp.solve(problem)
     if res.status != "optimal":
         raise lp.LPError(f"{label} LP returned {res.status}")
     return res.value, [res.solution[o] for o in orbit]
 
 
-def ns_max(
-    expression: BellExpression,
-    use_symmetry: bool = True,
-    max_pivots: int | None = None,
-) -> NsOptimum:
+def ns_max(expression: BellExpression, use_symmetry: bool = True) -> NsOptimum:
     """Exact maximum over the no-signaling polytope, plus an optimal box.
 
     The LP is posed in full probability coordinates (variables P(a|x) >= 0,
@@ -286,8 +282,7 @@ def ns_max(
         objective[x * na + a] += c
 
     value, table = _solve_collapsed(
-        objective, rows, [_table_permutation(scen, sym) for sym in syms],
-        max_pivots, "no-signaling",
+        objective, rows, [_table_permutation(scen, sym) for sym in syms], "no-signaling"
     )
 
     box = Box(scen, table, "exact")
@@ -536,11 +531,7 @@ def _rows_invariant_under(rows, perm) -> bool:
     return True
 
 
-def tobl_max(
-    expression: BellExpression,
-    use_symmetry: bool = True,
-    max_pivots: int | None = None,
-) -> ToblOptimum:
+def tobl_max(expression: BellExpression, use_symmetry: bool = True) -> ToblOptimum:
     """Exact maximum over tripartite time-ordered bilocal correlations.
 
     For each bipartition i|jk the table must admit two simultaneous
@@ -580,7 +571,7 @@ def tobl_max(
                     _rows_invariant_under(rows, perm):
                 perms.append(perm)
 
-    value, solution = _solve_collapsed(objective, rows, perms, max_pivots, "TOBL")
+    value, solution = _solve_collapsed(objective, rows, perms, "TOBL")
 
     # full-model feasibility recheck of the (possibly expanded) solution
     for row in rows:
@@ -677,21 +668,11 @@ def _full_coordinates_of_strategies(scenario: Scenario, strategies) -> np.ndarra
     return out
 
 
-def affine_rank_of_strategies(
-    scenario: Scenario, strategies, coords: str = "cg"
-) -> int:
-    """Exact affine rank of a set of deterministic vertices.
-
-    ``coords="cg"`` uses subset-marginal coordinates (default; equivalent on
-    vertex sets and much smaller); ``coords="full"`` uses the raw table.
-    """
-    if coords == "cg":
-        mat = cg_coordinates_of_strategies(scenario, strategies)
-    elif coords == "full":
-        mat = _full_coordinates_of_strategies(scenario, strategies)
-    else:
-        raise ValueError("coords must be 'cg' or 'full'")
-    return affine_rank(mat)
+def affine_rank_of_strategies(scenario: Scenario, strategies) -> int:
+    """Exact affine rank of a set of deterministic vertices, in
+    subset-marginal coordinates (the same rank as the raw table on vertex
+    sets, and a much smaller matrix)."""
+    return affine_rank(cg_coordinates_of_strategies(scenario, strategies))
 
 
 def polytope_dimension(scenario: Scenario) -> int:

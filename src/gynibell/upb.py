@@ -171,7 +171,7 @@ class ProductVectorSet:
         }
 
     @staticmethod
-    def from_json(obj: dict, tolerance: float | None = None) -> "ProductVectorSet":
+    def from_json(obj: dict) -> "ProductVectorSet":
         dims = tuple(obj["dims"])
         vectors = []
         for vec in obj["vectors"]:
@@ -179,7 +179,7 @@ class ProductVectorSet:
                 np.array([complex(re, im) for re, im in site]) for site in vec
             )
             vectors.append(sites)
-        return build_local_subsets(vectors, dims, tolerance)
+        return build_local_subsets(vectors, dims)
 
 
 def _check_global_orthogonality(vectors, eps) -> None:
@@ -200,9 +200,7 @@ def _check_unit_norm(vectors, dims, eps) -> None:
                 raise ValueError(f"vector {m} site {i} is not normalized")
 
 
-def build_local_subsets(
-    vectors, dims, tolerance: float | None = None, label: str = ""
-) -> ProductVectorSet:
+def build_local_subsets(vectors, dims, label: str = "") -> ProductVectorSet:
     """Derive local sets and subsets from raw orthogonal product vectors.
 
     Per site: deduplicate local vectors modulo a global phase, build the
@@ -211,7 +209,7 @@ def build_local_subsets(
     situation) and :class:`AmbiguousSubsetsError` is raised with a
     conflicting triple.  Subset order and positions follow first appearance.
     """
-    eps = config.tol(tolerance)
+    eps = config.TOLERANCE
     dims = tuple(dims)
     vectors = tuple(tuple(np.asarray(v, dtype=complex) for v in vec) for vec in vectors)
     _check_unit_norm(vectors, dims, eps)
@@ -285,12 +283,10 @@ def build_local_subsets(
     )
 
 
-def _from_explicit_subsets(
-    vectors, dims, site_subsets, tolerance: float | None = None, label: str = ""
-) -> ProductVectorSet:
+def _from_explicit_subsets(vectors, dims, site_subsets, label: str) -> ProductVectorSet:
     """Build a set whose subset structure (and hence inequality labels) is
     supplied by a family generator rather than derived."""
-    eps = config.tol(tolerance)
+    eps = config.TOLERANCE
     dims = tuple(dims)
     vectors = tuple(tuple(np.asarray(v, dtype=complex) for v in vec) for vec in vectors)
     _check_unit_norm(vectors, dims, eps)
@@ -339,10 +335,10 @@ def _from_explicit_subsets(
 # checks
 
 
-def check_local_independence(pvs: ProductVectorSet, tolerance: float | None = None) -> bool:
+def check_local_independence(pvs: ProductVectorSet) -> bool:
     """True iff no two local vectors from different subsets at the same site
     are orthogonal (every cross-subset overlap exceeds the tolerance)."""
-    eps = config.tol(tolerance)
+    eps = config.TOLERANCE
     if pvs.local_subsets is None:
         raise ValueError("set carries no local subset structure")
     for i in range(len(pvs.dims)):
@@ -383,11 +379,7 @@ def _null_vector(vectors, dim, eps) -> np.ndarray:
     return null[0].conj()
 
 
-def is_upb(
-    pvs: ProductVectorSet,
-    cap: int | None = None,
-    tolerance: float | None = None,
-) -> UpbVerdict:
+def is_upb(pvs: ProductVectorSet, cap: int | None = None) -> UpbVerdict:
     """Decide unextendibility by exhaustive assignment search.
 
     A product vector orthogonal to every member of S must, for each member,
@@ -397,7 +389,7 @@ def is_upb(
     assignment in lexicographic site order) is returned and re-verified by
     direct inner products.
     """
-    eps = config.tol(tolerance)
+    eps = config.TOLERANCE
     cap = config.ASSIGNMENT_CAP if cap is None else cap
     n_sites = len(pvs.dims)
     size = len(pvs)
@@ -442,7 +434,7 @@ def is_upb(
         return None
 
     assignment = search(0)
-    wupb = is_wupb(pvs, tolerance=tolerance)
+    wupb = is_wupb(pvs)
     if assignment is None:
         return UpbVerdict(True, wupb, None)
 
@@ -464,10 +456,10 @@ def is_upb(
     return UpbVerdict(False, wupb, tuple(witness))
 
 
-def is_wupb(pvs: ProductVectorSet, tolerance: float | None = None) -> bool:
+def is_wupb(pvs: ProductVectorSet) -> bool:
     """Weak unextendibility: no product of the set's own local vectors is
     orthogonal to every member (finite enumeration over the local sets)."""
-    eps = config.tol(tolerance)
+    eps = config.TOLERANCE
     if len(pvs) >= pvs.total_dim:
         raise ValueError("set must span a proper subspace (|S| < dim H)")
     for combo in itertools.product(*(range(len(s)) for s in pvs.local_sets)):
@@ -484,7 +476,7 @@ def is_wupb(pvs: ProductVectorSet, tolerance: float | None = None) -> bool:
 # Bell inequality synthesis
 
 
-def bell_from_set(pvs: ProductVectorSet, tolerance: float | None = None) -> BellExpression:
+def bell_from_set(pvs: ProductVectorSet) -> BellExpression:
     """One unit-coefficient term per vector: setting = subset index, outcome
     = position inside the subset; classical bound exactly 1.
 
@@ -492,7 +484,7 @@ def bell_from_set(pvs: ProductVectorSet, tolerance: float | None = None) -> Bell
     orthogonal at some site *within* one subset, i.e. same setting and
     different outcomes, which is what caps deterministic strategies at one
     satisfied term."""
-    if not check_local_independence(pvs, tolerance):
+    if not check_local_independence(pvs):
         raise ValueError("set lacks the local independence property")
     inputs = tuple(len(s) for s in pvs.local_subsets)
     outputs = tuple(max(len(sub) for sub in s) for s in pvs.local_subsets)
@@ -516,7 +508,7 @@ def bell_from_set(pvs: ProductVectorSet, tolerance: float | None = None) -> Bell
 # named families
 
 
-def shifts(e=None, tolerance: float | None = None) -> ProductVectorSet:
+def shifts(e=None) -> ProductVectorSet:
     """The three-qubit Shifts set {|000>, |1 e' e>, |e 1 e'>, |e' e 1>} with
     e' the orthogonal partner of e (default: Hadamard-rotated basis).
 
@@ -544,12 +536,10 @@ def shifts(e=None, tolerance: float | None = None) -> ProductVectorSet:
     site_subsets = [
         [[zero, one], [es[i], ebars[i]]] for i in range(3)
     ]
-    return _from_explicit_subsets(
-        vectors, (2, 2, 2), site_subsets, tolerance, label="shifts"
-    )
+    return _from_explicit_subsets(vectors, (2, 2, 2), site_subsets, label="shifts")
 
 
-def gen_shifts(k: int, bases=None, tolerance: float | None = None) -> ProductVectorSet:
+def gen_shifts(k: int, bases=None) -> ProductVectorSet:
     """Generalized Shifts on N = 2k-1 qubits: the all-zero vector plus the
     2k-1 cyclic right-shifts of (1, e_1, ..., e_{k-1}, e'_{k-1}, ..., e'_1).
 
@@ -578,18 +568,14 @@ def gen_shifts(k: int, bases=None, tolerance: float | None = None) -> ProductVec
         [[zero, one]] + [[bases[i], bars[i]] for i in range(k - 1)]
         for _ in range(n)
     ]
-    return _from_explicit_subsets(
-        vectors, (2,) * n, site_subsets, tolerance, label=f"gen-shifts-{k}"
-    )
+    return _from_explicit_subsets(vectors, (2,) * n, site_subsets, label=f"gen-shifts-{k}")
 
 
-def _two_basis_cyclic_set(
-    n_parties: int, dim: int, basis, tolerance, label: str
-) -> ProductVectorSet:
+def _two_basis_cyclic_set(n_parties: int, dim: int, basis, label: str) -> ProductVectorSet:
     """The textbook two-basis pattern: e_{d-1} at every site plus the cyclic
     rotations of (|0>, ..., |N-2>, e_j); N(d-1)+1 vectors, two local subsets
     per site (standard states and the second basis)."""
-    eps = config.tol(tolerance)
+    eps = config.TOLERANCE
     std = [basis_ket(dim, i) for i in range(dim)]
     for b in basis:
         if any(abs(inner(b, s)) <= eps for s in std):
@@ -602,9 +588,7 @@ def _two_basis_cyclic_set(
             rotated = pattern[-shift:] + pattern[:-shift] if shift else pattern
             vectors.append(tuple(rotated))
     site_subsets = [[list(base), list(basis)] for _ in range(n_parties)]
-    return _from_explicit_subsets(
-        vectors, (dim,) * n_parties, site_subsets, tolerance, label=label
-    )
+    return _from_explicit_subsets(vectors, (dim,) * n_parties, site_subsets, label=label)
 
 
 def _walecki_cycles(n_vertices: int) -> list[list[int]]:
@@ -665,9 +649,7 @@ def _realize_cycle_qutrit(cycle, rng) -> dict:
     return out
 
 
-def _distinct_letter_upb_qutrits(
-    n_parties: int, tolerance: float | None, label: str, seed: int = 0
-) -> ProductVectorSet:
+def _distinct_letter_upb_qutrits(n_parties: int, label: str) -> ProductVectorSet:
     """A provably unextendible set of 2N+1 product vectors on qutrits.
 
     The complete graph on the vectors splits into N Hamiltonian cycles, one
@@ -677,11 +659,11 @@ def _distinct_letter_upb_qutrits(
     any single local vector can be orthogonal to at most two factors; an
     extension would need to cover 2N+1 vectors with at most 2 per site,
     which is impossible."""
-    eps = config.tol(tolerance)
+    eps = config.TOLERANCE
     size = 2 * n_parties + 1
     cycles = _walecki_cycles(size)
     for attempt in range(200):
-        rng = np.random.default_rng(1_000_003 * seed + attempt)
+        rng = np.random.default_rng(attempt)
         sites = [_realize_cycle_qutrit(c, rng) for c in cycles]
         ok = True
         for c, letters in zip(cycles, sites):
@@ -722,9 +704,7 @@ def _distinct_letter_upb_qutrits(
     raise RuntimeError("could not realize a generic cycle decomposition")
 
 
-def niset_cerf(
-    n_parties: int, dim: int, basis=None, tolerance: float | None = None
-) -> ProductVectorSet:
+def niset_cerf(n_parties: int, dim: int, basis=None) -> ProductVectorSet:
     """Minimal-size orthogonal product family on (C^dim)^N, N >= 3,
     dim >= N-1, with N(dim-1)+1 vectors.
 
@@ -746,11 +726,11 @@ def niset_cerf(
         raise ValueError("local dimension must be at least N-1")
     label = f"niset-cerf-{n_parties}-{dim}"
     if dim == 3:
-        return _distinct_letter_upb_qutrits(n_parties, tolerance, label)
+        return _distinct_letter_upb_qutrits(n_parties, label)
     if basis is None:
         basis = fourier_basis(dim)
     basis = [np.asarray(b, dtype=complex) for b in basis]
-    return _two_basis_cyclic_set(n_parties, dim, basis, tolerance, label)
+    return _two_basis_cyclic_set(n_parties, dim, basis, label)
 
 
 def niset_cerf_inequality(n_parties: int, dim: int) -> BellExpression:
@@ -781,7 +761,7 @@ def niset_cerf_inequality(n_parties: int, dim: int) -> BellExpression:
     )
 
 
-def wupb_example(tolerance: float | None = None) -> ProductVectorSet:
+def wupb_example() -> ProductVectorSet:
     """A weak UPB on 2x2x3 that is not a UPB: {|000>, |1 e' f>, |e 1 f'>,
     |e' e 1>, |e' e 2>, |e 1 f''>} with (f, f', f'') an orthonormal qutrit
     basis away from the standard one."""
@@ -802,9 +782,7 @@ def wupb_example(tolerance: float | None = None) -> ProductVectorSet:
         [[zero, one], [e, ebar]],
         [z3, [f0, f1, f2]],
     ]
-    return _from_explicit_subsets(
-        vectors, (2, 2, 3), site_subsets, tolerance, label="wupb-2x2x3"
-    )
+    return _from_explicit_subsets(vectors, (2, 2, 3), site_subsets, label="wupb-2x2x3")
 
 
 def tiles() -> list[tuple[np.ndarray, np.ndarray]]:

@@ -46,7 +46,7 @@ class HermitianOp:
             d *= k
         if self.matrix.shape != (d, d):
             raise ValueError("matrix shape does not match the site dimensions")
-        if np.max(np.abs(self.matrix - self.matrix.conj().T)) > 1e-9:
+        if np.max(np.abs(self.matrix - self.matrix.conj().T)) > config.TOLERANCE:
             raise ValueError("matrix is not Hermitian within tolerance")
 
     @property
@@ -54,9 +54,9 @@ class HermitianOp:
         return self.matrix.shape[0]
 
 
-def projector_onto_span(pvs: ProductVectorSet, tolerance: float | None = None) -> HermitianOp:
+def projector_onto_span(pvs: ProductVectorSet) -> HermitianOp:
     """Pi = sum over m of |Psi_m><Psi_m| for an orthonormal product set."""
-    eps = config.tol(tolerance)
+    eps = config.TOLERANCE
     d = pvs.total_dim
     mat = np.zeros((d, d), dtype=complex)
     full = [pvs.full_vector(m) for m in range(len(pvs))]
@@ -120,31 +120,15 @@ def _product_expectation(mat, dims, state) -> float:
     return float(np.real(np.vdot(full, mat @ full)))
 
 
-def epsilon_min(
-    pi: HermitianOp,
-    starts: int = DEFAULT_STARTS,
-    seed: int = 0,
-    threads: int = 1,
-) -> float:
+def epsilon_min(pi: HermitianOp, starts: int = DEFAULT_STARTS, seed: int = 0) -> float:
     """Smallest overlap of the operator with a fully product state, by
     multi-start see-saw; per-start seeds derive from the master seed, so the
     result is reproducible.  A heuristic: the value is an upper bound on the
     true minimum, checked elsewhere against an independent grid oracle."""
-    dims = pi.dims
-    mat = pi.matrix
-    seeds = np.random.SeedSequence(seed).spawn(starts)
-
-    def one(ss):
-        return _seesaw_once(mat, dims, np.random.default_rng(ss))
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(one, seeds))
-    else:
-        values = [one(ss) for ss in seeds]
-    return min(values)
+    return min(
+        _seesaw_once(pi.matrix, pi.dims, np.random.default_rng(ss))
+        for ss in np.random.SeedSequence(seed).spawn(starts)
+    )
 
 
 def epsilon_min_restricted(pi: HermitianOp, pvs: ProductVectorSet) -> float:
@@ -224,10 +208,10 @@ def partial_transpose(op: HermitianOp, sites) -> HermitianOp:
     return HermitianOp(op.dims, t.reshape(d, d))
 
 
-def is_ppt(state: HermitianOp, tolerance: float | None = None) -> bool:
+def is_ppt(state: HermitianOp) -> bool:
     """True iff every bipartition's partial transpose is positive
     semidefinite within tolerance."""
-    eps = config.tol(tolerance)
+    eps = config.TOLERANCE
     n = len(state.dims)
     for r in range(1, 2 ** (n - 1)):
         sites = [s for s in range(n) if (r >> s) & 1]
@@ -242,10 +226,10 @@ def is_ppt(state: HermitianOp, tolerance: float | None = None) -> bool:
 # measuring an operator along the set's local bases
 
 
-def _complete_basis(vectors, dim: int, tolerance: float | None = None) -> list[np.ndarray]:
+def _complete_basis(vectors, dim: int) -> list[np.ndarray]:
     """Extend mutually orthogonal unit vectors to a full orthonormal basis by
     Gram-Schmidt over standard-basis candidates in index order."""
-    eps = config.tol(tolerance)
+    eps = config.TOLERANCE
     basis = [np.asarray(v, dtype=complex) for v in vectors]
     for k in range(dim):
         if len(basis) == dim:
@@ -262,9 +246,7 @@ def _complete_basis(vectors, dim: int, tolerance: float | None = None) -> list[n
     return basis
 
 
-def measure_operator(
-    op: HermitianOp, pvs: ProductVectorSet, tolerance: float | None = None
-) -> Box:
+def measure_operator(op: HermitianOp, pvs: ProductVectorSet) -> Box:
     """The numeric box P(a|x) = tr(op . tensor of |b_{x_i, a_i}><b_{x_i, a_i}|),
     where setting x_i selects site i's subset completed to a full basis.
 
@@ -276,7 +258,7 @@ def measure_operator(
         bases = []
         for subset in subsets:
             vecs = [pvs.local_sets[i][k] for k in subset]
-            bases.append(_complete_basis(vecs, dims[i], tolerance))
+            bases.append(_complete_basis(vecs, dims[i]))
         site_bases.append(bases)
     scen = Scenario(
         tuple(len(b) for b in site_bases), tuple(dims)
@@ -296,7 +278,7 @@ def measure_operator(
                 t = np.tensordot(t, v.conj(), axes=([p], [0]))
             arr[x_idx, scen.encode_outcome(aa)] = float(np.real(t))
     box = Box(scen, arr, "numeric")
-    report = is_nonsignaling(box, tolerance)
+    report = is_nonsignaling(box)
     if not report.is_nonsignaling:
         raise RuntimeError("measured box failed the no-signaling check")
     return box

@@ -206,7 +206,7 @@ def test_criterion_8_witness_pipeline():
         assert report.bell_value > 1 + 1e-6
 
         box = gb.measure_operator(report.witness, sh)
-        assert gb.is_nonsignaling(box, tolerance=1e-9).is_nonsignaling
+        assert gb.is_nonsignaling(box).is_nonsignaling
         assert gb.is_ppt(report.state)
 
 

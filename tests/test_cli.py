@@ -153,10 +153,25 @@ def test_usage_error_exit_code():
     assert code == 2
 
 
+def test_expression_source_is_required_and_exclusive():
+    for argv in (
+        ["tobl"],
+        ["bounds", "--set", "ns"],
+        ["facet"],
+        ["bounds", "--gyni", "3", "--known", "shifts", "--set", "ns"],
+        ["tobl", "--gyni", "3", "--expr", "game.json"],
+    ):
+        code, text = run_cli(argv)
+        assert code == 2, argv
+        assert text == ""
+
+
 def test_seed_only_where_it_takes_effect():
     code, _ = run_cli(["bounds", "--gyni", "3", "--set", "ns", "--seed", "1"])
     assert code == 2
     code, _ = run_cli(["tobl", "--gyni", "3", "--cap", "10"])
+    assert code == 2
+    code, _ = run_cli(["witness", "--threads", "2"])
     assert code == 2
     code, text = run_cli(["bounds", "--gyni", "3", "--set", "classical"])
     assert code == 0

@@ -1,5 +1,8 @@
+import dataclasses
 import random
 from fractions import Fraction
+
+import pytest
 
 from gynibell import lp
 
@@ -61,20 +64,27 @@ def test_redundant_equalities():
     assert res.value == F(1, 2)
 
 
+def _dual_objective(problem, res):
+    return sum(y * row.rhs for y, row in zip(res.dual, problem.constraints))
+
+
 def test_lower_bounds_shift():
-    res = lp.solve(
-        lp.make_problem([1, 1], "min", [([1, 1], ">=", 3)], lower=[1, 1])
+    # lower bounds x >= 1 written as rows
+    problem = lp.make_problem(
+        [1, 1], "min", [([1, 1], ">=", 3), ([1, 0], ">=", 1), ([0, 1], ">=", 1)]
     )
+    res = lp.solve(problem)
     assert res.status == "optimal"
     assert res.value == 3
+    assert _dual_objective(problem, res) == res.value
 
 
 def test_upper_bounds_as_rows():
-    res = lp.solve(
-        lp.make_problem([1, 1], "max", [([1, -1], "=", 0)], upper=[F(1, 3), None])
-    )
+    problem = lp.make_problem([1, 1], "max", [([1, -1], "=", 0), ([1, 0], "<=", F(1, 3))])
+    res = lp.solve(problem)
     assert res.status == "optimal"
     assert res.value == F(2, 3)
+    assert _dual_objective(problem, res) == res.value
 
 
 def test_strong_duality_identity():
@@ -196,7 +206,48 @@ def test_random_fractional_lps_against_vertex_enumeration():
         assert best == res.value, f"trial {trial}"
 
 
-def test_dump_text_format():
-    problem = lp.make_problem([F(1, 2), 1], "max", [([1, 1], "<=", F(3, 2))])
-    text = problem.dump_text()
-    assert "1/2" in text and "<= 3/2" in text and text.startswith("vars 2")
+def _sign_flips(values):
+    """Each copy of ``values`` with one nonzero entry negated."""
+    for i, v in enumerate(values):
+        if v:
+            yield values[:i] + (-v,) + values[i + 1 :]
+
+
+def test_verify_optimal_rejects_tampered_dual():
+    for problem in (
+        lp.make_problem(
+            [3, 5], "max", [([1, 0], "<=", 4), ([0, 2], "<=", 12), ([3, 2], "<=", 18)]
+        ),
+        lp.make_problem([1, 1], "max", [([1, -1], "=", 0), ([1, 0], "<=", F(1, 3))]),
+        lp.make_problem([1, 2], "min", [([1, 1], ">=", 3), ([1, 0], "<=", 2)]),
+    ):
+        res = lp.solve(problem)
+        flips = list(_sign_flips(res.dual))
+        assert flips
+        for dual in flips:
+            with pytest.raises(lp.LPError):
+                lp._verify_optimal(problem, dataclasses.replace(res, dual=dual))
+
+
+def test_verify_infeasible_rejects_tampered_farkas():
+    problem = lp.make_problem(
+        [1, 1], "max", [([1, 1], ">=", 2), ([1, 0], "<=", 1), ([0, 1], "<=", F(1, 2))]
+    )
+    res = lp.solve(problem)
+    assert res.status == "infeasible"
+    flips = list(_sign_flips(res.farkas))
+    assert flips
+    for farkas in flips:
+        with pytest.raises(lp.LPError):
+            lp._verify_infeasible(problem, farkas)
+
+
+def test_verify_ray_rejects_tampered_ray():
+    problem = lp.make_problem([1, 1], "max", [([1, -1], "<=", 1)])
+    res = lp.solve(problem)
+    assert res.status == "unbounded"
+    flips = list(_sign_flips(res.ray))
+    assert flips
+    for ray in flips:
+        with pytest.raises(lp.LPError):
+            lp._verify_ray(problem, ray)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import gynibell as gb
-from gynibell import gyni, polytope, upb
+from gynibell import _rank, gyni, polytope, upb
 from gynibell.core import Scenario
 from gynibell.polytope import affine_rank_of_strategies
 
@@ -231,9 +231,8 @@ def test_affine_rank_collapsed_equals_full_coordinates(scenario):
     strategies = gb.enumerate_deterministic_strategies(scenario)
     for trial in range(5):
         subset = rng.sample(strategies, rng.randint(2, min(30, len(strategies))))
-        assert affine_rank_of_strategies(
-            scenario, subset, coords="cg"
-        ) == affine_rank_of_strategies(scenario, subset, coords="full")
+        full = polytope._full_coordinates_of_strategies(scenario, subset)
+        assert affine_rank_of_strategies(scenario, subset) == _rank.affine_rank(full)
 
 
 def test_facet_gyni3(gyni_games):

@@ -105,8 +105,6 @@ def test_epsilon_upper_bounds_random_product_states(shifts_pi, shifts_eps):
 def test_epsilon_deterministic(shifts_pi, shifts_eps):
     again = gb.epsilon_min(shifts_pi, starts=200, seed=0)
     assert again == shifts_eps
-    threaded = gb.epsilon_min(shifts_pi, starts=200, seed=0, threads=4)
-    assert threaded == shifts_eps
 
 
 # ---------------------------------------------------------------------------
