@@ -32,7 +32,7 @@ for name, pvs in [
     ("wupb_example()", upb.wupb_example()),
 ]:
     verdict = gb.is_upb(pvs)
-    print(f"  {name:18s} size {len(pvs):2d}  UPB={verdict.is_upb}  weak-UPB={verdict.is_wupb}")
+    print(f"  {name:18s} size {len(pvs):2d}  UPB={verdict.is_upb}  weak-UPB={gb.is_wupb(pvs)}")
 
 print("\ndropping one Shifts vector makes the rest extendible:")
 partial = upb.build_local_subsets(sh.vectors[1:], (2, 2, 2))

@@ -171,12 +171,11 @@ def _cmd_upb(args) -> dict:
     out = {"label": pvs.label, "size": len(pvs), "dims": list(pvs.dims)}
     if args.check in ("indep", "all"):
         out["local_independence"] = upb.check_local_independence(pvs)
-    if args.check == "wupb":
+    if args.check in ("upb", "wupb", "all"):
         out["is_wupb"] = upb.is_wupb(pvs)
-    if args.check in ("upb", "all"):  # the verdict carries is_wupb too
+    if args.check in ("upb", "all"):
         verdict = upb.is_upb(pvs, cap=args.cap)
         out["is_upb"] = verdict.is_upb
-        out["is_wupb"] = verdict.is_wupb
         if verdict.extension_witness is not None:
             out["extension_witness"] = [
                 [[float(z.real), float(z.imag)] for z in v]

@@ -2,10 +2,9 @@
 
 A *scenario* fixes the number of parties and the per-party input/output
 cardinalities.  A *box* is a full conditional probability table ``P(a|x)``
-over a scenario, carried either exactly (rationals) or numerically (floats).
-Input and outcome tuples are flattened to mixed-radix integers, party-major
-with party 0 most significant, which gives deterministic serialization and
-O(1) table lookups.
+over a scenario, in exact rationals.  Input and outcome tuples are
+flattened to mixed-radix integers, party-major with party 0 most
+significant, which gives deterministic serialization and O(1) table lookups.
 
 All types are immutable after construction and all operations are pure
 functions, so values can be shared freely between concurrent tasks.
@@ -17,8 +16,6 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, NamedTuple
-
-import numpy as np
 
 from . import config
 from .exact import rat_from_str, rat_to_str
@@ -124,32 +121,19 @@ def binary_scenario(n_parties: int) -> Scenario:
 
 
 class Box:
-    """Conditional probability table P(a|x) over a scenario.
-
-    ``mode`` is ``"exact"`` (entries are rationals, normalization is an
-    identity of fractions) or ``"numeric"`` (float64 entries, normalization
-    within tolerance).  The table is dense: entry ``(x_idx, a_idx)`` lives at
-    ``table[x_idx * n_outputs + a_idx]`` in exact mode and at
-    ``array[x_idx, a_idx]`` in numeric mode.
+    """Conditional probability table P(a|x) over a scenario, in exact
+    rationals; normalization is an identity of fractions.  The table is
+    dense: entry ``(x_idx, a_idx)`` lives at ``table[x_idx * n_outputs + a_idx]``.
     """
 
-    __slots__ = ("scenario", "mode", "_table")
+    __slots__ = ("scenario", "_table")
 
-    def __init__(self, scenario: Scenario, table, mode: str):
+    def __init__(self, scenario: Scenario, table):
         self.scenario = scenario
-        self.mode = mode
-        if mode == "exact":
-            tab = list(table)
-            if len(tab) != scenario.table_size:
-                raise ValueError("table size mismatch")
-            self._table = tab
-        elif mode == "numeric":
-            arr = np.asarray(table, dtype=float)
-            if arr.shape != (scenario.n_inputs, scenario.n_outputs):
-                raise ValueError("table shape mismatch")
-            self._table = arr
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
+        tab = list(table)
+        if len(tab) != scenario.table_size:
+            raise ValueError("table size mismatch")
+        self._table = tab
         self.validate()
 
     # -- constructors
@@ -162,120 +146,78 @@ class Box:
             na = scenario.n_outputs
             for (x, a), v in entries.items():
                 tab[x * na + a] = Fraction(v)
-            return Box(scenario, tab, "exact")
-        return Box(scenario, [Fraction(v) for v in entries], "exact")
-
-    @staticmethod
-    def numeric(scenario: Scenario, array) -> "Box":
-        return Box(scenario, array, "numeric")
+            return Box(scenario, tab)
+        return Box(scenario, [Fraction(v) for v in entries])
 
     # -- access
 
-    def value(self, x_idx: int, a_idx: int):
-        if self.mode == "exact":
-            return self._table[x_idx * self.scenario.n_outputs + a_idx]
-        return self._table[x_idx, a_idx]
+    def value(self, x_idx: int, a_idx: int) -> Fraction:
+        return self._table[x_idx * self.scenario.n_outputs + a_idx]
 
     def prob(self, xs: tuple[int, ...], aa: tuple[int, ...]):
         return self.value(self.scenario.encode_input(xs), self.scenario.encode_outcome(aa))
 
     def exact_table(self) -> list[Fraction]:
-        if self.mode != "exact":
-            raise ValueError("not an exact box")
         return list(self._table)
-
-    def as_array(self) -> np.ndarray:
-        if self.mode == "numeric":
-            return np.array(self._table)
-        na = self.scenario.n_outputs
-        out = np.empty((self.scenario.n_inputs, na))
-        for x in range(self.scenario.n_inputs):
-            for a in range(na):
-                out[x, a] = float(self._table[x * na + a])
-        return out
 
     # -- invariants
 
     def validate(self) -> None:
-        eps = config.TOLERANCE
         nx, na = self.scenario.n_inputs, self.scenario.n_outputs
-        if self.mode == "exact":
-            for x in range(nx):
-                row = self._table[x * na : (x + 1) * na]
-                if any(p < 0 for p in row):
-                    raise ValueError(f"negative probability at input {x}")
-                if sum(row) != 1:
-                    raise ValueError(f"row {x} does not sum to 1")
-        else:
-            if np.min(self._table) < -eps:
-                raise ValueError("negative probability beyond tolerance")
-            sums = self._table.sum(axis=1)
-            if np.max(np.abs(sums - 1.0)) > eps:
-                raise ValueError("row normalization off beyond tolerance")
+        for x in range(nx):
+            row = self._table[x * na : (x + 1) * na]
+            if any(p < 0 for p in row):
+                raise ValueError(f"negative probability at input {x}")
+            if sum(row) != 1:
+                raise ValueError(f"row {x} does not sum to 1")
 
     def __eq__(self, other):
         if not isinstance(other, Box):
             return NotImplemented
-        if self.scenario != other.scenario or self.mode != other.mode:
-            return False
-        if self.mode == "exact":
-            return self._table == other._table
-        return bool(np.array_equal(self._table, other._table))
+        return self.scenario == other.scenario and self._table == other._table
 
     def __repr__(self):
-        return f"Box(parties={self.scenario.parties}, mode={self.mode})"
+        return f"Box(parties={self.scenario.parties})"
 
     # -- serialization
 
     def to_json(self) -> dict:
-        if self.mode == "exact":
-            na = self.scenario.n_outputs
-            table = {}
-            for x in range(self.scenario.n_inputs):
-                for a in range(na):
-                    v = self._table[x * na + a]
-                    if v:
-                        table[f"{x}:{a}"] = rat_to_str(v)
-            return {"scenario": self.scenario.to_json(), "mode": "exact", "table": table}
+        na = self.scenario.n_outputs
         table = {}
         for x in range(self.scenario.n_inputs):
-            for a in range(self.scenario.n_outputs):
-                v = float(self._table[x, a])
-                if v != 0.0:
-                    table[f"{x}:{a}"] = float(f"{v:.12g}")
-        return {"scenario": self.scenario.to_json(), "mode": "numeric", "table": table}
+            for a in range(na):
+                v = self._table[x * na + a]
+                if v:
+                    table[f"{x}:{a}"] = rat_to_str(v)
+        return {"scenario": self.scenario.to_json(), "mode": "exact", "table": table}
 
     @staticmethod
     def from_json(obj: dict) -> "Box":
         scen = Scenario.from_json(obj["scenario"])
         mode = obj.get("mode", "exact")
-        if mode == "exact":
-            entries = {}
-            for key, val in obj["table"].items():
-                x, a = key.split(":")
-                entries[(int(x), int(a))] = rat_from_str(val)
-            return Box.exact(scen, entries)
-        arr = np.zeros((scen.n_inputs, scen.n_outputs))
+        if mode != "exact":
+            raise ValueError(f"box mode {mode!r} is not supported: boxes are exact")
+        entries = {}
         for key, val in obj["table"].items():
             x, a = key.split(":")
-            arr[int(x), int(a)] = float(val)
-        return Box.numeric(scen, arr)
+            entries[(int(x), int(a))] = rat_from_str(val)
+        return Box.exact(scen, entries)
 
 
 def mix_boxes(boxes: list[Box], weights: list[Fraction]) -> Box:
-    """Exact convex combination of exact boxes on a common scenario."""
+    """Exact convex combination of boxes on a common scenario."""
     if not boxes:
         raise ValueError("empty mixture")
     scen = boxes[0].scenario
-    if any(b.scenario != scen or b.mode != "exact" for b in boxes):
-        raise ValueError("mixture requires exact boxes on one scenario")
+    if any(b.scenario != scen for b in boxes):
+        raise ValueError("mixture requires boxes on one scenario")
     table = [Fraction(0)] * scen.table_size
     for b, w in zip(boxes, weights):
         w = Fraction(w)
         for i, v in enumerate(b._table):
             if v:
                 table[i] += w * v
-    return Box(scen, table, "exact")
+    return Box(scen, table)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +268,7 @@ def box_from_strategy(scenario: Scenario, strategy: DeterministicStrategy) -> Bo
         x_idx = scenario.encode_input(xs)
         a_idx = scenario.encode_outcome(strategy.outcome_for(xs))
         table[x_idx * na + a_idx] = Fraction(1)
-    return Box(scenario, table, "exact")
+    return Box(scenario, table)
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +311,8 @@ def is_nonsignaling(box: Box) -> NsReport:
     """Check the per-party no-signaling equalities, reporting any violations.
 
     For every party i, every context of the other inputs and every pair of
-    inputs for i, the marginal over party i's outcome must agree (exactly in
-    exact mode, within ``config.TOLERANCE`` in numeric mode).
+    inputs for i, the marginal over party i's outcome must agree exactly.
     """
-    eps = config.TOLERANCE
     scen = box.scenario
     violations = []
     for party in range(scen.parties):
@@ -382,9 +322,7 @@ def is_nonsignaling(box: Box) -> NsReport:
         base = margs[0]
         for x_i in range(1, scen.inputs[party]):
             for key, v in margs[x_i].items():
-                v0 = base[key]
-                bad = (v0 != v) if box.mode == "exact" else abs(float(v0) - float(v)) > eps
-                if bad:
+                if base[key] != v:
                     violations.append(NsViolation(party, key[0], (0, x_i), key[1]))
     return NsReport(not violations, violations)
 
@@ -450,18 +388,13 @@ class BellExpression:
         )
 
 
-def bell_value(expression: BellExpression, box: Box):
-    """Evaluate sum of coefficient * P(a|x); exact when the box is exact."""
+def bell_value(expression: BellExpression, box: Box) -> Fraction:
+    """Exact value of sum of coefficient * P(a|x)."""
     if expression.scenario != box.scenario:
         raise ValueError("expression and box live on different scenarios")
-    if box.mode == "exact":
-        total = Fraction(0)
-        for (x, a), c in expression.coeffs.items():
-            total += c * box.value(x, a)
-        return total
-    total = 0.0
+    total = Fraction(0)
     for (x, a), c in expression.coeffs.items():
-        total += float(c) * box.value(x, a)
+        total += c * box.value(x, a)
     return total
 
 
@@ -523,19 +456,12 @@ def apply_symmetry_to_box(box: Box, sym: Symmetry) -> Box:
     """Push a box through a relabeling; preserves validity and no-signaling."""
     scen = box.scenario
     na = scen.n_outputs
-    if box.mode == "exact":
-        table = [Fraction(0)] * scen.table_size
-        for x in range(scen.n_inputs):
-            for a in range(na):
-                nx_, na_ = sym.apply_index(scen, x, a)
-                table[nx_ * na + na_] = box.value(x, a)
-        return Box(scen, table, "exact")
-    arr = np.zeros((scen.n_inputs, na))
+    table = [Fraction(0)] * scen.table_size
     for x in range(scen.n_inputs):
         for a in range(na):
             nx_, na_ = sym.apply_index(scen, x, a)
-            arr[nx_, na_] = box.value(x, a)
-    return Box(scen, arr, "numeric")
+            table[nx_ * na + na_] = box.value(x, a)
+    return Box(scen, table)
 
 
 def expression_invariant_under(expression: BellExpression, sym: Symmetry) -> bool:
@@ -563,11 +489,8 @@ def postselect(box: Box, party: int, x_value: int, a_value: int) -> Box:
     new_scen = Scenario(
         tuple(scen.inputs[p] for p in rest), tuple(scen.outputs[p] for p in rest)
     )
-    exact = box.mode == "exact"
     na_new = new_scen.n_outputs
-    table = [Fraction(0)] * new_scen.table_size if exact else np.zeros(
-        (new_scen.n_inputs, na_new)
-    )
+    table = [Fraction(0)] * new_scen.table_size
     for xo in new_scen.input_tuples():
         xs = list(xo)
         xs.insert(party, x_value)
@@ -578,18 +501,14 @@ def postselect(box: Box, party: int, x_value: int, a_value: int) -> Box:
             aa.insert(party, a_value)
             row[ao] = box.value(x_idx, scen.encode_outcome(tuple(aa)))
         norm = sum(row.values())
-        bad = norm == 0 if exact else float(norm) <= config.TOLERANCE
-        if bad:
+        if norm == 0:
             raise ZeroDivisionError(
                 f"postselection on zero-probability event at party {party}"
             )
         xo_idx = new_scen.encode_input(xo)
         for ao, v in row.items():
-            if exact:
-                table[xo_idx * na_new + new_scen.encode_outcome(ao)] = v / norm
-            else:
-                table[xo_idx, new_scen.encode_outcome(ao)] = float(v) / float(norm)
-    return Box(new_scen, table, box.mode)
+            table[xo_idx * na_new + new_scen.encode_outcome(ao)] = v / norm
+    return Box(new_scen, table)
 
 
 def drop_party(box: Box, party: int, x_value: int = 0) -> Box:
@@ -603,27 +522,21 @@ def drop_party(box: Box, party: int, x_value: int = 0) -> Box:
     new_scen = Scenario(
         tuple(scen.inputs[p] for p in rest), tuple(scen.outputs[p] for p in rest)
     )
-    exact = box.mode == "exact"
     na_new = new_scen.n_outputs
-    table = [Fraction(0)] * new_scen.table_size if exact else np.zeros(
-        (new_scen.n_inputs, na_new)
-    )
+    table = [Fraction(0)] * new_scen.table_size
     for xo in new_scen.input_tuples():
         xs = list(xo)
         xs.insert(party, x_value)
         x_idx = scen.encode_input(tuple(xs))
         xo_idx = new_scen.encode_input(xo)
         for ao in new_scen.outcome_tuples():
-            acc = Fraction(0) if exact else 0.0
+            acc = Fraction(0)
             for a_i in range(scen.outputs[party]):
                 aa = list(ao)
                 aa.insert(party, a_i)
                 acc = acc + box.value(x_idx, scen.encode_outcome(tuple(aa)))
-            if exact:
-                table[xo_idx * na_new + new_scen.encode_outcome(ao)] = acc
-            else:
-                table[xo_idx, new_scen.encode_outcome(ao)] = acc
-    return Box(new_scen, table, box.mode)
+            table[xo_idx * na_new + new_scen.encode_outcome(ao)] = acc
+    return Box(new_scen, table)
 
 
 def lift_box(box: Box) -> Box:
@@ -636,11 +549,8 @@ def lift_box(box: Box) -> Box:
     if any(m != 2 for m in scen.inputs) or any(d != 2 for d in scen.outputs):
         raise ValueError("lift_box requires a binary-input/binary-output box")
     new_scen = binary_scenario(scen.parties + 1)
-    exact = box.mode == "exact"
     na_new = new_scen.n_outputs
-    table = [Fraction(0)] * new_scen.table_size if exact else np.zeros(
-        (new_scen.n_inputs, na_new)
-    )
+    table = [Fraction(0)] * new_scen.table_size
     for xs in scen.input_tuples():
         x_idx = scen.encode_input(xs)
         for x_new in (0, 1):
@@ -649,11 +559,8 @@ def lift_box(box: Box) -> Box:
             for aa in scen.outcome_tuples():
                 v = box.value(x_idx, scen.encode_outcome(aa))
                 naa = aa + (x_new,)
-                if exact:
-                    table[nx_idx * na_new + new_scen.encode_outcome(naa)] = v
-                else:
-                    table[nx_idx, new_scen.encode_outcome(naa)] = v
-    return Box(new_scen, table, box.mode)
+                table[nx_idx * na_new + new_scen.encode_outcome(naa)] = v
+    return Box(new_scen, table)
 
 
 # ---------------------------------------------------------------------------

@@ -285,7 +285,7 @@ def ns_max(expression: BellExpression, use_symmetry: bool = True) -> NsOptimum:
         objective, rows, [_table_permutation(scen, sym) for sym in syms], "no-signaling"
     )
 
-    box = Box(scen, table, "exact")
+    box = Box(scen, table)
     report = is_nonsignaling(box)
     if not report.is_nonsignaling:
         raise lp.LPError("optimal box failed the no-signaling recheck")
@@ -313,8 +313,6 @@ def local_membership(box: Box, cap: int | None = None) -> LocalMembership:
     combination of the table rows), verified against every vertex.
     """
     scen = box.scenario
-    if box.mode != "exact":
-        raise ValueError("local_membership requires an exact box")
     strategies = enumerate_deterministic_strategies(scen, cap)
     vertices = [box_from_strategy(scen, s) for s in strategies]
     n = len(strategies)
@@ -580,7 +578,7 @@ def tobl_max(expression: BellExpression, use_symmetry: bool = True) -> ToblOptim
             raise lp.LPError("TOBL solution failed the full-model recheck")
 
     table = solution[: layout.n_table]
-    box = Box(scen, table, "exact")
+    box = Box(scen, table)
     if bell_value(expression, box) != value:
         raise lp.LPError("TOBL optimal box does not achieve the LP value")
 

@@ -356,8 +356,8 @@ def check_local_independence(pvs: ProductVectorSet) -> bool:
 @dataclass(frozen=True)
 class UpbVerdict:
     is_upb: bool
-    is_wupb: bool
     extension_witness: tuple | None  # per-site vectors, or None
+    nodes: int  # assignment-search nodes visited
 
 
 def _site_rank(vectors, eps) -> int:
@@ -387,7 +387,9 @@ def is_upb(pvs: ProductVectorSet, cap: int | None = None) -> UpbVerdict:
     sites, S is extendible iff some assignment leaves every site's assigned
     local vectors short of full rank.  The first extension found (lowest
     assignment in lexicographic site order) is returned and re-verified by
-    direct inner products.
+    direct inner products.  The search raises once it has visited more than
+    ``cap`` nodes (partial assignments that keep every site short of full
+    rank).
     """
     eps = config.TOLERANCE
     cap = config.ASSIGNMENT_CAP if cap is None else cap
@@ -395,10 +397,6 @@ def is_upb(pvs: ProductVectorSet, cap: int | None = None) -> UpbVerdict:
     size = len(pvs)
     if size >= pvs.total_dim:
         raise ValueError("set must span a proper subspace (|S| < dim H)")
-    if n_sites**size > cap:
-        raise ValueError(
-            f"assignment search cap exceeded: {n_sites**size} > {cap}"
-        )
 
     rank_memo = [dict() for _ in range(n_sites)]
 
@@ -418,8 +416,13 @@ def is_upb(pvs: ProductVectorSet, cap: int | None = None) -> UpbVerdict:
         return r
 
     masks = [0] * n_sites
+    nodes = 0
 
     def search(m: int):
+        nonlocal nodes
+        nodes += 1
+        if nodes > cap:
+            raise ValueError(f"assignment search cap exceeded: more than {cap} nodes")
         if m == size:
             return tuple(masks)
         for site in range(n_sites):
@@ -434,9 +437,8 @@ def is_upb(pvs: ProductVectorSet, cap: int | None = None) -> UpbVerdict:
         return None
 
     assignment = search(0)
-    wupb = is_wupb(pvs)
     if assignment is None:
-        return UpbVerdict(True, wupb, None)
+        return UpbVerdict(True, None, nodes)
 
     witness = []
     for site in range(n_sites):
@@ -453,7 +455,7 @@ def is_upb(pvs: ProductVectorSet, cap: int | None = None) -> UpbVerdict:
     for m in range(size):
         if abs(product_inner(witness, pvs.vectors[m])) > eps:
             raise RuntimeError("extension witness failed the orthogonality recheck")
-    return UpbVerdict(False, wupb, tuple(witness))
+    return UpbVerdict(False, tuple(witness), nodes)
 
 
 def is_wupb(pvs: ProductVectorSet) -> bool:

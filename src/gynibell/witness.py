@@ -6,8 +6,11 @@ complement, rho = (1 - Pi) / (dim - |S|), and the operator
 W = (Pi - eps*1) / (|S| - eps*dim), where eps is the smallest overlap of Pi
 with a fully product state.  When S is unextendible eps is strictly
 positive, W is nonnegative on every product state, tr(W rho) < 0, and
-measuring W along the local bases of S produces a no-signaling box whose
-value on the set's Bell inequality is |S|(1-eps)/(|S| - eps*dim) > 1.
+measuring W along the local bases of S produces a float table P(a|x),
+normalized, nonnegative and no-signaling within ``config.TOLERANCE``, whose
+value on the set's Bell inequality is |S|(1-eps)/(|S| - eps*dim) > 1.  That
+table is the one float correlation table in the package; boxes
+(:class:`gynibell.core.Box`) are exact.
 
 eps has no closed form; it is estimated by alternating (see-saw)
 minimization over product states with many seeded restarts.  Each site
@@ -20,13 +23,14 @@ products of the set's own local vectors and is computed exhaustively.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import config
-from .core import Box, Scenario, bell_value, is_nonsignaling
+from .core import Scenario
 from .upb import ProductVectorSet, bell_from_set
 
 DEFAULT_STARTS = 200
@@ -168,8 +172,8 @@ class WitnessReport:
 def witness_and_state(pvs: ProductVectorSet, eps: float) -> WitnessReport:
     """W = (Pi - eps*1)/(|S| - eps*dim) and rho = (1 - Pi)/(dim - |S|).
 
-    Also evaluates tr(W rho) and the value the measured witness box gives to
-    the set's own Bell inequality."""
+    Also evaluates tr(W rho) and the value the measured witness table gives
+    to the set's own Bell inequality, a float sum of coefficient * entry."""
     size = len(pvs)
     pi = projector_onto_span(pvs)
     d = pi.total_dim
@@ -183,9 +187,11 @@ def witness_and_state(pvs: ProductVectorSet, eps: float) -> WitnessReport:
     witness = HermitianOp(pvs.dims, w_mat)
     state = HermitianOp(pvs.dims, rho_mat)
     trace_w_rho = float(np.real(np.trace(w_mat @ rho_mat)))
-    box = measure_operator(witness, pvs)
+    table = measure_operator(witness, pvs)
     expr = bell_from_set(pvs)
-    value = float(bell_value(expr, box))
+    if table.shape != (expr.scenario.n_inputs, expr.scenario.n_outputs):
+        raise ValueError("measured table and the set's inequality differ in scenario")
+    value = float(sum(float(c) * table[x, a] for (x, a), c in expr.coeffs.items()))
     return WitnessReport(eps, witness, state, trace_w_rho, value)
 
 
@@ -246,39 +252,47 @@ def _complete_basis(vectors, dim: int) -> list[np.ndarray]:
     return basis
 
 
-def measure_operator(op: HermitianOp, pvs: ProductVectorSet) -> Box:
-    """The numeric box P(a|x) = tr(op . tensor of |b_{x_i, a_i}><b_{x_i, a_i}|),
-    where setting x_i selects site i's subset completed to a full basis.
+def measure_operator(op: HermitianOp, pvs: ProductVectorSet) -> np.ndarray:
+    """The float table P[x_idx, a_idx] = tr(op . tensor of |b_{x_i,a_i}><b_{x_i,a_i}|),
+    where setting x_i selects site i's subset completed to a full basis and
+    indices are mixed-radix over (subsets per site) and ``pvs.dims``, as in
+    :class:`gynibell.core.Scenario`.
 
-    For any unit-trace Hermitian op the result is normalized and
-    no-signaling; positivity needs op to be positive on product states."""
-    dims = pvs.dims
-    site_bases = []
-    for i, subsets in enumerate(pvs.local_subsets):
-        bases = []
-        for subset in subsets:
-            vecs = [pvs.local_sets[i][k] for k in subset]
-            bases.append(_complete_basis(vecs, dims[i]))
-        site_bases.append(bases)
-    scen = Scenario(
-        tuple(len(b) for b in site_bases), tuple(dims)
-    )
-    n = len(dims)
-    tensor = op.matrix.reshape(*dims, *dims)
-    arr = np.zeros((scen.n_inputs, scen.n_outputs))
-    for xs in scen.input_tuples():
-        x_idx = scen.encode_input(xs)
-        for aa in scen.outcome_tuples():
-            t = tensor
-            for p in range(n - 1, -1, -1):
-                v = site_bases[p][xs[p]][aa[p]]
-                t = np.tensordot(t, v, axes=([n + p], [0]))
-            for p in range(n - 1, -1, -1):
-                v = site_bases[p][xs[p]][aa[p]]
-                t = np.tensordot(t, v.conj(), axes=([p], [0]))
-            arr[x_idx, scen.encode_outcome(aa)] = float(np.real(t))
-    box = Box(scen, arr, "numeric")
-    report = is_nonsignaling(box)
-    if not report.is_nonsignaling:
-        raise RuntimeError("measured box failed the no-signaling check")
-    return box
+    Each setting's product basis U_x is built once, as a Kronecker product
+    of the per-site bases; row x is the real diagonal of U_x^dagger op U_x.
+    For any unit-trace Hermitian op the rows sum to 1 and the table is
+    no-signaling; nonnegativity needs op to be nonnegative on product
+    states.  Rows off 1 or entries below zero by more than
+    ``config.TOLERANCE`` raise ValueError, a signaling table RuntimeError."""
+    if pvs.local_subsets is None:
+        raise ValueError("set carries no local subset structure")
+    site_bases = [
+        [
+            np.column_stack(_complete_basis([pvs.local_sets[i][k] for k in subset], d))
+            for subset in subsets
+        ]
+        for i, (subsets, d) in enumerate(zip(pvs.local_subsets, pvs.dims))
+    ]
+    scen = Scenario(tuple(len(b) for b in site_bases), tuple(pvs.dims))
+    table = np.empty((scen.n_inputs, scen.n_outputs))
+    for x_idx, xs in enumerate(scen.input_tuples()):
+        u = functools.reduce(np.kron, [site_bases[i][x] for i, x in enumerate(xs)])
+        table[x_idx] = np.einsum("ij,ij->j", u.conj(), op.matrix @ u).real
+    _check_table(table, scen)
+    return table
+
+
+def _check_table(table: np.ndarray, scen: Scenario) -> None:
+    """Normalization, nonnegativity and no-signaling, within tolerance."""
+    eps = config.TOLERANCE
+    if np.max(np.abs(table.sum(axis=1) - 1.0)) > eps:
+        raise ValueError("measured table rows do not sum to 1 within tolerance")
+    if np.min(table) < -eps:
+        raise ValueError("measured table has a negative entry beyond tolerance")
+    n = scen.parties
+    t = table.reshape(scen.inputs + scen.outputs)
+    for p in range(n):
+        # party p's outcome summed out; it must not depend on party p's input
+        marginal = t.sum(axis=n + p)
+        if np.max(np.abs(marginal - marginal.take([0], axis=p))) > eps:
+            raise RuntimeError("measured table failed the no-signaling check")

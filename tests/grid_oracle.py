@@ -1,4 +1,6 @@
-"""Independent grid oracle for the product-state overlap minimum.
+"""Independent oracles for the witness pipeline.
+
+The grid oracle checks the product-state overlap minimum.
 
 Used to cross-check the see-saw estimate of
 min over product states of <x1 x2 x3| Pi |x1 x2 x3> for three-qubit
@@ -10,11 +12,35 @@ refined by repeatedly shrinking the grid around the argmin.
 
 The oracle never iterates coordinate updates, so it shares no machinery
 with the see-saw path it checks.
+
+The no-signaling oracle checks a measured float table by summing explicit
+marginals entry by entry, without the reshapes the witness module uses.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
+
+
+def float_nonsignaling(table, inputs, outputs, tol: float = 1e-9) -> bool:
+    """No-signaling of a float table P[x_idx, a_idx] whose indices are
+    mixed-radix over ``inputs`` / ``outputs`` with party 0 most significant:
+    for every party, every input and outcome of the others, the sum over the
+    party's outcome must not depend on the party's own input."""
+    xs_all = list(itertools.product(*(range(m) for m in inputs)))
+    aa_all = list(itertools.product(*(range(d) for d in outputs)))
+    for p in range(len(inputs)):
+        marginal = {}
+        for x_idx, xs in enumerate(xs_all):
+            for a_idx, aa in enumerate(aa_all):
+                key = (xs[:p] + xs[p + 1 :], aa[:p] + aa[p + 1 :], xs[p])
+                marginal[key] = marginal.get(key, 0.0) + float(table[x_idx][a_idx])
+        for (xo, ao, _), v in marginal.items():
+            if abs(v - marginal[(xo, ao, 0)]) > tol:
+                return False
+    return True
 
 
 def _bloch_states(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:

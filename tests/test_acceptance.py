@@ -158,8 +158,8 @@ def test_criterion_6_upb_verdicts():
         for vec in partial.vectors:
             assert abs(upb.product_inner(verdict.extension_witness, vec)) < 1e-9
 
-        wv = gb.is_upb(upb.wupb_example())
-        assert wv.is_wupb and not wv.is_upb
+        w = upb.wupb_example()
+        assert gb.is_wupb(w) and not gb.is_upb(w).is_upb
 
         with pytest.raises(upb.AmbiguousSubsetsError):
             upb.build_local_subsets(upb.tiles(), (3, 3))
@@ -185,7 +185,7 @@ def test_criterion_7_quantum_bound_certificates():
 
 def test_criterion_8_witness_pipeline():
     with criterion(8, "witness pipeline on the Shifts set", 120):
-        from grid_oracle import grid_epsilon_min
+        from grid_oracle import float_nonsignaling, grid_epsilon_min
 
         sh = upb.shifts()  # Hadamard-rotated second basis by default
         pi = gb.projector_onto_span(sh)
@@ -205,8 +205,8 @@ def test_criterion_8_witness_pipeline():
         assert abs(report.bell_value - beta) < 1e-6
         assert report.bell_value > 1 + 1e-6
 
-        box = gb.measure_operator(report.witness, sh)
-        assert gb.is_nonsignaling(box).is_nonsignaling
+        table = gb.measure_operator(report.witness, sh)
+        assert float_nonsignaling(table, (2, 2, 2), (2, 2, 2))
         assert gb.is_ppt(report.state)
 
 

@@ -195,9 +195,24 @@ def test_facet_known_niset_cerf_qutrit_inequalities():
         assert payload["bound"] == "1"
 
 
-def test_domain_error_exit_code(tmp_path):
-    code, _ = run_cli(["membership", "--box", str(tmp_path / "missing.json")])
-    assert code == 1
+def test_domain_error_exit_code(tmp_path, capsys):
+    numeric = tmp_path / "numeric.json"
+    numeric.write_text(json.dumps({
+        "scenario": {"inputs": [2, 2], "outputs": [2, 2]},
+        "mode": "numeric",
+        "table": {f"{x}:0": 1.0 for x in range(4)},
+    }))
+    for argv, message in (
+        (["membership", "--box", str(tmp_path / "missing.json")], "missing.json"),
+        (["membership", "--box", str(numeric)], "box mode 'numeric' is not supported"),
+        (["witness", "--set", "nc", "--n", "3", "--d", "3", "--starts", "5"],
+         "set carries no local subset structure"),
+    ):
+        code, text = run_cli(argv)
+        assert code == 1
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
 
 def test_output_file(tmp_path):

@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 import gynibell as gb
@@ -89,12 +88,11 @@ def test_deterministic_boxes_are_nonsignaling():
 def test_signaling_box_detected():
     # party 2 outputs party 1's input: blatant signaling
     s = gb.binary_scenario(2)
-    arr = np.zeros((4, 4))
+    entries = {}
     for x1 in range(2):
         for x2 in range(2):
-            x_idx = s.encode_input((x1, x2))
-            arr[x_idx, s.encode_outcome((0, x1))] = 1.0
-    box = gb.Box.numeric(s, arr)
+            entries[(s.encode_input((x1, x2)), s.encode_outcome((0, x1)))] = 1
+    box = gb.Box.exact(s, entries)
     report = gb.is_nonsignaling(box)
     assert not report.is_nonsignaling
     # violations are keyed by the signaling party (whose input we vary)

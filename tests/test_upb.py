@@ -96,8 +96,8 @@ def test_shifts_is_upb_random_bases():
         t = rng.uniform(0.15, np.pi / 2 - 0.15)
         phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
         e = np.array([np.cos(t), phase * np.sin(t)])
-        verdict = gb.is_upb(upb.shifts(e=e))
-        assert verdict.is_upb and verdict.is_wupb
+        pvs = upb.shifts(e=e)
+        assert gb.is_upb(pvs).is_upb and gb.is_wupb(pvs)
 
 
 def test_shifts_minus_one_vector_extendible():
@@ -158,9 +158,8 @@ def test_niset_cerf_is_upb(n, d):
     pvs = upb.niset_cerf(n, d)
     assert len(pvs) == n * (d - 1) + 1
     assert_globally_orthogonal(pvs)
-    verdict = gb.is_upb(pvs)
-    assert verdict.is_upb
-    assert verdict.is_wupb
+    assert gb.is_upb(pvs).is_upb
+    assert gb.is_wupb(pvs)
 
 
 def test_niset_cerf_32_recovers_shifts_structure():
@@ -200,7 +199,7 @@ def test_wupb_example_is_weak_but_not_full():
     assert_globally_orthogonal(w)
     assert gb.check_local_independence(w)
     verdict = gb.is_upb(w)
-    assert verdict.is_wupb
+    assert gb.is_wupb(w)
     assert not verdict.is_upb
     assert verdict.extension_witness is not None
 
@@ -237,14 +236,24 @@ def test_upb_implies_wupb_across_suite():
         upb.niset_cerf(3, 2),
         upb.niset_cerf(3, 3),
     ):
-        verdict = gb.is_upb(pvs)
-        if verdict.is_upb:
-            assert verdict.is_wupb
+        if gb.is_upb(pvs).is_upb:
+            assert gb.is_wupb(pvs)
 
 
 def test_assignment_cap():
     with pytest.raises(ValueError, match="cap"):
         gb.is_upb(upb.gen_shifts(3), cap=10)
+
+
+def test_assignment_cap_counts_visited_nodes():
+    # 5**16 assignments in the worst case, far above the cap, but the
+    # search reaches an extension along its first path
+    pvs = upb.niset_cerf(5, 4)
+    verdict = gb.is_upb(pvs)
+    assert not verdict.is_upb
+    assert verdict.nodes == len(pvs) + 1
+    for vec in pvs.vectors:
+        assert abs(upb.product_inner(verdict.extension_witness, vec)) < 1e-9
 
 
 def test_four_partite_inequality_structure():

@@ -5,6 +5,7 @@ import gynibell as gb
 from gynibell import upb
 from gynibell.upb import basis_ket
 from gynibell.witness import HermitianOp
+from grid_oracle import float_nonsignaling
 
 
 @pytest.fixture(scope="module")
@@ -167,22 +168,35 @@ def test_maximally_entangled_projector_not_ppt():
 # measurement boxes
 
 
+def _random_density_matrix(seed, d=8):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
 def test_measured_witness_box_ns_and_normalized(shifts_report, shifts_set):
-    box = gb.measure_operator(shifts_report.witness, shifts_set)
-    box.validate()
-    assert gb.is_nonsignaling(box).is_nonsignaling
+    table = gb.measure_operator(shifts_report.witness, shifts_set)
+    scen = gb.bell_from_set(shifts_set).scenario
+    assert table.shape == (scen.n_inputs, scen.n_outputs)
+    assert np.allclose(table.sum(axis=1), 1.0, atol=1e-9)
+    assert table.min() >= -1e-9
+    assert float_nonsignaling(table, scen.inputs, scen.outputs)
 
 
 def test_measured_density_matrix_respects_quantum_bound(shifts_set):
-    rng = np.random.default_rng(4)
-    d = 8
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = a @ a.conj().T
-    rho /= np.trace(rho).real
-    op = HermitianOp((2, 2, 2), rho)
-    box = gb.measure_operator(op, shifts_set)
+    op = HermitianOp((2, 2, 2), _random_density_matrix(4))
+    table = gb.measure_operator(op, shifts_set)
     e = gb.bell_from_set(shifts_set)
-    assert gb.bell_value(e, box) <= 1 + 1e-9
+    assert float_nonsignaling(table, e.scenario.inputs, e.scenario.outputs)
+    value = sum(float(c) * table[x, a] for (x, a), c in e.coeffs.items())
+    assert value <= 1 + 1e-9
+
+
+def test_measure_operator_rejects_unnormalized_operator(shifts_set):
+    op = HermitianOp((2, 2, 2), 2 * _random_density_matrix(4))
+    with pytest.raises(ValueError, match="sum to 1"):
+        gb.measure_operator(op, shifts_set)
 
 
 def test_witness_is_non_psd_unit_trace_yet_measures_to_valid_box(shifts_report):
@@ -192,7 +206,7 @@ def test_witness_is_non_psd_unit_trace_yet_measures_to_valid_box(shifts_report):
     w = shifts_report.witness.matrix
     assert abs(np.trace(w).real - 1) < 1e-9
     assert np.linalg.eigvalsh(w)[0] < -1e-6
-    arr = gb.measure_operator(shifts_report.witness, upb.shifts()).as_array()
+    arr = gb.measure_operator(shifts_report.witness, upb.shifts())
     assert np.allclose(arr.sum(axis=1), 1.0, atol=1e-9)
 
 
