@@ -188,6 +188,9 @@ def _cmd_upb(args) -> dict:
 
 def _cmd_witness(args) -> dict:
     pvs = _named_set(args.set, args)
+    # the measured table needs the subsets; fail before the see-saw runs
+    if pvs.local_subsets is None:
+        raise ValueError("set carries no local subset structure")
     pi = witness.projector_onto_span(pvs)
     verdict = upb.is_upb(pvs, cap=args.cap)
     if verdict.is_upb:

@@ -143,8 +143,10 @@ class Box:
         """Build an exact box from a dense list or an {(x_idx, a_idx): Rat} dict."""
         if isinstance(entries, dict):
             tab = [Fraction(0)] * scenario.table_size
-            na = scenario.n_outputs
+            nx, na = scenario.n_inputs, scenario.n_outputs
             for (x, a), v in entries.items():
+                if not (0 <= x < nx and 0 <= a < na):
+                    raise ValueError(f"box entry key ({x},{a}) out of range")
                 tab[x * na + a] = Fraction(v)
             return Box(scenario, tab)
         return Box(scenario, [Fraction(v) for v in entries])

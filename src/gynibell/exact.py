@@ -18,9 +18,6 @@ from fractions import Fraction
 
 Rat = Fraction
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 def rat(numerator: int, denominator: int = 1) -> Fraction:
     """Build a rational in canonical reduced form; the sign sits on the numerator."""

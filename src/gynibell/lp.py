@@ -1,5 +1,9 @@
 """Exact rational linear programming.
 
+One problem form: maximize ``c.x`` subject to equality rows ``A x = b`` over
+``x >= 0``.  An inequality or a variable bound is written as an equality
+row with its own slack column.
+
 A two-phase revised simplex.  The basis inverse is held explicitly, one row
 of integer numerators plus a positive integer denominator per row (rows are
 pre-scaled so constraint columns are integral), which keeps every pivot
@@ -12,9 +16,10 @@ and priced lazily in blocks.
 Correctness posture:
 
 * "optimal" results are re-verified before being returned: the solution is
-  substituted into every original constraint exactly, and the dual vector is
-  checked for exact sign feasibility, complementary slackness and exact
-  agreement of primal and dual objectives (strong duality).
+  substituted into every original row exactly, and the dual vector (free,
+  one multiplier per equality row) is checked for exact dual feasibility,
+  complementary slackness and exact agreement of primal and dual
+  objectives (strong duality).
 * infeasible problems come with a Farkas certificate, verified exactly.
 * unbounded problems come with a verified improving ray.
 
@@ -40,8 +45,6 @@ from . import config
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-_RELATIONS = ("<=", "=", ">=")
-
 #: consecutive degenerate pivots tolerated before Bland's rule engages.
 #: the primary tie-break is lexicographic, which already makes cycling all
 #: but impossible, so this is a deep safety net rather than a tuning knob
@@ -57,51 +60,45 @@ class LPError(RuntimeError):
 
 @dataclass(frozen=True)
 class Constraint:
-    """One row: sparse coefficients, a relation and a right-hand side."""
+    """One equality row: sparse coefficients and a right-hand side."""
 
     coeffs: tuple  # tuple of (var_index, Fraction)
-    relation: str
     rhs: Fraction
 
-    def __post_init__(self):
-        if self.relation not in _RELATIONS:
-            raise ValueError(f"relation must be one of {_RELATIONS}")
 
-
-def make_constraint(coeffs, relation: str, rhs) -> Constraint:
+def make_constraint(coeffs, rhs) -> Constraint:
     """Accept a dense sequence or a {index: value} dict of coefficients."""
     if isinstance(coeffs, dict):
         items = tuple(sorted((int(i), Fraction(v)) for i, v in coeffs.items() if v))
     else:
         items = tuple((i, Fraction(v)) for i, v in enumerate(coeffs) if v)
-    return Constraint(items, relation, Fraction(rhs))
+    return Constraint(items, Fraction(rhs))
 
 
 @dataclass(frozen=True)
 class LPProblem:
-    """max/min of objective . x subject to rows, over x >= 0.
+    """max of objective . x subject to equality rows, over x >= 0.
 
-    Any other bound on a variable is written as a row.
+    An inequality is written as an equality row with its own slack column;
+    any other bound on a variable is written as such a row.  A minimum is
+    the negated maximum of the negated objective.
     """
 
     n: int
     objective: tuple
-    sense: str  # "max" | "min"
     constraints: tuple
 
     def __post_init__(self):
-        if self.sense not in ("max", "min"):
-            raise ValueError("sense must be 'max' or 'min'")
         if len(self.objective) != self.n:
             raise ValueError("objective length mismatch")
 
 
-def make_problem(objective, sense, constraints) -> LPProblem:
+def make_problem(objective, constraints) -> LPProblem:
     obj = tuple(Fraction(c) for c in objective)
     rows = tuple(
         c if isinstance(c, Constraint) else make_constraint(*c) for c in constraints
     )
-    return LPProblem(len(obj), obj, sense, rows)
+    return LPProblem(len(obj), obj, rows)
 
 
 @dataclass
@@ -127,15 +124,15 @@ class LPResult:
 # standard-form conversion
 #
 # internal form: minimize c.x  s.t.  A x = b, x >= 0, b >= 0
-# variable layout: [original vars | slack/surplus | artificials]
+# variable layout: [original vars | artificials]
 
 
 class _Standard:
-    __slots__ = ("m", "n_orig", "cols", "b", "phase2_cost", "art_start", "row_mult")
+    __slots__ = ("m", "cols", "b", "phase2_cost", "art_start", "row_mult")
 
 
 def _standardize(problem: LPProblem) -> _Standard:
-    """Convert to ``min c.x, A x = b, x >= 0`` with integer columns.
+    """Convert to ``min -objective.x, A x = b, x >= 0`` with integer columns.
 
     Each row is multiplied by the (signed) rational that clears coefficient
     denominators and makes the right-hand side nonnegative; ``row_mult``
@@ -147,23 +144,8 @@ def _standardize(problem: LPProblem) -> _Standard:
 
     std = _Standard()
     std.m = len(rows)
-    std.n_orig = n
 
     b = [row.rhs for row in rows]
-
-    cost = [Fraction(c) for c in problem.objective]
-    if problem.sense == "max":
-        cost = [-c for c in cost]
-    slack_dir = []  # per row: +1 for slack, -1 for surplus, 0 for equality
-    for row in rows:
-        if row.relation == "<=":
-            slack_dir.append(1)
-            cost.append(_ZERO)
-        elif row.relation == ">=":
-            slack_dir.append(-1)
-            cost.append(_ZERO)
-        else:
-            slack_dir.append(0)
 
     # integer row scaling plus sign flip for b >= 0
     row_mult = []
@@ -183,17 +165,11 @@ def _standardize(problem: LPProblem) -> _Standard:
         for j, v in row.coeffs:
             if v:
                 cols[j][i] = int(v * mi)
-    int_cols = [tuple(sorted(c.items())) for c in cols]
-    for i, d in enumerate(slack_dir):
-        if d:
-            sign = d if row_mult[i] > 0 else -d
-            int_cols.append(((i, sign),))
-
-    std.cols = int_cols
+    std.cols = [tuple(sorted(c.items())) for c in cols]
     std.b = b
-    std.phase2_cost = cost
+    std.phase2_cost = [-c for c in problem.objective]
     std.row_mult = row_mult
-    std.art_start = len(int_cols)
+    std.art_start = n
     return std
 
 
@@ -459,16 +435,13 @@ def solve(problem: LPProblem) -> LPResult:
         _verify_ray(problem, ray)
         return LPResult(status="unbounded", ray=tuple(ray), pivots=sx.pivots)
 
-    x = [_ZERO] * std.art_start
+    solution = [_ZERO] * problem.n
     for i, bj in enumerate(sx.basis):
         if bj < std.art_start:
-            x[bj] = sx.xb[i]
-    solution = x[: std.n_orig]
+            solution[bj] = sx.xb[i]
     value = sum((c * v for c, v in zip(problem.objective, solution)), _ZERO)
     y = sx.duals(std.phase2_cost)
-    dual = _recover_row_multipliers(std, y)
-    if problem.sense == "max":
-        dual = [-v for v in dual]
+    dual = [-v for v in _recover_row_multipliers(std, y)]
     res = LPResult(
         status="optimal",
         value=value,
@@ -481,8 +454,8 @@ def solve(problem: LPProblem) -> LPResult:
 
 
 def feasible_point(constraints, n: int) -> LPResult:
-    """Phase-1 only: find any feasible point of the rows over x >= 0."""
-    return solve(make_problem([_ZERO] * n, "min", constraints))
+    """Find any feasible point of the rows over x >= 0 (zero objective)."""
+    return solve(make_problem([_ZERO] * n, constraints))
 
 
 # ---------------------------------------------------------------------------
@@ -500,19 +473,11 @@ def _recover_ray(std: _Standard, sx: _Simplex):
     for i, bj in enumerate(sx.basis):
         if bj < std.art_start and sx.last_ray_u[i]:
             ray[bj] = Fraction(-sx.last_ray_u[i], sx.bden[i])
-    return ray[: std.n_orig]
+    return ray
 
 
 def _row_value(row: Constraint, x) -> Fraction:
     return sum((v * x[j] for j, v in row.coeffs), _ZERO)
-
-
-def _check_row(row: Constraint, lhs: Fraction) -> bool:
-    if row.relation == "<=":
-        return lhs <= row.rhs
-    if row.relation == ">=":
-        return lhs >= row.rhs
-    return lhs == row.rhs
 
 
 def _verify_optimal(problem: LPProblem, res: LPResult) -> None:
@@ -520,17 +485,8 @@ def _verify_optimal(problem: LPProblem, res: LPResult) -> None:
     if any(v < 0 for v in x):
         raise LPError("verification failed: negative variable")
     for row in problem.constraints:
-        if not _check_row(row, _row_value(row, x)):
+        if _row_value(row, x) != row.rhs:
             raise LPError("verification failed: constraint violated")
-
-    # dual sign feasibility: for max, multipliers of <= rows are >= 0 and of
-    # >= rows are <= 0; reversed for min; equality rows are free
-    sign = 1 if problem.sense == "max" else -1
-    for yv, row in zip(res.dual, problem.constraints):
-        if row.relation == "<=" and sign * yv < 0:
-            raise LPError("verification failed: dual sign")
-        if row.relation == ">=" and sign * yv > 0:
-            raise LPError("verification failed: dual sign")
 
     # reduced costs in original coordinates
     reduced = list(problem.objective)
@@ -540,12 +496,8 @@ def _verify_optimal(problem: LPProblem, res: LPResult) -> None:
                 reduced[j] -= yv * v
     for j in range(problem.n):
         d = reduced[j]
-        if problem.sense == "max":
-            if d > 0:
-                raise LPError("verification failed: improving direction remains")
-        else:
-            if d < 0:
-                raise LPError("verification failed: improving direction remains")
+        if d > 0:
+            raise LPError("verification failed: improving direction remains")
         if x[j] and d != 0:
             raise LPError("verification failed: complementary slackness")
 
@@ -556,15 +508,10 @@ def _verify_optimal(problem: LPProblem, res: LPResult) -> None:
 
 def _verify_infeasible(problem: LPProblem, farkas) -> None:
     """The multipliers must combine the rows into an impossibility:
-    sign-compatible per relation, combination <= 0 on every column, yet
-    positive on the right-hand side."""
+    combination <= 0 on every column, yet positive on the right-hand side."""
     comb = [_ZERO] * problem.n
     rhs = _ZERO
     for y, row in zip(farkas, problem.constraints):
-        if row.relation == "<=" and y > 0:
-            raise LPError("farkas verification failed: sign")
-        if row.relation == ">=" and y < 0:
-            raise LPError("farkas verification failed: sign")
         if y:
             rhs += y * row.rhs
             for j, v in row.coeffs:
@@ -579,11 +526,8 @@ def _verify_ray(problem: LPProblem, ray) -> None:
     if any(r < 0 for r in ray):
         raise LPError("ray verification failed: negative component")
     for row in problem.constraints:
-        v = _row_value(row, ray)
-        ok = v <= 0 if row.relation == "<=" else v >= 0 if row.relation == ">=" else v == 0
-        if not ok:
+        if _row_value(row, ray) != 0:
             raise LPError("ray verification failed: leaves feasible cone")
     gain = sum((c * r for c, r in zip(problem.objective, ray)), _ZERO)
-    improving = gain > 0 if problem.sense == "max" else gain < 0
-    if not improving:
+    if gain <= 0:
         raise LPError("ray verification failed: not improving")

@@ -134,7 +134,7 @@ def _ns_equality_rows(scenario: Scenario):
     for xs in scenario.input_tuples():
         x_idx = scenario.encode_input(xs)
         coeffs = {x_idx * na + a: _ONE for a in range(na)}
-        rows.append(lp.make_constraint(coeffs, "=", 1))
+        rows.append(lp.make_constraint(coeffs, 1))
     for party in range(scenario.parties):
         m_i = scenario.inputs[party]
         if m_i < 2:
@@ -157,7 +157,7 @@ def _ns_equality_rows(scenario: Scenario):
                         a_idx = scenario.encode_outcome(tuple(aa))
                         coeffs[xb * na + a_idx] = coeffs.get(xb * na + a_idx, _ZERO) + _ONE
                         coeffs[xa * na + a_idx] = coeffs.get(xa * na + a_idx, _ZERO) - _ONE
-                    rows.append(lp.make_constraint(coeffs, "=", 0))
+                    rows.append(lp.make_constraint(coeffs, 0))
     return rows
 
 
@@ -199,9 +199,17 @@ def _orbits_of_permutations(n: int, perms) -> list[int]:
     return orbit
 
 
+def _canonical_row(items, rhs):
+    """Key of the row ``items . x = rhs`` up to a nonzero factor: the
+    coefficients (sorted by index, nonzero) and ``rhs`` divided by the
+    leading coefficient."""
+    scale = _ONE / items[0][1]
+    return tuple((j, v * scale) for j, v in items), rhs * scale
+
+
 def _collapse_rows(rows, orbit):
     """Project equality rows onto orbit-constant variables, deduplicating."""
-    seen = {}
+    seen = set()
     out = []
     for row in rows:
         acc = {}
@@ -214,12 +222,11 @@ def _collapse_rows(rows, orbit):
                 raise lp.LPError("inconsistent collapsed row")
             continue
         items = tuple(sorted(acc.items()))
-        scale = _ONE / items[0][1]  # canonical form: leading coefficient 1
-        key = (tuple((o, v * scale) for o, v in items), row.rhs * scale)
+        key = _canonical_row(items, row.rhs)
         if key in seen:
             continue
-        seen[key] = True
-        out.append(lp.Constraint(items, "=", row.rhs))
+        seen.add(key)
+        out.append(lp.Constraint(items, row.rhs))
     return out
 
 
@@ -242,10 +249,10 @@ def _solve_collapsed(objective, rows, perms, label):
         for j, c in enumerate(objective):
             if c:
                 collapsed[orbit[j]] += c
-        problem = lp.make_problem(collapsed, "max", _collapse_rows(rows, orbit))
+        problem = lp.make_problem(collapsed, _collapse_rows(rows, orbit))
     else:
         orbit = range(len(objective))
-        problem = lp.make_problem(objective, "max", rows)
+        problem = lp.make_problem(objective, rows)
     res = lp.solve(problem)
     if res.status != "optimal":
         raise lp.LPError(f"{label} LP returned {res.status}")
@@ -324,8 +331,8 @@ def local_membership(box: Box, cap: int | None = None) -> LocalMembership:
             if val:
                 coeffs[k] = val
         x_idx, a_idx = divmod(t, scen.n_outputs)
-        rows.append(lp.make_constraint(coeffs, "=", box.value(x_idx, a_idx)))
-    rows.append(lp.make_constraint({k: _ONE for k in range(n)}, "=", 1))
+        rows.append(lp.make_constraint(coeffs, box.value(x_idx, a_idx)))
+    rows.append(lp.make_constraint({k: _ONE for k in range(n)}, 1))
     res = lp.feasible_point(rows, n)
     if res.status == "optimal":
         support = [(k, res.solution[k]) for k in range(n) if res.solution[k]]
@@ -429,7 +436,7 @@ class _ToblLayout:
         rows = []
         for x in range(self.scen.n_inputs):
             rows.append(
-                lp.make_constraint({x * self.na + a: _ONE for a in range(self.na)}, "=", 1)
+                lp.make_constraint({x * self.na + a: _ONE for a in range(self.na)}, 1)
             )
         for bip_idx in range(3):
             for direction in (0, 1):
@@ -442,13 +449,13 @@ class _ToblLayout:
                 for t in range(self.n_table):
                     coeffs = mix[t]
                     coeffs[t] = coeffs.get(t, _ZERO) - _ONE
-                    rows.append(lp.make_constraint(coeffs, "=", 0))
+                    rows.append(lp.make_constraint(coeffs, 0))
             for h_idx in range(len(self.responders)):
                 coeffs = {}
                 for pair_idx in range(self.n_pairs):
                     coeffs[self.wvar(bip_idx, 0, h_idx, pair_idx)] = _ONE
                     coeffs[self.wvar(bip_idx, 1, h_idx, pair_idx)] = -_ONE
-                rows.append(lp.make_constraint(coeffs, "=", 0))
+                rows.append(lp.make_constraint(coeffs, 0))
         return rows
 
     def variable_permutation(self, sym: Symmetry):
@@ -507,26 +514,13 @@ class _ToblLayout:
 
 
 def _rows_invariant_under(rows, perm) -> bool:
-    """Exact check that permuting variable indices maps the row multiset to
-    itself (constraint set invariance)."""
-
-    def canon(row):
-        items = tuple(sorted(row.coeffs))
-        scale = _ONE / items[0][1]
-        return (tuple((j, v * scale) for j, v in items), row.relation, row.rhs * scale)
-
-    original = {}
-    for row in rows:
-        key = canon(row)
-        original[key] = original.get(key, 0) + 1
-    for row in rows:
-        permuted = lp.Constraint(
-            tuple(sorted((perm[j], v) for j, v in row.coeffs)), row.relation, row.rhs
-        )
-        key = canon(permuted)
-        if key not in original:
-            return False
-    return True
+    """Exact check that permuting variable indices maps the set of rows, each
+    taken up to a nonzero factor, to itself (constraint set invariance)."""
+    original = {_canonical_row(tuple(sorted(row.coeffs)), row.rhs) for row in rows}
+    return all(
+        _canonical_row(tuple(sorted((perm[j], v) for j, v in row.coeffs)), row.rhs) in original
+        for row in rows
+    )
 
 
 def tobl_max(expression: BellExpression, use_symmetry: bool = True) -> ToblOptimum:

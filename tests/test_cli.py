@@ -2,7 +2,7 @@ import io
 import json
 import sys
 
-from gynibell import cli
+from gynibell import cli, witness
 
 
 def run_cli(argv):
@@ -202,17 +202,42 @@ def test_domain_error_exit_code(tmp_path, capsys):
         "mode": "numeric",
         "table": {f"{x}:0": 1.0 for x in range(4)},
     }))
+    out_of_range = []
+    for name, table in (
+        # (0, 2) would land on row 1 of the flat table
+        ("outcome", {"0:0": "1", "0:2": "1"}),
+        ("input", {"0:0": "1", "1:0": "1", "5:0": "1"}),
+        ("negative", {"0:0": "1", "-1:0": "1"}),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({
+            "scenario": {"inputs": [2], "outputs": [2]}, "mode": "exact", "table": table,
+        }))
+        out_of_range.append((["membership", "--box", str(path)], "out of range"))
     for argv, message in (
         (["membership", "--box", str(tmp_path / "missing.json")], "missing.json"),
         (["membership", "--box", str(numeric)], "box mode 'numeric' is not supported"),
         (["witness", "--set", "nc", "--n", "3", "--d", "3", "--starts", "5"],
          "set carries no local subset structure"),
+        *out_of_range,
     ):
         code, text = run_cli(argv)
         assert code == 1
         assert text == ""
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+
+def test_witness_without_subsets_fails_before_the_search(monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("witness work started on a set without subsets")
+
+    monkeypatch.setattr(witness, "projector_onto_span", never)
+    monkeypatch.setattr(witness, "epsilon_min", never)
+    code, text = run_cli(["witness", "--set", "nc", "--n", "3", "--d", "3"])
+    assert code == 1
+    assert text == ""
+    assert "error: set carries no local subset structure" in capsys.readouterr().err
 
 
 def test_output_file(tmp_path):

@@ -9,57 +9,74 @@ from gynibell import lp
 F = Fraction
 
 
+# Every problem is max c.x over equality rows with x >= 0.  An inequality
+# row carries its own slack (<=) or surplus (>=) column, written out below;
+# a minimum is the negated maximum of the negated objective.
+
+
 def test_simple_max():
-    res = lp.solve(lp.make_problem([1, 1], "max", [([1, 1], "<=", 1)]))
+    # x1 + x2 <= 1 with slack s
+    res = lp.solve(lp.make_problem([1, 1, 0], [([1, 1, 1], 1)]))
     assert res.status == "optimal"
     assert res.value == 1
-    assert sum(res.solution) == 1
+    assert sum(res.solution[:2]) == 1
+    assert res.solution[2] == 0
 
 
 def test_infeasible_with_certificate():
-    res = lp.solve(lp.make_problem([1], "max", [([1], ">=", 2), ([1], "<=", 1)]))
+    # x >= 2 (surplus s1) and x <= 1 (slack s2)
+    res = lp.solve(lp.make_problem([1, 0, 0], [([1, -1, 0], 2), ([1, 0, 1], 1)]))
     assert res.status == "infeasible"
     assert res.farkas is not None  # already verified exactly inside solve
 
 
 def test_unbounded_with_ray():
-    res = lp.solve(lp.make_problem([1], "max", [([1], ">=", 2)]))
+    # x >= 2 (surplus s)
+    res = lp.solve(lp.make_problem([1, 0], [([1, -1], 2)]))
     assert res.status == "unbounded"
     assert res.ray is not None
 
 
 def test_feasible_point_equality():
-    res = lp.feasible_point([([1], "=", F(1, 2)), ([1], "<=", 1)], 1)
+    # x = 1/2 and x <= 1 (slack s)
+    res = lp.feasible_point([([1, 0], F(1, 2)), ([1, 1], 1)], 2)
     assert res.status == "optimal"
-    assert res.solution[0] == F(1, 2)
+    assert res.solution == (F(1, 2), F(1, 2))
 
 
 def test_feasible_point_infeasible():
-    res = lp.feasible_point([([1], "<=", -1)], 1)
+    # x <= -1 (slack s)
+    res = lp.feasible_point([([1, 1], -1)], 2)
     assert res.status == "infeasible"
 
 
 def test_min_sense_value():
-    # x1 <= 2 and x1 + x2 >= 3: minimizing x1 + 2*x2 pins x = (2, 1)
+    # x1 <= 2 and x1 + x2 >= 3: minimizing x1 + 2*x2 pins x = (2, 1), so
+    # the maximum of -(x1 + 2*x2) is -4; surplus s1, slack s2
     res = lp.solve(
-        lp.make_problem([1, 2], "min", [([1, 1], ">=", 3), ([1, 0], "<=", 2)])
+        lp.make_problem([-1, -2, 0, 0], [([1, 1, -1, 0], 3), ([1, 0, 0, 1], 2)])
     )
     assert res.status == "optimal"
-    assert res.value == 4
-    assert res.solution == (F(2), F(1))
+    assert res.value == -4
+    assert res.solution == (F(2), F(1), F(0), F(0))
 
 
 def test_degenerate_problem_terminates():
-    # many redundant rows through the same vertex
-    rows = [([1, 1], "<=", 1), ([2, 2], "<=", 2), ([3, 3], "<=", 3), ([1, 0], "<=", 1)]
-    res = lp.solve(lp.make_problem([1, 1], "max", rows))
+    # many redundant rows through the same vertex, one slack each
+    rows = [
+        ([1, 1, 1, 0, 0, 0], 1),
+        ([2, 2, 0, 1, 0, 0], 2),
+        ([3, 3, 0, 0, 1, 0], 3),
+        ([1, 0, 0, 0, 0, 1], 1),
+    ]
+    res = lp.solve(lp.make_problem([1, 1, 0, 0, 0, 0], rows))
     assert res.status == "optimal"
     assert res.value == 1
 
 
 def test_redundant_equalities():
-    rows = [([1, 1], "=", 1), ([2, 2], "=", 2), ([1, -1], "=", 0)]
-    res = lp.solve(lp.make_problem([1, 0], "max", rows))
+    rows = [([1, 1], 1), ([2, 2], 2), ([1, -1], 0)]
+    res = lp.solve(lp.make_problem([1, 0], rows))
     assert res.status == "optimal"
     assert res.value == F(1, 2)
 
@@ -69,18 +86,21 @@ def _dual_objective(problem, res):
 
 
 def test_lower_bounds_shift():
-    # lower bounds x >= 1 written as rows
+    # minimize x1 + x2 subject to x1 + x2 >= 3 and the lower bounds x >= 1,
+    # all written as rows with surplus columns
     problem = lp.make_problem(
-        [1, 1], "min", [([1, 1], ">=", 3), ([1, 0], ">=", 1), ([0, 1], ">=", 1)]
+        [-1, -1, 0, 0, 0],
+        [([1, 1, -1, 0, 0], 3), ([1, 0, 0, -1, 0], 1), ([0, 1, 0, 0, -1], 1)],
     )
     res = lp.solve(problem)
     assert res.status == "optimal"
-    assert res.value == 3
+    assert res.value == -3
     assert _dual_objective(problem, res) == res.value
 
 
 def test_upper_bounds_as_rows():
-    problem = lp.make_problem([1, 1], "max", [([1, -1], "=", 0), ([1, 0], "<=", F(1, 3))])
+    # x1 = x2 and the upper bound x1 <= 1/3 (slack s)
+    problem = lp.make_problem([1, 1, 0], [([1, -1, 0], 0), ([1, 0, 1], F(1, 3))])
     res = lp.solve(problem)
     assert res.status == "optimal"
     assert res.value == F(2, 3)
@@ -88,9 +108,11 @@ def test_upper_bounds_as_rows():
 
 
 def test_strong_duality_identity():
+    # x1 <= 4, 2*x2 <= 12, 3*x1 + 2*x2 <= 18, one slack each
     res = lp.solve(
         lp.make_problem(
-            [3, 5], "max", [([1, 0], "<=", 4), ([0, 2], "<=", 12), ([3, 2], "<=", 18)]
+            [3, 5, 0, 0, 0],
+            [([1, 0, 1, 0, 0], 4), ([0, 2, 0, 1, 0], 12), ([3, 2, 0, 0, 1], 18)],
         )
     )
     assert res.status == "optimal"
@@ -104,19 +126,22 @@ def test_random_lps_against_vertex_enumeration():
     all basic feasible points (constraint intersections and axis points)."""
     rng = random.Random(42)
     for trial in range(40):
-        rows = []
-        for _ in range(4):
+        rows = []  # (a, b) for a.x <= b
+        slack_rows = []  # the same rows, slack column 2 + i for row i
+        for i in range(4):
             a = [F(rng.randint(-3, 4)), F(rng.randint(-3, 4))]
             b = F(rng.randint(0, 6))
-            rows.append((a, "<=", b))
+            rows.append((a, b))
+            slack_rows.append((a + [int(k == i) for k in range(4)], b))
         c = [F(rng.randint(-3, 4)), F(rng.randint(-3, 4))]
-        problem = lp.make_problem(c, "max", rows)
+        problem = lp.make_problem(c + [0] * 4, slack_rows)
         res = lp.solve(problem)
         if res.status != "optimal":
             continue
-        # brute force: all intersections of two active boundaries
+        # brute force on the inequalities: all intersections of two active
+        # boundaries
         cands = [(F(0), F(0))]
-        lines = [(r[0], r[2]) for r in rows] + [
+        lines = rows + [
             (([F(1), F(0)]), F(0)),
             (([F(0), F(1)]), F(0)),
         ]
@@ -133,7 +158,7 @@ def test_random_lps_against_vertex_enumeration():
         for x, y in cands:
             if x < 0 or y < 0:
                 continue
-            if all(a[0] * x + a[1] * y <= b for a, _, b in rows):
+            if all(a[0] * x + a[1] * y <= b for a, b in rows):
                 v = c[0] * x + c[1] * y
                 best = v if best is None or v > best else best
         assert best == res.value, f"trial {trial}"
@@ -143,43 +168,45 @@ def test_fractional_coefficients_are_scaled_exactly():
     # exercises the internal integer row scaling
     res = lp.solve(
         lp.make_problem(
-            [1, 1],
-            "max",
-            [([F(1, 2), F(1, 3)], "<=", F(5, 6)), ([F(2, 7), F(3, 5)], "<=", 1)],
+            [1, 1, 0, 0],
+            [([F(1, 2), F(1, 3), 1, 0], F(5, 6)), ([F(2, 7), F(3, 5), 0, 1], 1)],
         )
     )
     assert res.status == "optimal"
     # vertex of the two active rows: (1/2)x + (1/3)y = 5/6, (2/7)x + (3/5)y = 1
-    assert res.solution == (F(35, 43), F(55, 43))
+    assert res.solution == (F(35, 43), F(55, 43), F(0), F(0))
     assert res.value == F(90, 43)
     dual_obj = res.dual[0] * F(5, 6) + res.dual[1] * 1
     assert dual_obj == res.value
 
 
 def test_fractional_equality_feasibility():
-    res = lp.feasible_point(
-        [([F(1, 3), F(1, 6)], "=", F(1, 2)), ([1, 1], "<=", 2)], 2
-    )
+    # x/3 + y/6 = 1/2 and x + y <= 2 (slack s)
+    res = lp.feasible_point([([F(1, 3), F(1, 6), 0], F(1, 2)), ([1, 1, 1], 2)], 3)
     assert res.status == "optimal"
-    x, y = res.solution
+    x, y, s = res.solution
     assert x / 3 + y / 6 == F(1, 2)
+    assert x + y + s == 2
 
 
 def test_random_fractional_lps_against_vertex_enumeration():
     rng = random.Random(99)
     for trial in range(25):
-        rows = []
-        for _ in range(3):
+        rows = []  # (a, b) for a.x <= b
+        slack_rows = []  # the same rows, slack column 2 + i for row i
+        for i in range(3):
             a = [
                 F(rng.randint(-3, 4), rng.randint(1, 4)),
                 F(rng.randint(-3, 4), rng.randint(1, 4)),
             ]
-            rows.append((a, "<=", F(rng.randint(0, 6), rng.randint(1, 3))))
+            b = F(rng.randint(0, 6), rng.randint(1, 3))
+            rows.append((a, b))
+            slack_rows.append((a + [int(k == i) for k in range(3)], b))
         c = [F(rng.randint(-2, 3), rng.randint(1, 3)) for _ in range(2)]
-        res = lp.solve(lp.make_problem(c, "max", rows))
+        res = lp.solve(lp.make_problem(c + [0] * 3, slack_rows))
         if res.status != "optimal":
             continue
-        lines = [(r[0], r[2]) for r in rows] + [
+        lines = rows + [
             ([F(1), F(0)], F(0)),
             ([F(0), F(1)], F(0)),
         ]
@@ -200,7 +227,7 @@ def test_random_fractional_lps_against_vertex_enumeration():
         for x, y in cands:
             if x < 0 or y < 0:
                 continue
-            if all(a[0] * x + a[1] * y <= b for a, _, b in rows):
+            if all(a[0] * x + a[1] * y <= b for a, b in rows):
                 v = c[0] * x + c[1] * y
                 best = v if best is None or v > best else best
         assert best == res.value, f"trial {trial}"
@@ -213,14 +240,20 @@ def _sign_flips(values):
             yield values[:i] + (-v,) + values[i + 1 :]
 
 
-def test_verify_optimal_rejects_tampered_dual():
-    for problem in (
+def _optimal_problems():
+    """Solved problems whose every variable appears in some row."""
+    return (
         lp.make_problem(
-            [3, 5], "max", [([1, 0], "<=", 4), ([0, 2], "<=", 12), ([3, 2], "<=", 18)]
+            [3, 5, 0, 0, 0],
+            [([1, 0, 1, 0, 0], 4), ([0, 2, 0, 1, 0], 12), ([3, 2, 0, 0, 1], 18)],
         ),
-        lp.make_problem([1, 1], "max", [([1, -1], "=", 0), ([1, 0], "<=", F(1, 3))]),
-        lp.make_problem([1, 2], "min", [([1, 1], ">=", 3), ([1, 0], "<=", 2)]),
-    ):
+        lp.make_problem([1, 1, 0], [([1, -1, 0], 0), ([1, 0, 1], F(1, 3))]),
+        lp.make_problem([-1, -2, 0, 0], [([1, 1, -1, 0], 3), ([1, 0, 0, 1], 2)]),
+    )
+
+
+def test_verify_optimal_rejects_tampered_dual():
+    for problem in _optimal_problems():
         res = lp.solve(problem)
         flips = list(_sign_flips(res.dual))
         assert flips
@@ -229,9 +262,24 @@ def test_verify_optimal_rejects_tampered_dual():
                 lp._verify_optimal(problem, dataclasses.replace(res, dual=dual))
 
 
+def test_verify_optimal_rejects_tampered_solution():
+    for problem in _optimal_problems():
+        res = lp.solve(problem)
+        x = res.solution
+        flips = list(_sign_flips(x))
+        raised = [x[:i] + (v + 1,) + x[i + 1 :] for i, v in enumerate(x)]
+        assert flips
+        for solutions, message in ((flips, "negative variable"), (raised, "constraint violated")):
+            for solution in solutions:
+                with pytest.raises(lp.LPError, match=message):
+                    lp._verify_optimal(problem, dataclasses.replace(res, solution=solution))
+
+
 def test_verify_infeasible_rejects_tampered_farkas():
+    # x1 + x2 >= 2 (surplus), x1 <= 1 and x2 <= 1/2 (slacks)
     problem = lp.make_problem(
-        [1, 1], "max", [([1, 1], ">=", 2), ([1, 0], "<=", 1), ([0, 1], "<=", F(1, 2))]
+        [1, 1, 0, 0, 0],
+        [([1, 1, -1, 0, 0], 2), ([1, 0, 0, 1, 0], 1), ([0, 1, 0, 0, 1], F(1, 2))],
     )
     res = lp.solve(problem)
     assert res.status == "infeasible"
@@ -243,7 +291,8 @@ def test_verify_infeasible_rejects_tampered_farkas():
 
 
 def test_verify_ray_rejects_tampered_ray():
-    problem = lp.make_problem([1, 1], "max", [([1, -1], "<=", 1)])
+    # x1 - x2 <= 1 (slack s)
+    problem = lp.make_problem([1, 1, 0], [([1, -1, 1], 1)])
     res = lp.solve(problem)
     assert res.status == "unbounded"
     flips = list(_sign_flips(res.ray))
