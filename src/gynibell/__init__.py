@@ -28,7 +28,6 @@ from .polytope import (
     classical_max,
     facet_check,
     local_membership,
-    local_polytope,
     ns_max,
     polytope_dimension,
     tobl_max,

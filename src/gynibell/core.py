@@ -262,14 +262,21 @@ def enumerate_deterministic_strategies(
     return list(iter_deterministic_strategies(scenario, cap))
 
 
+def strategy_entries(scenario: Scenario, strategy: DeterministicStrategy) -> list[int]:
+    """Table indices ``x_idx * n_outputs + a_idx`` where the strategy's box
+    is 1, one per input, in input order."""
+    na = scenario.n_outputs
+    return [
+        scenario.encode_input(xs) * na + scenario.encode_outcome(strategy.outcome_for(xs))
+        for xs in scenario.input_tuples()
+    ]
+
+
 def box_from_strategy(scenario: Scenario, strategy: DeterministicStrategy) -> Box:
     """The 0/1-valued exact box with P(a|x)=1 iff a_i = f_i(x_i) for all i."""
-    na = scenario.n_outputs
     table = [Fraction(0)] * scenario.table_size
-    for xs in scenario.input_tuples():
-        x_idx = scenario.encode_input(xs)
-        a_idx = scenario.encode_outcome(strategy.outcome_for(xs))
-        table[x_idx * na + a_idx] = Fraction(1)
+    for t in strategy_entries(scenario, strategy):
+        table[t] = Fraction(1)
     return Box(scenario, table)
 
 

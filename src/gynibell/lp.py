@@ -4,14 +4,19 @@ One problem form: maximize ``c.x`` subject to equality rows ``A x = b`` over
 ``x >= 0``.  An inequality or a variable bound is written as an equality
 row with its own slack column.
 
-A two-phase revised simplex.  The basis inverse is held explicitly, one row
-of integer numerators plus a positive integer denominator per row (rows are
-pre-scaled so constraint columns are integral), which keeps every pivot
-exact while costing one gcd pass per touched row instead of per-element
-rational normalization.  The problems solved here (no-signaling bounds,
-membership tests, time-ordered bilocal decompositions) have modest row
-counts and wide, very sparse column sets, so columns are stored sparsely
-and priced lazily in blocks.
+A two-phase revised simplex.  The basis inverse is held explicitly as one
+m x m integer numpy matrix plus a vector of positive integer row
+denominators (rows are pre-scaled so constraint columns are integral),
+which keeps every pivot exact without per-element rational normalization;
+a row is divided by its gcd only once its entries grow large.  The arrays are
+int64 while the magnitude guard of :mod:`gynibell._rank` shows that no
+product can reach 2**62; past it they switch to Python integers
+(``dtype=object``) for the rest of the solve.  The duals are integer
+numerators over one common denominator, and each pivot prices every column
+with one exact sparse integer product.  The problems solved here
+(no-signaling bounds, membership tests, time-ordered bilocal
+decompositions) have modest row counts and wide, very sparse column sets,
+so columns are stored once, compressed.
 
 Correctness posture:
 
@@ -23,7 +28,9 @@ Correctness posture:
 * infeasible problems come with a Farkas certificate, verified exactly.
 * unbounded problems come with a verified improving ray.
 
-Anti-cycling: pricing is best-in-first-improving-block by default; after a
+Anti-cycling: pricing is best-in-first-improving-block by default (the most
+improving column, first on ties, of the first block of ``PRICE_BLOCK``
+nonbasic columns that holds an improving one); after a
 run of consecutive degenerate pivots the solver switches to Bland's rule
 until a strict improvement happens, which guarantees termination.  An
 artificial variable sitting at zero is pivoted out the moment an entering
@@ -36,11 +43,15 @@ the returned fractions is the point.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import config
+from ._rank import _INT64_SAFE
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -52,6 +63,16 @@ DEGENERACY_STREAK = 500
 
 #: column block size for lazy pricing
 PRICE_BLOCK = 512
+
+#: most entries of the basis inverse that one block of a pivot's row update,
+#: or of the lexicographic tie-break, copies at a time
+_BLOCK_ELEMS = 1 << 13
+
+#: a row of the basis inverse is divided by the gcd of its numerators and
+#: denominator only once one of them reaches this; the row's values are
+#: exact either way, and below it a product of two entries stays under the
+#: int64 guard
+_REDUCE_AT = 2**31
 
 
 class LPError(RuntimeError):
@@ -66,13 +87,18 @@ class Constraint:
     rhs: Fraction
 
 
+def _fraction(v) -> Fraction:
+    return v if type(v) is Fraction else Fraction(v)
+
+
 def make_constraint(coeffs, rhs) -> Constraint:
-    """Accept a dense sequence or a {index: value} dict of coefficients."""
+    """Accept a dense sequence or a {index: value} dict of coefficients.
+    A ``Fraction`` given is kept as it is, not copied."""
     if isinstance(coeffs, dict):
-        items = tuple(sorted((int(i), Fraction(v)) for i, v in coeffs.items() if v))
+        items = tuple(sorted((int(i), _fraction(v)) for i, v in coeffs.items() if v))
     else:
-        items = tuple((i, Fraction(v)) for i, v in enumerate(coeffs) if v)
-    return Constraint(items, Fraction(rhs))
+        items = tuple((i, _fraction(v)) for i, v in enumerate(coeffs) if v)
+    return Constraint(items, _fraction(rhs))
 
 
 @dataclass(frozen=True)
@@ -128,7 +154,7 @@ class LPResult:
 
 
 class _Standard:
-    __slots__ = ("m", "cols", "b", "phase2_cost", "art_start", "row_mult")
+    __slots__ = ("m", "n", "indptr", "indices", "data", "colabs", "b", "phase2_cost", "row_mult")
 
 
 def _standardize(problem: LPProblem) -> _Standard:
@@ -137,264 +163,363 @@ def _standardize(problem: LPProblem) -> _Standard:
     Each row is multiplied by the (signed) rational that clears coefficient
     denominators and makes the right-hand side nonnegative; ``row_mult``
     records the multipliers so duals and Farkas certificates can be mapped
-    back to the rows as originally written.
+    back to the rows as originally written.  The columns of the scaled
+    matrix are stored once, compressed: column ``j`` holds rows
+    ``indices[indptr[j]:indptr[j + 1]]`` (ascending) with the integers
+    ``data`` at the same positions (int64 if every one is below the guard);
+    ``colabs[j]`` is the sum of the column's absolute values.
     """
     n = problem.n
     rows = problem.constraints
 
     std = _Standard()
     std.m = len(rows)
-
-    b = [row.rhs for row in rows]
+    std.n = n
 
     # integer row scaling plus sign flip for b >= 0
+    b = []
     row_mult = []
+    col_rows = [[] for _ in range(n)]
+    col_values = [[] for _ in range(n)]
     for i, row in enumerate(rows):
-        scale = 1
+        mult = 1
         for _, v in row.coeffs:
-            scale = scale * v.denominator // math.gcd(scale, v.denominator)
-        mult = Fraction(scale)
-        if b[i] * mult < 0:
+            mult = math.lcm(mult, v.denominator)
+        if row.rhs < 0:
             mult = -mult
-        row_mult.append(mult)
-        b[i] *= mult
-
-    cols = [dict() for _ in range(n)]
-    for i, row in enumerate(rows):
-        mi = row_mult[i]
+        row_mult.append(Fraction(mult))
+        b.append(row.rhs * mult)
         for j, v in row.coeffs:
             if v:
-                cols[j][i] = int(v * mi)
-    std.cols = [tuple(sorted(c.items())) for c in cols]
+                col_rows[j].append(i)
+                col_values[j].append(v.numerator * (mult // v.denominator))
+    std.indptr = np.array(list(itertools.accumulate(map(len, col_rows), initial=0)))
+    std.indices = np.array(list(itertools.chain.from_iterable(col_rows)), dtype=np.intp)
+    values = list(itertools.chain.from_iterable(col_values))
+    big = max(map(abs, values), default=0) >= _INT64_SAFE
+    std.data = np.array(values, dtype=object if big else np.int64)
+    std.colabs = [sum(map(abs, c)) for c in col_values]
     std.b = b
     std.phase2_cost = [-c for c in problem.objective]
     std.row_mult = row_mult
-    std.art_start = n
     return std
+
+
+def _scaled_integers(values):
+    """Integers ``values * scale`` and the least positive ``scale`` making
+    every one of the rationals integral."""
+    scale = 1
+    for v in values:
+        scale = math.lcm(scale, v.denominator)
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 # ---------------------------------------------------------------------------
 # simplex core
 
 
-class _Simplex:
-    """Revised simplex with the basis inverse held as integer rows.
+def _least_ratios(nums, dens):
+    """Positions k of the least ``nums[k] / dens[k]`` (every ``dens[k] > 0``),
+    ascending; exact, by integer cross products."""
+    bn, bd = nums[0], dens[0]
+    ties = [0]
+    for k in range(1, len(nums)):
+        lhs, rhs = nums[k] * bd, bn * dens[k]
+        if lhs < rhs:
+            bn, bd = nums[k], dens[k]
+            ties = [k]
+        elif lhs == rhs:
+            ties.append(k)
+    return ties
 
-    Row i of the inverse is ``bnum[i] / bden[i]`` with integer numerators and
-    a positive integer denominator reduced by their common gcd, so a pivot is
-    two scalar-vector integer multiplications, a subtraction and one gcd pass
-    per touched row: exact arithmetic without per-element rational
-    normalization.  Basic values and duals stay as fractions (O(m) each per
-    pivot).
+
+class _Simplex:
+    """Revised simplex with the basis inverse held as one integer matrix.
+
+    ``M[:, :m]`` holds the numerators of the basis inverse, row ``i`` over
+    the positive denominator ``bden[i]``; a row is reduced by its gcd with
+    the denominator once its entries reach ``_REDUCE_AT``.  The last column
+    ``M[:, m]`` is the inverse applied to the right-hand side scaled to
+    integers (``b_scale * b``), so basic value ``i`` is
+    ``M[i, m] / (bden[i] * b_scale)`` and the row operations of a pivot keep
+    it current.  A pivot updates the touched rows of ``M`` in place, a block
+    of rows at a time, and allocates nothing of size m x m.  The duals are
+    integer numerators ``ynum`` over one common denominator ``yden``, and
+    every pivot prices all columns with one sparse integer product
+    ``A^T ynum``, so the reduced costs are integers over one positive
+    denominator and compare exactly.
+
+    The arrays are int64 while a magnitude guard (the bound of
+    :mod:`gynibell._rank`, fed by ``rowmax``, an upper bound on each row's
+    entries) shows that no product or sum can reach ``_INT64_SAFE``; the
+    first time it cannot show that, every array switches to Python integers
+    (``dtype=object``) for the rest of the solve.  Either way the arithmetic
+    is exact, and so is every pivot choice.
     """
 
     def __init__(self, std: _Standard):
-        self.std = std
-        self.m = std.m
+        m, n = std.m, std.n
+        self.m, self.n = m, n
         self.pivots = 0
-        m = self.m
-        self.ncols = std.art_start + m
-        self.basis = list(range(std.art_start, self.ncols))
-        self.basic_set = set(self.basis)
-        self.bnum = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-        self.bden = [1] * m
-        self.xb = [Fraction(v) for v in std.b]
+        self.basis = np.arange(n, n + m)
+        self.nonbasic = np.ones(n, dtype=bool)
         self.last_ray_col = None
         self.last_ray_u = None
 
-    def column(self, j: int):
-        if j >= self.std.art_start:
-            return ((j - self.std.art_start, 1),)
-        return self.std.cols[j]
+        self.indptr = std.indptr
+        self.indices = std.indices
+        self.nonempty = np.flatnonzero(std.indptr[1:] != std.indptr[:-1])
+        self.starts = std.indptr[self.nonempty]
+        self.colabs = std.colabs
+        self.colabs_max = max(std.colabs, default=0)
 
-    def is_artificial(self, j: int) -> bool:
-        return j >= self.std.art_start
+        b_int, self.b_scale = _scaled_integers(std.b)
+        self.big = std.data.dtype == object or max(map(abs, b_int), default=0) >= _INT64_SAFE
+        dtype = object if self.big else np.int64
+        self.data = std.data.astype(dtype, copy=False)
+        self.M = np.zeros((m, m + 1), dtype=dtype)
+        np.fill_diagonal(self.M, 1)
+        self.M[:, m] = b_int
+        self.bden = np.ones(m, dtype=dtype)
+        self.cost = np.zeros(0, dtype=dtype)
+        self.ynum = np.zeros(m, dtype=dtype)
+        self.rowmax = np.maximum(np.abs(self.M[:, m]), 1)
+
+    # -- magnitude guard
+
+    def _fits(self, *bounds) -> bool:
+        """Whether int64 arithmetic is safe below every bound; switch every
+        array to Python integers the first time it is not."""
+        if self.big:
+            return False
+        if all(v < _INT64_SAFE for v in bounds):
+            return True
+        self.big = True
+        for name in ("M", "bden", "rowmax", "data", "cost", "ynum"):
+            setattr(self, name, getattr(self, name).astype(object))
+        return False
+
+    def _bmax(self) -> int:
+        return int(self.rowmax.max(initial=1))
+
+    # -- duals and pricing
+
+    def _set_cost(self, cost):
+        """Integer costs over one scale, and the duals of the current basis
+        computed from scratch: ``y = c_B B^-1``."""
+        ints, self.cscale = _scaled_integers(cost)
+        self.cmax = max(map(abs, ints), default=0)
+        self._fits(self.cmax, self.cscale)
+        self.cost = np.array(ints, dtype=self.M.dtype)
+        cb = [ints[j] for j in self.basis.tolist()]
+        den = math.lcm(1, *(int(d) for c, d in zip(cb, self.bden) if c))
+        w = [c * (den // int(d)) if c else 0 for c, d in zip(cb, self.bden)]
+        self._fits(sum(map(abs, w)) * self._bmax(), self.cscale * den)
+        ynum = np.zeros(self.m, dtype=self.M.dtype)
+        for i, wi in enumerate(w):
+            if wi:
+                ynum += self.M[i, : self.m] * wi
+        self._set_duals(ynum, self.cscale * den)
+
+    def _set_duals(self, ynum, yden):
+        g = math.gcd(int(np.gcd.reduce(ynum)), yden)
+        if g > 1:
+            ynum //= g
+            yden //= g
+        self.ynum, self.yden = ynum, yden
+        self.ymax = int(np.abs(ynum).max(initial=0))
+
+    def dual_values(self):
+        return [Fraction(int(v), self.yden) for v in self.ynum]
+
+    def _reduced_costs(self):
+        """Numerators of the structural reduced costs ``c - A^T y``, all
+        over the positive denominator ``cscale * yden``; basic columns
+        get exactly 0."""
+        c, yden = self.cscale, self.yden
+        self._fits(self.cmax * yden + c * self.colabs_max * self.ymax, yden, c)
+        prod = self.data * self.ynum[self.indices]
+        aty = np.zeros(self.n, dtype=prod.dtype)
+        if self.starts.size:
+            aty[self.nonempty] = np.add.reduceat(prod, self.starts)
+        return self.cost[: self.n] * yden - c * aty
+
+    def _price(self, dnum, bland):
+        """Bland: the first improving column.  Otherwise the most improving
+        column (first on ties) of the first block of ``PRICE_BLOCK``
+        consecutive nonbasic columns that holds an improving one."""
+        neg = np.flatnonzero(dnum < 0)
+        if neg.size == 0:
+            return None
+        first = int(neg[0])
+        if bland:
+            return first
+        nonbasic = np.flatnonzero(self.nonbasic)
+        k = int(np.count_nonzero(self.nonbasic[:first]))
+        start = k - k % PRICE_BLOCK
+        stop = min(start + PRICE_BLOCK, nonbasic.size)
+        lo, hi = int(nonbasic[start]), int(nonbasic[stop - 1]) + 1
+        return lo + int(np.argmin(dnum[lo:hi]))
+
+    def _update_duals(self, dn, row):
+        """Rank-one dual update: the entering column's reduced cost drops to
+        zero and every other basic column keeps zero, so the new duals are
+        ``y + d_enter * (updated pivot row of the inverse)``."""
+        if not dn:
+            return
+        dd = self.cscale * self.yden
+        g = math.gcd(dn, dd)
+        dn, dd = dn // g, dd // g
+        step = dd * int(self.bden[row])
+        den = math.lcm(self.yden, step)
+        f1, f2 = den // self.yden, dn * (den // step)
+        self._fits(self.ymax * f1 + abs(f2) * int(self.rowmax[row]), f1, abs(f2), den)
+        prow = self.M[row, : self.m]
+        self._set_duals(self.ynum * f1 + prow * f2, den)
+
+    # -- ratio test and pivot
 
     def tableau_numerators(self, j: int):
         """Integer numerators of the tableau column; entry i is over bden[i]."""
-        m = self.m
-        unum = [0] * m
-        for r, v in self.column(j):
-            if v == 1:
-                for i in range(m):
-                    unum[i] += self.bnum[i][r]
-            elif v == -1:
-                for i in range(m):
-                    unum[i] -= self.bnum[i][r]
-            else:
-                for i in range(m):
-                    w = self.bnum[i][r]
-                    if w:
-                        unum[i] += v * w
+        lo, hi = int(self.indptr[j]), int(self.indptr[j + 1])
+        self._fits(self._bmax() * self.colabs[j])
+        unum = np.zeros(self.m, dtype=self.M.dtype)
+        for r, v in zip(self.indices[lo:hi].tolist(), self.data[lo:hi].tolist()):
+            unum += self.M[:, r] * v
         return unum
 
-    def duals(self, cost):
+    def _lex_least(self, rows, unum):
+        """The row i among ``rows`` whose inverse row over ``unum[i] > 0`` is
+        lexicographically least; the row denominators cancel against the
+        entries' own, so this compares integer cross products.
+
+        Each round finds the first column from ``col`` on where some row's
+        scaled entry differs from the first row's, and keeps the rows with
+        the least scaled entry there.  Rows are copied ``_BLOCK_ELEMS``
+        entries at a time; more rows are split, and the least of the parts'
+        least rows is the least.
+        """
         m = self.m
-        ncost = len(cost)
-        y = [_ZERO] * m
-        for i, bj in enumerate(self.basis):
-            cb = cost[bj] if bj < ncost else _ZERO
-            if cb:
-                row = self.bnum[i]
-                f = cb / self.bden[i]
-                for r in range(m):
-                    w = row[r]
-                    if w:
-                        y[r] += f * w
-        return y
-
-    def reduced_cost(self, j, cost, y):
-        d = cost[j] if j < len(cost) else _ZERO
-        for r, v in self.column(j):
-            if y[r]:
-                d -= y[r] * v
-        return d
-
-    def _price(self, cost, y, n_real, bland):
-        if bland:
-            for j in range(n_real):
-                if j in self.basic_set:
-                    continue
-                if self.reduced_cost(j, cost, y) < 0:
-                    return j
-            return None
-        best = None
-        best_d = _ZERO
-        scanned = 0
-        for j in range(n_real):
-            if j in self.basic_set:
-                continue
-            d = self.reduced_cost(j, cost, y)
-            if d < best_d:
-                best, best_d = j, d
-            scanned += 1
-            if scanned % PRICE_BLOCK == 0 and best is not None:
-                return best
-        return best
-
-    def _lex_smaller(self, i, j, unum) -> bool:
-        """Compare rows i and j of the inverse scaled by their pivot-column
-        entries, lexicographically; the row denominators cancel against the
-        entries' own, so this reduces to integer cross products."""
-        ri, rj = self.bnum[i], self.bnum[j]
-        ui, uj = unum[i], unum[j]
-        for r in range(self.m):
-            lhs = ri[r] * uj
-            rhs = rj[r] * ui
-            if lhs != rhs:
-                return lhs < rhs
-        return False
+        part = max(2, _BLOCK_ELEMS // (m + 1))
+        if len(rows) > part:
+            parts = range(0, len(rows), part)
+            return self._lex_least([self._lex_least(rows[s : s + part], unum) for s in parts], unum)
+        rows = np.asarray(rows)
+        us = unum[rows]
+        sub = self.M[rows, :m]
+        if not self.big and 2 * int(self.rowmax[rows].max()) * int(us.max()) >= _INT64_SAFE:
+            sub, us = sub.astype(object), us.astype(object)
+        col = 0
+        while rows.size > 1:
+            cross = sub[:, col:] * us[0] - sub[0, col:] * us[:, None]
+            col += int(np.flatnonzero(cross.any(axis=0))[0])
+            keep = _least_ratios(sub[:, col].tolist(), us.tolist())
+            rows, sub, us = rows[keep], sub[keep], us[keep]
+            col += 1
+        return int(rows[0])
 
     def _ratio_test(self, unum, bland):
+        m = self.m
+        x = self.M[:, m]
         # force out any zero-valued basic artificial whose row is touched;
         # the entering variable replaces it at value 0, so feasibility holds
         # regardless of the sign of the pivot entry
-        for i in range(self.m):
-            if unum[i] and self.is_artificial(self.basis[i]) and self.xb[i] == 0:
-                return i, True
-        best_i = None
-        best_ratio = None
-        for i in range(self.m):
-            if unum[i] > 0:
-                ratio = self.xb[i] * self.bden[i] / unum[i]
-                if best_ratio is None or ratio < best_ratio:
-                    best_i, best_ratio = i, ratio
-                elif ratio == best_ratio:
-                    if bland:
-                        if self.basis[i] < self.basis[best_i]:
-                            best_i = i
-                    elif self._lex_smaller(i, best_i, unum):
-                        best_i = i
-        return best_i, False
-
-    @staticmethod
-    def _row_gcd(nums, den):
-        g = den
-        for v in nums:
-            if v:
-                g = math.gcd(g, v)
-                if g == 1:
-                    return 1
-        return g
+        forced = np.flatnonzero((unum != 0) & (self.basis >= self.n) & (x == 0))
+        if forced.size:
+            return int(forced[0]), True
+        pos = np.flatnonzero(unum > 0)
+        if pos.size == 0:
+            return None, False
+        # ratio i is x[i] / (b_scale * unum[i]); basic values are >= 0, so a
+        # zero ratio is the minimum
+        ties = pos[x[pos] == 0]
+        if ties.size == 0:
+            ties = pos[_least_ratios(x[pos].tolist(), unum[pos].tolist())]
+        if ties.size == 1:
+            return int(ties[0]), False
+        if bland:
+            return int(ties[np.argmin(self.basis[ties])]), False
+        return self._lex_least(ties, unum), False
 
     def _pivot(self, enter, row, unum):
-        m = self.m
-        piv = unum[row]
-        theta = self.xb[row] * self.bden[row] / piv
-        self.xb[row] = theta
+        """Make ``enter`` basic in ``row``.
 
-        # new pivot row: old numerators over the pivot numerator
-        pnum = self.bnum[row]
+        The pivot row becomes ``prow / pden`` (old numerators over the pivot
+        entry) and every touched row ``i`` becomes ``(M[i] * pden - unum[i] *
+        prow) / (bden[i] * pden)``.  Past the scaling by ``pden`` (mostly 1)
+        only the pivot row's nonzero columns change, so those are updated in
+        place, a block of rows at a time.  ``rowmax`` bounds each row's
+        entries from above; a row whose bound or denominator reaches
+        ``_REDUCE_AT`` is divided by its gcd and gets its exact maximum.
+        """
+        M, bden, rowmax = self.M, self.bden, self.rowmax
+        piv = int(unum[row])
+        prow = M[row]
         if piv < 0:
-            pnum = [-v for v in pnum]
-            pden = -piv
-        else:
-            pden = piv
-        g = self._row_gcd(pnum, pden)
+            prow *= -1
+        pden = abs(piv)
+        g = math.gcd(int(np.gcd.reduce(prow)), pden)
         if g > 1:
-            pnum = [v // g for v in pnum]
+            prow //= g
             pden //= g
-        self.bnum[row] = pnum
-        self.bden[row] = pden
+        bden[row] = pden
+        cols = np.flatnonzero(prow)
+        pvals = prow[cols]
+        pmax = int(np.abs(pvals).max())
+        rowmax[row] = pmax
 
-        for i in range(m):
-            if i == row:
-                continue
-            a = unum[i]
-            if not a:
-                continue
-            di = self.bden[i]
-            if theta:
-                self.xb[i] -= Fraction(a, di) * theta
-            ni = self.bnum[i]
-            if pden == 1:
-                new = [x - a * p if p else x for x, p in zip(ni, pnum)]
-                nd = di
-            else:
-                new = [x * pden - a * p for x, p in zip(ni, pnum)]
-                nd = di * pden
-            g = self._row_gcd(new, nd)
+        touched = np.flatnonzero(unum)
+        touched = touched[touched != row]
+        a = unum[touched]
+        if touched.size and not self._fits(
+            self._bmax() * pden + int(np.abs(a).max()) * pmax,
+            int(bden[touched].max()) * pden,
+        ):
+            M, bden, rowmax = self.M, self.bden, self.rowmax
+            pvals, a = pvals.astype(object), a.astype(object)
+        if pden != 1:
+            for i in touched.tolist():
+                M[i] *= pden
+            bden[touched] *= pden
+        rowmax[touched] = rowmax[touched] * pden + np.abs(a) * pmax
+        step = max(1, _BLOCK_ELEMS // cols.size)
+        for s in range(0, touched.size, step):
+            M[touched[s : s + step, None], cols] -= a[s : s + step, None] * pvals
+        for i in touched[np.maximum(rowmax[touched], bden[touched]) >= _REDUCE_AT].tolist():
+            g = math.gcd(int(np.gcd.reduce(M[i])), int(bden[i]))
             if g > 1:
-                new = [v // g for v in new]
-                nd //= g
-            self.bnum[i] = new
-            self.bden[i] = nd
+                M[i] //= g
+                bden[i] //= g
+            rowmax[i] = int(np.abs(M[i]).max())
 
-        left = self.basis[row]
+        left = int(self.basis[row])
         self.basis[row] = enter
-        self.basic_set.discard(left)
-        self.basic_set.add(enter)
+        self.nonbasic[enter] = False
+        if left < self.n:
+            self.nonbasic[left] = True
         self.pivots += 1
 
-    def run(self, cost, n_real) -> str:
+    def run(self, cost) -> str:
         """Minimize ``cost`` from the current basis; 'optimal' or 'unbounded'."""
+        self._set_cost(cost)
         streak = 0
         bland = False
-        y = self.duals(cost)
         while True:
             if self.pivots > config.LP_MAX_PIVOTS:
                 raise LPError(f"pivot limit exceeded ({config.LP_MAX_PIVOTS})")
-            enter = self._price(cost, y, n_real, bland)
+            dnum = self._reduced_costs()
+            enter = self._price(dnum, bland)
             if enter is None:
                 return "optimal"
-            d_enter = self.reduced_cost(enter, cost, y)
             unum = self.tableau_numerators(enter)
             row, forced = self._ratio_test(unum, bland)
             if row is None:
                 self.last_ray_col = enter
                 self.last_ray_u = unum
                 return "unbounded"
-            degenerate = self.xb[row] == 0
+            degenerate = self.M[row, self.m] == 0
             self._pivot(enter, row, unum)
-            # rank-one dual update: the entering column's reduced cost drops
-            # to zero, every other basic column keeps zero, so the exact new
-            # duals are y + d_enter * (updated pivot row of the inverse)
-            if d_enter:
-                prow = self.bnum[row]
-                f = d_enter / self.bden[row]
-                for r in range(self.m):
-                    if prow[r]:
-                        y[r] += f * prow[r]
+            self._update_duals(int(dnum[enter]), row)
             if forced:
                 continue
             if degenerate:
@@ -405,6 +530,9 @@ class _Simplex:
                 streak = 0
                 bland = False
 
+    def basic_value(self, i) -> Fraction:
+        return Fraction(int(self.M[i, self.m]), int(self.bden[i]) * self.b_scale)
+
 
 # ---------------------------------------------------------------------------
 # public entry points
@@ -414,43 +542,46 @@ def solve(problem: LPProblem) -> LPResult:
     """Solve exactly; the returned result has already passed verification."""
     std = _standardize(problem)
     sx = _Simplex(std)
-    m = std.m
+    n, m = std.n, std.m
 
-    phase1_cost = [_ZERO] * std.art_start + [_ONE] * m
-    status = sx.run(phase1_cost, std.art_start)
+    status = sx.run([_ZERO] * n + [_ONE] * m)
     if status == "unbounded":
         raise LPError("phase 1 cannot be unbounded; solver invariant broken")
-    infeas = sum(
-        (sx.xb[i] for i in range(m) if sx.is_artificial(sx.basis[i])), _ZERO
-    )
-    if infeas != 0:
-        y = sx.duals(phase1_cost)
-        farkas = _recover_row_multipliers(std, y)
+    artificial = np.flatnonzero(sx.basis >= n)
+    if np.any(sx.M[artificial, m] != 0):
+        farkas = _recover_row_multipliers(std, sx.dual_values())
         _verify_infeasible(problem, farkas)
-        return LPResult(status="infeasible", farkas=tuple(farkas), pivots=sx.pivots)
+        return LPResult(status="infeasible", farkas=_shared(farkas), pivots=sx.pivots)
 
-    status = sx.run(std.phase2_cost, std.art_start)
+    status = sx.run(std.phase2_cost + [_ZERO] * m)
     if status == "unbounded":
         ray = _recover_ray(std, sx)
         _verify_ray(problem, ray)
-        return LPResult(status="unbounded", ray=tuple(ray), pivots=sx.pivots)
+        return LPResult(status="unbounded", ray=_shared(ray), pivots=sx.pivots)
 
-    solution = [_ZERO] * problem.n
-    for i, bj in enumerate(sx.basis):
-        if bj < std.art_start:
-            solution[bj] = sx.xb[i]
+    solution = [_ZERO] * n
+    for i, bj in enumerate(sx.basis.tolist()):
+        if bj < n:
+            solution[bj] = sx.basic_value(i)
     value = sum((c * v for c, v in zip(problem.objective, solution)), _ZERO)
-    y = sx.duals(std.phase2_cost)
-    dual = [-v for v in _recover_row_multipliers(std, y)]
+    dual = [-v for v in _recover_row_multipliers(std, sx.dual_values())]
     res = LPResult(
         status="optimal",
         value=value,
-        solution=tuple(solution),
-        dual=tuple(dual),
+        solution=_shared(solution),
+        dual=_shared(dual),
         pivots=sx.pivots,
     )
     _verify_optimal(problem, res)
     return res
+
+
+def _shared(values) -> tuple:
+    """``values`` as a tuple in which equal fractions are one object: LP
+    solutions and certificates repeat a few distinct values many times, and
+    callers keep them (an optimal box, a separating inequality)."""
+    seen = {}
+    return tuple(seen.setdefault(v, v) for v in values)
 
 
 def feasible_point(constraints, n: int) -> LPResult:
@@ -468,11 +599,11 @@ def _recover_row_multipliers(std: _Standard, y):
 
 
 def _recover_ray(std: _Standard, sx: _Simplex):
-    ray = [_ZERO] * std.art_start
+    ray = [_ZERO] * std.n
     ray[sx.last_ray_col] = _ONE
-    for i, bj in enumerate(sx.basis):
-        if bj < std.art_start and sx.last_ray_u[i]:
-            ray[bj] = Fraction(-sx.last_ray_u[i], sx.bden[i])
+    for i, bj in enumerate(sx.basis.tolist()):
+        if bj < std.n and sx.last_ray_u[i]:
+            ray[bj] = Fraction(-int(sx.last_ray_u[i]), int(sx.bden[i]))
     return ray
 
 

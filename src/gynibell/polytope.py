@@ -36,11 +36,11 @@ from .core import (
     Scenario,
     Symmetry,
     bell_value,
-    box_from_strategy,
     enumerate_deterministic_strategies,
     expression_invariant_under,
     is_nonsignaling,
     iter_deterministic_strategies,
+    strategy_entries,
 )
 
 _ZERO = Fraction(0)
@@ -49,19 +49,6 @@ _ONE = Fraction(1)
 
 # ---------------------------------------------------------------------------
 # local polytope
-
-
-@dataclass(frozen=True)
-class LocalPolytope:
-    scenario: Scenario
-    vertices: tuple  # deterministic boxes, in strategy lex order
-
-
-def local_polytope(scenario: Scenario, cap: int | None = None) -> LocalPolytope:
-    strategies = enumerate_deterministic_strategies(scenario, cap)
-    return LocalPolytope(
-        scenario, tuple(box_from_strategy(scenario, s) for s in strategies)
-    )
 
 
 class ClassicalOptimum(NamedTuple):
@@ -317,33 +304,31 @@ def local_membership(box: Box, cap: int | None = None) -> LocalMembership:
 
     Local boxes come with an exact convex decomposition over deterministic
     vertices; non-local ones with a separating inequality (a Farkas
-    combination of the table rows), verified against every vertex.
+    combination of the table rows), verified against every vertex.  Each
+    vertex is held as the table indices where it is 1, one per input.
     """
     scen = box.scenario
     strategies = enumerate_deterministic_strategies(scen, cap)
-    vertices = [box_from_strategy(scen, s) for s in strategies]
+    entries = [strategy_entries(scen, s) for s in strategies]
     n = len(strategies)
-    rows = []
-    for t in range(scen.table_size):
-        coeffs = {}
-        for k, v in enumerate(vertices):
-            val = v._table[t]
-            if val:
-                coeffs[k] = val
-        x_idx, a_idx = divmod(t, scen.n_outputs)
-        rows.append(lp.make_constraint(coeffs, box.value(x_idx, a_idx)))
-    rows.append(lp.make_constraint({k: _ONE for k in range(n)}, 1))
+    columns = [{} for _ in range(scen.table_size)]
+    for k, ts in enumerate(entries):
+        for t in ts:
+            columns[t][k] = _ONE
+    table = box.exact_table()
+    rows = [lp.make_constraint(coeffs, p) for coeffs, p in zip(columns, table)]
+    rows.append(lp.make_constraint({k: _ONE for k in range(n)}, _ONE))
+    del columns  # the rows hold the coefficients now
     res = lp.feasible_point(rows, n)
     if res.status == "optimal":
         support = [(k, res.solution[k]) for k in range(n) if res.solution[k]]
         # exact reconstruction check
-        for t in range(scen.table_size):
-            acc = _ZERO
-            for k, w in support:
-                acc += w * vertices[k]._table[t]
-            x_idx, a_idx = divmod(t, scen.n_outputs)
-            if acc != box.value(x_idx, a_idx):
-                raise lp.LPError("membership decomposition failed recheck")
+        rebuilt = [_ZERO] * scen.table_size
+        for k, w in support:
+            for t in entries[k]:
+                rebuilt[t] += w
+        if rebuilt != table:
+            raise lp.LPError("membership decomposition failed recheck")
         weights = tuple((strategies[k], w) for k, w in support)
         return LocalMembership(True, weights, None)
 
@@ -356,8 +341,8 @@ def local_membership(box: Box, cap: int | None = None) -> LocalMembership:
     bound = -farkas[scen.table_size]
     separating = BellExpression(scen, coeffs, label="separating inequality")
     value_at_box = bell_value(separating, box)
-    for v in vertices:
-        if bell_value(separating, v) > bound:
+    for ts in entries:
+        if sum((farkas[t] for t in ts), _ZERO) > bound:
             raise lp.LPError("separating inequality failed vertex recheck")
     if not value_at_box > bound:
         raise lp.LPError("separating inequality does not separate the box")

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gynibell import lp
+from gynibell import core, gyni, lp, polytope, upb
 
 F = Fraction
 
@@ -300,3 +300,67 @@ def test_verify_ray_rejects_tampered_ray():
     for ray in flips:
         with pytest.raises(lp.LPError):
             lp._verify_ray(problem, ray)
+
+
+def _solve_results(test):
+    """Every LPResult ``lp.solve`` returns while ``test`` runs."""
+    solve, results = lp.solve, []
+
+    def logged(problem):
+        results.append(solve(problem))
+        return results[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "solve", logged)
+        test()
+    return results
+
+
+@pytest.mark.parametrize("guard", [1, 2**8])
+@pytest.mark.parametrize(
+    "test",
+    [test_random_lps_against_vertex_enumeration, test_random_fractional_lps_against_vertex_enumeration],
+)
+def test_random_lps_on_the_big_integer_path(monkeypatch, test, guard):
+    """With the int64 guard set to 1 every pivot runs on Python integers; at
+    2**8 some solves switch part way through (in the pivot, the pricing, the
+    tableau column and the phase-2 duals).  The oracle still agrees, and
+    every result (status, value, solution, certificates, pivot count)
+    equals the int64 run's."""
+    int64_results = _solve_results(test)
+    monkeypatch.setattr(lp, "_INT64_SAFE", guard)
+    modes = []  # (pivots so far, on Python integers) at every pivot
+    pivot = lp._Simplex._pivot
+
+    def recording_pivot(self, *args):
+        modes.append((self.pivots, self.big))
+        pivot(self, *args)
+
+    monkeypatch.setattr(lp._Simplex, "_pivot", recording_pivot)
+    assert _solve_results(test) == int64_results
+    assert sum(res.pivots for res in int64_results) == len(modes) > 0
+    if guard == 1:
+        assert all(big for _, big in modes)
+    else:
+        assert any(b > a and not a_big and b_big for (a, a_big), (b, b_big) in zip(modes, modes[1:]))
+
+
+def test_pivot_counts_are_pinned():
+    """Pricing (best in the first improving block, Bland's rule after a
+    degenerate streak) and the lexicographic ratio test fix the pivot
+    sequence; these counts change only if a pivot choice changes."""
+    scen = core.binary_scenario(4)
+    strategies = core.enumerate_deterministic_strategies(scen)
+    mixture = core.mix_boxes(
+        [core.box_from_strategy(scen, strategies[k]) for k in (132, 55, 129, 107, 221, 10)],
+        [F(w, 19) for w in (4, 1, 7, 3, 1, 3)],
+    )
+    ns_box = polytope.ns_max(gyni.gyni_expression(4).expression).box
+
+    def pivots(call):
+        (res,) = _solve_results(call)
+        return res.status, res.pivots
+
+    assert pivots(lambda: polytope.ns_max(upb.four_partite_tight_inequality())) == ("optimal", 627)
+    assert pivots(lambda: polytope.local_membership(mixture)) == ("optimal", 69)
+    assert pivots(lambda: polytope.local_membership(ns_box)) == ("infeasible", 50)

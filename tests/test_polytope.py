@@ -264,6 +264,7 @@ def test_facet_report_json(gyni_games):
 
 
 def test_local_polytope_vertex_count():
-    lp_ = polytope.local_polytope(gb.binary_scenario(2))
-    assert len(lp_.vertices) == 16
-    assert len({tuple(v.exact_table()) for v in lp_.vertices}) == 16
+    scen = gb.binary_scenario(2)
+    strategies = gb.enumerate_deterministic_strategies(scen)
+    assert len(strategies) == 16
+    assert len({tuple(gb.box_from_strategy(scen, s).exact_table()) for s in strategies}) == 16
