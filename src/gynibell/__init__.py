@@ -5,7 +5,6 @@ linear programming, facet certification, unextendible product bases, and
 the associated entanglement witnesses and bound-entangled states.
 """
 
-from .exact import Rat, rat, rat_from_str, rat_to_str
 from .core import (
     BellExpression,
     Box,

@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from . import config, gyni, polytope, upb, witness
 from .core import Box, BellExpression, InputDistribution
-from .exact import rat_to_str
 
 
 def _emit(payload: dict, args) -> None:
@@ -108,18 +107,18 @@ def _cmd_gyni(args) -> dict:
     out = {
         "n": args.n,
         "expression": game.expression.to_json(),
-        "classical_bound": rat_to_str(game.expression.classical_bound),
+        "classical_bound": str(game.expression.classical_bound),
         "orthogonality_certificate": gyni.orthogonality_certificate(game.expression),
     }
     if args.bound == "classical":
         opt = polytope.classical_max(game.expression, cap=args.cap)
-        out["value"] = rat_to_str(opt.value)
+        out["value"] = str(opt.value)
     elif args.bound == "ns":
         opt = polytope.ns_max(game.expression)
-        out["value"] = rat_to_str(opt.value)
+        out["value"] = str(opt.value)
     elif args.bound == "tobl":
         opt = polytope.tobl_max(gyni.gyni_sum_expression(args.n, q))
-        out["value"] = rat_to_str(opt.value)
+        out["value"] = str(opt.value)
     return out
 
 
@@ -128,15 +127,15 @@ def _cmd_bounds(args) -> dict:
     out = {"label": expression.label, "set": args.set}
     if args.set == "classical":
         opt = polytope.classical_max(expression, cap=args.cap)
-        out["value"] = rat_to_str(opt.value)
+        out["value"] = str(opt.value)
         out["strategy"] = [list(r) for r in opt.strategy.responses]
     elif args.set == "ns":
         opt = polytope.ns_max(expression)
-        out["value"] = rat_to_str(opt.value)
+        out["value"] = str(opt.value)
         out["box"] = opt.box.to_json()
     elif args.set == "tobl":
         opt = polytope.tobl_max(expression)
-        out["value"] = rat_to_str(opt.value)
+        out["value"] = str(opt.value)
         out["box"] = opt.box.to_json()
     return out
 
@@ -149,7 +148,7 @@ def _cmd_tobl(args) -> dict:
     opt = polytope.tobl_max(expression)
     return {
         "label": expression.label,
-        "value": rat_to_str(opt.value),
+        "value": str(opt.value),
         "box": opt.box.to_json(),
     }
 
@@ -162,7 +161,7 @@ def _cmd_facet(args) -> dict:
     report = polytope.facet_check(expression, bound, cap=args.cap)
     out = report.to_json()
     out["label"] = expression.label
-    out["bound"] = rat_to_str(Fraction(bound))
+    out["bound"] = str(Fraction(bound))
     return out
 
 
@@ -211,15 +210,15 @@ def _cmd_membership(args) -> dict:
     out = {"is_local": result.is_local}
     if result.is_local:
         out["weights"] = [
-            {"responses": [list(r) for r in s.responses], "weight": rat_to_str(w)}
+            {"responses": [list(r) for r in s.responses], "weight": str(w)}
             for s, w in result.weights
         ]
     else:
         expr, bound, value = result.separating
         out["separating"] = {
             "expression": expr.to_json(),
-            "local_bound": rat_to_str(bound),
-            "value_at_box": rat_to_str(value),
+            "local_bound": str(bound),
+            "value_at_box": str(value),
         }
     return out
 

@@ -18,7 +18,17 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 from . import config
-from .exact import rat_from_str, rat_to_str
+
+# ---------------------------------------------------------------------------
+# rationals in JSON
+
+
+def _parse_fraction(s: str) -> Fraction:
+    """Parse the ``"p"`` or ``"p/q"`` form that ``str`` gives a ``Fraction``;
+    ``p`` and ``q`` are integer literals, so ``"0.5"`` is rejected."""
+    num, slash, den = s.strip().partition("/")
+    return Fraction(int(num), int(den) if slash else 1)
+
 
 # ---------------------------------------------------------------------------
 # mixed-radix indexing
@@ -140,7 +150,7 @@ class Box:
 
     @staticmethod
     def exact(scenario: Scenario, entries) -> "Box":
-        """Build an exact box from a dense list or an {(x_idx, a_idx): Rat} dict."""
+        """Build an exact box from a dense list or an {(x_idx, a_idx): Fraction} dict."""
         if isinstance(entries, dict):
             tab = [Fraction(0)] * scenario.table_size
             nx, na = scenario.n_inputs, scenario.n_outputs
@@ -190,7 +200,7 @@ class Box:
             for a in range(na):
                 v = self._table[x * na + a]
                 if v:
-                    table[f"{x}:{a}"] = rat_to_str(v)
+                    table[f"{x}:{a}"] = str(v)
         return {"scenario": self.scenario.to_json(), "mode": "exact", "table": table}
 
     @staticmethod
@@ -202,7 +212,7 @@ class Box:
         entries = {}
         for key, val in obj["table"].items():
             x, a = key.split(":")
-            entries[(int(x), int(a))] = rat_from_str(val)
+            entries[(int(x), int(a))] = _parse_fraction(val)
         return Box.exact(scen, entries)
 
 
@@ -373,10 +383,10 @@ class BellExpression:
     def to_json(self) -> dict:
         out = {
             "scenario": self.scenario.to_json(),
-            "coeffs": {f"{x}:{a}": rat_to_str(Fraction(v)) for (x, a), v in sorted(self.coeffs.items())},
+            "coeffs": {f"{x}:{a}": str(Fraction(v)) for (x, a), v in sorted(self.coeffs.items())},
         }
         if self.classical_bound is not None:
-            out["classical_bound"] = rat_to_str(self.classical_bound)
+            out["classical_bound"] = str(self.classical_bound)
         if self.label:
             out["label"] = self.label
         return out
@@ -387,12 +397,12 @@ class BellExpression:
         coeffs = {}
         for key, val in obj["coeffs"].items():
             x, a = key.split(":")
-            coeffs[(int(x), int(a))] = rat_from_str(val)
+            coeffs[(int(x), int(a))] = _parse_fraction(val)
         bound = obj.get("classical_bound")
         return BellExpression(
             scen,
             coeffs,
-            classical_bound=None if bound is None else rat_from_str(bound),
+            classical_bound=None if bound is None else _parse_fraction(bound),
             label=obj.get("label", ""),
         )
 
@@ -581,7 +591,7 @@ class InputDistribution:
     """Probability density over the joint inputs of a scenario."""
 
     scenario: Scenario
-    q: dict  # x_idx -> Rat
+    q: dict  # x_idx -> Fraction
 
     def __post_init__(self):
         total = Fraction(0)
@@ -603,11 +613,11 @@ class InputDistribution:
     def to_json(self) -> dict:
         return {
             "scenario": self.scenario.to_json(),
-            "q": {str(x): rat_to_str(Fraction(v)) for x, v in sorted(self.q.items()) if v},
+            "q": {str(x): str(Fraction(v)) for x, v in sorted(self.q.items()) if v},
         }
 
     @staticmethod
     def from_json(obj: dict) -> "InputDistribution":
         scen = Scenario.from_json(obj["scenario"])
-        q = {int(k): rat_from_str(v) for k, v in obj["q"].items()}
+        q = {int(k): _parse_fraction(v) for k, v in obj["q"].items()}
         return InputDistribution(scen, q)

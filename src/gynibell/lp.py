@@ -61,7 +61,11 @@ _ONE = Fraction(1)
 #: but impossible, so this is a deep safety net rather than a tuning knob
 DEGENERACY_STREAK = 500
 
-#: column block size for lazy pricing
+#: column block size for lazy pricing.  An LP with at most this many columns
+#: is priced over all of them (plain Dantzig), as is every LP the benchmark
+#: workloads solve (at most 384 columns).  Blocks stay for wide LPs: on the
+#: uncollapsed TOBL LP (1600 columns) full pricing had not finished after
+#: 7 minutes, and block pricing solves it in 8-19 s (2-vCPU Xeon)
 PRICE_BLOCK = 512
 
 #: most entries of the basis inverse that one block of a pivot's row update,

@@ -246,14 +246,15 @@ def _solve_collapsed(objective, rows, perms, label):
     return res.value, [res.solution[o] for o in orbit]
 
 
-def ns_max(expression: BellExpression, use_symmetry: bool = True) -> NsOptimum:
+def ns_max(expression: BellExpression) -> NsOptimum:
     """Exact maximum over the no-signaling polytope, plus an optimal box.
 
     The LP is posed in full probability coordinates (variables P(a|x) >= 0,
     normalization and per-party no-signaling equalities).  When the
     expression carries relabeling symmetries they are verified exactly and
     the LP is collapsed onto orbit-constant tables first; group averaging
-    makes the collapsed optimum equal the full one.  The expanded optimal
+    makes the collapsed optimum equal the full one; an expression with
+    ``party_symmetries=()`` gets the uncollapsed LP.  The expanded optimal
     box is always re-checked exactly: nonnegative, normalized,
     no-signaling, and achieving the claimed value.
     """
@@ -261,7 +262,7 @@ def ns_max(expression: BellExpression, use_symmetry: bool = True) -> NsOptimum:
     n = scen.table_size
     na = scen.n_outputs
     rows = _ns_equality_rows(scen)
-    syms = list(expression.party_symmetries) if use_symmetry else []
+    syms = list(expression.party_symmetries)
     if not syms and (len(rows) > config.NS_LP_MAX_ROWS or n > config.NS_LP_MAX_COLS):
         raise ValueError(
             f"no-signaling LP too large: {len(rows)} rows x {n} columns"
@@ -508,7 +509,7 @@ def _rows_invariant_under(rows, perm) -> bool:
     )
 
 
-def tobl_max(expression: BellExpression, use_symmetry: bool = True) -> ToblOptimum:
+def tobl_max(expression: BellExpression) -> ToblOptimum:
     """Exact maximum over tripartite time-ordered bilocal correlations.
 
     For each bipartition i|jk the table must admit two simultaneous
@@ -524,8 +525,9 @@ def tobl_max(expression: BellExpression, use_symmetry: bool = True) -> ToblOptim
 
     Relabeling symmetries carried by the expression are used to collapse the
     LP onto orbit-constant variables after exact invariance checks (on both
-    the objective and the constraint multiset); the expanded solution is
-    verified against the full model either way.
+    the objective and the constraint multiset); an expression with
+    ``party_symmetries=()`` gets the uncollapsed LP.  The expanded solution
+    is verified against the full model either way.
     """
     scen = expression.scenario
     if scen.parties != 3 or scen.inputs != (2, 2, 2) or scen.outputs != (2, 2, 2):
@@ -537,16 +539,15 @@ def tobl_max(expression: BellExpression, use_symmetry: bool = True) -> ToblOptim
         objective[x * layout.na + a] += c
 
     perms = []
-    if use_symmetry:
-        for sym in expression.party_symmetries:
-            if not expression_invariant_under(expression, sym):
-                continue
-            perm = layout.variable_permutation(sym)
-            if perm is None:
-                continue
-            if all(objective[perm[j]] == objective[j] for j in range(layout.n_vars)) and \
-                    _rows_invariant_under(rows, perm):
-                perms.append(perm)
+    for sym in expression.party_symmetries:
+        if not expression_invariant_under(expression, sym):
+            continue
+        perm = layout.variable_permutation(sym)
+        if perm is None:
+            continue
+        if all(objective[perm[j]] == objective[j] for j in range(layout.n_vars)) and \
+                _rows_invariant_under(rows, perm):
+            perms.append(perm)
 
     value, solution = _solve_collapsed(objective, rows, perms, "TOBL")
 

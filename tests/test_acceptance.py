@@ -4,6 +4,7 @@ Every test prints a single PASS/FAIL line (run with ``pytest -s`` to see
 them) and asserts both the exact values and the stated runtime budget.
 """
 
+import dataclasses
 import json
 import random
 import sys
@@ -72,9 +73,8 @@ def test_criterion_2_ratios_n6():
         assert ns.value / game.expression.classical_bound == F(16, 11)
 
 
-@requires_slow
-def test_criterion_2_ratio_n7_opt_in():
-    with criterion(2, "ratio 64/42 at N=7 (opt-in)", 3600):
+def test_criterion_2_ratios_n7():
+    with criterion(2, "ratio 64/42 at N=7", 3600):
         game = gyni.gyni_expression(7)
         ns = gb.ns_max(game.expression)
         assert ns.value / game.expression.classical_bound == F(64, 42)
@@ -91,7 +91,8 @@ def test_criterion_3_tobl_seven_sixths():
 @requires_slow
 def test_criterion_3_tobl_without_symmetry_opt_in():
     with criterion(3, "TOBL 7/6 on the uncollapsed LP (opt-in)", 1800):
-        result = gb.tobl_max(gyni.gyni_sum_expression(3), use_symmetry=False)
+        expr = dataclasses.replace(gyni.gyni_sum_expression(3), party_symmetries=())
+        result = gb.tobl_max(expr)
         assert result.value == F(7, 6)
 
 

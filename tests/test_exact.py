@@ -3,35 +3,44 @@ from fractions import Fraction
 
 import pytest
 
-from gynibell import exact
+from gynibell.core import _parse_fraction
 
 
 def test_rat_normalizes_sign_and_gcd():
-    r = exact.rat(6, -4)
+    r = _parse_fraction("6/-4")
     assert r.numerator == -3 and r.denominator == 2
 
 
 def test_rat_zero():
-    assert exact.rat(0, 7) == 0
-    assert exact.rat(0, 7).denominator == 1
+    assert _parse_fraction("0/7") == 0
+    assert _parse_fraction("0/7").denominator == 1
 
 
 def test_rat_reduces_headline_ratio():
     # the stored N=7 ratio reduces in lowest terms
-    assert exact.rat(64, 42) == Fraction(32, 21)
+    assert _parse_fraction("64/42") == Fraction(32, 21)
 
 
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
-        exact.rat(1, 0)
+        _parse_fraction("1/0")
 
 
 def test_serialization_round_trip():
     cases = [Fraction(-3, 2), Fraction(5), Fraction(0), Fraction(32, 21)]
     for r in cases:
-        assert exact.rat_from_str(exact.rat_to_str(r)) == r
-    assert exact.rat_to_str(Fraction(5)) == "5"
-    assert exact.rat_to_str(Fraction(-3, 2)) == "-3/2"
+        assert _parse_fraction(str(r)) == r
+    assert str(Fraction(5)) == "5"
+    assert str(Fraction(-3, 2)) == "-3/2"
+
+
+def test_parser_accepts_integer_literals_only():
+    assert _parse_fraction("3/-4") == Fraction(-3, 4)
+    assert _parse_fraction("+3") == 3
+    assert _parse_fraction(" 7/2 ") == Fraction(7, 2)
+    for bad in ("0.5", "3/", "/4", "1/2/3", "1e3", ""):
+        with pytest.raises(ValueError):
+            _parse_fraction(bad)
 
 
 def test_field_axioms_random():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -45,8 +46,8 @@ def test_classical_max_uniform_promise():
 
 def test_ns_max_gyni3_full_and_symmetric_agree(gyni_games):
     e = gyni_games[3].expression
-    full = gb.ns_max(e, use_symmetry=False)
-    sym = gb.ns_max(e, use_symmetry=True)
+    full = gb.ns_max(dataclasses.replace(e, party_symmetries=()))
+    sym = gb.ns_max(e)
     assert full.value == sym.value == F(1, 3)
     assert gb.is_nonsignaling(full.box).is_nonsignaling
     assert gb.bell_value(e, sym.box) == F(1, 3)
@@ -54,7 +55,8 @@ def test_ns_max_gyni3_full_and_symmetric_agree(gyni_games):
 
 def test_ns_max_gyni4_full_and_symmetric_agree(gyni_games):
     e = gyni_games[4].expression
-    assert gb.ns_max(e, use_symmetry=False).value == gb.ns_max(e).value == F(1, 6)
+    full = gb.ns_max(dataclasses.replace(e, party_symmetries=()))
+    assert full.value == gb.ns_max(e).value == F(1, 6)
 
 
 def test_ns_optimal_box_terms_all_equal_third(ns_optima):
@@ -243,6 +245,20 @@ def test_facet_gyni3(gyni_games):
     assert report.polytope_dimension == 26
     assert report.bound_attained
     assert report.saturating_vertex_count == 32
+
+
+def test_facet_gyni3_rank_on_python_integer_rows(gyni_games, monkeypatch):
+    """With the int64 guard at 1 the saturating set is reduced on
+    Python-integer rows; the facet rank must still be 25."""
+    e = gyni_games[3].expression
+    saturating = [s for v, s in polytope._valued_strategies(e) if v == e.classical_bound]
+    points = polytope.cg_coordinates_of_strategies(e.scenario, saturating)
+    monkeypatch.setattr(_rank, "_INT64_SAFE", 1)
+    acc = _rank.ExactRankAccumulator(points.shape[1])
+    acc.add_rows(points[1:] - points[0])
+    assert acc.big and acc.rank == 25
+    report = gb.facet_check(e, e.classical_bound)
+    assert (report.is_tight, report.affine_rank) == (True, 25)
 
 
 def test_facet_rejects_wrong_bound(gyni_games):

@@ -1,7 +1,9 @@
 import random
 
 import numpy as np
+import pytest
 
+from gynibell import _rank
 from gynibell._rank import ExactRankAccumulator, affine_rank, integer_rank
 
 
@@ -19,19 +21,28 @@ def test_affine_rank_known():
     assert affine_rank([[5, 7]]) == 0
 
 
-def test_rank_matches_float_rank_on_random_matrices():
+def _random_matrices():
     rng = random.Random(12)
     for _ in range(30):
         rows = rng.randint(1, 8)
         cols = rng.randint(1, 8)
-        mat = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+        yield [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+
+
+def _incremental_matrix():
+    rng = random.Random(77)
+    return [[rng.randint(-3, 3) for _ in range(10)] for _ in range(20)]
+
+
+def test_rank_matches_float_rank_on_random_matrices():
+    for mat in _random_matrices():
         expect = np.linalg.matrix_rank(np.array(mat, dtype=float))
         assert integer_rank(mat) == expect
 
 
 def test_big_integer_fallback_is_exact():
-    """Entries near the int64 guard force the pure-Python path; the rank of
-    a planted rank-2 matrix must still come out exactly."""
+    """Entries near the int64 guard force the switch to Python-integer rows;
+    the rank of a planted rank-2 matrix must still come out exactly."""
     rng = random.Random(5)
     big = 2**40
     u = [rng.randint(1, big) for _ in range(6)]
@@ -54,9 +65,33 @@ def test_big_integer_fallback_is_exact():
 
 
 def test_incremental_matches_batch():
-    rng = random.Random(77)
-    mat = [[rng.randint(-3, 3) for _ in range(10)] for _ in range(20)]
+    mat = _incremental_matrix()
     acc = ExactRankAccumulator(10)
     for row in mat:
         acc.add_row(row)
     assert acc.rank == integer_rank(mat)
+
+
+@pytest.mark.parametrize("guard", [1, 2**8])
+def test_python_integer_rows_give_the_int64_ranks(monkeypatch, guard):
+    """A lowered guard moves elimination onto Python-integer rows, at the
+    first reduction (guard 1) or part way through (2**8); every rank must
+    stay what the int64 run gives."""
+    mats = list(_random_matrices())
+    expect = [integer_rank(m) for m in mats]
+    inc = _incremental_matrix()
+    inc_rank = integer_rank(inc)
+    monkeypatch.setattr(_rank, "_INT64_SAFE", guard)
+
+    assert [integer_rank(m) for m in mats] == expect
+
+    acc = ExactRankAccumulator(10)
+    big_after = []
+    for row in inc:
+        acc.add_row(row)
+        big_after.append(acc.big)
+    assert acc.rank == inc_rank
+    first = big_after.index(True)
+    assert (first == 1) if guard == 1 else (first > 2)
+    assert all(big_after[first:])
+    assert all(prow.dtype == object for _, prow, _, _ in acc.pivots)
