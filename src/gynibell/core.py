@@ -132,8 +132,10 @@ def binary_scenario(n_parties: int) -> Scenario:
 
 class Box:
     """Conditional probability table P(a|x) over a scenario, in exact
-    rationals; normalization is an identity of fractions.  The table is
-    dense: entry ``(x_idx, a_idx)`` lives at ``table[x_idx * n_outputs + a_idx]``.
+    rationals (each entry an ``int`` or a ``Fraction``; :meth:`exact`
+    converts other numbers); normalization is an identity of fractions.
+    The table is dense: entry ``(x_idx, a_idx)`` lives at
+    ``table[x_idx * n_outputs + a_idx]``.
     """
 
     __slots__ = ("scenario", "_table")
@@ -143,6 +145,8 @@ class Box:
         tab = list(table)
         if len(tab) != scenario.table_size:
             raise ValueError("table size mismatch")
+        if not all(isinstance(v, (int, Fraction)) for v in tab):
+            raise ValueError("box entries must be int or Fraction; Box.exact converts")
         self._table = tab
         self.validate()
 
@@ -455,32 +459,45 @@ class Symmetry:
     input_maps: tuple[tuple[int, ...], ...]
     output_maps: tuple[tuple[int, ...], ...]
 
-    def apply_index(self, scen: Scenario, x_idx: int, a_idx: int) -> tuple[int, int]:
-        xs = scen.decode_input(x_idx)
-        aa = scen.decode_outcome(a_idx)
-        new_xs = tuple(self.input_maps[p][xs[self.party_perm[p]]] for p in range(scen.parties))
-        new_aa = tuple(self.output_maps[p][aa[self.party_perm[p]]] for p in range(scen.parties))
-        return scen.encode_input(new_xs), scen.encode_outcome(new_aa)
+    def index_terms(self, scen: Scenario) -> list[tuple[int, ...]]:
+        """The relabeling as per-axis index terms.  The table's axes are the
+        parties' inputs, then the parties' outcomes; where axis ``k`` holds
+        value ``v``, the image table index ``x_idx * n_outputs + a_idx``
+        gains ``terms[k][v]``."""
+        image_of = [self.party_perm.index(q) for q in range(scen.parties)]
+        terms = []
+        for maps, radices, stride in (
+            (self.input_maps, scen.inputs, scen.n_outputs),
+            (self.output_maps, scen.outputs, 1),
+        ):
+            strides = [0] * scen.parties
+            for p in range(scen.parties - 1, -1, -1):
+                strides[p] = stride
+                stride *= radices[p]
+            terms += [tuple(strides[p] * m for m in maps[p]) for p in image_of]
+        return terms
+
+    def table_permutation(self, scen: Scenario) -> list[int]:
+        """Image of every flattened table index, in table order."""
+        return list(map(sum, itertools.product(*self.index_terms(scen))))
 
 
 def apply_symmetry_to_expression(expression: BellExpression, sym: Symmetry) -> BellExpression:
     scen = expression.scenario
+    terms = sym.index_terms(scen)
     coeffs = {}
     for (x, a), c in expression.coeffs.items():
-        coeffs[sym.apply_index(scen, x, a)] = c
+        axes = scen.decode_input(x) + scen.decode_outcome(a)
+        coeffs[divmod(sum(t[v] for t, v in zip(terms, axes)), scen.n_outputs)] = c
     return BellExpression(scen, coeffs, expression.classical_bound, expression.label)
 
 
 def apply_symmetry_to_box(box: Box, sym: Symmetry) -> Box:
     """Push a box through a relabeling; preserves validity and no-signaling."""
-    scen = box.scenario
-    na = scen.n_outputs
-    table = [Fraction(0)] * scen.table_size
-    for x in range(scen.n_inputs):
-        for a in range(na):
-            nx_, na_ = sym.apply_index(scen, x, a)
-            table[nx_ * na + na_] = box.value(x, a)
-    return Box(scen, table)
+    table = [Fraction(0)] * box.scenario.table_size
+    for t, image in enumerate(sym.table_permutation(box.scenario)):
+        table[image] = box._table[t]
+    return Box(box.scenario, table)
 
 
 def expression_invariant_under(expression: BellExpression, sym: Symmetry) -> bool:

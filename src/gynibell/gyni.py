@@ -199,13 +199,10 @@ def orthogonality_certificate(expression: BellExpression) -> bool:
 
     Anything else returns False.  Negative coefficients invalidate both
     arguments and raise."""
-    coeffs = expression.coeffs
-    if any(c < 0 for c in coeffs.values()):
+    if any(c < 0 for c in expression.coeffs.values()):
         raise ValueError("certificate requires nonnegative coefficients")
     scen = expression.scenario
-    decoded = []
-    for (x, a), c in sorted(coeffs.items()):
-        decoded.append(((scen.decode_input(x), scen.decode_outcome(a)), c))
+    decoded = [((xs, aa), c) for xs, aa, c in expression.terms()]
     non_orth = []
     for m in range(len(decoded)):
         for n in range(m + 1, len(decoded)):

@@ -56,20 +56,10 @@ class ClassicalOptimum(NamedTuple):
     strategy: DeterministicStrategy
 
 
-def _decoded_terms(expression: BellExpression):
-    scen = expression.scenario
-    terms = []
-    for (x, a), c in sorted(expression.coeffs.items()):
-        xs = scen.decode_input(x)
-        aa = scen.decode_outcome(a)
-        terms.append((tuple(zip(xs, aa)), c))
-    return terms
-
-
 def _valued_strategies(expression: BellExpression, cap: int | None = None):
     """(value, strategy) for every deterministic strategy, lazily, in
     enumeration order."""
-    terms = _decoded_terms(expression)
+    terms = [(tuple(zip(xs, aa)), c) for xs, aa, c in expression.terms()]
     for strategy in iter_deterministic_strategies(expression.scenario, cap):
         responses = strategy.responses
         total = _ZERO
@@ -151,18 +141,6 @@ def _ns_equality_rows(scenario: Scenario):
 class NsOptimum(NamedTuple):
     value: Fraction
     box: Box
-
-
-def _table_permutation(scenario: Scenario, sym: Symmetry) -> list[int]:
-    """The permutation a relabeling induces on flattened (input, outcome)
-    table indices."""
-    na = scenario.n_outputs
-    perm = [0] * scenario.table_size
-    for x in range(scenario.n_inputs):
-        for a in range(na):
-            nx, na_ = sym.apply_index(scenario, x, a)
-            perm[x * na + a] = nx * na + na_
-    return perm
 
 
 def _orbits_of_permutations(n: int, perms) -> list[int]:
@@ -277,7 +255,7 @@ def ns_max(expression: BellExpression) -> NsOptimum:
         objective[x * na + a] += c
 
     value, table = _solve_collapsed(
-        objective, rows, [_table_permutation(scen, sym) for sym in syms], "no-signaling"
+        objective, rows, [sym.table_permutation(scen) for sym in syms], "no-signaling"
     )
 
     box = Box(scen, table)
@@ -390,6 +368,21 @@ class _ToblLayout:
         self.n_pairs = len(self.pairs)
         self.block = len(self.responders) * self.n_pairs
         self.n_vars = self.n_table + 3 * 2 * self.block
+        # supports[var - n_table]: the table indices where the weight
+        # variable's deterministic component puts mass 1, in wvar order;
+        # var_of[(block, support)]: the variable, blocks numbered
+        # 2 * bip_idx + direction
+        self.supports = [
+            tuple(self.component_entries(bip_idx, direction, h, f, g))
+            for bip_idx in range(3)
+            for direction in (0, 1)
+            for h in self.responders
+            for f, g in self.pairs
+        ]
+        self.var_of = {
+            (v // self.block, support): self.n_table + v
+            for v, support in enumerate(self.supports)
+        }
 
     def wvar(self, bip_idx: int, direction: int, h_idx: int, pair_idx: int) -> int:
         return (
@@ -427,11 +420,10 @@ class _ToblLayout:
         for bip_idx in range(3):
             for direction in (0, 1):
                 mix = [dict() for _ in range(self.n_table)]
-                for h_idx, h in enumerate(self.responders):
-                    for pair_idx, (f, g) in enumerate(self.pairs):
-                        var = self.wvar(bip_idx, direction, h_idx, pair_idx)
-                        for t in self.component_entries(bip_idx, direction, h, f, g):
-                            mix[t][var] = _ONE
+                first = self.wvar(bip_idx, direction, 0, 0)
+                for var in range(first, first + self.block):
+                    for t in self.supports[var - self.n_table]:
+                        mix[t][var] = _ONE
                 for t in range(self.n_table):
                     coeffs = mix[t]
                     coeffs[t] = coeffs.get(t, _ZERO) - _ONE
@@ -444,56 +436,28 @@ class _ToblLayout:
                 rows.append(lp.make_constraint(coeffs, 0))
         return rows
 
-    def variable_permutation(self, sym: Symmetry):
+    def variable_permutation(self, sym: Symmetry) -> list[int]:
         """The permutation a relabeling induces on the LP variables.
 
-        Table entries permute by the index action.  A weight variable for a
-        deterministic component (lone responder h; leader f; follower g) maps
-        to the component obtained by transporting those functions through
-        the relabeling; blocks map to blocks structurally (the image lone
-        party fixes the bipartition, the image leader fixes the direction),
-        so the map is a genuine bijection even though distinct components
-        can share the same table support.  Returns None when the party
-        permutation scatters a bipartition outside the cyclic block layout.
+        Table entries permute by :meth:`Symmetry.table_permutation`.  Blocks
+        map to blocks structurally: the image lone party fixes the
+        bipartition, the image leader fixes the direction.  Within a block a
+        weight variable's support fixes its component (h, f, g), so each
+        variable maps to the variable of the image block whose support is
+        the permuted support.  Distinct blocks can share a support, which is
+        why the block is not read off the support.
         """
-        perm = _table_permutation(self.scen, sym) + [None] * (self.n_vars - self.n_table)
-
-        pi = sym.party_perm
-        inv_pi = [0] * 3
-        for p in range(3):
-            inv_pi[pi[p]] = p
-        inv_in = [tuple(m.index(v) for v in range(2)) for m in sym.input_maps]
-        out = sym.output_maps
-        h_index = {h: idx for idx, h in enumerate(self.responders)}
-        pair_index = {fg: idx for idx, fg in enumerate(self.pairs)}
-        bip_of_lone = {b[0]: idx for idx, b in enumerate(_BIPARTITIONS)}
-
-        for bip_idx, (i, j, k) in enumerate(_BIPARTITIONS):
-            for direction in (0, 1):
-                lead, follow = (j, k) if direction == 0 else (k, j)
-                i2, lead2, follow2 = inv_pi[i], inv_pi[lead], inv_pi[follow]
-                bip2 = bip_of_lone[i2]
-                tup = _BIPARTITIONS[bip2]
-                if (lead2, follow2) == (tup[1], tup[2]):
-                    dir2 = 0
-                elif (lead2, follow2) == (tup[2], tup[1]):
-                    dir2 = 1
-                else:
-                    return None
-                for h_idx, h in enumerate(self.responders):
-                    h2 = tuple(out[i2][h[inv_in[i2][x]]] for x in range(2))
-                    for pair_idx, (f, g) in enumerate(self.pairs):
-                        f2 = tuple(out[lead2][f[inv_in[lead2][x]]] for x in range(2))
-                        g2 = tuple(
-                            out[follow2][
-                                g[2 * inv_in[lead2][xl] + inv_in[follow2][xf]]
-                            ]
-                            for xl in range(2)
-                            for xf in range(2)
-                        )
-                        perm[self.wvar(bip_idx, direction, h_idx, pair_idx)] = self.wvar(
-                            bip2, dir2, h_index[h2], pair_index[(f2, g2)]
-                        )
+        table = sym.table_permutation(self.scen)
+        image_of = [sym.party_perm.index(q) for q in range(3)]
+        perm = table + [None] * (self.n_vars - self.n_table)
+        for block in range(6):
+            bip_idx, direction = divmod(block, 2)
+            leader = _BIPARTITIONS[bip_idx][1 + direction]
+            bip2 = image_of[bip_idx]  # bipartition b has lone party b
+            block2 = 2 * bip2 + _BIPARTITIONS[bip2].index(image_of[leader]) - 1
+            for v in range(block * self.block, (block + 1) * self.block):
+                image = tuple(sorted(table[t] for t in self.supports[v]))
+                perm[self.n_table + v] = self.var_of[(block2, image)]
         if len(set(perm)) != self.n_vars:
             raise lp.LPError("induced variable map is not a permutation")
         return perm
@@ -543,8 +507,6 @@ def tobl_max(expression: BellExpression) -> ToblOptimum:
         if not expression_invariant_under(expression, sym):
             continue
         perm = layout.variable_permutation(sym)
-        if perm is None:
-            continue
         if all(objective[perm[j]] == objective[j] for j in range(layout.n_vars)) and \
                 _rows_invariant_under(rows, perm):
             perms.append(perm)
@@ -590,8 +552,8 @@ def tobl_max(expression: BellExpression) -> ToblOptimum:
             mixture = [_ZERO] * layout.n_table
             for (h_idx, p1, p2), weight in triples:
                 pair_idx = (p1, p2)[pair_pos]
-                f, g = pairs[pair_idx]
-                for t in layout.component_entries(bip_idx, direction, responders[h_idx], f, g):
+                var = layout.wvar(bip_idx, direction, h_idx, pair_idx)
+                for t in layout.supports[var - layout.n_table]:
                     mixture[t] += weight
             if mixture != table:
                 raise lp.LPError("TOBL coupling failed the mixture recheck")

@@ -182,13 +182,6 @@ class ProductVectorSet:
         return build_local_subsets(vectors, dims)
 
 
-def _check_global_orthogonality(vectors, eps) -> None:
-    for m in range(len(vectors)):
-        for n in range(m + 1, len(vectors)):
-            if abs(product_inner(vectors[m], vectors[n])) > eps:
-                raise ValueError(f"vectors {m} and {n} are not orthogonal")
-
-
 def _check_unit_norm(vectors, dims, eps) -> None:
     for m, vec in enumerate(vectors):
         if len(vec) != len(dims):
@@ -200,6 +193,48 @@ def _check_unit_norm(vectors, dims, eps) -> None:
                 raise ValueError(f"vector {m} site {i} is not normalized")
 
 
+def _product_set(vectors, dims, local_sets, local_subsets, label: str) -> ProductVectorSet:
+    """The one constructor behind every :class:`ProductVectorSet`.
+
+    Checks unit norms, global orthogonality and, per site, that each subset
+    (a tuple of indices into ``local_sets[i]``) has at most ``dims[i]``
+    members, all mutually orthogonal; then points each vector factor at the
+    first local vector equal to it up to a phase.  ``local_subsets`` is
+    None for sets without subset structure.
+    """
+    eps = config.TOLERANCE
+    dims = tuple(dims)
+    vectors = tuple(tuple(np.asarray(v, dtype=complex) for v in vec) for vec in vectors)
+    _check_unit_norm(vectors, dims, eps)
+    for m, n in itertools.combinations(range(len(vectors)), 2):
+        if abs(product_inner(vectors[m], vectors[n])) > eps:
+            raise ValueError(f"vectors {m} and {n} are not orthogonal")
+    local_sets = tuple([np.asarray(v, dtype=complex) for v in site] for site in local_sets)
+    if local_subsets is not None:
+        local_subsets = tuple(tuple(tuple(subset) for subset in site) for site in local_subsets)
+        for i, site in enumerate(local_subsets):
+            for subset in site:
+                if len(subset) > dims[i]:
+                    raise ValueError(f"site {i}: subset larger than the local dimension {dims[i]}")
+                for a, b in itertools.combinations(subset, 2):
+                    if abs(inner(local_sets[i][a], local_sets[i][b])) > eps:
+                        raise ValueError(f"site {i}: subset members not orthogonal")
+    vector_local_index = []
+    for m, vec in enumerate(vectors):
+        row = []
+        for i, v in enumerate(vec):
+            for k, r in enumerate(local_sets[i]):
+                if _same_up_to_phase(v, r, eps):
+                    row.append(k)
+                    break
+            else:
+                raise ValueError(f"vector {m} site {i} is not among the local vectors")
+        vector_local_index.append(tuple(row))
+    return ProductVectorSet(
+        dims, vectors, local_sets, local_subsets, tuple(vector_local_index), label=label
+    )
+
+
 def build_local_subsets(vectors, dims, label: str = "") -> ProductVectorSet:
     """Derive local sets and subsets from raw orthogonal product vectors.
 
@@ -207,28 +242,20 @@ def build_local_subsets(vectors, dims, label: str = "") -> ProductVectorSet:
     orthogonality graph and use its connected components as subsets.  When a
     component is not a clique the grouping is ambiguous (the TILES
     situation) and :class:`AmbiguousSubsetsError` is raised with a
-    conflicting triple.  Subset order and positions follow first appearance.
+    conflicting triple.  Local sets keep first-appearance order (the
+    extension witness's SVD depends on it), and so do subset order and
+    positions.
     """
     eps = config.TOLERANCE
-    dims = tuple(dims)
     vectors = tuple(tuple(np.asarray(v, dtype=complex) for v in vec) for vec in vectors)
-    _check_unit_norm(vectors, dims, eps)
-    _check_global_orthogonality(vectors, eps)
-
+    _check_unit_norm(vectors, dims, eps)  # the per-site dedupe needs the shapes
     local_sets = []
     local_subsets = []
-    vector_local_index = [[] for _ in vectors]
     for i in range(len(dims)):
         reps: list[np.ndarray] = []
-        for m, vec in enumerate(vectors):
-            v = vec[i]
-            for k, r in enumerate(reps):
-                if _same_up_to_phase(v, r, eps):
-                    vector_local_index[m].append(k)
-                    break
-            else:
-                reps.append(v)
-                vector_local_index[m].append(len(reps) - 1)
+        for vec in vectors:
+            if not any(_same_up_to_phase(vec[i], r, eps) for r in reps):
+                reps.append(vec[i])
         # orthogonality graph on the deduplicated vectors
         nloc = len(reps)
         adj = [[False] * nloc for _ in range(nloc)]
@@ -266,69 +293,24 @@ def build_local_subsets(vectors, dims, label: str = "") -> ProductVectorSet:
                         if partner is None:
                             partner = next(z for z in members if adj[u][z] or adj[w][z])
                         raise AmbiguousSubsetsError(i, (u, w, partner))
-            if len(members) > dims[i]:
-                raise ValueError(
-                    f"site {i}: {len(members)} mutually orthogonal vectors exceed dimension {dims[i]}"
-                )
         local_sets.append(reps)
-        local_subsets.append(tuple(tuple(m) for m in comps))
-
-    return ProductVectorSet(
-        dims,
-        vectors,
-        tuple(local_sets),
-        tuple(local_subsets),
-        tuple(tuple(ix) for ix in vector_local_index),
-        label=label,
-    )
+        local_subsets.append(comps)
+    return _product_set(vectors, dims, local_sets, local_subsets, label)
 
 
 def _from_explicit_subsets(vectors, dims, site_subsets, label: str) -> ProductVectorSet:
     """Build a set whose subset structure (and hence inequality labels) is
-    supplied by a family generator rather than derived."""
-    eps = config.TOLERANCE
-    dims = tuple(dims)
-    vectors = tuple(tuple(np.asarray(v, dtype=complex) for v in vec) for vec in vectors)
-    _check_unit_norm(vectors, dims, eps)
-    _check_global_orthogonality(vectors, eps)
-    local_sets = []
-    local_subsets = []
-    for i, subsets in enumerate(site_subsets):
-        reps = []
-        subset_ix = []
+    supplied by a family generator rather than derived: each site's local
+    set is its subsets concatenated."""
+    local_sets, local_subsets = [], []
+    for subsets in site_subsets:
+        site, indices = [], []
         for subset in subsets:
-            if len(subset) > dims[i]:
-                raise ValueError(f"site {i}: subset larger than the local dimension")
-            for a in range(len(subset)):
-                for b in range(a + 1, len(subset)):
-                    if abs(inner(subset[a], subset[b])) > eps:
-                        raise ValueError(f"site {i}: subset members not orthogonal")
-            ix = []
-            for v in subset:
-                ix.append(len(reps))
-                reps.append(np.asarray(v, dtype=complex))
-            subset_ix.append(tuple(ix))
-        local_sets.append(reps)
-        local_subsets.append(tuple(subset_ix))
-    vector_local_index = []
-    for m, vec in enumerate(vectors):
-        row = []
-        for i, v in enumerate(vec):
-            for k, r in enumerate(local_sets[i]):
-                if _same_up_to_phase(v, r, eps):
-                    row.append(k)
-                    break
-            else:
-                raise ValueError(f"vector {m} site {i} not among the supplied subsets")
-        vector_local_index.append(tuple(row))
-    return ProductVectorSet(
-        dims,
-        vectors,
-        tuple(local_sets),
-        tuple(local_subsets),
-        tuple(vector_local_index),
-        label=label,
-    )
+            indices.append(range(len(site), len(site) + len(subset)))
+            site += subset
+        local_sets.append(site)
+        local_subsets.append(indices)
+    return _product_set(vectors, dims, local_sets, local_subsets, label)
 
 
 # ---------------------------------------------------------------------------
@@ -688,21 +670,9 @@ def _distinct_letter_upb_qutrits(n_parties: int, label: str) -> ProductVectorSet
                 break
         if not ok:
             continue
-        vectors = tuple(
-            tuple(sites[s][m] for s in range(n_parties)) for m in range(size)
-        )
-        local_sets = tuple(
-            [sites[s][m] for m in range(size)] for s in range(n_parties)
-        )
-        vector_local_index = tuple(tuple([m] * n_parties) for m in range(size))
-        return ProductVectorSet(
-            (3,) * n_parties,
-            vectors,
-            local_sets,
-            None,
-            vector_local_index,
-            label=label,
-        )
+        vectors = [[sites[s][m] for s in range(n_parties)] for m in range(size)]
+        local_sets = [[sites[s][m] for m in range(size)] for s in range(n_parties)]
+        return _product_set(vectors, (3,) * n_parties, local_sets, None, label)
     raise RuntimeError("could not realize a generic cycle decomposition")
 
 

@@ -1,3 +1,4 @@
+import itertools
 import os
 import sys
 
@@ -30,3 +31,16 @@ def ns_optima(gyni_games):
 @pytest.fixture(scope="session")
 def tobl_result():
     return gb.tobl_max(gb.gyni_sum_expression(3))
+
+
+@pytest.fixture(scope="session")
+def binary3_relabelings():
+    """All 384 relabelings of the three-party binary scenario: 6 party
+    permutations times 8 input flips times 8 outcome flips."""
+    flips = ((0, 1), (1, 0))
+    return [
+        gb.Symmetry(perm, ins, outs)
+        for perm in itertools.permutations(range(3))
+        for ins in itertools.product(flips, repeat=3)
+        for outs in itertools.product(flips, repeat=3)
+    ]

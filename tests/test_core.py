@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from gynibell import gyni
 from gynibell.core import (
     Scenario,
     apply_symmetry_to_box,
+    apply_symmetry_to_expression,
     drop_party,
     relabel_outcomes,
 )
@@ -248,6 +250,18 @@ def test_expression_json_round_trip():
     assert back.classical_bound == e.classical_bound
 
 
+def test_box_rejects_non_rational_entries():
+    s = Scenario((1,), (2,))
+    with pytest.raises(ValueError, match="int or Fraction"):
+        gb.Box(s, [0.5, 0.5])
+    with pytest.raises(ValueError, match="int or Fraction"):
+        gb.Box(s, [Fraction(1), 0.0])
+    half = gb.Box.exact(s, [0.5, 0.5])
+    assert half.exact_table() == [Fraction(1, 2)] * 2
+    assert gb.Box.from_json(half.to_json()) == half
+    assert gb.Box.from_json(gb.Box(s, [1, 0]).to_json()) == gb.Box(s, [1, 0])
+
+
 def test_input_distribution_json_round_trip():
     q = gyni.parity_promise(4)
     back = gb.InputDistribution.from_json(q.to_json())
@@ -272,6 +286,56 @@ def test_symmetry_preserves_box_validity_and_ns():
         assert gb.is_nonsignaling(image).is_nonsignaling
         # the optimal box value is invariant when the expression is
         assert gb.bell_value(game.expression, image) == ns.value
+
+
+def _relabeled_index(scen, sym, t):
+    """Image of table index ``t``, relabeling the input and outcome tuples
+    entry by entry as the :class:`Symmetry` docstring states."""
+    x, a = divmod(t, scen.n_outputs)
+    xs, aa = scen.decode_input(x), scen.decode_outcome(a)
+    ys = tuple(sym.input_maps[p][xs[q]] for p, q in enumerate(sym.party_perm))
+    bs = tuple(sym.output_maps[p][aa[q]] for p, q in enumerate(sym.party_perm))
+    return scen.encode_input(ys) * scen.n_outputs + scen.encode_outcome(bs)
+
+
+def _assert_matches_oracle(expression, sym):
+    """Dense and sparse images both follow the oracle; the dense one is a
+    bijection."""
+    scen = expression.scenario
+    perm = sym.table_permutation(scen)
+    oracle = [_relabeled_index(scen, sym, t) for t in range(scen.table_size)]
+    assert perm == oracle
+    assert sorted(perm) == list(range(scen.table_size))
+    na = scen.n_outputs
+    assert apply_symmetry_to_expression(expression, sym).coeffs == {
+        divmod(oracle[x * na + a], na): c for (x, a), c in expression.coeffs.items()
+    }
+
+
+def test_table_permutation_matches_oracle_binary(binary3_relabelings):
+    e = gyni.gyni_sum_expression(3)
+    for sym in binary3_relabelings:
+        _assert_matches_oracle(e, sym)
+
+
+def test_table_permutation_matches_oracle_mixed():
+    """Random valid relabelings of a scenario whose parties differ in both
+    cardinalities: parties 0 and 2 may swap, and so may parties 1 and 3."""
+    scen = Scenario((2, 3, 2, 3), (3, 2, 3, 2))
+    rng = random.Random(11)
+    keys = [(rng.randrange(scen.n_inputs), rng.randrange(scen.n_outputs)) for _ in range(40)]
+    e = gb.BellExpression(scen, {key: Fraction(k + 1) for k, key in enumerate(keys)})
+    kinds = list(zip(scen.inputs, scen.outputs))
+    perms = [
+        p for p in itertools.permutations(range(4))
+        if all(kinds[q] == kinds[i] for i, q in enumerate(p))
+    ]
+    assert len(perms) == 4
+    for _ in range(100):
+        perm = rng.choice(perms)
+        ins = tuple(tuple(rng.sample(range(m), m)) for m in scen.inputs)
+        outs = tuple(tuple(rng.sample(range(d), d)) for d in scen.outputs)
+        _assert_matches_oracle(e, gb.Symmetry(perm, ins, outs))
 
 
 def test_relabel_outcomes_involution():

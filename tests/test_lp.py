@@ -364,3 +364,12 @@ def test_pivot_counts_are_pinned():
     assert pivots(lambda: polytope.ns_max(upb.four_partite_tight_inequality())) == ("optimal", 627)
     assert pivots(lambda: polytope.local_membership(mixture)) == ("optimal", 69)
     assert pivots(lambda: polytope.local_membership(ns_box)) == ("infeasible", 50)
+
+    def pivots_and_columns(call):
+        (res,) = _solve_results(call)
+        return res.status, res.pivots, len(res.solution)
+
+    # LPs collapsed under the games' relabeling symmetries
+    tobl, ns7 = gyni.gyni_sum_expression(3), gyni.gyni_expression(7).expression
+    assert pivots_and_columns(lambda: polytope.tobl_max(tobl)) == ("optimal", 36, 144)
+    assert pivots_and_columns(lambda: polytope.ns_max(ns7)) == ("optimal", 39, 40)

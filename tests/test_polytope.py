@@ -185,6 +185,30 @@ def test_tobl_model_weights_normalized(tobl_result):
         assert all(w > 0 for _, w in triples)
 
 
+def test_tobl_variable_permutation_maps_supports(binary3_relabelings):
+    """Each weight variable goes to the block of the image lone party and
+    the image leader, onto the permuted support, for all 384 relabelings;
+    the map permutes all 1600 variables."""
+    layout = polytope._ToblLayout(gb.binary_scenario(3))
+    assert layout.n_vars == 1600
+
+    def lone_and_leader(v):  # v counts weight variables, in wvar order
+        bip_idx, direction = divmod(v // layout.block, 2)
+        lone, j, k = polytope._BIPARTITIONS[bip_idx]
+        return lone, (j, k)[direction]
+
+    for sym in binary3_relabelings:
+        table = sym.table_permutation(layout.scen)
+        perm = layout.variable_permutation(sym)
+        assert sorted(perm) == list(range(layout.n_vars))
+        assert perm[: layout.n_table] == table
+        for v, support in enumerate(layout.supports):
+            w = perm[layout.n_table + v] - layout.n_table
+            assert sorted(layout.supports[w]) == sorted(table[t] for t in support)
+            # image party p holds the data of party party_perm[p]
+            assert tuple(sym.party_perm[p] for p in lone_and_leader(w)) == lone_and_leader(v)
+
+
 def test_tobl_rejects_wrong_scenario():
     e = gb.gyni_sum_expression(4)
     with pytest.raises(ValueError):

@@ -272,3 +272,36 @@ def test_vector_set_json_round_trip():
     assert len(back) == len(sh)
     for m in range(len(sh)):
         assert abs(product_inner(back.vectors[m], sh.vectors[m])) > 1 - 1e-9
+
+
+def test_product_set_checks():
+    """Every constructor runs these checks through ``upb._product_set``."""
+    z, o = basis_ket(2, 0), basis_ket(2, 1)
+    e, ebar = hadamard_pair()
+    sites = [[z, o], [z, o]]
+    subsets = [[(0, 1)], [(0, 1)]]
+    pvs = upb._product_set([(z, z), (o, z)], (2, 2), sites, subsets, "pair")
+    assert pvs.vector_local_index == ((0, 0), (1, 0))
+    assert pvs.local_subsets == (((0, 1),), ((0, 1),))
+    # a factor equal to a local vector up to a phase points at it
+    assert upb._product_set([(1j * o, z)], (2, 2), sites, subsets, "").vector_local_index == ((1, 0),)
+    with pytest.raises(ValueError, match="not normalized"):
+        upb._product_set([(2 * z, z)], (2, 2), sites, subsets, "")
+    with pytest.raises(ValueError, match="wrong dimension"):
+        upb._product_set([(z, basis_ket(3, 0))], (2, 2), sites, subsets, "")
+    with pytest.raises(ValueError, match="not orthogonal"):
+        upb._product_set([(z, z), (e, z)], (2, 2), sites, subsets, "")
+    with pytest.raises(ValueError, match="larger than the local dimension"):
+        upb._product_set([(z, z)], (2, 2), [[z, o, e], [z, o]], [[(0, 1, 2)], [(0, 1)]], "")
+    with pytest.raises(ValueError, match="subset members not orthogonal"):
+        upb._product_set([(z, z)], (2, 2), [[z, e], [z, o]], [[(0, 1)], [(0, 1)]], "")
+    with pytest.raises(ValueError, match="not among the local vectors"):
+        upb._product_set([(ebar, z)], (2, 2), sites, subsets, "")
+    # raw vectors (a vector-set file) are shape-checked before the dedupe
+    with pytest.raises(ValueError, match="wrong site count"):
+        build_local_subsets([(z, z), (o,)], (2, 2))
+    # the qutrit Niset-Cerf set has no subsets and still runs every check
+    nc = upb.niset_cerf(3, 3)
+    assert nc.local_subsets is None
+    with pytest.raises(ValueError, match="not orthogonal"):
+        upb._product_set(nc.vectors[:1] * 2, nc.dims, nc.local_sets, None, "")
