@@ -13,6 +13,7 @@ functions, so values can be shared freely between concurrent tasks.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, NamedTuple
@@ -179,12 +180,15 @@ class Box:
     # -- invariants
 
     def validate(self) -> None:
+        """Each row is nonnegative and sums to 1, in integer numerators over
+        the row's common denominator."""
         nx, na = self.scenario.n_inputs, self.scenario.n_outputs
         for x in range(nx):
             row = self._table[x * na : (x + 1) * na]
-            if any(p < 0 for p in row):
+            if any(p.numerator < 0 for p in row):
                 raise ValueError(f"negative probability at input {x}")
-            if sum(row) != 1:
+            den = math.lcm(*(p.denominator for p in row))
+            if sum(p.numerator * (den // p.denominator) for p in row) != den:
                 raise ValueError(f"row {x} does not sum to 1")
 
     def __eq__(self, other):
@@ -310,43 +314,56 @@ class NsReport(NamedTuple):
     violations: list
 
 
-def _party_marginal(box: Box, party: int, x_i: int):
-    """Marginal over party's outcome: dict (x_others, a_others) -> prob."""
-    scen = box.scenario
-    marg = {}
-    for xs in scen.input_tuples():
-        if xs[party] != x_i:
-            continue
-        xo = xs[:party] + xs[party + 1 :]
-        x_idx = scen.encode_input(xs)
-        for aa in scen.outcome_tuples():
-            ao = aa[:party] + aa[party + 1 :]
-            key = (xo, ao)
-            v = box.value(x_idx, scen.encode_outcome(aa))
-            if key in marg:
-                marg[key] = marg[key] + v
-            else:
-                marg[key] = v
-    return marg
+def _outcome_marginals(nums: list, d: int, a_stride: int) -> list:
+    """Outcome marginals of the party whose outcome has ``d`` values and
+    stride ``a_stride`` in ``a_idx``: each sums ``d`` table entries
+    ``a_stride`` apart.  Entry ``x_idx * (n_outputs // d) + ao`` is the one
+    at input ``x_idx`` and outcome index ``ao`` of the other parties."""
+    block = d * a_stride
+    return list(map(sum, zip(*(
+        itertools.chain.from_iterable(
+            nums[s : s + a_stride] for s in range(a * a_stride, len(nums), block)
+        )
+        for a in range(d)
+    ))))
 
 
 def is_nonsignaling(box: Box) -> NsReport:
     """Check the per-party no-signaling equalities, reporting any violations.
 
     For every party i, every context of the other inputs and every pair of
-    inputs for i, the marginal over party i's outcome must agree exactly.
+    inputs (0, x_i) for i, the marginal over party i's outcome must agree
+    exactly.  The marginals are sums of integer numerators over the common
+    denominator of the table; violations come by party, then x_i, then
+    context, then outcome of the other parties.
     """
     scen = box.scenario
+    den = math.lcm(*(v.denominator for v in box._table))
+    nums = [v.numerator * (den // v.denominator) for v in box._table]
+    nx, na = scen.n_inputs, scen.n_outputs
     violations = []
-    for party in range(scen.parties):
-        if scen.inputs[party] < 2:
+    for party, (m, d) in enumerate(zip(scen.inputs, scen.outputs)):
+        if m < 2:
             continue
-        margs = [_party_marginal(box, party, x) for x in range(scen.inputs[party])]
-        base = margs[0]
-        for x_i in range(1, scen.inputs[party]):
-            for key, v in margs[x_i].items():
-                if base[key] != v:
-                    violations.append(NsViolation(party, key[0], (0, x_i), key[1]))
+        x_stride = math.prod(scen.inputs[party + 1 :])
+        k = na // d
+        marg = _outcome_marginals(nums, d, math.prod(scen.outputs[party + 1 :]))
+        other_outputs = scen.outputs[:party] + scen.outputs[party + 1 :]
+        for x_i in range(1, m):
+            for xb in range(nx):
+                if xb // x_stride % m:
+                    continue
+                xa = xb + x_i * x_stride
+                base, alt = marg[xb * k : (xb + 1) * k], marg[xa * k : (xa + 1) * k]
+                if base == alt:
+                    continue
+                xs = scen.decode_input(xb)
+                xo = xs[:party] + xs[party + 1 :]
+                violations += [
+                    NsViolation(party, xo, (0, x_i), decode_tuple(ao, other_outputs))
+                    for ao, (u, v) in enumerate(zip(base, alt))
+                    if u != v
+                ]
     return NsReport(not violations, violations)
 
 
@@ -478,8 +495,12 @@ class Symmetry:
         return terms
 
     def table_permutation(self, scen: Scenario) -> list[int]:
-        """Image of every flattened table index, in table order."""
-        return list(map(sum, itertools.product(*self.index_terms(scen))))
+        """Image of every flattened table index, in table order: the index
+        terms summed axis by axis, the last axis fastest."""
+        image = [0]
+        for terms in self.index_terms(scen):
+            image = [i + t for i in image for t in terms]
+        return image
 
 
 def apply_symmetry_to_expression(expression: BellExpression, sym: Symmetry) -> BellExpression:

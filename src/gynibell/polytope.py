@@ -4,9 +4,13 @@ Everything here is exact.  Optima over the local polytope come from full
 enumeration of deterministic vertices; optima over the no-signaling set and
 the TOBL set come from the rational simplex in :mod:`gynibell.lp`, posed in
 full probability coordinates with one equality row per normalization and
-no-signaling condition.  Every optimizer hands back a certificate (an
-optimal box, a convex decomposition, or a separating inequality) that is
-re-verified with exact arithmetic before being returned.
+no-signaling condition.  Those equality rows are integer numpy arrays
+(row, column, value, right-hand side) until the symmetry collapse: orbits,
+duplicate rows and the invariance checks are all integer array work, and
+only the rows left after the collapse become ``Fraction`` constraints.
+Every optimizer hands back a certificate (an optimal box, a convex
+decomposition, or a separating inequality) that is re-verified with exact
+arithmetic before being returned.
 
 The polytope dimension has a closed form.  Affine ranks for facet
 (tightness) checks run in subset marginal coordinates: the linear map
@@ -21,6 +25,7 @@ elimination.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -97,108 +102,171 @@ def cg_dimension(scenario: Scenario) -> int:
 
 
 # ---------------------------------------------------------------------------
-# no-signaling LP
+# equality rows as integer arrays
 
 
-def _ns_equality_rows(scenario: Scenario):
-    """Sparse no-signaling and normalization equality rows over table indices.
+class _Rows(NamedTuple):
+    """Equality rows ``sum_k val[k] * x[col[k]] = rhs[i]``, the sum over the
+    entries k with ``row[k] == i``, as integer COO arrays sorted by row, then
+    column.  The LP sees them only as :func:`_constraints`."""
 
-    Per party, per pair (0, x_i) of that party's inputs, per context of the
-    other inputs and other outcomes: the party's outcome marginal agrees.
-    """
-    na = scenario.n_outputs
-    rows = []
-    for xs in scenario.input_tuples():
-        x_idx = scenario.encode_input(xs)
-        coeffs = {x_idx * na + a: _ONE for a in range(na)}
-        rows.append(lp.make_constraint(coeffs, 1))
-    for party in range(scenario.parties):
-        m_i = scenario.inputs[party]
-        if m_i < 2:
-            continue
-        others = [p for p in range(scenario.parties) if p != party]
-        other_inputs = itertools.product(*(range(scenario.inputs[p]) for p in others))
-        for xo in other_inputs:
-            base = list(xo)
-            base.insert(party, 0)
-            for x_i in range(1, m_i):
-                alt = list(xo)
-                alt.insert(party, x_i)
-                xb = scenario.encode_input(tuple(base))
-                xa = scenario.encode_input(tuple(alt))
-                for ao in itertools.product(*(range(scenario.outputs[p]) for p in others)):
-                    coeffs = {}
-                    for a_i in range(scenario.outputs[party]):
-                        aa = list(ao)
-                        aa.insert(party, a_i)
-                        a_idx = scenario.encode_outcome(tuple(aa))
-                        coeffs[xb * na + a_idx] = coeffs.get(xb * na + a_idx, _ZERO) + _ONE
-                        coeffs[xa * na + a_idx] = coeffs.get(xa * na + a_idx, _ZERO) - _ONE
-                    rows.append(lp.make_constraint(coeffs, 0))
-    return rows
+    row: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
+    rhs: np.ndarray
 
 
-class NsOptimum(NamedTuple):
-    value: Fraction
-    box: Box
+def _coo(parts):
+    """Concatenated row, column and value arrays of (row, column, value)
+    triples of arrays that broadcast together."""
+    return map(np.concatenate, zip(*(
+        [a.ravel() for a in np.broadcast_arrays(*part)] for part in parts
+    )))
 
 
-def _orbits_of_permutations(n: int, perms) -> list[int]:
+def _sorted_rows(row, col, val, rhs) -> _Rows:
+    order = np.lexsort((col, row))
+    return _Rows(row[order], col[order], val[order], rhs)
+
+
+def _row_starts(rows: _Rows) -> np.ndarray:
+    """Entry offsets: row i holds the entries ``starts[i]:starts[i + 1]``."""
+    return np.searchsorted(rows.row, np.arange(len(rows.rhs) + 1))
+
+
+def _select(rows: _Rows, keep) -> _Rows:
+    """The rows ``keep`` (ascending), renumbered from 0."""
+    new = np.full(len(rows.rhs), -1)
+    new[keep] = np.arange(len(keep))
+    at = new[rows.row] >= 0
+    return _Rows(new[rows.row[at]], rows.col[at], rows.val[at], rows.rhs[keep])
+
+
+def _concat(blocks) -> _Rows:
+    """Blocks of rows one after another, renumbered."""
+    offsets = np.cumsum([0] + [len(rows.rhs) for rows in blocks])
+    return _Rows(
+        np.concatenate([rows.row + first for rows, first in zip(blocks, offsets)]),
+        np.concatenate([rows.col for rows in blocks]),
+        np.concatenate([rows.val for rows in blocks]),
+        np.concatenate([rows.rhs for rows in blocks]),
+    )
+
+
+def _constraints(rows: _Rows) -> list[lp.Constraint]:
+    starts = _row_starts(rows).tolist()
+    cols, vals, rhs = rows.col.tolist(), rows.val.tolist(), rows.rhs.tolist()
+    exact = {v: Fraction(v) for v in {*vals, *rhs}}
+    return [
+        lp.Constraint(tuple(zip(cols[s:e], map(exact.get, vals[s:e]))), exact[b])
+        for s, e, b in zip(starts, starts[1:], rhs)
+    ]
+
+
+def _canonical_keys(rows: _Rows):
+    """Every nonempty row up to a nonzero factor: its columns, then its
+    coefficients and right-hand side divided by their gcd and by the sign of
+    its first coefficient.  Yields (row ids, one key per row), one pair per
+    row length."""
+    starts = _row_starts(rows)
+    length = starts[1:] - starts[:-1]
+    ids = np.flatnonzero(length)
+    first = starts[ids]
+    scale = np.gcd(np.gcd.reduceat(rows.val, first), rows.rhs[ids]) * np.sign(rows.val[first])
+    val = rows.val // np.repeat(scale, length[ids])
+    rhs = rows.rhs[ids] // scale
+    for n in np.flatnonzero(np.bincount(length[ids])).tolist():
+        group = np.flatnonzero(length[ids] == n)
+        at = first[group, None] + np.arange(n)
+        yield ids[group], np.column_stack((rows.col[at], val[at], rhs[group]))
+
+
+def _key_set(rows: _Rows) -> set:
+    return {bytes(key) for _, keys in _canonical_keys(rows) for key in keys}
+
+
+def _run_starts(changed) -> np.ndarray:
+    """Where the runs of equal sorted keys start, given for each key after
+    the first whether it differs from the one before."""
+    return np.flatnonzero(np.concatenate(([True], changed)))
+
+
+def _orbit_sums(rows: _Rows, orbit: np.ndarray) -> _Rows:
+    """The rows on orbit-constant variables: columns map to their orbits,
+    coefficients landing on one orbit add up (a stable sort, then one
+    ``reduceat``) and zero sums drop out.  The sort's temporaries end with
+    this call."""
+    width = int(orbit.max()) + 1
+    slot = orbit[rows.col]
+    slot += rows.row * width
+    order = np.argsort(slot, kind="stable")
+    slot = slot[order]
+    start = _run_starts(slot[1:] != slot[:-1])
+    val = np.add.reduceat(rows.val[order], start)
+    del order
+    nonzero = val != 0
+    row, col = np.divmod(slot[start[nonzero]], width)
+    return _Rows(row, col, val[nonzero], rows.rhs)
+
+
+def _first_distinct(rows: _Rows) -> np.ndarray:
+    """Ids, ascending, of the first of every set of nonempty rows that agree
+    up to a nonzero factor."""
+    keep = [np.zeros(0, dtype=np.intp)]
+    for ids, keys in _canonical_keys(rows):
+        # a stable sort keeps equal keys in row order, the first row first
+        order = np.lexsort(keys.T)
+        keys = keys[order]
+        keep.append(ids[order[_run_starts((keys[1:] != keys[:-1]).any(axis=1))]])
+    return np.sort(np.concatenate(keep))
+
+
+def _collapse_rows(blocks, orbit: np.ndarray) -> list[lp.Constraint]:
+    """Project blocks of equality rows onto orbit-constant variables.
+
+    A row left empty must have a zero right-hand side.  Of rows that agree
+    up to a nonzero factor only the first is kept, as it stands; the kept
+    rows stay in their order.  Each block is reduced as it comes and the
+    survivors once more at the end, so the transient arrays are those of
+    one block."""
+    kept = []
+    for rows in blocks:
+        collapsed = _orbit_sums(rows, orbit)
+        empty = np.ones(len(rows.rhs), dtype=bool)
+        empty[collapsed.row] = False
+        if rows.rhs[empty].any():
+            raise lp.LPError("inconsistent collapsed row")
+        kept.append(_select(collapsed, _first_distinct(collapsed)))
+    rows = _concat(kept)
+    return _constraints(_select(rows, _first_distinct(rows)))
+
+
+def _orbits_of_permutations(n: int, perms) -> np.ndarray:
     """Orbit id per index 0..n-1 under the group the permutations generate,
-    numbered in order of each orbit's smallest index."""
-    orbit = [-1] * n
-    count = 0
-    for start in range(n):
-        if orbit[start] >= 0:
-            continue
-        stack = [start]
-        orbit[start] = count
-        while stack:
-            i = stack.pop()
-            for perm in perms:
-                j = perm[i]
-                if orbit[j] < 0:
-                    orbit[j] = count
-                    stack.append(j)
-        count += 1
-    return orbit
+    numbered in order of each orbit's smallest index.
+
+    Label propagation: each index holds the least index known to share its
+    orbit, takes the least of that and its images' labels, then its label's
+    label, until no label changes; the labels are then constant along every
+    cycle of every generator, so on every orbit."""
+    perms = [np.asarray(perm) for perm in perms]
+    label = np.arange(n)
+    while True:
+        new = label
+        for perm in perms:
+            new = np.minimum(new, new[perm])
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    return (np.cumsum(label == np.arange(n)) - 1)[label]
 
 
-def _canonical_row(items, rhs):
-    """Key of the row ``items . x = rhs`` up to a nonzero factor: the
-    coefficients (sorted by index, nonzero) and ``rhs`` divided by the
-    leading coefficient."""
-    scale = _ONE / items[0][1]
-    return tuple((j, v * scale) for j, v in items), rhs * scale
-
-
-def _collapse_rows(rows, orbit):
-    """Project equality rows onto orbit-constant variables, deduplicating."""
-    seen = set()
-    out = []
-    for row in rows:
-        acc = {}
-        for j, v in row.coeffs:
-            o = orbit[j]
-            acc[o] = acc.get(o, _ZERO) + v
-        acc = {o: v for o, v in acc.items() if v}
-        if not acc:
-            if row.rhs != 0:
-                raise lp.LPError("inconsistent collapsed row")
-            continue
-        items = tuple(sorted(acc.items()))
-        key = _canonical_row(items, row.rhs)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(lp.Constraint(items, row.rhs))
-    return out
-
-
-def _solve_collapsed(objective, rows, perms, label):
-    """Maximize ``objective`` over ``rows`` (variables >= 0) on the
-    variables that are constant on the orbits of the verified symmetry
-    permutations ``perms``; returns the value and the expanded solution.
+def _solve_collapsed(objective, blocks, perms, label):
+    """Maximize ``objective`` over the blocks of rows ``blocks`` (variables
+    >= 0) on the variables that are constant on the orbits of the verified
+    symmetry permutations ``perms``; returns the value and the expanded
+    solution.
 
     Every permutation must fix both the objective and the feasible set:
     group averaging then maps any optimum to an orbit-constant one, so the
@@ -207,21 +275,71 @@ def _solve_collapsed(objective, rows, perms, label):
     """
     if perms:
         orbit = _orbits_of_permutations(len(objective), perms)
-        # One table-sized list per generator, several MB for GYNI at N = 7:
-        # drop this reference so ns_max's list is freed before the solve.
-        del perms
+        constraints = _collapse_rows(blocks, orbit)
+        orbit = orbit.tolist()
         collapsed = [_ZERO] * (max(orbit) + 1)
-        for j, c in enumerate(objective):
+        for o, c in zip(orbit, objective):
             if c:
-                collapsed[orbit[j]] += c
-        problem = lp.make_problem(collapsed, _collapse_rows(rows, orbit))
+                collapsed[o] += c
+        problem = lp.make_problem(collapsed, constraints)
     else:
         orbit = range(len(objective))
-        problem = lp.make_problem(objective, rows)
+        problem = lp.make_problem(objective, [c for rows in blocks for c in _constraints(rows)])
+    # ns_max keeps no other reference: its table-sized permutations are
+    # freed before the solve
+    del blocks, perms
     res = lp.solve(problem)
     if res.status != "optimal":
         raise lp.LPError(f"{label} LP returned {res.status}")
     return res.value, [res.solution[o] for o in orbit]
+
+
+# ---------------------------------------------------------------------------
+# no-signaling LP
+
+
+def _ns_row_count(scenario: Scenario) -> int:
+    """Rows of the uncollapsed no-signaling LP: one per input, and per party
+    with m inputs and d outcomes one per input other than 0, context of the
+    other inputs and outcome of the other parties."""
+    nx, na = scenario.n_inputs, scenario.n_outputs
+    return nx + sum(
+        (m - 1) * (nx // m) * (na // d) for m, d in zip(scenario.inputs, scenario.outputs)
+    )
+
+
+def _ns_equality_rows(scenario: Scenario):
+    """No-signaling and normalization equality rows over table indices, in
+    blocks: first one normalization row per input, then per party with two
+    or more inputs, per context of the other inputs, per input x_i != 0 of
+    the party, per outcome of the other parties (contexts and outcomes
+    ascending): the party's outcome marginal at input 0 minus the one at
+    x_i is zero.  Table indices come from the mixed-radix strides of inputs
+    and outcomes.  A generator: a collapse holds one block at a time.
+    """
+    nx, na = scenario.n_inputs, scenario.n_outputs
+    t = np.arange(nx * na)
+    yield _Rows(t // na, t, np.ones_like(t), np.ones(nx, dtype=np.int64))
+    for p, (m, d) in enumerate(zip(scenario.inputs, scenario.outputs)):
+        if m < 2:
+            continue
+        x_stride = math.prod(scenario.inputs[p + 1 :])
+        a_stride = math.prod(scenario.outputs[p + 1 :])
+        # the other parties' inputs and outcomes, with the party's at 0
+        xb = np.flatnonzero(np.arange(nx) // x_stride % m == 0)
+        ab = np.flatnonzero(np.arange(na) // a_stride % d == 0)
+        # axes: context, x_i - 1, other outcomes, (input 0, input x_i), a_i
+        shape = (len(xb), m - 1, len(ab), 1, 1)
+        x = xb.reshape(-1, 1, 1, 1, 1) + np.arange(1, m).reshape(-1, 1, 1, 1) * [[0], [x_stride]]
+        cols = x * na + ab.reshape(-1, 1, 1) + np.arange(d) * a_stride
+        n_rows = math.prod(shape)
+        part = (np.arange(n_rows).reshape(shape), cols, [[1], [-1]])
+        yield _Rows(*_coo([part]), np.zeros(n_rows, dtype=np.int64))
+
+
+class NsOptimum(NamedTuple):
+    value: Fraction
+    box: Box
 
 
 def ns_max(expression: BellExpression) -> NsOptimum:
@@ -232,19 +350,18 @@ def ns_max(expression: BellExpression) -> NsOptimum:
     expression carries relabeling symmetries they are verified exactly and
     the LP is collapsed onto orbit-constant tables first; group averaging
     makes the collapsed optimum equal the full one; an expression with
-    ``party_symmetries=()`` gets the uncollapsed LP.  The expanded optimal
-    box is always re-checked exactly: nonnegative, normalized,
-    no-signaling, and achieving the claimed value.
+    ``party_symmetries=()`` gets the uncollapsed LP, if its closed-form size
+    is within the configured guard.  The expanded optimal box is always
+    re-checked exactly: nonnegative, normalized, no-signaling, and achieving
+    the claimed value.
     """
     scen = expression.scenario
     n = scen.table_size
     na = scen.n_outputs
-    rows = _ns_equality_rows(scen)
     syms = list(expression.party_symmetries)
-    if not syms and (len(rows) > config.NS_LP_MAX_ROWS or n > config.NS_LP_MAX_COLS):
-        raise ValueError(
-            f"no-signaling LP too large: {len(rows)} rows x {n} columns"
-        )
+    n_rows = _ns_row_count(scen)
+    if not syms and (n_rows > config.NS_LP_MAX_ROWS or n > config.NS_LP_MAX_COLS):
+        raise ValueError(f"no-signaling LP too large: {n_rows} rows x {n} columns")
 
     for sym in syms:
         if not expression_invariant_under(expression, sym):
@@ -255,7 +372,10 @@ def ns_max(expression: BellExpression) -> NsOptimum:
         objective[x * na + a] += c
 
     value, table = _solve_collapsed(
-        objective, rows, [sym.table_permutation(scen) for sym in syms], "no-signaling"
+        objective,
+        _ns_equality_rows(scen),
+        [np.array(sym.table_permutation(scen)) for sym in syms],
+        "no-signaling",
     )
 
     box = Box(scen, table)
@@ -411,30 +531,26 @@ class _ToblLayout:
             out.append(scen.encode_input(xs) * self.na + scen.encode_outcome(tuple(aa)))
         return out
 
-    def rows(self):
-        rows = []
-        for x in range(self.scen.n_inputs):
-            rows.append(
-                lp.make_constraint({x * self.na + a: _ONE for a in range(self.na)}, 1)
-            )
-        for bip_idx in range(3):
-            for direction in (0, 1):
-                mix = [dict() for _ in range(self.n_table)]
-                first = self.wvar(bip_idx, direction, 0, 0)
-                for var in range(first, first + self.block):
-                    for t in self.supports[var - self.n_table]:
-                        mix[t][var] = _ONE
-                for t in range(self.n_table):
-                    coeffs = mix[t]
-                    coeffs[t] = coeffs.get(t, _ZERO) - _ONE
-                    rows.append(lp.make_constraint(coeffs, 0))
-            for h_idx in range(len(self.responders)):
-                coeffs = {}
-                for pair_idx in range(self.n_pairs):
-                    coeffs[self.wvar(bip_idx, 0, h_idx, pair_idx)] = _ONE
-                    coeffs[self.wvar(bip_idx, 1, h_idx, pair_idx)] = -_ONE
-                rows.append(lp.make_constraint(coeffs, 0))
-        return rows
+    def rows(self) -> _Rows:
+        """Normalization rows, then per bipartition: per direction one row
+        per table entry (the direction's mixture reproduces the entry), then
+        one row per responder h (both directions give h the same weight)."""
+        nx, n_table, block = self.scen.n_inputs, self.n_table, self.block
+        per_bip = 2 * n_table + len(self.responders)
+        t = np.arange(n_table)
+        w = np.arange(3 * 2 * block)  # weight variables, in wvar order
+        bip, direction = w // (2 * block), w // block % 2
+        base = nx + bip * per_bip  # the first row of w's bipartition
+        mix = base + direction * n_table  # the row of table entry 0 in w's mixture
+        parts = [
+            (t // self.na, t, 1),
+            (mix[::block, None] + t, t, -1),
+            (mix[:, None] + np.array(self.supports), n_table + w[:, None], 1),
+            (base + 2 * n_table + w % block // self.n_pairs, n_table + w, 1 - 2 * direction),
+        ]
+        rhs = np.zeros(nx + 3 * per_bip, dtype=np.int64)
+        rhs[:nx] = 1
+        return _sorted_rows(*_coo(parts), rhs)
 
     def variable_permutation(self, sym: Symmetry) -> list[int]:
         """The permutation a relabeling induces on the LP variables.
@@ -463,14 +579,11 @@ class _ToblLayout:
         return perm
 
 
-def _rows_invariant_under(rows, perm) -> bool:
-    """Exact check that permuting variable indices maps the set of rows, each
-    taken up to a nonzero factor, to itself (constraint set invariance)."""
-    original = {_canonical_row(tuple(sorted(row.coeffs)), row.rhs) for row in rows}
-    return all(
-        _canonical_row(tuple(sorted((perm[j], v) for j, v in row.coeffs)), row.rhs) in original
-        for row in rows
-    )
+def _rows_invariant_under(rows: _Rows, keys: set, perm) -> bool:
+    """Exact check that permuting variable indices maps every row, taken up
+    to a nonzero factor, into ``keys``, the rows' own :func:`_key_set`
+    (constraint set invariance)."""
+    return _key_set(_sorted_rows(rows.row, np.asarray(perm)[rows.col], rows.val, rows.rhs)) <= keys
 
 
 def tobl_max(expression: BellExpression) -> ToblOptimum:
@@ -502,22 +615,26 @@ def tobl_max(expression: BellExpression) -> ToblOptimum:
     for (x, a), c in expression.coeffs.items():
         objective[x * layout.na + a] += c
 
+    keys = _key_set(rows)
     perms = []
     for sym in expression.party_symmetries:
         if not expression_invariant_under(expression, sym):
             continue
         perm = layout.variable_permutation(sym)
         if all(objective[perm[j]] == objective[j] for j in range(layout.n_vars)) and \
-                _rows_invariant_under(rows, perm):
+                _rows_invariant_under(rows, keys, perm):
             perms.append(perm)
 
-    value, solution = _solve_collapsed(objective, rows, perms, "TOBL")
+    value, solution = _solve_collapsed(objective, [rows], perms, "TOBL")
 
-    # full-model feasibility recheck of the (possibly expanded) solution
-    for row in rows:
-        lhs = sum((v * solution[j] for j, v in row.coeffs), _ZERO)
-        if lhs != row.rhs:
-            raise lp.LPError("TOBL solution failed the full-model recheck")
+    # full-model feasibility recheck of the (possibly expanded) solution, in
+    # integers over the solution's common denominator
+    den = math.lcm(*(v.denominator for v in solution))
+    nums = np.array([v.numerator * (den // v.denominator) for v in solution], dtype=object)
+    lhs = np.zeros(len(rows.rhs), dtype=object)
+    np.add.at(lhs, rows.row, rows.val * nums[rows.col])
+    if (lhs != rows.rhs.astype(object) * den).any():
+        raise lp.LPError("TOBL solution failed the full-model recheck")
 
     table = solution[: layout.n_table]
     box = Box(scen, table)

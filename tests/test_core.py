@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import gynibell as gb
+import ns_oracle
 from gynibell import gyni
 from gynibell.core import (
     Scenario,
@@ -12,6 +13,7 @@ from gynibell.core import (
     apply_symmetry_to_expression,
     drop_party,
     relabel_outcomes,
+    strategy_entries,
 )
 
 
@@ -99,6 +101,52 @@ def test_signaling_box_detected():
     assert not report.is_nonsignaling
     # violations are keyed by the signaling party (whose input we vary)
     assert any(v.party == 0 for v in report.violations)
+
+
+def _random_boxes(scen, rng):
+    """A deterministic box with int entries, then mixtures of three random
+    deterministic boxes (no-signaling), with mass moved between two outcomes
+    of random inputs in all but the first (which signals in general)."""
+    nx, na = scen.n_inputs, scen.n_outputs
+
+    def entries():
+        responses = tuple(
+            tuple(rng.randrange(d) for _ in range(m)) for m, d in zip(scen.inputs, scen.outputs)
+        )
+        return strategy_entries(scen, gb.DeterministicStrategy(responses))
+
+    table = [0] * scen.table_size
+    for t in entries():
+        table[t] = 1
+    yield gb.Box(scen, table)
+    for moves in (0, 1, 1, 2, 2):
+        table = [Fraction(0)] * scen.table_size
+        for w in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)):
+            for t in entries():
+                table[t] += w
+        for _ in range(moves):
+            x = rng.randrange(nx)
+            a = rng.choice([a for a in range(na) if table[x * na + a]])
+            b = rng.choice([b for b in range(na) if b != a])
+            moved = table[x * na + a] * Fraction(rng.randint(1, 3), 4)
+            table[x * na + a] -= moved
+            table[x * na + b] += moved
+        yield gb.Box(scen, table)
+
+
+@pytest.mark.parametrize("scenario", ns_oracle.SCENARIOS)
+def test_is_nonsignaling_matches_oracle(scenario):
+    """Verdict and the full, ordered violation list equal the per-tuple
+    oracle on seeded no-signaling and perturbed boxes."""
+    rng = random.Random(scenario.table_size)
+    verdicts = set()
+    for box in _random_boxes(scenario, rng):
+        report = gb.is_nonsignaling(box)
+        oracle = ns_oracle.ns_violations(box)
+        assert report.violations == oracle
+        assert report.is_nonsignaling == (not oracle)
+        verdicts.add(report.is_nonsignaling)
+    assert verdicts == {True, False}
 
 
 def test_gyni_strategy_wins_exactly_y_and_complement():

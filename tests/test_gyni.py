@@ -103,6 +103,18 @@ def test_uniform_promise_gives_no_ns_advantage(n):
     assert gb.ns_max(game.expression).value == game.expression.classical_bound
 
 
+def test_attached_symmetry_counts():
+    """Every candidate relabeling passes the invariance check, so a broken
+    relabeling action fails here rather than leaving the LPs uncollapsed."""
+    counts = [len(gyni.gyni_expression(n).expression.party_symmetries) for n in range(2, 8)]
+    assert counts == [1, 3, 3, 5, 5, 7]
+    uniform = [
+        len(gyni.gyni_expression(n, gyni.uniform_promise(n)).expression.party_symmetries)
+        for n in range(2, 6)
+    ]
+    assert uniform == [2, 3, 4, 5]
+
+
 def test_ns_advantage_for_parity_promise(gyni_games, ns_optima):
     for n in range(3, 7):
         assert ns_optima[n].value > gyni_games[n].expression.classical_bound

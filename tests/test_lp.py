@@ -373,3 +373,5 @@ def test_pivot_counts_are_pinned():
     tobl, ns7 = gyni.gyni_sum_expression(3), gyni.gyni_expression(7).expression
     assert pivots_and_columns(lambda: polytope.tobl_max(tobl)) == ("optimal", 36, 144)
     assert pivots_and_columns(lambda: polytope.ns_max(ns7)) == ("optimal", 39, 40)
+    ns6 = gyni.gyni_expression(6).expression
+    assert pivots_and_columns(lambda: polytope.ns_max(ns6)) == ("optimal", 141, 128)

@@ -2,10 +2,13 @@ import dataclasses
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import gynibell as gb
-from gynibell import _rank, gyni, polytope, upb
+import ns_oracle
+from gynibell import _rank, gyni, lp, polytope, upb
+from gynibell import core
 from gynibell.core import Scenario
 from gynibell.polytope import affine_rank_of_strategies
 
@@ -114,6 +117,17 @@ def test_ns_max_dominates_every_feasible_box(ns_optima):
         assert opt.value >= gb.classical_max(e).value
 
 
+def test_ns_max_symmetry_that_empties_a_block():
+    """Flipping party 0's input fixes an expression that ignores x_0; every
+    no-signaling row of party 0 then vanishes in the collapse."""
+    scen = gb.binary_scenario(2)
+    coeffs = {(x, scen.encode_outcome((x % 2, 0))): F(1, 4) for x in range(scen.n_inputs)}
+    flip = gb.Symmetry((0, 1), ((1, 0), (0, 1)), ((0, 1), (0, 1)))
+    e = gb.BellExpression(scen, coeffs, party_symmetries=(flip,))
+    assert core.expression_invariant_under(e, flip)
+    assert gb.ns_max(e).value == gb.ns_max(dataclasses.replace(e, party_symmetries=())).value
+
+
 def test_ns_max_rejects_false_symmetry():
     e = gyni.gyni_expression(3).expression
     bogus = gb.Symmetry((1, 0, 2), ((0, 1),) * 3, ((0, 1),) * 3)
@@ -121,6 +135,151 @@ def test_ns_max_rejects_false_symmetry():
 
     with pytest.raises(ValueError):
         gb.ns_max(replace(e, party_symmetries=(bogus,)))
+
+
+def test_ns_max_size_guard_before_rows(monkeypatch):
+    """The uncollapsed size is checked in closed form before any row is
+    built: GYNI-8 without symmetry has 256 + 8 * 128 * 128 rows."""
+    e = dataclasses.replace(gyni.gyni_expression(8).expression, party_symmetries=())
+
+    def no_rows(scenario):
+        raise AssertionError("rows built before the size guard")
+
+    monkeypatch.setattr(polytope, "_ns_equality_rows", no_rows)
+    with pytest.raises(ValueError, match="too large: 131328 rows x 65536 columns"):
+        gb.ns_max(e)
+
+
+@pytest.mark.parametrize("scenario", ns_oracle.SCENARIOS)
+def test_ns_equality_rows_match_oracle(scenario):
+    """The integer rows, in order, equal the per-tuple Fraction rows, and
+    the closed-form count equals the number built."""
+    blocks = list(polytope._ns_equality_rows(scenario))
+    rows = [c for block in blocks for c in polytope._constraints(block)]
+    assert rows == ns_oracle.ns_rows(scenario)
+    assert polytope._ns_row_count(scenario) == len(rows)
+
+
+def _orbits_oracle(n, perms):
+    """Orbit ids by graph search, numbered by each orbit's smallest index."""
+    orbit = [-1] * n
+    count = 0
+    for start in range(n):
+        if orbit[start] < 0:
+            orbit[start] = count
+            stack = [start]
+            while stack:
+                i = stack.pop()
+                for perm in perms:
+                    if orbit[perm[i]] < 0:
+                        orbit[perm[i]] = count
+                        stack.append(perm[i])
+            count += 1
+    return orbit
+
+
+def _collapse_oracle(rows, orbit):
+    """Fraction constraints summed per orbit; a row is dropped when empty or
+    when it equals an earlier row after division by its leading
+    coefficient."""
+    seen = set()
+    out = []
+    for row in rows:
+        acc = {}
+        for j, v in row.coeffs:
+            acc[orbit[j]] = acc.get(orbit[j], 0) + v
+        items = tuple(sorted((o, v) for o, v in acc.items() if v))
+        if not items:
+            assert row.rhs == 0
+            continue
+        lead = items[0][1]
+        key = (tuple((o, v / lead) for o, v in items), row.rhs / lead)
+        if key not in seen:
+            seen.add(key)
+            out.append(lp.Constraint(items, row.rhs))
+    return out
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_collapse_rows_match_fraction_oracle_gyni(n):
+    e = gyni.gyni_expression(n).expression
+    scen = e.scenario
+    perms = [sym.table_permutation(scen) for sym in e.party_symmetries]
+    orbit = polytope._orbits_of_permutations(scen.table_size, perms)
+    assert orbit.tolist() == _orbits_oracle(scen.table_size, perms)
+    collapsed = polytope._collapse_rows(polytope._ns_equality_rows(scen), orbit)
+    assert collapsed == _collapse_oracle(ns_oracle.ns_rows(scen), orbit.tolist())
+    assert polytope._collapse_rows([polytope._concat(list(polytope._ns_equality_rows(scen)))],
+                                   orbit) == collapsed
+
+
+def _tobl_rows_oracle(layout):
+    """The TOBL rows one Fraction dict at a time: normalization; per
+    bipartition and direction, mixture minus table entry; per bipartition
+    and responder, forward minus backward weight."""
+    na = layout.na
+    rows = [
+        lp.make_constraint({x * na + a: 1 for a in range(na)}, 1)
+        for x in range(layout.scen.n_inputs)
+    ]
+    for bip_idx in range(3):
+        for direction in (0, 1):
+            mix = [{t: -1} for t in range(layout.n_table)]
+            for h_idx in range(len(layout.responders)):
+                for pair_idx in range(layout.n_pairs):
+                    var = layout.wvar(bip_idx, direction, h_idx, pair_idx)
+                    for t in layout.supports[var - layout.n_table]:
+                        mix[t][var] = 1
+            rows += [lp.make_constraint(coeffs, 0) for coeffs in mix]
+        for h_idx in range(len(layout.responders)):
+            coeffs = {}
+            for pair_idx in range(layout.n_pairs):
+                coeffs[layout.wvar(bip_idx, 0, h_idx, pair_idx)] = 1
+                coeffs[layout.wvar(bip_idx, 1, h_idx, pair_idx)] = -1
+            rows.append(lp.make_constraint(coeffs, 0))
+    return rows
+
+
+def test_tobl_rows_and_collapse_match_fraction_oracle():
+    e = gb.gyni_sum_expression(3)
+    layout = polytope._ToblLayout(e.scenario)
+    rows = layout.rows()
+    oracle = _tobl_rows_oracle(layout)
+    assert polytope._constraints(rows) == oracle
+    keys = polytope._key_set(rows)
+    perms = [layout.variable_permutation(sym) for sym in e.party_symmetries]
+    assert perms and all(polytope._rows_invariant_under(rows, keys, p) for p in perms)
+    swap = list(range(layout.n_vars))
+    swap[0], swap[layout.n_table - 1] = layout.n_table - 1, 0
+    assert not polytope._rows_invariant_under(rows, keys, swap)
+    orbit = polytope._orbits_of_permutations(layout.n_vars, perms)
+    assert orbit.tolist() == _orbits_oracle(layout.n_vars, perms)
+    assert polytope._collapse_rows([rows], orbit) == _collapse_oracle(oracle, orbit.tolist())
+
+
+def test_collapse_rows_keeps_first_of_proportional_rows():
+    """With x0 ~ x2 and x1 ~ x3: row 1 is row 0 negated, row 3 is row 2
+    halved, row 4 vanishes with a zero right-hand side.  Rows 0 and 2 are
+    kept as they stand; a vanished row with a nonzero right-hand side
+    raises."""
+    rows = polytope._Rows(
+        row=np.array([0, 0, 1, 1, 2, 2, 3, 3, 4, 4]),
+        col=np.array([0, 1, 2, 3, 0, 1, 2, 3, 0, 2]),
+        val=np.array([-1, 1, 1, -1, 2, 2, 1, 1, 1, -1]),
+        rhs=np.array([0, 0, 2, 1, 0]),
+    )
+    orbit = np.array([0, 1, 0, 1])
+    kept = [
+        lp.Constraint(((0, F(-1)), (1, F(1))), F(0)),
+        lp.Constraint(((0, F(2)), (1, F(2))), F(2)),
+    ]
+    assert polytope._collapse_rows([rows], orbit) == kept
+    # rows 0, 2 and then rows 1, 3, 4 as two blocks: rows 1 and 3 survive
+    # their own block and are dropped against the survivors of the first
+    first, second = polytope._select(rows, [0, 2]), polytope._select(rows, [1, 3, 4])
+    assert polytope._collapse_rows([first, second], orbit) == kept
+    with pytest.raises(lp.LPError, match="inconsistent collapsed row"):
+        polytope._collapse_rows([rows._replace(rhs=np.array([0, 0, 2, 1, 1]))], orbit)
 
 
 # ---------------------------------------------------------------------------
