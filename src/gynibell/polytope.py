@@ -24,6 +24,7 @@ elimination.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -374,7 +375,8 @@ def ns_max(expression: BellExpression) -> NsOptimum:
     value, table = _solve_collapsed(
         objective,
         _ns_equality_rows(scen),
-        [np.array(sym.table_permutation(scen)) for sym in syms],
+        [functools.reduce(np.add.outer, map(np.array, sym.index_terms(scen))).ravel()
+         for sym in syms],
         "no-signaling",
     )
 

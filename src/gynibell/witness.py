@@ -16,9 +16,13 @@ eps has no closed form; it is estimated by alternating (see-saw)
 minimization over product states with many seeded restarts.  Each site
 update replaces one local vector by the bottom eigenvector of the operator
 obtained by contracting Pi with the other sites, so the objective is
-nonincreasing at every step; the run is deterministic for a fixed master
-seed.  For weak UPBs the relevant minimum runs over the finite set of
-products of the set's own local vectors and is computed exhaustively.
+nonincreasing at every step.  The starts advance in lockstep as stacked
+arrays, one batched contraction and one batched ``eigh`` per site update;
+each start still draws its initial state from its own child of the master
+seed and stops on its own after a sweep that gains less than ``SWEEP_TOL``,
+so the run is deterministic for a fixed master seed.  For weak UPBs the
+relevant minimum runs over the finite set of products of the set's own
+local vectors and is computed exhaustively, in one batched contraction.
 """
 
 from __future__ import annotations
@@ -76,76 +80,71 @@ def projector_onto_span(pvs: ProductVectorSet) -> HermitianOp:
 # see-saw minimization of <product| Pi |product>
 
 
-def _contract_site(tensor: np.ndarray, dims, state, site: int) -> np.ndarray:
-    """Contract all sites but one with the given local vectors, leaving a
-    dims[site] x dims[site] Hermitian matrix."""
-    n = len(dims)
-    t = tensor.reshape(*dims, *dims)
-    # contract ket side (axes n..2n-1) then bra side (axes 0..n-1)
-    for p in range(n - 1, -1, -1):
-        if p == site:
-            continue
-        t = np.tensordot(t, state[p], axes=([n + p], [0]))
-    for p in range(n - 1, -1, -1):
-        if p == site:
-            continue
-        t = np.tensordot(t, state[p].conj(), axes=([p], [0]))
-    return t
+def _kron_rows(factors) -> np.ndarray:
+    """Kronecker product taken row by row over a stack: ``factors[i]`` has
+    shape (S, d_i, c_i) and the result (S, prod d_i, prod c_i)."""
+    out = factors[0]
+    for f in factors[1:]:
+        (s, d, c), (e, k) = out.shape, f.shape[1:]
+        out = (out[:, :, None, :, None] * f[:, None, :, None, :]).reshape(s, d * e, c * k)
+    return out
 
 
-def _seesaw_once(mat, dims, rng) -> float:
-    n = len(dims)
-    state = []
-    for d in dims:
-        v = rng.normal(size=d) + 1j * rng.normal(size=d)
-        state.append(v / np.linalg.norm(v))
-    value = _product_expectation(mat, dims, state)
-    while True:
-        improved = value
-        for site in range(n):
-            local = _contract_site(mat, dims, state, site)
-            local = (local + local.conj().T) / 2
-            evals, evecs = np.linalg.eigh(local)
-            state[site] = evecs[:, 0]
-            new_value = float(evals[0].real)
-            # each site update is an exact minimization over that site, so
-            # the objective must not increase
-            if new_value > value + 1e-9:
-                raise RuntimeError("see-saw objective increased")
-            value = new_value
-        if improved - value < SWEEP_TOL:
-            return value
-
-
-def _product_expectation(mat, dims, state) -> float:
-    full = np.array([1.0 + 0j])
-    for v in state:
-        full = np.kron(full, v)
-    return float(np.real(np.vdot(full, mat @ full)))
+def _expectations(mat, vectors) -> np.ndarray:
+    """<prod| mat |prod> for a stack of product states, ``vectors[i]`` being
+    the (S, d_i) local vectors of site i."""
+    full = _kron_rows([v[:, :, None] for v in vectors])[:, :, 0]
+    return np.einsum("sd,sd->s", full.conj(), full @ mat.T).real
 
 
 def epsilon_min(pi: HermitianOp, starts: int = DEFAULT_STARTS, seed: int = 0) -> float:
     """Smallest overlap of the operator with a fully product state, by
     multi-start see-saw; per-start seeds derive from the master seed, so the
     result is reproducible.  A heuristic: the value is an upper bound on the
-    true minimum, checked elsewhere against an independent grid oracle."""
-    return min(
-        _seesaw_once(pi.matrix, pi.dims, np.random.default_rng(ss))
-        for ss in np.random.SeedSequence(seed).spawn(starts)
-    )
+    true minimum, checked elsewhere against an independent grid oracle.
+
+    The starts advance in lockstep as one stack; a start leaves the stack,
+    its value frozen, after the first sweep that gains less than
+    ``SWEEP_TOL``."""
+    if starts < 1:
+        raise ValueError("starts must be at least 1")
+    mat, dims = pi.matrix, pi.dims
+    draws = []
+    for ss in np.random.SeedSequence(seed).spawn(starts):
+        rng = np.random.default_rng(ss)
+        draws.append([rng.normal(size=d) + 1j * rng.normal(size=d) for d in dims])
+    state = [np.array(site) for site in zip(*draws)]
+    state = [v / np.linalg.norm(v, axis=1, keepdims=True) for v in state]
+    value = _expectations(mat, state)
+    final = np.empty(starts)
+    live = np.arange(starts)
+    while live.size:
+        before = value
+        for site, d in enumerate(dims):
+            factors = [v[:, :, None] for v in state]
+            factors[site] = np.broadcast_to(np.eye(d), (live.size, d, d))
+            k = _kron_rows(factors)
+            local = k.conj().transpose(0, 2, 1) @ (mat @ k)
+            evals, evecs = np.linalg.eigh((local + local.conj().transpose(0, 2, 1)) / 2)
+            state[site] = evecs[:, :, 0]
+            # each site update is an exact minimization over that site, so
+            # the objective must not increase
+            if np.any(evals[:, 0] > value + 1e-9):
+                raise RuntimeError("see-saw objective increased")
+            value = evals[:, 0]
+        done = before - value < SWEEP_TOL
+        final[live[done]] = value[done]
+        live, value = live[~done], value[~done]
+        state = [v[~done] for v in state]
+    return float(final.min())
 
 
 def epsilon_min_restricted(pi: HermitianOp, pvs: ProductVectorSet) -> float:
     """Minimum of <prod| Pi |prod> over products of the set's own local
     vectors (the weak-UPB variant of eps); exhaustive, hence exact up to
     rounding."""
-    best = None
-    for combo in itertools.product(*(range(len(s)) for s in pvs.local_sets)):
-        state = [pvs.local_sets[i][k] for i, k in enumerate(combo)]
-        v = _product_expectation(pi.matrix, pi.dims, state)
-        if best is None or v < best:
-            best = v
-    return best
+    state = [np.array(site) for site in zip(*itertools.product(*pvs.local_sets))]
+    return float(_expectations(pi.matrix, state).min())
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,106 @@ def test_epsilon_upper_bounds_random_product_states(shifts_pi, shifts_eps):
 def test_epsilon_deterministic(shifts_pi, shifts_eps):
     again = gb.epsilon_min(shifts_pi, starts=200, seed=0)
     assert again == shifts_eps
+
+
+def _random_hermitian(dims, seed):
+    d = int(np.prod(dims))
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return HermitianOp(tuple(dims), (a + a.conj().T) / 2)
+
+
+def _projector(pvs):
+    full = np.array([pvs.full_vector(m) for m in range(len(pvs))])
+    return HermitianOp(pvs.dims, full.T @ full.conj())
+
+
+_OPERATORS = {
+    "shifts": lambda: _projector(upb.shifts()),
+    "genshifts-2": lambda: _projector(upb.gen_shifts(2)),
+    "random-232": lambda: _random_hermitian((2, 3, 2), 5),
+    "random-33": lambda: _random_hermitian((3, 3), 6),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_seesaw(name, seed):
+    """(value, sweeps) of each of 200 see-saw starts, one at a time: random
+    unit vectors drawn site by site from the start's own generator, then
+    sweeps of bottom-eigenvector site updates, contracting the other sites
+    with ``tensordot``, until a sweep gains less than 1e-12."""
+    op = _OPERATORS[name]()
+    dims, n = op.dims, len(op.dims)
+    tensor = op.matrix.reshape(*dims, *dims)
+    runs = []
+    for ss in np.random.SeedSequence(seed).spawn(200):
+        rng = np.random.default_rng(ss)
+        state = []
+        for d in dims:
+            v = rng.normal(size=d) + 1j * rng.normal(size=d)
+            state.append(v / np.linalg.norm(v))
+        full = np.array([1.0 + 0j])
+        for v in state:
+            full = np.kron(full, v)
+        value = float(np.real(np.vdot(full, op.matrix @ full)))
+        sweeps = 0
+        while True:
+            before, sweeps = value, sweeps + 1
+            for site in range(n):
+                t = tensor
+                for p in range(n - 1, -1, -1):
+                    if p != site:
+                        t = np.tensordot(t, state[p], axes=([n + p], [0]))
+                for p in range(n - 1, -1, -1):
+                    if p != site:
+                        t = np.tensordot(t, state[p].conj(), axes=([p], [0]))
+                evals, evecs = np.linalg.eigh((t + t.conj().T) / 2)
+                state[site] = evecs[:, 0]
+                value = float(evals[0])
+            if before - value < 1e-12:
+                break
+        runs.append((value, sweeps))
+    return tuple(runs)
+
+
+@pytest.mark.parametrize("name", sorted(_OPERATORS))
+def test_epsilon_matches_one_start_at_a_time_oracle(name):
+    op = _OPERATORS[name]()
+    for seed in (0, 1, 7):
+        # the first k children of spawn(200) are the children of spawn(k)
+        values = [value for value, _ in _oracle_seesaw(name, seed)]
+        for starts in (1, 7, 200):
+            eps = gb.epsilon_min(op, starts=starts, seed=seed)
+            assert abs(eps - min(values[:starts])) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["shifts", "genshifts-2"])
+def test_converged_starts_leave_the_stack(monkeypatch, name):
+    # a start is updated in exactly the sweeps the oracle runs it for
+    sweeps = [k for _, k in _oracle_seesaw(name, 0)]
+    op = _OPERATORS[name]()
+    eigh, sizes = np.linalg.eigh, []
+
+    def counting(a):
+        sizes.append(len(a))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    gb.epsilon_min(op, starts=200, seed=0)
+    expected = [sum(k > j for k in sweeps) for j in range(max(sweeps))]
+    assert sizes == [size for size in expected for _ in op.dims]
+
+
+def test_seesaw_rejects_an_increasing_update(monkeypatch, shifts_pi):
+    eigh = np.linalg.eigh
+
+    def top_first(a):
+        evals, evecs = eigh(a)
+        return evals[..., ::-1], evecs[..., ::-1]
+
+    monkeypatch.setattr(np.linalg, "eigh", top_first)
+    with pytest.raises(RuntimeError, match="see-saw objective increased"):
+        gb.epsilon_min(shifts_pi, starts=7, seed=0)
 
 
 # ---------------------------------------------------------------------------
