@@ -1,8 +1,14 @@
 """Exact rank of integer matrices by fraction-free elimination.
 
-Used for affine-rank computations on polytope vertex sets.  Rows are combined
-as ``pivot_value * row - row[pivot_col] * pivot_row`` and divided by their
-gcd, which keeps everything in integers; no tolerance is involved anywhere.
+Used for affine-rank computations on polytope vertex sets.  A row is reduced
+against a pivot row as ``row = pivot_value * row - row[pivot_col] *
+pivot_row``, in place, which keeps everything in integers; no tolerance is
+involved anywhere.  A row is divided by the gcd of its entries only when a
+bound on its entries reaches ``_REDUCE_AT``, the rule
+:mod:`gynibell.lp` applies to the basis inverse, and once more before it is
+stored as a pivot.  A skipped division only scales the row, and every row
+reduced from it, by a positive integer, so the stored pivot rows and the
+rank are the same as with a division after every step.
 
 Rows are numpy arrays.  They are int64 while a conservative magnitude guard
 shows that no combination can reach ``_INT64_SAFE``; the first time it
@@ -17,22 +23,37 @@ import numpy as np
 
 _INT64_SAFE = 2**62
 
+#: a row is divided by its gcd only once a bound on its entries reaches this;
+#: the value is exact either way, and below it a product of two entries
+#: stays under ``_INT64_SAFE``
+_REDUCE_AT = 2**31
+
+
+def _primitive(row):
+    """``row`` divided by the gcd of its entries, in place, and its exact
+    max |entry|; a zero row comes back as it is."""
+    g = int(np.gcd.reduce(row))
+    if g > 1:
+        row //= g
+    return row, int(np.abs(row).max(initial=0))
+
 
 class ExactRankAccumulator:
     """Incremental row-echelon rank over the integers.
 
     Each pivot is stored as ``(column, row, pivot value, max |entry|)`` in
     insertion order; every freshly added pivot row has been reduced against
-    all earlier ones, so reducing a new row against the pivots in insertion
-    order can never reintroduce an eliminated column.  The entries of
-    ``pval * row - rc * prow`` are bounded by
-    ``|pval| * max|row| + |rc| * max|prow|``; while that bound stays below
-    ``_INT64_SAFE`` the step runs in int64.  The first time it does not,
-    ``big`` is set and every stored pivot row and the current row become
-    Python integer arrays for the rest of the accumulator's life.  During a
-    reduction ``max|row|`` is carried as an upper bound (the step's bound
-    over the gcd) and made exact only when the bound reaches the guard, so
-    the switch happens exactly when the exact maxima call for it.
+    all earlier ones and divided by its gcd, so reducing a new row against
+    the pivots in insertion order can never reintroduce an eliminated
+    column.  During a reduction ``max|row|`` is carried as an upper bound:
+    the entries of ``pval * row - rc * prow`` are bounded by
+    ``|pval| * max|row| + |rc| * max|prow|``.  When that bound reaches
+    ``_REDUCE_AT`` the row is divided by its gcd and the bound made exact.
+    While the bound of the next step stays below ``_INT64_SAFE`` the step
+    runs in int64.  The first time it does not, even for the gcd-reduced
+    row with its exact maximum, ``big`` is set and every stored pivot row
+    and the current row become Python integer arrays for the rest of the
+    accumulator's life.
     """
 
     def __init__(self, ncols: int):
@@ -60,25 +81,25 @@ class ExactRankAccumulator:
                 continue
             hi = abs(pval) * rmax + abs(rc) * pmax
             if hi >= _INT64_SAFE and not self.big:
-                rmax = int(np.abs(row).max())
+                row, rmax = _primitive(row)
+                rc = int(row[c])
                 hi = abs(pval) * rmax + abs(rc) * pmax
                 if hi >= _INT64_SAFE:
                     self.big = True
                     self.pivots = [(pc, p.astype(object), pv, pm) for pc, p, pv, pm in self.pivots]
                     prow = self.pivots[k][1]
                     row = row.astype(object)
-            row = pval * row - rc * prow
-            g = int(np.gcd.reduce(row))
-            if g == 0:
-                return False
-            if g > 1:
-                row //= g
-            rmax = hi // g
-        nz = np.flatnonzero(row)
-        if nz.size == 0:
+            if pval != 1:
+                row *= pval
+            row -= rc * prow
+            rmax = hi
+            if rmax >= _REDUCE_AT:
+                row, rmax = _primitive(row)
+        row, rmax = _primitive(row)
+        if rmax == 0:
             return False
-        c = int(nz[0])
-        self.pivots.append((c, row, int(row[c]), int(np.abs(row).max())))
+        c = int(np.flatnonzero(row)[0])
+        self.pivots.append((c, row, int(row[c]), rmax))
         return True
 
     def add_rows(self, matrix) -> int:

@@ -254,16 +254,23 @@ class DeterministicStrategy:
         return tuple(r[x] for r, x in zip(self.responses, xs))
 
 
+def checked_strategy_count(scenario: Scenario, cap: int | None = None) -> int:
+    """Number of deterministic strategies; ValueError if it exceeds ``cap``
+    (default :data:`config.STRATEGY_CAP`)."""
+    cap = config.STRATEGY_CAP if cap is None else cap
+    count = scenario.strategy_count()
+    if count > cap:
+        raise ValueError(f"strategy enumeration cap exceeded: {count} > {cap}")
+    return count
+
+
 def iter_deterministic_strategies(
     scenario: Scenario, cap: int | None = None
 ) -> Iterator[DeterministicStrategy]:
     """All deterministic strategies, duplicate-free, in lexicographic order
     of the response tables, generated lazily.  The cap on their number is
     checked before the first one is produced."""
-    cap = config.STRATEGY_CAP if cap is None else cap
-    count = scenario.strategy_count()
-    if count > cap:
-        raise ValueError(f"strategy enumeration cap exceeded: {count} > {cap}")
+    checked_strategy_count(scenario, cap)
     per_party = [
         list(itertools.product(range(d), repeat=m))
         for m, d in zip(scenario.inputs, scenario.outputs)

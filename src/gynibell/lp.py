@@ -51,7 +51,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import config
-from ._rank import _INT64_SAFE
+from ._rank import _INT64_SAFE, _REDUCE_AT
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -71,12 +71,6 @@ PRICE_BLOCK = 512
 #: most entries of the basis inverse that one block of a pivot's row update,
 #: or of the lexicographic tie-break, copies at a time
 _BLOCK_ELEMS = 1 << 13
-
-#: a row of the basis inverse is divided by the gcd of its numerators and
-#: denominator only once one of them reaches this; the row's values are
-#: exact either way, and below it a product of two entries stays under the
-#: int64 guard
-_REDUCE_AT = 2**31
 
 
 class LPError(RuntimeError):

@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import config, lp
-from ._rank import affine_rank
+from ._rank import _INT64_SAFE, affine_rank
 from .core import (
     BellExpression,
     Box,
@@ -42,10 +42,10 @@ from .core import (
     Scenario,
     Symmetry,
     bell_value,
+    checked_strategy_count,
     enumerate_deterministic_strategies,
     expression_invariant_under,
     is_nonsignaling,
-    iter_deterministic_strategies,
     strategy_entries,
 )
 
@@ -62,32 +62,101 @@ class ClassicalOptimum(NamedTuple):
     strategy: DeterministicStrategy
 
 
-def _valued_strategies(expression: BellExpression, cap: int | None = None):
-    """(value, strategy) for every deterministic strategy, lazily, in
+#: most entries an intermediate array of one block of the strategy valuation
+#: holds (blocks are runs of the leading party's response functions)
+_VALUE_BLOCK = 1 << 16
+
+
+def _responses(m: int, d: int) -> np.ndarray:
+    """(d**m, m) response functions of one party, row s being the s-th
+    tuple of ``itertools.product(range(d), repeat=m)``."""
+    return np.indices((d,) * m).reshape(m, -1).T
+
+
+def _response_indicators(m: int, d: int) -> np.ndarray:
+    """(d**m, m*d) 0/1 matrix: entry (s, x*d + a) is 1 iff response function
+    s answers a to input x."""
+    resp = _responses(m, d)
+    out = np.zeros((len(resp), m, d), dtype=np.int64)
+    out[np.arange(len(resp))[:, None], np.arange(m), resp] = 1
+    return out.reshape(len(resp), m * d)
+
+
+def _strategy_values(expression: BellExpression, cap: int | None = None):
+    """Every deterministic strategy's value as an integer numerator over one
+    common denominator: returns ``(den, blocks)``, where ``blocks`` yields
+    ``(start, values)`` for consecutive runs of strategies in enumeration
+    order (:func:`iter_deterministic_strategies`), strategy ``start + i``
+    having value ``values[i] / den``.
+
+    The coefficients go into a dense (x_1 a_1, ..., x_N a_N) tensor that is
+    contracted party by party with each party's 0/1 response indicators, one
+    block of the leading party's response functions at a time.  The values
+    are int64 while the numerators' absolute sum, which bounds every partial
+    sum, stays below ``_INT64_SAFE``, and Python integers otherwise.  The
+    cap is checked before any array is built."""
+    scen = expression.scenario
+    checked_strategy_count(scen, cap)
+    coeffs = [(k, Fraction(c)) for k, c in expression.coeffs.items()]
+    den = math.lcm(*(c.denominator for _, c in coeffs))
+    nums = [c.numerator * (den // c.denominator) for _, c in coeffs]
+    dtype = object if sum(map(abs, nums)) >= _INT64_SAFE else np.int64
+    xs = np.unravel_index([x for (x, _), _ in coeffs], scen.inputs)
+    aa = np.unravel_index([a for (_, a), _ in coeffs], scen.outputs)
+    tensor = np.zeros([m * d for m, d in zip(scen.inputs, scen.outputs)], dtype=dtype)
+    tensor[tuple(x * d + a for x, a, d in zip(xs, aa, scen.outputs))] = nums
+    indicators = [
+        _response_indicators(m, d).astype(dtype) for m, d in zip(scen.inputs, scen.outputs)
+    ]
+    lead, rest = indicators[0], indicators[1:]
+    tensor = tensor.reshape(lead.shape[1], -1)
+    # a block of one leading response function fills at most this many entries
+    width = max(
+        math.prod(ind.shape[0] for ind in rest[:k])
+        * math.prod(ind.shape[1] for ind in rest[k:])
+        for k in range(len(rest) + 1)
+    )
+    step = max(1, _VALUE_BLOCK // width)
+
+    def blocks():
+        tail = math.prod(ind.shape[0] for ind in rest)
+        for s in range(0, lead.shape[0], step):
+            vals = lead[s : s + step] @ tensor
+            for ind in rest:
+                vals = ind @ vals.reshape(-1, ind.shape[1], vals.shape[-1] // ind.shape[1])
+            yield s * tail, vals.reshape(-1)
+
+    return den, blocks()
+
+
+def _strategies_at(scenario: Scenario, indices) -> list[DeterministicStrategy]:
+    """The deterministic strategies at the given positions of the
     enumeration order."""
-    terms = [(tuple(zip(xs, aa)), c) for xs, aa, c in expression.terms()]
-    for strategy in iter_deterministic_strategies(expression.scenario, cap):
-        responses = strategy.responses
-        total = _ZERO
-        for pairs, c in terms:
-            for p, (x, a) in enumerate(pairs):
-                if responses[p][x] != a:
-                    break
-            else:
-                total += c
-        yield total, strategy
+    tables = [
+        [tuple(r) for r in _responses(m, d).tolist()]
+        for m, d in zip(scenario.inputs, scenario.outputs)
+    ]
+    counts = [len(t) for t in tables]
+    per_party = np.unravel_index(np.asarray(indices, dtype=np.int64), counts)
+    return [
+        DeterministicStrategy(tuple(t[s] for t, s in zip(tables, combo)))
+        for combo in zip(*(p.tolist() for p in per_party))
+    ]
 
 
 def classical_max(expression: BellExpression, cap: int | None = None) -> ClassicalOptimum:
     """Exact maximum over deterministic strategies, with an argmax strategy
-    (the first one in enumeration order that attains the maximum)."""
-    best = None
-    best_strategy = None
-    for v, strategy in _valued_strategies(expression, cap):
-        if best is None or v > best:
-            best = v
-            best_strategy = strategy
-    return ClassicalOptimum(best, best_strategy)
+    (the first one in enumeration order that attains the maximum).  Every
+    strategy is valued at once by :func:`_strategy_values`, in integers;
+    only the argmax is built as a :class:`DeterministicStrategy`."""
+    den, blocks = _strategy_values(expression, cap)
+    best = at = None
+    for start, vals in blocks:
+        i = int(np.argmax(vals))
+        if best is None or vals[i] > best:
+            best, at = int(vals[i]), start + i
+    (strategy,) = _strategies_at(expression.scenario, [at])
+    return ClassicalOptimum(Fraction(best, den), strategy)
 
 
 # ---------------------------------------------------------------------------
@@ -769,20 +838,25 @@ def facet_check(
     affine rank exactly one below the polytope dimension.
 
     The supplied bound must equal the exact classical maximum (recomputed
-    here; a mismatch raises)."""
+    here; a mismatch raises).  Every strategy is valued at once by
+    :func:`_strategy_values`; the saturating ones are those whose integer
+    value equals ``bound * den``, and only they are built as
+    :class:`DeterministicStrategy` objects for the rank."""
     scen = expression.scenario
     bound = Fraction(bound)
-    best = None
-    saturating = []
-    for v, strategy in _valued_strategies(expression, cap):
-        if best is None or v > best:
-            best = v
-        if v == bound:
-            saturating.append(strategy)
+    den, blocks = _strategy_values(expression, cap)
+    target = bound * den  # an integer numerator, or no strategy attains it
+    tops, hits = [], []
+    for start, vals in blocks:
+        tops.append(int(vals.max()))
+        if target.denominator == 1:
+            hits.append(start + np.flatnonzero(vals == target.numerator))
+    best = Fraction(max(tops), den)
     if best != bound:
         raise ValueError(
             f"supplied bound {bound} is not the classical maximum {best}"
         )
+    saturating = _strategies_at(scen, np.concatenate(hits))
     dim = polytope_dimension(scen)
     rank = affine_rank_of_strategies(scen, saturating)
     return FacetReport(

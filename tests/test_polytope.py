@@ -43,6 +43,98 @@ def test_classical_max_uniform_promise():
     assert gb.classical_max(game.expression).value == F(2, 8)
 
 
+def _strategy_values(expression, cap=None):
+    """Every strategy's value from ``polytope._strategy_values``, as
+    Fractions in enumeration order."""
+    den, blocks = polytope._strategy_values(expression, cap)
+    return [F(v, den) for _, vals in blocks for v in vals.tolist()]
+
+
+def _random_expression(scen, rng, scale):
+    coeffs = {
+        (x, a): F(rng.randint(-scale, scale), rng.randint(1, 12))
+        for x in range(scen.n_inputs)
+        for a in range(scen.n_outputs)
+        if rng.random() < 0.7
+    }
+    return core.BellExpression(scen, coeffs or {(0, 0): F(1)})
+
+
+_VALUATION_CASES = [
+    ((2, 3, 2), (3, 2, 2), 9),
+    ((3, 2), (2, 4), 9),
+    ((1, 2, 2), (2, 3, 1), 9),
+    ((2, 3, 2), (3, 2, 2), 2**62),  # numerators past the int64 guard
+]
+
+
+@pytest.mark.parametrize("block", [None, 1])
+@pytest.mark.parametrize("inputs, outputs, scale", _VALUATION_CASES)
+def test_strategy_values_match_fraction_oracle(monkeypatch, inputs, outputs, scale, block):
+    """Every strategy's integer value equals the pure-Fraction value of its
+    deterministic box, in enumeration order, also one leading response
+    function per block; past the guard the values are Python integers."""
+    if block is not None:
+        monkeypatch.setattr(polytope, "_VALUE_BLOCK", block)
+    scen = Scenario(inputs, outputs)
+    rng = random.Random(sum(inputs) * 100 + sum(outputs) + scale % 97)
+    strategies = list(core.iter_deterministic_strategies(scen))
+    for _ in range(3):
+        expr = _random_expression(scen, rng, scale)
+        expect = [core.bell_value(expr, core.box_from_strategy(scen, s)) for s in strategies]
+        assert _strategy_values(expr) == expect
+        dtypes = {vals.dtype for _, vals in polytope._strategy_values(expr)[1]}
+        assert dtypes == {np.dtype(object) if scale >= 2**62 else np.dtype(np.int64)}
+        assert polytope._strategies_at(scen, range(len(strategies))) == strategies
+
+        opt = gb.classical_max(expr)
+        assert opt.value == max(expect)
+        assert opt.strategy == strategies[expect.index(max(expect))]
+        report = gb.facet_check(expr, opt.value)
+        saturating = [s for s, v in zip(strategies, expect) if v == opt.value]
+        assert report.saturating_vertex_count == len(saturating)
+        assert report.affine_rank == affine_rank_of_strategies(scen, saturating)
+
+
+@pytest.mark.parametrize("block", [None, 1])
+def test_classical_max_returns_first_of_tied_strategies(gyni_games, monkeypatch, block):
+    """Ties for the maximum go to the first strategy in enumeration order,
+    also when they fall in different blocks."""
+    if block is not None:
+        monkeypatch.setattr(polytope, "_VALUE_BLOCK", block)
+    scen = Scenario((2, 3, 2), (3, 2, 2))
+    strategies = list(core.iter_deterministic_strategies(scen))
+    flat = core.BellExpression(scen, {(5, 7): F(0)})
+    assert gb.classical_max(flat) == (0, strategies[0])
+    rng = random.Random(8)
+    for _ in range(5):
+        keys = rng.sample([(x, a) for x in range(12) for a in range(12)], 6)
+        expr = core.BellExpression(scen, {k: F(rng.choice((-1, 1))) for k in keys})
+        values = _strategy_values(expr)
+        assert values.count(max(values)) > 1
+        assert gb.classical_max(expr).strategy == strategies[values.index(max(values))]
+    e = gyni_games[3].expression
+    values = _strategy_values(e)
+    first = polytope._strategies_at(e.scenario, [values.index(e.classical_bound)])[0]
+    assert gb.classical_max(e).strategy == first
+
+
+def test_strategy_cap_checked_before_any_array(gyni_games, monkeypatch):
+    def no_arrays(*args, **kwargs):
+        raise AssertionError("array built before the cap check")
+
+    for name in ("zeros", "indices", "unravel_index"):
+        monkeypatch.setattr(np, name, no_arrays)
+    e = gyni_games[3].expression  # 64 strategies
+    for call in (
+        lambda: polytope._strategy_values(e, cap=63),
+        lambda: gb.classical_max(e, cap=63),
+        lambda: gb.facet_check(e, e.classical_bound, cap=63),
+    ):
+        with pytest.raises(ValueError, match="cap exceeded: 64 > 63"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # no-signaling optimization
 
@@ -434,7 +526,9 @@ def test_facet_gyni3_rank_on_python_integer_rows(gyni_games, monkeypatch):
     """With the int64 guard at 1 the saturating set is reduced on
     Python-integer rows; the facet rank must still be 25."""
     e = gyni_games[3].expression
-    saturating = [s for v, s in polytope._valued_strategies(e) if v == e.classical_bound]
+    values = _strategy_values(e)
+    hits = [i for i, v in enumerate(values) if v == e.classical_bound]
+    saturating = polytope._strategies_at(e.scenario, hits)
     points = polytope.cg_coordinates_of_strategies(e.scenario, saturating)
     monkeypatch.setattr(_rank, "_INT64_SAFE", 1)
     acc = _rank.ExactRankAccumulator(points.shape[1])

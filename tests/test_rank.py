@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -95,3 +96,79 @@ def test_python_integer_rows_give_the_int64_ranks(monkeypatch, guard):
     assert (first == 1) if guard == 1 else (first > 2)
     assert all(big_after[first:])
     assert all(prow.dtype == object for _, prow, _, _ in acc.pivots)
+
+
+def _fraction_rank(matrix) -> int:
+    """Rank by Gaussian elimination over the rationals; shares no code with
+    the accumulator."""
+    rows = [[Fraction(v) for v in r] for r in matrix]
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    for c in range(ncols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            if f:
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _wide_matrices():
+    """Planted-rank matrices, each row a random integer combination of a few
+    random base rows.  Entries pass 2**31, or the elimination's
+    intermediates do while they stay in int64 for a while."""
+    rng = random.Random(31)
+    for k in range(16):
+        cols = rng.randint(3, 9)
+        planted = rng.randint(1, cols)
+        top = 2**33 if k % 2 else 2**18
+        base = [[rng.randint(-top, top) for _ in range(cols)] for _ in range(planted)]
+        mat = []
+        for _ in range(rng.randint(planted, planted + 4)):
+            w = [rng.randint(-9, 9) for _ in range(planted)]
+            mat.append([sum(a * b[j] for a, b in zip(w, base)) for j in range(cols)])
+        yield mat
+
+
+def _gyni5_saturating_differences():
+    from gynibell import gyni, polytope
+
+    e = gyni.gyni_expression(5).expression
+    den, blocks = polytope._strategy_values(e)
+    target = e.classical_bound * den
+    hits = np.concatenate([s + np.flatnonzero(v == target) for s, v in blocks])
+    points = polytope.cg_coordinates_of_strategies(
+        e.scenario, polytope._strategies_at(e.scenario, hits)
+    )
+    return points[1:] - points[0]
+
+
+def _echelon(rows, ncols):
+    acc = ExactRankAccumulator(ncols)
+    for row in rows:
+        acc.add_row(row)
+    return acc.rank, acc.big, [(c, p.tolist(), v, m) for c, p, v, m in acc.pivots]
+
+
+def test_wide_entries_match_fraction_rank():
+    for mat in _wide_matrices():
+        assert integer_rank(mat) == _fraction_rank(mat)
+
+
+@pytest.mark.parametrize("reduce_at", [1, 2**8])
+def test_lazy_gcd_keeps_every_pivot_row(monkeypatch, reduce_at):
+    """Dividing rows by their gcd after every step (threshold 1) or part way
+    (2**8) stores the same pivot rows, the same rank and the same switch to
+    Python integers as the default threshold."""
+    mats = [(m, len(m[0])) for m in _random_matrices()]
+    mats += [(m, len(m[0])) for m in _wide_matrices()]
+    gyni5 = _gyni5_saturating_differences()
+    mats.append((gyni5, gyni5.shape[1]))
+    expect = [_echelon(m, n) for m, n in mats]
+    assert expect[-1][0] == 241
+    monkeypatch.setattr(_rank, "_REDUCE_AT", reduce_at)
+    assert [_echelon(m, n) for m, n in mats] == expect
