@@ -12,6 +12,7 @@ functions, so values can be shared freely between concurrent tasks.
 
 from __future__ import annotations
 
+import array
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -136,10 +137,13 @@ class Box:
     rationals (each entry an ``int`` or a ``Fraction``; :meth:`exact`
     converts other numbers); normalization is an identity of fractions.
     The table is dense: entry ``(x_idx, a_idx)`` lives at
-    ``table[x_idx * n_outputs + a_idx]``.
+    ``table[x_idx * n_outputs + a_idx]``.  It is stored as its distinct
+    entry objects and one small integer per entry: an optimal box repeats a
+    few shared values many times (16384 entries and a handful of values at
+    GYNI N = 7), so it holds a byte per entry instead of a pointer.
     """
 
-    __slots__ = ("scenario", "_table")
+    __slots__ = ("scenario", "_values", "_index")
 
     def __init__(self, scenario: Scenario, table):
         self.scenario = scenario
@@ -148,7 +152,13 @@ class Box:
             raise ValueError("table size mismatch")
         if not all(isinstance(v, (int, Fraction)) for v in tab):
             raise ValueError("box entries must be int or Fraction; Box.exact converts")
-        self._table = tab
+        ids = list(map(id, tab))
+        distinct = dict(zip(ids, tab))
+        slot = {key: k for k, key in enumerate(distinct)}
+        self._values = tuple(distinct.values())
+        n = len(slot)
+        code = "B" if n <= 1 << 8 else "H" if n <= 1 << 16 else "Q"
+        self._index = array.array(code, map(slot.__getitem__, ids))
         self.validate()
 
     # -- constructors
@@ -168,14 +178,18 @@ class Box:
 
     # -- access
 
+    @property
+    def _table(self) -> list:
+        return list(map(self._values.__getitem__, self._index))
+
     def value(self, x_idx: int, a_idx: int) -> Fraction:
-        return self._table[x_idx * self.scenario.n_outputs + a_idx]
+        return self._values[self._index[x_idx * self.scenario.n_outputs + a_idx]]
 
     def prob(self, xs: tuple[int, ...], aa: tuple[int, ...]):
         return self.value(self.scenario.encode_input(xs), self.scenario.encode_outcome(aa))
 
     def exact_table(self) -> list[Fraction]:
-        return list(self._table)
+        return self._table
 
     # -- invariants
 
@@ -183,8 +197,9 @@ class Box:
         """Each row is nonnegative and sums to 1, in integer numerators over
         the row's common denominator."""
         nx, na = self.scenario.n_inputs, self.scenario.n_outputs
+        table = self._table
         for x in range(nx):
-            row = self._table[x * na : (x + 1) * na]
+            row = table[x * na : (x + 1) * na]
             if any(p.numerator < 0 for p in row):
                 raise ValueError(f"negative probability at input {x}")
             den = math.lcm(*(p.denominator for p in row))
@@ -203,10 +218,11 @@ class Box:
 
     def to_json(self) -> dict:
         na = self.scenario.n_outputs
+        entries = self._table
         table = {}
         for x in range(self.scenario.n_inputs):
             for a in range(na):
-                v = self._table[x * na + a]
+                v = entries[x * na + a]
                 if v:
                     table[f"{x}:{a}"] = str(v)
         return {"scenario": self.scenario.to_json(), "mode": "exact", "table": table}
@@ -345,8 +361,9 @@ def is_nonsignaling(box: Box) -> NsReport:
     context, then outcome of the other parties.
     """
     scen = box.scenario
-    den = math.lcm(*(v.denominator for v in box._table))
-    nums = [v.numerator * (den // v.denominator) for v in box._table]
+    entries = box._table
+    den = math.lcm(*(v.denominator for v in entries))
+    nums = [v.numerator * (den // v.denominator) for v in entries]
     nx, na = scen.n_inputs, scen.n_outputs
     violations = []
     for party, (m, d) in enumerate(zip(scen.inputs, scen.outputs)):
@@ -523,8 +540,8 @@ def apply_symmetry_to_expression(expression: BellExpression, sym: Symmetry) -> B
 def apply_symmetry_to_box(box: Box, sym: Symmetry) -> Box:
     """Push a box through a relabeling; preserves validity and no-signaling."""
     table = [Fraction(0)] * box.scenario.table_size
-    for t, image in enumerate(sym.table_permutation(box.scenario)):
-        table[image] = box._table[t]
+    for v, image in zip(box._table, sym.table_permutation(box.scenario)):
+        table[image] = v
     return Box(box.scenario, table)
 
 

@@ -8,7 +8,10 @@ A two-phase revised simplex.  The basis inverse is held explicitly as one
 m x m integer numpy matrix plus a vector of positive integer row
 denominators (rows are pre-scaled so constraint columns are integral),
 which keeps every pivot exact without per-element rational normalization;
-a row is divided by its gcd only once its entries grow large.  The arrays are
+a row is divided by its gcd only once its entries grow large.  A pivot has
+no per-row Python loop: the touched rows are updated, and the grown ones
+gcd-reduced, one numpy operation per block of rows, and the lexicographic
+ratio tie-break scans column chunks that grow geometrically.  The arrays are
 int64 while the magnitude guard of :mod:`gynibell._rank` shows that no
 product can reach 2**62; past it they switch to Python integers
 (``dtype=object``) for the rest of the solve.  The duals are integer
@@ -27,6 +30,11 @@ Correctness posture:
   objectives (strong duality).
 * infeasible problems come with a Farkas certificate, verified exactly.
 * unbounded problems come with a verified improving ray.
+
+The verifiers read only the :class:`LPProblem` and the result, never the
+solver's standard form: each original row is scaled by the lcm of its own
+denominators, each vector becomes integer numerators over one common
+denominator, and every check is a Python-integer sum.
 
 Anti-cycling: pricing is best-in-first-improving-block by default (the most
 improving column, first on ties, of the first block of ``PRICE_BLOCK``
@@ -71,6 +79,9 @@ PRICE_BLOCK = 512
 #: most entries of the basis inverse that one block of a pivot's row update,
 #: or of the lexicographic tie-break, copies at a time
 _BLOCK_ELEMS = 1 << 13
+
+#: columns in the first chunk the lexicographic tie-break compares
+_LEX_CHUNK = 32
 
 
 class LPError(RuntimeError):
@@ -259,6 +270,8 @@ class _Simplex:
         m, n = std.m, std.n
         self.m, self.n = m, n
         self.pivots = 0
+        # rows of M (m + 1 entries each) that one block of an update holds
+        self.block_rows = max(1, _BLOCK_ELEMS // (m + 1))
         self.basis = np.arange(n, n + m)
         self.nonbasic = np.ones(n, dtype=bool)
         self.last_ray_col = None
@@ -393,9 +406,12 @@ class _Simplex:
 
         Each round finds the first column from ``col`` on where some row's
         scaled entry differs from the first row's, and keeps the rows with
-        the least scaled entry there.  Rows are copied ``_BLOCK_ELEMS``
-        entries at a time; more rows are split, and the least of the parts'
-        least rows is the least.
+        the least scaled entry there.  The cross products are formed over
+        column chunks that grow geometrically (``_LEX_CHUNK`` columns, then
+        four times more each chunk) until one chunk holds a differing column,
+        since that column is mostly among the first few.  Rows are copied
+        ``_BLOCK_ELEMS`` entries at a time; more rows are split, and the
+        least of the parts' least rows is the least.
         """
         m = self.m
         part = max(2, _BLOCK_ELEMS // (m + 1))
@@ -409,8 +425,16 @@ class _Simplex:
             sub, us = sub.astype(object), us.astype(object)
         col = 0
         while rows.size > 1:
-            cross = sub[:, col:] * us[0] - sub[0, col:] * us[:, None]
-            col += int(np.flatnonzero(cross.any(axis=0))[0])
+            width = _LEX_CHUNK
+            while True:
+                chunk = slice(col, col + width)
+                cross = sub[:, chunk] * us[0] - sub[0, chunk] * us[:, None]
+                differ = np.flatnonzero(cross.any(axis=0))
+                if differ.size or col + width >= m:
+                    break
+                col += width
+                width *= 4
+            col += int(differ[0])
             keep = _least_ratios(sub[:, col].tolist(), us.tolist())
             rows, sub, us = rows[keep], sub[keep], us[keep]
             col += 1
@@ -444,11 +468,13 @@ class _Simplex:
 
         The pivot row becomes ``prow / pden`` (old numerators over the pivot
         entry) and every touched row ``i`` becomes ``(M[i] * pden - unum[i] *
-        prow) / (bden[i] * pden)``.  Past the scaling by ``pden`` (mostly 1)
-        only the pivot row's nonzero columns change, so those are updated in
-        place, a block of rows at a time.  ``rowmax`` bounds each row's
-        entries from above; a row whose bound or denominator reaches
-        ``_REDUCE_AT`` is divided by its gcd and gets its exact maximum.
+        prow) / (bden[i] * pden)``.  With ``pden == 1`` (most pivots) only the
+        pivot row's nonzero columns change, so those are updated in place;
+        otherwise whole rows are, ``M[t] * pden - a * prow``.  ``rowmax``
+        bounds each row's entries from above; the rows whose bound or
+        denominator reaches ``_REDUCE_AT`` are reduced (:meth:`_reduce`).
+        Every update runs a block of rows at a time, at most
+        ``_BLOCK_ELEMS`` entries of ``M``, so no transient is of size m x m.
         """
         M, bden, rowmax = self.M, self.bden, self.rowmax
         piv = int(unum[row])
@@ -462,8 +488,7 @@ class _Simplex:
             pden //= g
         bden[row] = pden
         cols = np.flatnonzero(prow)
-        pvals = prow[cols]
-        pmax = int(np.abs(pvals).max())
+        pmax = int(np.abs(prow[cols]).max())
         rowmax[row] = pmax
 
         touched = np.flatnonzero(unum)
@@ -474,21 +499,21 @@ class _Simplex:
             int(bden[touched].max()) * pden,
         ):
             M, bden, rowmax = self.M, self.bden, self.rowmax
-            pvals, a = pvals.astype(object), a.astype(object)
-        if pden != 1:
-            for i in touched.tolist():
-                M[i] *= pden
-            bden[touched] *= pden
+            a = a.astype(object)
+        prow = M[row]  # the arrays may have switched to Python integers
         rowmax[touched] = rowmax[touched] * pden + np.abs(a) * pmax
-        step = max(1, _BLOCK_ELEMS // cols.size)
-        for s in range(0, touched.size, step):
-            M[touched[s : s + step, None], cols] -= a[s : s + step, None] * pvals
-        for i in touched[np.maximum(rowmax[touched], bden[touched]) >= _REDUCE_AT].tolist():
-            g = math.gcd(int(np.gcd.reduce(M[i])), int(bden[i]))
-            if g > 1:
-                M[i] //= g
-                bden[i] //= g
-            rowmax[i] = int(np.abs(M[i]).max())
+        if pden != 1:
+            bden[touched] *= pden
+            step = self.block_rows
+            for s in range(0, touched.size, step):
+                t = touched[s : s + step]
+                M[t] = M[t] * pden - a[s : s + step, None] * prow
+        else:
+            pvals = prow[cols]
+            step = max(1, _BLOCK_ELEMS // cols.size)
+            for s in range(0, touched.size, step):
+                M[touched[s : s + step, None], cols] -= a[s : s + step, None] * pvals
+        self._reduce(touched[np.maximum(rowmax[touched], bden[touched]) >= _REDUCE_AT])
 
         left = int(self.basis[row])
         self.basis[row] = enter
@@ -496,6 +521,20 @@ class _Simplex:
         if left < self.n:
             self.nonbasic[left] = True
         self.pivots += 1
+
+    def _reduce(self, rows):
+        """Divide each of ``rows`` by the gcd of its entries and denominator,
+        and give it its exact maximum: one vectorised reduction per block of
+        rows."""
+        M, bden, step = self.M, self.bden, self.block_rows
+        for s in range(0, rows.size, step):
+            t = rows[s : s + step]
+            sub = M[t]
+            g = np.gcd(np.gcd.reduce(sub, axis=1), bden[t])
+            sub //= g[:, None]
+            M[t] = sub
+            bden[t] //= g
+            self.rowmax[t] = np.abs(sub).max(axis=1)
 
     def run(self, cost) -> str:
         """Minimize ``cost`` from the current basis; 'optimal' or 'unbounded'."""
@@ -605,46 +644,74 @@ def _recover_ray(std: _Standard, sx: _Simplex):
     return ray
 
 
-def _row_value(row: Constraint, x) -> Fraction:
-    return sum((v * x[j] for j, v in row.coeffs), _ZERO)
+# The verifiers share no scaling code with the solver (see the module
+# docstring): they read only the problem and the result.
+
+
+def _row_scales(problem: LPProblem) -> list:
+    """The lcm of each row's own denominators, right-hand side included."""
+    return [
+        math.lcm(row.rhs.denominator, *(v.denominator for _, v in row.coeffs))
+        for row in problem.constraints
+    ]
+
+
+def _scaled(v, scale: int) -> int:
+    return v.numerator * (scale // v.denominator)
+
+
+def _integer_vector(values, divisors=None):
+    """Integers ``k_i`` and one positive ``den`` with ``k_i / den ==
+    values[i] / divisors[i]`` (positive integer divisors, all 1 if none)."""
+    dens = [v.denominator * d for v, d in zip(values, divisors or itertools.repeat(1))]
+    den = math.lcm(*dens)
+    return [v.numerator * (den // d) for v, d in zip(values, dens)], den
+
+
+def _combine_rows(problem: LPProblem, multipliers, x=None, xden=1):
+    """``sum_i z_i * row_i`` on every column and on the right-hand side, for
+    the integer multipliers ``z_i / den`` of :func:`_integer_vector` over
+    the row scales.  With ``x`` (integers over ``xden``), also checks that
+    it satisfies every row.  Each row is scaled to integers as it is read."""
+    scales = _row_scales(problem)
+    z, den = _integer_vector(multipliers, scales)
+    comb = [0] * problem.n
+    rhs = 0
+    for row, scale, zi in zip(problem.constraints, scales, z):
+        coeffs = [(j, _scaled(v, scale)) for j, v in row.coeffs]
+        b = _scaled(row.rhs, scale)
+        if x is not None and sum(v * x[j] for j, v in coeffs) != b * xden:
+            raise LPError("verification failed: constraint violated")
+        if zi:
+            rhs += zi * b
+            for j, v in coeffs:
+                comb[j] += zi * v
+    return comb, rhs, den
 
 
 def _verify_optimal(problem: LPProblem, res: LPResult) -> None:
-    x = res.solution
+    x, xden = _integer_vector(res.solution)
     if any(v < 0 for v in x):
         raise LPError("verification failed: negative variable")
-    for row in problem.constraints:
-        if _row_value(row, x) != row.rhs:
-            raise LPError("verification failed: constraint violated")
+    aty, dual_obj, yden = _combine_rows(problem, res.dual, x, xden)
 
-    # reduced costs in original coordinates
-    reduced = list(problem.objective)
-    for yv, row in zip(res.dual, problem.constraints):
-        if yv:
-            for j, v in row.coeffs:
-                reduced[j] -= yv * v
+    # reduced costs c - A^T y in original coordinates, times cden * yden > 0
+    c, cden = _integer_vector(problem.objective)
     for j in range(problem.n):
-        d = reduced[j]
+        d = c[j] * yden - cden * aty[j]
         if d > 0:
             raise LPError("verification failed: improving direction remains")
         if x[j] and d != 0:
             raise LPError("verification failed: complementary slackness")
 
-    dual_obj = sum((yv * row.rhs for yv, row in zip(res.dual, problem.constraints)), _ZERO)
-    if dual_obj != res.value:
+    if dual_obj * res.value.denominator != res.value.numerator * yden:
         raise LPError("verification failed: strong duality")
 
 
 def _verify_infeasible(problem: LPProblem, farkas) -> None:
     """The multipliers must combine the rows into an impossibility:
     combination <= 0 on every column, yet positive on the right-hand side."""
-    comb = [_ZERO] * problem.n
-    rhs = _ZERO
-    for y, row in zip(farkas, problem.constraints):
-        if y:
-            rhs += y * row.rhs
-            for j, v in row.coeffs:
-                comb[j] += y * v
+    comb, rhs, _ = _combine_rows(problem, farkas)
     if any(c > 0 for c in comb):
         raise LPError("farkas verification failed: positive column")
     if rhs <= 0:
@@ -652,11 +719,12 @@ def _verify_infeasible(problem: LPProblem, farkas) -> None:
 
 
 def _verify_ray(problem: LPProblem, ray) -> None:
-    if any(r < 0 for r in ray):
+    r, _ = _integer_vector(ray)
+    if any(v < 0 for v in r):
         raise LPError("ray verification failed: negative component")
-    for row in problem.constraints:
-        if _row_value(row, ray) != 0:
+    for row, scale in zip(problem.constraints, _row_scales(problem)):
+        if sum(_scaled(v, scale) * r[j] for j, v in row.coeffs) != 0:
             raise LPError("ray verification failed: leaves feasible cone")
-    gain = sum((c * r for c, r in zip(problem.objective, ray)), _ZERO)
-    if gain <= 0:
+    c, _ = _integer_vector(problem.objective)
+    if sum(cj * rj for cj, rj in zip(c, r)) <= 0:
         raise LPError("ray verification failed: not improving")

@@ -43,10 +43,8 @@ from .core import (
     Symmetry,
     bell_value,
     checked_strategy_count,
-    enumerate_deterministic_strategies,
     expression_invariant_under,
     is_nonsignaling,
-    strategy_entries,
 )
 
 _ZERO = Fraction(0)
@@ -469,37 +467,59 @@ class LocalMembership(NamedTuple):
     separating: tuple | None        # (BellExpression, local bound, value at box)
 
 
+def _strategy_table_indices(scenario: Scenario, cap: int | None = None) -> np.ndarray:
+    """(strategies x input tuples) int64 array: row k holds the table indices
+    ``x_idx * n_outputs + a_idx`` where the k-th deterministic strategy
+    (enumeration order) is 1, one per input, in input order, as
+    :func:`core.strategy_entries` gives them.  Built from the response functions
+    with mixed-radix strides; the cap is checked first."""
+    checked_strategy_count(scenario, cap)
+    n, na = scenario.parties, scenario.n_outputs
+    idx = np.zeros((1,) * (2 * n), dtype=np.int64)
+    for p, (m, d) in enumerate(zip(scenario.inputs, scenario.outputs)):
+        resp = _responses(m, d)
+        in_stride = math.prod(scenario.inputs[p + 1 :]) * na
+        out_stride = math.prod(scenario.outputs[p + 1 :])
+        shape = [1] * (2 * n)
+        shape[p], shape[n + p] = resp.shape
+        idx = idx + (resp * out_stride + np.arange(m) * in_stride).reshape(shape)
+    return idx.reshape(-1, scenario.n_inputs)
+
+
 def local_membership(box: Box, cap: int | None = None) -> LocalMembership:
     """Decide membership in the local polytope by exact feasibility LP.
 
     Local boxes come with an exact convex decomposition over deterministic
     vertices; non-local ones with a separating inequality (a Farkas
     combination of the table rows), verified against every vertex.  Each
-    vertex is held as the table indices where it is 1, one per input.
+    vertex is held as the table indices where it is 1, one per input
+    (:func:`_strategy_table_indices`).
     """
     scen = box.scenario
-    strategies = enumerate_deterministic_strategies(scen, cap)
-    entries = [strategy_entries(scen, s) for s in strategies]
-    n = len(strategies)
-    columns = [{} for _ in range(scen.table_size)]
-    for k, ts in enumerate(entries):
-        for t in ts:
-            columns[t][k] = _ONE
+    entries = _strategy_table_indices(scen, cap)
+    n = entries.shape[0]
+    # the vertices holding each table index, ascending
+    flat = entries.ravel()
+    holders = np.argsort(flat, kind="stable") // scen.n_inputs
+    ends = np.cumsum(np.bincount(flat, minlength=scen.table_size)).tolist()
     table = box.exact_table()
-    rows = [lp.make_constraint(coeffs, p) for coeffs, p in zip(columns, table)]
+    rows = [
+        lp.make_constraint(dict.fromkeys(holders[lo:hi].tolist(), _ONE), p)
+        for lo, hi, p in zip([0] + ends, ends, table)
+    ]
     rows.append(lp.make_constraint({k: _ONE for k in range(n)}, _ONE))
-    del columns  # the rows hold the coefficients now
     res = lp.feasible_point(rows, n)
     if res.status == "optimal":
         support = [(k, res.solution[k]) for k in range(n) if res.solution[k]]
         # exact reconstruction check
         rebuilt = [_ZERO] * scen.table_size
         for k, w in support:
-            for t in entries[k]:
+            for t in entries[k].tolist():
                 rebuilt[t] += w
         if rebuilt != table:
             raise lp.LPError("membership decomposition failed recheck")
-        weights = tuple((strategies[k], w) for k, w in support)
+        strategies = _strategies_at(scen, [k for k, _ in support])
+        weights = tuple((s, w) for s, (_, w) in zip(strategies, support))
         return LocalMembership(True, weights, None)
 
     farkas = res.farkas
@@ -511,9 +531,11 @@ def local_membership(box: Box, cap: int | None = None) -> LocalMembership:
     bound = -farkas[scen.table_size]
     separating = BellExpression(scen, coeffs, label="separating inequality")
     value_at_box = bell_value(separating, box)
-    for ts in entries:
-        if sum((farkas[t] for t in ts), _ZERO) > bound:
-            raise lp.LPError("separating inequality failed vertex recheck")
+    # every vertex's value, in integer numerators over one denominator
+    den = math.lcm(*(f.denominator for f in farkas))
+    nums = np.array([f.numerator * (den // f.denominator) for f in farkas], dtype=object)
+    if np.any(nums[entries].sum(axis=1) > -nums[scen.table_size]):
+        raise lp.LPError("separating inequality failed vertex recheck")
     if not value_at_box > bound:
         raise lp.LPError("separating inequality does not separate the box")
     return LocalMembership(False, None, (separating, bound, value_at_box))
@@ -563,13 +585,7 @@ class _ToblLayout:
         # variable's deterministic component puts mass 1, in wvar order;
         # var_of[(block, support)]: the variable, blocks numbered
         # 2 * bip_idx + direction
-        self.supports = [
-            tuple(self.component_entries(bip_idx, direction, h, f, g))
-            for bip_idx in range(3)
-            for direction in (0, 1)
-            for h in self.responders
-            for f, g in self.pairs
-        ]
+        self.supports = [tuple(s) for s in self._support_table().tolist()]
         self.var_of = {
             (v // self.block, support): self.n_table + v
             for v, support in enumerate(self.supports)
@@ -584,23 +600,30 @@ class _ToblLayout:
             + pair_idx
         )
 
-    def component_entries(self, bip_idx: int, direction: int, h, f, g):
-        """Table indices where the deterministic component puts mass 1."""
-        i, j, k = _BIPARTITIONS[bip_idx]
-        forward = direction == 0
+    def _support_table(self) -> np.ndarray:
+        """(weight variables x input tuples) array, in wvar order: the table
+        indices where each variable's deterministic component (h, f, g)
+        puts mass 1, one per input tuple.  For bipartition i|jk the lone
+        party answers h(x_i); in direction 0 the leader j answers f(x_j) and
+        the follower k answers g(2 x_j + x_k), in direction 1 the roles of j
+        and k swap.  Built from mixed-radix strides over the input tuples."""
         scen = self.scen
-        out = []
-        for xs in scen.input_tuples():
-            aa = [0, 0, 0]
-            aa[i] = h[xs[i]]
-            if forward:
-                aa[j] = f[xs[j]]
-                aa[k] = g[2 * xs[j] + xs[k]]
-            else:
-                aa[k] = f[xs[k]]
-                aa[j] = g[2 * xs[k] + xs[j]]
-            out.append(scen.encode_input(xs) * self.na + scen.encode_outcome(tuple(aa)))
-        return out
+        xs = np.array(list(scen.input_tuples()))
+        stride = [math.prod(scen.outputs[p + 1 :]) for p in range(3)]
+        base = np.arange(scen.n_inputs) * self.na
+        hs = np.array(self.responders)
+        fs = np.array([f for f, _ in self.pairs])
+        gs = np.array([g for _, g in self.pairs])
+        blocks = []
+        for i, j, k in _BIPARTITIONS:
+            lone = hs[:, xs[:, i]] * stride[i]
+            for lead, follow in ((j, k), (k, j)):
+                pair = (
+                    fs[:, xs[:, lead]] * stride[lead]
+                    + gs[:, 2 * xs[:, lead] + xs[:, follow]] * stride[follow]
+                )
+                blocks.append(base + lone[:, None, :] + pair[None, :, :])
+        return np.concatenate(blocks).reshape(-1, scen.n_inputs)
 
     def rows(self) -> _Rows:
         """Normalization rows, then per bipartition: per direction one row

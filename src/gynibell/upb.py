@@ -440,18 +440,34 @@ def is_upb(pvs: ProductVectorSet, cap: int | None = None) -> UpbVerdict:
     return UpbVerdict(False, tuple(witness), nodes)
 
 
+#: most complex overlaps one block of the weak-unextendibility test holds
+_WUPB_BLOCK = 1 << 14
+
+
 def is_wupb(pvs: ProductVectorSet) -> bool:
     """Weak unextendibility: no product of the set's own local vectors is
-    orthogonal to every member (finite enumeration over the local sets)."""
+    orthogonal to every member (finite enumeration over the local sets).
+
+    Each site's local vectors are taken against the members' factors there
+    once (a Gram matrix); a candidate's overlap with a member is the product
+    over sites of those entries, formed for a block of candidates at a
+    time."""
     eps = config.TOLERANCE
     if len(pvs) >= pvs.total_dim:
         raise ValueError("set must span a proper subspace (|S| < dim H)")
-    for combo in itertools.product(*(range(len(s)) for s in pvs.local_sets)):
-        candidate = [pvs.local_sets[i][k] for i, k in enumerate(combo)]
-        if all(
-            abs(product_inner(candidate, pvs.vectors[m])) <= eps
-            for m in range(len(pvs))
-        ):
+    grams = []
+    for i, (local, d) in enumerate(zip(pvs.local_sets, pvs.dims)):
+        members = np.array([vec[i] for vec in pvs.vectors]).reshape(-1, d)
+        grams.append(np.array(local).reshape(-1, d).conj() @ members.T)
+    sizes = [len(g) for g in grams]
+    total = math.prod(sizes)
+    step = max(1, _WUPB_BLOCK // max(1, len(pvs)))
+    for s in range(0, total, step):
+        picks = np.unravel_index(np.arange(s, min(s + step, total)), sizes)
+        overlap = grams[0][picks[0]]
+        for gram, k in zip(grams[1:], picks[1:]):
+            overlap = overlap * gram[k]
+        if np.any(np.all(np.abs(overlap) <= eps, axis=1)):
             return False
     return True
 

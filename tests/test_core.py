@@ -298,6 +298,22 @@ def test_expression_json_round_trip():
     assert back.classical_bound == e.classical_bound
 
 
+def test_box_keeps_its_entries_and_stores_each_distinct_one_once():
+    scen = gb.binary_scenario(2)
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    table = [half, half, 0, 0, quarter, quarter, quarter, quarter] * 2
+    box = gb.Box(scen, table)
+    got = box.exact_table()
+    assert got == table and all(a is b for a, b in zip(got, table))
+    assert box.value(1, 2) is quarter and box.value(0, 2) == 0
+    assert box == gb.Box(scen, [Fraction(v) for v in table])
+    # 16384 entries of one value: one byte per entry
+    big = gb.binary_scenario(7)
+    uniform = gb.Box(big, [Fraction(1, 128)] * big.table_size)
+    assert uniform._index.itemsize == 1 and len(uniform._values) == 1
+    assert uniform.exact_table() == [Fraction(1, 128)] * big.table_size
+
+
 def test_box_rejects_non_rational_entries():
     s = Scenario((1,), (2,))
     with pytest.raises(ValueError, match="int or Fraction"):

@@ -2,6 +2,7 @@ import dataclasses
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gynibell import core, gyni, lp, polytope, upb
@@ -375,3 +376,119 @@ def test_pivot_counts_are_pinned():
     assert pivots_and_columns(lambda: polytope.ns_max(ns7)) == ("optimal", 39, 40)
     ns6 = gyni.gyni_expression(6).expression
     assert pivots_and_columns(lambda: polytope.ns_max(ns6)) == ("optimal", 141, 128)
+
+
+def _random_promise_game(rng):
+    """A GYNI N = 3 game whose promise is a seeded random distribution."""
+    scen = core.binary_scenario(3)
+    raw = [rng.randint(0, 8) for _ in range(scen.n_inputs)]
+    raw[0] += not sum(raw)
+    q = core.InputDistribution(scen, {x: F(v, sum(raw)) for x, v in enumerate(raw) if v})
+    return gyni.gyni_expression(3, q).expression
+
+
+@pytest.mark.parametrize("reduce_at", [2**8, 2**16])
+def test_results_do_not_depend_on_the_reduction_threshold(monkeypatch, reduce_at):
+    """Lowering the bound at which a row is divided by its gcd runs the
+    blocked reduction on many more pivots; every result (status, value,
+    solution, dual, Farkas vector, pivot count) stays that of the default."""
+    scen = core.binary_scenario(4)
+    strategies = core.enumerate_deterministic_strategies(scen)
+    mixture = core.mix_boxes(
+        [core.box_from_strategy(scen, strategies[k]) for k in (132, 55, 129, 107, 221, 10)],
+        [F(w, 19) for w in (4, 1, 7, 3, 1, 3)],
+    )
+    ns_box = polytope.ns_max(gyni.gyni_expression(4).expression).box
+    rng = random.Random(5)
+    games = [_random_promise_game(rng) for _ in range(3)]
+    calls = [
+        lambda: polytope.ns_max(upb.four_partite_tight_inequality()),
+        lambda: polytope.local_membership(mixture),
+        lambda: polytope.local_membership(ns_box),
+        *(lambda g=g: polytope.ns_max(g) for g in games),
+        test_random_lps_against_vertex_enumeration,
+        test_random_fractional_lps_against_vertex_enumeration,
+    ]
+    reduced, scaled = [], []  # per pivot: rows were reduced; pivot entry not 1
+    pivot, reduce = lp._Simplex._pivot, lp._Simplex._reduce
+
+    def recording_pivot(self, enter, row, unum):
+        reduced.append(False)
+        pivot(self, enter, row, unum)
+        scaled.append(self.bden[row] != 1)
+
+    def recording_reduce(self, rows):
+        reduced[-1] |= rows.size > 0
+        reduce(self, rows)
+
+    monkeypatch.setattr(lp._Simplex, "_pivot", recording_pivot)
+    monkeypatch.setattr(lp._Simplex, "_reduce", recording_reduce)
+    default = [_solve_results(call) for call in calls]
+    reduced_default = sum(reduced)
+    reduced.clear()
+    scaled.clear()
+    monkeypatch.setattr(lp, "_REDUCE_AT", reduce_at)
+    assert [_solve_results(call) for call in calls] == default
+    assert sum(reduced) > reduced_default
+    assert any(scaled)
+
+
+def _lex_least_oracle(M, rows, unum):
+    """The row of ``rows`` whose inverse row over its tableau entry,
+    ``M[i, :m] / unum[i]``, is the least tuple of fractions."""
+    m = M.shape[0]
+    return min(rows, key=lambda i: tuple(F(int(v), int(unum[i])) for v in M[i, :m]))
+
+
+@pytest.mark.parametrize("big", [False, True])
+@pytest.mark.parametrize("depth", [40, 170])
+def test_lex_least_matches_fraction_oracle(big, depth):
+    """Sixty candidate rows (more than one block, so the parts are compared
+    too) whose scaled rows all agree up to column ``depth``.  There half of
+    them lose; the other half agree for another hundred columns, past the
+    first chunks of the scan.  On int64 arrays and on Python integers past
+    2**63."""
+    rng = np.random.default_rng(depth)
+    m = 300
+    M = rng.integers(-6, 7, size=(m, m + 1))
+    unum = rng.integers(1, 5, size=m)
+    base = rng.integers(-6, 7, size=m + 1)
+    if big:
+        M, unum, base = M.astype(object), unum.astype(object), base.astype(object)
+        M = M * 2**70 + rng.integers(-6, 7, size=(m, m + 1))
+        base = base * 2**70 + 1
+    rows = rng.choice(m, size=60, replace=False)
+    for k, i in enumerate(rows):
+        shared = depth + 100 if k % 2 else depth + 1
+        M[i, :shared] = unum[i] * base[:shared]
+        if not k % 2:
+            M[i, depth] += 1
+    sx = object.__new__(lp._Simplex)
+    sx.m, sx.M, sx.big = m, M, big
+    sx.rowmax = np.abs(M).max(axis=1)
+    got = sx._lex_least(rows, unum)
+    assert got == _lex_least_oracle(M, rows.tolist(), unum)
+    assert list(rows).index(got) % 2
+
+
+def test_verify_optimal_on_fractional_rows_with_huge_dual_denominators():
+    """Rows with fractional coefficients and right-hand sides whose duals
+    have denominators past 2**63: the solver's certificate passes the
+    integer check; moving one dual numerator by one unit fails it, and so
+    does a value off by 2**-70."""
+    P, Q = 2**64 + 13, 2**65 + 7
+    problem = lp.make_problem(
+        [1, 1, 0, 0],
+        [([F(P, 3), F(1, 2), 1, 0], F(5, 7)), ([F(1, 5), F(Q, 11), 0, 1], F(2, 3))],
+    )
+    res = lp.solve(problem)
+    assert res.status == "optimal"
+    assert all(y.denominator > 2**63 for y in res.dual)
+    lp._verify_optimal(problem, res)
+    for i, y in enumerate(res.dual):
+        for step in (1, -1):
+            dual = res.dual[:i] + (F(y.numerator + step, y.denominator),) + res.dual[i + 1 :]
+            with pytest.raises(lp.LPError):
+                lp._verify_optimal(problem, dataclasses.replace(res, dual=dual))
+    with pytest.raises(lp.LPError, match="strong duality"):
+        lp._verify_optimal(problem, dataclasses.replace(res, value=res.value + F(1, 2**70)))

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -404,6 +405,18 @@ def test_uniform_mixture_is_local():
     assert gb.local_membership(mixed).is_local
 
 
+@pytest.mark.parametrize(
+    "scen", [gb.binary_scenario(3), Scenario((2, 3, 2), (3, 2, 2))], ids=["binary3", "mixed"]
+)
+def test_strategy_table_indices_match_strategy_entries(scen):
+    strategies = core.enumerate_deterministic_strategies(scen)
+    idx = polytope._strategy_table_indices(scen)
+    assert idx.tolist() == [core.strategy_entries(scen, s) for s in strategies]
+    # a vertex decomposes into itself, named as the enumeration names it
+    res = gb.local_membership(gb.box_from_strategy(scen, strategies[-2]))
+    assert res.weights == ((strategies[-2], 1),)
+
+
 # ---------------------------------------------------------------------------
 # TOBL
 
@@ -458,6 +471,47 @@ def test_tobl_variable_permutation_maps_supports(binary3_relabelings):
             assert sorted(layout.supports[w]) == sorted(table[t] for t in support)
             # image party p holds the data of party party_perm[p]
             assert tuple(sym.party_perm[p] for p in lone_and_leader(w)) == lone_and_leader(v)
+
+
+def _component_entries(layout, bip_idx, direction, h, f, g):
+    """Table indices where the deterministic component puts mass 1, one per
+    input tuple, encoded one tuple at a time."""
+    i, j, k = polytope._BIPARTITIONS[bip_idx]
+    scen = layout.scen
+    out = []
+    for xs in scen.input_tuples():
+        aa = [0, 0, 0]
+        aa[i] = h[xs[i]]
+        if direction == 0:
+            aa[j] = f[xs[j]]
+            aa[k] = g[2 * xs[j] + xs[k]]
+        else:
+            aa[k] = f[xs[k]]
+            aa[j] = g[2 * xs[k] + xs[j]]
+        out.append(scen.encode_input(xs) * layout.na + scen.encode_outcome(tuple(aa)))
+    return tuple(out)
+
+
+def test_tobl_supports_match_encoded_components():
+    """The strided supports and the variable lookup equal the ones built by
+    encoding every input and outcome tuple of every component."""
+    layout = polytope._ToblLayout(gb.binary_scenario(3))
+    supports = [
+        _component_entries(layout, bip_idx, direction, h, f, g)
+        for bip_idx in range(3)
+        for direction in (0, 1)
+        for h in layout.responders
+        for f, g in layout.pairs
+    ]
+    assert layout.supports == supports
+    assert len(supports) == 1536
+    for bip_idx, direction, h_idx, pair_idx in itertools.product(
+        range(3), (0, 1), range(len(layout.responders)), range(layout.n_pairs)
+    ):
+        var = layout.wvar(bip_idx, direction, h_idx, pair_idx)
+        support = supports[var - layout.n_table]
+        assert layout.var_of[(2 * bip_idx + direction, support)] == var
+    assert len(layout.var_of) == len(supports)
 
 
 def test_tobl_rejects_wrong_scenario():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,29 @@ def test_wupb_bell_matches_lifted_gyni_terms():
         ((1, 0, 1), (0, 1, 2)),
         ((1, 1, 0), (1, 0, 2)),
     }
+
+
+def _is_wupb_oracle(pvs):
+    """Weak unextendibility, one product of local vectors at a time."""
+    for combo in itertools.product(*pvs.local_sets):
+        if all(abs(product_inner(combo, vec)) <= 1e-9 for vec in pvs.vectors):
+            return False
+    return True
+
+
+def test_is_wupb_matches_product_loop():
+    sh = upb.shifts()
+    sets = {
+        "shifts": sh,
+        "gen_shifts(2)": upb.gen_shifts(2),
+        "gen_shifts(3)": upb.gen_shifts(3),
+        "wupb": upb.wupb_example(),
+        "niset_cerf(3,2)": upb.niset_cerf(3, 2),
+        "shifts minus one": build_local_subsets(sh.vectors[:3], sh.dims),
+    }
+    verdicts = {name: gb.is_wupb(pvs) for name, pvs in sets.items()}
+    assert verdicts == {name: _is_wupb_oracle(pvs) for name, pvs in sets.items()}
+    assert verdicts == {**dict.fromkeys(sets, True), "shifts minus one": False}
 
 
 def test_is_wupb_rejects_full_basis():
