@@ -9,12 +9,20 @@ m x m integer numpy matrix plus a vector of positive integer row
 denominators (rows are pre-scaled so constraint columns are integral),
 which keeps every pivot exact without per-element rational normalization;
 a row is divided by its gcd only once its entries grow large.  A pivot has
-no per-row Python loop: the touched rows are updated, and the grown ones
-gcd-reduced, one numpy operation per block of rows, and the lexicographic
-ratio tie-break scans column chunks that grow geometrically.  The arrays are
-int64 while the magnitude guard of :mod:`gynibell._rank` shows that no
-product can reach 2**62; past it they switch to Python integers
-(``dtype=object``) for the rest of the solve.  The duals are integer
+no per-row Python loop.  A touched row whose tableau entry the pivot entry
+divides keeps its denominator, the others are scaled whole first; then
+every touched row changes only in the pivot row's nonzero columns, through
+one flat-index gather and scatter per block of rows, and the grown rows are
+gcd-reduced one numpy operation per block.  The lexicographic ratio
+tie-break gathers one column chunk of the tied rows at a time, in chunks
+that grow geometrically.  Rows may be given with Python ``int`` or
+``Fraction`` coefficients; an ``int`` row is scaled without ``Fraction``
+arithmetic.  The arrays are int64 while the magnitude guard of
+:mod:`gynibell._rank` shows that no product can reach 2**62; past it they
+switch to Python integers (``dtype=object``) for the rest of the solve.
+Every pivot choice depends only on rationals (ratios and lexicographic rows
+cancel each row's denominator), so none depends on how a row is scaled or
+when it switches.  The duals are integer
 numerators over one common denominator, and each pivot prices every column
 with one exact sparse integer product.  The problems solved here
 (no-signaling bounds, membership tests, time-ordered bilocal
@@ -44,6 +52,8 @@ until a strict improvement happens, which guarantees termination.  An
 artificial variable sitting at zero is pivoted out the moment an entering
 column touches its row, so artificials can never rise again after phase 1;
 each such forced pivot removes one artificial for good, so they cannot loop.
+Each :class:`LPResult` counts the pivots in all and in phase 1, the
+degenerate (zero-step) ones, and whether Bland's rule engaged.
 
 There is deliberately no floating-point mode and no presolve; exactness of
 the returned fractions is the point.
@@ -90,24 +100,26 @@ class LPError(RuntimeError):
 
 @dataclass(frozen=True)
 class Constraint:
-    """One equality row: sparse coefficients and a right-hand side."""
+    """One equality row: sparse coefficients and a right-hand side, each an
+    ``int`` or a ``Fraction``."""
 
-    coeffs: tuple  # tuple of (var_index, Fraction)
-    rhs: Fraction
+    coeffs: tuple  # tuple of (var_index, int | Fraction)
+    rhs: int | Fraction
 
 
-def _fraction(v) -> Fraction:
-    return v if type(v) is Fraction else Fraction(v)
+def _exact(v):
+    return v if type(v) is int or type(v) is Fraction else Fraction(v)
 
 
 def make_constraint(coeffs, rhs) -> Constraint:
     """Accept a dense sequence or a {index: value} dict of coefficients.
-    A ``Fraction`` given is kept as it is, not copied."""
+    An ``int`` or a ``Fraction`` given is kept as it is, not copied; any
+    other rational becomes a ``Fraction``."""
     if isinstance(coeffs, dict):
-        items = tuple(sorted((int(i), _fraction(v)) for i, v in coeffs.items() if v))
+        items = tuple(sorted((int(i), _exact(v)) for i, v in coeffs.items() if v))
     else:
-        items = tuple((i, _fraction(v)) for i, v in enumerate(coeffs) if v)
-    return Constraint(items, _fraction(rhs))
+        items = tuple((i, _exact(v)) for i, v in enumerate(coeffs) if v)
+    return Constraint(items, _exact(rhs))
 
 
 @dataclass(frozen=True)
@@ -144,6 +156,12 @@ class LPResult:
     ``value == dual . rhs``.
     ``farkas`` (infeasible): row multipliers proving emptiness.
     ``ray`` (unbounded): feasible improving direction.
+
+    The counters are the same on every run: ``pivots`` in all, of them
+    ``phase1_pivots`` before the artificial variables were driven out, and
+    ``degenerate_pivots`` that left a basic variable at zero (no step);
+    ``bland_engaged`` tells whether a run of degenerate pivots switched
+    pricing to Bland's rule.
     """
 
     status: str
@@ -153,6 +171,9 @@ class LPResult:
     farkas: tuple | None = None
     ray: tuple | None = None
     pivots: int = 0
+    phase1_pivots: int = 0
+    degenerate_pivots: int = 0
+    bland_engaged: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +190,16 @@ class _Standard:
 def _standardize(problem: LPProblem) -> _Standard:
     """Convert to ``min -objective.x, A x = b, x >= 0`` with integer columns.
 
-    Each row is multiplied by the (signed) rational that clears coefficient
+    Each row is multiplied by the (signed) integer that clears coefficient
     denominators and makes the right-hand side nonnegative; ``row_mult``
     records the multipliers so duals and Farkas certificates can be mapped
-    back to the rows as originally written.  The columns of the scaled
-    matrix are stored once, compressed: column ``j`` holds rows
-    ``indices[indptr[j]:indptr[j + 1]]`` (ascending) with the integers
-    ``data`` at the same positions (int64 if every one is below the guard);
-    ``colabs[j]`` is the sum of the column's absolute values.
+    back to the rows as originally written.  An ``int`` coefficient has
+    denominator 1, so a row of them is read without any ``Fraction``
+    arithmetic.  The columns of the scaled matrix are stored once,
+    compressed: column ``j`` holds rows ``indices[indptr[j]:indptr[j + 1]]``
+    (ascending) with the integers ``data`` at the same positions (int64 if
+    every one is below the guard); ``colabs[j]`` is the sum of the column's
+    absolute values.
     """
     n = problem.n
     rows = problem.constraints
@@ -185,29 +208,37 @@ def _standardize(problem: LPProblem) -> _Standard:
     std.m = len(rows)
     std.n = n
 
-    # integer row scaling plus sign flip for b >= 0
-    b = []
-    row_mult = []
-    col_rows = [[] for _ in range(n)]
-    col_values = [[] for _ in range(n)]
+    # integer row scaling plus sign flip for b >= 0, entries in row order
+    b, row_mult = [], []
+    row_of, col_of, values = [], [], []
     for i, row in enumerate(rows):
-        mult = 1
-        for _, v in row.coeffs:
-            mult = math.lcm(mult, v.denominator)
+        cols, coeffs = zip(*row.coeffs) if row.coeffs else ((), ())
+        mult = math.lcm(*[v.denominator for v in coeffs])
         if row.rhs < 0:
             mult = -mult
-        row_mult.append(Fraction(mult))
+        row_mult.append(mult)
         b.append(row.rhs * mult)
-        for j, v in row.coeffs:
-            if v:
-                col_rows[j].append(i)
-                col_values[j].append(v.numerator * (mult // v.denominator))
-    std.indptr = np.array(list(itertools.accumulate(map(len, col_rows), initial=0)))
-    std.indices = np.array(list(itertools.chain.from_iterable(col_rows)), dtype=np.intp)
-    values = list(itertools.chain.from_iterable(col_values))
-    big = max(map(abs, values), default=0) >= _INT64_SAFE
-    std.data = np.array(values, dtype=object if big else np.int64)
-    std.colabs = [sum(map(abs, c)) for c in col_values]
+        row_of += [i] * len(cols)
+        col_of += cols
+        values += [v.numerator * (mult // v.denominator) for v in coeffs]
+    maxabs = max(map(abs, values), default=0)
+    data = np.array(values, dtype=object if maxabs >= _INT64_SAFE else np.int64)
+    col_of = np.array(col_of, dtype=np.intp)
+    nonzero = data != 0
+    # a stable sort by column keeps each column's rows ascending
+    order = np.argsort(col_of[nonzero], kind="stable")
+    std.data = data[nonzero][order]
+    std.indices = np.array(row_of, dtype=np.intp)[nonzero][order]
+    counts = np.bincount(col_of[nonzero], minlength=n)
+    std.indptr = np.concatenate(([0], np.cumsum(counts)))
+    absd = np.abs(std.data)
+    if maxabs * int(counts.max(initial=0)) >= 2**63:
+        absd = absd.astype(object)
+    colabs = np.zeros(n, dtype=absd.dtype)
+    nonempty = counts.nonzero()[0]
+    if nonempty.size:
+        colabs[nonempty] = np.add.reduceat(absd, std.indptr[nonempty])
+    std.colabs = colabs.tolist()
     std.b = b
     std.phase2_cost = [-c for c in problem.objective]
     std.row_mult = row_mult
@@ -270,16 +301,19 @@ class _Simplex:
         m, n = std.m, std.n
         self.m, self.n = m, n
         self.pivots = 0
+        self.degenerate = 0
+        self.bland_engaged = False
         # rows of M (m + 1 entries each) that one block of an update holds
         self.block_rows = max(1, _BLOCK_ELEMS // (m + 1))
         self.basis = np.arange(n, n + m)
+        self.artificials = m  # basic artificial variables
         self.nonbasic = np.ones(n, dtype=bool)
         self.last_ray_col = None
         self.last_ray_u = None
 
         self.indptr = std.indptr
         self.indices = std.indices
-        self.nonempty = np.flatnonzero(std.indptr[1:] != std.indptr[:-1])
+        self.nonempty = (std.indptr[1:] != std.indptr[:-1]).nonzero()[0]
         self.starts = std.indptr[self.nonempty]
         self.colabs = std.colabs
         self.colabs_max = max(std.colabs, default=0)
@@ -303,7 +337,7 @@ class _Simplex:
         array to Python integers the first time it is not."""
         if self.big:
             return False
-        if all(v < _INT64_SAFE for v in bounds):
+        if max(bounds) < _INT64_SAFE:
             return True
         self.big = True
         for name in ("M", "bden", "rowmax", "data", "cost", "ynum"):
@@ -326,10 +360,13 @@ class _Simplex:
         den = math.lcm(1, *(int(d) for c, d in zip(cb, self.bden) if c))
         w = [c * (den // int(d)) if c else 0 for c, d in zip(cb, self.bden)]
         self._fits(sum(map(abs, w)) * self._bmax(), self.cscale * den)
+        w = np.array(w, dtype=self.M.dtype)
+        basic = w.nonzero()[0]
         ynum = np.zeros(self.m, dtype=self.M.dtype)
-        for i, wi in enumerate(w):
-            if wi:
-                ynum += self.M[i, : self.m] * wi
+        step = self.block_rows
+        for s in range(0, basic.size, step):
+            t = basic[s : s + step]
+            ynum += w[t].dot(self.M[t, : self.m])
         self._set_duals(ynum, self.cscale * den)
 
     def _set_duals(self, ynum, yden):
@@ -339,9 +376,6 @@ class _Simplex:
             yden //= g
         self.ynum, self.yden = ynum, yden
         self.ymax = int(np.abs(ynum).max(initial=0))
-
-    def dual_values(self):
-        return [Fraction(int(v), self.yden) for v in self.ynum]
 
     def _reduced_costs(self):
         """Numerators of the structural reduced costs ``c - A^T y``, all
@@ -359,13 +393,17 @@ class _Simplex:
         """Bland: the first improving column.  Otherwise the most improving
         column (first on ties) of the first block of ``PRICE_BLOCK``
         consecutive nonbasic columns that holds an improving one."""
-        neg = np.flatnonzero(dnum < 0)
+        if not bland and self.n <= PRICE_BLOCK:
+            # one block holds every column
+            j = int(dnum.argmin())
+            return j if dnum[j] < 0 else None
+        neg = (dnum < 0).nonzero()[0]
         if neg.size == 0:
             return None
         first = int(neg[0])
         if bland:
             return first
-        nonbasic = np.flatnonzero(self.nonbasic)
+        nonbasic = self.nonbasic.nonzero()[0]
         k = int(np.count_nonzero(self.nonbasic[:first]))
         start = k - k % PRICE_BLOCK
         stop = min(start + PRICE_BLOCK, nonbasic.size)
@@ -394,10 +432,7 @@ class _Simplex:
         """Integer numerators of the tableau column; entry i is over bden[i]."""
         lo, hi = int(self.indptr[j]), int(self.indptr[j + 1])
         self._fits(self._bmax() * self.colabs[j])
-        unum = np.zeros(self.m, dtype=self.M.dtype)
-        for r, v in zip(self.indices[lo:hi].tolist(), self.data[lo:hi].tolist()):
-            unum += self.M[:, r] * v
-        return unum
+        return self.M[:, self.indices[lo:hi]].dot(self.data[lo:hi])
 
     def _lex_least(self, rows, unum):
         """The row i among ``rows`` whose inverse row over ``unum[i] > 0`` is
@@ -406,38 +441,50 @@ class _Simplex:
 
         Each round finds the first column from ``col`` on where some row's
         scaled entry differs from the first row's, and keeps the rows with
-        the least scaled entry there.  The cross products are formed over
-        column chunks that grow geometrically (``_LEX_CHUNK`` columns, then
-        four times more each chunk) until one chunk holds a differing column,
-        since that column is mostly among the first few.  Rows are copied
-        ``_BLOCK_ELEMS`` entries at a time; more rows are split, and the
-        least of the parts' least rows is the least.
+        the least scaled entry there: the least among the rows below the
+        first row's entry, or, if there are none, the rows equal to it.
+        Only one column chunk of the remaining rows is gathered at a time,
+        and its columns past the differing one serve the next round.  A new
+        chunk has ``_LEX_CHUNK`` columns, four times more after each chunk
+        without a difference (that column is mostly among the first few),
+        and at most ``_BLOCK_ELEMS`` entries unless that is fewer than
+        ``_LEX_CHUNK`` columns.  Where the int64 guard cannot bound the
+        cross products, each chunk is compared in Python integers.
         """
-        m = self.m
-        part = max(2, _BLOCK_ELEMS // (m + 1))
-        if len(rows) > part:
-            parts = range(0, len(rows), part)
-            return self._lex_least([self._lex_least(rows[s : s + part], unum) for s in parts], unum)
-        rows = np.asarray(rows)
+        m, M = self.m, self.M
         us = unum[rows]
-        sub = self.M[rows, :m]
-        if not self.big and 2 * int(self.rowmax[rows].max()) * int(us.max()) >= _INT64_SAFE:
-            sub, us = sub.astype(object), us.astype(object)
-        col = 0
+        wide = not self.big and 2 * int(self.rowmax[rows].max()) * int(us.max()) >= _INT64_SAFE
+        if wide:
+            us = us.astype(object)
+        # chunk holds the columns col, col + 1, ... of the remaining rows
+        col, width = 0, _LEX_CHUNK
+        chunk = M[rows, :0]
         while rows.size > 1:
-            width = _LEX_CHUNK
-            while True:
-                chunk = slice(col, col + width)
-                cross = sub[:, chunk] * us[0] - sub[0, chunk] * us[:, None]
-                differ = np.flatnonzero(cross.any(axis=0))
-                if differ.size or col + width >= m:
-                    break
-                col += width
+            if not chunk.shape[1]:
+                if col == m:
+                    raise LPError("equal rows in the basis inverse; solver invariant broken")
+                width = min(width, max(_LEX_CHUNK, _BLOCK_ELEMS // rows.size))
+                chunk = M[rows, col : min(col + width, m)]
+                if wide:
+                    chunk = chunk.astype(object)
+            cross = chunk * us[0] - chunk[0] * us[:, None]
+            differ = cross.any(axis=0).nonzero()[0]
+            if not differ.size:
+                col += chunk.shape[1]
+                chunk = chunk[:, :0]
                 width *= 4
-            col += int(differ[0])
-            keep = _least_ratios(sub[:, col].tolist(), us.tolist())
-            rows, sub, us = rows[keep], sub[keep], us[keep]
-            col += 1
+                continue
+            d = int(differ[0])
+            # a row above the first one in column d cannot be least
+            c = cross[:, d]
+            below = (c < 0).nonzero()[0]
+            if below.size:
+                keep = below[_least_ratios(chunk[below, d].tolist(), us[below].tolist())]
+            else:
+                keep = (c == 0).nonzero()[0]
+            rows, us, chunk = rows[keep], us[keep], chunk[keep, d + 1 :]
+            col += d + 1
+            width = _LEX_CHUNK
         return int(rows[0])
 
     def _ratio_test(self, unum, bland):
@@ -446,10 +493,11 @@ class _Simplex:
         # force out any zero-valued basic artificial whose row is touched;
         # the entering variable replaces it at value 0, so feasibility holds
         # regardless of the sign of the pivot entry
-        forced = np.flatnonzero((unum != 0) & (self.basis >= self.n) & (x == 0))
-        if forced.size:
-            return int(forced[0]), True
-        pos = np.flatnonzero(unum > 0)
+        if self.artificials:
+            forced = ((unum != 0) & (self.basis >= self.n) & (x == 0)).nonzero()[0]
+            if forced.size:
+                return int(forced[0]), True
+        pos = (unum > 0).nonzero()[0]
         if pos.size == 0:
             return None, False
         # ratio i is x[i] / (b_scale * unum[i]); basic values are >= 0, so a
@@ -467,14 +515,19 @@ class _Simplex:
         """Make ``enter`` basic in ``row``.
 
         The pivot row becomes ``prow / pden`` (old numerators over the pivot
-        entry) and every touched row ``i`` becomes ``(M[i] * pden - unum[i] *
-        prow) / (bden[i] * pden)``.  With ``pden == 1`` (most pivots) only the
-        pivot row's nonzero columns change, so those are updated in place;
-        otherwise whole rows are, ``M[t] * pden - a * prow``.  ``rowmax``
-        bounds each row's entries from above; the rows whose bound or
-        denominator reaches ``_REDUCE_AT`` are reduced (:meth:`_reduce`).
-        Every update runs a block of rows at a time, at most
-        ``_BLOCK_ELEMS`` entries of ``M``, so no transient is of size m x m.
+        entry, divided by their gcd) and every touched row ``i`` becomes
+        ``M[i] / bden[i] - (unum[i] / bden[i]) * prow / pden``.  Where
+        ``pden`` divides ``unum[i]`` (always when ``pden == 1``) that is
+        ``M[i] - (unum[i] // pden) * prow`` over the unchanged denominator;
+        the other rows are first scaled whole (:meth:`_scale_rows`) and
+        become ``M[i] * pden - unum[i] * prow`` over ``bden[i] * pden``.
+        Both give the same rational row, so no pivot choice depends on which
+        is taken, and either way only the pivot row's nonzero columns are
+        then updated (:meth:`_sparse_update`).  ``rowmax`` bounds each row's
+        entries from above; the rows whose bound or denominator reaches
+        ``_REDUCE_AT`` are reduced (:meth:`_reduce`).  Every update runs a
+        block of rows at a time, at most ``_BLOCK_ELEMS`` entries of ``M``,
+        so no transient is of size m x m.
         """
         M, bden, rowmax = self.M, self.bden, self.rowmax
         piv = int(unum[row])
@@ -487,11 +540,11 @@ class _Simplex:
             prow //= g
             pden //= g
         bden[row] = pden
-        cols = np.flatnonzero(prow)
+        cols = prow.nonzero()[0]
         pmax = int(np.abs(prow[cols]).max())
         rowmax[row] = pmax
 
-        touched = np.flatnonzero(unum)
+        touched = unum.nonzero()[0]
         touched = touched[touched != row]
         a = unum[touched]
         if touched.size and not self._fits(
@@ -501,26 +554,44 @@ class _Simplex:
             M, bden, rowmax = self.M, self.bden, self.rowmax
             a = a.astype(object)
         prow = M[row]  # the arrays may have switched to Python integers
-        rowmax[touched] = rowmax[touched] * pden + np.abs(a) * pmax
         if pden != 1:
-            bden[touched] *= pden
-            step = self.block_rows
-            for s in range(0, touched.size, step):
-                t = touched[s : s + step]
-                M[t] = M[t] * pden - a[s : s + step, None] * prow
-        else:
-            pvals = prow[cols]
-            step = max(1, _BLOCK_ELEMS // cols.size)
-            for s in range(0, touched.size, step):
-                M[touched[s : s + step, None], cols] -= a[s : s + step, None] * pvals
-        self._reduce(touched[np.maximum(rowmax[touched], bden[touched]) >= _REDUCE_AT])
+            whole = a % pden != 0
+            if whole.any():
+                self._scale_rows(touched[whole], pden)
+            a = np.where(whole, a, a // pden)
+        rowmax[touched] += np.abs(a) * pmax
+        self._sparse_update(touched, a, cols, prow[cols])
+        grown = touched[np.maximum(rowmax[touched], bden[touched]) >= _REDUCE_AT]
+        if grown.size:
+            self._reduce(grown)
 
         left = int(self.basis[row])
         self.basis[row] = enter
         self.nonbasic[enter] = False
         if left < self.n:
             self.nonbasic[left] = True
+        else:
+            self.artificials -= 1
         self.pivots += 1
+
+    def _scale_rows(self, rows, pden):
+        """Multiply ``rows`` of ``M``, their denominators and their bounds by
+        ``pden``, a block of rows at a time."""
+        M, step = self.M, self.block_rows
+        self.bden[rows] *= pden
+        self.rowmax[rows] *= pden
+        for s in range(0, rows.size, step):
+            t = rows[s : s + step]
+            M[t] *= pden
+
+    def _sparse_update(self, rows, a, cols, pvals):
+        """``M[i, cols] -= a_i * pvals`` for each of ``rows``, through flat
+        indices into ``M`` (one gather and one scatter per block of rows)."""
+        flat, width = self.M.reshape(-1), self.m + 1  # a view: M is C-contiguous
+        step = max(1, _BLOCK_ELEMS // cols.size)
+        for s in range(0, rows.size, step):
+            at = (rows[s : s + step, None] * width + cols).reshape(-1)
+            flat[at] -= (a[s : s + step, None] * pvals).reshape(-1)
 
     def _reduce(self, rows):
         """Divide each of ``rows`` by the gcd of its entries and denominator,
@@ -554,18 +625,28 @@ class _Simplex:
                 self.last_ray_col = enter
                 self.last_ray_u = unum
                 return "unbounded"
-            degenerate = self.M[row, self.m] == 0
+            degenerate = not self.M[row, self.m]
             self._pivot(enter, row, unum)
             self._update_duals(int(dnum[enter]), row)
+            self.degenerate += degenerate
             if forced:
                 continue
             if degenerate:
                 streak += 1
                 if streak > DEGENERACY_STREAK:
-                    bland = True
+                    bland = self.bland_engaged = True
             else:
                 streak = 0
                 bland = False
+
+    def counts(self, phase1_pivots: int) -> dict:
+        """The solve counters of :class:`LPResult` so far."""
+        return dict(
+            pivots=self.pivots,
+            phase1_pivots=phase1_pivots,
+            degenerate_pivots=self.degenerate,
+            bland_engaged=self.bland_engaged,
+        )
 
     def basic_value(self, i) -> Fraction:
         return Fraction(int(self.M[i, self.m]), int(self.bden[i]) * self.b_scale)
@@ -581,33 +662,33 @@ def solve(problem: LPProblem) -> LPResult:
     sx = _Simplex(std)
     n, m = std.n, std.m
 
-    status = sx.run([_ZERO] * n + [_ONE] * m)
+    status = sx.run([0] * n + [1] * m)
     if status == "unbounded":
         raise LPError("phase 1 cannot be unbounded; solver invariant broken")
-    artificial = np.flatnonzero(sx.basis >= n)
+    phase1 = sx.pivots
+    artificial = (sx.basis >= n).nonzero()[0]
     if np.any(sx.M[artificial, m] != 0):
-        farkas = _recover_row_multipliers(std, sx.dual_values())
+        farkas = _row_multipliers(std, sx, 1)
         _verify_infeasible(problem, farkas)
-        return LPResult(status="infeasible", farkas=_shared(farkas), pivots=sx.pivots)
+        return LPResult(status="infeasible", farkas=_shared(farkas), **sx.counts(phase1))
 
-    status = sx.run(std.phase2_cost + [_ZERO] * m)
+    status = sx.run(std.phase2_cost + [0] * m)
     if status == "unbounded":
         ray = _recover_ray(std, sx)
         _verify_ray(problem, ray)
-        return LPResult(status="unbounded", ray=_shared(ray), pivots=sx.pivots)
+        return LPResult(status="unbounded", ray=_shared(ray), **sx.counts(phase1))
 
     solution = [_ZERO] * n
     for i, bj in enumerate(sx.basis.tolist()):
         if bj < n:
             solution[bj] = sx.basic_value(i)
-    value = sum((c * v for c, v in zip(problem.objective, solution)), _ZERO)
-    dual = [-v for v in _recover_row_multipliers(std, sx.dual_values())]
+    value = sum((c * v for c, v in zip(problem.objective, solution) if v), _ZERO)
     res = LPResult(
         status="optimal",
         value=value,
         solution=_shared(solution),
-        dual=_shared(dual),
-        pivots=sx.pivots,
+        dual=_shared(_row_multipliers(std, sx, -1)),
+        **sx.counts(phase1),
     )
     _verify_optimal(problem, res)
     return res
@@ -630,9 +711,10 @@ def feasible_point(constraints, n: int) -> LPResult:
 # certificate recovery and verification
 
 
-def _recover_row_multipliers(std: _Standard, y):
-    """Undo the row scaling and sign flips."""
-    return [y[i] * std.row_mult[i] for i in range(std.m)]
+def _row_multipliers(std: _Standard, sx: _Simplex, sign: int):
+    """``sign`` times the simplex duals, with the row scaling and sign flips
+    undone: one multiplier per row as originally written."""
+    return [Fraction(sign * y * k, sx.yden) for y, k in zip(sx.ynum.tolist(), std.row_mult)]
 
 
 def _recover_ray(std: _Standard, sx: _Simplex):

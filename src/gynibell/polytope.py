@@ -48,7 +48,6 @@ from .core import (
 )
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -222,11 +221,12 @@ def _concat(blocks) -> _Rows:
 
 
 def _constraints(rows: _Rows) -> list[lp.Constraint]:
+    """The rows as :class:`lp.Constraint` objects with Python ``int``
+    coefficients and right-hand sides."""
     starts = _row_starts(rows).tolist()
     cols, vals, rhs = rows.col.tolist(), rows.val.tolist(), rows.rhs.tolist()
-    exact = {v: Fraction(v) for v in {*vals, *rhs}}
     return [
-        lp.Constraint(tuple(zip(cols[s:e], map(exact.get, vals[s:e]))), exact[b])
+        lp.Constraint(tuple(zip(cols[s:e], vals[s:e])), b)
         for s, e, b in zip(starts, starts[1:], rhs)
     ]
 
@@ -504,10 +504,10 @@ def local_membership(box: Box, cap: int | None = None) -> LocalMembership:
     ends = np.cumsum(np.bincount(flat, minlength=scen.table_size)).tolist()
     table = box.exact_table()
     rows = [
-        lp.make_constraint(dict.fromkeys(holders[lo:hi].tolist(), _ONE), p)
+        lp.make_constraint(dict.fromkeys(holders[lo:hi].tolist(), 1), p)
         for lo, hi, p in zip([0] + ends, ends, table)
     ]
-    rows.append(lp.make_constraint({k: _ONE for k in range(n)}, _ONE))
+    rows.append(lp.make_constraint(dict.fromkeys(range(n), 1), 1))
     res = lp.feasible_point(rows, n)
     if res.status == "optimal":
         support = [(k, res.solution[k]) for k in range(n) if res.solution[k]]
@@ -779,32 +779,44 @@ def tobl_max(expression: BellExpression) -> ToblOptimum:
 # dimension and facet (tightness) checks
 
 
-def _cg_block_matrices(scenario: Scenario, strategies):
+def _response_indices(scenario: Scenario, strategies) -> list[np.ndarray]:
+    """Per party, the index of every strategy's response function among the
+    party's :func:`_responses`.  ``strategies`` are
+    :class:`DeterministicStrategy` objects, or their positions in the
+    enumeration order as an integer array, which give the indices without
+    a loop."""
+    shape = [d**m for m, d in zip(scenario.inputs, scenario.outputs)]
+    if isinstance(strategies, np.ndarray):
+        return list(np.unravel_index(strategies, shape))
+    per_party = zip(*(s.responses for s in strategies))
+    indices = []
+    for (m, d), responses in zip(zip(scenario.inputs, scenario.outputs), per_party):
+        index = {r: k for k, r in enumerate(map(tuple, _responses(m, d).tolist()))}
+        indices.append(np.array([index[r] for r in responses], dtype=np.intp))
+    return indices
+
+
+def _cg_block_matrices(scenario: Scenario, indices):
     """Row-wise product expansion of per-party indicator blocks: the result
     row for a strategy holds every subset-marginal coordinate (constant
-    first) as a 0/1 integer."""
-    mats = None
-    for p, (m, d) in enumerate(zip(scenario.inputs, scenario.outputs)):
-        pairs = [(x, a) for x in range(m) for a in range(d - 1)]
-        block = np.empty((len(strategies), 1 + len(pairs)), dtype=np.int64)
-        block[:, 0] = 1
-        for kk, (x, a) in enumerate(pairs):
-            block[:, 1 + kk] = np.fromiter(
-                (1 if s.responses[p][x] == a else 0 for s in strategies),
-                dtype=np.int64,
-                count=len(strategies),
-            )
-        if mats is None:
-            mats = block
-        else:
-            mats = np.einsum("bi,bj->bij", mats, block).reshape(len(strategies), -1)
+    first) as a 0/1 integer.  A party's block is one gather at its
+    response-function ``indices`` from a table over its response functions:
+    row ``s`` holds a constant 1 and then, for each input x and outcome
+    a < d - 1, whether response function ``s`` answers a to x."""
+    mats = np.ones((len(indices[0]), 1), dtype=np.int64)
+    for (m, d), index in zip(zip(scenario.inputs, scenario.outputs), indices):
+        marks = _response_indicators(m, d).reshape(d**m, m, d)[:, :, : d - 1]
+        table = np.hstack([np.ones((d**m, 1), dtype=np.int64), marks.reshape(d**m, -1)])
+        mats = np.einsum("bi,bj->bij", mats, table[index]).reshape(len(index), -1)
     return mats
 
 
 def cg_coordinates_of_strategies(scenario: Scenario, strategies) -> np.ndarray:
-    if not strategies:
+    """Subset-marginal coordinates of deterministic strategies, given as
+    objects or as enumeration positions (:func:`_response_indices`)."""
+    if not len(strategies):
         return np.zeros((0, cg_dimension(scenario)), dtype=np.int64)
-    return _cg_block_matrices(scenario, strategies)
+    return _cg_block_matrices(scenario, _response_indices(scenario, strategies))
 
 
 def _full_coordinates_of_strategies(scenario: Scenario, strategies) -> np.ndarray:
@@ -822,7 +834,9 @@ def _full_coordinates_of_strategies(scenario: Scenario, strategies) -> np.ndarra
 def affine_rank_of_strategies(scenario: Scenario, strategies) -> int:
     """Exact affine rank of a set of deterministic vertices, in
     subset-marginal coordinates (the same rank as the raw table on vertex
-    sets, and a much smaller matrix)."""
+    sets, and a much smaller matrix).  The vertices are strategy objects or
+    enumeration positions, as :func:`cg_coordinates_of_strategies` takes
+    them."""
     return affine_rank(cg_coordinates_of_strategies(scenario, strategies))
 
 
@@ -863,8 +877,8 @@ def facet_check(
     The supplied bound must equal the exact classical maximum (recomputed
     here; a mismatch raises).  Every strategy is valued at once by
     :func:`_strategy_values`; the saturating ones are those whose integer
-    value equals ``bound * den``, and only they are built as
-    :class:`DeterministicStrategy` objects for the rank."""
+    value equals ``bound * den``, and their enumeration positions go to the
+    rank, so no :class:`DeterministicStrategy` object is built."""
     scen = expression.scenario
     bound = Fraction(bound)
     den, blocks = _strategy_values(expression, cap)
@@ -879,13 +893,13 @@ def facet_check(
         raise ValueError(
             f"supplied bound {bound} is not the classical maximum {best}"
         )
-    saturating = _strategies_at(scen, np.concatenate(hits))
+    saturating = np.concatenate(hits)
     dim = polytope_dimension(scen)
     rank = affine_rank_of_strategies(scen, saturating)
     return FacetReport(
-        is_tight=bool(saturating) and rank == dim - 1,
-        saturating_vertex_count=len(saturating),
+        is_tight=bool(saturating.size) and rank == dim - 1,
+        saturating_vertex_count=saturating.size,
         affine_rank=rank,
         polytope_dimension=dim,
-        bound_attained=bool(saturating),
+        bound_attained=bool(saturating.size),
     )

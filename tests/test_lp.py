@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -349,7 +350,9 @@ def test_random_lps_on_the_big_integer_path(monkeypatch, test, guard):
 def test_pivot_counts_are_pinned():
     """Pricing (best in the first improving block, Bland's rule after a
     degenerate streak) and the lexicographic ratio test fix the pivot
-    sequence; these counts change only if a pivot choice changes."""
+    sequence; these counts change only if a pivot choice changes.  So do
+    the phase-1 and zero-step pivot counts, and none of these LPs has a
+    degenerate streak long enough for Bland's rule."""
     scen = core.binary_scenario(4)
     strategies = core.enumerate_deterministic_strategies(scen)
     mixture = core.mix_boxes(
@@ -358,13 +361,18 @@ def test_pivot_counts_are_pinned():
     )
     ns_box = polytope.ns_max(gyni.gyni_expression(4).expression).box
 
+    results = []
+
     def pivots(call):
         (res,) = _solve_results(call)
+        results.append(res)
         return res.status, res.pivots
 
     assert pivots(lambda: polytope.ns_max(upb.four_partite_tight_inequality())) == ("optimal", 627)
     assert pivots(lambda: polytope.local_membership(mixture)) == ("optimal", 69)
     assert pivots(lambda: polytope.local_membership(ns_box)) == ("infeasible", 50)
+    counters = [(r.phase1_pivots, r.degenerate_pivots, r.bland_engaged) for r in results]
+    assert counters == [(83, 612, False), (69, 63, False), (50, 50, False)]
 
     def pivots_and_columns(call):
         (res,) = _solve_results(call)
@@ -440,31 +448,43 @@ def _lex_least_oracle(M, rows, unum):
     return min(rows, key=lambda i: tuple(F(int(v), int(unum[i])) for v in M[i, :m]))
 
 
-@pytest.mark.parametrize("big", [False, True])
+@pytest.mark.parametrize("big", [False, True, "wide"])
 @pytest.mark.parametrize("depth", [40, 170])
 def test_lex_least_matches_fraction_oracle(big, depth):
-    """Sixty candidate rows (more than one block, so the parts are compared
-    too) whose scaled rows all agree up to column ``depth``.  There half of
-    them lose; the other half agree for another hundred columns, past the
-    first chunks of the scan.  On int64 arrays and on Python integers past
-    2**63."""
+    """Sixty candidate rows whose scaled rows all agree up to column
+    ``depth``.  There half of them lose; the other half agree for another
+    hundred columns, past the first chunks of the scan.  On int64 arrays,
+    on Python integers past 2**63, and (``wide``) on int64 arrays whose
+    cross products at column ``depth`` are 2**64, which wraps to 0 in int64:
+    only the guard, which compares such chunks in Python integers, keeps the
+    scan from passing over that column to one where the losers win."""
     rng = np.random.default_rng(depth)
     m = 300
     M = rng.integers(-6, 7, size=(m, m + 1))
     unum = rng.integers(1, 5, size=m)
     base = rng.integers(-6, 7, size=m + 1)
-    if big:
+    if big is True:
         M, unum, base = M.astype(object), unum.astype(object), base.astype(object)
         M = M * 2**70 + rng.integers(-6, 7, size=(m, m + 1))
         base = base * 2**70 + 1
     rows = rng.choice(m, size=60, replace=False)
+    if big == "wide":
+        unum[rows] = 2**20
+        base[depth] = 0
     for k, i in enumerate(rows):
         shared = depth + 100 if k % 2 else depth + 1
         M[i, :shared] = unum[i] * base[:shared]
-        if not k % 2:
+        if k % 2:
+            continue
+        if big == "wide":
+            M[i, depth] = 2**44
+            M[i, depth + 1] = unum[i] * base[depth + 1] - 1
+        else:
             M[i, depth] += 1
+    if big == "wide":
+        assert M.dtype == np.int64 and not (M[rows, depth] * unum[rows])[0]  # wrapped
     sx = object.__new__(lp._Simplex)
-    sx.m, sx.M, sx.big = m, M, big
+    sx.m, sx.M, sx.big = m, M, big is True
     sx.rowmax = np.abs(M).max(axis=1)
     got = sx._lex_least(rows, unum)
     assert got == _lex_least_oracle(M, rows.tolist(), unum)
@@ -492,3 +512,160 @@ def test_verify_optimal_on_fractional_rows_with_huge_dual_denominators():
                 lp._verify_optimal(problem, dataclasses.replace(res, dual=dual))
     with pytest.raises(lp.LPError, match="strong duality"):
         lp._verify_optimal(problem, dataclasses.replace(res, value=res.value + F(1, 2**70)))
+
+
+def _with_fractions(problem):
+    """The same LP with every coefficient and right-hand side a Fraction."""
+    return lp.LPProblem(
+        problem.n,
+        problem.objective,
+        tuple(
+            lp.Constraint(tuple((j, F(v)) for j, v in row.coeffs), F(row.rhs))
+            for row in problem.constraints
+        ),
+    )
+
+
+def _random_integer_lps(seed, count, rows=6, cols=8):
+    """Seeded LPs with integer coefficients up to 5 in absolute value, rows
+    of every kind (<= with a slack, >= with a surplus, =) and right-hand
+    sides of either sign: optimal, infeasible and unbounded ones, with
+    pivot entries other than 1."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        kinds = [rng.choice((1, -1, 0)) for _ in range(rows)]
+        constraints, slack = [], cols
+        for kind in kinds:
+            coeffs = {j: rng.randint(-3, 5) for j in range(cols)}
+            if kind:
+                coeffs[slack] = kind
+                slack += 1
+            constraints.append(lp.make_constraint(coeffs, rng.randint(-4, 9)))
+        objective = [rng.randint(-3, 4) for _ in range(cols)] + [0] * (slack - cols)
+        yield lp.make_problem(objective, constraints)
+
+
+def _posed_problems(call):
+    """Every LPProblem ``lp.solve`` receives while ``call`` runs."""
+    problems = []
+    solve = lp.solve
+
+    def recording(problem):
+        problems.append(problem)
+        return solve(problem)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "solve", recording)
+        call()
+    return problems
+
+
+def test_int_and_fraction_coefficients_give_equal_results():
+    """An LP posed with Python ints (as ``make_constraint`` and the polytope
+    rows leave them) and the same LP with Fractions give equal results:
+    status, value, solution, certificates and every counter."""
+    rng = random.Random(5)
+    problems = list(_random_integer_lps(11, 30))
+    problems += _optimal_problems()
+    problems += _posed_problems(lambda: polytope.ns_max(_random_promise_game(rng)))
+    problems += _posed_problems(lambda: polytope.tobl_max(gyni.gyni_sum_expression(3)))
+    statuses = set()
+    for problem in problems:
+        assert any(type(v) is int for row in problem.constraints for _, v in row.coeffs)
+        res = lp.solve(problem)
+        assert lp.solve(_with_fractions(problem)) == res
+        statuses.add(res.status)
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
+def test_bland_rule_engagement_is_reported(monkeypatch):
+    """With no degenerate streak tolerated, Bland's rule engages on the
+    first zero-step pivot and the result says so; the optimum and its
+    certificate are still exact."""
+    game = _random_promise_game(random.Random(5))
+    (default,) = _solve_results(lambda: polytope.ns_max(game))
+    assert default.degenerate_pivots and not default.bland_engaged
+    monkeypatch.setattr(lp, "DEGENERACY_STREAK", 0)
+    (bland,) = _solve_results(lambda: polytope.ns_max(game))
+    assert bland.bland_engaged and bland.value == default.value
+    assert bland.degenerate_pivots
+
+
+def _fraction_inverse(columns, m):
+    """B^-1 by Gauss-Jordan elimination in Fractions, for the square matrix
+    whose column k holds the (row, value) pairs ``columns[k]``; rows are
+    sparse dicts."""
+    rows = [{} for _ in range(m)]
+    for k, col in enumerate(columns):
+        for r, v in col:
+            rows[r][k] = F(v)
+    inv = [{r: F(1)} for r in range(m)]
+    for k in range(m):
+        p = next(r for r in range(k, m) if rows[r].get(k))
+        rows[k], rows[p], inv[k], inv[p] = rows[p], rows[k], inv[p], inv[k]
+        piv = rows[k][k]
+        rows[k] = {c: v / piv for c, v in rows[k].items()}
+        inv[k] = {c: v / piv for c, v in inv[k].items()}
+        for r in range(m):
+            f = rows[r].get(k) if r != k else 0
+            if f:
+                for target, source in ((rows[r], rows[k]), (inv[r], inv[k])):
+                    for c, v in source.items():
+                        target[c] = target.get(c, 0) - f * v
+                        if not target[c]:
+                            del target[c]
+    return inv
+
+
+@pytest.mark.parametrize("guard", [None, 1])
+def test_basis_inverse_matches_fraction_oracle(monkeypatch, guard):
+    """After every pivot of small seeded LPs and of a random-promise GYNI
+    N = 3 no-signaling LP, each row ``M[i] / bden[i]`` is row i of the
+    inverse of the basis columns, recomputed in Fractions, and ``M[i, m]``
+    is the basic value.  Both row updates run: rows whose tableau entry the
+    reduced pivot entry ``pden`` divides keep their denominator, the others
+    are scaled by it.  On int64 arrays and (guard 1) on Python integers."""
+    if guard is not None:
+        monkeypatch.setattr(lp, "_INT64_SAFE", guard)
+    standard = []
+    standardize = lp._standardize
+
+    def recording_standardize(problem):
+        standard.append(standardize(problem))
+        return standard[-1]
+
+    paths = {"kept": 0, "scaled": 0}
+    pivot = lp._Simplex._pivot
+
+    def checked_pivot(self, enter, row, unum):
+        m = self.m
+        piv = int(unum[row])
+        pden = abs(piv) // math.gcd(*self.M[row].tolist(), piv)
+        if pden != 1:
+            others = [int(u) for i, u in enumerate(unum.tolist()) if u and i != row]
+            paths["kept"] += sum(u % pden == 0 for u in others)
+            paths["scaled"] += sum(u % pden != 0 for u in others)
+        pivot(self, enter, row, unum)
+        std = standard[-1]
+        columns = []
+        for j in self.basis.tolist():
+            if j < std.n:
+                lo, hi = int(std.indptr[j]), int(std.indptr[j + 1])
+                columns.append(zip(std.indices[lo:hi].tolist(), std.data[lo:hi].tolist()))
+            else:
+                columns.append([(j - std.n, 1)])
+        inverse = _fraction_inverse(columns, m)
+        for i in range(m):
+            d = int(self.bden[i])
+            assert d > 0
+            got = {r: F(int(v), d) for r, v in enumerate(self.M[i, :m].tolist()) if v}
+            assert got == inverse[i]
+            value = sum((v * F(std.b[r]) for r, v in inverse[i].items()), F(0))
+            assert F(int(self.M[i, m]), d * self.b_scale) == value
+
+    monkeypatch.setattr(lp, "_standardize", recording_standardize)
+    monkeypatch.setattr(lp._Simplex, "_pivot", checked_pivot)
+    for problem in _random_integer_lps(7, 12):
+        lp.solve(problem)
+    polytope.ns_max(_random_promise_game(random.Random(5)))
+    assert paths["kept"] and paths["scaled"]

@@ -566,6 +566,43 @@ def test_affine_rank_collapsed_equals_full_coordinates(scenario):
         assert affine_rank_of_strategies(scenario, subset) == _rank.affine_rank(full)
 
 
+def _cg_block_matrices_by_loop(scenario, strategies):
+    """Subset-marginal coordinates filled one (party, input, outcome) column
+    at a time from each strategy's response tuples: the reference for the
+    gathered blocks."""
+    mats = None
+    for p, (m, d) in enumerate(zip(scenario.inputs, scenario.outputs)):
+        pairs = [(x, a) for x in range(m) for a in range(d - 1)]
+        block = np.empty((len(strategies), 1 + len(pairs)), dtype=np.int64)
+        block[:, 0] = 1
+        for kk, (x, a) in enumerate(pairs):
+            block[:, 1 + kk] = [1 if s.responses[p][x] == a else 0 for s in strategies]
+        if mats is None:
+            mats = block
+        else:
+            mats = np.einsum("bi,bj->bij", mats, block).reshape(len(strategies), -1)
+    return mats
+
+
+def test_cg_coordinates_match_the_column_loop():
+    """On the 6144 saturating vertices of the gen_shifts(3) inequality and on
+    every vertex of a mixed scenario, the gathered coordinates equal the
+    column loop's, from strategy objects and from enumeration positions."""
+    e = gb.bell_from_set(upb.gen_shifts(3))
+    den, blocks = polytope._strategy_values(e)
+    target = e.classical_bound * den
+    hits = np.concatenate([s + np.flatnonzero(v == target) for s, v in blocks])
+    mixed = Scenario((2, 3, 2), (3, 2, 2))
+    cases = [(e.scenario, hits), (mixed, np.arange(mixed.strategy_count()))]
+    for scen, positions in cases:
+        strategies = polytope._strategies_at(scen, positions)
+        expect = _cg_block_matrices_by_loop(scen, strategies)
+        assert expect.shape == (len(strategies), polytope.cg_dimension(scen))
+        assert np.array_equal(polytope.cg_coordinates_of_strategies(scen, strategies), expect)
+        assert np.array_equal(polytope.cg_coordinates_of_strategies(scen, positions), expect)
+    assert len(hits) == 6144
+
+
 def test_facet_gyni3(gyni_games):
     e = gyni_games[3].expression
     report = gb.facet_check(e, e.classical_bound)
