@@ -21,7 +21,7 @@ from .core import (
     mix_boxes,
     postselect,
 )
-from .lp import Constraint, LPProblem, LPResult, feasible_point, make_problem, solve
+from .lp import LPProblem, LPResult, Rows, feasible_point, make_problem, solve
 from .polytope import (
     FacetReport,
     classical_max,

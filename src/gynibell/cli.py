@@ -37,9 +37,15 @@ def _emit(payload: dict, args) -> None:
         stream.write(out + "\n")
 
 
-def _load_json(path: str) -> dict:
+def _load(path: str, parse):
+    """``parse`` applied to the JSON document in ``path``; a document of the
+    wrong shape raises a ``ValueError`` that names the file."""
     with open(path) as fh:
-        return json.load(fh)
+        document = json.load(fh)
+    try:
+        return parse(document)
+    except (KeyError, TypeError) as err:
+        raise ValueError(f"malformed input file {path}: {type(err).__name__}: {err}") from err
 
 
 def _promise(args, n: int) -> InputDistribution:
@@ -47,13 +53,13 @@ def _promise(args, n: int) -> InputDistribution:
         return gyni.parity_promise(n)
     if args.promise == "uniform":
         return gyni.uniform_promise(n)
-    return InputDistribution.from_json(_load_json(args.promise))
+    return _load(args.promise, InputDistribution.from_json)
 
 
 def _resolve_expression(args) -> BellExpression:
     """The one expression the required ``--expr/--gyni/--known`` group names."""
     if args.expr is not None:
-        return BellExpression.from_json(_load_json(args.expr))
+        return _load(args.expr, BellExpression.from_json)
     if args.gyni is not None:
         q = _promise(args, args.gyni)
         if args.form == "sum":
@@ -94,7 +100,7 @@ def _named_set(name: str, args):
     if name == "tiles":
         vectors = upb.tiles()
         return upb.build_local_subsets(vectors, (3, 3))
-    return upb.ProductVectorSet.from_json(_load_json(name))
+    return _load(name, upb.ProductVectorSet.from_json)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +150,7 @@ def _cmd_tobl(args) -> dict:
     if args.gyni is not None:
         expression = gyni.gyni_sum_expression(args.gyni)
     else:
-        expression = BellExpression.from_json(_load_json(args.expr))
+        expression = _load(args.expr, BellExpression.from_json)
     opt = polytope.tobl_max(expression)
     return {
         "label": expression.label,
@@ -205,7 +211,7 @@ def _cmd_witness(args) -> dict:
 
 
 def _cmd_membership(args) -> dict:
-    box = Box.from_json(_load_json(args.box))
+    box = _load(args.box, Box.from_json)
     result = polytope.local_membership(box, cap=args.cap)
     out = {"is_local": result.is_local}
     if result.is_local:

@@ -557,6 +557,21 @@ def expression_invariant_under(expression: BellExpression, sym: Symmetry) -> boo
 # box transformations
 
 
+def _without(values: tuple, k: int) -> tuple:
+    return values[:k] + values[k + 1 :]
+
+
+def _with(values: tuple, k: int, v) -> tuple:
+    return values[:k] + (v,) + values[k:]
+
+
+def _reduced_scenario(scen: Scenario, party: int) -> Scenario:
+    """The scenario without ``party``."""
+    if not (0 <= party < scen.parties):
+        raise ValueError("party index out of range")
+    return Scenario(_without(scen.inputs, party), _without(scen.outputs, party))
+
+
 def postselect(box: Box, party: int, x_value: int, a_value: int) -> Box:
     """Condition on (input, outcome) at one party and drop it.
 
@@ -564,32 +579,22 @@ def postselect(box: Box, party: int, x_value: int, a_value: int) -> Box:
     conditioning on a zero-probability event raises.
     """
     scen = box.scenario
-    if not (0 <= party < scen.parties):
-        raise ValueError("party index out of range")
-    rest = [p for p in range(scen.parties) if p != party]
-    new_scen = Scenario(
-        tuple(scen.inputs[p] for p in rest), tuple(scen.outputs[p] for p in rest)
-    )
-    na_new = new_scen.n_outputs
-    table = [Fraction(0)] * new_scen.table_size
-    for xo in new_scen.input_tuples():
-        xs = list(xo)
-        xs.insert(party, x_value)
-        x_idx = scen.encode_input(tuple(xs))
-        row = {}
-        for ao in new_scen.outcome_tuples():
-            aa = list(ao)
-            aa.insert(party, a_value)
-            row[ao] = box.value(x_idx, scen.encode_outcome(tuple(aa)))
-        norm = sum(row.values())
+    new = _reduced_scenario(scen, party)
+
+    def row(xo):
+        x_idx = scen.encode_input(_with(xo, party, x_value))
+        values = [
+            box.value(x_idx, scen.encode_outcome(_with(ao, party, a_value)))
+            for ao in new.outcome_tuples()
+        ]
+        norm = sum(values)
         if norm == 0:
             raise ZeroDivisionError(
                 f"postselection on zero-probability event at party {party}"
             )
-        xo_idx = new_scen.encode_input(xo)
-        for ao, v in row.items():
-            table[xo_idx * na_new + new_scen.encode_outcome(ao)] = v / norm
-    return Box(new_scen, table)
+        return [v / norm for v in values]
+
+    return Box(new, [v for xo in new.input_tuples() for v in row(xo)])
 
 
 def drop_party(box: Box, party: int, x_value: int = 0) -> Box:
@@ -599,25 +604,14 @@ def drop_party(box: Box, party: int, x_value: int = 0) -> Box:
     wanting a safety net should run :func:`is_nonsignaling` first.
     """
     scen = box.scenario
-    rest = [p for p in range(scen.parties) if p != party]
-    new_scen = Scenario(
-        tuple(scen.inputs[p] for p in rest), tuple(scen.outputs[p] for p in rest)
-    )
-    na_new = new_scen.n_outputs
-    table = [Fraction(0)] * new_scen.table_size
-    for xo in new_scen.input_tuples():
-        xs = list(xo)
-        xs.insert(party, x_value)
-        x_idx = scen.encode_input(tuple(xs))
-        xo_idx = new_scen.encode_input(xo)
-        for ao in new_scen.outcome_tuples():
-            acc = Fraction(0)
-            for a_i in range(scen.outputs[party]):
-                aa = list(ao)
-                aa.insert(party, a_i)
-                acc = acc + box.value(x_idx, scen.encode_outcome(tuple(aa)))
-            table[xo_idx * na_new + new_scen.encode_outcome(ao)] = acc
-    return Box(new_scen, table)
+    new = _reduced_scenario(scen, party)
+    x_rows = [scen.encode_input(_with(xo, party, x_value)) for xo in new.input_tuples()]
+    return Box(new, [
+        sum((box.value(x_idx, scen.encode_outcome(_with(ao, party, a)))
+             for a in range(scen.outputs[party])), Fraction(0))
+        for x_idx in x_rows
+        for ao in new.outcome_tuples()
+    ])
 
 
 def lift_box(box: Box) -> Box:
@@ -627,21 +621,17 @@ def lift_box(box: Box) -> Box:
     independent of the original ones, so no-signaling is preserved.
     """
     scen = box.scenario
-    if any(m != 2 for m in scen.inputs) or any(d != 2 for d in scen.outputs):
+    last = scen.parties
+    new = binary_scenario(last + 1)
+    if _reduced_scenario(new, last) != scen:
         raise ValueError("lift_box requires a binary-input/binary-output box")
-    new_scen = binary_scenario(scen.parties + 1)
-    na_new = new_scen.n_outputs
-    table = [Fraction(0)] * new_scen.table_size
-    for xs in scen.input_tuples():
-        x_idx = scen.encode_input(xs)
-        for x_new in (0, 1):
-            nxs = xs + (x_new,)
-            nx_idx = new_scen.encode_input(nxs)
-            for aa in scen.outcome_tuples():
-                v = box.value(x_idx, scen.encode_outcome(aa))
-                naa = aa + (x_new,)
-                table[nx_idx * na_new + new_scen.encode_outcome(naa)] = v
-    return Box(new_scen, table)
+    zero = Fraction(0)
+    return Box(new, [
+        box.value(scen.encode_input(_without(xs, last)), scen.encode_outcome(_without(aa, last)))
+        if aa[last] == xs[last] else zero
+        for xs in new.input_tuples()
+        for aa in new.outcome_tuples()
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -2,32 +2,33 @@
 
 One problem form: maximize ``c.x`` subject to equality rows ``A x = b`` over
 ``x >= 0``.  An inequality or a variable bound is written as an equality
-row with its own slack column.
+row with its own slack column.  The rows are one :class:`Rows`: integer
+coefficients as COO arrays and one rational right-hand side per row.  The
+model builders of :mod:`gynibell.polytope` hand theirs over as they are;
+:func:`make_problem` converts hand-written ``(coeffs, rhs)`` pairs,
+multiplying each by the lcm of its coefficients' denominators.
 
 A two-phase revised simplex.  The basis inverse is held explicitly as one
 m x m integer numpy matrix plus a vector of positive integer row
-denominators (rows are pre-scaled so constraint columns are integral),
-which keeps every pivot exact without per-element rational normalization;
-a row is divided by its gcd only once its entries grow large.  A pivot has
-no per-row Python loop.  A touched row whose tableau entry the pivot entry
-divides keeps its denominator, the others are scaled whole first; then
-every touched row changes only in the pivot row's nonzero columns, through
-one flat-index gather and scatter per block of rows, and the grown rows are
-gcd-reduced one numpy operation per block.  The lexicographic ratio
-tie-break gathers one column chunk of the tied rows at a time, in chunks
-that grow geometrically.  Rows may be given with Python ``int`` or
-``Fraction`` coefficients; an ``int`` row is scaled without ``Fraction``
-arithmetic.  The arrays are int64 while the magnitude guard of
-:mod:`gynibell._rank` shows that no product can reach 2**62; past it they
-switch to Python integers (``dtype=object``) for the rest of the solve.
-Every pivot choice depends only on rationals (ratios and lexicographic rows
-cancel each row's denominator), so none depends on how a row is scaled or
-when it switches.  The duals are integer
-numerators over one common denominator, and each pivot prices every column
-with one exact sparse integer product.  The problems solved here
-(no-signaling bounds, membership tests, time-ordered bilocal
-decompositions) have modest row counts and wide, very sparse column sets,
-so columns are stored once, compressed.
+denominators, which keeps every pivot exact without per-element rational
+normalization; a row is divided by its gcd only once its entries grow
+large.  A pivot has no per-row Python loop.  A touched row whose tableau
+entry the pivot entry divides keeps its denominator, the others are scaled
+whole first; then every touched row changes only in the pivot row's nonzero
+columns, through one flat-index gather and scatter per block of rows, and
+the grown rows are gcd-reduced one numpy operation per block.  The
+lexicographic ratio tie-break gathers one column chunk of the tied rows at
+a time, in chunks that grow geometrically.  The arrays are int64 while the
+magnitude guard of :mod:`gynibell._rank` shows that no product can reach
+2**62; past it they switch to Python integers (``dtype=object``) for the
+rest of the solve.  Every pivot choice depends only on rationals (ratios
+and lexicographic rows cancel each row's denominator), so none depends on
+how a row is scaled or when it switches.  The duals are integer numerators
+over one common denominator, and each pivot prices every column with one
+exact sparse integer product.  The problems solved here (no-signaling
+bounds, membership tests, time-ordered bilocal decompositions) have modest
+row counts and wide, very sparse column sets, so columns are stored once,
+compressed.
 
 Correctness posture:
 
@@ -40,9 +41,9 @@ Correctness posture:
 * unbounded problems come with a verified improving ray.
 
 The verifiers read only the :class:`LPProblem` and the result, never the
-solver's standard form: each original row is scaled by the lcm of its own
-denominators, each vector becomes integer numerators over one common
-denominator, and every check is a Python-integer sum.
+solver's standard form: the rows are integer, the right-hand sides and
+each vector become integer numerators over one common denominator, and
+every check is a Python-integer sum.
 
 Anti-cycling: pricing is best-in-first-improving-block by default (the most
 improving column, first on ties, of the first block of ``PRICE_BLOCK``
@@ -61,7 +62,6 @@ the returned fractions is the point.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -98,28 +98,21 @@ class LPError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class Constraint:
-    """One equality row: sparse coefficients and a right-hand side, each an
-    ``int`` or a ``Fraction``."""
+@dataclass(frozen=True, eq=False)
+class Rows:
+    """Equality rows ``sum_k val[k] * x[col[k]] = rhs[i]``, the sum over the
+    entries k with ``row[k] == i``: integer COO arrays sorted by row, then
+    column, with nonzero values (int64, or Python integers past
+    ``_INT64_SAFE``), and a 1-D array of one ``int`` or ``Fraction``
+    right-hand side per row.  ``len`` is the row count."""
 
-    coeffs: tuple  # tuple of (var_index, int | Fraction)
-    rhs: int | Fraction
+    row: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
+    rhs: np.ndarray
 
-
-def _exact(v):
-    return v if type(v) is int or type(v) is Fraction else Fraction(v)
-
-
-def make_constraint(coeffs, rhs) -> Constraint:
-    """Accept a dense sequence or a {index: value} dict of coefficients.
-    An ``int`` or a ``Fraction`` given is kept as it is, not copied; any
-    other rational becomes a ``Fraction``."""
-    if isinstance(coeffs, dict):
-        items = tuple(sorted((int(i), _exact(v)) for i, v in coeffs.items() if v))
-    else:
-        items = tuple((i, _exact(v)) for i, v in enumerate(coeffs) if v)
-    return Constraint(items, _exact(rhs))
+    def __len__(self):
+        return len(self.rhs)
 
 
 @dataclass(frozen=True)
@@ -133,7 +126,7 @@ class LPProblem:
 
     n: int
     objective: tuple
-    constraints: tuple
+    constraints: Rows
 
     def __post_init__(self):
         if len(self.objective) != self.n:
@@ -141,9 +134,29 @@ class LPProblem:
 
 
 def make_problem(objective, constraints) -> LPProblem:
+    """The LP max ``objective . x`` over ``constraints``: a :class:`Rows`,
+    or ``(coeffs, rhs)`` pairs whose coefficients are a dense sequence or an
+    ``{index: value}`` dict of rationals.  Each pair is multiplied by the
+    lcm of its coefficients' denominators, so certificates refer to the
+    integer rows in ``problem.constraints``."""
     obj = tuple(Fraction(c) for c in objective)
-    rows = tuple(
-        c if isinstance(c, Constraint) else make_constraint(*c) for c in constraints
+    if isinstance(constraints, Rows):
+        return LPProblem(len(obj), obj, constraints)
+    row, col, val, rhs = [], [], [], []
+    for i, (coeffs, b) in enumerate(constraints):
+        items = sorted(coeffs.items()) if isinstance(coeffs, dict) else enumerate(coeffs)
+        items = [(int(j), Fraction(v)) for j, v in items if v]
+        scale = math.lcm(*(v.denominator for _, v in items))
+        row += [i] * len(items)
+        col += [j for j, _ in items]
+        val += [v.numerator * (scale // v.denominator) for _, v in items]
+        rhs.append(Fraction(b) * scale)
+    big = max(map(abs, val), default=0) >= _INT64_SAFE
+    rows = Rows(
+        np.array(row, dtype=np.intp),
+        np.array(col, dtype=np.intp),
+        np.array(val, dtype=object if big else np.int64),
+        np.array(rhs, dtype=object),
     )
     return LPProblem(len(obj), obj, rows)
 
@@ -188,50 +201,31 @@ class _Standard:
 
 
 def _standardize(problem: LPProblem) -> _Standard:
-    """Convert to ``min -objective.x, A x = b, x >= 0`` with integer columns.
+    """Convert to ``min -objective.x, A x = b, x >= 0`` with ``b >= 0``.
 
-    Each row is multiplied by the (signed) integer that clears coefficient
-    denominators and makes the right-hand side nonnegative; ``row_mult``
-    records the multipliers so duals and Farkas certificates can be mapped
-    back to the rows as originally written.  An ``int`` coefficient has
-    denominator 1, so a row of them is read without any ``Fraction``
-    arithmetic.  The columns of the scaled matrix are stored once,
-    compressed: column ``j`` holds rows ``indices[indptr[j]:indptr[j + 1]]``
-    (ascending) with the integers ``data`` at the same positions (int64 if
-    every one is below the guard); ``colabs[j]`` is the sum of the column's
-    absolute values.
+    Each row with a negative right-hand side is negated; ``row_mult``
+    records the signs so duals and Farkas certificates map back to the rows
+    as given.  The columns are stored once, compressed: column ``j`` holds
+    rows ``indices[indptr[j]:indptr[j + 1]]`` (ascending) with the integers
+    ``data`` at the same positions (int64 if every one is below the guard);
+    ``colabs[j]`` is the sum of the column's absolute values.
     """
-    n = problem.n
-    rows = problem.constraints
-
+    rows, n = problem.constraints, problem.n
     std = _Standard()
-    std.m = len(rows)
-    std.n = n
-
-    # integer row scaling plus sign flip for b >= 0, entries in row order
-    b, row_mult = [], []
-    row_of, col_of, values = [], [], []
-    for i, row in enumerate(rows):
-        cols, coeffs = zip(*row.coeffs) if row.coeffs else ((), ())
-        mult = math.lcm(*[v.denominator for v in coeffs])
-        if row.rhs < 0:
-            mult = -mult
-        row_mult.append(mult)
-        b.append(row.rhs * mult)
-        row_of += [i] * len(cols)
-        col_of += cols
-        values += [v.numerator * (mult // v.denominator) for v in coeffs]
-    maxabs = max(map(abs, values), default=0)
-    data = np.array(values, dtype=object if maxabs >= _INT64_SAFE else np.int64)
-    col_of = np.array(col_of, dtype=np.intp)
-    nonzero = data != 0
+    std.m, std.n = len(rows), n
+    rhs = rows.rhs.tolist()
+    std.row_mult = [-1 if b < 0 else 1 for b in rhs]
+    std.b = [k * b for k, b in zip(std.row_mult, rhs)]
     # a stable sort by column keeps each column's rows ascending
-    order = np.argsort(col_of[nonzero], kind="stable")
-    std.data = data[nonzero][order]
-    std.indices = np.array(row_of, dtype=np.intp)[nonzero][order]
-    counts = np.bincount(col_of[nonzero], minlength=n)
+    order = np.argsort(rows.col, kind="stable")
+    std.indices = rows.row[order]
+    val = rows.val[order]
+    absd = np.abs(val)
+    maxabs = int(absd.max(initial=0))
+    dtype = object if maxabs >= _INT64_SAFE else np.int64
+    std.data = val.astype(dtype) * np.array(std.row_mult, dtype=dtype)[std.indices]
+    counts = np.bincount(rows.col, minlength=n)
     std.indptr = np.concatenate(([0], np.cumsum(counts)))
-    absd = np.abs(std.data)
     if maxabs * int(counts.max(initial=0)) >= 2**63:
         absd = absd.astype(object)
     colabs = np.zeros(n, dtype=absd.dtype)
@@ -239,9 +233,7 @@ def _standardize(problem: LPProblem) -> _Standard:
     if nonempty.size:
         colabs[nonempty] = np.add.reduceat(absd, std.indptr[nonempty])
     std.colabs = colabs.tolist()
-    std.b = b
     std.phase2_cost = [-c for c in problem.objective]
-    std.row_mult = row_mult
     return std
 
 
@@ -712,8 +704,8 @@ def feasible_point(constraints, n: int) -> LPResult:
 
 
 def _row_multipliers(std: _Standard, sx: _Simplex, sign: int):
-    """``sign`` times the simplex duals, with the row scaling and sign flips
-    undone: one multiplier per row as originally written."""
+    """``sign`` times the simplex duals, with the sign flips undone: one
+    multiplier per row as given."""
     return [Fraction(sign * y * k, sx.yden) for y, k in zip(sx.ynum.tolist(), std.row_mult)]
 
 
@@ -730,54 +722,46 @@ def _recover_ray(std: _Standard, sx: _Simplex):
 # docstring): they read only the problem and the result.
 
 
-def _row_scales(problem: LPProblem) -> list:
-    """The lcm of each row's own denominators, right-hand side included."""
-    return [
-        math.lcm(row.rhs.denominator, *(v.denominator for _, v in row.coeffs))
-        for row in problem.constraints
-    ]
+def _integer_vector(values):
+    """Integers ``k_i`` and the least positive ``den`` with ``k_i / den ==
+    values[i]``."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _scaled(v, scale: int) -> int:
-    return v.numerator * (scale // v.denominator)
+def _entries(problem: LPProblem):
+    """The (row, column, coefficient) entries of the rows, Python integers."""
+    rows = problem.constraints
+    return zip(rows.row.tolist(), rows.col.tolist(), rows.val.tolist())
 
 
-def _integer_vector(values, divisors=None):
-    """Integers ``k_i`` and one positive ``den`` with ``k_i / den ==
-    values[i] / divisors[i]`` (positive integer divisors, all 1 if none)."""
-    dens = [v.denominator * d for v, d in zip(values, divisors or itertools.repeat(1))]
-    den = math.lcm(*dens)
-    return [v.numerator * (den // d) for v, d in zip(values, dens)], den
+def _row_sums(problem: LPProblem, x) -> list:
+    """``A x`` for integers ``x``: one sum per row."""
+    sums = [0] * len(problem.constraints)
+    for i, j, v in _entries(problem):
+        sums[i] += v * x[j]
+    return sums
 
 
-def _combine_rows(problem: LPProblem, multipliers, x=None, xden=1):
-    """``sum_i z_i * row_i`` on every column and on the right-hand side, for
-    the integer multipliers ``z_i / den`` of :func:`_integer_vector` over
-    the row scales.  With ``x`` (integers over ``xden``), also checks that
-    it satisfies every row.  Each row is scaled to integers as it is read."""
-    scales = _row_scales(problem)
-    z, den = _integer_vector(multipliers, scales)
-    comb = [0] * problem.n
-    rhs = 0
-    for row, scale, zi in zip(problem.constraints, scales, z):
-        coeffs = [(j, _scaled(v, scale)) for j, v in row.coeffs]
-        b = _scaled(row.rhs, scale)
-        if x is not None and sum(v * x[j] for j, v in coeffs) != b * xden:
-            raise LPError("verification failed: constraint violated")
-        if zi:
-            rhs += zi * b
-            for j, v in coeffs:
-                comb[j] += zi * v
-    return comb, rhs, den
+def _column_sums(problem: LPProblem, z) -> list:
+    """``A^T z`` for integers ``z``: one sum per column."""
+    sums = [0] * problem.n
+    for i, j, v in _entries(problem):
+        sums[j] += z[i] * v
+    return sums
 
 
 def _verify_optimal(problem: LPProblem, res: LPResult) -> None:
     x, xden = _integer_vector(res.solution)
     if any(v < 0 for v in x):
         raise LPError("verification failed: negative variable")
-    aty, dual_obj, yden = _combine_rows(problem, res.dual, x, xden)
+    b, bden = _integer_vector(problem.constraints.rhs.tolist())
+    if any(s * bden != bi * xden for s, bi in zip(_row_sums(problem, x), b)):
+        raise LPError("verification failed: constraint violated")
 
     # reduced costs c - A^T y in original coordinates, times cden * yden > 0
+    y, yden = _integer_vector(res.dual)
+    aty = _column_sums(problem, y)
     c, cden = _integer_vector(problem.objective)
     for j in range(problem.n):
         d = c[j] * yden - cden * aty[j]
@@ -786,17 +770,20 @@ def _verify_optimal(problem: LPProblem, res: LPResult) -> None:
         if x[j] and d != 0:
             raise LPError("verification failed: complementary slackness")
 
-    if dual_obj * res.value.denominator != res.value.numerator * yden:
+    # the dual objective y . b is over yden * bden
+    dual_obj = sum(yi * bi for yi, bi in zip(y, b))
+    if dual_obj * res.value.denominator != res.value.numerator * yden * bden:
         raise LPError("verification failed: strong duality")
 
 
 def _verify_infeasible(problem: LPProblem, farkas) -> None:
     """The multipliers must combine the rows into an impossibility:
     combination <= 0 on every column, yet positive on the right-hand side."""
-    comb, rhs, _ = _combine_rows(problem, farkas)
-    if any(c > 0 for c in comb):
+    z, _ = _integer_vector(farkas)
+    if any(c > 0 for c in _column_sums(problem, z)):
         raise LPError("farkas verification failed: positive column")
-    if rhs <= 0:
+    b, _ = _integer_vector(problem.constraints.rhs.tolist())
+    if sum(zi * bi for zi, bi in zip(z, b)) <= 0:
         raise LPError("farkas verification failed: rhs not positive")
 
 
@@ -804,9 +791,8 @@ def _verify_ray(problem: LPProblem, ray) -> None:
     r, _ = _integer_vector(ray)
     if any(v < 0 for v in r):
         raise LPError("ray verification failed: negative component")
-    for row, scale in zip(problem.constraints, _row_scales(problem)):
-        if sum(_scaled(v, scale) * r[j] for j, v in row.coeffs) != 0:
-            raise LPError("ray verification failed: leaves feasible cone")
+    if any(_row_sums(problem, r)):
+        raise LPError("ray verification failed: leaves feasible cone")
     c, _ = _integer_vector(problem.objective)
     if sum(cj * rj for cj, rj in zip(c, r)) <= 0:
         raise LPError("ray verification failed: not improving")

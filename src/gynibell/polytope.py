@@ -4,10 +4,11 @@ Everything here is exact.  Optima over the local polytope come from full
 enumeration of deterministic vertices; optima over the no-signaling set and
 the TOBL set come from the rational simplex in :mod:`gynibell.lp`, posed in
 full probability coordinates with one equality row per normalization and
-no-signaling condition.  Those equality rows are integer numpy arrays
-(row, column, value, right-hand side) until the symmetry collapse: orbits,
-duplicate rows and the invariance checks are all integer array work, and
-only the rows left after the collapse become ``Fraction`` constraints.
+no-signaling condition.  Those equality rows are one :class:`lp.Rows` of
+integer numpy arrays (row, column, value, right-hand side) from the model
+build to the solver: orbits, duplicate rows and the invariance checks are
+all integer array work, and the rows left after the collapse are the LP's
+rows.
 Every optimizer hands back a certificate (an optimal box, a convex
 decomposition, or a separating inequality) that is re-verified with exact
 arithmetic before being returned.
@@ -46,6 +47,7 @@ from .core import (
     expression_invariant_under,
     is_nonsignaling,
 )
+from .lp import Rows
 
 _ZERO = Fraction(0)
 
@@ -172,17 +174,6 @@ def cg_dimension(scenario: Scenario) -> int:
 # equality rows as integer arrays
 
 
-class _Rows(NamedTuple):
-    """Equality rows ``sum_k val[k] * x[col[k]] = rhs[i]``, the sum over the
-    entries k with ``row[k] == i``, as integer COO arrays sorted by row, then
-    column.  The LP sees them only as :func:`_constraints`."""
-
-    row: np.ndarray
-    col: np.ndarray
-    val: np.ndarray
-    rhs: np.ndarray
-
-
 def _coo(parts):
     """Concatenated row, column and value arrays of (row, column, value)
     triples of arrays that broadcast together."""
@@ -191,28 +182,28 @@ def _coo(parts):
     )))
 
 
-def _sorted_rows(row, col, val, rhs) -> _Rows:
+def _sorted_rows(row, col, val, rhs) -> Rows:
     order = np.lexsort((col, row))
-    return _Rows(row[order], col[order], val[order], rhs)
+    return Rows(row[order], col[order], val[order], rhs)
 
 
-def _row_starts(rows: _Rows) -> np.ndarray:
+def _row_starts(rows: Rows) -> np.ndarray:
     """Entry offsets: row i holds the entries ``starts[i]:starts[i + 1]``."""
-    return np.searchsorted(rows.row, np.arange(len(rows.rhs) + 1))
+    return np.searchsorted(rows.row, np.arange(len(rows) + 1))
 
 
-def _select(rows: _Rows, keep) -> _Rows:
+def _select(rows: Rows, keep) -> Rows:
     """The rows ``keep`` (ascending), renumbered from 0."""
-    new = np.full(len(rows.rhs), -1)
+    new = np.full(len(rows), -1)
     new[keep] = np.arange(len(keep))
     at = new[rows.row] >= 0
-    return _Rows(new[rows.row[at]], rows.col[at], rows.val[at], rows.rhs[keep])
+    return Rows(new[rows.row[at]], rows.col[at], rows.val[at], rows.rhs[keep])
 
 
-def _concat(blocks) -> _Rows:
+def _concat(blocks) -> Rows:
     """Blocks of rows one after another, renumbered."""
-    offsets = np.cumsum([0] + [len(rows.rhs) for rows in blocks])
-    return _Rows(
+    offsets = np.cumsum([0] + [len(rows) for rows in blocks])
+    return Rows(
         np.concatenate([rows.row + first for rows, first in zip(blocks, offsets)]),
         np.concatenate([rows.col for rows in blocks]),
         np.concatenate([rows.val for rows in blocks]),
@@ -220,18 +211,7 @@ def _concat(blocks) -> _Rows:
     )
 
 
-def _constraints(rows: _Rows) -> list[lp.Constraint]:
-    """The rows as :class:`lp.Constraint` objects with Python ``int``
-    coefficients and right-hand sides."""
-    starts = _row_starts(rows).tolist()
-    cols, vals, rhs = rows.col.tolist(), rows.val.tolist(), rows.rhs.tolist()
-    return [
-        lp.Constraint(tuple(zip(cols[s:e], vals[s:e])), b)
-        for s, e, b in zip(starts, starts[1:], rhs)
-    ]
-
-
-def _canonical_keys(rows: _Rows):
+def _canonical_keys(rows: Rows):
     """Every nonempty row up to a nonzero factor: its columns, then its
     coefficients and right-hand side divided by their gcd and by the sign of
     its first coefficient.  Yields (row ids, one key per row), one pair per
@@ -249,17 +229,13 @@ def _canonical_keys(rows: _Rows):
         yield ids[group], np.column_stack((rows.col[at], val[at], rhs[group]))
 
 
-def _key_set(rows: _Rows) -> set:
-    return {bytes(key) for _, keys in _canonical_keys(rows) for key in keys}
-
-
 def _run_starts(changed) -> np.ndarray:
     """Where the runs of equal sorted keys start, given for each key after
     the first whether it differs from the one before."""
     return np.flatnonzero(np.concatenate(([True], changed)))
 
 
-def _orbit_sums(rows: _Rows, orbit: np.ndarray) -> _Rows:
+def _orbit_sums(rows: Rows, orbit: np.ndarray) -> Rows:
     """The rows on orbit-constant variables: columns map to their orbits,
     coefficients landing on one orbit add up (a stable sort, then one
     ``reduceat``) and zero sums drop out.  The sort's temporaries end with
@@ -274,10 +250,10 @@ def _orbit_sums(rows: _Rows, orbit: np.ndarray) -> _Rows:
     del order
     nonzero = val != 0
     row, col = np.divmod(slot[start[nonzero]], width)
-    return _Rows(row, col, val[nonzero], rows.rhs)
+    return Rows(row, col, val[nonzero], rows.rhs)
 
 
-def _first_distinct(rows: _Rows) -> np.ndarray:
+def _first_distinct(rows: Rows) -> np.ndarray:
     """Ids, ascending, of the first of every set of nonempty rows that agree
     up to a nonzero factor."""
     keep = [np.zeros(0, dtype=np.intp)]
@@ -289,7 +265,7 @@ def _first_distinct(rows: _Rows) -> np.ndarray:
     return np.sort(np.concatenate(keep))
 
 
-def _collapse_rows(blocks, orbit: np.ndarray) -> list[lp.Constraint]:
+def _collapse_rows(blocks, orbit: np.ndarray) -> Rows:
     """Project blocks of equality rows onto orbit-constant variables.
 
     A row left empty must have a zero right-hand side.  Of rows that agree
@@ -300,13 +276,13 @@ def _collapse_rows(blocks, orbit: np.ndarray) -> list[lp.Constraint]:
     kept = []
     for rows in blocks:
         collapsed = _orbit_sums(rows, orbit)
-        empty = np.ones(len(rows.rhs), dtype=bool)
+        empty = np.ones(len(rows), dtype=bool)
         empty[collapsed.row] = False
         if rows.rhs[empty].any():
             raise lp.LPError("inconsistent collapsed row")
         kept.append(_select(collapsed, _first_distinct(collapsed)))
     rows = _concat(kept)
-    return _constraints(_select(rows, _first_distinct(rows)))
+    return _select(rows, _first_distinct(rows))
 
 
 def _orbits_of_permutations(n: int, perms) -> np.ndarray:
@@ -343,16 +319,16 @@ def _solve_collapsed(objective, blocks, perms, label):
     """
     if perms:
         orbit = _orbits_of_permutations(len(objective), perms)
-        constraints = _collapse_rows(blocks, orbit)
+        rows = _collapse_rows(blocks, orbit)
         orbit = orbit.tolist()
         collapsed = [_ZERO] * (max(orbit) + 1)
         for o, c in zip(orbit, objective):
             if c:
                 collapsed[o] += c
-        problem = lp.make_problem(collapsed, constraints)
+        problem = lp.make_problem(collapsed, rows)
     else:
         orbit = range(len(objective))
-        problem = lp.make_problem(objective, [c for rows in blocks for c in _constraints(rows)])
+        problem = lp.make_problem(objective, _concat(list(blocks)))
     # ns_max keeps no other reference: its table-sized permutations are
     # freed before the solve
     del blocks, perms
@@ -387,7 +363,7 @@ def _ns_equality_rows(scenario: Scenario):
     """
     nx, na = scenario.n_inputs, scenario.n_outputs
     t = np.arange(nx * na)
-    yield _Rows(t // na, t, np.ones_like(t), np.ones(nx, dtype=np.int64))
+    yield Rows(t // na, t, np.ones_like(t), np.ones(nx, dtype=np.int64))
     for p, (m, d) in enumerate(zip(scenario.inputs, scenario.outputs)):
         if m < 2:
             continue
@@ -402,7 +378,7 @@ def _ns_equality_rows(scenario: Scenario):
         cols = x * na + ab.reshape(-1, 1, 1) + np.arange(d) * a_stride
         n_rows = math.prod(shape)
         part = (np.arange(n_rows).reshape(shape), cols, [[1], [-1]])
-        yield _Rows(*_coo([part]), np.zeros(n_rows, dtype=np.int64))
+        yield Rows(*_coo([part]), np.zeros(n_rows, dtype=np.int64))
 
 
 class NsOptimum(NamedTuple):
@@ -498,16 +474,17 @@ def local_membership(box: Box, cap: int | None = None) -> LocalMembership:
     scen = box.scenario
     entries = _strategy_table_indices(scen, cap)
     n = entries.shape[0]
-    # the vertices holding each table index, ascending
+    # row t sums the weights of the vertices holding table index t, in
+    # ascending order (a stable sort); the last row sums every weight
     flat = entries.ravel()
-    holders = np.argsort(flat, kind="stable") // scen.n_inputs
-    ends = np.cumsum(np.bincount(flat, minlength=scen.table_size)).tolist()
+    order = np.argsort(flat, kind="stable")
     table = box.exact_table()
-    rows = [
-        lp.make_constraint(dict.fromkeys(holders[lo:hi].tolist(), 1), p)
-        for lo, hi, p in zip([0] + ends, ends, table)
-    ]
-    rows.append(lp.make_constraint(dict.fromkeys(range(n), 1), 1))
+    rows = Rows(
+        np.concatenate((flat[order], np.full(n, scen.table_size))),
+        np.concatenate((order // scen.n_inputs, np.arange(n))),
+        np.ones(flat.size + n, dtype=np.int64),
+        np.array(table + [1], dtype=object),
+    )
     res = lp.feasible_point(rows, n)
     if res.status == "optimal":
         support = [(k, res.solution[k]) for k in range(n) if res.solution[k]]
@@ -625,7 +602,7 @@ class _ToblLayout:
                 blocks.append(base + lone[:, None, :] + pair[None, :, :])
         return np.concatenate(blocks).reshape(-1, scen.n_inputs)
 
-    def rows(self) -> _Rows:
+    def rows(self) -> Rows:
         """Normalization rows, then per bipartition: per direction one row
         per table entry (the direction's mixture reproduces the entry), then
         one row per responder h (both directions give h the same weight)."""
@@ -673,11 +650,12 @@ class _ToblLayout:
         return perm
 
 
-def _rows_invariant_under(rows: _Rows, keys: set, perm) -> bool:
+def _rows_invariant_under(rows: Rows, perm) -> bool:
     """Exact check that permuting variable indices maps every row, taken up
-    to a nonzero factor, into ``keys``, the rows' own :func:`_key_set`
-    (constraint set invariance)."""
-    return _key_set(_sorted_rows(rows.row, np.asarray(perm)[rows.col], rows.val, rows.rhs)) <= keys
+    to a nonzero factor, onto one of the rows (constraint set invariance):
+    after the rows, no permuted row is the first of its kind."""
+    permuted = _sorted_rows(rows.row, np.asarray(perm)[rows.col], rows.val, rows.rhs)
+    return bool((_first_distinct(_concat([rows, permuted])) < len(rows)).all())
 
 
 def tobl_max(expression: BellExpression) -> ToblOptimum:
@@ -709,14 +687,13 @@ def tobl_max(expression: BellExpression) -> ToblOptimum:
     for (x, a), c in expression.coeffs.items():
         objective[x * layout.na + a] += c
 
-    keys = _key_set(rows)
     perms = []
     for sym in expression.party_symmetries:
         if not expression_invariant_under(expression, sym):
             continue
         perm = layout.variable_permutation(sym)
         if all(objective[perm[j]] == objective[j] for j in range(layout.n_vars)) and \
-                _rows_invariant_under(rows, keys, perm):
+                _rows_invariant_under(rows, perm):
             perms.append(perm)
 
     value, solution = _solve_collapsed(objective, [rows], perms, "TOBL")
@@ -725,7 +702,7 @@ def tobl_max(expression: BellExpression) -> ToblOptimum:
     # integers over the solution's common denominator
     den = math.lcm(*(v.denominator for v in solution))
     nums = np.array([v.numerator * (den // v.denominator) for v in solution], dtype=object)
-    lhs = np.zeros(len(rows.rhs), dtype=object)
+    lhs = np.zeros(len(rows), dtype=object)
     np.add.at(lhs, rows.row, rows.val * nums[rows.col])
     if (lhs != rows.rhs.astype(object) * den).any():
         raise lp.LPError("TOBL solution failed the full-model recheck")

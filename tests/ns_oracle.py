@@ -1,10 +1,10 @@
 """Independent per-tuple oracles for the no-signaling model.
 
 ``ns_rows`` writes the no-signaling and normalization equality rows one
-input and outcome tuple at a time, in ``Fraction``s, and ``ns_violations``
-sums each party's outcome marginal entry by entry.  Neither uses the
-mixed-radix strides, integer arrays or common denominators of the library
-code they check.
+input and outcome tuple at a time, as ``({column: Fraction}, rhs)`` pairs,
+and ``ns_violations`` sums each party's outcome marginal entry by entry.
+Neither imports the LP module, nor uses the mixed-radix strides, integer
+arrays or common denominators of the library code they check.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import itertools
 from fractions import Fraction
 
 import gynibell as gb
-from gynibell import lp
 from gynibell.core import NsViolation, Scenario
 
 #: binary N = 2..5, parties that differ in both cardinalities, a party with
@@ -40,7 +39,7 @@ def ns_rows(scen: Scenario) -> list:
     rows = []
     for xs in scen.input_tuples():
         x_idx = scen.encode_input(xs)
-        rows.append(lp.make_constraint({x_idx * na + a: Fraction(1) for a in range(na)}, 1))
+        rows.append(({x_idx * na + a: Fraction(1) for a in range(na)}, 1))
     for party in range(scen.parties):
         others = [p for p in range(scen.parties) if p != party]
         for xo in itertools.product(*(range(scen.inputs[p]) for p in others)):
@@ -53,7 +52,7 @@ def ns_rows(scen: Scenario) -> list:
                         a_idx = scen.encode_outcome(_insert(ao, party, a_i))
                         coeffs[xb * na + a_idx] = coeffs.get(xb * na + a_idx, 0) + 1
                         coeffs[xa * na + a_idx] = coeffs.get(xa * na + a_idx, 0) - 1
-                    rows.append(lp.make_constraint(coeffs, 0))
+                    rows.append((coeffs, 0))
     return rows
 
 

@@ -214,6 +214,16 @@ def test_domain_error_exit_code(tmp_path, capsys):
             "scenario": {"inputs": [2], "outputs": [2]}, "mode": "exact", "table": table,
         }))
         out_of_range.append((["membership", "--box", str(path)], "out of range"))
+    # documents of the wrong shape: no scenario, a list, no dims
+    malformed = []
+    for name, document, argv in (
+        ("noscenario", {"coeffs": {}}, ["bounds", "--set", "ns", "--expr"]),
+        ("list", [1, 2], ["membership", "--box"]),
+        ("nodims", {"vectors": []}, ["upb"]),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(document))
+        malformed.append(([*argv, str(path)], f"malformed input file {path}"))
     for argv, message in (
         (["membership", "--box", str(tmp_path / "missing.json")], "missing.json"),
         (["membership", "--box", str(numeric)], "box mode 'numeric' is not supported"),
@@ -222,6 +232,7 @@ def test_domain_error_exit_code(tmp_path, capsys):
         (["witness", "--set", "shifts", "--starts", "0"], "starts must be at least 1"),
         (["witness", "--set", "shifts", "--starts", "-3"], "starts must be at least 1"),
         *out_of_range,
+        *malformed,
     ):
         code, text = run_cli(argv)
         assert code == 1

@@ -257,6 +257,13 @@ def test_postselect_commutes_with_marginal_for_independent_party():
     a = drop_party(gb.postselect(box, 2, 1, 0), 1)
     b = gb.postselect(drop_party(box, 1), 1, 1, 0)
     assert a == b
+    # a party index out of range raises for both transforms alike
+    pair = _product_box(t[:2])
+    for party in (-1, 2):
+        with pytest.raises(ValueError, match="party index out of range"):
+            drop_party(pair, party)
+        with pytest.raises(ValueError, match="party index out of range"):
+            gb.postselect(pair, party, 0, 0)
 
 
 def test_lift_box_preserves_ns_and_echoes_input():

@@ -84,7 +84,7 @@ def test_redundant_equalities():
 
 
 def _dual_objective(problem, res):
-    return sum(y * row.rhs for y, row in zip(res.dual, problem.constraints))
+    return sum(y * b for y, b in zip(res.dual, problem.constraints.rhs.tolist()))
 
 
 def test_lower_bounds_shift():
@@ -167,19 +167,38 @@ def test_random_lps_against_vertex_enumeration():
 
 
 def test_fractional_coefficients_are_scaled_exactly():
-    # exercises the internal integer row scaling
-    res = lp.solve(
-        lp.make_problem(
-            [1, 1, 0, 0],
-            [([F(1, 2), F(1, 3), 1, 0], F(5, 6)), ([F(2, 7), F(3, 5), 0, 1], 1)],
-        )
+    # exercises the integer row scaling of make_problem
+    problem = lp.make_problem(
+        [1, 1, 0, 0],
+        [([F(1, 2), F(1, 3), 1, 0], F(5, 6)), ([F(2, 7), F(3, 5), 0, 1], 1)],
     )
+    res = lp.solve(problem)
     assert res.status == "optimal"
     # vertex of the two active rows: (1/2)x + (1/3)y = 5/6, (2/7)x + (3/5)y = 1
     assert res.solution == (F(35, 43), F(55, 43), F(0), F(0))
     assert res.value == F(90, 43)
-    dual_obj = res.dual[0] * F(5, 6) + res.dual[1] * 1
-    assert dual_obj == res.value
+    # the duals refer to the rows scaled by 6 and 35
+    assert _dual_objective(problem, res) == res.value
+
+
+def test_make_problem_scales_fraction_pairs_to_integer_rows():
+    """Each hand-written row, dense or a dict in any key order, is
+    multiplied by the lcm of its coefficients' denominators: the problem
+    holds integer rows sorted by row, then column, and the solver's
+    certificate passes the verifier against those rows."""
+    problem = lp.make_problem(
+        [1, 1, 0, 0],
+        [([F(1, 2), F(1, 3), 1, 0], F(5, 6)), ({3: F(1, 5), 0: F(2, 7), 1: F(3, 5)}, 1)],
+    )
+    rows = problem.constraints
+    assert len(rows) == 2 and rows.val.dtype == np.int64
+    assert rows.row.tolist() == [0, 0, 0, 1, 1, 1]
+    assert rows.col.tolist() == [0, 1, 2, 0, 1, 3]
+    assert rows.val.tolist() == [3, 2, 6, 10, 21, 7]
+    assert rows.rhs.tolist() == [5, 35]
+    res = lp.solve(problem)
+    assert res.status == "optimal"
+    lp._verify_optimal(problem, res)
 
 
 def test_fractional_equality_feasibility():
@@ -515,15 +534,13 @@ def test_verify_optimal_on_fractional_rows_with_huge_dual_denominators():
 
 
 def _with_fractions(problem):
-    """The same LP with every coefficient and right-hand side a Fraction."""
-    return lp.LPProblem(
-        problem.n,
-        problem.objective,
-        tuple(
-            lp.Constraint(tuple((j, F(v)) for j, v in row.coeffs), F(row.rhs))
-            for row in problem.constraints
-        ),
-    )
+    """The same LP posed as ``(coeffs, rhs)`` pairs with every coefficient
+    and right-hand side a Fraction."""
+    rows = problem.constraints
+    pairs = [({}, F(b)) for b in rows.rhs.tolist()]
+    for i, j, v in zip(rows.row.tolist(), rows.col.tolist(), rows.val.tolist()):
+        pairs[i][0][j] = F(v)
+    return lp.make_problem(problem.objective, pairs)
 
 
 def _random_integer_lps(seed, count, rows=6, cols=8):
@@ -540,7 +557,7 @@ def _random_integer_lps(seed, count, rows=6, cols=8):
             if kind:
                 coeffs[slack] = kind
                 slack += 1
-            constraints.append(lp.make_constraint(coeffs, rng.randint(-4, 9)))
+            constraints.append((coeffs, rng.randint(-4, 9)))
         objective = [rng.randint(-3, 4) for _ in range(cols)] + [0] * (slack - cols)
         yield lp.make_problem(objective, constraints)
 
@@ -561,9 +578,9 @@ def _posed_problems(call):
 
 
 def test_int_and_fraction_coefficients_give_equal_results():
-    """An LP posed with Python ints (as ``make_constraint`` and the polytope
-    rows leave them) and the same LP with Fractions give equal results:
-    status, value, solution, certificates and every counter."""
+    """An LP posed as int64 rows (as ``make_problem`` and the polytope
+    models give them) and the same LP posed as Fraction pairs give equal
+    results: status, value, solution, certificates and every counter."""
     rng = random.Random(5)
     problems = list(_random_integer_lps(11, 30))
     problems += _optimal_problems()
@@ -571,7 +588,7 @@ def test_int_and_fraction_coefficients_give_equal_results():
     problems += _posed_problems(lambda: polytope.tobl_max(gyni.gyni_sum_expression(3)))
     statuses = set()
     for problem in problems:
-        assert any(type(v) is int for row in problem.constraints for _, v in row.coeffs)
+        assert problem.constraints.val.dtype == np.int64
         res = lp.solve(problem)
         assert lp.solve(_with_fractions(problem)) == res
         statuses.add(res.status)

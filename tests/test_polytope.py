@@ -243,12 +243,26 @@ def test_ns_max_size_guard_before_rows(monkeypatch):
         gb.ns_max(e)
 
 
+def _pairs(rows):
+    """An ``lp.Rows`` as ``({column: coefficient}, rhs)`` pairs of Python
+    numbers, after checking that its entries are sorted by row, then
+    column, and nonzero."""
+    key = rows.row * (int(rows.col.max(initial=0)) + 1) + rows.col
+    assert (np.diff(key) > 0).all() and rows.val.all()
+    starts = np.searchsorted(rows.row, np.arange(len(rows) + 1)).tolist()
+    cols, vals = rows.col.tolist(), rows.val.tolist()
+    return [
+        (dict(zip(cols[s:e], vals[s:e])), b)
+        for s, e, b in zip(starts, starts[1:], rows.rhs.tolist())
+    ]
+
+
 @pytest.mark.parametrize("scenario", ns_oracle.SCENARIOS)
 def test_ns_equality_rows_match_oracle(scenario):
     """The integer rows, in order, equal the per-tuple Fraction rows, and
     the closed-form count equals the number built."""
     blocks = list(polytope._ns_equality_rows(scenario))
-    rows = [c for block in blocks for c in polytope._constraints(block)]
+    rows = [pair for block in blocks for pair in _pairs(block)]
     assert rows == ns_oracle.ns_rows(scenario)
     assert polytope._ns_row_count(scenario) == len(rows)
 
@@ -272,24 +286,24 @@ def _orbits_oracle(n, perms):
 
 
 def _collapse_oracle(rows, orbit):
-    """Fraction constraints summed per orbit; a row is dropped when empty or
-    when it equals an earlier row after division by its leading
+    """``(coeffs, rhs)`` pairs summed per orbit; a row is dropped when empty
+    or when it equals an earlier row after division by its leading
     coefficient."""
     seen = set()
     out = []
-    for row in rows:
+    for coeffs, rhs in rows:
         acc = {}
-        for j, v in row.coeffs:
+        for j, v in coeffs.items():
             acc[orbit[j]] = acc.get(orbit[j], 0) + v
         items = tuple(sorted((o, v) for o, v in acc.items() if v))
         if not items:
-            assert row.rhs == 0
+            assert rhs == 0
             continue
         lead = items[0][1]
-        key = (tuple((o, v / lead) for o, v in items), row.rhs / lead)
+        key = (tuple((o, F(v, lead)) for o, v in items), F(rhs, lead))
         if key not in seen:
             seen.add(key)
-            out.append(lp.Constraint(items, row.rhs))
+            out.append((dict(items), rhs))
     return out
 
 
@@ -300,21 +314,18 @@ def test_collapse_rows_match_fraction_oracle_gyni(n):
     perms = [sym.table_permutation(scen) for sym in e.party_symmetries]
     orbit = polytope._orbits_of_permutations(scen.table_size, perms)
     assert orbit.tolist() == _orbits_oracle(scen.table_size, perms)
-    collapsed = polytope._collapse_rows(polytope._ns_equality_rows(scen), orbit)
+    collapsed = _pairs(polytope._collapse_rows(polytope._ns_equality_rows(scen), orbit))
     assert collapsed == _collapse_oracle(ns_oracle.ns_rows(scen), orbit.tolist())
-    assert polytope._collapse_rows([polytope._concat(list(polytope._ns_equality_rows(scen)))],
-                                   orbit) == collapsed
+    whole = polytope._concat(list(polytope._ns_equality_rows(scen)))
+    assert _pairs(polytope._collapse_rows([whole], orbit)) == collapsed
 
 
 def _tobl_rows_oracle(layout):
-    """The TOBL rows one Fraction dict at a time: normalization; per
-    bipartition and direction, mixture minus table entry; per bipartition
-    and responder, forward minus backward weight."""
+    """The TOBL rows one ``(coeffs, rhs)`` pair at a time: normalization;
+    per bipartition and direction, mixture minus table entry; per
+    bipartition and responder, forward minus backward weight."""
     na = layout.na
-    rows = [
-        lp.make_constraint({x * na + a: 1 for a in range(na)}, 1)
-        for x in range(layout.scen.n_inputs)
-    ]
+    rows = [({x * na + a: 1 for a in range(na)}, 1) for x in range(layout.scen.n_inputs)]
     for bip_idx in range(3):
         for direction in (0, 1):
             mix = [{t: -1} for t in range(layout.n_table)]
@@ -323,13 +334,13 @@ def _tobl_rows_oracle(layout):
                     var = layout.wvar(bip_idx, direction, h_idx, pair_idx)
                     for t in layout.supports[var - layout.n_table]:
                         mix[t][var] = 1
-            rows += [lp.make_constraint(coeffs, 0) for coeffs in mix]
+            rows += [(coeffs, 0) for coeffs in mix]
         for h_idx in range(len(layout.responders)):
             coeffs = {}
             for pair_idx in range(layout.n_pairs):
                 coeffs[layout.wvar(bip_idx, 0, h_idx, pair_idx)] = 1
                 coeffs[layout.wvar(bip_idx, 1, h_idx, pair_idx)] = -1
-            rows.append(lp.make_constraint(coeffs, 0))
+            rows.append((coeffs, 0))
     return rows
 
 
@@ -338,16 +349,15 @@ def test_tobl_rows_and_collapse_match_fraction_oracle():
     layout = polytope._ToblLayout(e.scenario)
     rows = layout.rows()
     oracle = _tobl_rows_oracle(layout)
-    assert polytope._constraints(rows) == oracle
-    keys = polytope._key_set(rows)
+    assert _pairs(rows) == oracle
     perms = [layout.variable_permutation(sym) for sym in e.party_symmetries]
-    assert perms and all(polytope._rows_invariant_under(rows, keys, p) for p in perms)
+    assert perms and all(polytope._rows_invariant_under(rows, p) for p in perms)
     swap = list(range(layout.n_vars))
     swap[0], swap[layout.n_table - 1] = layout.n_table - 1, 0
-    assert not polytope._rows_invariant_under(rows, keys, swap)
+    assert not polytope._rows_invariant_under(rows, swap)
     orbit = polytope._orbits_of_permutations(layout.n_vars, perms)
     assert orbit.tolist() == _orbits_oracle(layout.n_vars, perms)
-    assert polytope._collapse_rows([rows], orbit) == _collapse_oracle(oracle, orbit.tolist())
+    assert _pairs(polytope._collapse_rows([rows], orbit)) == _collapse_oracle(oracle, orbit.tolist())
 
 
 def test_collapse_rows_keeps_first_of_proportional_rows():
@@ -355,24 +365,21 @@ def test_collapse_rows_keeps_first_of_proportional_rows():
     halved, row 4 vanishes with a zero right-hand side.  Rows 0 and 2 are
     kept as they stand; a vanished row with a nonzero right-hand side
     raises."""
-    rows = polytope._Rows(
+    rows = lp.Rows(
         row=np.array([0, 0, 1, 1, 2, 2, 3, 3, 4, 4]),
         col=np.array([0, 1, 2, 3, 0, 1, 2, 3, 0, 2]),
         val=np.array([-1, 1, 1, -1, 2, 2, 1, 1, 1, -1]),
         rhs=np.array([0, 0, 2, 1, 0]),
     )
     orbit = np.array([0, 1, 0, 1])
-    kept = [
-        lp.Constraint(((0, F(-1)), (1, F(1))), F(0)),
-        lp.Constraint(((0, F(2)), (1, F(2))), F(2)),
-    ]
-    assert polytope._collapse_rows([rows], orbit) == kept
+    kept = [({0: -1, 1: 1}, 0), ({0: 2, 1: 2}, 2)]
+    assert _pairs(polytope._collapse_rows([rows], orbit)) == kept
     # rows 0, 2 and then rows 1, 3, 4 as two blocks: rows 1 and 3 survive
     # their own block and are dropped against the survivors of the first
     first, second = polytope._select(rows, [0, 2]), polytope._select(rows, [1, 3, 4])
-    assert polytope._collapse_rows([first, second], orbit) == kept
+    assert _pairs(polytope._collapse_rows([first, second], orbit)) == kept
     with pytest.raises(lp.LPError, match="inconsistent collapsed row"):
-        polytope._collapse_rows([rows._replace(rhs=np.array([0, 0, 2, 1, 1]))], orbit)
+        polytope._collapse_rows([dataclasses.replace(rows, rhs=np.array([0, 0, 2, 1, 1]))], orbit)
 
 
 # ---------------------------------------------------------------------------
