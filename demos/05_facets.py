@@ -26,4 +26,4 @@ for name, expr in cases:
     )
 
 print("\n(the generalized five-qubit shift inequality is also not a facet;")
-print(" its rank computation takes about a minute, see the test suite)")
+print(" its rank over 6144 saturating vertices takes a few seconds, see the test suite)")

@@ -572,14 +572,23 @@ def _reduced_scenario(scen: Scenario, party: int) -> Scenario:
     return Scenario(_without(scen.inputs, party), _without(scen.outputs, party))
 
 
+def _check_value(value: int, count: int, what: str) -> None:
+    """An input or outcome value of one party must be one of its ``count``."""
+    if not (0 <= value < count):
+        raise ValueError(f"{what} value out of range")
+
+
 def postselect(box: Box, party: int, x_value: int, a_value: int) -> Box:
     """Condition on (input, outcome) at one party and drop it.
 
     Rows of the reduced table are renormalized by the conditional marginal;
-    conditioning on a zero-probability event raises.
+    conditioning on a zero-probability event raises, and so does a party,
+    input or outcome out of range (``ValueError``).
     """
     scen = box.scenario
     new = _reduced_scenario(scen, party)
+    _check_value(x_value, scen.inputs[party], "input")
+    _check_value(a_value, scen.outputs[party], "outcome")
 
     def row(xo):
         x_idx = scen.encode_input(_with(xo, party, x_value))
@@ -601,10 +610,12 @@ def drop_party(box: Box, party: int, x_value: int = 0) -> Box:
     """Marginalize a party away, summing its outcome at a fixed input.
 
     Only well defined when the box does not signal from that party; callers
-    wanting a safety net should run :func:`is_nonsignaling` first.
+    wanting a safety net should run :func:`is_nonsignaling` first.  A party
+    or input out of range raises ``ValueError``.
     """
     scen = box.scenario
     new = _reduced_scenario(scen, party)
+    _check_value(x_value, scen.inputs[party], "input")
     x_rows = [scen.encode_input(_with(xo, party, x_value)) for xo in new.input_tuples()]
     return Box(new, [
         sum((box.value(x_idx, scen.encode_outcome(_with(ao, party, a)))

@@ -314,25 +314,22 @@ def _solve_collapsed(objective, blocks, perms, label):
 
     Every permutation must fix both the objective and the feasible set:
     group averaging then maps any optimum to an orbit-constant one, so the
-    collapsed optimum equals the full one.  With no permutations the LP is
-    posed exactly as given.
+    collapsed optimum equals the full one.  With no permutations every
+    orbit is one variable and the collapse only drops rows that repeat an
+    earlier one up to a factor; the no-signaling and TOBL rows repeat none,
+    so their uncollapsed LP is posed exactly as built.
     """
-    if perms:
-        orbit = _orbits_of_permutations(len(objective), perms)
-        rows = _collapse_rows(blocks, orbit)
-        orbit = orbit.tolist()
-        collapsed = [_ZERO] * (max(orbit) + 1)
-        for o, c in zip(orbit, objective):
-            if c:
-                collapsed[o] += c
-        problem = lp.make_problem(collapsed, rows)
-    else:
-        orbit = range(len(objective))
-        problem = lp.make_problem(objective, _concat(list(blocks)))
+    orbit = _orbits_of_permutations(len(objective), perms)
+    rows = _collapse_rows(blocks, orbit)
+    orbit = orbit.tolist()
+    collapsed = [_ZERO] * (max(orbit) + 1)
+    for o, c in zip(orbit, objective):
+        if c:
+            collapsed[o] += c
     # ns_max keeps no other reference: its table-sized permutations are
     # freed before the solve
     del blocks, perms
-    res = lp.solve(problem)
+    res = lp.solve(lp.make_problem(collapsed, rows))
     if res.status != "optimal":
         raise lp.LPError(f"{label} LP returned {res.status}")
     return res.value, [res.solution[o] for o in orbit]
@@ -522,19 +519,12 @@ def local_membership(box: Box, cap: int | None = None) -> LocalMembership:
 # TOBL (time-ordered bilocal) optimization, 3 parties, binary
 
 
-def _responders():
-    """h: input -> output, as tuples (h(0), h(1))."""
-    return list(itertools.product((0, 1), repeat=2))
+#: responders h: input -> output, as tuples (h(0), h(1))
+_RESPONDERS = list(itertools.product((0, 1), repeat=2))
 
-
-def _one_way_pairs():
-    """(f, g): leader outputs f(x_lead); follower outputs g(x_lead, x_follow).
-
-    g is stored as a 4-tuple indexed by 2*x_lead + x_follow.
-    """
-    leaders = list(itertools.product((0, 1), repeat=2))
-    followers = list(itertools.product((0, 1), repeat=4))
-    return [(f, g) for f in leaders for g in followers]
+#: one-way pairs (f, g): the leader outputs f(x_lead), the follower
+#: g[2 * x_lead + x_follow]
+_PAIRS = list(itertools.product(_RESPONDERS, itertools.product((0, 1), repeat=4)))
 
 
 class ToblOptimum(NamedTuple):
@@ -547,50 +537,41 @@ _BIPARTITIONS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
 class _ToblLayout:
-    """Variable layout and component geometry of the TOBL LP."""
+    """Variable layout and component geometry of the TOBL LP: the table
+    entries, then one weight variable per index (bipartition, direction,
+    responder, one-way pair) of ``shape``, in C order, so the weights are
+    ``solution[n_table:]`` reshaped to ``shape``."""
 
     def __init__(self, scen: Scenario):
         self.scen = scen
         self.na = scen.n_outputs
         self.n_table = scen.table_size
-        self.responders = _responders()
-        self.pairs = _one_way_pairs()
-        self.n_pairs = len(self.pairs)
-        self.block = len(self.responders) * self.n_pairs
-        self.n_vars = self.n_table + 3 * 2 * self.block
-        # supports[var - n_table]: the table indices where the weight
-        # variable's deterministic component puts mass 1, in wvar order;
-        # var_of[(block, support)]: the variable, blocks numbered
-        # 2 * bip_idx + direction
-        self.supports = [tuple(s) for s in self._support_table().tolist()]
+        self.shape = (len(_BIPARTITIONS), 2, len(_RESPONDERS), len(_PAIRS))
+        self.n_vars = self.n_table + math.prod(self.shape)
+        # supports[index]: the table indices, ascending, where the weight
+        # variable's deterministic component puts mass 1;
+        # var_of[(bipartition, direction, support)]: the variable
+        self.supports = self._support_table()
+        flat = self.supports.reshape(-1, scen.n_inputs).tolist()
         self.var_of = {
-            (v // self.block, support): self.n_table + v
-            for v, support in enumerate(self.supports)
+            index[:2] + (tuple(support),): var
+            for var, (index, support) in enumerate(zip(np.ndindex(self.shape), flat), self.n_table)
         }
 
-    def wvar(self, bip_idx: int, direction: int, h_idx: int, pair_idx: int) -> int:
-        return (
-            self.n_table
-            + bip_idx * 2 * self.block
-            + direction * self.block
-            + h_idx * self.n_pairs
-            + pair_idx
-        )
-
     def _support_table(self) -> np.ndarray:
-        """(weight variables x input tuples) array, in wvar order: the table
-        indices where each variable's deterministic component (h, f, g)
-        puts mass 1, one per input tuple.  For bipartition i|jk the lone
-        party answers h(x_i); in direction 0 the leader j answers f(x_j) and
-        the follower k answers g(2 x_j + x_k), in direction 1 the roles of j
-        and k swap.  Built from mixed-radix strides over the input tuples."""
+        """``shape`` + (input tuples,) array: the table indices where each
+        weight variable's deterministic component (h, f, g) puts mass 1, one
+        per input tuple.  For bipartition i|jk the lone party answers
+        h(x_i); in direction 0 the leader j answers f(x_j) and the follower
+        k answers g(2 x_j + x_k), in direction 1 the roles of j and k swap.
+        Built from mixed-radix strides over the input tuples."""
         scen = self.scen
         xs = np.array(list(scen.input_tuples()))
         stride = [math.prod(scen.outputs[p + 1 :]) for p in range(3)]
         base = np.arange(scen.n_inputs) * self.na
-        hs = np.array(self.responders)
-        fs = np.array([f for f, _ in self.pairs])
-        gs = np.array([g for _, g in self.pairs])
+        hs = np.array(_RESPONDERS)
+        fs = np.array([f for f, _ in _PAIRS])
+        gs = np.array([g for _, g in _PAIRS])
         blocks = []
         for i, j, k in _BIPARTITIONS:
             lone = hs[:, xs[:, i]] * stride[i]
@@ -600,26 +581,26 @@ class _ToblLayout:
                     + gs[:, 2 * xs[:, lead] + xs[:, follow]] * stride[follow]
                 )
                 blocks.append(base + lone[:, None, :] + pair[None, :, :])
-        return np.concatenate(blocks).reshape(-1, scen.n_inputs)
+        return np.reshape(blocks, self.shape + (scen.n_inputs,))
 
     def rows(self) -> Rows:
         """Normalization rows, then per bipartition: per direction one row
         per table entry (the direction's mixture reproduces the entry), then
         one row per responder h (both directions give h the same weight)."""
-        nx, n_table, block = self.scen.n_inputs, self.n_table, self.block
-        per_bip = 2 * n_table + len(self.responders)
+        nx, n_table = self.scen.n_inputs, self.n_table
+        per_bip = 2 * n_table + len(_RESPONDERS)
         t = np.arange(n_table)
-        w = np.arange(3 * 2 * block)  # weight variables, in wvar order
-        bip, direction = w // (2 * block), w // block % 2
-        base = nx + bip * per_bip  # the first row of w's bipartition
-        mix = base + direction * n_table  # the row of table entry 0 in w's mixture
+        bip, direction, h, _ = np.indices(self.shape)
+        var = n_table + np.arange(bip.size).reshape(self.shape)
+        base = nx + bip * per_bip  # the first row of the weight's bipartition
+        mix = base + direction * n_table  # the row of table entry 0 in its mixture
         parts = [
             (t // self.na, t, 1),
-            (mix[::block, None] + t, t, -1),
-            (mix[:, None] + np.array(self.supports), n_table + w[:, None], 1),
-            (base + 2 * n_table + w % block // self.n_pairs, n_table + w, 1 - 2 * direction),
+            (mix[:, :, 0, 0, None] + t, t, -1),
+            (mix[..., None] + self.supports, var[..., None], 1),
+            (base + 2 * n_table + h, var, 1 - 2 * direction),
         ]
-        rhs = np.zeros(nx + 3 * per_bip, dtype=np.int64)
+        rhs = np.zeros(nx + len(_BIPARTITIONS) * per_bip, dtype=np.int64)
         rhs[:nx] = 1
         return _sorted_rows(*_coo(parts), rhs)
 
@@ -627,24 +608,27 @@ class _ToblLayout:
         """The permutation a relabeling induces on the LP variables.
 
         Table entries permute by :meth:`Symmetry.table_permutation`.  Blocks
-        map to blocks structurally: the image lone party fixes the
-        bipartition, the image leader fixes the direction.  Within a block a
-        weight variable's support fixes its component (h, f, g), so each
-        variable maps to the variable of the image block whose support is
-        the permuted support.  Distinct blocks can share a support, which is
-        why the block is not read off the support.
+        of one bipartition and direction map to blocks structurally: the
+        image lone party fixes the bipartition, the image leader fixes the
+        direction.  Within a block a weight variable's support fixes its
+        component (h, f, g), so each variable maps to the variable of the
+        image block whose support is the permuted support.  Distinct blocks
+        can share a support, which is why the block is not read off the
+        support.
         """
         table = sym.table_permutation(self.scen)
         image_of = [sym.party_perm.index(q) for q in range(3)]
-        perm = table + [None] * (self.n_vars - self.n_table)
-        for block in range(6):
-            bip_idx, direction = divmod(block, 2)
-            leader = _BIPARTITIONS[bip_idx][1 + direction]
-            bip2 = image_of[bip_idx]  # bipartition b has lone party b
-            block2 = 2 * bip2 + _BIPARTITIONS[bip2].index(image_of[leader]) - 1
-            for v in range(block * self.block, (block + 1) * self.block):
-                image = tuple(sorted(table[t] for t in self.supports[v]))
-                perm[self.n_table + v] = self.var_of[(block2, image)]
+        images = np.sort(np.array(table)[self.supports], axis=-1).tolist()
+        perm = list(table)
+        for bip, (_, *leaders) in enumerate(_BIPARTITIONS):
+            bip2 = image_of[bip]  # bipartition b has lone party b
+            for direction, leader in enumerate(leaders):
+                direction2 = _BIPARTITIONS[bip2].index(image_of[leader]) - 1
+                perm += [
+                    self.var_of[(bip2, direction2, tuple(image))]
+                    for per_h in images[bip][direction]
+                    for image in per_h
+                ]
         if len(set(perm)) != self.n_vars:
             raise lp.LPError("induced variable map is not a permutation")
         return perm
@@ -713,40 +697,28 @@ def tobl_max(expression: BellExpression) -> ToblOptimum:
         raise lp.LPError("TOBL optimal box does not achieve the LP value")
 
     # build and verify the shared-weight model per bipartition
+    weights = np.array(solution[layout.n_table :], dtype=object).reshape(layout.shape)
     model = {}
-    responders, pairs = layout.responders, layout.pairs
-    for bip_idx, (i, j, k) in enumerate(_BIPARTITIONS):
-        marg = [_ZERO] * len(responders)
-        w = {0: {}, 1: {}}
-        for direction in (0, 1):
-            for h_idx in range(len(responders)):
-                for pair_idx in range(layout.n_pairs):
-                    v = solution[layout.wvar(bip_idx, direction, h_idx, pair_idx)]
-                    if v:
-                        w[direction][(h_idx, pair_idx)] = v
-        for h_idx in range(len(responders)):
-            m_fwd = sum((v for (h, _), v in w[0].items() if h == h_idx), _ZERO)
-            m_bwd = sum((v for (h, _), v in w[1].items() if h == h_idx), _ZERO)
-            if m_fwd != m_bwd:
-                raise lp.LPError("mismatched responder marginals in TOBL solution")
-            marg[h_idx] = m_fwd
-        triples = []
-        for (h_idx, p1), v1 in w[0].items():
-            for (h2, p2), v2 in w[1].items():
-                if h2 == h_idx:
-                    triples.append(((h_idx, p1, p2), v1 * v2 / marg[h_idx]))
+    for bip, (i, j, k) in enumerate(_BIPARTITIONS):
+        fwd, bwd = weights[bip]  # (responder, pair) weights per direction
+        marg = fwd.sum(axis=1)
+        if (marg != bwd.sum(axis=1)).any():
+            raise lp.LPError("mismatched responder marginals in TOBL solution")
+        triples = [
+            ((h, p1, p2), fwd[h, p1] * bwd[h, p2] / marg[h])
+            for h, p1 in np.argwhere(fwd).tolist()
+            for p2 in np.flatnonzero(bwd[h]).tolist()
+        ]
         # both induced mixtures must reproduce the table exactly
-        for direction, pair_pos in ((0, 0), (1, 1)):
+        for direction in (0, 1):
             mixture = [_ZERO] * layout.n_table
-            for (h_idx, p1, p2), weight in triples:
-                pair_idx = (p1, p2)[pair_pos]
-                var = layout.wvar(bip_idx, direction, h_idx, pair_idx)
-                for t in layout.supports[var - layout.n_table]:
+            for (h, *pair), weight in triples:
+                for t in layout.supports[bip, direction, h, pair[direction]].tolist():
                     mixture[t] += weight
             if mixture != table:
                 raise lp.LPError("TOBL coupling failed the mixture recheck")
         model[(i, (j, k))] = [
-            ((responders[h], pairs[p1], pairs[p2]), weight)
+            ((_RESPONDERS[h], _PAIRS[p1], _PAIRS[p2]), weight)
             for (h, p1, p2), weight in triples
         ]
     return ToblOptimum(value, box, model)
@@ -756,48 +728,31 @@ def tobl_max(expression: BellExpression) -> ToblOptimum:
 # dimension and facet (tightness) checks
 
 
-def _response_indices(scenario: Scenario, strategies) -> list[np.ndarray]:
-    """Per party, the index of every strategy's response function among the
-    party's :func:`_responses`.  ``strategies`` are
-    :class:`DeterministicStrategy` objects, or their positions in the
-    enumeration order as an integer array, which give the indices without
-    a loop."""
-    shape = [d**m for m, d in zip(scenario.inputs, scenario.outputs)]
-    if isinstance(strategies, np.ndarray):
-        return list(np.unravel_index(strategies, shape))
-    per_party = zip(*(s.responses for s in strategies))
-    indices = []
-    for (m, d), responses in zip(zip(scenario.inputs, scenario.outputs), per_party):
-        index = {r: k for k, r in enumerate(map(tuple, _responses(m, d).tolist()))}
-        indices.append(np.array([index[r] for r in responses], dtype=np.intp))
-    return indices
+def cg_coordinates_of_strategies(scenario: Scenario, positions) -> np.ndarray:
+    """Subset-marginal coordinates (constant first, each a 0/1 integer) of
+    the deterministic strategies at the given enumeration positions.
 
-
-def _cg_block_matrices(scenario: Scenario, indices):
-    """Row-wise product expansion of per-party indicator blocks: the result
-    row for a strategy holds every subset-marginal coordinate (constant
-    first) as a 0/1 integer.  A party's block is one gather at its
-    response-function ``indices`` from a table over its response functions:
-    row ``s`` holds a constant 1 and then, for each input x and outcome
-    a < d - 1, whether response function ``s`` answers a to x."""
-    mats = np.ones((len(indices[0]), 1), dtype=np.int64)
-    for (m, d), index in zip(zip(scenario.inputs, scenario.outputs), indices):
+    The positions unravel to each party's response-function index; a
+    party's block is one gather at those indices from a table over its
+    response functions (row ``s``: a constant 1, then for each input x and
+    outcome a < d - 1 whether response function ``s`` answers a to x), and
+    the blocks expand row by row into their product."""
+    positions = np.asarray(positions, dtype=np.intp)
+    counts = [d**m for m, d in zip(scenario.inputs, scenario.outputs)]
+    mats = np.ones((len(positions), 1), dtype=np.int64)
+    for (m, d), index in zip(
+        zip(scenario.inputs, scenario.outputs), np.unravel_index(positions, counts)
+    ):
         marks = _response_indicators(m, d).reshape(d**m, m, d)[:, :, : d - 1]
         table = np.hstack([np.ones((d**m, 1), dtype=np.int64), marks.reshape(d**m, -1)])
-        mats = np.einsum("bi,bj->bij", mats, table[index]).reshape(len(index), -1)
+        width = mats.shape[1] * table.shape[1]
+        mats = np.einsum("bi,bj->bij", mats, table[index]).reshape(len(index), width)
     return mats
 
 
-def cg_coordinates_of_strategies(scenario: Scenario, strategies) -> np.ndarray:
-    """Subset-marginal coordinates of deterministic strategies, given as
-    objects or as enumeration positions (:func:`_response_indices`)."""
-    if not len(strategies):
-        return np.zeros((0, cg_dimension(scenario)), dtype=np.int64)
-    return _cg_block_matrices(scenario, _response_indices(scenario, strategies))
-
-
 def _full_coordinates_of_strategies(scenario: Scenario, strategies) -> np.ndarray:
-    """Dense 0/1 full-table rows; only for small cross-check scenarios."""
+    """Dense 0/1 full-table rows of strategy objects: the reference that the
+    subset-marginal ranks are tested against, for small scenarios only."""
     na = scenario.n_outputs
     out = np.zeros((len(strategies), scenario.table_size), dtype=np.int64)
     for r, s in enumerate(strategies):
@@ -808,13 +763,11 @@ def _full_coordinates_of_strategies(scenario: Scenario, strategies) -> np.ndarra
     return out
 
 
-def affine_rank_of_strategies(scenario: Scenario, strategies) -> int:
-    """Exact affine rank of a set of deterministic vertices, in
-    subset-marginal coordinates (the same rank as the raw table on vertex
-    sets, and a much smaller matrix).  The vertices are strategy objects or
-    enumeration positions, as :func:`cg_coordinates_of_strategies` takes
-    them."""
-    return affine_rank(cg_coordinates_of_strategies(scenario, strategies))
+def affine_rank_of_strategies(scenario: Scenario, positions) -> int:
+    """Exact affine rank of the deterministic vertices at the given
+    enumeration positions, in subset-marginal coordinates (the same rank as
+    the raw table on vertex sets, and a much smaller matrix)."""
+    return affine_rank(cg_coordinates_of_strategies(scenario, positions))
 
 
 def polytope_dimension(scenario: Scenario) -> int:

@@ -247,7 +247,7 @@ def test_postselect_zero_probability_errors():
         gb.postselect(box, 0, 0, 1)
 
 
-def test_postselect_commutes_with_marginal_for_independent_party():
+def test_postselect_commutes_with_marginal_for_independent_party(ns_optima):
     t = [
         [[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 4), Fraction(3, 4)]],
         [[Fraction(1, 3), Fraction(2, 3)], [Fraction(2, 5), Fraction(3, 5)]],
@@ -264,6 +264,19 @@ def test_postselect_commutes_with_marginal_for_independent_party():
             drop_party(pair, party)
         with pytest.raises(ValueError, match="party index out of range"):
             gb.postselect(pair, party, 0, 0)
+    # so does an input or outcome value outside the party's range; unchecked,
+    # an outcome 2 of a binary party is read from the next outcome digit
+    gyni3 = ns_optima[3].box
+    for what, call in (
+        ("outcome", lambda: gb.postselect(gyni3, 2, 0, 2)),
+        ("outcome", lambda: gb.postselect(gyni3, 0, 0, -1)),
+        ("input", lambda: gb.postselect(gyni3, 1, 2, 0)),
+        ("input", lambda: gb.postselect(gyni3, 0, -1, 0)),
+        ("input", lambda: drop_party(gyni3, 1, 2)),
+        ("input", lambda: drop_party(gyni3, 0, -1)),
+    ):
+        with pytest.raises(ValueError, match=f"{what} value out of range"):
+            call()
 
 
 def test_lift_box_preserves_ns_and_echoes_input():

@@ -92,7 +92,7 @@ def test_strategy_values_match_fraction_oracle(monkeypatch, inputs, outputs, sca
         assert opt.value == max(expect)
         assert opt.strategy == strategies[expect.index(max(expect))]
         report = gb.facet_check(expr, opt.value)
-        saturating = [s for s, v in zip(strategies, expect) if v == opt.value]
+        saturating = [k for k, v in enumerate(expect) if v == opt.value]
         assert report.saturating_vertex_count == len(saturating)
         assert report.affine_rank == affine_rank_of_strategies(scen, saturating)
 
@@ -320,6 +320,16 @@ def test_collapse_rows_match_fraction_oracle_gyni(n):
     assert _pairs(polytope._collapse_rows([whole], orbit)) == collapsed
 
 
+_N_RESPONDERS, _N_PAIRS = len(polytope._RESPONDERS), len(polytope._PAIRS)
+
+
+def _tobl_var(layout, bip_idx, direction, h_idx, pair_idx):
+    """The column of a TOBL weight variable: after the table entries, by
+    bipartition, then direction, then responder, then one-way pair."""
+    block = 2 * bip_idx + direction
+    return layout.n_table + (block * _N_RESPONDERS + h_idx) * _N_PAIRS + pair_idx
+
+
 def _tobl_rows_oracle(layout):
     """The TOBL rows one ``(coeffs, rhs)`` pair at a time: normalization;
     per bipartition and direction, mixture minus table entry; per
@@ -329,17 +339,17 @@ def _tobl_rows_oracle(layout):
     for bip_idx in range(3):
         for direction in (0, 1):
             mix = [{t: -1} for t in range(layout.n_table)]
-            for h_idx in range(len(layout.responders)):
-                for pair_idx in range(layout.n_pairs):
-                    var = layout.wvar(bip_idx, direction, h_idx, pair_idx)
-                    for t in layout.supports[var - layout.n_table]:
+            for h_idx in range(_N_RESPONDERS):
+                for pair_idx in range(_N_PAIRS):
+                    var = _tobl_var(layout, bip_idx, direction, h_idx, pair_idx)
+                    for t in layout.supports[bip_idx, direction, h_idx, pair_idx].tolist():
                         mix[t][var] = 1
             rows += [(coeffs, 0) for coeffs in mix]
-        for h_idx in range(len(layout.responders)):
+        for h_idx in range(_N_RESPONDERS):
             coeffs = {}
-            for pair_idx in range(layout.n_pairs):
-                coeffs[layout.wvar(bip_idx, 0, h_idx, pair_idx)] = 1
-                coeffs[layout.wvar(bip_idx, 1, h_idx, pair_idx)] = -1
+            for pair_idx in range(_N_PAIRS):
+                coeffs[_tobl_var(layout, bip_idx, 0, h_idx, pair_idx)] = 1
+                coeffs[_tobl_var(layout, bip_idx, 1, h_idx, pair_idx)] = -1
             rows.append((coeffs, 0))
     return rows
 
@@ -358,6 +368,42 @@ def test_tobl_rows_and_collapse_match_fraction_oracle():
     orbit = polytope._orbits_of_permutations(layout.n_vars, perms)
     assert orbit.tolist() == _orbits_oracle(layout.n_vars, perms)
     assert _pairs(polytope._collapse_rows([rows], orbit)) == _collapse_oracle(oracle, orbit.tolist())
+
+
+def _ns_blocks(scenario):
+    return list(polytope._ns_equality_rows(scenario)), scenario.table_size
+
+
+def _tobl_blocks():
+    layout = polytope._ToblLayout(gb.binary_scenario(3))
+    return [layout.rows()], layout.n_vars
+
+
+@pytest.mark.parametrize(
+    "model, n_rows",
+    [
+        (lambda: _ns_blocks(upb.four_partite_tight_inequality().scenario), 440),
+        (lambda: _ns_blocks(gb.binary_scenario(3)), 56),
+        (lambda: _ns_blocks(gb.binary_scenario(4)), 272),
+        (lambda: _ns_blocks(gb.binary_scenario(5)), 1312),
+        (_tobl_blocks, 404),
+    ],
+    ids=["four-partite", "binary3", "binary4", "binary5", "tobl"],
+)
+def test_collapse_on_identity_orbits_returns_the_rows(model, n_rows):
+    """With no permutations every variable is its own orbit, and the
+    collapse of the uncollapsed models' rows returns them as they stand:
+    row, column, value and right-hand side arrays equal to the concatenated
+    blocks', dtype included."""
+    blocks, n = model()
+    orbit = polytope._orbits_of_permutations(n, [])
+    assert orbit.tolist() == list(range(n))
+    whole = polytope._concat(blocks)
+    collapsed = polytope._collapse_rows(blocks, orbit)
+    assert len(whole) == n_rows
+    for field in dataclasses.fields(lp.Rows):
+        a, b = getattr(collapsed, field.name), getattr(whole, field.name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field.name
 
 
 def test_collapse_rows_keeps_first_of_proportional_rows():
@@ -462,9 +508,10 @@ def test_tobl_variable_permutation_maps_supports(binary3_relabelings):
     the map permutes all 1600 variables."""
     layout = polytope._ToblLayout(gb.binary_scenario(3))
     assert layout.n_vars == 1600
+    supports = layout.supports.reshape(-1, layout.scen.n_inputs).tolist()
 
-    def lone_and_leader(v):  # v counts weight variables, in wvar order
-        bip_idx, direction = divmod(v // layout.block, 2)
+    def lone_and_leader(v):  # v counts weight variables, bipartition slowest
+        bip_idx, direction = divmod(v // (_N_RESPONDERS * _N_PAIRS), 2)
         lone, j, k = polytope._BIPARTITIONS[bip_idx]
         return lone, (j, k)[direction]
 
@@ -473,9 +520,9 @@ def test_tobl_variable_permutation_maps_supports(binary3_relabelings):
         perm = layout.variable_permutation(sym)
         assert sorted(perm) == list(range(layout.n_vars))
         assert perm[: layout.n_table] == table
-        for v, support in enumerate(layout.supports):
+        for v, support in enumerate(supports):
             w = perm[layout.n_table + v] - layout.n_table
-            assert sorted(layout.supports[w]) == sorted(table[t] for t in support)
+            assert sorted(supports[w]) == sorted(table[t] for t in support)
             # image party p holds the data of party party_perm[p]
             assert tuple(sym.party_perm[p] for p in lone_and_leader(w)) == lone_and_leader(v)
 
@@ -507,17 +554,18 @@ def test_tobl_supports_match_encoded_components():
         _component_entries(layout, bip_idx, direction, h, f, g)
         for bip_idx in range(3)
         for direction in (0, 1)
-        for h in layout.responders
-        for f, g in layout.pairs
+        for h in polytope._RESPONDERS
+        for f, g in polytope._PAIRS
     ]
-    assert layout.supports == supports
+    assert layout.supports.shape == layout.shape + (layout.scen.n_inputs,)
+    assert list(map(tuple, layout.supports.reshape(len(supports), -1).tolist())) == supports
     assert len(supports) == 1536
     for bip_idx, direction, h_idx, pair_idx in itertools.product(
-        range(3), (0, 1), range(len(layout.responders)), range(layout.n_pairs)
+        range(3), (0, 1), range(_N_RESPONDERS), range(_N_PAIRS)
     ):
-        var = layout.wvar(bip_idx, direction, h_idx, pair_idx)
+        var = _tobl_var(layout, bip_idx, direction, h_idx, pair_idx)
         support = supports[var - layout.n_table]
-        assert layout.var_of[(2 * bip_idx + direction, support)] == var
+        assert layout.var_of[(bip_idx, direction, support)] == var
     assert len(layout.var_of) == len(supports)
 
 
@@ -546,9 +594,7 @@ def test_tobl_rejects_wrong_scenario():
 )
 def test_polytope_dimension_matches_oracle(scenario):
     """The closed form against the exact affine rank of every vertex."""
-    oracle = affine_rank_of_strategies(
-        scenario, gb.enumerate_deterministic_strategies(scenario)
-    )
+    oracle = affine_rank_of_strategies(scenario, np.arange(scenario.strategy_count()))
     assert gb.polytope_dimension(scenario) == oracle
 
 
@@ -568,8 +614,8 @@ def test_affine_rank_collapsed_equals_full_coordinates(scenario):
     rng = random.Random(3)
     strategies = gb.enumerate_deterministic_strategies(scenario)
     for trial in range(5):
-        subset = rng.sample(strategies, rng.randint(2, min(30, len(strategies))))
-        full = polytope._full_coordinates_of_strategies(scenario, subset)
+        subset = rng.sample(range(len(strategies)), rng.randint(2, min(30, len(strategies))))
+        full = polytope._full_coordinates_of_strategies(scenario, [strategies[k] for k in subset])
         assert affine_rank_of_strategies(scenario, subset) == _rank.affine_rank(full)
 
 
@@ -593,8 +639,8 @@ def _cg_block_matrices_by_loop(scenario, strategies):
 
 def test_cg_coordinates_match_the_column_loop():
     """On the 6144 saturating vertices of the gen_shifts(3) inequality and on
-    every vertex of a mixed scenario, the gathered coordinates equal the
-    column loop's, from strategy objects and from enumeration positions."""
+    every vertex of a mixed scenario, the coordinates gathered from
+    enumeration positions equal the column loop's over strategy objects."""
     e = gb.bell_from_set(upb.gen_shifts(3))
     den, blocks = polytope._strategy_values(e)
     target = e.classical_bound * den
@@ -605,7 +651,6 @@ def test_cg_coordinates_match_the_column_loop():
         strategies = polytope._strategies_at(scen, positions)
         expect = _cg_block_matrices_by_loop(scen, strategies)
         assert expect.shape == (len(strategies), polytope.cg_dimension(scen))
-        assert np.array_equal(polytope.cg_coordinates_of_strategies(scen, strategies), expect)
         assert np.array_equal(polytope.cg_coordinates_of_strategies(scen, positions), expect)
     assert len(hits) == 6144
 
@@ -626,8 +671,7 @@ def test_facet_gyni3_rank_on_python_integer_rows(gyni_games, monkeypatch):
     e = gyni_games[3].expression
     values = _strategy_values(e)
     hits = [i for i, v in enumerate(values) if v == e.classical_bound]
-    saturating = polytope._strategies_at(e.scenario, hits)
-    points = polytope.cg_coordinates_of_strategies(e.scenario, saturating)
+    points = polytope.cg_coordinates_of_strategies(e.scenario, hits)
     monkeypatch.setattr(_rank, "_INT64_SAFE", 1)
     acc = _rank.ExactRankAccumulator(points.shape[1])
     acc.add_rows(points[1:] - points[0])

@@ -141,9 +141,7 @@ def _gyni5_saturating_differences():
     den, blocks = polytope._strategy_values(e)
     target = e.classical_bound * den
     hits = np.concatenate([s + np.flatnonzero(v == target) for s, v in blocks])
-    points = polytope.cg_coordinates_of_strategies(
-        e.scenario, polytope._strategies_at(e.scenario, hits)
-    )
+    points = polytope.cg_coordinates_of_strategies(e.scenario, hits)
     return points[1:] - points[0]
 
 
