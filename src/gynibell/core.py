@@ -15,6 +15,7 @@ from __future__ import annotations
 import array
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, NamedTuple
@@ -150,15 +151,14 @@ class Box:
         tab = list(table)
         if len(tab) != scenario.table_size:
             raise ValueError("table size mismatch")
-        if not all(isinstance(v, (int, Fraction)) for v in tab):
+        distinct = dict(zip(map(id, tab), tab))
+        if not all(isinstance(v, (int, Fraction)) for v in distinct.values()):
             raise ValueError("box entries must be int or Fraction; Box.exact converts")
-        ids = list(map(id, tab))
-        distinct = dict(zip(ids, tab))
         slot = {key: k for k, key in enumerate(distinct)}
         self._values = tuple(distinct.values())
         n = len(slot)
         code = "B" if n <= 1 << 8 else "H" if n <= 1 << 16 else "Q"
-        self._index = array.array(code, map(slot.__getitem__, ids))
+        self._index = array.array(code, map(slot.__getitem__, map(id, tab)))
         self.validate()
 
     # -- constructors
@@ -193,17 +193,24 @@ class Box:
 
     # -- invariants
 
+    def _numerators(self) -> tuple[list[int], int]:
+        """The entries as integer numerators over their least common
+        denominator, in table order, and that denominator; each distinct
+        value is converted once."""
+        den = math.lcm(*(v.denominator for v in self._values))
+        per_value = [v.numerator * (den // v.denominator) for v in self._values]
+        return list(map(per_value.__getitem__, self._index)), den
+
     def validate(self) -> None:
         """Each row is nonnegative and sums to 1, in integer numerators over
-        the row's common denominator."""
-        nx, na = self.scenario.n_inputs, self.scenario.n_outputs
-        table = self._table
-        for x in range(nx):
-            row = table[x * na : (x + 1) * na]
-            if any(p.numerator < 0 for p in row):
+        the table's common denominator; the first failing row raises."""
+        na = self.scenario.n_outputs
+        nums, den = self._numerators()
+        for x in range(self.scenario.n_inputs):
+            row = nums[x * na : (x + 1) * na]
+            if min(row) < 0:
                 raise ValueError(f"negative probability at input {x}")
-            den = math.lcm(*(p.denominator for p in row))
-            if sum(p.numerator * (den // p.denominator) for p in row) != den:
+            if sum(row) != den:
                 raise ValueError(f"row {x} does not sum to 1")
 
     def __eq__(self, other):
@@ -241,15 +248,21 @@ class Box:
 
 
 def mix_boxes(boxes: list[Box], weights: list[Fraction]) -> Box:
-    """Exact convex combination of boxes on a common scenario."""
+    """Exact convex combination of boxes on a common scenario: one
+    nonnegative weight per box, the weights summing to 1 (checked through
+    the mixture's normalization)."""
     if not boxes:
         raise ValueError("empty mixture")
     scen = boxes[0].scenario
     if any(b.scenario != scen for b in boxes):
         raise ValueError("mixture requires boxes on one scenario")
+    weights = list(map(Fraction, weights))
+    if len(weights) != len(boxes):
+        raise ValueError(f"mixture needs one weight per box: {len(weights)} for {len(boxes)}")
+    if any(w < 0 for w in weights):
+        raise ValueError("mixture weights must be nonnegative")
     table = [Fraction(0)] * scen.table_size
     for b, w in zip(boxes, weights):
-        w = Fraction(w)
         for i, v in enumerate(b._table):
             if v:
                 table[i] += w * v
@@ -341,14 +354,18 @@ def _outcome_marginals(nums: list, d: int, a_stride: int) -> list:
     """Outcome marginals of the party whose outcome has ``d`` values and
     stride ``a_stride`` in ``a_idx``: each sums ``d`` table entries
     ``a_stride`` apart.  Entry ``x_idx * (n_outputs // d) + ao`` is the one
-    at input ``x_idx`` and outcome index ``ao`` of the other parties."""
+    at input ``x_idx`` and outcome index ``ao`` of the other parties.  The
+    ``d`` outcome slices are added element-wise; the slice of outcome ``a``
+    interleaves the ``a_stride`` strided slices that start in its first run
+    (the last party's is ``nums[a::d]``)."""
     block = d * a_stride
-    return list(map(sum, zip(*(
-        itertools.chain.from_iterable(
-            nums[s : s + a_stride] for s in range(a * a_stride, len(nums), block)
-        )
-        for a in range(d)
-    ))))
+    marg = None
+    for a in range(d):
+        part = nums[a::d] if a_stride == 1 else list(itertools.chain.from_iterable(
+            zip(*(nums[s::block] for s in range(a * a_stride, (a + 1) * a_stride)))
+        ))
+        marg = part if marg is None else list(map(operator.add, marg, part))
+    return marg
 
 
 def is_nonsignaling(box: Box) -> NsReport:
@@ -361,9 +378,7 @@ def is_nonsignaling(box: Box) -> NsReport:
     context, then outcome of the other parties.
     """
     scen = box.scenario
-    entries = box._table
-    den = math.lcm(*(v.denominator for v in entries))
-    nums = [v.numerator * (den // v.denominator) for v in entries]
+    nums, _ = box._numerators()
     nx, na = scen.n_inputs, scen.n_outputs
     violations = []
     for party, (m, d) in enumerate(zip(scen.inputs, scen.outputs)):

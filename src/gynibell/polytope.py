@@ -306,11 +306,25 @@ def _orbits_of_permutations(n: int, perms) -> np.ndarray:
     return (np.cumsum(label == np.arange(n)) - 1)[label]
 
 
-def _solve_collapsed(objective, blocks, perms, label):
-    """Maximize ``objective`` over the blocks of rows ``blocks`` (variables
-    >= 0) on the variables that are constant on the orbits of the verified
-    symmetry permutations ``perms``; returns the value and the expanded
-    solution.
+def _table_objective(expression: BellExpression) -> dict:
+    """The expression's coefficients keyed by table index
+    ``x_idx * n_outputs + a_idx``: the objective's nonzero entries."""
+    na = expression.scenario.n_outputs
+    return {x * na + a: c for (x, a), c in expression.coeffs.items()}
+
+
+def _integers(values):
+    """Integer numerators of ``values`` over their least common denominator,
+    as an object array, and that denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return np.array([v.numerator * (den // v.denominator) for v in values], dtype=object), den
+
+
+def _solve_collapsed(n, objective, blocks, perms, label):
+    """Maximize ``objective`` (a map from variable to coefficient) over the
+    blocks of rows ``blocks`` (``n`` variables >= 0) on the variables that
+    are constant on the orbits of the verified symmetry permutations
+    ``perms``; returns the value and the expanded solution.
 
     Every permutation must fix both the objective and the feasible set:
     group averaging then maps any optimum to an orbit-constant one, so the
@@ -319,20 +333,19 @@ def _solve_collapsed(objective, blocks, perms, label):
     earlier one up to a factor; the no-signaling and TOBL rows repeat none,
     so their uncollapsed LP is posed exactly as built.
     """
-    orbit = _orbits_of_permutations(len(objective), perms)
+    orbit = _orbits_of_permutations(n, perms)
     rows = _collapse_rows(blocks, orbit)
     orbit = orbit.tolist()
     collapsed = [_ZERO] * (max(orbit) + 1)
-    for o, c in zip(orbit, objective):
-        if c:
-            collapsed[o] += c
+    for j, c in objective.items():
+        collapsed[orbit[j]] += c
     # ns_max keeps no other reference: its table-sized permutations are
     # freed before the solve
     del blocks, perms
     res = lp.solve(lp.make_problem(collapsed, rows))
     if res.status != "optimal":
         raise lp.LPError(f"{label} LP returned {res.status}")
-    return res.value, [res.solution[o] for o in orbit]
+    return res.value, list(map(res.solution.__getitem__, orbit))
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +411,6 @@ def ns_max(expression: BellExpression) -> NsOptimum:
     """
     scen = expression.scenario
     n = scen.table_size
-    na = scen.n_outputs
     syms = list(expression.party_symmetries)
     n_rows = _ns_row_count(scen)
     if not syms and (n_rows > config.NS_LP_MAX_ROWS or n > config.NS_LP_MAX_COLS):
@@ -408,12 +420,9 @@ def ns_max(expression: BellExpression) -> NsOptimum:
         if not expression_invariant_under(expression, sym):
             raise ValueError("declared symmetry does not fix the expression")
 
-    objective = [_ZERO] * n
-    for (x, a), c in expression.coeffs.items():
-        objective[x * na + a] += c
-
     value, table = _solve_collapsed(
-        objective,
+        n,
+        _table_objective(expression),
         _ns_equality_rows(scen),
         [functools.reduce(np.add.outer, map(np.array, sym.index_terms(scen))).ravel()
          for sym in syms],
@@ -667,25 +676,24 @@ def tobl_max(expression: BellExpression) -> ToblOptimum:
         raise ValueError("tobl_max supports the 3-party binary scenario only")
     layout = _ToblLayout(scen)
     rows = layout.rows()
-    objective = [_ZERO] * layout.n_vars
-    for (x, a), c in expression.coeffs.items():
-        objective[x * layout.na + a] += c
+    objective = _table_objective(expression)
+    # the objective's numerators, one per variable, for the invariance checks
+    obj_nums = np.zeros(layout.n_vars, dtype=object)
+    obj_nums[list(objective)] = _integers(objective.values())[0]
 
     perms = []
     for sym in expression.party_symmetries:
         if not expression_invariant_under(expression, sym):
             continue
         perm = layout.variable_permutation(sym)
-        if all(objective[perm[j]] == objective[j] for j in range(layout.n_vars)) and \
-                _rows_invariant_under(rows, perm):
+        if (obj_nums[perm] == obj_nums).all() and _rows_invariant_under(rows, perm):
             perms.append(perm)
 
-    value, solution = _solve_collapsed(objective, [rows], perms, "TOBL")
+    value, solution = _solve_collapsed(layout.n_vars, objective, [rows], perms, "TOBL")
 
     # full-model feasibility recheck of the (possibly expanded) solution, in
     # integers over the solution's common denominator
-    den = math.lcm(*(v.denominator for v in solution))
-    nums = np.array([v.numerator * (den // v.denominator) for v in solution], dtype=object)
+    nums, den = _integers(solution)
     lhs = np.zeros(len(rows), dtype=object)
     np.add.at(lhs, rows.row, rows.val * nums[rows.col])
     if (lhs != rows.rhs.astype(object) * den).any():
@@ -696,30 +704,42 @@ def tobl_max(expression: BellExpression) -> ToblOptimum:
     if bell_value(expression, box) != value:
         raise lp.LPError("TOBL optimal box does not achieve the LP value")
 
-    # build and verify the shared-weight model per bipartition
-    weights = np.array(solution[layout.n_table :], dtype=object).reshape(layout.shape)
+    # build and verify the shared-weight model per bipartition, in the
+    # solution's numerators: the coupling weight of (h, p1, p2) is
+    # fwd[h, p1] * bwd[h, p2] / (marg[h] * den)
+    tnums = nums[: layout.n_table]
+    weights = nums[layout.n_table :].reshape(layout.shape)
+    shared = {}
+
+    def share(v):  # equal weights, keys and entries of the model: one object
+        return shared.setdefault(v, v)
+
     model = {}
     for bip, (i, j, k) in enumerate(_BIPARTITIONS):
-        fwd, bwd = weights[bip]  # (responder, pair) weights per direction
+        fwd, bwd = weights[bip]  # (responder, pair) numerators per direction
         marg = fwd.sum(axis=1)
         if (marg != bwd.sum(axis=1)).any():
             raise lp.LPError("mismatched responder marginals in TOBL solution")
-        triples = [
-            ((h, p1, p2), fwd[h, p1] * bwd[h, p2] / marg[h])
+        triples = np.array([
+            (h, p1, p2)
             for h, p1 in np.argwhere(fwd).tolist()
             for p2 in np.flatnonzero(bwd[h]).tolist()
-        ]
-        # both induced mixtures must reproduce the table exactly
-        for direction in (0, 1):
-            mixture = [_ZERO] * layout.n_table
-            for (h, *pair), weight in triples:
-                for t in layout.supports[bip, direction, h, pair[direction]].tolist():
-                    mixture[t] += weight
-            if mixture != table:
-                raise lp.LPError("TOBL coupling failed the mixture recheck")
+        ])
+        h, p1, p2 = triples.T
+        num, div = fwd[h, p1] * bwd[h, p2], marg[h]
+        # both induced mixtures must reproduce the table exactly, over the
+        # common denominator den * scale
+        scale = math.lcm(*set(div.tolist()))
+        mixture = np.zeros((2, layout.n_table), dtype=object)
+        supports = np.stack((layout.supports[bip, 0, h, p1], layout.supports[bip, 1, h, p2]))
+        np.add.at(mixture, (np.arange(2)[:, None, None], supports), (num * (scale // div))[:, None])
+        if (mixture != tnums * scale).any():
+            raise lp.LPError("TOBL coupling failed the mixture recheck")
         model[(i, (j, k))] = [
-            ((_RESPONDERS[h], _PAIRS[p1], _PAIRS[p2]), weight)
-            for (h, p1, p2), weight in triples
+            share((share((_RESPONDERS[h], _PAIRS[p1], _PAIRS[p2])), share(w)))
+            for (h, p1, p2), w in zip(
+                triples.tolist(), map(Fraction, num.tolist(), (div * den).tolist())
+            )
         ]
     return ToblOptimum(value, box, model)
 

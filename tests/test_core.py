@@ -193,6 +193,72 @@ def test_bell_value_linearity_on_mixtures():
         assert gb.bell_value(e, mixed) == expect
 
 
+def test_mix_boxes_needs_one_nonnegative_weight_per_box():
+    s = gb.binary_scenario(2)
+    boxes = [gb.box_from_strategy(s, st) for st in gb.enumerate_deterministic_strategies(s)[:3]]
+    half = Fraction(1, 2)
+    with pytest.raises(ValueError, match="one weight per box: 2 for 3"):
+        gb.mix_boxes(boxes, [half, half])
+    with pytest.raises(ValueError, match="one weight per box: 1 for 2"):
+        gb.mix_boxes(boxes[:2], [half])
+    # sums to 1, so only the sign check rejects it
+    with pytest.raises(ValueError, match="weights must be nonnegative"):
+        gb.mix_boxes(boxes[:2], [Fraction(3, 2), -half])
+    mixed = gb.mix_boxes(boxes, [half, Fraction(1, 3), Fraction(1, 6)])
+    # the third strategy answers (0, 1) at input (0, 0)
+    assert mixed.value(0, 0) == half + Fraction(1, 3)
+
+
+def _invalid_box_raises(scen, table, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        gb.Box(scen, table)
+
+
+def test_box_validate_messages_and_first_failing_row():
+    """Rows of different denominators, with equal entries as separate
+    objects: the first failing row raises, and a negative entry is reported
+    before the row's sum."""
+    s = gb.binary_scenario(2)
+
+    def rows(*dens):  # row x: 1/den at outcome 0, the rest at outcome 1
+        table = []
+        for den in dens:
+            table += [Fraction(1, den), Fraction(den - 1, den), Fraction(0), Fraction(0)]
+        return table
+
+    table = rows(2, 3, 4, 2)
+    assert table[0] is not table[1] and table[0] == table[1]
+    gb.Box(s, table).validate()
+    table[9] = Fraction(3, 4) + Fraction(1, 12)  # row 2 sums to 13/12
+    table[13] = Fraction(1)  # row 3 sums to 3/2
+    _invalid_box_raises(s, table, "row 2 does not sum to 1")
+    table[5], table[6] = Fraction(4, 3), Fraction(-2, 3)  # row 1 sums to 1
+    _invalid_box_raises(s, table, "negative probability at input 1")
+    table = rows(2, 3, 4, 2)
+    table[8], table[11] = Fraction(-1, 4), Fraction(1, 5)  # negative and sum off
+    _invalid_box_raises(s, table, "negative probability at input 2")
+
+
+def test_box_validate_on_seven_parties():
+    """The GYNI N = 7 NS box (128 x 128 entries) with rows tampered far in."""
+    box = gb.ns_max(gyni.gyni_expression(7).expression).box
+    s, na = box.scenario, box.scenario.n_outputs
+    assert s.parties == 7
+    base = box.exact_table()
+    t77 = 77 * na + next(a for a in range(na) if base[77 * na + a])
+    t100, u100 = [100 * na + a for a in range(na) if base[100 * na + a]][:2]
+    table = list(base)
+    table[t77] += Fraction(1, 1024)
+    table[t100] = -table[t100]
+    _invalid_box_raises(s, table, "row 77 does not sum to 1")
+    table = list(base)
+    moved = table[t100] * 2  # row 100 still sums to 1
+    table[t100] -= moved
+    table[u100] += moved
+    table[120 * na] += 1
+    _invalid_box_raises(s, table, "negative probability at input 100")
+
+
 def test_bell_value_scenario_mismatch():
     e = gyni.gyni_expression(3).expression
     box = gb.box_from_strategy(

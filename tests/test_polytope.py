@@ -502,6 +502,61 @@ def test_tobl_model_weights_normalized(tobl_result):
         assert all(w > 0 for _, w in triples)
 
 
+def test_tobl_model_shares_equal_entries(tobl_result):
+    """Equal weights, keys and (key, weight) entries are one object each."""
+    entries = [e for triples in tobl_result.model.values() for e in triples]
+    for objects in (entries, [key for key, _ in entries], [w for _, w in entries]):
+        assert len(set(map(id, objects))) == len(set(objects)) < len(objects)
+
+
+def test_tobl_recheck_rejects_a_tampered_optimum(monkeypatch):
+    """Half the weight of a one-way pair in use moves to the next pair of the
+    same bipartition, direction and responder: the responder marginals still
+    agree, the mixture rows do not."""
+    expr = gb.gyni_sum_expression(3)
+    layout = polytope._ToblLayout(expr.scenario)
+    solve = polytope._solve_collapsed
+
+    def tampered(*args):
+        value, solution = solve(*args)
+        weights = np.array(solution[layout.n_table :], dtype=object).reshape(layout.shape)
+        h, p = np.argwhere(weights[0, 0])[0]
+        q = (p + 1) % len(polytope._PAIRS)
+        moved = weights[0, 0, h, p] / 2
+        weights[0, 0, h, p] -= moved
+        weights[0, 0, h, q] += moved
+        return value, solution[: layout.n_table] + weights.ravel().tolist()
+
+    monkeypatch.setattr(polytope, "_solve_collapsed", tampered)
+    with pytest.raises(lp.LPError, match="full-model recheck"):
+        gb.tobl_max(expr)
+
+
+def test_tobl_mixture_recheck_rejects_wrong_supports(monkeypatch):
+    """Supports that disagree with the solved rows (one block's pairs rolled
+    by one after the solve) fail the integer mixture recheck; the full-model
+    recheck and the responder marginals still pass."""
+    layouts = []
+    init = polytope._ToblLayout.__init__
+
+    def recording_init(self, scen):
+        init(self, scen)
+        layouts.append(self)
+
+    solve = polytope._solve_collapsed
+
+    def solve_then_roll(*args):
+        out = solve(*args)
+        (layout,) = layouts
+        layout.supports[0, 0] = np.roll(layout.supports[0, 0], 1, axis=1)
+        return out
+
+    monkeypatch.setattr(polytope._ToblLayout, "__init__", recording_init)
+    monkeypatch.setattr(polytope, "_solve_collapsed", solve_then_roll)
+    with pytest.raises(lp.LPError, match="mixture recheck"):
+        gb.tobl_max(gb.gyni_sum_expression(3))
+
+
 def test_tobl_variable_permutation_maps_supports(binary3_relabelings):
     """Each weight variable goes to the block of the image lone party and
     the image leader, onto the permuted support, for all 384 relabelings;
