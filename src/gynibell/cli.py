@@ -174,7 +174,8 @@ def _cmd_facet(args) -> dict:
 def _cmd_upb(args) -> dict:
     pvs = _named_set(args.set, args)
     out = {"label": pvs.label, "size": len(pvs), "dims": list(pvs.dims)}
-    if args.check in ("indep", "all"):
+    # a set without subsets has UPB verdicts but no local independence
+    if args.check == "indep" or args.check == "all" and pvs.local_subsets is not None:
         out["local_independence"] = upb.check_local_independence(pvs)
     if args.check in ("upb", "wupb", "all"):
         out["is_wupb"] = upb.is_wupb(pvs)

@@ -19,9 +19,11 @@ first-appearance order instead, and sets whose per-site orthogonality is
 not a clique union (the two-qutrit TILES vectors, the qutrit cycle
 realizations) either raise or carry no subsets at all.
 
-All vector arithmetic is floating point with the package tolerance; every
-verdict that matters (extension witnesses, orthogonality) is re-verified by
-direct inner products, so false positives are self-detecting.
+All vector arithmetic is floating point with the package tolerance.  The
+checks read per-site tables of overlaps |<u|v>|, each one matrix product;
+every verdict that matters (extension witnesses, orthogonality) is
+re-verified by direct inner products, so false positives are
+self-detecting.
 """
 
 from __future__ import annotations
@@ -40,9 +42,9 @@ _SQ2 = 1.0 / math.sqrt(2.0)
 
 
 class AmbiguousSubsetsError(ValueError):
-    """Local vectors cannot be grouped: some orthogonality-graph component is
-    not a clique.  Carries one conflicting triple (u orthogonal to w, v
-    orthogonal to w, but u not orthogonal to v)."""
+    """Local vectors cannot be grouped: the orthogonality graph is not a
+    disjoint union of cliques.  Carries the first conflicting triple (u
+    orthogonal to w, v orthogonal to w, but u not orthogonal to v)."""
 
     def __init__(self, site: int, triple):
         self.site = site
@@ -89,19 +91,14 @@ def fourier_basis(dim: int) -> list[np.ndarray]:
     ]
 
 
-def inner(u: np.ndarray, v: np.ndarray) -> complex:
-    return complex(np.vdot(u, v))
-
-
 def product_inner(u_sites, v_sites) -> complex:
-    out = 1.0 + 0j
-    for u, v in zip(u_sites, v_sites):
-        out *= inner(u, v)
-    return out
+    return complex(math.prod(np.vdot(u, v) for u, v in zip(u_sites, v_sites)))
 
 
-def _same_up_to_phase(u, v, eps) -> bool:
-    return abs(inner(u, v)) > 1.0 - eps
+def _overlaps(us, vs, dim: int) -> np.ndarray:
+    """The inner products <u|v> of two stacks of ``dim``-vectors, one row per
+    u and one column per v; either stack may be empty."""
+    return np.conj(np.reshape(us, (-1, dim))) @ np.reshape(vs, (-1, dim)).T
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +131,7 @@ class ProductVectorSet:
 
     @property
     def total_dim(self) -> int:
-        n = 1
-        for d in self.dims:
-            n *= d
-        return n
+        return math.prod(self.dims)
 
     def full_vector(self, m: int) -> np.ndarray:
         out = np.array([1.0 + 0j])
@@ -150,15 +144,12 @@ class ProductVectorSet:
         if self.local_subsets is None:
             raise ValueError("set carries no local subset structure")
         xs, aa = [], []
-        for i in range(len(self.dims)):
-            li = self.vector_local_index[m][i]
-            for k, subset in enumerate(self.local_subsets[i]):
-                if li in subset:
-                    xs.append(k)
-                    aa.append(subset.index(li))
-                    break
-            else:
+        for i, (li, subsets) in enumerate(zip(self.vector_local_index[m], self.local_subsets)):
+            k = next((k for k, subset in enumerate(subsets) if li in subset), None)
+            if k is None:
                 raise ValueError(f"vector {m} site {i} not covered by subsets")
+            xs.append(k)
+            aa.append(subsets[k].index(li))
         return tuple(xs), tuple(aa)
 
     def to_json(self) -> dict:
@@ -200,101 +191,78 @@ def _product_set(vectors, dims, local_sets, local_subsets, label: str) -> Produc
     (a tuple of indices into ``local_sets[i]``) has at most ``dims[i]``
     members, all mutually orthogonal; then points each vector factor at the
     first local vector equal to it up to a phase.  ``local_subsets`` is
-    None for sets without subset structure.
+    None for sets without subset structure.  Every check reads one overlap
+    table per site: the local vectors, then the members' factors, all
+    against all.
     """
     eps = config.TOLERANCE
     dims = tuple(dims)
     vectors = tuple(tuple(np.asarray(v, dtype=complex) for v in vec) for vec in vectors)
     _check_unit_norm(vectors, dims, eps)
-    for m, n in itertools.combinations(range(len(vectors)), 2):
-        if abs(product_inner(vectors[m], vectors[n])) > eps:
-            raise ValueError(f"vectors {m} and {n} are not orthogonal")
     local_sets = tuple([np.asarray(v, dtype=complex) for v in site] for site in local_sets)
+    tables = []
+    for i, (local, d) in enumerate(zip(local_sets, dims)):
+        stack = local + [vec[i] for vec in vectors]
+        tables.append(np.abs(_overlaps(stack, stack, d)))
+    # two members overlap by the product over sites of their factors' overlaps
+    overlap = np.ones((len(vectors), len(vectors)))
+    for table, local in zip(tables, local_sets):
+        overlap = overlap * table[len(local) :, len(local) :]
+    pairs = np.argwhere(np.triu(overlap > eps, 1))
+    if len(pairs):
+        raise ValueError(f"vectors {pairs[0][0]} and {pairs[0][1]} are not orthogonal")
     if local_subsets is not None:
         local_subsets = tuple(tuple(tuple(subset) for subset in site) for site in local_subsets)
-        for i, site in enumerate(local_subsets):
+        for i, (site, table) in enumerate(zip(local_subsets, tables)):
             for subset in site:
                 if len(subset) > dims[i]:
                     raise ValueError(f"site {i}: subset larger than the local dimension {dims[i]}")
-                for a, b in itertools.combinations(subset, 2):
-                    if abs(inner(local_sets[i][a], local_sets[i][b])) > eps:
-                        raise ValueError(f"site {i}: subset members not orthogonal")
-    vector_local_index = []
-    for m, vec in enumerate(vectors):
-        row = []
-        for i, v in enumerate(vec):
-            for k, r in enumerate(local_sets[i]):
-                if _same_up_to_phase(v, r, eps):
-                    row.append(k)
-                    break
-            else:
-                raise ValueError(f"vector {m} site {i} is not among the local vectors")
-        vector_local_index.append(tuple(row))
-    return ProductVectorSet(
-        dims, vectors, local_sets, local_subsets, tuple(vector_local_index), label=label
-    )
+                if np.any(np.triu(table[np.ix_(subset, subset)] > eps, 1)):
+                    raise ValueError(f"site {i}: subset members not orthogonal")
+    # each factor points at the first local vector equal to it up to a phase
+    same = [t[: len(local), len(local) :] > 1.0 - eps for t, local in zip(tables, local_sets)]
+    missing = np.argwhere(~np.array([s.any(axis=0) for s in same]).T)
+    if len(missing):
+        m, i = missing[0]
+        raise ValueError(f"vector {m} site {i} is not among the local vectors")
+    index = tuple(zip(*(s.argmax(axis=0).tolist() for s in same))) if vectors else ()
+    return ProductVectorSet(dims, vectors, local_sets, local_subsets, index, label=label)
 
 
 def build_local_subsets(vectors, dims, label: str = "") -> ProductVectorSet:
     """Derive local sets and subsets from raw orthogonal product vectors.
 
-    Per site: deduplicate local vectors modulo a global phase, build the
-    orthogonality graph and use its connected components as subsets.  When a
-    component is not a clique the grouping is ambiguous (the TILES
-    situation) and :class:`AmbiguousSubsetsError` is raised with a
-    conflicting triple.  Local sets keep first-appearance order (the
-    extension witness's SVD depends on it), and so do subset order and
-    positions.
+    Per site: deduplicate local vectors modulo a global phase and take their
+    orthogonality graph.  It is a disjoint union of cliques exactly when no
+    two non-adjacent vectors share an orthogonal partner, and then each
+    vector's subset is itself with its partners.  Otherwise the grouping is
+    ambiguous (the TILES situation) and :class:`AmbiguousSubsetsError` is
+    raised with the first such pair and their first common partner.  Local
+    sets keep first-appearance order (the extension witness's SVD depends on
+    it), and so do subset order and positions.
     """
     eps = config.TOLERANCE
     vectors = tuple(tuple(np.asarray(v, dtype=complex) for v in vec) for vec in vectors)
-    _check_unit_norm(vectors, dims, eps)  # the per-site dedupe needs the shapes
+    _check_unit_norm(vectors, dims, eps)  # the per-site tables need the shapes
     local_sets = []
     local_subsets = []
-    for i in range(len(dims)):
-        reps: list[np.ndarray] = []
-        for vec in vectors:
-            if not any(_same_up_to_phase(vec[i], r, eps) for r in reps):
-                reps.append(vec[i])
-        # orthogonality graph on the deduplicated vectors
-        nloc = len(reps)
-        adj = [[False] * nloc for _ in range(nloc)]
-        for a in range(nloc):
-            for b in range(a + 1, nloc):
-                if abs(inner(reps[a], reps[b])) <= eps:
-                    adj[a][b] = adj[b][a] = True
-        comp = [-1] * nloc
-        comps = []
-        for start in range(nloc):
-            if comp[start] >= 0:
-                continue
-            cid = len(comps)
-            stack, members = [start], []
-            comp[start] = cid
-            while stack:
-                u = stack.pop()
-                members.append(u)
-                for w in range(nloc):
-                    if adj[u][w] and comp[w] < 0:
-                        comp[w] = cid
-                        stack.append(w)
-            members.sort()
-            comps.append(members)
-        for members in comps:
-            for a_pos in range(len(members)):
-                for b_pos in range(a_pos + 1, len(members)):
-                    u, w = members[a_pos], members[b_pos]
-                    if not adj[u][w]:
-                        # prefer a partner orthogonal to both offenders
-                        partner = next(
-                            (z for z in members if adj[u][z] and adj[w][z]),
-                            None,
-                        )
-                        if partner is None:
-                            partner = next(z for z in members if adj[u][z] or adj[w][z])
-                        raise AmbiguousSubsetsError(i, (u, w, partner))
-        local_sets.append(reps)
-        local_subsets.append(comps)
+    for i, d in enumerate(dims):
+        factors = [vec[i] for vec in vectors]
+        table = np.abs(_overlaps(factors, factors, d))
+        reps = []
+        for m in range(len(factors)):
+            if not np.any(table[m, reps] > 1.0 - eps):
+                reps.append(m)
+        adj = table[np.ix_(reps, reps)] <= eps
+        # non-adjacent pairs with a common partner
+        conflicts = np.argwhere(np.triu((adj @ adj) & ~adj, 1))
+        if len(conflicts):
+            u, w = conflicts[0].tolist()
+            raise AmbiguousSubsetsError(i, (u, w, int(np.argmax(adj[u] & adj[w]))))
+        closed = adj | np.eye(len(reps), dtype=bool)
+        cliques = [tuple(np.flatnonzero(row).tolist()) for row in closed]
+        local_sets.append([factors[m] for m in reps])
+        local_subsets.append(list(dict.fromkeys(cliques)))  # first appearance
     return _product_set(vectors, dims, local_sets, local_subsets, label)
 
 
@@ -323,15 +291,12 @@ def check_local_independence(pvs: ProductVectorSet) -> bool:
     eps = config.TOLERANCE
     if pvs.local_subsets is None:
         raise ValueError("set carries no local subset structure")
-    for i in range(len(pvs.dims)):
-        subsets = pvs.local_subsets[i]
-        reps = pvs.local_sets[i]
-        for k1 in range(len(subsets)):
-            for k2 in range(k1 + 1, len(subsets)):
-                for u in subsets[k1]:
-                    for w in subsets[k2]:
-                        if abs(inner(reps[u], reps[w])) <= eps:
-                            return False
+    for subsets, local, d in zip(pvs.local_subsets, pvs.local_sets, pvs.dims):
+        members = [local[u] for subset in subsets for u in subset]
+        setting = np.repeat(np.arange(len(subsets)), [len(subset) for subset in subsets])
+        cross = setting[:, None] != setting
+        if np.any(np.abs(_overlaps(members, members, d))[cross] <= eps):
+            return False
     return True
 
 
@@ -342,23 +307,13 @@ class UpbVerdict:
     nodes: int  # assignment-search nodes visited
 
 
-def _site_rank(vectors, eps) -> int:
-    if not vectors:
-        return 0
-    mat = np.array(vectors)
-    s = np.linalg.svd(mat, compute_uv=False)
-    return int(np.sum(s > eps))
-
-
-def _null_vector(vectors, dim, eps) -> np.ndarray:
+def _null_vector(vectors, dim: int, eps) -> np.ndarray | None:
     """A unit vector orthogonal (Hermitian inner product) to all the given
-    local vectors."""
-    if not vectors:
-        return basis_ket(dim, 0)
+    local vectors, or None when they span the site."""
     mat = np.conj(np.array(vectors))
     _, s, vh = np.linalg.svd(mat, full_matrices=True)
-    null = vh[np.sum(s > eps) :]
-    return null[0].conj()
+    rank = int(np.sum(s > eps))
+    return vh[rank].conj() if rank < dim else None
 
 
 def is_upb(pvs: ProductVectorSet, cap: int | None = None) -> UpbVerdict:
@@ -380,22 +335,18 @@ def is_upb(pvs: ProductVectorSet, cap: int | None = None) -> UpbVerdict:
     if size >= pvs.total_dim:
         raise ValueError("set must span a proper subspace (|S| < dim H)")
 
-    rank_memo = [dict() for _ in range(n_sites)]
+    null_memo = [{0: basis_ket(d, 0)} for d in pvs.dims]
 
-    def site_rank(site: int, mask: int) -> int:
-        memo = rank_memo[site]
-        if mask in memo:
-            return memo[mask]
-        members = sorted(
-            {
-                pvs.vector_local_index[m][site]
-                for m in range(size)
-                if mask & (1 << m)
-            }
-        )
-        r = _site_rank([pvs.local_sets[site][k] for k in members], eps)
-        memo[mask] = r
-        return r
+    def null_vector(site: int, mask: int) -> np.ndarray | None:
+        memo = null_memo[site]
+        if mask not in memo:
+            members = sorted(
+                {pvs.vector_local_index[m][site] for m in range(size) if mask & (1 << m)}
+            )
+            memo[mask] = _null_vector(
+                [pvs.local_sets[site][k] for k in members], pvs.dims[site], eps
+            )
+        return memo[mask]
 
     masks = [0] * n_sites
     nodes = 0
@@ -409,7 +360,7 @@ def is_upb(pvs: ProductVectorSet, cap: int | None = None) -> UpbVerdict:
             return tuple(masks)
         for site in range(n_sites):
             new_mask = masks[site] | (1 << m)
-            if site_rank(site, new_mask) < pvs.dims[site]:
+            if null_vector(site, new_mask) is not None:
                 old = masks[site]
                 masks[site] = new_mask
                 found = search(m + 1)
@@ -421,23 +372,11 @@ def is_upb(pvs: ProductVectorSet, cap: int | None = None) -> UpbVerdict:
     assignment = search(0)
     if assignment is None:
         return UpbVerdict(True, None, nodes)
-
-    witness = []
-    for site in range(n_sites):
-        members = sorted(
-            {
-                pvs.vector_local_index[m][site]
-                for m in range(size)
-                if assignment[site] & (1 << m)
-            }
-        )
-        witness.append(
-            _null_vector([pvs.local_sets[site][k] for k in members], pvs.dims[site], eps)
-        )
-    for m in range(size):
-        if abs(product_inner(witness, pvs.vectors[m])) > eps:
+    witness = tuple(null_vector(site, mask) for site, mask in enumerate(assignment))
+    for vec in pvs.vectors:
+        if abs(product_inner(witness, vec)) > eps:
             raise RuntimeError("extension witness failed the orthogonality recheck")
-    return UpbVerdict(False, tuple(witness), nodes)
+    return UpbVerdict(False, witness, nodes)
 
 
 #: most complex overlaps one block of the weak-unextendibility test holds
@@ -455,10 +394,10 @@ def is_wupb(pvs: ProductVectorSet) -> bool:
     eps = config.TOLERANCE
     if len(pvs) >= pvs.total_dim:
         raise ValueError("set must span a proper subspace (|S| < dim H)")
-    grams = []
-    for i, (local, d) in enumerate(zip(pvs.local_sets, pvs.dims)):
-        members = np.array([vec[i] for vec in pvs.vectors]).reshape(-1, d)
-        grams.append(np.array(local).reshape(-1, d).conj() @ members.T)
+    grams = [
+        _overlaps(local, [vec[i] for vec in pvs.vectors], d)
+        for i, (local, d) in enumerate(zip(pvs.local_sets, pvs.dims))
+    ]
     sizes = [len(g) for g in grams]
     total = math.prod(sizes)
     step = max(1, _WUPB_BLOCK // max(1, len(pvs)))
@@ -512,30 +451,16 @@ def shifts(e=None) -> ProductVectorSet:
     """The three-qubit Shifts set {|000>, |1 e' e>, |e 1 e'>, |e' e 1>} with
     e' the orthogonal partner of e (default: Hadamard-rotated basis).
 
-    A per-site sequence of three e vectors is also accepted.  Up to local
-    unitaries and party permutations this is the only three-qubit
-    unextendible product set, so its inequality is the canonical three-party
-    one."""
-    if e is None:
-        es = [hadamard_pair()[0]] * 3
-    elif isinstance(e, (list, tuple)) and len(e) == 3 and all(np.shape(v) == (2,) for v in e):
-        es = [np.asarray(v, dtype=complex) for v in e]
-    else:
-        v = np.asarray(e, dtype=complex)
-        if v.shape != (2,):
-            raise ValueError("e must be a qubit vector, or three of them")
-        es = [v] * 3
+    Up to local unitaries and party permutations this is the only
+    three-qubit unextendible product set, so its inequality is the canonical
+    three-party one."""
+    e = hadamard_pair()[0] if e is None else np.asarray(e, dtype=complex)
+    if e.shape != (2,):
+        raise ValueError("e must be a qubit vector")
     zero, one = basis_ket(2, 0), basis_ket(2, 1)
-    ebars = [qubit_orthogonal(v) for v in es]
-    vectors = [
-        (zero, zero, zero),
-        (one, ebars[1], es[2]),
-        (es[0], one, ebars[2]),
-        (ebars[0], es[1], one),
-    ]
-    site_subsets = [
-        [[zero, one], [es[i], ebars[i]]] for i in range(3)
-    ]
+    ebar = qubit_orthogonal(e)
+    vectors = [(zero, zero, zero), (one, ebar, e), (e, one, ebar), (ebar, e, one)]
+    site_subsets = [[[zero, one], [e, ebar]]] * 3
     return _from_explicit_subsets(vectors, (2, 2, 2), site_subsets, label="shifts")
 
 
@@ -571,23 +496,20 @@ def gen_shifts(k: int, bases=None) -> ProductVectorSet:
     return _from_explicit_subsets(vectors, (2,) * n, site_subsets, label=f"gen-shifts-{k}")
 
 
-def _two_basis_cyclic_set(n_parties: int, dim: int, basis, label: str) -> ProductVectorSet:
-    """The textbook two-basis pattern: e_{d-1} at every site plus the cyclic
-    rotations of (|0>, ..., |N-2>, e_j); N(d-1)+1 vectors, two local subsets
-    per site (standard states and the second basis)."""
-    eps = config.TOLERANCE
-    std = [basis_ket(dim, i) for i in range(dim)]
-    for b in basis:
-        if any(abs(inner(b, s)) <= eps for s in std):
-            raise ValueError("second basis must have no zero overlap with the standard one")
-    base = std[: n_parties - 1]
-    vectors = [tuple([basis[dim - 1]] * n_parties)]
+def _two_basis_cyclic_set(n_parties: int, dim: int, label: str) -> ProductVectorSet:
+    """The textbook two-basis pattern: the last Fourier vector f_{d-1} at
+    every site plus the cyclic rotations of (|0>, ..., |N-2>, f_j), j < d-1;
+    N(d-1)+1 vectors, two local subsets per site (standard states and the
+    Fourier basis, which overlap by 1/sqrt(d) throughout, so the set is
+    locally independent for every d, extendible or not)."""
+    fourier = fourier_basis(dim)
+    base = [basis_ket(dim, i) for i in range(n_parties - 1)]
+    vectors = [tuple([fourier[-1]] * n_parties)]
     for shift in range(n_parties):
         for j in range(dim - 1):
-            pattern = base + [basis[j]]
-            rotated = pattern[-shift:] + pattern[:-shift] if shift else pattern
-            vectors.append(tuple(rotated))
-    site_subsets = [[list(base), list(basis)] for _ in range(n_parties)]
+            pattern = base + [fourier[j]]
+            vectors.append(tuple(pattern[-shift:] + pattern[:-shift]))
+    site_subsets = [[base, fourier]] * n_parties
     return _from_explicit_subsets(vectors, (dim,) * n_parties, site_subsets, label=label)
 
 
@@ -662,37 +584,28 @@ def _distinct_letter_upb_qutrits(n_parties: int, label: str) -> ProductVectorSet
     eps = config.TOLERANCE
     size = 2 * n_parties + 1
     cycles = _walecki_cycles(size)
+    edge = np.zeros((n_parties, size, size), dtype=bool)
+    for site, c in enumerate(cycles):
+        edge[site, c, np.roll(c, 1)] = edge[site, np.roll(c, 1), c] = True
+    apart = ~edge & ~np.eye(size, dtype=bool)
+    triples = np.array(list(itertools.combinations(range(size), 3)))
     for attempt in range(200):
         rng = np.random.default_rng(attempt)
         sites = [_realize_cycle_qutrit(c, rng) for c in cycles]
-        ok = True
-        for c, letters in zip(cycles, sites):
-            edges = {frozenset((c[i], c[(i + 1) % size])) for i in range(size)}
-            for u, v in itertools.combinations(range(size), 2):
-                ip = abs(inner(letters[u], letters[v]))
-                if frozenset((u, v)) in edges:
-                    ok = ok and ip <= eps
-                else:
-                    # distinct and not accidentally orthogonal
-                    ok = ok and 1e-6 < ip < 1 - 1e-6
-            if not ok:
-                break
-            for tri in itertools.combinations(range(size), 3):
-                m = np.array([letters[t] for t in tri])
-                if np.linalg.svd(m, compute_uv=False)[-1] < 1e-6:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        vectors = [[sites[s][m] for s in range(n_parties)] for m in range(size)]
-        local_sets = [[sites[s][m] for m in range(size)] for s in range(n_parties)]
-        return _product_set(vectors, (3,) * n_parties, local_sets, None, label)
+        letters = np.array([[site[v] for v in range(size)] for site in sites])
+        ip = np.abs([_overlaps(site, site, 3) for site in letters])
+        # orthogonal exactly along the edges, distinct, no three coplanar
+        if (
+            np.all(ip[edge] <= eps)
+            and np.all((ip[apart] > 1e-6) & (ip[apart] < 1 - 1e-6))
+            and np.linalg.svd(letters[:, triples], compute_uv=False)[..., -1].min() >= 1e-6
+        ):
+            vectors = letters.transpose(1, 0, 2)
+            return _product_set(vectors, (3,) * n_parties, letters, None, label)
     raise RuntimeError("could not realize a generic cycle decomposition")
 
 
-def niset_cerf(n_parties: int, dim: int, basis=None) -> ProductVectorSet:
+def niset_cerf(n_parties: int, dim: int) -> ProductVectorSet:
     """Minimal-size orthogonal product family on (C^dim)^N, N >= 3,
     dim >= N-1, with N(dim-1)+1 vectors.
 
@@ -715,38 +628,20 @@ def niset_cerf(n_parties: int, dim: int, basis=None) -> ProductVectorSet:
     label = f"niset-cerf-{n_parties}-{dim}"
     if dim == 3:
         return _distinct_letter_upb_qutrits(n_parties, label)
-    if basis is None:
-        basis = fourier_basis(dim)
-    basis = [np.asarray(b, dtype=complex) for b in basis]
-    return _two_basis_cyclic_set(n_parties, dim, basis, label)
+    return _two_basis_cyclic_set(n_parties, dim, label)
 
 
 def niset_cerf_inequality(n_parties: int, dim: int) -> BellExpression:
-    """The two-setting inequality of the minimal family: one term
+    """The two-setting inequality of the minimal family, read off the
+    two-basis set whatever its extendibility: one term
     P(dim-1, ..., dim-1 | 1, ..., 1) plus, for every cyclic rotation and
     every j < dim-1, the term with outcomes (0, 1, ..., N-2, j) under
     settings (0, ..., 0, 1); all terms pairwise orthogonal, so the
     classical (and quantum) bound is exactly 1."""
     if n_parties < 3 or dim < n_parties - 1:
         raise ValueError("need N >= 3 and dim >= N-1")
-    scen = Scenario((2,) * n_parties, (dim,) * n_parties)
-    coeffs = {}
-    top_x = (1,) * n_parties
-    top_a = (dim - 1,) * n_parties
-    coeffs[(scen.encode_input(top_x), scen.encode_outcome(top_a))] = Fraction(1)
-    for shift in range(n_parties):
-        for j in range(dim - 1):
-            aa = list(range(n_parties - 1)) + [j]
-            xs = [0] * (n_parties - 1) + [1]
-            aa = aa[-shift:] + aa[:-shift] if shift else aa
-            xs = xs[-shift:] + xs[:-shift] if shift else xs
-            coeffs[(scen.encode_input(tuple(xs)), scen.encode_outcome(tuple(aa)))] = Fraction(1)
-    return BellExpression(
-        scen,
-        coeffs,
-        classical_bound=Fraction(1),
-        label=f"niset-cerf-{n_parties}-{dim}-inequality",
-    )
+    label = f"niset-cerf-{n_parties}-{dim}-inequality"
+    return bell_from_set(_two_basis_cyclic_set(n_parties, dim, label))
 
 
 def wupb_example() -> ProductVectorSet:

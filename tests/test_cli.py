@@ -146,6 +146,37 @@ def test_upb_set_from_file(tmp_path):
     assert json.loads(text)["is_upb"] is True
 
 
+def test_upb_empty_set_from_file(tmp_path):
+    sfile = tmp_path / "empty.json"
+    sfile.write_text(json.dumps({"dims": [2, 2], "vectors": []}))
+    code, text = run_cli(["upb", str(sfile)])
+    assert code == 0
+    payload = json.loads(text)
+    assert payload["size"] == 0
+    assert payload["is_upb"] is False
+    assert payload["extension_witness"] == [[[1.0, 0.0], [0.0, 0.0]]] * 2
+    assert payload["is_wupb"] is True
+    assert payload["local_independence"] is True
+
+
+def test_upb_on_sets_without_subsets(capsys):
+    """The qutrit Niset-Cerf sets carry no subsets: ``--check all`` reports
+    the UPB verdicts alone; local independence and the Bell expression stay
+    domain errors."""
+    for n in ("3", "4"):
+        nc = ["upb", "nc", "--n", n, "--d", "3"]
+        code, text = run_cli(nc)
+        assert code == 0
+        payload = json.loads(text)
+        assert (payload["is_upb"], payload["is_wupb"]) == (True, True)
+        assert "local_independence" not in payload
+        assert text == run_cli([*nc, "--check", "upb"])[1]
+        for extra in (["--check", "indep"], ["--emit-bell"]):
+            code, text = run_cli([*nc, *extra])
+            assert (code, text) == (1, "")
+            assert "error: set carries no local subset structure" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code():
     code, _ = run_cli(["bounds", "--set", "warp"])
     assert code == 2

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -51,6 +52,23 @@ def test_single_vector_set():
     z = basis_ket(2, 0)
     pvs = build_local_subsets([(z, z, z)], (2, 2, 2))
     assert all(len(s) == 1 for site in pvs.local_subsets for s in site)
+    assert pvs.vector_local_index == ((0, 0, 0),)
+    assert gb.check_local_independence(pvs) and gb.is_wupb(pvs)
+    verdict = gb.is_upb(pvs)
+    assert not verdict.is_upb and verdict.nodes == 2
+    o = basis_ket(2, 1)
+    assert all(np.array_equal(w, v) for w, v in zip(verdict.extension_witness, (o, z, z)))
+
+
+def test_empty_set():
+    pvs = build_local_subsets([], (2, 2))
+    assert pvs.local_sets == ([], []) and pvs.local_subsets == ((), ())
+    assert pvs.vector_local_index == ()
+    assert gb.check_local_independence(pvs) and gb.is_wupb(pvs)
+    verdict = gb.is_upb(pvs)
+    assert not verdict.is_upb and verdict.nodes == 1
+    z = basis_ket(2, 0)
+    assert all(np.array_equal(w, z) for w in verdict.extension_witness)
 
 
 def test_build_rejects_non_orthogonal():
@@ -63,8 +81,22 @@ def test_build_rejects_non_orthogonal():
 def test_tiles_triggers_ambiguity():
     with pytest.raises(upb.AmbiguousSubsetsError) as err:
         build_local_subsets(upb.tiles(), (3, 3))
-    assert err.value.site in (0, 1)
-    assert len(err.value.triple) == 3
+    assert (err.value.site, err.value.triple) == (0, (0, 2, 1))
+
+
+def test_ambiguity_triple_names_a_common_partner():
+    """Site 0's orthogonality graph is the path 0-2-3-1: vectors 0 and 1
+    share no partner, so the first conflicting pair is (0, 3), through 2."""
+    e = [basis_ket(3, k) for k in range(3)]
+    site0 = [e[0], upb.ket(1, 0, 1), upb.ket(0, 1, 1), upb.ket(1, 1, -1)]
+    site1 = [e[0], e[1], e[2], e[1]]
+    with pytest.raises(upb.AmbiguousSubsetsError) as err:
+        build_local_subsets(list(zip(site0, site1)), (3, 3))
+    assert (err.value.site, err.value.triple) == (0, (0, 3, 2))
+    u, w, partner = err.value.triple
+    overlap = lambda a, b: abs(np.vdot(site0[a], site0[b]))
+    assert overlap(u, partner) < 1e-9 and overlap(w, partner) < 1e-9
+    assert overlap(u, w) > 1e-9
 
 
 def test_local_independence_shifts():
@@ -178,6 +210,33 @@ def test_niset_cerf_parameter_validation():
         upb.niset_cerf(2, 3)
     with pytest.raises(ValueError):
         upb.niset_cerf(4, 2)
+
+
+def _niset_cerf_inequality_oracle(n_parties, dim):
+    """The family's inequality, one hand-written term at a time."""
+    scen = gb.Scenario((2,) * n_parties, (dim,) * n_parties)
+    coeffs = {}
+    top_x = (1,) * n_parties
+    top_a = (dim - 1,) * n_parties
+    coeffs[(scen.encode_input(top_x), scen.encode_outcome(top_a))] = Fraction(1)
+    for shift in range(n_parties):
+        for j in range(dim - 1):
+            aa = list(range(n_parties - 1)) + [j]
+            xs = [0] * (n_parties - 1) + [1]
+            aa = aa[-shift:] + aa[:-shift] if shift else aa
+            xs = xs[-shift:] + xs[:-shift] if shift else xs
+            coeffs[(scen.encode_input(tuple(xs)), scen.encode_outcome(tuple(aa)))] = Fraction(1)
+    return scen, coeffs
+
+
+@pytest.mark.parametrize("n,d", [(3, 2), (3, 3), (4, 3), (4, 4), (5, 4)])
+def test_niset_cerf_inequality_matches_term_oracle(n, d):
+    e = upb.niset_cerf_inequality(n, d)
+    scen, coeffs = _niset_cerf_inequality_oracle(n, d)
+    assert (e.scenario.inputs, e.scenario.outputs) == (scen.inputs, scen.outputs)
+    assert list(e.coeffs.items()) == list(coeffs.items())
+    assert e.classical_bound == 1
+    assert e.label == f"niset-cerf-{n}-{d}-inequality"
 
 
 def test_niset_cerf_inequality_43():
@@ -316,12 +375,21 @@ def test_product_set_checks():
         upb._product_set([(z, basis_ket(3, 0))], (2, 2), sites, subsets, "")
     with pytest.raises(ValueError, match="not orthogonal"):
         upb._product_set([(z, z), (e, z)], (2, 2), sites, subsets, "")
+    # two offending pairs, (0, 3) and (1, 2): the lexicographically first is named
+    with pytest.raises(ValueError, match="^vectors 0 and 3 are not orthogonal$"):
+        upb._product_set([(z, z), (o, o), (ebar, o), (e, z)], (2, 2), sites, subsets, "")
     with pytest.raises(ValueError, match="larger than the local dimension"):
         upb._product_set([(z, z)], (2, 2), [[z, o, e], [z, o]], [[(0, 1, 2)], [(0, 1)]], "")
     with pytest.raises(ValueError, match="subset members not orthogonal"):
         upb._product_set([(z, z)], (2, 2), [[z, e], [z, o]], [[(0, 1)], [(0, 1)]], "")
     with pytest.raises(ValueError, match="not among the local vectors"):
         upb._product_set([(ebar, z)], (2, 2), sites, subsets, "")
+    # two missing factors: the first by (vector, site) is named, vector 1 at
+    # site 1 before vector 2 at site 0
+    with pytest.raises(ValueError, match="^vector 1 site 1 is not among the local vectors$"):
+        upb._product_set(
+            [(z, z, z), (o, e, z), (e, o, o)], (2, 2, 2), [[z, o]] * 3, [[(0, 1)]] * 3, ""
+        )
     # raw vectors (a vector-set file) are shape-checked before the dedupe
     with pytest.raises(ValueError, match="wrong site count"):
         build_local_subsets([(z, z), (o,)], (2, 2))
