@@ -197,12 +197,17 @@ def _cmd_witness(args) -> dict:
     # the measured table needs the subsets; fail before the see-saw runs
     if pvs.local_subsets is None:
         raise ValueError("set carries no local subset structure")
-    pi = witness.projector_onto_span(pvs)
     verdict = upb.is_upb(pvs, cap=args.cap)
     if verdict.is_upb:
+        pi = witness.projector_onto_span(pvs)
         eps = witness.epsilon_min(pi, starts=args.starts, seed=args.seed)
+    elif upb.is_wupb(pvs):
+        eps = witness.epsilon_min_restricted(pvs)
     else:
-        eps = witness.epsilon_min_restricted(pi, pvs)
+        raise ValueError(
+            "set is not a weak UPB: a product of its own local vectors is "
+            "orthogonal to every member, so eps is 0 and no witness exists"
+        )
     report = witness.witness_and_state(pvs, eps)
     out = report.to_json()
     out["is_upb"] = verdict.is_upb

@@ -5,6 +5,9 @@ cardinalities.  A *box* is a full conditional probability table ``P(a|x)``
 over a scenario, in exact rationals.  Input and outcome tuples are
 flattened to mixed-radix integers, party-major with party 0 most
 significant, which gives deterministic serialization and O(1) table lookups.
+Deterministic strategies are enumerated in one order, fixed here: the
+product of each party's response tables, so position k is the
+mixed-radix number whose digits index those tables.
 
 All types are immutable after construction and all operations are pure
 functions, so values can be shared freely between concurrent tasks.
@@ -293,27 +296,34 @@ def checked_strategy_count(scenario: Scenario, cap: int | None = None) -> int:
     return count
 
 
-def iter_deterministic_strategies(
-    scenario: Scenario, cap: int | None = None
-) -> Iterator[DeterministicStrategy]:
-    """All deterministic strategies, duplicate-free, in lexicographic order
-    of the response tables, generated lazily.  The cap on their number is
-    checked before the first one is produced."""
-    checked_strategy_count(scenario, cap)
-    per_party = [
+def _response_tables(scenario: Scenario) -> list[list[tuple[int, ...]]]:
+    """Each party's response functions, as tuples indexed by input, in
+    lexicographic order."""
+    return [
         list(itertools.product(range(d), repeat=m))
         for m, d in zip(scenario.inputs, scenario.outputs)
     ]
-    for combo in itertools.product(*per_party):
-        yield DeterministicStrategy(combo)
+
+
+def strategy_at(scenario: Scenario, position: int) -> DeterministicStrategy:
+    """The deterministic strategy at ``position`` of the enumeration order
+    (:func:`enumerate_deterministic_strategies`): the position's mixed-radix
+    digits, party 0 most significant, index each party's response table."""
+    if not 0 <= position < scenario.strategy_count():
+        raise ValueError(f"strategy position {position} out of range")
+    tables = _response_tables(scenario)
+    picks = decode_tuple(position, tuple(map(len, tables)))
+    return DeterministicStrategy(tuple(t[k] for t, k in zip(tables, picks)))
 
 
 def enumerate_deterministic_strategies(
     scenario: Scenario, cap: int | None = None
 ) -> list[DeterministicStrategy]:
-    """:func:`iter_deterministic_strategies` as a list, for callers that
-    index or sample it."""
-    return list(iter_deterministic_strategies(scenario, cap))
+    """All deterministic strategies, duplicate-free, in lexicographic order
+    of the response tables (the order :func:`strategy_at` indexes).  The cap
+    on their number is checked before any is built."""
+    checked_strategy_count(scenario, cap)
+    return [DeterministicStrategy(c) for c in itertools.product(*_response_tables(scenario))]
 
 
 def strategy_entries(scenario: Scenario, strategy: DeterministicStrategy) -> list[int]:
@@ -616,7 +626,7 @@ def postselect(box: Box, party: int, x_value: int, a_value: int) -> Box:
             raise ZeroDivisionError(
                 f"postselection on zero-probability event at party {party}"
             )
-        return [v / norm for v in values]
+        return [Fraction(v) / norm for v in values]
 
     return Box(new, [v for xo in new.input_tuples() for v in row(xo)])
 

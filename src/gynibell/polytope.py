@@ -1,10 +1,11 @@
 """Correlation polytopes: local, no-signaling and time-ordered bilocal.
 
 Everything here is exact.  Optima over the local polytope come from full
-enumeration of deterministic vertices; optima over the no-signaling set and
-the TOBL set come from the rational simplex in :mod:`gynibell.lp`, posed in
-full probability coordinates with one equality row per normalization and
-no-signaling condition.  Those equality rows are one :class:`lp.Rows` of
+enumeration of deterministic vertices, valued by position in the order
+:mod:`gynibell.core` defines, so only the argmax is built as a strategy.
+Optima over the no-signaling set and the TOBL set come from the rational
+simplex in :mod:`gynibell.lp`, posed in full probability coordinates with
+one equality row per normalization and no-signaling condition.  Those equality rows are one :class:`lp.Rows` of
 integer numpy arrays (row, column, value, right-hand side) from the model
 build to the solver: orbits, duplicate rows and the invariance checks are
 all integer array work, and the rows left after the collapse are the LP's
@@ -46,6 +47,7 @@ from .core import (
     checked_strategy_count,
     expression_invariant_under,
     is_nonsignaling,
+    strategy_at,
 )
 from .lp import Rows
 
@@ -85,7 +87,7 @@ def _strategy_values(expression: BellExpression, cap: int | None = None):
     """Every deterministic strategy's value as an integer numerator over one
     common denominator: returns ``(den, blocks)``, where ``blocks`` yields
     ``(start, values)`` for consecutive runs of strategies in enumeration
-    order (:func:`iter_deterministic_strategies`), strategy ``start + i``
+    order (:func:`core.strategy_at`), strategy ``start + i``
     having value ``values[i] / den``.
 
     The coefficients go into a dense (x_1 a_1, ..., x_N a_N) tensor that is
@@ -128,21 +130,6 @@ def _strategy_values(expression: BellExpression, cap: int | None = None):
     return den, blocks()
 
 
-def _strategies_at(scenario: Scenario, indices) -> list[DeterministicStrategy]:
-    """The deterministic strategies at the given positions of the
-    enumeration order."""
-    tables = [
-        [tuple(r) for r in _responses(m, d).tolist()]
-        for m, d in zip(scenario.inputs, scenario.outputs)
-    ]
-    counts = [len(t) for t in tables]
-    per_party = np.unravel_index(np.asarray(indices, dtype=np.int64), counts)
-    return [
-        DeterministicStrategy(tuple(t[s] for t, s in zip(tables, combo)))
-        for combo in zip(*(p.tolist() for p in per_party))
-    ]
-
-
 def classical_max(expression: BellExpression, cap: int | None = None) -> ClassicalOptimum:
     """Exact maximum over deterministic strategies, with an argmax strategy
     (the first one in enumeration order that attains the maximum).  Every
@@ -154,8 +141,7 @@ def classical_max(expression: BellExpression, cap: int | None = None) -> Classic
         i = int(np.argmax(vals))
         if best is None or vals[i] > best:
             best, at = int(vals[i]), start + i
-    (strategy,) = _strategies_at(expression.scenario, [at])
-    return ClassicalOptimum(Fraction(best, den), strategy)
+    return ClassicalOptimum(Fraction(best, den), strategy_at(expression.scenario, at))
 
 
 # ---------------------------------------------------------------------------
@@ -473,9 +459,9 @@ def local_membership(box: Box, cap: int | None = None) -> LocalMembership:
 
     Local boxes come with an exact convex decomposition over deterministic
     vertices; non-local ones with a separating inequality (a Farkas
-    combination of the table rows), verified against every vertex.  Each
-    vertex is held as the table indices where it is 1, one per input
-    (:func:`_strategy_table_indices`).
+    combination of the table rows) whose bound :func:`classical_max`, every
+    vertex valued, must confirm.  In the LP each vertex is held as the table
+    indices where it is 1, one per input (:func:`_strategy_table_indices`).
     """
     scen = box.scenario
     entries = _strategy_table_indices(scen, cap)
@@ -501,8 +487,7 @@ def local_membership(box: Box, cap: int | None = None) -> LocalMembership:
                 rebuilt[t] += w
         if rebuilt != table:
             raise lp.LPError("membership decomposition failed recheck")
-        strategies = _strategies_at(scen, [k for k, _ in support])
-        weights = tuple((s, w) for s, (_, w) in zip(strategies, support))
+        weights = tuple((strategy_at(scen, k), w) for k, w in support)
         return LocalMembership(True, weights, None)
 
     farkas = res.farkas
@@ -514,10 +499,7 @@ def local_membership(box: Box, cap: int | None = None) -> LocalMembership:
     bound = -farkas[scen.table_size]
     separating = BellExpression(scen, coeffs, label="separating inequality")
     value_at_box = bell_value(separating, box)
-    # every vertex's value, in integer numerators over one denominator
-    den = math.lcm(*(f.denominator for f in farkas))
-    nums = np.array([f.numerator * (den // f.denominator) for f in farkas], dtype=object)
-    if np.any(nums[entries].sum(axis=1) > -nums[scen.table_size]):
+    if not classical_max(separating, cap).value <= bound:
         raise lp.LPError("separating inequality failed vertex recheck")
     if not value_at_box > bound:
         raise lp.LPError("separating inequality does not separate the box")

@@ -133,12 +133,6 @@ class ProductVectorSet:
     def total_dim(self) -> int:
         return math.prod(self.dims)
 
-    def full_vector(self, m: int) -> np.ndarray:
-        out = np.array([1.0 + 0j])
-        for v in self.vectors[m]:
-            out = np.kron(out, v)
-        return out
-
     def labels(self, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(settings, outcomes) of vector m: subset index and position."""
         if self.local_subsets is None:
@@ -379,36 +373,43 @@ def is_upb(pvs: ProductVectorSet, cap: int | None = None) -> UpbVerdict:
     return UpbVerdict(False, witness, nodes)
 
 
-#: most complex overlaps one block of the weak-unextendibility test holds
-_WUPB_BLOCK = 1 << 14
+#: most complex overlaps one block of the local-product enumeration holds
+_LOCAL_PRODUCT_BLOCK = 1 << 14
 
 
-def is_wupb(pvs: ProductVectorSet) -> bool:
-    """Weak unextendibility: no product of the set's own local vectors is
-    orthogonal to every member (finite enumeration over the local sets).
+def _local_product_overlaps(pvs: ProductVectorSet):
+    """<p|psi_m> for every product p of the set's own local vectors (rows,
+    in ``itertools.product`` order of ``local_sets``) and every member m
+    (columns), yielded one block of rows at a time.
 
     Each site's local vectors are taken against the members' factors there
-    once (a Gram matrix); a candidate's overlap with a member is the product
-    over sites of those entries, formed for a block of candidates at a
-    time."""
-    eps = config.TOLERANCE
-    if len(pvs) >= pvs.total_dim:
-        raise ValueError("set must span a proper subspace (|S| < dim H)")
+    once (a Gram matrix); a product's overlap with a member is the product
+    over sites of those entries."""
     grams = [
         _overlaps(local, [vec[i] for vec in pvs.vectors], d)
         for i, (local, d) in enumerate(zip(pvs.local_sets, pvs.dims))
     ]
     sizes = [len(g) for g in grams]
     total = math.prod(sizes)
-    step = max(1, _WUPB_BLOCK // max(1, len(pvs)))
+    step = max(1, _LOCAL_PRODUCT_BLOCK // max(1, len(pvs)))
     for s in range(0, total, step):
         picks = np.unravel_index(np.arange(s, min(s + step, total)), sizes)
         overlap = grams[0][picks[0]]
         for gram, k in zip(grams[1:], picks[1:]):
             overlap = overlap * gram[k]
-        if np.any(np.all(np.abs(overlap) <= eps, axis=1)):
-            return False
-    return True
+        yield overlap
+
+
+def is_wupb(pvs: ProductVectorSet) -> bool:
+    """Weak unextendibility: no product of the set's own local vectors is
+    orthogonal to every member (finite enumeration over the local sets,
+    :func:`_local_product_overlaps`)."""
+    eps = config.TOLERANCE
+    if len(pvs) >= pvs.total_dim:
+        raise ValueError("set must span a proper subspace (|S| < dim H)")
+    return not any(
+        np.any(np.all(np.abs(overlap) <= eps, axis=1)) for overlap in _local_product_overlaps(pvs)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -22,20 +22,20 @@ each start still draws its initial state from its own child of the master
 seed and stops on its own after a sweep that gains less than ``SWEEP_TOL``,
 so the run is deterministic for a fixed master seed.  For weak UPBs the
 relevant minimum runs over the finite set of products of the set's own
-local vectors and is computed exhaustively, in one batched contraction.
+local vectors and is computed exhaustively, as the sum over members of
+|<p|Psi_m>|^2, on the enumeration that :func:`gynibell.upb.is_wupb` reads.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import config
 from .core import Scenario
-from .upb import ProductVectorSet, bell_from_set
+from .upb import ProductVectorSet, _local_product_overlaps, bell_from_set
 
 DEFAULT_STARTS = 200
 SWEEP_TOL = 1e-12
@@ -63,17 +63,16 @@ class HermitianOp:
 
 
 def projector_onto_span(pvs: ProductVectorSet) -> HermitianOp:
-    """Pi = sum over m of |Psi_m><Psi_m| for an orthonormal product set."""
-    eps = config.TOLERANCE
-    d = pvs.total_dim
-    mat = np.zeros((d, d), dtype=complex)
-    full = [pvs.full_vector(m) for m in range(len(pvs))]
-    for m in range(len(full)):
-        for n in range(m + 1, len(full)):
-            if abs(np.vdot(full[m], full[n])) > eps:
-                raise ValueError("input vectors are not orthogonal")
-        mat += np.outer(full[m], full[m].conj())
-    return HermitianOp(pvs.dims, mat)
+    """Pi = sum over m of |Psi_m><Psi_m| for an orthonormal product set: the
+    members are built as one stack, and their Gram matrix must be diagonal
+    within tolerance."""
+    full = _kron_rows([
+        np.reshape([vec[i] for vec in pvs.vectors], (-1, d, 1)) for i, d in enumerate(pvs.dims)
+    ])[:, :, 0]
+    gram = full.conj() @ full.T
+    if np.any(np.abs(np.triu(gram, 1)) > config.TOLERANCE):
+        raise ValueError("input vectors are not orthogonal")
+    return HermitianOp(pvs.dims, full.T @ full.conj())
 
 
 # ---------------------------------------------------------------------------
@@ -139,12 +138,13 @@ def epsilon_min(pi: HermitianOp, starts: int = DEFAULT_STARTS, seed: int = 0) ->
     return float(final.min())
 
 
-def epsilon_min_restricted(pi: HermitianOp, pvs: ProductVectorSet) -> float:
-    """Minimum of <prod| Pi |prod> over products of the set's own local
-    vectors (the weak-UPB variant of eps); exhaustive, hence exact up to
-    rounding."""
-    state = [np.array(site) for site in zip(*itertools.product(*pvs.local_sets))]
-    return float(_expectations(pi.matrix, state).min())
+def epsilon_min_restricted(pvs: ProductVectorSet) -> float:
+    """Minimum of <p| Pi |p> = sum over m of |<p|Psi_m>|^2, Pi the set's own
+    projector, over products p of the set's own local vectors (the weak-UPB
+    variant of eps); exhaustive, hence exact up to rounding."""
+    return float(min(
+        np.sum(np.abs(overlap) ** 2, axis=1).min() for overlap in _local_product_overlaps(pvs)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +172,8 @@ def witness_and_state(pvs: ProductVectorSet, eps: float) -> WitnessReport:
     """W = (Pi - eps*1)/(|S| - eps*dim) and rho = (1 - Pi)/(dim - |S|).
 
     Also evaluates tr(W rho) and the value the measured witness table gives
-    to the set's own Bell inequality, a float sum of coefficient * entry."""
+    to the set's own Bell inequality, a float sum of coefficient * entry.  A
+    negative table entry <b|W|b> proves eps above <b|Pi|b> and raises."""
     size = len(pvs)
     pi = projector_onto_span(pvs)
     d = pi.total_dim
@@ -186,7 +187,14 @@ def witness_and_state(pvs: ProductVectorSet, eps: float) -> WitnessReport:
     witness = HermitianOp(pvs.dims, w_mat)
     state = HermitianOp(pvs.dims, rho_mat)
     trace_w_rho = float(np.real(np.trace(w_mat @ rho_mat)))
-    table = measure_operator(witness, pvs)
+    table, scen = _measured_table(witness, pvs)
+    # an entry <b|W|b> < 0 means <b|Pi|b> < eps for that product state b
+    if np.min(table) < -config.TOLERANCE:
+        raise ValueError(
+            f"eps = {eps:.6g} exceeds the overlap of a measured product state with "
+            "span(S): the see-saw missed the minimum; run it with more --starts"
+        )
+    _check_table(table, scen)
     expr = bell_from_set(pvs)
     if table.shape != (expr.scenario.n_inputs, expr.scenario.n_outputs):
         raise ValueError("measured table and the set's inequality differ in scenario")
@@ -231,24 +239,11 @@ def is_ppt(state: HermitianOp) -> bool:
 # measuring an operator along the set's local bases
 
 
-def _complete_basis(vectors, dim: int) -> list[np.ndarray]:
-    """Extend mutually orthogonal unit vectors to a full orthonormal basis by
-    Gram-Schmidt over standard-basis candidates in index order."""
-    eps = config.TOLERANCE
-    basis = [np.asarray(v, dtype=complex) for v in vectors]
-    for k in range(dim):
-        if len(basis) == dim:
-            break
-        cand = np.zeros(dim, dtype=complex)
-        cand[k] = 1.0
-        for b in basis:
-            cand = cand - np.vdot(b, cand) * b
-        norm = np.linalg.norm(cand)
-        if norm > np.sqrt(eps):
-            basis.append(cand / norm)
-    if len(basis) != dim:
-        raise ValueError("could not complete the basis")
-    return basis
+def _complete_basis(vectors) -> np.ndarray:
+    """A unitary whose first columns are the given mutually orthogonal unit
+    vectors, each up to a phase (a complete QR factorization)."""
+    q, _ = np.linalg.qr(np.column_stack(vectors), mode="complete")
+    return q
 
 
 def measure_operator(op: HermitianOp, pvs: ProductVectorSet) -> np.ndarray:
@@ -263,22 +258,25 @@ def measure_operator(op: HermitianOp, pvs: ProductVectorSet) -> np.ndarray:
     no-signaling; nonnegativity needs op to be nonnegative on product
     states.  Rows off 1 or entries below zero by more than
     ``config.TOLERANCE`` raise ValueError, a signaling table RuntimeError."""
+    table, scen = _measured_table(op, pvs)
+    _check_table(table, scen)
+    return table
+
+
+def _measured_table(op: HermitianOp, pvs: ProductVectorSet) -> tuple[np.ndarray, Scenario]:
+    """The table of :func:`measure_operator`, unchecked, and its scenario."""
     if pvs.local_subsets is None:
         raise ValueError("set carries no local subset structure")
     site_bases = [
-        [
-            np.column_stack(_complete_basis([pvs.local_sets[i][k] for k in subset], d))
-            for subset in subsets
-        ]
-        for i, (subsets, d) in enumerate(zip(pvs.local_subsets, pvs.dims))
+        [_complete_basis([local[k] for k in subset]) for subset in subsets]
+        for subsets, local in zip(pvs.local_subsets, pvs.local_sets)
     ]
     scen = Scenario(tuple(len(b) for b in site_bases), tuple(pvs.dims))
     table = np.empty((scen.n_inputs, scen.n_outputs))
     for x_idx, xs in enumerate(scen.input_tuples()):
         u = functools.reduce(np.kron, [site_bases[i][x] for i, x in enumerate(xs)])
         table[x_idx] = np.einsum("ij,ij->j", u.conj(), op.matrix @ u).real
-    _check_table(table, scen)
-    return table
+    return table, scen
 
 
 def _check_table(table: np.ndarray, scen: Scenario) -> None:

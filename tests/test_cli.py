@@ -260,6 +260,8 @@ def test_domain_error_exit_code(tmp_path, capsys):
         (["membership", "--box", str(numeric)], "box mode 'numeric' is not supported"),
         (["witness", "--set", "nc", "--n", "3", "--d", "3", "--starts", "5"],
          "set carries no local subset structure"),
+        (["witness", "--set", "nc", "--n", "4", "--d", "4"],
+         "a product of its own local vectors is orthogonal to every member"),
         (["witness", "--set", "shifts", "--starts", "0"], "starts must be at least 1"),
         (["witness", "--set", "shifts", "--starts", "-3"], "starts must be at least 1"),
         *out_of_range,

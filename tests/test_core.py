@@ -6,7 +6,7 @@ import pytest
 
 import gynibell as gb
 import ns_oracle
-from gynibell import gyni
+from gynibell import core, gyni
 from gynibell.core import (
     Scenario,
     apply_symmetry_to_box,
@@ -61,6 +61,19 @@ def test_strategy_enumeration_lexicographic_and_unique():
     tables = [s.responses for s in strategies]
     assert tables == sorted(tables)
     assert len(set(tables)) == len(tables)
+
+
+@pytest.mark.parametrize("s", [gb.binary_scenario(2), Scenario((2, 3, 1), (3, 2, 2))])
+def test_strategy_at_indexes_the_enumeration(s):
+    """Both name the strategies of an ``itertools.product`` oracle built
+    here, in its order; positions outside it raise."""
+    per_party = [list(itertools.product(range(d), repeat=m)) for m, d in zip(s.inputs, s.outputs)]
+    oracle = [gb.DeterministicStrategy(c) for c in itertools.product(*per_party)]
+    assert gb.enumerate_deterministic_strategies(s) == oracle
+    assert [core.strategy_at(s, k) for k in range(len(oracle))] == oracle
+    for bad in (-1, len(oracle)):
+        with pytest.raises(ValueError, match="out of range"):
+            core.strategy_at(s, bad)
 
 
 def test_box_from_strategy_all_zero():
@@ -303,6 +316,17 @@ def test_postselect_rows_renormalize():
     s = reduced.scenario
     for x in range(s.n_inputs):
         assert sum(reduced.value(x, a) for a in range(s.n_outputs)) == 1
+
+
+def test_postselect_divides_int_entries_exactly():
+    """A box of Python ints postselects to the exact reduced box."""
+    s = gb.binary_scenario(2)
+    st = gb.DeterministicStrategy(((0, 1), (1, 0)))
+    table = [0] * s.table_size
+    for t in strategy_entries(s, st):
+        table[t] = 1
+    reduced = gb.postselect(gb.Box(s, table), 0, 1, 1)
+    assert reduced == gb.box_from_strategy(gb.binary_scenario(1), gb.DeterministicStrategy(((1, 0),)))
 
 
 def test_postselect_zero_probability_errors():

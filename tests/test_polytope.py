@@ -61,6 +61,15 @@ def _random_expression(scen, rng, scale):
     return core.BellExpression(scen, coeffs or {(0, 0): F(1)})
 
 
+def _strategies_oracle(scen):
+    """Every deterministic strategy in enumeration order, built here: each
+    party's response tuples from ``itertools.product``, then their product."""
+    per_party = [
+        list(itertools.product(range(d), repeat=m)) for m, d in zip(scen.inputs, scen.outputs)
+    ]
+    return [core.DeterministicStrategy(c) for c in itertools.product(*per_party)]
+
+
 _VALUATION_CASES = [
     ((2, 3, 2), (3, 2, 2), 9),
     ((3, 2), (2, 4), 9),
@@ -79,14 +88,15 @@ def test_strategy_values_match_fraction_oracle(monkeypatch, inputs, outputs, sca
         monkeypatch.setattr(polytope, "_VALUE_BLOCK", block)
     scen = Scenario(inputs, outputs)
     rng = random.Random(sum(inputs) * 100 + sum(outputs) + scale % 97)
-    strategies = list(core.iter_deterministic_strategies(scen))
+    strategies = _strategies_oracle(scen)
+    assert core.enumerate_deterministic_strategies(scen) == strategies
+    assert [core.strategy_at(scen, k) for k in range(len(strategies))] == strategies
     for _ in range(3):
         expr = _random_expression(scen, rng, scale)
         expect = [core.bell_value(expr, core.box_from_strategy(scen, s)) for s in strategies]
         assert _strategy_values(expr) == expect
         dtypes = {vals.dtype for _, vals in polytope._strategy_values(expr)[1]}
         assert dtypes == {np.dtype(object) if scale >= 2**62 else np.dtype(np.int64)}
-        assert polytope._strategies_at(scen, range(len(strategies))) == strategies
 
         opt = gb.classical_max(expr)
         assert opt.value == max(expect)
@@ -104,7 +114,7 @@ def test_classical_max_returns_first_of_tied_strategies(gyni_games, monkeypatch,
     if block is not None:
         monkeypatch.setattr(polytope, "_VALUE_BLOCK", block)
     scen = Scenario((2, 3, 2), (3, 2, 2))
-    strategies = list(core.iter_deterministic_strategies(scen))
+    strategies = _strategies_oracle(scen)
     flat = core.BellExpression(scen, {(5, 7): F(0)})
     assert gb.classical_max(flat) == (0, strategies[0])
     rng = random.Random(8)
@@ -116,7 +126,7 @@ def test_classical_max_returns_first_of_tied_strategies(gyni_games, monkeypatch,
         assert gb.classical_max(expr).strategy == strategies[values.index(max(values))]
     e = gyni_games[3].expression
     values = _strategy_values(e)
-    first = polytope._strategies_at(e.scenario, [values.index(e.classical_bound)])[0]
+    first = _strategies_oracle(e.scenario)[values.index(e.classical_bound)]
     assert gb.classical_max(e).strategy == first
 
 
@@ -458,6 +468,21 @@ def test_uniform_mixture_is_local():
     assert gb.local_membership(mixed).is_local
 
 
+def test_separating_inequality_is_rechecked_on_every_vertex(ns_optima, monkeypatch):
+    """A Farkas result whose bound a local vertex exceeds is refused: here
+    the real certificate with its bound lowered by 1."""
+    feasible_point = lp.feasible_point
+
+    def lowered(rows, n):
+        res = feasible_point(rows, n)
+        farkas = res.farkas[:-1] + (res.farkas[-1] + 1,)
+        return dataclasses.replace(res, farkas=farkas)
+
+    monkeypatch.setattr(lp, "feasible_point", lowered)
+    with pytest.raises(lp.LPError, match="separating inequality failed vertex recheck"):
+        gb.local_membership(ns_optima[3].box)
+
+
 @pytest.mark.parametrize(
     "scen", [gb.binary_scenario(3), Scenario((2, 3, 2), (3, 2, 2))], ids=["binary3", "mixed"]
 )
@@ -703,7 +728,7 @@ def test_cg_coordinates_match_the_column_loop():
     mixed = Scenario((2, 3, 2), (3, 2, 2))
     cases = [(e.scenario, hits), (mixed, np.arange(mixed.strategy_count()))]
     for scen, positions in cases:
-        strategies = polytope._strategies_at(scen, positions)
+        strategies = [core.strategy_at(scen, k) for k in positions.tolist()]
         expect = _cg_block_matrices_by_loop(scen, strategies)
         assert expect.shape == (len(strategies), polytope.cg_dimension(scen))
         assert np.array_equal(polytope.cg_coordinates_of_strategies(scen, positions), expect)

@@ -1,10 +1,11 @@
 import functools
+import itertools
 
 import numpy as np
 import pytest
 
 import gynibell as gb
-from gynibell import upb
+from gynibell import upb, witness
 from gynibell.upb import basis_ket
 from gynibell.witness import HermitianOp
 from grid_oracle import float_nonsignaling
@@ -118,7 +119,7 @@ def _random_hermitian(dims, seed):
 
 
 def _projector(pvs):
-    full = np.array([pvs.full_vector(m) for m in range(len(pvs))])
+    full = np.array([functools.reduce(np.kron, vec) for vec in pvs.vectors])
     return HermitianOp(pvs.dims, full.T @ full.conj())
 
 
@@ -231,7 +232,7 @@ def test_state_is_unit_trace_psd_and_kills_span(shifts_report, shifts_set):
     assert abs(np.trace(rho) - 1) < 1e-9
     assert np.linalg.eigvalsh(rho)[0] > -1e-9
     for m in range(len(shifts_set)):
-        psi = shifts_set.full_vector(m)
+        psi = functools.reduce(np.kron, shifts_set.vectors[m])
         assert abs(np.vdot(psi, rho @ psi)) < 1e-9
 
 
@@ -240,6 +241,13 @@ def test_witness_eps_range_validated(shifts_set):
         gb.witness_and_state(shifts_set, 0.0)
     with pytest.raises(ValueError):
         gb.witness_and_state(shifts_set, 0.6)
+
+
+def test_witness_names_an_eps_above_the_product_minimum():
+    """eps = 1e-4 lies inside (0, |S|/dim) but above the gen_shifts(3)
+    minimum (about 1.35e-6), so a measured product state b has <b|W|b> < 0."""
+    with pytest.raises(ValueError, match=r"eps = 0\.0001 .*see-saw missed the minimum.*--starts"):
+        gb.witness_and_state(upb.gen_shifts(3), 1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +322,37 @@ def test_witness_is_non_psd_unit_trace_yet_measures_to_valid_box(shifts_report):
 
 def test_wupb_witness_value_formula():
     w = upb.wupb_example()
-    pi = gb.projector_onto_span(w)
-    eps = gb.epsilon_min_restricted(pi, w)
+    eps = gb.epsilon_min_restricted(w)
     assert 0 < eps < 0.5
     report = gb.witness_and_state(w, eps)
     expect = 6 * (1 - eps) / (6 - 12 * eps)
     assert abs(report.bell_value - expect) < 1e-6
     assert report.bell_value > 1
     assert gb.is_ppt(report.state)
+
+
+def _restricted_oracle(pvs):
+    """The brute-force restricted eps: every product of the set's own local
+    vectors, built in full, against the projector."""
+    state = [np.array(site) for site in zip(*itertools.product(*pvs.local_sets))]
+    return float(witness._expectations(_projector(pvs).matrix, state).min())
+
+
+@pytest.mark.parametrize(
+    "make", [upb.wupb_example, upb.shifts, lambda: upb.gen_shifts(2)],
+    ids=["wupb", "shifts", "genshifts-2"],
+)
+def test_restricted_eps_matches_brute_force(make):
+    pvs = make()
+    assert abs(gb.epsilon_min_restricted(pvs) - _restricted_oracle(pvs)) < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_complete_basis_extends_the_given_vectors(d):
+    rng = np.random.default_rng(d)
+    cols, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    for k in range(1, d + 1):
+        u = witness._complete_basis(list(cols.T[:k]))
+        assert np.allclose(u.conj().T @ u, np.eye(d), atol=1e-12)
+        assert np.allclose(np.abs(np.einsum("ij,ij->j", cols[:, :k].conj(), u[:, :k])), 1,
+                           atol=1e-12)
