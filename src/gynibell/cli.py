@@ -194,7 +194,10 @@ def _cmd_upb(args) -> dict:
 
 def _cmd_witness(args) -> dict:
     pvs = _named_set(args.set, args)
-    # the measured table needs the subsets; fail before the see-saw runs
+    # the witness needs a member and the measured table the subsets; fail
+    # before the see-saw runs
+    if not len(pvs):
+        raise ValueError("set is empty: a witness needs at least one product vector")
     if pvs.local_subsets is None:
         raise ValueError("set carries no local subset structure")
     verdict = upb.is_upb(pvs, cap=args.cap)

@@ -23,6 +23,6 @@ ASSIGNMENT_CAP = 10_000_000
 #: Hard ceiling on simplex pivots before the solver gives up.
 LP_MAX_PIVOTS = 500_000
 
-#: Size guard for no-signaling LPs: (rows, columns) upper limits.
-NS_LP_MAX_ROWS = 20_000
-NS_LP_MAX_COLS = 200_000
+#: Size guard for no-signaling LPs: most orbit sums (Collins-Gisin
+#: coordinates times orbits of table entries) the model build counts.
+NS_LP_MAX_ORBIT_SUMS = 4_000_000

@@ -19,6 +19,7 @@ import array
 import itertools
 import math
 import operator
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, NamedTuple
@@ -135,6 +136,22 @@ def binary_scenario(n_parties: int) -> Scenario:
 # ---------------------------------------------------------------------------
 # boxes
 
+#: the per-entry index of every live box, keyed by its type code and the
+#: hash of its contents; an index lives as long as a box holds it
+_INDEXES = weakref.WeakValueDictionary()
+
+
+def _shared_index(index: array.array) -> array.array:
+    """``index``, or the equal index a live box already holds: boxes with
+    one pattern of equal entries (the optimum of a query asked again) keep
+    one index between them."""
+    key = (index.typecode, hash(index.tobytes()))
+    shared = _INDEXES.get(key)
+    if shared == index:
+        return shared
+    _INDEXES[key] = index
+    return index
+
 
 class Box:
     """Conditional probability table P(a|x) over a scenario, in exact
@@ -144,25 +161,39 @@ class Box:
     ``table[x_idx * n_outputs + a_idx]``.  It is stored as its distinct
     entry objects and one small integer per entry: an optimal box repeats a
     few shared values many times (16384 entries and a handful of values at
-    GYNI N = 7), so it holds a byte per entry instead of a pointer.
+    GYNI N = 7), so it holds a byte per entry instead of a pointer, and
+    boxes with equal indexes share one.
     """
 
     __slots__ = ("scenario", "_values", "_index")
 
     def __init__(self, scenario: Scenario, table):
-        self.scenario = scenario
         tab = list(table)
-        if len(tab) != scenario.table_size:
-            raise ValueError("table size mismatch")
         distinct = dict(zip(map(id, tab), tab))
-        if not all(isinstance(v, (int, Fraction)) for v in distinct.values()):
-            raise ValueError("box entries must be int or Fraction; Box.exact converts")
         slot = {key: k for k, key in enumerate(distinct)}
-        self._values = tuple(distinct.values())
-        n = len(slot)
+        self._store(scenario, tuple(distinct.values()), map(slot.__getitem__, map(id, tab)))
+
+    @classmethod
+    def _from_values(cls, scenario: Scenario, values, index) -> "Box":
+        """The box whose entry ``t`` is ``values[index[t]]``: a table known
+        by its distinct values and per-entry index, stored as given with
+        no search for the distinct values."""
+        box = cls.__new__(cls)
+        box._store(scenario, tuple(values), index)
+        return box
+
+    def _store(self, scenario: Scenario, values: tuple, index) -> None:
+        n = len(values)
         code = "B" if n <= 1 << 8 else "H" if n <= 1 << 16 else "Q"
-        self._index = array.array(code, map(slot.__getitem__, map(id, tab)))
+        self.scenario = scenario
+        self._values = values
+        self._index = array.array(code, index)
+        if len(self._index) != scenario.table_size:
+            raise ValueError("table size mismatch")
+        if not all(isinstance(v, (int, Fraction)) for v in values):
+            raise ValueError("box entries must be int or Fraction; Box.exact converts")
         self.validate()
+        self._index = _shared_index(self._index)
 
     # -- constructors
 

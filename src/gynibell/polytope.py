@@ -4,12 +4,13 @@ Everything here is exact.  Optima over the local polytope come from full
 enumeration of deterministic vertices, valued by position in the order
 :mod:`gynibell.core` defines, so only the argmax is built as a strategy.
 Optima over the no-signaling set and the TOBL set come from the rational
-simplex in :mod:`gynibell.lp`, posed in full probability coordinates with
-one equality row per normalization and no-signaling condition.  Those equality rows are one :class:`lp.Rows` of
-integer numpy arrays (row, column, value, right-hand side) from the model
-build to the solver: orbits, duplicate rows and the invariance checks are
-all integer array work, and the rows left after the collapse are the LP's
-rows.
+simplex in :mod:`gynibell.lp`.  The no-signaling LP is posed in
+Collins-Gisin coordinates, one equality row per coordinate but the
+constant; the TOBL LP over the table entries and the weights of its
+deterministic components.  Either model's equality rows are one
+:class:`lp.Rows` of integer numpy arrays (row, column, value, right-hand
+side) from the model build to the solver: orbits, orbit sums, duplicate
+rows and the invariance checks are all integer array work.
 Every optimizer hands back a certificate (an optimal box, a convex
 decomposition, or a separating inequality) that is re-verified with exact
 arithmetic before being returned.
@@ -35,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import config, lp
+from . import _cg_map, config, lp
 from ._rank import _INT64_SAFE, affine_rank
 from .core import (
     BellExpression,
@@ -251,24 +252,18 @@ def _first_distinct(rows: Rows) -> np.ndarray:
     return np.sort(np.concatenate(keep))
 
 
-def _collapse_rows(blocks, orbit: np.ndarray) -> Rows:
-    """Project blocks of equality rows onto orbit-constant variables.
+def _collapse_rows(rows: Rows, orbit: np.ndarray) -> Rows:
+    """Project equality rows onto orbit-constant variables.
 
     A row left empty must have a zero right-hand side.  Of rows that agree
     up to a nonzero factor only the first is kept, as it stands; the kept
-    rows stay in their order.  Each block is reduced as it comes and the
-    survivors once more at the end, so the transient arrays are those of
-    one block."""
-    kept = []
-    for rows in blocks:
-        collapsed = _orbit_sums(rows, orbit)
-        empty = np.ones(len(rows), dtype=bool)
-        empty[collapsed.row] = False
-        if rows.rhs[empty].any():
-            raise lp.LPError("inconsistent collapsed row")
-        kept.append(_select(collapsed, _first_distinct(collapsed)))
-    rows = _concat(kept)
-    return _select(rows, _first_distinct(rows))
+    rows stay in their order."""
+    collapsed = _orbit_sums(rows, orbit)
+    empty = np.ones(len(rows), dtype=bool)
+    empty[collapsed.row] = False
+    if rows.rhs[empty].any():
+        raise lp.LPError("inconsistent collapsed row")
+    return _select(collapsed, _first_distinct(collapsed))
 
 
 def _orbits_of_permutations(n: int, perms) -> np.ndarray:
@@ -306,28 +301,25 @@ def _integers(values):
     return np.array([v.numerator * (den // v.denominator) for v in values], dtype=object), den
 
 
-def _solve_collapsed(n, objective, blocks, perms, label):
+def _solve_collapsed(n, objective, rows, perms, label):
     """Maximize ``objective`` (a map from variable to coefficient) over the
-    blocks of rows ``blocks`` (``n`` variables >= 0) on the variables that
-    are constant on the orbits of the verified symmetry permutations
-    ``perms``; returns the value and the expanded solution.
+    equality rows ``rows`` (``n`` variables >= 0) on the variables that are
+    constant on the orbits of the verified symmetry permutations ``perms``;
+    returns the value and the expanded solution.
 
     Every permutation must fix both the objective and the feasible set:
     group averaging then maps any optimum to an orbit-constant one, so the
     collapsed optimum equals the full one.  With no permutations every
     orbit is one variable and the collapse only drops rows that repeat an
-    earlier one up to a factor; the no-signaling and TOBL rows repeat none,
-    so their uncollapsed LP is posed exactly as built.
+    earlier one up to a factor; the TOBL rows repeat none, so the
+    uncollapsed LP is posed exactly as built.
     """
     orbit = _orbits_of_permutations(n, perms)
-    rows = _collapse_rows(blocks, orbit)
+    rows = _collapse_rows(rows, orbit)
     orbit = orbit.tolist()
     collapsed = [_ZERO] * (max(orbit) + 1)
     for j, c in objective.items():
         collapsed[orbit[j]] += c
-    # ns_max keeps no other reference: its table-sized permutations are
-    # freed before the solve
-    del blocks, perms
     res = lp.solve(lp.make_problem(collapsed, rows))
     if res.status != "optimal":
         raise lp.LPError(f"{label} LP returned {res.status}")
@@ -335,46 +327,28 @@ def _solve_collapsed(n, objective, blocks, perms, label):
 
 
 # ---------------------------------------------------------------------------
-# no-signaling LP
+# no-signaling LP in Collins-Gisin coordinates
 
 
-def _ns_row_count(scenario: Scenario) -> int:
-    """Rows of the uncollapsed no-signaling LP: one per input, and per party
-    with m inputs and d outcomes one per input other than 0, context of the
-    other inputs and outcome of the other parties."""
-    nx, na = scenario.n_inputs, scenario.n_outputs
-    return nx + sum(
-        (m - 1) * (nx // m) * (na // d) for m, d in zip(scenario.inputs, scenario.outputs)
-    )
-
-
-def _ns_equality_rows(scenario: Scenario):
-    """No-signaling and normalization equality rows over table indices, in
-    blocks: first one normalization row per input, then per party with two
-    or more inputs, per context of the other inputs, per input x_i != 0 of
-    the party, per outcome of the other parties (contexts and outcomes
-    ascending): the party's outcome marginal at input 0 minus the one at
-    x_i is zero.  Table indices come from the mixed-radix strides of inputs
-    and outcomes.  A generator: a collapse holds one block at a time.
-    """
-    nx, na = scenario.n_inputs, scenario.n_outputs
-    t = np.arange(nx * na)
-    yield Rows(t // na, t, np.ones_like(t), np.ones(nx, dtype=np.int64))
-    for p, (m, d) in enumerate(zip(scenario.inputs, scenario.outputs)):
-        if m < 2:
-            continue
-        x_stride = math.prod(scenario.inputs[p + 1 :])
-        a_stride = math.prod(scenario.outputs[p + 1 :])
-        # the other parties' inputs and outcomes, with the party's at 0
-        xb = np.flatnonzero(np.arange(nx) // x_stride % m == 0)
-        ab = np.flatnonzero(np.arange(na) // a_stride % d == 0)
-        # axes: context, x_i - 1, other outcomes, (input 0, input x_i), a_i
-        shape = (len(xb), m - 1, len(ab), 1, 1)
-        x = xb.reshape(-1, 1, 1, 1, 1) + np.arange(1, m).reshape(-1, 1, 1, 1) * [[0], [x_stride]]
-        cols = x * na + ab.reshape(-1, 1, 1) + np.arange(d) * a_stride
-        n_rows = math.prod(shape)
-        part = (np.arange(n_rows).reshape(shape), cols, [[1], [-1]])
-        yield Rows(*_coo([part]), np.zeros(n_rows, dtype=np.int64))
+def _cg_rows(scenario: Scenario, orbit: np.ndarray, n_orbits: int):
+    """The orbit sums of :func:`_cg_map.orbit_sums` split: the constant
+    coordinate's row, t0 summed per orbit, as a dense object array, and
+    the other rows, of which only the first of each set equal up to a
+    nonzero factor is kept, in order (right-hand sides still zero).  Rows
+    equal under a symmetry lie in different blocks, so each block is
+    reduced together with the rows kept before it as it comes: no more
+    than those and one block are held."""
+    blocks = _cg_map.orbit_sums(scenario, orbit, n_orbits)
+    first = next(blocks)
+    t0 = np.zeros(n_orbits, dtype=object)
+    n0 = int(np.searchsorted(first.row, 1))
+    t0[first.col[:n0]] = first.val[:n0].tolist()
+    rows = _select(first, np.arange(1, len(first)))
+    rows = _select(rows, _first_distinct(rows))
+    for block in blocks:
+        rows = _concat([rows, block])
+        rows = _select(rows, _first_distinct(rows))
+    return t0, rows
 
 
 class NsOptimum(NamedTuple):
@@ -385,37 +359,74 @@ class NsOptimum(NamedTuple):
 def ns_max(expression: BellExpression) -> NsOptimum:
     """Exact maximum over the no-signaling polytope, plus an optimal box.
 
-    The LP is posed in full probability coordinates (variables P(a|x) >= 0,
-    normalization and per-party no-signaling equalities).  When the
-    expression carries relabeling symmetries they are verified exactly and
-    the LP is collapsed onto orbit-constant tables first; group averaging
-    makes the collapsed optimum equal the full one; an expression with
-    ``party_symmetries=()`` gets the uncollapsed LP, if its closed-form size
-    is within the configured guard.  The expanded optimal box is always
-    re-checked exactly: nonnegative, normalized, no-signaling, and achieving
-    the claimed value.
+    Every normalized no-signaling table is P = T q for Collins-Gisin
+    coordinates q with a constant q_0 = 1 (Collins and Gisin, J. Phys. A 37,
+    1775 (2004)), T the Kronecker product of one map per party; the
+    polytope is the set of such tables with P >= 0.  The LP posed is the
+    dual of max c . T q over those, with one multiplier z_i >= 0 per table
+    entry: max -t0 . z subject to T'^T z = -T'^T c, where t0 is T's
+    constant column, T' the rest and c the objective, one row per
+    coordinate but the constant (Pironio, J. Math. Phys. 46, 062112
+    (2005)).  The bound is c . t0 minus its optimum, and the verified
+    duals are the coordinates q of an optimal table.
+
+    When the expression carries relabeling symmetries they are verified
+    exactly and z is taken constant on the orbits of the table entries:
+    the feasible set and, on it, the objective are invariant, so group
+    averaging leaves the optimum unchanged.  The columns are then orbit
+    sums of T's rows, rows equal up to a factor are dropped, and the
+    optimal box is the orbit average of T q.  The size guard bounds the
+    orbit sums the build counts, coordinates times orbits, and is checked
+    before any of them is built.  The optimal box is always re-checked
+    exactly: nonnegative, normalized, no-signaling, and achieving the
+    claimed value.
     """
     scen = expression.scenario
     n = scen.table_size
     syms = list(expression.party_symmetries)
-    n_rows = _ns_row_count(scen)
-    if not syms and (n_rows > config.NS_LP_MAX_ROWS or n > config.NS_LP_MAX_COLS):
-        raise ValueError(f"no-signaling LP too large: {n_rows} rows x {n} columns")
-
     for sym in syms:
         if not expression_invariant_under(expression, sym):
             raise ValueError("declared symmetry does not fix the expression")
+    orbit = None
+    if syms:
+        orbit = _orbits_of_permutations(n, [
+            functools.reduce(np.add.outer, map(np.array, sym.index_terms(scen))).ravel()
+            for sym in syms
+        ])
+    n_orbits = n if orbit is None else int(orbit.max()) + 1
+    dim = cg_dimension(scen)
+    if dim * n_orbits > config.NS_LP_MAX_ORBIT_SUMS:
+        raise ValueError(f"no-signaling LP too large: {dim} coordinates x {n_orbits} orbits")
+    if orbit is None:
+        orbit = np.arange(n)
 
-    value, table = _solve_collapsed(
-        n,
-        _table_objective(expression),
-        _ns_equality_rows(scen),
-        [functools.reduce(np.add.outer, map(np.array, sym.index_terms(scen))).ravel()
-         for sym in syms],
-        "no-signaling",
-    )
+    t0, rows = _cg_rows(scen, orbit, n_orbits)
+    # the objective per orbit (equal on every entry of an orbit), as
+    # integer numerators over den
+    objective = _table_objective(expression)
+    nums, den = _integers(objective.values())
+    c = np.zeros(n_orbits, dtype=object)
+    c[orbit[list(objective)]] = nums
+    rhs = np.zeros(len(rows), dtype=object)
+    np.add.at(rhs, rows.row, rows.val * c[rows.col])
+    rhs = np.array([Fraction(-b, den) for b in rhs], dtype=object)
+    rows = Rows(rows.row, rows.col, rows.val, rhs)
+    res = lp.solve(lp.make_problem((-t0).tolist(), rows))
+    if res.status != "optimal":
+        raise lp.LPError(f"no-signaling LP returned {res.status}")
+    value = Fraction(int(t0 @ c), den) - res.value
 
-    box = Box(scen, table)
+    # orbit sums of T q, q = (1, duals), over ynum / yden; each entry of
+    # an orbit is the orbit's average, and equal values are one object
+    ynum, yden = _integers(res.dual)
+    total = t0 * yden
+    np.add.at(total, rows.col, rows.val * ynum[rows.row])
+    values = {}
+    slot = [
+        values.setdefault(Fraction(s, k * yden), len(values))
+        for s, k in zip(total.tolist(), np.bincount(orbit, minlength=n_orbits).tolist())
+    ]
+    box = Box._from_values(scen, values, np.array(slot)[orbit].tolist())
     report = is_nonsignaling(box)
     if not report.is_nonsignaling:
         raise lp.LPError("optimal box failed the no-signaling recheck")
@@ -671,7 +682,7 @@ def tobl_max(expression: BellExpression) -> ToblOptimum:
         if (obj_nums[perm] == obj_nums).all() and _rows_invariant_under(rows, perm):
             perms.append(perm)
 
-    value, solution = _solve_collapsed(layout.n_vars, objective, [rows], perms, "TOBL")
+    value, solution = _solve_collapsed(layout.n_vars, objective, rows, perms, "TOBL")
 
     # full-model feasibility recheck of the (possibly expanded) solution, in
     # integers over the solution's common denominator
@@ -750,19 +761,6 @@ def cg_coordinates_of_strategies(scenario: Scenario, positions) -> np.ndarray:
         width = mats.shape[1] * table.shape[1]
         mats = np.einsum("bi,bj->bij", mats, table[index]).reshape(len(index), width)
     return mats
-
-
-def _full_coordinates_of_strategies(scenario: Scenario, strategies) -> np.ndarray:
-    """Dense 0/1 full-table rows of strategy objects: the reference that the
-    subset-marginal ranks are tested against, for small scenarios only."""
-    na = scenario.n_outputs
-    out = np.zeros((len(strategies), scenario.table_size), dtype=np.int64)
-    for r, s in enumerate(strategies):
-        for xs in scenario.input_tuples():
-            x_idx = scenario.encode_input(xs)
-            a_idx = scenario.encode_outcome(s.outcome_for(xs))
-            out[r, x_idx * na + a_idx] = 1
-    return out
 
 
 def affine_rank_of_strategies(scenario: Scenario, positions) -> int:

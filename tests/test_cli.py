@@ -245,6 +245,8 @@ def test_domain_error_exit_code(tmp_path, capsys):
             "scenario": {"inputs": [2], "outputs": [2]}, "mode": "exact", "table": table,
         }))
         out_of_range.append((["membership", "--box", str(path)], "out of range"))
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"dims": [2, 2], "vectors": []}))
     # documents of the wrong shape: no scenario, a list, no dims
     malformed = []
     for name, document, argv in (
@@ -264,6 +266,7 @@ def test_domain_error_exit_code(tmp_path, capsys):
          "a product of its own local vectors is orthogonal to every member"),
         (["witness", "--set", "shifts", "--starts", "0"], "starts must be at least 1"),
         (["witness", "--set", "shifts", "--starts", "-3"], "starts must be at least 1"),
+        (["witness", "--set", str(empty)], "set is empty"),
         *out_of_range,
         *malformed,
     ):

@@ -424,6 +424,32 @@ def test_box_keeps_its_entries_and_stores_each_distinct_one_once():
     assert uniform.exact_table() == [Fraction(1, 128)] * big.table_size
 
 
+def test_box_from_distinct_values_and_index():
+    """The private constructor from distinct values and a per-entry index
+    stores them as given and runs the same checks as ``Box(...)``."""
+    scen = gb.binary_scenario(2)
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    index = [0, 0, 1, 1, 2, 2, 2, 2] * 2
+    box = gb.Box._from_values(scen, [half, 0, quarter], index)
+    assert box == gb.Box(scen, [[half, 0, quarter][k] for k in index])
+    assert box._values == (half, 0, quarter) and list(box._index) == index
+    assert box.value(1, 2) is quarter
+    # boxes with equal indexes share one, whatever their values
+    fresh = [Fraction(1, 2), 0, Fraction(1, 4)]
+    again = gb.Box(scen, [fresh[k] for k in index])
+    assert again._index is box._index
+    other = gb.Box._from_values(scen, [0, half, quarter], index)
+    assert other._index is box._index and other != box
+    swapped = gb.Box._from_values(scen, [half, 0, quarter], [k if k > 1 else 1 - k for k in index])
+    assert swapped._index is not box._index and swapped == other
+    with pytest.raises(ValueError, match="row 0 does not sum to 1"):
+        gb.Box._from_values(scen, [half, quarter], [0, 1, 1, 1] + [0, 0, 1, 1] * 3)
+    with pytest.raises(ValueError, match="int or Fraction"):
+        gb.Box._from_values(scen, [0.5, 0.25], [0, 0, 1, 1] * 4)
+    with pytest.raises(ValueError, match="table size mismatch"):
+        gb.Box._from_values(scen, [quarter], [0] * 4)
+
+
 def test_box_rejects_non_rational_entries():
     s = Scenario((1,), (2,))
     with pytest.raises(ValueError, match="int or Fraction"):

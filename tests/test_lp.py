@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import ns_full_lp
 from gynibell import core, gyni, lp, polytope, upb
 
 F = Fraction
@@ -371,14 +372,16 @@ def test_pivot_counts_are_pinned():
     degenerate streak) and the lexicographic ratio test fix the pivot
     sequence; these counts change only if a pivot choice changes.  So do
     the phase-1 and zero-step pivot counts, and none of these LPs has a
-    degenerate streak long enough for Bland's rule."""
+    degenerate streak long enough for Bland's rule.  The infeasible
+    membership LP tests the GYNI-4 NS box of the full-probability LP, a
+    fixed input whatever optimum ``ns_max`` picks."""
     scen = core.binary_scenario(4)
     strategies = core.enumerate_deterministic_strategies(scen)
     mixture = core.mix_boxes(
         [core.box_from_strategy(scen, strategies[k]) for k in (132, 55, 129, 107, 221, 10)],
         [F(w, 19) for w in (4, 1, 7, 3, 1, 3)],
     )
-    ns_box = polytope.ns_max(gyni.gyni_expression(4).expression).box
+    ns_box = core.Box(scen, ns_full_lp.ns_lp_max(gyni.gyni_expression(4).expression)[1])
 
     results = []
 
@@ -387,11 +390,11 @@ def test_pivot_counts_are_pinned():
         results.append(res)
         return res.status, res.pivots
 
-    assert pivots(lambda: polytope.ns_max(upb.four_partite_tight_inequality())) == ("optimal", 627)
+    assert pivots(lambda: polytope.ns_max(upb.four_partite_tight_inequality())) == ("optimal", 523)
     assert pivots(lambda: polytope.local_membership(mixture)) == ("optimal", 69)
     assert pivots(lambda: polytope.local_membership(ns_box)) == ("infeasible", 50)
     counters = [(r.phase1_pivots, r.degenerate_pivots, r.bland_engaged) for r in results]
-    assert counters == [(83, 612, False), (69, 63, False), (50, 50, False)]
+    assert counters == [(182, 414, False), (69, 63, False), (50, 50, False)]
 
     def pivots_and_columns(call):
         (res,) = _solve_results(call)
@@ -400,9 +403,9 @@ def test_pivot_counts_are_pinned():
     # LPs collapsed under the games' relabeling symmetries
     tobl, ns7 = gyni.gyni_sum_expression(3), gyni.gyni_expression(7).expression
     assert pivots_and_columns(lambda: polytope.tobl_max(tobl)) == ("optimal", 36, 144)
-    assert pivots_and_columns(lambda: polytope.ns_max(ns7)) == ("optimal", 39, 40)
+    assert pivots_and_columns(lambda: polytope.ns_max(ns7)) == ("optimal", 11, 40)
     ns6 = gyni.gyni_expression(6).expression
-    assert pivots_and_columns(lambda: polytope.ns_max(ns6)) == ("optimal", 141, 128)
+    assert pivots_and_columns(lambda: polytope.ns_max(ns6)) == ("optimal", 38, 128)
 
 
 def _random_promise_game(rng):

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -7,8 +8,9 @@ import numpy as np
 import pytest
 
 import gynibell as gb
+import ns_full_lp
 import ns_oracle
-from gynibell import _rank, gyni, lp, polytope, upb
+from gynibell import _cg_map, _rank, config, gyni, lp, polytope, upb
 from gynibell import core
 from gynibell.core import Scenario
 from gynibell.polytope import affine_rank_of_strategies
@@ -240,17 +242,66 @@ def test_ns_max_rejects_false_symmetry():
         gb.ns_max(replace(e, party_symmetries=(bogus,)))
 
 
+def _random_promise_game(rng):
+    """A GYNI N = 3 game whose promise is a seeded random distribution."""
+    scen = gb.binary_scenario(3)
+    raw = [rng.randint(0, 8) for _ in range(scen.n_inputs)]
+    raw[0] += not sum(raw)
+    q = core.InputDistribution(scen, {x: F(v, sum(raw)) for x, v in enumerate(raw) if v})
+    return gyni.gyni_expression(3, q).expression
+
+
+def _reference_cases():
+    """A seeded random expression on each oracle scenario of at most 256
+    entries (the full-probability LP of binary N = 5 alone runs for over a
+    minute), five seeded random-promise N = 3 games, the four-partite
+    inequality, and GYNI N = 3..7 with their symmetries."""
+    rng = random.Random(19)
+    cases = [
+        _random_expression(scen, rng, 9)
+        for scen in ns_oracle.SCENARIOS
+        if scen.table_size <= 256
+    ]
+    cases += [_random_promise_game(rng) for _ in range(5)]
+    cases.append(upb.four_partite_tight_inequality())
+    return cases + [gyni.gyni_expression(n).expression for n in range(3, 8)]
+
+
+def test_ns_max_matches_full_probability_lp():
+    """The Collins-Gisin LP gives the value of the LP over the table entries
+    on their normalization and no-signaling rows, also collapsed under
+    symmetry; each optimal box shares its equal entries."""
+    for e in _reference_cases():
+        opt = gb.ns_max(e)
+        assert opt.value == ns_full_lp.ns_lp_max(e)[0]
+        assert len(set(opt.box._values)) == len(opt.box._values)
+
+
 def test_ns_max_size_guard_before_rows(monkeypatch):
-    """The uncollapsed size is checked in closed form before any row is
-    built: GYNI-8 without symmetry has 256 + 8 * 128 * 128 rows."""
+    """The guard bounds the orbit sums the model build counts, Collins-Gisin
+    coordinates times orbits, and is checked before any is counted:
+    GYNI-8 without symmetry has 3**8 coordinates and 65536 entries, each its
+    own orbit, known before any orbit search; with symmetry the orbits are
+    found first (GYNI-4: 81 coordinates, 32 orbits)."""
     e = dataclasses.replace(gyni.gyni_expression(8).expression, party_symmetries=())
 
-    def no_rows(scenario):
-        raise AssertionError("rows built before the size guard")
+    def never(*args):
+        raise AssertionError("orbits or orbit sums built before the size guard")
 
-    monkeypatch.setattr(polytope, "_ns_equality_rows", no_rows)
-    with pytest.raises(ValueError, match="too large: 131328 rows x 65536 columns"):
+    monkeypatch.setattr(polytope, "_orbits_of_permutations", never)
+    monkeypatch.setattr(_cg_map, "orbit_sums", never)
+    with pytest.raises(ValueError, match="too large: 6561 coordinates x 65536 orbits"):
         gb.ns_max(e)
+    monkeypatch.undo()
+
+    e4 = gyni.gyni_expression(4).expression
+    monkeypatch.setattr(config, "NS_LP_MAX_ORBIT_SUMS", 81 * 32 - 1)
+    with monkeypatch.context() as m:
+        m.setattr(_cg_map, "orbit_sums", never)
+        with pytest.raises(ValueError, match="too large: 81 coordinates x 32 orbits"):
+            gb.ns_max(e4)
+    monkeypatch.setattr(config, "NS_LP_MAX_ORBIT_SUMS", 81 * 32)
+    assert gb.ns_max(e4).value == F(1, 6)
 
 
 def _pairs(rows):
@@ -267,14 +318,59 @@ def _pairs(rows):
     ]
 
 
+def _dense_map(scenario):
+    """The Collins-Gisin map T as a dense (table entries x coordinates)
+    integer matrix, read off the orbit sums on identity orbits."""
+    n = scenario.table_size
+    sums = polytope._concat(list(_cg_map.orbit_sums(scenario, np.arange(n), n)))
+    t = np.zeros((n, len(sums)), dtype=np.int64)
+    t[sums.col, sums.row] = sums.val
+    return t
+
+
 @pytest.mark.parametrize("scenario", ns_oracle.SCENARIOS)
 def test_ns_equality_rows_match_oracle(scenario):
-    """The integer rows, in order, equal the per-tuple Fraction rows, and
-    the closed-form count equals the number built."""
-    blocks = list(polytope._ns_equality_rows(scenario))
-    rows = [pair for block in blocks for pair in _pairs(block)]
-    assert rows == ns_oracle.ns_rows(scenario)
-    assert polytope._ns_row_count(scenario) == len(rows)
+    """The reference model's integer rows, in order, equal the per-tuple
+    Fraction rows; the Collins-Gisin map has full column rank, one more than
+    the dimension of the affine space those rows cut out, so the tables T q
+    with q_0 = 1 are all of it."""
+    rows = ns_full_lp.ns_equality_rows(scenario)
+    assert _pairs(rows) == ns_oracle.ns_rows(scenario)
+    a = np.zeros((len(rows), scenario.table_size))
+    a[rows.row, rows.col] = rows.val
+    t = _dense_map(scenario)
+    dim = polytope.cg_dimension(scenario)
+    assert t.shape == (scenario.table_size, dim)
+    assert np.linalg.matrix_rank(t) == dim == scenario.table_size - np.linalg.matrix_rank(a) + 1
+
+
+@pytest.mark.parametrize("scenario", ns_oracle.SCENARIOS)
+def test_cg_map_sends_strategies_to_their_tables(scenario):
+    """T maps a deterministic strategy's Collins-Gisin coordinates (the
+    rows of ``cg_coordinates_of_strategies``) to its 0/1 table; 300 seeded
+    strategies, or all of them when there are fewer."""
+    count = scenario.strategy_count()
+    positions = sorted(random.Random(count).sample(range(count), min(count, 300)))
+    coords = polytope.cg_coordinates_of_strategies(scenario, positions)
+    tables = [
+        gb.box_from_strategy(scenario, core.strategy_at(scenario, k)).exact_table()
+        for k in positions
+    ]
+    assert (coords @ _dense_map(scenario).T).tolist() == tables
+
+
+@pytest.mark.parametrize("scenario", ns_oracle.SCENARIOS)
+def test_cg_map_gives_normalized_nonsignaling_tables(scenario):
+    """For seeded random integer coordinates q, T q meets every per-tuple
+    no-signaling row, and every normalization row with q_0 in place of 1."""
+    rng = np.random.default_rng(scenario.table_size)
+    t = _dense_map(scenario)
+    oracle = ns_oracle.ns_rows(scenario)
+    for _ in range(3):
+        q = rng.integers(-5, 6, size=t.shape[1])
+        p = (t @ q).tolist()
+        for coeffs, rhs in oracle:
+            assert sum(c * p[j] for j, c in coeffs.items()) == rhs * q[0]
 
 
 def _orbits_oracle(n, perms):
@@ -317,17 +413,48 @@ def _collapse_oracle(rows, orbit):
     return out
 
 
+def _cg_orbit_sums_oracle(scen, orbit):
+    """``(coeffs, 0)`` pairs, one per Collins-Gisin coordinate, accumulated
+    one table entry at a time: outcome a < d - 1 of input x has coefficient
+    1 on coordinate 1 + x (d - 1) + a; the last outcome 1 on the constant
+    and -1 on every 1 + x (d - 1) + a'; an entry's coefficients are the
+    products over parties, summed per orbit."""
+    widths = [1 + m * (d - 1) for m, d in zip(scen.inputs, scen.outputs)]
+    sums = [{} for _ in range(math.prod(widths))]
+    for xs in scen.input_tuples():
+        for aa in scen.outcome_tuples():
+            o = orbit[scen.encode_input(xs) * scen.n_outputs + scen.encode_outcome(aa)]
+            per_party = [
+                [(1 + x * (d - 1) + a, 1)] if a < d - 1
+                else [(0, 1)] + [(1 + x * (d - 1) + b, -1) for b in range(d - 1)]
+                for x, a, d in zip(xs, aa, scen.outputs)
+            ]
+            for combo in itertools.product(*per_party):
+                k = 0
+                for (coord, _), width in zip(combo, widths):
+                    k = k * width + coord
+                sums[k][o] = sums[k].get(o, 0) + math.prod(v for _, v in combo)
+    return [({o: v for o, v in sorted(row.items()) if v}, 0) for row in sums]
+
+
 @pytest.mark.parametrize("n", range(3, 7))
 def test_collapse_rows_match_fraction_oracle_gyni(n):
+    """Orbits by label propagation equal a graph search's; the orbit sums of
+    the Collins-Gisin map equal the per-entry oracle's; the constant row is
+    t0 and the LP keeps the other rows a row-by-row Fraction dedupe keeps."""
     e = gyni.gyni_expression(n).expression
     scen = e.scenario
     perms = [sym.table_permutation(scen) for sym in e.party_symmetries]
     orbit = polytope._orbits_of_permutations(scen.table_size, perms)
     assert orbit.tolist() == _orbits_oracle(scen.table_size, perms)
-    collapsed = _pairs(polytope._collapse_rows(polytope._ns_equality_rows(scen), orbit))
-    assert collapsed == _collapse_oracle(ns_oracle.ns_rows(scen), orbit.tolist())
-    whole = polytope._concat(list(polytope._ns_equality_rows(scen)))
-    assert _pairs(polytope._collapse_rows([whole], orbit)) == collapsed
+    n_orbits = int(orbit.max()) + 1
+    oracle = _cg_orbit_sums_oracle(scen, orbit.tolist())
+    sums = polytope._concat(list(_cg_map.orbit_sums(scen, orbit, n_orbits)))
+    assert _pairs(sums) == oracle
+    t0, rows = polytope._cg_rows(scen, orbit, n_orbits)
+    assert t0.tolist() == [oracle[0][0].get(o, 0) for o in range(n_orbits)]
+    assert _pairs(rows) == _collapse_oracle(oracle[1:], list(range(n_orbits)))
+    assert len(rows) < len(oracle) - 1
 
 
 _N_RESPONDERS, _N_PAIRS = len(polytope._RESPONDERS), len(polytope._PAIRS)
@@ -377,42 +504,46 @@ def test_tobl_rows_and_collapse_match_fraction_oracle():
     assert not polytope._rows_invariant_under(rows, swap)
     orbit = polytope._orbits_of_permutations(layout.n_vars, perms)
     assert orbit.tolist() == _orbits_oracle(layout.n_vars, perms)
-    assert _pairs(polytope._collapse_rows([rows], orbit)) == _collapse_oracle(oracle, orbit.tolist())
+    assert _pairs(polytope._collapse_rows(rows, orbit)) == _collapse_oracle(oracle, orbit.tolist())
 
 
-def _ns_blocks(scenario):
-    return list(polytope._ns_equality_rows(scenario)), scenario.table_size
+def _ns_identity(scenario):
+    """The Collins-Gisin rows on identity orbits as built (every coordinate
+    but the constant) and as the LP keeps them."""
+    n = scenario.table_size
+    orbit = polytope._orbits_of_permutations(n, [])
+    assert orbit.tolist() == list(range(n))
+    sums = polytope._concat(list(_cg_map.orbit_sums(scenario, orbit, n)))
+    return polytope._select(sums, np.arange(1, len(sums))), polytope._cg_rows(scenario, orbit, n)[1]
 
 
-def _tobl_blocks():
+def _tobl_identity():
     layout = polytope._ToblLayout(gb.binary_scenario(3))
-    return [layout.rows()], layout.n_vars
+    rows = layout.rows()
+    return rows, polytope._collapse_rows(rows, polytope._orbits_of_permutations(layout.n_vars, []))
 
 
 @pytest.mark.parametrize(
     "model, n_rows",
     [
-        (lambda: _ns_blocks(upb.four_partite_tight_inequality().scenario), 440),
-        (lambda: _ns_blocks(gb.binary_scenario(3)), 56),
-        (lambda: _ns_blocks(gb.binary_scenario(4)), 272),
-        (lambda: _ns_blocks(gb.binary_scenario(5)), 1312),
-        (_tobl_blocks, 404),
+        (lambda: _ns_identity(upb.four_partite_tight_inequality().scenario), 107),
+        (lambda: _ns_identity(gb.binary_scenario(3)), 26),
+        (lambda: _ns_identity(gb.binary_scenario(4)), 80),
+        (lambda: _ns_identity(gb.binary_scenario(5)), 242),
+        (_tobl_identity, 404),
     ],
     ids=["four-partite", "binary3", "binary4", "binary5", "tobl"],
 )
 def test_collapse_on_identity_orbits_returns_the_rows(model, n_rows):
-    """With no permutations every variable is its own orbit, and the
-    collapse of the uncollapsed models' rows returns them as they stand:
-    row, column, value and right-hand side arrays equal to the concatenated
-    blocks', dtype included."""
-    blocks, n = model()
-    orbit = polytope._orbits_of_permutations(n, [])
-    assert orbit.tolist() == list(range(n))
-    whole = polytope._concat(blocks)
-    collapsed = polytope._collapse_rows(blocks, orbit)
-    assert len(whole) == n_rows
+    """With no permutations every variable is its own orbit, and no row of
+    the uncollapsed models repeats another up to a factor: the LP gets the
+    Collins-Gisin rows (one per coordinate but the constant) and the TOBL
+    rows as built, row, column, value and right-hand side arrays equal,
+    dtype included."""
+    built, kept = model()
+    assert len(built) == n_rows
     for field in dataclasses.fields(lp.Rows):
-        a, b = getattr(collapsed, field.name), getattr(whole, field.name)
+        a, b = getattr(kept, field.name), getattr(built, field.name)
         assert a.dtype == b.dtype and np.array_equal(a, b), field.name
 
 
@@ -429,13 +560,9 @@ def test_collapse_rows_keeps_first_of_proportional_rows():
     )
     orbit = np.array([0, 1, 0, 1])
     kept = [({0: -1, 1: 1}, 0), ({0: 2, 1: 2}, 2)]
-    assert _pairs(polytope._collapse_rows([rows], orbit)) == kept
-    # rows 0, 2 and then rows 1, 3, 4 as two blocks: rows 1 and 3 survive
-    # their own block and are dropped against the survivors of the first
-    first, second = polytope._select(rows, [0, 2]), polytope._select(rows, [1, 3, 4])
-    assert _pairs(polytope._collapse_rows([first, second], orbit)) == kept
+    assert _pairs(polytope._collapse_rows(rows, orbit)) == kept
     with pytest.raises(lp.LPError, match="inconsistent collapsed row"):
-        polytope._collapse_rows([dataclasses.replace(rows, rhs=np.array([0, 0, 2, 1, 1]))], orbit)
+        polytope._collapse_rows(dataclasses.replace(rows, rhs=np.array([0, 0, 2, 1, 1])), orbit)
 
 
 # ---------------------------------------------------------------------------
@@ -684,6 +811,19 @@ def test_dimension_examples():
     assert gb.polytope_dimension(Scenario((2, 2, 2, 3), (2, 2, 2, 2))) == 107
 
 
+def _full_coordinates_of_strategies(scenario, strategies):
+    """Dense 0/1 full-table rows of strategy objects, one input tuple at a
+    time: the reference that the subset-marginal ranks are tested against."""
+    na = scenario.n_outputs
+    out = np.zeros((len(strategies), scenario.table_size), dtype=np.int64)
+    for r, s in enumerate(strategies):
+        for xs in scenario.input_tuples():
+            x_idx = scenario.encode_input(xs)
+            a_idx = scenario.encode_outcome(s.outcome_for(xs))
+            out[r, x_idx * na + a_idx] = 1
+    return out
+
+
 @pytest.mark.parametrize(
     "scenario",
     [gb.binary_scenario(2), Scenario((2, 2), (2, 3)), gb.binary_scenario(3)],
@@ -695,7 +835,7 @@ def test_affine_rank_collapsed_equals_full_coordinates(scenario):
     strategies = gb.enumerate_deterministic_strategies(scenario)
     for trial in range(5):
         subset = rng.sample(range(len(strategies)), rng.randint(2, min(30, len(strategies))))
-        full = polytope._full_coordinates_of_strategies(scenario, [strategies[k] for k in subset])
+        full = _full_coordinates_of_strategies(scenario, [strategies[k] for k in subset])
         assert affine_rank_of_strategies(scenario, subset) == _rank.affine_rank(full)
 
 
