@@ -1,9 +1,17 @@
 """Exact rank of integer matrices by fraction-free elimination.
 
-Used for affine-rank computations on polytope vertex sets.  A row is reduced
-against a pivot row as ``row = pivot_value * row - row[pivot_col] *
-pivot_row``, in place, which keeps everything in integers; no tolerance is
-involved anywhere.  A row is divided by the gcd of its entries only when a
+Used for affine-rank computations on polytope vertex sets.  Floats propose,
+integers decide: :func:`affine_rank` lets a float32 pass choose the
+independent difference rows, their pivot columns and an integer kernel, and
+returns that rank only when two exact checks prove it (the elimination
+below on the square minor, and a product that is exact by a checked bound);
+otherwise the elimination runs over every row.  No tolerance decides a
+rank (the certifying-algorithm pattern of McConnell, Mehlhorn, Naeher and
+Schweitzer, Comput. Sci. Rev. 5, 119 (2011)).
+
+A row is reduced against a pivot row as ``row = pivot_value * row -
+row[pivot_col] * pivot_row``, in place, which keeps everything in
+integers.  A row is divided by the gcd of its entries only when a
 bound on its entries reaches ``_REDUCE_AT``, the rule
 :mod:`gynibell.lp` applies to the basis inverse, and once more before it is
 stored as a pivot.  A skipped division only scales the row, and every row
@@ -27,6 +35,22 @@ _INT64_SAFE = 2**62
 #: the value is exact either way, and below it a product of two entries
 #: stays under ``_INT64_SAFE``
 _REDUCE_AT = 2**31
+
+#: rows per gemm in the float pass
+_FLOAT_BLOCK = 32
+#: the float pass takes a residual entry at most this fraction of its row's
+#: largest input entry as zero; a wrong call costs the fallback, not the rank
+_FLOAT_ZERO = 2.0**-10
+#: float32 holds every integer of magnitude up to this exactly
+_FLOAT32_EXACT = 2**24
+#: OpenBLAS as numpy ships it runs a float32 gemm of at most this many
+#: multiply-adds on the calling thread alone; a larger one hands parts to
+#: worker threads, which on a small shared host cost more than they save
+#: (the same product took from 0.2 ms to 16 ms) and keep their own
+#: buffers resident (about 1.4 MB against 0.25 MB)
+_GEMM_MACS = 2**19
+#: rows per float32 block of the kernel check
+_CHECK_ROWS = 64
 
 
 def _primitive(row):
@@ -120,13 +144,174 @@ def integer_rank(matrix) -> int:
     return acc.rank
 
 
-def affine_rank(matrix) -> int:
-    """Exact affine rank (dimension of the affine hull) of integer points."""
-    rows = [np.asarray(r, dtype=np.int64) for r in matrix]
-    if len(rows) <= 1:
-        return 0
-    base = rows[0]
-    acc = ExactRankAccumulator(len(base))
-    for r in rows[1:]:
-        acc.add_row(r - base)
+def _subtract_product(out, a, b):
+    """``out -= a @ b`` in column slices of at most ``_GEMM_MACS``
+    multiply-adds each."""
+    width = max(1, _GEMM_MACS // max(1, a.size))
+    for j in range(0, b.shape[1], width):
+        out[:, j : j + width] -= a @ b[:, j : j + width]
+
+
+def _propose(diffs):
+    """The float pass: independent rows S, their pivot columns P and an
+    integer kernel proposed from float32 arithmetic, as ``(S, P, delta,
+    kernel_p)``.
+
+    The columns are kept in an order with the pivots first, in the order
+    they are chosen.  E, the reduced echelon of the rows chosen so far, is
+    stored transposed in that order (row j of ``ech_t`` is column j of E);
+    its identity part is never read.  The rows are reduced in order, a
+    block of ``_FLOAT_BLOCK`` at a time: one product with E on the free
+    columns, then each row takes its largest free entry as pivot, unless
+    that entry is at most ``_FLOAT_ZERO`` times the row's largest input
+    entry, and that column is cleared from the block's later rows.  At the
+    block's end its chosen rows are reduced against each other and their
+    pivot columns cleared from E, one product each.  ``delta`` is the
+    rounded product of the pivots' magnitudes, |det D[S][:, P]| if the
+    float values are right, and ``kernel_p`` is -rint(delta E) on the free
+    columns, in ascending order, or None when delta reaches
+    ``_FLOAT32_EXACT``.  Nothing here is trusted: :func:`_certified_rank`
+    checks what it proposes."""
+    n, m = diffs.shape
+    order = np.arange(m)
+    ech_t = np.empty((m, min(n, m)), dtype=np.float32)
+    rows = []
+    det = 1.0
+    r = 0
+    for start in range(0, n, _FLOAT_BLOCK):
+        if r == m:
+            break
+        block = diffs[start : start + _FLOAT_BLOCK][:, order].astype(np.float32)
+        zero = _FLOAT_ZERO * np.abs(block).max(axis=1)
+        if r:
+            _subtract_product(block[:, r:], block[:, :r], ech_t[r:, :r].T)
+        chosen, picked = [], []
+        for i in range(len(block)):
+            c = r + int(np.abs(block[i, r:]).argmax())
+            v = float(block[i, c])
+            if not abs(v) > zero[i]:
+                continue
+            det *= abs(v)
+            row = block[i, r:]
+            row /= v
+            below = block[i + 1 :, r:]
+            below -= block[i + 1 :, c, None] * row
+            chosen.append(i)
+            picked.append(c)
+        if not chosen:
+            continue
+        # the block's pivot columns move to positions r, r + 1, ...
+        k = len(picked)
+        rest = np.ones(m, dtype=bool)
+        rest[:r] = False
+        rest[picked] = False
+        perm = np.concatenate((picked, np.flatnonzero(rest)))
+        order[r:] = order[perm]
+        new = block[chosen][:, perm]
+        # new[:, :k] is unit upper triangular, U; inv becomes U^-1, and
+        # new[:, k:] += (U^-1 - I) new[:, k:] reduces the rows against each other
+        inv = np.eye(k, dtype=np.float32)
+        for j in range(k - 1, 0, -1):
+            inv[:j] -= new[:j, j, None] * inv[j]
+        _subtract_product(new[:, k:], np.eye(k, dtype=np.float32) - inv, new[:, k:])
+        if r:
+            ech_t[r:, :r] = ech_t[perm, :r]
+            _subtract_product(ech_t[r + k :, :r], new[:, k:].T, ech_t[r : r + k, :r])
+        ech_t[r + k :, r : r + k] = new[:, k:].T
+        rows.extend(start + i for i in chosen)
+        r += k
+    delta = float(np.rint(det))
+    kernel_p = None
+    if delta < _FLOAT32_EXACT:
+        kernel_p = ech_t[r:, :r][np.argsort(order[r:])]
+        kernel_p *= np.float32(-delta)
+        np.rint(kernel_p, out=kernel_p)
+        kernel_p = kernel_p.T
+    return np.array(rows, dtype=np.intp), order[:r].copy(), delta, kernel_p
+
+
+def _annihilates(diffs, cols, delta, kernel_p) -> bool:
+    """Whether D K = 0 holds exactly for the integer matrix K that has
+    delta * I on the nf columns not in ``cols`` (ascending) and the rows of
+    ``kernel_p`` on ``cols``; K's columns are then nf independent vectors
+    orthogonal to every row of D, and rank D <= m - nf.
+
+    The product runs in float32, a block of ``_CHECK_ROWS`` rows at a time,
+    each block only while its largest row L1 norm times max |K| stays
+    below 2**24: then every product and partial sum is an integer that
+    float32 holds exactly, in any summation order.  The L1 norms are
+    float32 sums of magnitudes too, exact below 2**24 and never below it
+    once the true sum reaches it."""
+    n, m = diffs.shape
+    free = np.ones(m, dtype=bool)
+    free[cols] = False
+    nf = np.count_nonzero(free)
+    if not nf:
+        return True
+    if kernel_p is None or kernel_p.shape != (len(cols), nf):
+        return False
+    if not (1 <= delta < _FLOAT32_EXACT and float(delta).is_integer()):
+        return False
+    if not np.array_equal(kernel_p, np.rint(kernel_p)):
+        return False
+    kmax = max(delta, float(np.abs(kernel_p).max(initial=0)))
+    kernel = np.zeros((m, nf), dtype=np.float32)
+    kernel[np.flatnonzero(free), np.arange(nf)] = delta
+    kernel[cols] = kernel_p
+    for start in range(0, n, _CHECK_ROWS):
+        part = diffs[start : start + _CHECK_ROWS].astype(np.float32)
+        if not float(np.abs(part).sum(axis=1).max()) * kmax < _FLOAT32_EXACT:
+            return False
+        width = max(1, _GEMM_MACS // part.size)
+        for j in range(0, nf, width):
+            if (part @ kernel[:, j : j + width]).any():
+                return False
+    return True
+
+
+def _certified_rank(diffs):
+    """The rank r = |S| the float pass proposes, if two exact checks prove
+    it, else None.
+
+    Upper bound: :func:`_annihilates` for the proposed kernel proves
+    rank <= m - nf, which is at most r because r pivot columns leave at
+    least m - r free.  Lower bound: the accumulator reduces the square
+    minor D[S][:, P] (rows in order, columns in the order the float pass
+    chose them) and must reach r."""
+    rows, cols, delta, kernel_p = _propose(diffs)
+    r = len(rows)
+    if len(cols) != r or not _annihilates(diffs, cols, delta, kernel_p):
+        return None
+    del kernel_p  # not held while the minor is reduced
+    acc = ExactRankAccumulator(r)
+    for row in diffs[np.ix_(rows, cols)]:
+        if not acc.add_row(row):
+            return None
+    return r
+
+
+def _accumulated_rank(diffs) -> int:
+    """Rank of the difference rows, every row through the accumulator."""
+    acc = ExactRankAccumulator(diffs.shape[1])
+    for row in diffs:
+        acc.add_row(row)
     return acc.rank
+
+
+def affine_rank(matrix) -> int:
+    """Exact affine rank (dimension of the affine hull) of integer points.
+
+    The rank of the differences from the first point, as the float pass
+    proposes and :func:`_certified_rank` proves it, or, when a check fails,
+    as the accumulator finds it over every row.  An integer array is kept
+    in its dtype while the differences fit it."""
+    points = matrix
+    if not (isinstance(points, np.ndarray) and points.dtype.kind == "i"):
+        points = np.asarray(matrix, dtype=np.int64)
+    if len(points) <= 1:
+        return 0
+    if points.size and int(points.max()) - int(points.min()) > np.iinfo(points.dtype).max:
+        points = points.astype(np.int64)
+    diffs = points[1:] - points[0]
+    rank = _certified_rank(diffs)
+    return _accumulated_rank(diffs) if rank is None else rank

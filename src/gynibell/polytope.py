@@ -76,10 +76,10 @@ def _responses(m: int, d: int) -> np.ndarray:
 
 
 def _response_indicators(m: int, d: int) -> np.ndarray:
-    """(d**m, m*d) 0/1 matrix: entry (s, x*d + a) is 1 iff response function
-    s answers a to input x."""
+    """(d**m, m*d) 0/1 int8 matrix: entry (s, x*d + a) is 1 iff response
+    function s answers a to input x."""
     resp = _responses(m, d)
-    out = np.zeros((len(resp), m, d), dtype=np.int64)
+    out = np.zeros((len(resp), m, d), dtype=np.int8)
     out[np.arange(len(resp))[:, None], np.arange(m), resp] = 1
     return out.reshape(len(resp), m * d)
 
@@ -742,8 +742,9 @@ def tobl_max(expression: BellExpression) -> ToblOptimum:
 
 
 def cg_coordinates_of_strategies(scenario: Scenario, positions) -> np.ndarray:
-    """Subset-marginal coordinates (constant first, each a 0/1 integer) of
-    the deterministic strategies at the given enumeration positions.
+    """Subset-marginal coordinates (constant first) of the deterministic
+    strategies at the given enumeration positions, as int8: every entry is
+    0 or 1, so a caller that sums or multiplies them widens the dtype first.
 
     The positions unravel to each party's response-function index; a
     party's block is one gather at those indices from a table over its
@@ -752,12 +753,12 @@ def cg_coordinates_of_strategies(scenario: Scenario, positions) -> np.ndarray:
     the blocks expand row by row into their product."""
     positions = np.asarray(positions, dtype=np.intp)
     counts = [d**m for m, d in zip(scenario.inputs, scenario.outputs)]
-    mats = np.ones((len(positions), 1), dtype=np.int64)
+    mats = np.ones((len(positions), 1), dtype=np.int8)
     for (m, d), index in zip(
         zip(scenario.inputs, scenario.outputs), np.unravel_index(positions, counts)
     ):
         marks = _response_indicators(m, d).reshape(d**m, m, d)[:, :, : d - 1]
-        table = np.hstack([np.ones((d**m, 1), dtype=np.int64), marks.reshape(d**m, -1)])
+        table = np.hstack([np.ones((d**m, 1), dtype=np.int8), marks.reshape(d**m, -1)])
         width = mats.shape[1] * table.shape[1]
         mats = np.einsum("bi,bj->bij", mats, table[index]).reshape(len(index), width)
     return mats

@@ -356,7 +356,8 @@ def test_cg_map_sends_strategies_to_their_tables(scenario):
         gb.box_from_strategy(scenario, core.strategy_at(scenario, k)).exact_table()
         for k in positions
     ]
-    assert (coords @ _dense_map(scenario).T).tolist() == tables
+    assert coords.dtype == np.int8
+    assert (coords.astype(np.int64) @ _dense_map(scenario).T).tolist() == tables
 
 
 @pytest.mark.parametrize("scenario", ns_oracle.SCENARIOS)

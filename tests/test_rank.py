@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gynibell import _rank
+from gynibell import _rank, gyni, polytope, upb
 from gynibell._rank import ExactRankAccumulator, affine_rank, integer_rank
 
 
@@ -170,3 +170,176 @@ def test_lazy_gcd_keeps_every_pivot_row(monkeypatch, reduce_at):
     assert expect[-1][0] == 241
     monkeypatch.setattr(_rank, "_REDUCE_AT", reduce_at)
     assert [_echelon(m, n) for m, n in mats] == expect
+
+
+# ---------------------------------------------------------------------------
+# the certified affine rank: float proposal, exact lower and upper bounds
+
+
+def _point_sets():
+    """Seeded integer point sets, each with the name of its shape."""
+    rng = np.random.default_rng(20)
+    yield "tall", rng.integers(0, 3, size=(40, 6))
+    basis = rng.integers(-1, 2, size=(3, 8))
+    coeffs = rng.integers(-2, 3, size=(30, 3))
+    yield "tall, rank-deficient", 5 + coeffs @ basis
+    yield "wide", rng.integers(0, 2, size=(5, 20))
+    wide_basis = rng.integers(0, 2, size=(4, 30))
+    yield "wide, rank-deficient", rng.integers(0, 2, size=(12, 4)) @ wide_basis
+    few = rng.integers(-2, 3, size=(4, 7))
+    yield "repeated points", few[rng.integers(0, 4, size=25)]
+    yield "one point", rng.integers(-5, 6, size=(1, 9))
+    yield "all points equal", np.tile(rng.integers(-5, 6, size=9), (6, 1))
+    # every maximal minor of the differences has |det| 2, or 3
+    yield "minor det 2", np.array([[0, 0, 0, 0], [1, 1, 0, 2], [1, 0, 1, 2], [0, 1, 1, 2]])
+    yield "minor det 3", np.array([[0, 0, 0], [2, 1, 3], [1, 2, 3]])
+    for k in range(6):
+        points = rng.integers(0, 2, size=(int(rng.integers(2, 40)), int(rng.integers(1, 30))))
+        yield f"random 0/1 {k}", points
+
+
+_POINT_SETS = dict(_point_sets())
+
+
+@pytest.mark.parametrize("points", _POINT_SETS.values(), ids=_POINT_SETS.keys())
+def test_certified_rank_equals_the_all_rows_accumulator(points):
+    """The float pass's rank passes both exact checks on small-entry point
+    sets of every shape, and equals the rank of every difference row
+    through the accumulator and over the rationals."""
+    diffs = points[1:] - points[0]
+    expect = _rank._accumulated_rank(diffs)
+    assert expect == _fraction_rank(diffs.tolist())
+    assert _rank._certified_rank(diffs) == expect
+    assert affine_rank(points) == affine_rank(points.tolist()) == expect
+
+
+@pytest.mark.parametrize("name, rank, delta", [("minor det 2", 3, 2), ("minor det 3", 2, 3)])
+def test_float_pass_scales_the_kernel_by_the_minor_determinant(name, rank, delta):
+    """delta > 1: the kernel is delta * E, E having denominators delta."""
+    points = _POINT_SETS[name]
+    rows, cols, got, kernel_p = _rank._propose(points[1:] - points[0])
+    assert (len(rows), got) == (rank, delta)
+    assert kernel_p.shape == (rank, 1) and np.abs(kernel_p).max() > 0
+
+
+def test_int8_points_widen_when_their_differences_would_wrap():
+    """200 and 100 wrap in int8; the rank of the differences is 1."""
+    points = np.array([[-100, -50], [100, 50], [0, 0]], dtype=np.int8)
+    assert affine_rank(points) == 1
+
+
+_real_propose = _rank._propose
+
+
+def _drop_row(diffs, rows, cols, delta, kernel_p):
+    """The proposal for the chosen rows but the first: consistent in
+    itself, one short of the rank."""
+    sub_rows, cols, delta, kernel_p = _real_propose(diffs[rows[1:]])
+    return rows[1:][sub_rows], cols, delta, kernel_p
+
+
+def _wrong_pivot(diffs, rows, cols, delta, kernel_p):
+    """A free column named in place of the first pivot column."""
+    cols = cols.copy()
+    cols[0] = np.flatnonzero(~np.isin(np.arange(diffs.shape[1]), cols))[0]
+    return rows, cols, delta, kernel_p
+
+
+def _shifted_kernel_entry(diffs, rows, cols, delta, kernel_p):
+    kernel_p = kernel_p.copy()
+    kernel_p[0, 0] += 1
+    return rows, cols, delta, kernel_p
+
+
+def _extra_row(diffs, rows, cols, delta, kernel_p):
+    """A dependent row and the first free column added, and that column's
+    kernel vector taken out: D K = 0 still holds, the minor is singular."""
+    extra = np.flatnonzero(~np.isin(np.arange(len(diffs)), rows))[0]
+    free = np.flatnonzero(~np.isin(np.arange(diffs.shape[1]), cols))
+    kernel_p = np.vstack([kernel_p[:, 1:], np.zeros((1, len(free) - 1), kernel_p.dtype)])
+    return np.append(rows, extra), np.append(cols, free[0]), delta, kernel_p
+
+
+def _count_fallbacks(monkeypatch):
+    calls = []
+    real = _rank._accumulated_rank
+    monkeypatch.setattr(_rank, "_accumulated_rank", lambda d: calls.append(d) or real(d))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_drop_row, _wrong_pivot, _shifted_kernel_entry, _extra_row]
+)
+def test_a_wrong_proposal_falls_back_to_the_exact_rank(monkeypatch, corrupt):
+    """A float pass that drops an independent row, names a wrong pivot
+    column, shifts one kernel entry by 1 or takes a dependent row fails an
+    exact check, and the rank comes from the accumulator over every row."""
+    diffs = _gyni5_saturating_differences()
+    points = np.vstack([np.zeros((1, diffs.shape[1]), dtype=diffs.dtype), diffs])
+    assert _rank._certified_rank(diffs) == 241
+    monkeypatch.setattr(_rank, "_propose", lambda d: corrupt(d, *_real_propose(d)))
+    fallbacks = _count_fallbacks(monkeypatch)
+    assert _rank._certified_rank(diffs) is None
+    assert affine_rank(points) == 241
+    assert len(fallbacks) == 1
+
+
+@pytest.mark.parametrize(
+    "points, rank",
+    [
+        # row L1 15000 times max |K| 7000 (the pivot) passes 2**24
+        ([[0, 0, 0], [3000, 5000, 7000]], 1),
+        ([[0, 0, 0], [3000, 5000, 7000], [6000, 10000, 14000], [1, 0, 0]], 2),
+        # the pivot itself, 2**25, is past float32's exact integers
+        ([[0, 0], [2**24, 2**25]], 1),
+    ],
+)
+def test_past_the_float32_bound_the_rank_falls_back(monkeypatch, points, rank):
+    fallbacks = _count_fallbacks(monkeypatch)
+    assert affine_rank(points) == rank
+    assert len(fallbacks) == 1
+
+
+@pytest.mark.parametrize(
+    "row, delta, entry",
+    [
+        # 1 + 3 * float32(-1/3) and 3 * float32(4/3) - 4 read 0 in float32,
+        # yet neither product is 0
+        ([1, 3], 1.0, -1 / 3),
+        ([3, 4], 4 / 3, -1.0),
+        ([1, 3], 0.0, 0.0),  # K = 0 annihilates every row
+    ],
+)
+def test_the_kernel_check_takes_only_integer_kernels_with_nonzero_scale(row, delta, entry):
+    diffs = np.array([row], dtype=np.int8)
+    kernel = np.array([[delta], [entry]], dtype=np.float32)
+    assert (diffs.astype(np.float32) @ kernel).item() == 0
+    assert not _rank._annihilates(diffs, np.array([1]), delta, kernel[1:])
+
+
+def test_the_kernel_check_accepts_an_integer_kernel():
+    diffs = np.array([[1, 3], [2, 6]], dtype=np.int8)
+    assert _rank._annihilates(diffs, np.array([1]), 3.0, np.array([[-1.0]], np.float32))
+
+
+_CATALOGUE = {
+    "GYNI-5": (lambda: gyni.gyni_expression(5).expression, 241),
+    "Niset-Cerf(4,3)": (lambda: upb.niset_cerf_inequality(4, 3), 415),
+    "four-partite": (upb.four_partite_tight_inequality, 106),
+    "wupb": (lambda: upb.bell_from_set(upb.wupb_example()), 43),
+    "gen_shifts(3)": (lambda: upb.bell_from_set(upb.gen_shifts(3)), 997),
+}
+
+
+@pytest.mark.parametrize("name", _CATALOGUE)
+def test_catalogue_ranks_certify_without_the_fallback(monkeypatch, name):
+    """The paper's facet ranks come from the certified path alone."""
+    build, rank = _CATALOGUE[name]
+    expression = build()
+
+    def no_fallback(diffs):
+        raise AssertionError("fallback taken")
+
+    monkeypatch.setattr(_rank, "_accumulated_rank", no_fallback)
+    report = polytope.facet_check(expression, expression.classical_bound)
+    assert report.affine_rank == rank
