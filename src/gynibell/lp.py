@@ -8,27 +8,40 @@ model builders of :mod:`gynibell.polytope` hand theirs over as they are;
 :func:`make_problem` converts hand-written ``(coeffs, rhs)`` pairs,
 multiplying each by the lcm of its coefficients' denominators.
 
-A two-phase revised simplex.  The basis inverse is held explicitly as one
-m x m integer numpy matrix plus a vector of positive integer row
-denominators, which keeps every pivot exact without per-element rational
-normalization; a row is divided by its gcd only once its entries grow
-large.  A pivot has no per-row Python loop.  A touched row whose tableau
-entry the pivot entry divides keeps its denominator, the others are scaled
-whole first; then every touched row changes only in the pivot row's nonzero
-columns, through one flat-index gather and scatter per block of rows, and
-the grown rows are gcd-reduced one numpy operation per block.  The
-lexicographic ratio tie-break gathers one column chunk of the tied rows at
-a time, in chunks that grow geometrically.  The arrays are int64 while the
-magnitude guard of :mod:`gynibell._rank` shows that no product can reach
-2**62; past it they switch to Python integers (``dtype=object``) for the
-rest of the solve.  Every pivot choice depends only on rationals (ratios
-and lexicographic rows cancel each row's denominator), so none depends on
-how a row is scaled or when it switches.  The duals are integer numerators
-over one common denominator, and each pivot prices every column with one
-exact sparse integer product.  The problems solved here (no-signaling
-bounds, membership tests, time-ordered bilocal decompositions) have modest
-row counts and wide, very sparse column sets, so columns are stored once,
-compressed.
+Floats propose, integers decide.  An LP with a nonzero objective first runs
+a dense float64 two-phase simplex on the tableau ``[A | b]``
+(:func:`_float_basis`).  The basis it stops at gives candidate exact values:
+the basic values and the duals are solved in floats from the original
+right-hand sides and costs and each is rounded to the nearest fraction with
+a bounded denominator (:func:`_candidate`).  The candidate is returned only
+if :func:`_verify_optimal` accepts it.  Anything else (a float verdict of
+infeasible or unbounded, the float pass's pivot ceiling, a singular basis, a
+failed verification) runs the exact simplex below from the all-artificial
+basis, as does every LP with a zero objective (feasibility: its exact solve
+is phase 1 alone, on sparse pivots, and beats a dense float tableau).  So
+no float is ever returned, and which path ran shows only in the counters.
+
+The exact simplex is a two-phase revised simplex.  The basis inverse is
+held explicitly as one m x m integer numpy matrix plus a vector of positive
+integer row denominators, which keeps every pivot exact without per-element
+rational normalization; a row is divided by its gcd only once its entries
+grow large.  A pivot has no per-row Python loop.  A touched row whose
+tableau entry the pivot entry divides keeps its denominator, the others are
+scaled whole first; then every touched row changes only in the pivot row's
+nonzero columns, through one flat-index gather and scatter per block of
+rows, and the grown rows are gcd-reduced one numpy operation per block.
+The lexicographic ratio tie-break gathers one column chunk of the tied rows
+at a time, in chunks that grow geometrically.  The arrays are int64 while
+the magnitude guard of :mod:`gynibell._rank` shows that no product can
+reach 2**62; past it they switch to Python integers (``dtype=object``) for
+the rest of the solve.  Every pivot choice depends only on rationals
+(ratios and lexicographic rows cancel each row's denominator), so none
+depends on how a row is scaled or when it switches.  The duals are integer
+numerators over one common denominator, and each pivot prices every column
+with one exact sparse integer product.  The problems solved here
+(no-signaling bounds, membership tests, time-ordered bilocal
+decompositions) have modest row counts and wide, very sparse column sets,
+so columns are stored once, compressed.
 
 Correctness posture:
 
@@ -53,11 +66,11 @@ until a strict improvement happens, which guarantees termination.  An
 artificial variable sitting at zero is pivoted out the moment an entering
 column touches its row, so artificials can never rise again after phase 1;
 each such forced pivot removes one artificial for good, so they cannot loop.
-Each :class:`LPResult` counts the pivots in all and in phase 1, the
-degenerate (zero-step) ones, and whether Bland's rule engaged.
+Each :class:`LPResult` counts the float pass's pivots, the exact pivots in
+all and in phase 1, the degenerate (zero-step) ones, and whether Bland's
+rule engaged.
 
-There is deliberately no floating-point mode and no presolve; exactness of
-the returned fractions is the point.
+There is no presolve; exactness of the returned fractions is the point.
 """
 
 from __future__ import annotations
@@ -92,6 +105,26 @@ _BLOCK_ELEMS = 1 << 13
 
 #: columns in the first chunk the lexicographic tie-break compares
 _LEX_CHUNK = 32
+
+#: the float pass raises right-hand side i by (_PERTURB + _PERTURB_SPREAD *
+#: frac(i * _GOLDEN)) * (1 + max|b|): a fixed perturbation, so reruns pivot
+#: alike, against the degeneracy of the no-signaling and TOBL LPs
+_PERTURB, _PERTURB_SPREAD = 1e-7, 9e-7
+_GOLDEN = (1 + 5**0.5) / 2
+
+#: the float pass's tolerance on pivot entries and reduced costs
+_FLOAT_TOL = 1e-9
+
+#: an artificial still worth more than this times 1 + max|b| after phase 1
+#: makes the float pass's verdict infeasible
+_INFEASIBLE = 1e-4
+
+#: the float pass gives up after this many pivots per row and column
+_FLOAT_PIVOTS_PER_DIMENSION = 4
+
+#: the float basic values and duals are rounded to the nearest fraction
+#: with at most this denominator
+_GUIDE_DENOMINATOR = 1 << 16
 
 
 class LPError(RuntimeError):
@@ -170,11 +203,12 @@ class LPResult:
     ``farkas`` (infeasible): row multipliers proving emptiness.
     ``ray`` (unbounded): feasible improving direction.
 
-    The counters are the same on every run: ``pivots`` in all, of them
-    ``phase1_pivots`` before the artificial variables were driven out, and
-    ``degenerate_pivots`` that left a basic variable at zero (no step);
-    ``bland_engaged`` tells whether a run of degenerate pivots switched
-    pricing to Bland's rule.
+    The counters are the same on every run: ``float_pivots`` the float pass
+    made (0 if it did not run); ``pivots`` the exact simplex made, 0 when
+    the float pass's basis verified, of them ``phase1_pivots`` before the
+    artificial variables were driven out, and ``degenerate_pivots`` that
+    left a basic variable at zero (no step); ``bland_engaged`` tells
+    whether a run of degenerate pivots switched pricing to Bland's rule.
     """
 
     status: str
@@ -187,6 +221,7 @@ class LPResult:
     phase1_pivots: int = 0
     degenerate_pivots: int = 0
     bland_engaged: bool = False
+    float_pivots: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -631,13 +666,14 @@ class _Simplex:
                 streak = 0
                 bland = False
 
-    def counts(self, phase1_pivots: int) -> dict:
+    def counts(self, phase1_pivots: int, float_pivots: int) -> dict:
         """The solve counters of :class:`LPResult` so far."""
         return dict(
             pivots=self.pivots,
             phase1_pivots=phase1_pivots,
             degenerate_pivots=self.degenerate,
             bland_engaged=self.bland_engaged,
+            float_pivots=float_pivots,
         )
 
     def basic_value(self, i) -> Fraction:
@@ -645,12 +681,184 @@ class _Simplex:
 
 
 # ---------------------------------------------------------------------------
+# float guide: a dense float64 simplex proposes the basis
+
+
+def _float_basis(A: np.ndarray, b: np.ndarray, cost: np.ndarray):
+    """The basis at which a dense float64 two-phase simplex minimizing
+    ``cost . x`` over ``A x = b``, ``x >= 0`` (``b >= 0``) stops optimal
+    (basis position i holds column ``j``, or ``n + i`` for row i's
+    artificial), and the pivots it took; the basis is None if the pass ends
+    infeasible, unbounded or at its ceiling.
+
+    The tableau is ``[A | b]`` with no artificial columns: an artificial
+    that leaves the basis never returns, so the phase-1 row (minus the sum
+    of the rows that artificials hold) is all phase 1 needs.  Both
+    objective rows are rows of the tableau and every pivot updates them
+    with the rest, element-wise, so no reduction and no matrix product
+    decides a pivot.  Pricing is Devex (the largest d_j^2 over a reference
+    weight), the ratio test takes the least ratio (first on ties), a basic
+    value that rounding leaves below zero is set to zero, and right-hand
+    side i is raised by ``(_PERTURB + _PERTURB_SPREAD * frac(i * phi)) *
+    (1 + max|b|)`` against degeneracy.  An artificial still basic in
+    phase 2 (on a redundant row it stays at the perturbation's residue) is
+    priced like any basic variable; if the basis leaves one off zero, the
+    exact solution of the basis breaks its row and the check refuses it."""
+    m, n = A.shape
+    scale = 1.0 + np.abs(b).max(initial=0.0)
+    T = np.zeros((m + 2, n + 1))
+    T[:m, :n] = A
+    T[:m, n] = b + (_PERTURB + _PERTURB_SPREAD * np.modf(np.arange(m) * _GOLDEN)[0]) * scale
+    T[m, :n] = cost
+    T[m + 1] = -T[:m].sum(axis=0)
+    basis = np.arange(n, n + m)
+    weights = np.ones(n)
+    ceiling = _FLOAT_PIVOTS_PER_DIMENSION * (m + n)
+    pivots = 0
+    for phase, reduced in ((1, T[m + 1, :n]), (2, T[m, :n])):
+        if phase == 2 and np.any(T[:m, n][basis >= n] > _INFEASIBLE * scale):
+            return None, pivots
+        while True:
+            score = np.where(reduced < -_FLOAT_TOL, reduced * reduced / weights, 0.0)
+            q = int(score.argmax())
+            if not score[q]:
+                break
+            if pivots == ceiling:
+                return None, pivots
+            alpha, x = T[:m, q], T[:m, n]
+            pos = alpha > _FLOAT_TOL
+            if not pos.any():
+                return None, pivots
+            r = int(np.where(pos, x / np.where(pos, alpha, 1.0), np.inf).argmin())
+            prow = T[r] / alpha[r]
+            weights = np.maximum(weights, prow[:n] * prow[:n] * weights[q])
+            T -= np.multiply.outer(T[:, q], prow)
+            T[r] = prow
+            np.maximum(T[:m, n], 0.0, out=T[:m, n])
+            basis[r] = q
+            pivots += 1
+    return basis, pivots
+
+
+def _float_inverse(M: np.ndarray):
+    """``M^-1`` by Gauss-Jordan elimination of ``[M | I]`` with partial
+    pivoting, element-wise; None if a pivot falls below the tolerance."""
+    m = len(M)
+    aug = np.zeros((m, 2 * m))
+    aug[:, :m] = M
+    aug[:, m:] = np.eye(m)
+    for k in range(m):
+        p = k + int(np.abs(aug[k:, k]).argmax())
+        if abs(aug[p, k]) <= _FLOAT_TOL:
+            return None
+        if p != k:
+            aug[[k, p]] = aug[[p, k]]
+        prow = aug[k, k:] / aug[k, k]
+        aug[:, k:] -= np.multiply.outer(aug[:, k], prow)
+        aug[k, k:] = prow
+    return aug[:, m:]
+
+
+def _refined(M: np.ndarray, inverse: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The solution of ``M z = rhs`` from a float inverse of ``M``, after one
+    step of iterative refinement, element-wise."""
+    z = (inverse * rhs).sum(axis=1)
+    return z + (inverse * (rhs - (M * z).sum(axis=1))).sum(axis=1)
+
+
+def _candidate(problem: LPProblem, std: _Standard, A, b, b_scale, cost, c_scale, basis):
+    """The optimum that a basis of the float standard form ``A``, ``b``,
+    ``cost`` proposes, exact but unverified; None if the basis matrix is
+    singular.  ``b`` and ``cost`` are the integers ``std.b * b_scale`` and
+    ``std.phase2_cost * c_scale``: the basic values and the duals are
+    solved from them in floats, each rounded to the nearest fraction with a
+    denominator of at most ``_GUIDE_DENOMINATOR``, and divided by the
+    scale, so the right-hand sides' and costs' own denominators do not
+    count against that bound."""
+    m, n = A.shape
+    structural = (basis < n).nonzero()[0]
+    artificial = (basis >= n).nonzero()[0]
+    B = np.zeros((m, m))
+    B[:, structural] = A[:, basis[structural]]
+    B[basis[artificial] - n, artificial] = 1.0
+    inverse = _float_inverse(B)
+    if inverse is None:
+        return None
+    x = _refined(B, inverse, b)
+    cost_b = np.zeros(m)
+    cost_b[structural] = cost[basis[structural]]
+    # the duals of the rows as given: signs flipped back, and of the maximum
+    y = _refined(B.T, inverse.T, cost_b) * -np.array(std.row_mult)
+    solution = [_ZERO] * n
+    for j, v in zip(basis[structural].tolist(), _rounded(x[structural], b_scale)):
+        solution[j] = v
+    value = sum((c * v for c, v in zip(problem.objective, solution) if v), _ZERO)
+    return LPResult(
+        status="optimal",
+        value=value,
+        solution=_shared(solution),
+        dual=_shared(_rounded(y, c_scale)),
+    )
+
+
+def _rounded(values: np.ndarray, scale: int) -> list:
+    """Each float of ``values`` rounded to the nearest fraction with a
+    denominator of at most ``_GUIDE_DENOMINATOR``, over ``scale``; equal
+    floats give one object, and one too small to round to anything but
+    zero gives zero at once."""
+    rounded, out = {}, []
+    for v in values.tolist():
+        if abs(v) * 2 * _GUIDE_DENOMINATOR < 1:
+            out.append(_ZERO)
+            continue
+        if v not in rounded:
+            rounded[v] = Fraction(v).limit_denominator(_GUIDE_DENOMINATOR) / scale
+        out.append(rounded[v])
+    return out
+
+
+def _guided(problem: LPProblem, std: _Standard):
+    """The optimum that the float pass proposes if it verifies, else None,
+    and the float pivots spent."""
+    m, n = std.m, std.n
+    b, b_scale = _scaled_integers(std.b)
+    cost, c_scale = _scaled_integers(std.phase2_cost)
+    A = np.zeros((m, n))
+    try:
+        A[std.indices, np.repeat(np.arange(n), np.diff(std.indptr))] = std.data
+        b, cost = np.array(b, dtype=float), np.array(cost, dtype=float)
+    except OverflowError:  # an entry past the float range
+        return None, 0
+    basis, float_pivots = _float_basis(A, b, cost)
+    if basis is None:
+        return None, float_pivots
+    res = _candidate(problem, std, A, b, b_scale, cost, c_scale, basis)
+    if res is None:
+        return None, float_pivots
+    res.float_pivots = float_pivots
+    try:
+        _verify_optimal(problem, res)
+    except LPError:
+        return None, float_pivots
+    return res, float_pivots
+
+
+# ---------------------------------------------------------------------------
 # public entry points
 
 
 def solve(problem: LPProblem) -> LPResult:
-    """Solve exactly; the returned result has already passed verification."""
+    """Solve exactly; the returned result has already passed verification.
+
+    An LP with a nonzero objective first takes the basis the float pass
+    proposes (:func:`_guided`); every other outcome runs the exact simplex
+    from the all-artificial basis."""
     std = _standardize(problem)
+    float_pivots = 0
+    if any(problem.objective):
+        res, float_pivots = _guided(problem, std)
+        if res is not None:
+            return res
     sx = _Simplex(std)
     n, m = std.n, std.m
 
@@ -662,13 +870,15 @@ def solve(problem: LPProblem) -> LPResult:
     if np.any(sx.M[artificial, m] != 0):
         farkas = _row_multipliers(std, sx, 1)
         _verify_infeasible(problem, farkas)
-        return LPResult(status="infeasible", farkas=_shared(farkas), **sx.counts(phase1))
+        return LPResult(
+            status="infeasible", farkas=_shared(farkas), **sx.counts(phase1, float_pivots)
+        )
 
     status = sx.run(std.phase2_cost + [0] * m)
     if status == "unbounded":
         ray = _recover_ray(std, sx)
         _verify_ray(problem, ray)
-        return LPResult(status="unbounded", ray=_shared(ray), **sx.counts(phase1))
+        return LPResult(status="unbounded", ray=_shared(ray), **sx.counts(phase1, float_pivots))
 
     solution = [_ZERO] * n
     for i, bj in enumerate(sx.basis.tolist()):
@@ -680,7 +890,7 @@ def solve(problem: LPProblem) -> LPResult:
         value=value,
         solution=_shared(solution),
         dual=_shared(_row_multipliers(std, sx, -1)),
-        **sx.counts(phase1),
+        **sx.counts(phase1, float_pivots),
     )
     _verify_optimal(problem, res)
     return res

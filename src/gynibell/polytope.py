@@ -465,6 +465,14 @@ def _strategy_table_indices(scenario: Scenario, cap: int | None = None) -> np.nd
     return idx.reshape(-1, scenario.n_inputs)
 
 
+@functools.lru_cache(maxsize=16)
+def _table_keys(scenario: Scenario) -> tuple:
+    """The ``(x_idx, a_idx)`` coefficient key of every table index, built
+    once per scenario: the separating inequalities of one scenario share
+    them instead of each holding its own."""
+    return tuple(divmod(t, scenario.n_outputs) for t in range(scenario.table_size))
+
+
 def local_membership(box: Box, cap: int | None = None) -> LocalMembership:
     """Decide membership in the local polytope by exact feasibility LP.
 
@@ -502,11 +510,8 @@ def local_membership(box: Box, cap: int | None = None) -> LocalMembership:
         return LocalMembership(True, weights, None)
 
     farkas = res.farkas
-    coeffs = {}
-    for t in range(scen.table_size):
-        if farkas[t]:
-            x_idx, a_idx = divmod(t, scen.n_outputs)
-            coeffs[(x_idx, a_idx)] = farkas[t]
+    keys = _table_keys(scen)
+    coeffs = {keys[t]: farkas[t] for t in range(scen.table_size) if farkas[t]}
     bound = -farkas[scen.table_size]
     separating = BellExpression(scen, coeffs, label="separating inequality")
     value_at_box = bell_value(separating, box)

@@ -324,6 +324,19 @@ def test_verify_ray_rejects_tampered_ray():
             lp._verify_ray(problem, ray)
 
 
+def _no_basis(A, b, cost):
+    """A float pass that proposes no basis, so ``lp.solve`` runs the exact
+    simplex from the all-artificial basis."""
+    return None, 0
+
+
+@pytest.fixture
+def cold(monkeypatch):
+    """Pin ``lp.solve`` to the exact simplex: the tests that use it pin how
+    that simplex pivots, which a verified float basis skips."""
+    monkeypatch.setattr(lp, "_float_basis", _no_basis)
+
+
 def _solve_results(test):
     """Every LPResult ``lp.solve`` returns while ``test`` runs."""
     solve, results = lp.solve, []
@@ -343,7 +356,7 @@ def _solve_results(test):
     "test",
     [test_random_lps_against_vertex_enumeration, test_random_fractional_lps_against_vertex_enumeration],
 )
-def test_random_lps_on_the_big_integer_path(monkeypatch, test, guard):
+def test_random_lps_on_the_big_integer_path(monkeypatch, cold, test, guard):
     """With the int64 guard set to 1 every pivot runs on Python integers; at
     2**8 some solves switch part way through (in the pivot, the pricing, the
     tableau column and the phase-2 duals).  The oracle still agrees, and
@@ -367,7 +380,18 @@ def test_random_lps_on_the_big_integer_path(monkeypatch, test, guard):
         assert any(b > a and not a_big and b_big for (a, a_big), (b, b_big) in zip(modes, modes[1:]))
 
 
-def test_pivot_counts_are_pinned():
+def _gyni4_mixture():
+    """A local box of the four-party binary scenario: six vertices mixed with
+    weights over 19."""
+    scen = core.binary_scenario(4)
+    strategies = core.enumerate_deterministic_strategies(scen)
+    return core.mix_boxes(
+        [core.box_from_strategy(scen, strategies[k]) for k in (132, 55, 129, 107, 221, 10)],
+        [F(w, 19) for w in (4, 1, 7, 3, 1, 3)],
+    )
+
+
+def test_pivot_counts_are_pinned(cold):
     """Pricing (best in the first improving block, Bland's rule after a
     degenerate streak) and the lexicographic ratio test fix the pivot
     sequence; these counts change only if a pivot choice changes.  So do
@@ -375,13 +399,8 @@ def test_pivot_counts_are_pinned():
     degenerate streak long enough for Bland's rule.  The infeasible
     membership LP tests the GYNI-4 NS box of the full-probability LP, a
     fixed input whatever optimum ``ns_max`` picks."""
-    scen = core.binary_scenario(4)
-    strategies = core.enumerate_deterministic_strategies(scen)
-    mixture = core.mix_boxes(
-        [core.box_from_strategy(scen, strategies[k]) for k in (132, 55, 129, 107, 221, 10)],
-        [F(w, 19) for w in (4, 1, 7, 3, 1, 3)],
-    )
-    ns_box = core.Box(scen, ns_full_lp.ns_lp_max(gyni.gyni_expression(4).expression)[1])
+    mixture = _gyni4_mixture()
+    ns_box = core.Box(mixture.scenario, ns_full_lp.ns_lp_max(gyni.gyni_expression(4).expression)[1])
 
     results = []
 
@@ -418,16 +437,11 @@ def _random_promise_game(rng):
 
 
 @pytest.mark.parametrize("reduce_at", [2**8, 2**16])
-def test_results_do_not_depend_on_the_reduction_threshold(monkeypatch, reduce_at):
+def test_results_do_not_depend_on_the_reduction_threshold(monkeypatch, cold, reduce_at):
     """Lowering the bound at which a row is divided by its gcd runs the
     blocked reduction on many more pivots; every result (status, value,
     solution, dual, Farkas vector, pivot count) stays that of the default."""
-    scen = core.binary_scenario(4)
-    strategies = core.enumerate_deterministic_strategies(scen)
-    mixture = core.mix_boxes(
-        [core.box_from_strategy(scen, strategies[k]) for k in (132, 55, 129, 107, 221, 10)],
-        [F(w, 19) for w in (4, 1, 7, 3, 1, 3)],
-    )
+    mixture = _gyni4_mixture()
     ns_box = polytope.ns_max(gyni.gyni_expression(4).expression).box
     rng = random.Random(5)
     games = [_random_promise_game(rng) for _ in range(3)]
@@ -598,7 +612,7 @@ def test_int_and_fraction_coefficients_give_equal_results():
     assert statuses == {"optimal", "infeasible", "unbounded"}
 
 
-def test_bland_rule_engagement_is_reported(monkeypatch):
+def test_bland_rule_engagement_is_reported(monkeypatch, cold):
     """With no degenerate streak tolerated, Bland's rule engages on the
     first zero-step pivot and the result says so; the optimum and its
     certificate are still exact."""
@@ -689,3 +703,131 @@ def test_basis_inverse_matches_fraction_oracle(monkeypatch, guard):
         lp.solve(problem)
     polytope.ns_max(_random_promise_game(random.Random(5)))
     assert paths["kept"] and paths["scaled"]
+
+
+def test_guided_counters_are_pinned():
+    """The float pass pivots alike on every run (Devex pricing, the least
+    ratio first on ties, a fixed perturbation), so its pivot count is
+    pinned like the exact simplex's; a basis it proposes that verifies
+    leaves no exact pivot."""
+
+    def counters(call):
+        (res,) = _solve_results(call)
+        return res.status, res.pivots, res.float_pivots, len(res.solution)
+
+    four = upb.four_partite_tight_inequality()
+    assert counters(lambda: polytope.ns_max(four)) == ("optimal", 0, 338, 384)
+    tobl = gyni.gyni_sum_expression(3)
+    assert counters(lambda: polytope.tobl_max(tobl)) == ("optimal", 0, 41, 144)
+    ns6, ns7 = gyni.gyni_expression(6).expression, gyni.gyni_expression(7).expression
+    assert counters(lambda: polytope.ns_max(ns6)) == ("optimal", 0, 29, 128)
+    assert counters(lambda: polytope.ns_max(ns7)) == ("optimal", 0, 11, 40)
+
+
+def _cold_solve(problem):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "_float_basis", _no_basis)
+        return lp.solve(problem)
+
+
+def test_guided_and_cold_solves_agree():
+    """The float pass proposes a basis that verifies, so no exact pivot runs,
+    and the value is the cold exact simplex's on the 20 seeded games of
+    acceptance criterion 4, the four-partite UPB inequality, parity GYNI
+    N = 3..7 with symmetry and the collapsed TOBL LP."""
+    rng = random.Random(20240817)
+    games = [_random_promise_game(rng) for _ in range(20)]
+    games.append(upb.four_partite_tight_inequality())
+    games += [gyni.gyni_expression(n).expression for n in range(3, 8)]
+    calls = [lambda g=g: polytope.ns_max(g) for g in games]
+    calls.append(lambda: polytope.tobl_max(gyni.gyni_sum_expression(3)))
+    for call in calls:
+        (problem,) = _posed_problems(call)
+        guided, cold = lp.solve(problem), _cold_solve(problem)
+        assert (guided.status, guided.pivots) == ("optimal", 0) and guided.float_pivots
+        assert cold.status == "optimal" and cold.pivots and not cold.float_pivots
+        assert guided.value == cold.value
+
+
+def test_repeated_solves_are_identical():
+    """Two solves of one problem give the same solution, duals and counters,
+    guided and cold: answers that are compared across runs (by value and
+    box) depend on it."""
+    calls = [
+        lambda: polytope.ns_max(upb.four_partite_tight_inequality()),
+        lambda: polytope.ns_max(_random_promise_game(random.Random(5))),
+        lambda: polytope.tobl_max(gyni.gyni_sum_expression(3)),
+    ]
+    for call in calls:
+        (problem,) = _posed_problems(call)
+        first = lp.solve(problem)
+        assert first.float_pivots and not first.pivots
+        assert lp.solve(problem) == first
+        assert _cold_solve(problem) == _cold_solve(problem)
+
+
+@pytest.mark.parametrize("tamper", ["basis", "solution", "dual"])
+def test_tampered_candidate_falls_back_to_the_cold_result(monkeypatch, tamper):
+    """A candidate that fails verification (the all-artificial basis, or the
+    float basis's candidate with one solution value or one dual moved by
+    2**-30) is discarded, and the result is the cold exact simplex's, with
+    the float pivots spent."""
+    (problem,) = _posed_problems(lambda: polytope.ns_max(_random_promise_game(random.Random(5))))
+    guided, cold = lp.solve(problem), _cold_solve(problem)
+    candidate, verify = lp._candidate, lp._verify_optimal
+    if tamper == "basis":
+
+        def all_artificial(A, b, cost):
+            m, n = A.shape
+            return np.arange(n, n + m), 7
+
+        monkeypatch.setattr(lp, "_float_basis", all_artificial)
+    else:
+
+        def nudged(*args):
+            res = candidate(*args)
+            values = list(getattr(res, tamper))
+            k = next(i for i, v in enumerate(values) if v)
+            values[k] += F(1, 2**30)
+            return dataclasses.replace(res, **{tamper: tuple(values)})
+
+        monkeypatch.setattr(lp, "_candidate", nudged)
+    verdicts = []
+
+    def recording_verify(problem, res):
+        try:
+            verify(problem, res)
+        except lp.LPError:
+            verdicts.append(False)
+            raise
+        verdicts.append(True)
+
+    monkeypatch.setattr(lp, "_verify_optimal", recording_verify)
+    res = lp.solve(problem)
+    assert verdicts == [False, True]
+    assert res.float_pivots == (7 if tamper == "basis" else guided.float_pivots)
+    assert dataclasses.replace(res, float_pivots=0) == cold
+
+
+def test_zero_objective_lps_never_reach_the_float_pass(monkeypatch):
+    """Feasibility LPs (a zero objective: ``feasible_point`` and both
+    membership verdicts) start the exact simplex cold."""
+    mixture = _gyni4_mixture()
+    ns_box = core.Box(mixture.scenario, ns_full_lp.ns_lp_max(gyni.gyni_expression(4).expression)[1])
+
+    def refused(A, b, cost):
+        raise AssertionError("float pass on a zero objective")
+
+    monkeypatch.setattr(lp, "_float_basis", refused)
+    assert lp.feasible_point([([1, 0], F(1, 2)), ([1, 1], 1)], 2).status == "optimal"
+    assert polytope.local_membership(mixture).is_local
+    assert not polytope.local_membership(ns_box).is_local
+
+
+def test_entries_past_the_float_range_start_cold():
+    """An LP with a coefficient past the float range never reaches the float
+    pass; the exact simplex solves it."""
+    big = 10**400
+    res = lp.solve(lp.make_problem([1, 1, 0], [([big, 1, 1], big)]))
+    assert (res.status, res.value, res.float_pivots) == ("optimal", big, 0)
+    assert res.pivots

@@ -277,6 +277,20 @@ def test_ns_max_matches_full_probability_lp():
         assert len(set(opt.box._values)) == len(opt.box._values)
 
 
+def test_ns_max_on_binary_n5_without_symmetry_takes_the_float_basis(monkeypatch):
+    """The 242-row, 1024-column Collins-Gisin LP of a seeded random
+    expression on binary N = 5 with no symmetry: the float pass's basis
+    verifies, so no exact pivot runs (the cold exact simplex takes 10-20 s
+    on it and gives the same value).  Without the refinement step its
+    basic values round to a point that breaks a row."""
+    e = _random_expression(gb.binary_scenario(5), random.Random(2), 12)
+    results, solve = [], lp.solve
+    monkeypatch.setattr(lp, "solve", lambda problem: results.append(solve(problem)) or results[-1])
+    assert gb.ns_max(e).value == F(9451, 231)
+    (res,) = results
+    assert (len(res.dual), len(res.solution), res.pivots) == (242, 1024, 0)
+
+
 def test_ns_max_size_guard_before_rows(monkeypatch):
     """The guard bounds the orbit sums the model build counts, Collins-Gisin
     coordinates times orbits, and is checked before any is counted:
@@ -585,6 +599,10 @@ def test_gyni3_ns_box_not_local(ns_optima):
     assert not res.is_local
     expr, bound, value = res.separating
     assert value > bound
+    # the separating inequalities of one scenario share their keys
+    again = gb.local_membership(ns_optima[3].box).separating[0]
+    assert again.coeffs == expr.coeffs
+    assert all(a is b for a, b in zip(again.coeffs, expr.coeffs))
 
 
 def test_uniform_mixture_is_local():
