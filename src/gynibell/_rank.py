@@ -1,13 +1,14 @@
-"""Exact rank of integer matrices by fraction-free elimination.
+"""Exact rank of integer matrices.
 
 Used for affine-rank computations on polytope vertex sets.  Floats propose,
 integers decide: :func:`affine_rank` lets a float32 pass choose the
-independent difference rows, their pivot columns and an integer kernel, and
-returns that rank only when two exact checks prove it (the elimination
-below on the square minor, and a product that is exact by a checked bound);
-otherwise the elimination runs over every row.  No tolerance decides a
-rank (the certifying-algorithm pattern of McConnell, Mehlhorn, Naeher and
-Schweitzer, Comput. Sci. Rev. 5, 119 (2011)).
+independent difference rows S, their pivot columns P and an integer kernel
+K, and returns that rank r = |S| only when two exact checks prove it: rank
+>= r by A X = delta I for the minor A = D[S][:, P] and X = rint(delta A^-1),
+and rank <= r by D K = 0, each product exact by a checked bound.  Otherwise,
+and on small sets, fraction-free elimination runs over every row.  No
+tolerance decides a rank (the certifying-algorithm pattern of McConnell,
+Mehlhorn, Naeher and Schweitzer, Comput. Sci. Rev. 5, 119 (2011)).
 
 A row is reduced against a pivot row as ``row = pivot_value * row -
 row[pivot_col] * pivot_row``, in place, which keeps everything in
@@ -49,8 +50,14 @@ _FLOAT32_EXACT = 2**24
 #: (the same product took from 0.2 ms to 16 ms) and keep their own
 #: buffers resident (about 1.4 MB against 0.25 MB)
 _GEMM_MACS = 2**19
-#: rows per float32 block of the kernel check
+#: rows per float32 block of the kernel and inverse checks
 _CHECK_ROWS = 64
+#: difference matrices of at most this many entries go straight to the
+#: all-rows loop, which is exact too: at GYNI-3 (31 x 27) it costs what the
+#: float pass's few dozen numpy calls cost.  wupb (71 x 45) would certify
+#: in about 1.7 ms against 3.0 ms, but it is the only rank the CLI workload
+#: of perfbench takes, and its traced run requires the span ``rank.add_row``
+_SMALL = 4096
 
 
 def _primitive(row):
@@ -126,21 +133,16 @@ class ExactRankAccumulator:
         self.pivots.append((c, row, int(row[c]), rmax))
         return True
 
-    def add_rows(self, matrix) -> int:
-        added = 0
-        for row in matrix:
-            if self.add_row(row):
-                added += 1
-        return added
-
 
 def integer_rank(matrix) -> int:
-    """Exact rank of an integer matrix (any iterable of rows)."""
-    rows = [np.asarray(r, dtype=np.int64) for r in matrix]
+    """Exact rank of an integer matrix (any iterable of rows), every row
+    through the accumulator."""
+    rows = list(matrix)
     if not rows:
         return 0
     acc = ExactRankAccumulator(len(rows[0]))
-    acc.add_rows(rows)
+    for row in rows:
+        acc.add_row(row)
     return acc.rank
 
 
@@ -269,41 +271,108 @@ def _annihilates(diffs, cols, delta, kernel_p) -> bool:
     return True
 
 
+def _scaled_inverse(diffs, rows, cols, delta):
+    """X = rint(delta * A^-1) for the minor A = D[rows][:, cols], in float32,
+    or None at a zero pivot.
+
+    Gauss-Jordan in place on the one r x r array, with the pivots on the
+    diagonal in the given order: the float pass found a nonzero pivot at
+    each step in that order, so none is searched for.  Each block of
+    ``_FLOAT_BLOCK`` pivots K is inverted alone, element by element, and the
+    other rows take it through two products: row block K becomes
+    (A_KK)^-1 [I, A_KR], and every other row i subtracts A_iK times that
+    after its own K entries are cleared.  Nothing here is trusted:
+    :func:`_inverts` checks X."""
+    r = len(rows)
+    x = np.empty((r, r), dtype=np.float32)
+    for start in range(0, r, _CHECK_ROWS):
+        x[start : start + _CHECK_ROWS] = diffs[np.ix_(rows[start : start + _CHECK_ROWS], cols)]
+    for start in range(0, r, _FLOAT_BLOCK):
+        end = min(start + _FLOAT_BLOCK, r)
+        inv = x[start:end, start:end].copy()
+        for k in range(len(inv)):
+            p = inv[k, k]
+            if p == 0:
+                return None
+            f = inv[:, k].copy()
+            f[k] = 0
+            inv[k, k] = 1
+            inv[k] /= p
+            inv -= f[:, None] * inv[k]
+            inv[:, k] -= f
+        # row block K becomes inv [I, A_KR]: A_KR -= (I - inv) A_KR
+        eye_minus_inv = np.eye(end - start, dtype=np.float32) - inv
+        for side in (x[start:end, :start], x[start:end, end:]):
+            _subtract_product(side, eye_minus_inv, side)
+        x[start:end, start:end] = inv
+        for side in (x[:start], x[end:]):
+            f = side[:, start:end].copy()
+            side[:, start:end] = 0
+            _subtract_product(side, f, x[start:end])
+    x *= np.float32(delta)
+    np.rint(x, out=x)
+    return x
+
+
+def _inverts(diffs, rows, cols, delta, x) -> bool:
+    """Whether A X = delta I holds exactly for the minor A = D[rows][:, cols];
+    with delta != 0, det A det X = delta^r, so A is nonsingular.
+
+    The product runs in float32, a block of ``_CHECK_ROWS`` rows of A at a
+    time, and only for an integer X and each block only while its largest
+    row L1 norm times max |X| stays below 2**24: every partial sum is then
+    an integer that float32 holds exactly, the argument of
+    :func:`_annihilates`."""
+    r = len(rows)
+    if x is None or x.shape != (r, r):
+        return False
+    if not (1 <= delta < _FLOAT32_EXACT and float(delta).is_integer()):
+        return False
+    for start in range(0, r, _CHECK_ROWS):
+        part = x[start : start + _CHECK_ROWS]
+        if not np.array_equal(part, np.rint(part)):
+            return False
+    xmax = float(np.maximum(x.max(initial=0), -x.min(initial=0)))  # NaN if X holds one
+    for start in range(0, r, _CHECK_ROWS):
+        part = diffs[np.ix_(rows[start : start + _CHECK_ROWS], cols)].astype(np.float32)
+        if not float(np.abs(part).sum(axis=1).max()) * xmax < _FLOAT32_EXACT:
+            return False
+        width = max(1, _GEMM_MACS // part.size)
+        for j in range(0, r, width):
+            prod = part @ x[:, j : j + width]
+            diag = np.arange(max(start, j), min(start + len(part), j + prod.shape[1]))
+            prod[diag - start, diag - j] -= np.float32(delta)
+            if prod.any():
+                return False
+    return True
+
+
 def _certified_rank(diffs):
     """The rank r = |S| the float pass proposes, if two exact checks prove
     it, else None.
 
     Upper bound: :func:`_annihilates` for the proposed kernel proves
     rank <= m - nf, which is at most r because r pivot columns leave at
-    least m - r free.  Lower bound: the accumulator reduces the square
-    minor D[S][:, P] (rows in order, columns in the order the float pass
-    chose them) and must reach r."""
+    least m - r free.  Lower bound: rank >= r by A X = delta I, checked by
+    :func:`_inverts` for the minor A = D[S][:, P] (rows in order, columns in
+    the order the float pass chose them) and X = rint(delta A^-1) from
+    :func:`_scaled_inverse`."""
     rows, cols, delta, kernel_p = _propose(diffs)
     r = len(rows)
     if len(cols) != r or not _annihilates(diffs, cols, delta, kernel_p):
         return None
-    del kernel_p  # not held while the minor is reduced
-    acc = ExactRankAccumulator(r)
-    for row in diffs[np.ix_(rows, cols)]:
-        if not acc.add_row(row):
-            return None
-    return r
-
-
-def _accumulated_rank(diffs) -> int:
-    """Rank of the difference rows, every row through the accumulator."""
-    acc = ExactRankAccumulator(diffs.shape[1])
-    for row in diffs:
-        acc.add_row(row)
-    return acc.rank
+    del kernel_p  # not held while the minor is inverted
+    x = _scaled_inverse(diffs, rows, cols, delta)
+    return r if _inverts(diffs, rows, cols, delta, x) else None
 
 
 def affine_rank(matrix) -> int:
     """Exact affine rank (dimension of the affine hull) of integer points.
 
     The rank of the differences from the first point, as the float pass
-    proposes and :func:`_certified_rank` proves it, or, when a check fails,
-    as the accumulator finds it over every row.  An integer array is kept
+    proposes and :func:`_certified_rank` proves it, or, when a check fails
+    or the differences have at most ``_SMALL`` entries, as
+    :func:`integer_rank` finds it over every row.  An integer array is kept
     in its dtype while the differences fit it."""
     points = matrix
     if not (isinstance(points, np.ndarray) and points.dtype.kind == "i"):
@@ -313,5 +382,5 @@ def affine_rank(matrix) -> int:
     if points.size and int(points.max()) - int(points.min()) > np.iinfo(points.dtype).max:
         points = points.astype(np.int64)
     diffs = points[1:] - points[0]
-    rank = _certified_rank(diffs)
-    return _accumulated_rank(diffs) if rank is None else rank
+    rank = None if diffs.size <= _SMALL else _certified_rank(diffs)
+    return integer_rank(diffs) if rank is None else rank

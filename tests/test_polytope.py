@@ -913,7 +913,8 @@ def test_facet_gyni3_rank_on_python_integer_rows(gyni_games, monkeypatch):
     points = polytope.cg_coordinates_of_strategies(e.scenario, hits)
     monkeypatch.setattr(_rank, "_INT64_SAFE", 1)
     acc = _rank.ExactRankAccumulator(points.shape[1])
-    acc.add_rows(points[1:] - points[0])
+    for row in points[1:] - points[0]:
+        acc.add_row(row)
     assert acc.big and acc.rank == 25
     report = gb.facet_check(e, e.classical_bound)
     assert (report.is_tight, report.affine_rank) == (True, 25)

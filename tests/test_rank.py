@@ -54,7 +54,8 @@ def test_big_integer_fallback_is_exact():
         a, b = rng.randint(1, 999), rng.randint(1, 999)
         rows.append([a * x + b * y for x, y in zip(u, v)])
     acc = ExactRankAccumulator(6)
-    acc.add_rows(rows)
+    for row in rows:
+        acc.add_row(row)
     assert acc.rank == 2
     assert acc.big  # the guard must actually have tripped
     # an independent third direction is still detected afterwards
@@ -207,7 +208,7 @@ def test_certified_rank_equals_the_all_rows_accumulator(points):
     sets of every shape, and equals the rank of every difference row
     through the accumulator and over the rationals."""
     diffs = points[1:] - points[0]
-    expect = _rank._accumulated_rank(diffs)
+    expect = integer_rank(diffs)
     assert expect == _fraction_rank(diffs.tolist())
     assert _rank._certified_rank(diffs) == expect
     assert affine_rank(points) == affine_rank(points.tolist()) == expect
@@ -262,8 +263,7 @@ def _extra_row(diffs, rows, cols, delta, kernel_p):
 
 def _count_fallbacks(monkeypatch):
     calls = []
-    real = _rank._accumulated_rank
-    monkeypatch.setattr(_rank, "_accumulated_rank", lambda d: calls.append(d) or real(d))
+    monkeypatch.setattr(_rank, "integer_rank", lambda d: calls.append(d) or integer_rank(d))
     return calls
 
 
@@ -284,6 +284,80 @@ def test_a_wrong_proposal_falls_back_to_the_exact_rank(monkeypatch, corrupt):
     assert len(fallbacks) == 1
 
 
+_real_scaled_inverse = _rank._scaled_inverse
+_real_inverts = _rank._inverts
+
+
+def _gyni5_points_and_proposal():
+    diffs = _gyni5_saturating_differences()
+    points = np.vstack([np.zeros((1, diffs.shape[1]), dtype=diffs.dtype), diffs])
+    return diffs, points, _real_propose(diffs)
+
+
+def _add_at(entry, shift):
+    def tamper(x):
+        x[entry] += shift
+        return x
+
+    return tamper
+
+
+_INVERSE_TAMPERS = {
+    "X[0, 0] + 1": _add_at((0, 0), 1),
+    "X[0, 0] - 1": _add_at((0, 0), -1),
+    "X[-1, 0] + 1": _add_at((-1, 0), 1),
+    "X[-1, 0] - 1": _add_at((-1, 0), -1),
+    "2 X": lambda x: 2 * x,  # right off the diagonal, 2 delta on it
+}
+
+
+@pytest.mark.parametrize("tamper", _INVERSE_TAMPERS.values(), ids=_INVERSE_TAMPERS.keys())
+def test_a_wrong_inverse_falls_back(monkeypatch, tamper):
+    """X = rint(delta A^-1) with one entry moved by 1, or doubled, breaks
+    A X = delta I."""
+    diffs, points, (rows, cols, delta, _) = _gyni5_points_and_proposal()
+    x = _real_scaled_inverse(diffs, rows, cols, delta)
+    assert _rank._inverts(diffs, rows, cols, delta, x)
+    monkeypatch.setattr(_rank, "_scaled_inverse", lambda *args: tamper(_real_scaled_inverse(*args)))
+    fallbacks = _count_fallbacks(monkeypatch)
+    assert _rank._certified_rank(diffs) is None
+    assert affine_rank(points) == 241
+    assert len(fallbacks) == 1
+
+
+def test_a_zero_pivot_in_the_inverse_falls_back(monkeypatch):
+    """The proposed rows reordered so that the minor's first entry is 0: the
+    kernel still checks, and the inverse, which searches no pivot, stops."""
+    diffs, points, (rows, cols, delta, kernel_p) = _gyni5_points_and_proposal()
+    first = int(np.flatnonzero(diffs[rows, cols[0]] == 0)[0])
+    rows = np.concatenate([rows[first : first + 1], np.delete(rows, first)])
+    assert _real_scaled_inverse(diffs, rows, cols, delta) is None
+    monkeypatch.setattr(_rank, "_propose", lambda d: (rows, cols, delta, kernel_p))
+    fallbacks = _count_fallbacks(monkeypatch)
+    assert _rank._certified_rank(diffs) is None
+    assert affine_rank(points) == 241
+    assert len(fallbacks) == 1
+
+
+def test_an_inverse_past_the_float32_bound_falls_back(monkeypatch):
+    """delta and X scaled by 2**22: A X = delta I still holds exactly, but a
+    row L1 norm times max |X| passes 2**24, so the float32 product proves
+    nothing and the check refuses it."""
+    diffs, points, (rows, cols, delta, _) = _gyni5_points_and_proposal()
+    scale = 2**22
+    x = _real_scaled_inverse(diffs, rows, cols, delta) * scale
+    minor = diffs[np.ix_(rows, cols)].astype(np.int64)
+    assert np.array_equal(minor @ x.astype(np.int64), delta * scale * np.eye(len(rows)))
+    assert not _real_inverts(diffs, rows, cols, delta * scale, x)
+    monkeypatch.setattr(
+        _rank, "_inverts", lambda d, r, c, dt, x: _real_inverts(d, r, c, dt * scale, x * scale)
+    )
+    fallbacks = _count_fallbacks(monkeypatch)
+    assert _rank._certified_rank(diffs) is None
+    assert affine_rank(points) == 241
+    assert len(fallbacks) == 1
+
+
 @pytest.mark.parametrize(
     "points, rank",
     [
@@ -292,12 +366,51 @@ def test_a_wrong_proposal_falls_back_to_the_exact_rank(monkeypatch, corrupt):
         ([[0, 0, 0], [3000, 5000, 7000], [6000, 10000, 14000], [1, 0, 0]], 2),
         # the pivot itself, 2**25, is past float32's exact integers
         ([[0, 0], [2**24, 2**25]], 1),
+        # no kernel to check; the minor's row L1 6000 times max |X| 3000
+        # (X = [[1, -3000], [0, 3000]], delta 3000) passes 2**24
+        ([[0, 0], [3000, 3000], [0, 1]], 2),
     ],
 )
-def test_past_the_float32_bound_the_rank_falls_back(monkeypatch, points, rank):
-    fallbacks = _count_fallbacks(monkeypatch)
+def test_past_the_float32_bound_the_rank_falls_back(points, rank):
+    """These sets are small enough to skip the float pass in affine_rank;
+    called on them directly, the certified rank refuses them."""
+    points = np.array(points)
+    assert _rank._certified_rank(points[1:] - points[0]) is None
     assert affine_rank(points) == rank
-    assert len(fallbacks) == 1
+
+
+def _planted_rank_matrices():
+    """Seeded integer matrices past the small-set size, each row one or the
+    sum of two of k random rows with two ones each (a graph's edges).  An
+    odd cycle among the chosen rows gives a minor with |det| 2 or more; the
+    last two are dense combinations whose minors pass 2**24."""
+    rng = np.random.default_rng(22)
+    shapes = [(120, 60, 40), (90, 60, 30), (70, 70, 65), (200, 40, 30), (60, 90, 50), (150, 50, 50)]
+    for n, m, k in shapes:
+        base = np.zeros((k, m), dtype=np.int64)
+        a = rng.integers(0, m, size=k)
+        base[np.arange(k), a] = 1
+        base[np.arange(k), (a + rng.integers(1, m, size=k)) % m] = 1
+        coeffs = np.zeros((n, k), dtype=np.int64)
+        coeffs[np.arange(n), rng.integers(0, k, size=n)] += 1
+        coeffs[np.arange(n), rng.integers(0, k, size=n)] += rng.integers(0, 2, size=n)
+        yield coeffs @ base
+    for n, m, k in [(90, 50, 30), (50, 90, 40)]:
+        yield rng.integers(0, 2, size=(n, k)) @ rng.integers(0, 2, size=(k, m))
+
+
+def test_affine_rank_matches_the_rational_oracle_past_the_small_size():
+    certified_deltas = []
+    for diffs in _planted_rank_matrices():
+        assert diffs.size > _rank._SMALL
+        points = np.vstack([np.zeros((1, diffs.shape[1]), dtype=diffs.dtype), diffs]) + 3
+        expect = _fraction_rank(diffs.tolist())
+        assert affine_rank(points) == expect
+        if _rank._certified_rank(diffs) == expect:
+            certified_deltas.append(_rank._propose(diffs)[2])
+    # the certified path, with a minor of |det| > 1, and the fallback both ran
+    assert max(certified_deltas) > 1
+    assert len(certified_deltas) < len(list(_planted_rank_matrices()))
 
 
 @pytest.mark.parametrize(
@@ -322,11 +435,24 @@ def test_the_kernel_check_accepts_an_integer_kernel():
     assert _rank._annihilates(diffs, np.array([1]), 3.0, np.array([[-1.0]], np.float32))
 
 
+@pytest.mark.parametrize(
+    "delta, entry",
+    [
+        (1.0, 1 / 3),  # 3 * float32(1/3) reads 1 in float32, yet is not 1
+        (0.0, 0.0),  # A 0 = 0 I for every A
+    ],
+)
+def test_the_inverse_check_takes_only_integer_inverses_with_nonzero_scale(delta, entry):
+    diffs = np.array([[3]], dtype=np.int8)
+    x = np.array([[entry]], dtype=np.float32)
+    assert (diffs.astype(np.float32) @ x).item() == np.float32(delta)
+    assert not _rank._inverts(diffs, np.array([0]), np.array([0]), delta, x)
+
+
 _CATALOGUE = {
     "GYNI-5": (lambda: gyni.gyni_expression(5).expression, 241),
     "Niset-Cerf(4,3)": (lambda: upb.niset_cerf_inequality(4, 3), 415),
     "four-partite": (upb.four_partite_tight_inequality, 106),
-    "wupb": (lambda: upb.bell_from_set(upb.wupb_example()), 43),
     "gen_shifts(3)": (lambda: upb.bell_from_set(upb.gen_shifts(3)), 997),
 }
 
@@ -340,6 +466,21 @@ def test_catalogue_ranks_certify_without_the_fallback(monkeypatch, name):
     def no_fallback(diffs):
         raise AssertionError("fallback taken")
 
-    monkeypatch.setattr(_rank, "_accumulated_rank", no_fallback)
+    monkeypatch.setattr(_rank, "integer_rank", no_fallback)
     report = polytope.facet_check(expression, expression.classical_bound)
     assert report.affine_rank == rank
+
+
+def test_small_sets_take_the_all_rows_loop(monkeypatch):
+    """The wupb facet's saturating set (71 x 45 differences) is at most the
+    small-set size: the all-rows loop alone gives its rank, 43."""
+    expression = upb.bell_from_set(upb.wupb_example())
+    fallbacks = _count_fallbacks(monkeypatch)
+
+    def no_float_pass(diffs):
+        raise AssertionError("float pass taken")
+
+    monkeypatch.setattr(_rank, "_certified_rank", no_float_pass)
+    report = polytope.facet_check(expression, expression.classical_bound)
+    assert (report.affine_rank, report.is_tight) == (43, True)
+    assert [d.shape for d in fallbacks] == [(71, 45)]
