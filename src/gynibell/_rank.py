@@ -5,7 +5,11 @@ integers decide: :func:`affine_rank` lets a float32 pass choose the
 independent difference rows S, their pivot columns P and an integer kernel
 K, and returns that rank r = |S| only when two exact checks prove it: rank
 >= r by A X = delta I for the minor A = D[S][:, P] and X = rint(delta A^-1),
-and rank <= r by D K = 0, each product exact by a checked bound.  Otherwise,
+and rank <= r by D K = 0, each product exact by a checked bound.  The pass
+takes the rows a block at a time: one product reduces the block against
+the rows chosen so far, one vectorized screen drops the rows that product
+leaves at zero, and Gauss-Jordan runs on the rest, so the pass takes a
+Python step per row the screen keeps, not per row.  When a check fails,
 and on small sets, fraction-free elimination runs over every row.  No
 tolerance decides a rank (the certifying-algorithm pattern of McConnell,
 Mehlhorn, Naeher and Schweitzer, Comput. Sci. Rev. 5, 119 (2011)).
@@ -37,7 +41,8 @@ _INT64_SAFE = 2**62
 #: stays under ``_INT64_SAFE``
 _REDUCE_AT = 2**31
 
-#: rows per gemm in the float pass
+#: rows per block of the float pass: one gemm against the rows chosen so
+#: far, one screen for the dependent rows, Gauss-Jordan on the others
 _FLOAT_BLOCK = 32
 #: the float pass takes a residual entry at most this fraction of its row's
 #: largest input entry as zero; a wrong call costs the fallback, not the rank
@@ -163,17 +168,19 @@ def _propose(diffs):
     they are chosen.  E, the reduced echelon of the rows chosen so far, is
     stored transposed in that order (row j of ``ech_t`` is column j of E);
     its identity part is never read.  The rows are reduced in order, a
-    block of ``_FLOAT_BLOCK`` at a time: one product with E on the free
-    columns, then each row takes its largest free entry as pivot, unless
-    that entry is at most ``_FLOAT_ZERO`` times the row's largest input
-    entry, and that column is cleared from the block's later rows.  At the
-    block's end its chosen rows are reduced against each other and their
-    pivot columns cleared from E, one product each.  ``delta`` is the
-    rounded product of the pivots' magnitudes, |det D[S][:, P]| if the
-    float values are right, and ``kernel_p`` is -rint(delta E) on the free
-    columns, in ascending order, or None when delta reaches
-    ``_FLOAT32_EXACT``.  Nothing here is trusted: :func:`_certified_rank`
-    checks what it proposes."""
+    block of ``_FLOAT_BLOCK`` at a time.  One product with E on the free
+    columns reduces the block, and one vectorized screen drops every row
+    whose largest free entry is at most ``_FLOAT_ZERO`` times its largest
+    input entry, as dependent on the rows already chosen.  Each row the
+    screen keeps then takes its largest free entry as pivot, under the same
+    test, and Gauss-Jordan clears that column from every other kept row of
+    the block, so the block's chosen rows come out as [I | N] on the free
+    columns.  One product with N then clears the new pivot columns from
+    E's earlier rows.  ``delta`` is the rounded product of the pivots'
+    magnitudes, |det D[S][:, P]| if the float values are right, and
+    ``kernel_p`` is -rint(delta E) on the free columns, in ascending order,
+    or None when delta reaches ``_FLOAT32_EXACT``.  Nothing here is
+    trusted: :func:`_certified_rank` checks what it proposes."""
     n, m = diffs.shape
     order = np.arange(m)
     ech_t = np.empty((m, min(n, m)), dtype=np.float32)
@@ -187,19 +194,23 @@ def _propose(diffs):
         zero = _FLOAT_ZERO * np.abs(block).max(axis=1)
         if r:
             _subtract_product(block[:, r:], block[:, :r], ech_t[r:, :r].T)
+        live = np.flatnonzero(np.abs(block[:, r:]).max(axis=1) > zero)
+        if not len(live):
+            continue
+        work, zero = block[live, r:], zero[live]
         chosen, picked = [], []
-        for i in range(len(block)):
-            c = r + int(np.abs(block[i, r:]).argmax())
-            v = float(block[i, c])
+        for i in range(len(live)):
+            c = int(np.abs(work[i]).argmax())
+            v = float(work[i, c])
             if not abs(v) > zero[i]:
                 continue
             det *= abs(v)
-            row = block[i, r:]
-            row /= v
-            below = block[i + 1 :, r:]
-            below -= block[i + 1 :, c, None] * row
+            work[i] /= v
+            f = work[:, c].copy()
+            f[i] = 0
+            work -= f[:, None] * work[i]
             chosen.append(i)
-            picked.append(c)
+            picked.append(r + c)
         if not chosen:
             continue
         # the block's pivot columns move to positions r, r + 1, ...
@@ -209,18 +220,12 @@ def _propose(diffs):
         rest[picked] = False
         perm = np.concatenate((picked, np.flatnonzero(rest)))
         order[r:] = order[perm]
-        new = block[chosen][:, perm]
-        # new[:, :k] is unit upper triangular, U; inv becomes U^-1, and
-        # new[:, k:] += (U^-1 - I) new[:, k:] reduces the rows against each other
-        inv = np.eye(k, dtype=np.float32)
-        for j in range(k - 1, 0, -1):
-            inv[:j] -= new[:j, j, None] * inv[j]
-        _subtract_product(new[:, k:], np.eye(k, dtype=np.float32) - inv, new[:, k:])
+        free = work[chosen][:, perm[k:] - r]  # N of the chosen rows' [I | N]
         if r:
             ech_t[r:, :r] = ech_t[perm, :r]
-            _subtract_product(ech_t[r + k :, :r], new[:, k:].T, ech_t[r : r + k, :r])
-        ech_t[r + k :, r : r + k] = new[:, k:].T
-        rows.extend(start + i for i in chosen)
+            _subtract_product(ech_t[r + k :, :r], free.T, ech_t[r : r + k, :r])
+        ech_t[r + k :, r : r + k] = free.T
+        rows.extend(start + live[chosen])
         r += k
     delta = float(np.rint(det))
     kernel_p = None

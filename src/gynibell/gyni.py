@@ -17,6 +17,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .core import (
     BellExpression,
     InputDistribution,
@@ -172,57 +174,48 @@ def gyni_sum_expression(n_parties: int, q: InputDistribution | None = None) -> B
 # structural quantum-bound certificate
 
 
-def _terms_orthogonal(t1, t2) -> bool:
-    """Two terms are orthogonal when some party receives the same input in
-    both but must answer differently; no deterministic (or projective)
-    strategy can then satisfy both."""
-    (xs1, aa1), (xs2, aa2) = t1, t2
-    for x1, a1, x2, a2 in zip(xs1, aa1, xs2, aa2):
-        if x1 == x2 and a1 != a2:
-            return True
-    return False
-
-
 def orthogonality_certificate(expression: BellExpression) -> bool:
     """Certify structurally that the quantum bound equals the classical one.
 
-    Two disjoint sufficient patterns are accepted:
+    Two terms are orthogonal when some party receives the same input in
+    both but must answer differently; no deterministic (or projective)
+    strategy can then satisfy both.  The non-orthogonal pairs are found at
+    once, by one broadcast comparison of every pair of terms' input and
+    outcome tuples, party by party.  Two disjoint sufficient patterns are
+    accepted:
 
     * every pair of terms is orthogonal and all coefficients are 1, which
       pins both bounds at exactly 1 (the unextendible-product-basis shape);
     * the expression is a GYNI game (binary scenario, outcome tuple equal to
       the cyclic left shift of the input tuple, coefficients a probability
       distribution) and the only non-orthogonal pairs are complement pairs
-      (x, complement x); the Bell operator then splits into orthogonal
-      blocks of norm at most q(x) + q(complement), reproducing the classical
-      bound max_x [q(x) + q(complement x)].
+      (x, complement x), checked by one array comparison; the Bell operator
+      then splits into orthogonal blocks of norm at most q(x) +
+      q(complement), reproducing the classical bound max_x [q(x) +
+      q(complement x)].
 
     Anything else returns False.  Negative coefficients invalidate both
     arguments and raise."""
     if any(c < 0 for c in expression.coeffs.values()):
         raise ValueError("certificate requires nonnegative coefficients")
     scen = expression.scenario
-    decoded = [((xs, aa), c) for xs, aa, c in expression.terms()]
-    non_orth = []
-    for m in range(len(decoded)):
-        for n in range(m + 1, len(decoded)):
-            if not _terms_orthogonal(decoded[m][0], decoded[n][0]):
-                non_orth.append((m, n))
+    terms = list(expression.terms())
+    shape = (len(terms), scen.parties)
+    xs = np.array([x for x, _, _ in terms], dtype=np.int64).reshape(shape)
+    aa = np.array([a for _, a, _ in terms], dtype=np.int64).reshape(shape)
+    coeffs = [c for _, _, c in terms]
+    same_input = xs[:, None, :] == xs[None, :, :]
+    orthogonal = (same_input & (aa[:, None, :] != aa[None, :, :])).any(axis=2)
+    first, second = np.nonzero(np.triu(~orthogonal, 1))
 
-    if not non_orth and all(c == 1 for _, c in decoded):
+    if not len(first) and all(c == 1 for c in coeffs):
         return True
 
     binary = all(m == 2 for m in scen.inputs) and all(d == 2 for d in scen.outputs)
     if not binary:
         return False
-    for (xs, aa), _ in decoded:
-        if aa != _shift_left(xs):
-            return False
-    if sum(c for _, c in decoded) != 1:
+    if not np.array_equal(aa, np.roll(xs, -1, axis=1)):
         return False
-    for m, n in non_orth:
-        xs1 = decoded[m][0][0]
-        xs2 = decoded[n][0][0]
-        if tuple(1 - b for b in xs1) != xs2:
-            return False
-    return True
+    if sum(coeffs) != 1:
+        return False
+    return bool((xs[first] + xs[second] == 1).all())

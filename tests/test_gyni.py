@@ -5,7 +5,7 @@ import pytest
 
 import gynibell as gb
 from gynibell import gyni
-from gynibell.core import InputDistribution, binary_scenario
+from gynibell.core import InputDistribution, Scenario, binary_scenario
 
 F = Fraction
 
@@ -201,6 +201,138 @@ def test_certificate_false_for_non_orthogonal_non_game():
     }
     e = gb.BellExpression(scen, coeffs)
     assert not gyni.orthogonality_certificate(e)
+
+
+def _terms_orthogonal(t1, t2) -> bool:
+    """Two terms are orthogonal when some party receives the same input in
+    both but must answer differently; no deterministic (or projective)
+    strategy can then satisfy both."""
+    (xs1, aa1), (xs2, aa2) = t1, t2
+    for x1, a1, x2, a2 in zip(xs1, aa1, xs2, aa2):
+        if x1 == x2 and a1 != a2:
+            return True
+    return False
+
+
+def _certificate_oracle(expression) -> bool:
+    """The certificate's two patterns, one pair of terms at a time; shares no
+    array code with the library."""
+    scen = expression.scenario
+    terms = [((xs, aa), c) for xs, aa, c in expression.terms()]
+    non_orth = [
+        (t1, t2)
+        for m, (t1, _) in enumerate(terms)
+        for t2, _ in terms[m + 1 :]
+        if not _terms_orthogonal(t1, t2)
+    ]
+    if not non_orth and all(c == 1 for _, c in terms):
+        return True
+    if any(m != 2 for m in scen.inputs) or any(d != 2 for d in scen.outputs):
+        return False
+    if any(aa != xs[1:] + xs[:1] for (xs, aa), _ in terms):
+        return False
+    if sum(c for _, c in terms) != 1:
+        return False
+    return all(tuple(1 - b for b in t1[0]) == t2[0] for t1, t2 in non_orth)
+
+
+def _criterion_7_expressions():
+    from gynibell import upb
+
+    games = [gyni.gyni_expression(n).expression for n in range(2, 9)]
+    derived = [
+        gb.bell_from_set(upb.shifts()),
+        gb.bell_from_set(upb.gen_shifts(2)),
+        gb.bell_from_set(upb.gen_shifts(3)),
+        gb.bell_from_set(upb.niset_cerf(3, 2)),
+        upb.niset_cerf_inequality(4, 3),
+        gb.bell_from_set(upb.wupb_example()),
+        upb.four_partite_tight_inequality(),
+    ]
+    return games + derived
+
+
+def test_certificate_agrees_with_the_pairwise_oracle_on_criterion_7():
+    expressions = _criterion_7_expressions()
+    assert len(expressions) == 14
+    for e in expressions:
+        assert gyni.orthogonality_certificate(e) is _certificate_oracle(e) is True
+
+
+def _random_terms(rng, scen, n_terms):
+    """Terms drawn near one input string, so that many pairs share inputs."""
+    base = [rng.randrange(m) for m in scen.inputs]
+    terms = set()
+    for _ in range(n_terms):
+        xs = tuple(
+            b if rng.random() < 0.6 else rng.randrange(m) for b, m in zip(base, scen.inputs)
+        )
+        aa = tuple(rng.randrange(d) for d in scen.outputs)
+        terms.add((scen.encode_input(xs), scen.encode_outcome(aa)))
+    return sorted(terms)
+
+
+def _random_expressions():
+    """Seeded expressions over binary and qutrit scenarios: unit or mixed
+    coefficients on random terms, and GYNI-shaped ones (outcome the left
+    shift of the input) with complement pairs, a normalized or unnormalized
+    weight and, at times, one outcome bit flipped."""
+    rng = random.Random(23)
+    for k in range(120):
+        n = rng.randint(2, 4)
+        scen = binary_scenario(n) if k % 2 else Scenario((3,) * n, (3,) * n)
+        unit = rng.random() < 0.7
+        coeffs = {
+            key: F(1) if unit else F(rng.randint(1, 3), 2)
+            for key in _random_terms(rng, scen, rng.randint(1, 5))
+        }
+        yield gb.BellExpression(scen, coeffs)
+    for k in range(60):
+        n = rng.randint(2, 5)
+        scen = binary_scenario(n)
+        inputs = rng.sample(range(scen.n_inputs), rng.randint(1, min(6, scen.n_inputs)))
+        x = scen.decode_input(inputs[0])
+        inputs.append(scen.encode_input(tuple(1 - b for b in x)))  # a complement pair
+        terms = []
+        for i in sorted(set(inputs)):
+            xs = scen.decode_input(i)
+            terms.append((xs, list(xs[1:] + xs[:1])))
+        if k % 3 == 0:
+            terms[rng.randrange(len(terms))][1][rng.randrange(n)] ^= 1
+        weights = [rng.randint(1, 5) for _ in terms]
+        total = sum(weights) if k % 4 else sum(weights) + 1
+        coeffs = {}
+        for (xs, aa), w in zip(terms, weights):
+            key = (scen.encode_input(xs), scen.encode_outcome(tuple(aa)))
+            coeffs[key] = coeffs.get(key, F(0)) + F(w, total)
+        yield gb.BellExpression(scen, coeffs)
+
+
+def test_certificate_agrees_with_the_pairwise_oracle_on_random_expressions():
+    seen = set()
+    for e in _random_expressions():
+        got = gyni.orthogonality_certificate(e)
+        assert got is _certificate_oracle(e)
+        terms = [(xs, aa) for xs, aa, _ in e.terms()]
+        pairs = [(t1, t2) for m, t1 in enumerate(terms) for t2 in terms[m + 1 :]]
+        non_orth = any(not _terms_orthogonal(t1, t2) for t1, t2 in pairs)
+        seen.add((e.scenario.inputs[0], got, bool(pairs), non_orth))
+    # both verdicts on several terms in both scenario families, and the
+    # complement-pair pattern accepted as well as refused
+    for d in (2, 3):
+        assert (d, True, True, False) in seen and (d, False, True, True) in seen
+    assert (2, True, True, True) in seen
+
+
+def test_random_certificates_reject_a_negative_coefficient():
+    for k, e in enumerate(_random_expressions()):
+        if k % 10:
+            continue
+        coeffs = dict(e.coeffs)
+        key = sorted(coeffs)[-1]
+        coeffs[key] = -coeffs[key]
+        with pytest.raises(ValueError):
+            gyni.orthogonality_certificate(gb.BellExpression(e.scenario, coeffs))
 
 
 def test_certificate_rejects_negative_coefficients():

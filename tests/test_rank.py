@@ -223,6 +223,42 @@ def test_float_pass_scales_the_kernel_by_the_minor_determinant(name, rank, delta
     assert kernel_p.shape == (rank, 1) and np.abs(kernel_p).max() > 0
 
 
+def test_blocks_spanned_by_the_first_are_screened_out(monkeypatch):
+    """Every row after the first block is an integer combination of the
+    first block's rows, so the screen drops each later block whole: the
+    proposal is the first block's rows and the certified rank is exact."""
+    rng = np.random.default_rng(41)
+    k = _rank._FLOAT_BLOCK
+    first = np.hstack([np.eye(k, dtype=np.int64), rng.integers(0, 2, size=(k, 48))])
+    later = rng.integers(-2, 3, size=(200, k)) @ first
+    diffs = np.vstack([first, later])
+    assert integer_rank(diffs) == k
+    rows, cols, delta, kernel_p = _rank._propose(diffs)
+    assert np.array_equal(rows, np.arange(k)) and len(cols) == k
+    assert _rank._certified_rank(diffs) == k
+    fallbacks = _count_fallbacks(monkeypatch)
+    assert affine_rank(np.vstack([0 * diffs[:1], diffs])) == k
+    assert not fallbacks
+
+
+def test_dependent_rows_inside_a_block_are_not_chosen(monkeypatch):
+    """Row 5 repeats row 2 and row 9 is rows 0 + 3, all in the first block:
+    the screen cannot see them, the pivot loop's test must."""
+    rng = np.random.default_rng(43)
+    diffs = np.hstack([np.eye(40, dtype=np.int64), rng.integers(0, 2, size=(40, 80))])
+    diffs[5] = diffs[2]
+    diffs[9] = diffs[0] + diffs[3]
+    assert diffs.size > _rank._SMALL
+    independent = np.setdiff1d(np.arange(len(diffs)), [5, 9])
+    assert integer_rank(diffs) == integer_rank(diffs[independent]) == len(independent)
+    rows, cols, delta, kernel_p = _rank._propose(diffs)
+    assert np.array_equal(rows, independent)
+    assert _rank._certified_rank(diffs) == len(independent)
+    fallbacks = _count_fallbacks(monkeypatch)
+    assert affine_rank(np.vstack([0 * diffs[:1], diffs])) == len(independent)
+    assert not fallbacks
+
+
 def test_int8_points_widen_when_their_differences_would_wrap():
     """200 and 100 wrap in int8; the rank of the differences is 1."""
     points = np.array([[-100, -50], [100, 50], [0, 0]], dtype=np.int8)
