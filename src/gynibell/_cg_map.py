@@ -8,7 +8,8 @@ Kronecker product of its parties' maps, the first party most significant,
 in the coordinate layout of :func:`gynibell.polytope.cg_coordinates_of_strategies`;
 every normalized no-signaling table is T q with a constant q_0 = 1.  Every
 entry of T is 0, 1 or -1.  :func:`orbit_sums` gives T's rows summed over
-orbits of table entries, the model of :func:`gynibell.polytope.ns_max`.
+orbits of table entries, as dense integer blocks of consecutive rows, the
+model of :func:`gynibell.polytope.ns_max`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import math
 import numpy as np
 
 from .core import Scenario
-from .lp import Rows
 
 #: most entries one block of the orbit-sum build holds: the Kronecker
 #: entries of one prefix of parties' coordinates paired with every entry of
@@ -68,16 +68,16 @@ def orbit_sums(scenario: Scenario, orbit: np.ndarray, n_orbits: int):
     """The rows R[k, O] = sum over the table entries i of orbit O of
     T[i, k], where T, the Kronecker product of the parties' maps, sends
     Collins-Gisin coordinates to the table: one row per coordinate (the
-    constant first), one column per orbit, zero right-hand sides.
+    constant first), one column per orbit.
 
-    A generator of blocks of consecutive rows, each numbered from 0: a
-    block fixes the coordinates of a prefix of parties, pairs that prefix's
-    entries with every entry of the other parties and counts each (row,
-    orbit) with one ``np.bincount``, the entries being +1 or -1, the
-    negative ones in the second half of the counts.  The prefix is the
-    shortest whose block holds at most ``_ORBIT_SUM_BLOCK`` entries, so a
-    caller that reduces each block as it comes holds one block's arrays at
-    a time."""
+    A generator of blocks of consecutive rows, each a dense int64
+    (rows x orbits) array: a block fixes the coordinates of a prefix of
+    parties, pairs that prefix's entries with every entry of the other
+    parties and counts each (row, orbit) with one ``np.bincount``, the
+    entries being +1 or -1, the negative ones in the second half of the
+    counts.  The prefix is the shortest whose block holds at most
+    ``_ORBIT_SUM_BLOCK`` entries, so a caller that reduces each block as it
+    comes holds one block's arrays at a time."""
     maps = party_maps(scenario)
     widths = [w for w, *_ in maps]
     nnz = [c.size for _, c, _, _ in maps]
@@ -101,6 +101,4 @@ def orbit_sums(scenario: Scenario, orbit: np.ndarray, n_orbits: int):
         slot += size * (head_neg[at] ^ tail_neg)
         counts = np.bincount(slot.ravel(), minlength=2 * size)
         del slot
-        block = (counts[:size] - counts[size:]).reshape(tail_rows, n_orbits)
-        row, col = np.nonzero(block)
-        yield Rows(row, col, block[row, col], np.zeros(tail_rows, dtype=np.int64))
+        yield (counts[:size] - counts[size:]).reshape(tail_rows, n_orbits)

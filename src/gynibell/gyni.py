@@ -186,12 +186,16 @@ def orthogonality_certificate(expression: BellExpression) -> bool:
 
     * every pair of terms is orthogonal and all coefficients are 1, which
       pins both bounds at exactly 1 (the unextendible-product-basis shape);
-    * the expression is a GYNI game (binary scenario, outcome tuple equal to
-      the cyclic left shift of the input tuple, coefficients a probability
-      distribution) and the only non-orthogonal pairs are complement pairs
-      (x, complement x), checked by one array comparison; the Bell operator
-      then splits into orthogonal blocks of norm at most q(x) +
-      q(complement), reproducing the classical bound max_x [q(x) +
+    * the expression is a GYNI game: binary scenario, outcome tuple equal
+      to the cyclic left shift of the input tuple, coefficients a
+      probability distribution.  Its only non-orthogonal pairs are then
+      complement pairs (x, complement x), so that pattern needs no check
+      of its own: the terms of distinct inputs x and y answer x_{p+1} and
+      y_{p+1} at party p, so unless they are orthogonal, agreeing at party
+      p forces agreement at party p + 1, cyclically at every party, and
+      they would be equal.  Non-orthogonal terms agree at no party.  The Bell
+      operator splits into orthogonal blocks of norm at most q(x) +
+      q(complement x), reproducing the classical bound max_x [q(x) +
       q(complement x)].
 
     Anything else returns False.  Negative coefficients invalidate both
@@ -206,16 +210,11 @@ def orthogonality_certificate(expression: BellExpression) -> bool:
     coeffs = [c for _, _, c in terms]
     same_input = xs[:, None, :] == xs[None, :, :]
     orthogonal = (same_input & (aa[:, None, :] != aa[None, :, :])).any(axis=2)
-    first, second = np.nonzero(np.triu(~orthogonal, 1))
 
-    if not len(first) and all(c == 1 for c in coeffs):
+    if orthogonal[np.triu_indices(len(terms), 1)].all() and all(c == 1 for c in coeffs):
         return True
 
     binary = all(m == 2 for m in scen.inputs) and all(d == 2 for d in scen.outputs)
     if not binary:
         return False
-    if not np.array_equal(aa, np.roll(xs, -1, axis=1)):
-        return False
-    if sum(coeffs) != 1:
-        return False
-    return bool((xs[first] + xs[second] == 1).all())
+    return bool(np.array_equal(aa, np.roll(xs, -1, axis=1))) and sum(coeffs) == 1

@@ -9,8 +9,9 @@ Collins-Gisin coordinates, one equality row per coordinate but the
 constant; the TOBL LP over the table entries and the weights of its
 deterministic components.  Either model's equality rows are one
 :class:`lp.Rows` of integer numpy arrays (row, column, value, right-hand
-side) from the model build to the solver: orbits, orbit sums, duplicate
-rows and the invariance checks are all integer array work.
+side) from the model build to the solver: orbits and orbit sums are
+integer array work, and duplicate rows and the invariance checks look up
+the bytes of integer arrays in Python sets and dicts.
 Every optimizer hands back a certificate (an optimal box, a convex
 decomposition, or a separating inequality) that is re-verified with exact
 arithmetic before being returned.
@@ -170,7 +171,9 @@ def _coo(parts):
 
 
 def _sorted_rows(row, col, val, rhs) -> Rows:
-    order = np.lexsort((col, row))
+    """The entries ordered by row, then column: one stable sort of
+    ``row * (largest column + 1) + col``."""
+    order = np.argsort(row * (int(col.max(initial=0)) + 1) + col, kind="stable")
     return Rows(row[order], col[order], val[order], rhs)
 
 
@@ -187,22 +190,21 @@ def _select(rows: Rows, keep) -> Rows:
     return Rows(new[rows.row[at]], rows.col[at], rows.val[at], rows.rhs[keep])
 
 
-def _concat(blocks) -> Rows:
-    """Blocks of rows one after another, renumbered."""
-    offsets = np.cumsum([0] + [len(rows) for rows in blocks])
-    return Rows(
-        np.concatenate([rows.row + first for rows, first in zip(blocks, offsets)]),
-        np.concatenate([rows.col for rows in blocks]),
-        np.concatenate([rows.val for rows in blocks]),
-        np.concatenate([rows.rhs for rows in blocks]),
-    )
+def _byte_keys(a: np.ndarray) -> list:
+    """The bytes of each row of a 2-D int64 array, one ``bytes`` per row."""
+    a = np.ascontiguousarray(a)
+    return a.view(np.dtype((np.void, a.shape[1] * a.itemsize))).ravel().tolist()
 
 
-def _canonical_keys(rows: Rows):
-    """Every nonempty row up to a nonzero factor: its columns, then its
-    coefficients and right-hand side divided by their gcd and by the sign of
-    its first coefficient.  Yields (row ids, one key per row), one pair per
-    row length."""
+def _row_keys(rows: Rows):
+    """Yields (row id, key) for every nonempty row, ids ascending within
+    each row length.  The key is the row up to a nonzero factor: the bytes
+    of its columns, then of its coefficients and right-hand side divided by
+    their gcd and by the sign of its first coefficient, all int64, so rows
+    of different lengths have keys of different lengths.  Object arrays
+    raise: their bytes are pointers, not values."""
+    if any(a.dtype == object for a in (rows.col, rows.val, rows.rhs)):
+        raise TypeError("row keys need integer arrays, not object arrays")
     starts = _row_starts(rows)
     length = starts[1:] - starts[:-1]
     ids = np.flatnonzero(length)
@@ -213,7 +215,8 @@ def _canonical_keys(rows: Rows):
     for n in np.flatnonzero(np.bincount(length[ids])).tolist():
         group = np.flatnonzero(length[ids] == n)
         at = first[group, None] + np.arange(n)
-        yield ids[group], np.column_stack((rows.col[at], val[at], rhs[group]))
+        keys = np.column_stack((rows.col[at], val[at], rhs[group])).astype(np.int64, copy=False)
+        yield from zip(ids[group].tolist(), _byte_keys(keys))
 
 
 def _run_starts(changed) -> np.ndarray:
@@ -242,14 +245,12 @@ def _orbit_sums(rows: Rows, orbit: np.ndarray) -> Rows:
 
 def _first_distinct(rows: Rows) -> np.ndarray:
     """Ids, ascending, of the first of every set of nonempty rows that agree
-    up to a nonzero factor."""
-    keep = [np.zeros(0, dtype=np.intp)]
-    for ids, keys in _canonical_keys(rows):
-        # a stable sort keeps equal keys in row order, the first row first
-        order = np.lexsort(keys.T)
-        keys = keys[order]
-        keep.append(ids[order[_run_starts((keys[1:] != keys[:-1]).any(axis=1))]])
-    return np.sort(np.concatenate(keep))
+    up to a nonzero factor: one dict from each key of :func:`_row_keys` to
+    the first id that has it."""
+    first = {}
+    for i, key in _row_keys(rows):
+        first.setdefault(key, i)
+    return np.sort(np.fromiter(first.values(), dtype=np.intp, count=len(first)))
 
 
 def _collapse_rows(rows: Rows, orbit: np.ndarray) -> Rows:
@@ -330,25 +331,46 @@ def _solve_collapsed(n, objective, rows, perms, label):
 # no-signaling LP in Collins-Gisin coordinates
 
 
+def _new_rows(block: np.ndarray, seen: set) -> list:
+    """Ids, ascending, of the nonzero rows of a dense int64 block whose key,
+    the bytes of the row divided by its gcd and by the sign of its first
+    nonzero entry, is not in ``seen`` yet; their keys join ``seen``."""
+    ids = np.flatnonzero(block.any(axis=1))
+    rows = block[ids]
+    lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
+    rows //= (np.gcd.reduce(rows, axis=1) * np.sign(lead))[:, None]
+    keep = []
+    for i, key in zip(ids.tolist(), _byte_keys(rows)):
+        if key not in seen:
+            seen.add(key)
+            keep.append(i)
+    return keep
+
+
 def _cg_rows(scenario: Scenario, orbit: np.ndarray, n_orbits: int):
     """The orbit sums of :func:`_cg_map.orbit_sums` split: the constant
     coordinate's row, t0 summed per orbit, as a dense object array, and
     the other rows, of which only the first of each set equal up to a
-    nonzero factor is kept, in order (right-hand sides still zero).  Rows
-    equal under a symmetry lie in different blocks, so each block is
-    reduced together with the rows kept before it as it comes: no more
-    than those and one block are held."""
+    nonzero factor is kept, as it stands and in order (right-hand sides
+    zero).  Rows equal under a symmetry lie in different blocks, so one
+    set of the kept rows' keys (:func:`_new_rows`) serves every block,
+    and only a block's kept rows become entries: one dense block is held
+    at a time.  On identity orbits no row is dropped, since T has full
+    column rank."""
     blocks = _cg_map.orbit_sums(scenario, orbit, n_orbits)
     first = next(blocks)
-    t0 = np.zeros(n_orbits, dtype=object)
-    n0 = int(np.searchsorted(first.row, 1))
-    t0[first.col[:n0]] = first.val[:n0].tolist()
-    rows = _select(first, np.arange(1, len(first)))
-    rows = _select(rows, _first_distinct(rows))
-    for block in blocks:
-        rows = _concat([rows, block])
-        rows = _select(rows, _first_distinct(rows))
-    return t0, rows
+    t0 = np.array(first[0].tolist(), dtype=object)
+    dedupe = n_orbits < scenario.table_size
+    seen = set()
+    parts, n_rows = [], 0
+    for block in itertools.chain([first[1:]], blocks):
+        if dedupe:
+            block = block[_new_rows(block, seen)]
+        row, col = np.nonzero(block)
+        parts.append((row + n_rows, col, block[row, col]))
+        n_rows += len(block)
+    row, col, val = map(np.concatenate, zip(*parts))
+    return t0, Rows(row, col, val, np.zeros(n_rows, dtype=np.int64))
 
 
 class NsOptimum(NamedTuple):
@@ -641,12 +663,13 @@ class _ToblLayout:
         return perm
 
 
-def _rows_invariant_under(rows: Rows, perm) -> bool:
+def _rows_invariant_under(rows: Rows, perm, keys: set) -> bool:
     """Exact check that permuting variable indices maps every row, taken up
     to a nonzero factor, onto one of the rows (constraint set invariance):
-    after the rows, no permuted row is the first of its kind."""
+    every permuted row's key from :func:`_row_keys` is in ``keys``, the
+    set of the rows' own keys."""
     permuted = _sorted_rows(rows.row, np.asarray(perm)[rows.col], rows.val, rows.rhs)
-    return bool((_first_distinct(_concat([rows, permuted])) < len(rows)).all())
+    return all(key in keys for _, key in _row_keys(permuted))
 
 
 def tobl_max(expression: BellExpression) -> ToblOptimum:
@@ -679,12 +702,13 @@ def tobl_max(expression: BellExpression) -> ToblOptimum:
     obj_nums = np.zeros(layout.n_vars, dtype=object)
     obj_nums[list(objective)] = _integers(objective.values())[0]
 
+    keys = {key for _, key in _row_keys(rows)}
     perms = []
     for sym in expression.party_symmetries:
         if not expression_invariant_under(expression, sym):
             continue
         perm = layout.variable_permutation(sym)
-        if (obj_nums[perm] == obj_nums).all() and _rows_invariant_under(rows, perm):
+        if (obj_nums[perm] == obj_nums).all() and _rows_invariant_under(rows, perm, keys):
             perms.append(perm)
 
     value, solution = _solve_collapsed(layout.n_vars, objective, rows, perms, "TOBL")

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -234,6 +235,21 @@ def _certificate_oracle(expression) -> bool:
     if sum(c for _, c in terms) != 1:
         return False
     return all(tuple(1 - b for b in t1[0]) == t2[0] for t1, t2 in non_orth)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_shift_outcomes_leave_only_complement_pairs_non_orthogonal(n):
+    """Over all 2**n inputs, each answered by its cyclic left shift, the
+    pairwise rule finds exactly the complement pairs non-orthogonal; this
+    is why the certificate's GYNI pattern checks no pair of terms."""
+    terms = [(xs, xs[1:] + xs[:1]) for xs in itertools.product((0, 1), repeat=n)]
+    non_orth = {
+        (t1[0], t2[0])
+        for m, t1 in enumerate(terms)
+        for t2 in terms[m + 1 :]
+        if not _terms_orthogonal(t1, t2)
+    }
+    assert non_orth == {(xs, tuple(1 - b for b in xs)) for xs, _ in terms if xs[0] == 0}
 
 
 def _criterion_7_expressions():

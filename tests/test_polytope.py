@@ -332,11 +332,19 @@ def _pairs(rows):
     ]
 
 
+def _orbit_sum_rows(scenario, orbit, n_orbits):
+    """Every dense block of ``_cg_map.orbit_sums``, one after another, as
+    one ``lp.Rows`` with zero right-hand sides."""
+    dense = np.concatenate(list(_cg_map.orbit_sums(scenario, orbit, n_orbits)))
+    row, col = np.nonzero(dense)
+    return lp.Rows(row, col, dense[row, col], np.zeros(len(dense), dtype=np.int64))
+
+
 def _dense_map(scenario):
     """The Collins-Gisin map T as a dense (table entries x coordinates)
     integer matrix, read off the orbit sums on identity orbits."""
     n = scenario.table_size
-    sums = polytope._concat(list(_cg_map.orbit_sums(scenario, np.arange(n), n)))
+    sums = _orbit_sum_rows(scenario, np.arange(n), n)
     t = np.zeros((n, len(sums)), dtype=np.int64)
     t[sums.col, sums.row] = sums.val
     return t
@@ -452,11 +460,13 @@ def _cg_orbit_sums_oracle(scen, orbit):
     return [({o: v for o, v in sorted(row.items()) if v}, 0) for row in sums]
 
 
-@pytest.mark.parametrize("n", range(3, 7))
+@pytest.mark.parametrize("n", range(3, 8))
 def test_collapse_rows_match_fraction_oracle_gyni(n):
     """Orbits by label propagation equal a graph search's; the orbit sums of
     the Collins-Gisin map equal the per-entry oracle's; the constant row is
-    t0 and the LP keeps the other rows a row-by-row Fraction dedupe keeps."""
+    t0 and the LP keeps the other rows a row-by-row Fraction dedupe keeps.
+    N = 7 builds its orbit sums in 9 blocks, so rows equal across blocks
+    are dropped too."""
     e = gyni.gyni_expression(n).expression
     scen = e.scenario
     perms = [sym.table_permutation(scen) for sym in e.party_symmetries]
@@ -464,7 +474,7 @@ def test_collapse_rows_match_fraction_oracle_gyni(n):
     assert orbit.tolist() == _orbits_oracle(scen.table_size, perms)
     n_orbits = int(orbit.max()) + 1
     oracle = _cg_orbit_sums_oracle(scen, orbit.tolist())
-    sums = polytope._concat(list(_cg_map.orbit_sums(scen, orbit, n_orbits)))
+    sums = _orbit_sum_rows(scen, orbit, n_orbits)
     assert _pairs(sums) == oracle
     t0, rows = polytope._cg_rows(scen, orbit, n_orbits)
     assert t0.tolist() == [oracle[0][0].get(o, 0) for o in range(n_orbits)]
@@ -513,10 +523,11 @@ def test_tobl_rows_and_collapse_match_fraction_oracle():
     oracle = _tobl_rows_oracle(layout)
     assert _pairs(rows) == oracle
     perms = [layout.variable_permutation(sym) for sym in e.party_symmetries]
-    assert perms and all(polytope._rows_invariant_under(rows, p) for p in perms)
+    keys = {key for _, key in polytope._row_keys(rows)}
+    assert perms and all(polytope._rows_invariant_under(rows, p, keys) for p in perms)
     swap = list(range(layout.n_vars))
     swap[0], swap[layout.n_table - 1] = layout.n_table - 1, 0
-    assert not polytope._rows_invariant_under(rows, swap)
+    assert not polytope._rows_invariant_under(rows, swap, keys)
     orbit = polytope._orbits_of_permutations(layout.n_vars, perms)
     assert orbit.tolist() == _orbits_oracle(layout.n_vars, perms)
     assert _pairs(polytope._collapse_rows(rows, orbit)) == _collapse_oracle(oracle, orbit.tolist())
@@ -528,7 +539,7 @@ def _ns_identity(scenario):
     n = scenario.table_size
     orbit = polytope._orbits_of_permutations(n, [])
     assert orbit.tolist() == list(range(n))
-    sums = polytope._concat(list(_cg_map.orbit_sums(scenario, orbit, n)))
+    sums = _orbit_sum_rows(scenario, orbit, n)
     return polytope._select(sums, np.arange(1, len(sums))), polytope._cg_rows(scenario, orbit, n)[1]
 
 
@@ -578,6 +589,58 @@ def test_collapse_rows_keeps_first_of_proportional_rows():
     assert _pairs(polytope._collapse_rows(rows, orbit)) == kept
     with pytest.raises(lp.LPError, match="inconsistent collapsed row"):
         polytope._collapse_rows(dataclasses.replace(rows, rhs=np.array([0, 0, 2, 1, 1])), orbit)
+
+
+def _from_pairs(pairs):
+    """An ``lp.Rows`` of int64 arrays from ``({column: coefficient}, rhs)``
+    pairs, each row's columns ascending."""
+    entries = [(i, j, v) for i, (coeffs, _) in enumerate(pairs) for j, v in sorted(coeffs.items())]
+    row, col, val = (np.array(a, dtype=np.int64) for a in zip(*entries))
+    return lp.Rows(row, col, val, np.array([b for _, b in pairs], dtype=np.int64))
+
+
+def test_first_distinct_tells_rows_apart_by_rhs_and_length():
+    """Equal coefficients with right-hand sides 1 and 2 are distinct rows,
+    and so are rows of different lengths, even where one's key is the start
+    of the other's ({0: 1} = 2 is the int64s 0, 1, 2; {0: 2, 1: 3} = 1 is
+    0, 1, 2, 3, 1).  Rows -2 times an earlier one, right-hand side
+    included, are dropped."""
+    rows = _from_pairs([
+        ({0: 1, 1: 1}, 1),
+        ({0: 1, 1: 1}, 2),
+        ({0: 1}, 2),
+        ({0: 2, 1: 3}, 1),
+        ({0: -2, 1: -2}, -4),
+        ({0: -2}, -4),
+    ])
+    assert polytope._first_distinct(rows).tolist() == [0, 1, 2, 3]
+
+
+def test_rows_invariant_under_a_permutation_that_negates_a_row():
+    """Swapping x0 and x1 maps x0 - x1 = 0 onto its negation, the same
+    constraint, so the rows are invariant; x0 - x1 = 1 maps onto
+    x1 - x0 = 1, which is not among the rows."""
+    rows = _from_pairs([({0: 1, 1: -1}, 0), ({2: 1}, 1)])
+    keys = {key for _, key in polytope._row_keys(rows)}
+    assert polytope._rows_invariant_under(rows, [1, 0, 2], keys)
+    rows = _from_pairs([({0: 1, 1: -1}, 1), ({2: 1}, 1)])
+    keys = {key for _, key in polytope._row_keys(rows)}
+    assert not polytope._rows_invariant_under(rows, [1, 0, 2], keys)
+    assert polytope._rows_invariant_under(rows, [0, 1, 2], keys)
+
+
+@pytest.mark.parametrize("field", ["col", "val", "rhs"])
+def test_row_keys_refuse_object_arrays(field):
+    """The keys are the bytes of int64 arrays; an object array's bytes are
+    pointers, so it raises instead of comparing them."""
+    rows = _from_pairs([({0: 1, 1: 2}, 3), ({0: 2, 1: 4}, 6)])
+    assert polytope._first_distinct(rows).tolist() == [0]
+    bad = dataclasses.replace(rows, **{field: getattr(rows, field).astype(object)})
+    with pytest.raises(TypeError, match="object arrays"):
+        polytope._first_distinct(bad)
+    if field != "col":
+        with pytest.raises(TypeError, match="object arrays"):
+            polytope._rows_invariant_under(bad, [1, 0], set())
 
 
 # ---------------------------------------------------------------------------
