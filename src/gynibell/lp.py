@@ -9,17 +9,21 @@ model builders of :mod:`gynibell.polytope` hand theirs over as they are;
 multiplying each by the lcm of its coefficients' denominators.
 
 Floats propose, integers decide.  An LP with a nonzero objective first runs
-a dense float64 two-phase simplex on the tableau ``[A | b]``
-(:func:`_float_basis`).  The basis it stops at gives candidate exact values:
-the basic values and the duals are solved in floats from the original
-right-hand sides and costs and each is rounded to the nearest fraction with
-a bounded denominator (:func:`_candidate`).  The candidate is returned only
-if :func:`_verify_optimal` accepts it.  Anything else (a float verdict of
-infeasible or unbounded, the float pass's pivot ceiling, a singular basis, a
-failed verification) runs the exact simplex below from the all-artificial
-basis, as does every LP with a zero objective (feasibility: its exact solve
-is phase 1 alone, on sparse pivots, and beats a dense float tableau).  So
-no float is ever returned, and which path ran shows only in the counters.
+a revised float64 two-phase simplex over the standard form's compressed
+columns (:func:`_float_basis`): it carries an explicit basis inverse with
+one rank-1 update per pivot and holds no tableau.  The basis it stops at
+gives candidate exact values: the basic values and the duals are solved in
+floats from the original right-hand sides and costs with the inverse it
+carried, and each is rounded to the nearest fraction with a bounded
+denominator (:func:`_candidate`).  The candidate is returned only if
+:func:`_verify_optimal` accepts it.  Anything else (a float verdict of
+infeasible or unbounded, the float pass's pivot ceiling, a failed
+verification) runs the exact simplex below from the all-artificial basis,
+as does every LP with a zero objective (feasibility: its exact solve is
+phase 1 alone, on sparse pivots, and beats the float pass).  So no float is
+ever returned, and which path ran shows only in the counters.  No matrix
+product and no ``numpy.linalg`` call appears in this module: every float
+and integer step is element-wise, so no threaded BLAS decides a pivot.
 
 The exact simplex is a two-phase revised simplex.  The basis inverse is
 held explicitly as one m x m integer numpy matrix plus a vector of positive
@@ -393,7 +397,7 @@ class _Simplex:
         step = self.block_rows
         for s in range(0, basic.size, step):
             t = basic[s : s + step]
-            ynum += w[t].dot(self.M[t, : self.m])
+            ynum += (w[t, None] * self.M[t, : self.m]).sum(axis=0)
         self._set_duals(ynum, self.cscale * den)
 
     def _set_duals(self, ynum, yden):
@@ -459,7 +463,7 @@ class _Simplex:
         """Integer numerators of the tableau column; entry i is over bden[i]."""
         lo, hi = int(self.indptr[j]), int(self.indptr[j + 1])
         self._fits(self._bmax() * self.colabs[j])
-        return self.M[:, self.indices[lo:hi]].dot(self.data[lo:hi])
+        return (self.M[:, self.indices[lo:hi]] * self.data[lo:hi]).sum(axis=1)
 
     def _lex_least(self, rows, unum):
         """The row i among ``rows`` whose inverse row over ``unum[i] > 0`` is
@@ -681,116 +685,142 @@ class _Simplex:
 
 
 # ---------------------------------------------------------------------------
-# float guide: a dense float64 simplex proposes the basis
+# float guide: a revised float64 simplex proposes the basis
 
 
-def _float_basis(A: np.ndarray, b: np.ndarray, cost: np.ndarray):
-    """The basis at which a dense float64 two-phase simplex minimizing
-    ``cost . x`` over ``A x = b``, ``x >= 0`` (``b >= 0``) stops optimal
-    (basis position i holds column ``j``, or ``n + i`` for row i's
-    artificial), and the pivots it took; the basis is None if the pass ends
+def _float_basis(indptr, indices, data, b, cost):
+    """The basis at which a revised float64 two-phase simplex minimizing
+    ``cost . x`` over ``A x = b``, ``x >= 0`` (``b >= 0``) stops optimal,
+    the float inverse of that basis, and the pivots it took.  ``A`` is
+    given by its compressed columns, laid out as in :class:`_Standard` with
+    float ``data``.  Basis position i holds column ``j``, or ``n + i`` for
+    row i's artificial; the basis and the inverse are None if the pass ends
     infeasible, unbounded or at its ceiling.
 
-    The tableau is ``[A | b]`` with no artificial columns: an artificial
-    that leaves the basis never returns, so the phase-1 row (minus the sum
-    of the rows that artificials hold) is all phase 1 needs.  Both
-    objective rows are rows of the tableau and every pivot updates them
-    with the rest, element-wise, so no reduction and no matrix product
-    decides a pivot.  Pricing is Devex (the largest d_j^2 over a reference
-    weight), the ratio test takes the least ratio (first on ties), a basic
-    value that rounding leaves below zero is set to zero, and right-hand
-    side i is raised by ``(_PERTURB + _PERTURB_SPREAD * frac(i * phi)) *
-    (1 + max|b|)`` against degeneracy.  An artificial still basic in
-    phase 2 (on a redundant row it stays at the perturbation's residue) is
-    priced like any basic variable; if the basis leaves one off zero, the
-    exact solution of the basis breaks its row and the check refuses it."""
-    m, n = A.shape
+    The state is one (m + 1) x m array, the explicit basis inverse stored
+    by columns (row k is column k of ``B^-1``, so I at the all-artificial
+    start) over the perturbed basic values as its last row, one 2 x n array
+    of the phase-1 and phase-2 reduced costs of the structural columns, and
+    their Devex weights; no tableau is held.  There are no artificial
+    columns: an artificial that leaves the basis never returns, so phase 1
+    needs only its reduced costs, minus the column sums of A at the start.
+    A pivot forms the entering column ``alpha = B^-1 A_q`` from that
+    column's few entries, and the pivot row ``rho A``, with ``rho`` the row
+    r of ``[B^-1 | x]`` over ``alpha_r``, by one ``np.bincount`` over the
+    nonzeros; there a basic column's entry is set to 0, the leaving one's
+    to ``1 / alpha_r`` and the entering one's to 1, as a tableau would hold
+    them, so the basic reduced costs stay exactly 0.  The reduced costs and
+    the weights change by the pivot row, and the inverse and the basic
+    values by one rank-1 update, element-wise, so no matrix product decides
+    a pivot; the update touches only the stored rows where ``rho`` is
+    nonzero, and then the stored column r becomes ``rho``.  Pricing is Devex
+    (the largest d_j^2 over a reference weight), the ratio test takes the
+    least ratio (first on ties), a basic value that rounding leaves below
+    zero is set to zero, and right-hand side i is raised by ``(_PERTURB +
+    _PERTURB_SPREAD * frac(i * phi)) * (1 + max|b|)`` against degeneracy.
+    An artificial still basic in phase 2 (on a redundant row it stays at
+    the perturbation's residue) is priced like any basic variable; if the
+    basis leaves one off zero, the exact solution of the basis breaks its
+    row and the check refuses it."""
+    m, n = len(b), len(cost)
+    column = np.repeat(np.arange(n), np.diff(indptr))
     scale = 1.0 + np.abs(b).max(initial=0.0)
-    T = np.zeros((m + 2, n + 1))
-    T[:m, :n] = A
-    T[:m, n] = b + (_PERTURB + _PERTURB_SPREAD * np.modf(np.arange(m) * _GOLDEN)[0]) * scale
-    T[m, :n] = cost
-    T[m + 1] = -T[:m].sum(axis=0)
+    inverse = np.eye(m + 1, m)
+    x = inverse[m]
+    x[:] = b + (_PERTURB + _PERTURB_SPREAD * np.modf(np.arange(m) * _GOLDEN)[0]) * scale
+    costs = np.array([-np.bincount(column, data, minlength=n), cost])
     basis = np.arange(n, n + m)
+    basic = np.zeros(n, dtype=bool)
     weights = np.ones(n)
     ceiling = _FLOAT_PIVOTS_PER_DIMENSION * (m + n)
     pivots = 0
-    for phase, reduced in ((1, T[m + 1, :n]), (2, T[m, :n])):
-        if phase == 2 and np.any(T[:m, n][basis >= n] > _INFEASIBLE * scale):
-            return None, pivots
+    for phase2, reduced in enumerate(costs):
+        if phase2 and np.any(x[basis >= n] > _INFEASIBLE * scale):
+            return None, None, pivots
         while True:
             score = np.where(reduced < -_FLOAT_TOL, reduced * reduced / weights, 0.0)
             q = int(score.argmax())
             if not score[q]:
                 break
             if pivots == ceiling:
-                return None, pivots
-            alpha, x = T[:m, q], T[:m, n]
+                return None, None, pivots
+            lo, hi = indptr[q], indptr[q + 1]
+            alpha = (inverse[indices[lo:hi]] * data[lo:hi, None]).sum(axis=0)
             pos = alpha > _FLOAT_TOL
             if not pos.any():
-                return None, pivots
-            r = int(np.where(pos, x / np.where(pos, alpha, 1.0), np.inf).argmin())
-            prow = T[r] / alpha[r]
-            weights = np.maximum(weights, prow[:n] * prow[:n] * weights[q])
-            T -= np.multiply.outer(T[:, q], prow)
-            T[r] = prow
-            np.maximum(T[:m, n], 0.0, out=T[:m, n])
+                return None, None, pivots
+            r = int(np.divide(x, alpha, out=np.full(m, np.inf), where=pos).argmin())
+            rho = inverse[:, r] / alpha[r]
+            prow = np.bincount(column, rho[indices] * data, minlength=n)
+            prow[basic] = 0.0
+            left = int(basis[r])
+            if left < n:
+                prow[left] = 1.0 / alpha[r]
+                basic[left] = False
+            prow[q] = 1.0
+            costs -= np.multiply.outer(costs[:, q], prow)
+            np.maximum(weights, prow * prow * weights[q], out=weights)
+            nz = rho.nonzero()[0]
+            inverse[nz] -= np.multiply.outer(rho[nz], alpha)
+            inverse[:, r] = rho
+            np.maximum(x, 0.0, out=x)
+            basic[q] = True
             basis[r] = q
             pivots += 1
-    return basis, pivots
+    return basis, inverse[:m].T, pivots
 
 
-def _float_inverse(M: np.ndarray):
-    """``M^-1`` by Gauss-Jordan elimination of ``[M | I]`` with partial
-    pivoting, element-wise; None if a pivot falls below the tolerance."""
-    m = len(M)
-    aug = np.zeros((m, 2 * m))
-    aug[:, :m] = M
-    aug[:, m:] = np.eye(m)
-    for k in range(m):
-        p = k + int(np.abs(aug[k:, k]).argmax())
-        if abs(aug[p, k]) <= _FLOAT_TOL:
-            return None
-        if p != k:
-            aug[[k, p]] = aug[[p, k]]
-        prow = aug[k, k:] / aug[k, k]
-        aug[:, k:] -= np.multiply.outer(aug[:, k], prow)
-        aug[k, k:] = prow
-    return aug[:, m:]
-
-
-def _refined(M: np.ndarray, inverse: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The solution of ``M z = rhs`` from a float inverse of ``M``, after one
-    step of iterative refinement, element-wise."""
+def _refined(inverse, row, col, val, rhs):
+    """The solution of ``M z = rhs`` from a float inverse of ``M``, whose
+    entries are ``val`` at (``row``, ``col``), after one step of iterative
+    refinement, element-wise.  ``M`` and ``rhs`` are integers, so the
+    residual is taken against the integer part of ``z`` first: ``(rhs - M
+    rint(z)) - M (z - rint(z))``, whose first term is exact while every
+    partial sum stays below 2**53 and whose second is small.  A residual
+    taken in one go is only good to about |M| |z| 2**-53, too coarse for
+    the rounding of :func:`_rounded` once |z| nears 10**6; either way the
+    verifier decides."""
+    m = len(rhs)
     z = (inverse * rhs).sum(axis=1)
-    return z + (inverse * (rhs - (M * z).sum(axis=1))).sum(axis=1)
+    whole = np.rint(z)
+    residual = rhs - np.bincount(row, val * whole[col], minlength=m)
+    residual -= np.bincount(row, val * (z - whole)[col], minlength=m)
+    return z + (inverse * residual).sum(axis=1)
 
 
-def _candidate(problem: LPProblem, std: _Standard, A, b, b_scale, cost, c_scale, basis):
-    """The optimum that a basis of the float standard form ``A``, ``b``,
-    ``cost`` proposes, exact but unverified; None if the basis matrix is
-    singular.  ``b`` and ``cost`` are the integers ``std.b * b_scale`` and
-    ``std.phase2_cost * c_scale``: the basic values and the duals are
-    solved from them in floats, each rounded to the nearest fraction with a
-    denominator of at most ``_GUIDE_DENOMINATOR``, and divided by the
-    scale, so the right-hand sides' and costs' own denominators do not
-    count against that bound."""
-    m, n = A.shape
+def _candidate(
+    problem: LPProblem, std: _Standard, data, b, b_scale, cost, c_scale, basis, inverse
+):
+    """The optimum that a basis of the float standard form (the columns of
+    ``std`` with float ``data``, ``b``, ``cost``) and its float ``inverse``
+    propose, exact but unverified; None if a float solved from them is not
+    finite (an inverse grown past the float range).  ``b`` and ``cost`` are
+    the integers ``std.b * b_scale`` and ``std.phase2_cost * c_scale``: the
+    basic values and the duals are solved from them in floats, each rounded
+    to the nearest fraction with a denominator of at most
+    ``_GUIDE_DENOMINATOR``, and divided by the scale, so the right-hand
+    sides' and costs' own denominators do not count against that bound."""
+    m, n = std.m, std.n
     structural = (basis < n).nonzero()[0]
     artificial = (basis >= n).nonzero()[0]
-    B = np.zeros((m, m))
-    B[:, structural] = A[:, basis[structural]]
-    B[basis[artificial] - n, artificial] = 1.0
-    inverse = _float_inverse(B)
-    if inverse is None:
-        return None
-    x = _refined(B, inverse, b)
+    # the basis matrix's entries, (row, basis position, value): the
+    # structural columns' compressed entries, then one 1 per artificial
+    cols = basis[structural]
+    counts = np.diff(std.indptr)[cols]
+    ends = np.cumsum(counts)
+    at = np.arange(counts.sum()) + np.repeat(std.indptr[cols] - ends + counts, counts)
+    row = np.concatenate((std.indices[at], basis[artificial] - n))
+    col = np.concatenate((np.repeat(structural, counts), artificial))
+    val = np.concatenate((data[at], np.ones(artificial.size)))
+    x = _refined(inverse, row, col, val, b)
     cost_b = np.zeros(m)
-    cost_b[structural] = cost[basis[structural]]
+    cost_b[structural] = cost[cols]
     # the duals of the rows as given: signs flipped back, and of the maximum
-    y = _refined(B.T, inverse.T, cost_b) * -np.array(std.row_mult)
+    y = _refined(inverse.T, col, row, val, cost_b) * -np.array(std.row_mult)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        return None
     solution = [_ZERO] * n
-    for j, v in zip(basis[structural].tolist(), _rounded(x[structural], b_scale)):
+    for j, v in zip(cols.tolist(), _rounded(x[structural], b_scale)):
         solution[j] = v
     value = sum((c * v for c, v in zip(problem.objective, solution) if v), _ZERO)
     return LPResult(
@@ -820,19 +850,17 @@ def _rounded(values: np.ndarray, scale: int) -> list:
 def _guided(problem: LPProblem, std: _Standard):
     """The optimum that the float pass proposes if it verifies, else None,
     and the float pivots spent."""
-    m, n = std.m, std.n
     b, b_scale = _scaled_integers(std.b)
     cost, c_scale = _scaled_integers(std.phase2_cost)
-    A = np.zeros((m, n))
     try:
-        A[std.indices, np.repeat(np.arange(n), np.diff(std.indptr))] = std.data
+        data = std.data.astype(float)
         b, cost = np.array(b, dtype=float), np.array(cost, dtype=float)
     except OverflowError:  # an entry past the float range
         return None, 0
-    basis, float_pivots = _float_basis(A, b, cost)
+    basis, inverse, float_pivots = _float_basis(std.indptr, std.indices, data, b, cost)
     if basis is None:
         return None, float_pivots
-    res = _candidate(problem, std, A, b, b_scale, cost, c_scale, basis)
+    res = _candidate(problem, std, data, b, b_scale, cost, c_scale, basis, inverse)
     if res is None:
         return None, float_pivots
     res.float_pivots = float_pivots

@@ -324,10 +324,10 @@ def test_verify_ray_rejects_tampered_ray():
             lp._verify_ray(problem, ray)
 
 
-def _no_basis(A, b, cost):
+def _no_basis(indptr, indices, data, b, cost):
     """A float pass that proposes no basis, so ``lp.solve`` runs the exact
     simplex from the all-artificial basis."""
-    return None, 0
+    return None, None, 0
 
 
 @pytest.fixture
@@ -716,9 +716,9 @@ def test_guided_counters_are_pinned():
         return res.status, res.pivots, res.float_pivots, len(res.solution)
 
     four = upb.four_partite_tight_inequality()
-    assert counters(lambda: polytope.ns_max(four)) == ("optimal", 0, 338, 384)
+    assert counters(lambda: polytope.ns_max(four)) == ("optimal", 0, 326, 384)
     tobl = gyni.gyni_sum_expression(3)
-    assert counters(lambda: polytope.tobl_max(tobl)) == ("optimal", 0, 41, 144)
+    assert counters(lambda: polytope.tobl_max(tobl)) == ("optimal", 0, 40, 144)
     ns6, ns7 = gyni.gyni_expression(6).expression, gyni.gyni_expression(7).expression
     assert counters(lambda: polytope.ns_max(ns6)) == ("optimal", 0, 29, 128)
     assert counters(lambda: polytope.ns_max(ns7)) == ("optimal", 0, 11, 40)
@@ -757,6 +757,7 @@ def test_repeated_solves_are_identical():
         lambda: polytope.ns_max(upb.four_partite_tight_inequality()),
         lambda: polytope.ns_max(_random_promise_game(random.Random(5))),
         lambda: polytope.tobl_max(gyni.gyni_sum_expression(3)),
+        lambda: polytope.ns_max(gyni.gyni_expression(8).expression),
     ]
     for call in calls:
         (problem,) = _posed_problems(call)
@@ -764,6 +765,50 @@ def test_repeated_solves_are_identical():
         assert first.float_pivots and not first.pivots
         assert lp.solve(problem) == first
         assert _cold_solve(problem) == _cold_solve(problem)
+
+
+def test_carried_inverse_inverts_the_basis(monkeypatch):
+    """The inverse the float pass carries through its rank-1 updates is the
+    inverse of the basis it stops at, to 1e-9, on the four-partite, GYNI-8
+    and TOBL LPs; ``numpy.linalg.inv`` of the basis is the oracle."""
+    passes = []
+    float_basis = lp._float_basis
+
+    def recording(indptr, indices, data, b, cost):
+        passes.append((indptr, indices, data, float_basis(indptr, indices, data, b, cost)))
+        return passes[-1][-1]
+
+    monkeypatch.setattr(lp, "_float_basis", recording)
+    polytope.ns_max(upb.four_partite_tight_inequality())
+    polytope.ns_max(gyni.gyni_expression(8).expression)
+    polytope.tobl_max(gyni.gyni_sum_expression(3))
+    assert len(passes) == 3
+    for indptr, indices, data, (basis, inverse, _) in passes:
+        m, n = inverse.shape[0], len(indptr) - 1
+        B = np.zeros((m, m))
+        for i, j in enumerate(basis.tolist()):
+            if j < n:
+                B[indices[indptr[j] : indptr[j + 1]], i] = data[indptr[j] : indptr[j + 1]]
+            else:
+                B[j - n, i] = 1.0
+        assert np.abs(B @ inverse - np.eye(m)).max() <= 1e-9
+        oracle = np.linalg.inv(B)
+        assert np.abs(inverse - oracle).max() <= 1e-9 * np.abs(oracle).max()
+
+
+def test_uncollapsed_tobl_lp_certifies_guided(monkeypatch):
+    """The 404-row, 1600-column TOBL LP of GYNI-3 without symmetry: the float
+    pass's basis verifies, so no exact pivot runs (the cold exact simplex
+    takes 14721 pivots on it), and the value is the paper's 7/6."""
+
+    def cold(std):
+        raise AssertionError("the float basis did not verify")
+
+    monkeypatch.setattr(lp, "_Simplex", cold)
+    expr = dataclasses.replace(gyni.gyni_sum_expression(3), party_symmetries=())
+    (res,) = _solve_results(lambda: polytope.tobl_max(expr))
+    assert (res.status, res.value, res.pivots) == ("optimal", F(7, 6), 0)
+    assert (len(res.dual), len(res.solution)) == (404, 1600)
 
 
 @pytest.mark.parametrize("tamper", ["basis", "solution", "dual"])
@@ -777,9 +822,9 @@ def test_tampered_candidate_falls_back_to_the_cold_result(monkeypatch, tamper):
     candidate, verify = lp._candidate, lp._verify_optimal
     if tamper == "basis":
 
-        def all_artificial(A, b, cost):
-            m, n = A.shape
-            return np.arange(n, n + m), 7
+        def all_artificial(indptr, indices, data, b, cost):
+            m, n = len(b), len(cost)
+            return np.arange(n, n + m), np.eye(m), 7
 
         monkeypatch.setattr(lp, "_float_basis", all_artificial)
     else:
@@ -809,13 +854,30 @@ def test_tampered_candidate_falls_back_to_the_cold_result(monkeypatch, tamper):
     assert dataclasses.replace(res, float_pivots=0) == cold
 
 
+def test_non_finite_inverse_falls_back_to_the_cold_result(monkeypatch):
+    """A float inverse grown past the float range proposes no candidate: the
+    cold exact simplex solves the LP, with the float pivots spent."""
+    (problem,) = _posed_problems(lambda: polytope.ns_max(_random_promise_game(random.Random(5))))
+    cold = _cold_solve(problem)
+    float_basis = lp._float_basis
+
+    def overflowed(*args):
+        basis, inverse, pivots = float_basis(*args)
+        return basis, np.full_like(inverse, np.inf), pivots
+
+    monkeypatch.setattr(lp, "_float_basis", overflowed)
+    with np.errstate(all="ignore"):
+        res = lp.solve(problem)
+    assert res.float_pivots and dataclasses.replace(res, float_pivots=0) == cold
+
+
 def test_zero_objective_lps_never_reach_the_float_pass(monkeypatch):
     """Feasibility LPs (a zero objective: ``feasible_point`` and both
     membership verdicts) start the exact simplex cold."""
     mixture = _gyni4_mixture()
     ns_box = core.Box(mixture.scenario, ns_full_lp.ns_lp_max(gyni.gyni_expression(4).expression)[1])
 
-    def refused(A, b, cost):
+    def refused(indptr, indices, data, b, cost):
         raise AssertionError("float pass on a zero objective")
 
     monkeypatch.setattr(lp, "_float_basis", refused)

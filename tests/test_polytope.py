@@ -291,6 +291,26 @@ def test_ns_max_on_binary_n5_without_symmetry_takes_the_float_basis(monkeypatch)
     assert (len(res.dual), len(res.solution), res.pivots) == (242, 1024, 0)
 
 
+def test_ns_max_on_binary_n5_seeds_certifies_guided(monkeypatch):
+    """Seeds 1..12 of the random binary N = 5 expressions without symmetry:
+    each float basis verifies, so no exact pivot runs.  The cold path is
+    barred, so a miss fails here at once instead of taking 10-20 s.  Seeds 4,
+    9 and 10 missed while the candidate's residual was taken in one float
+    sum."""
+
+    def cold(std):
+        raise AssertionError("the float basis did not verify")
+
+    monkeypatch.setattr(lp, "_Simplex", cold)
+    results, solve = [], lp.solve
+    monkeypatch.setattr(lp, "solve", lambda problem: results.append(solve(problem)) or results[-1])
+    for seed in range(1, 13):
+        e = _random_expression(gb.binary_scenario(5), random.Random(seed), 12)
+        value = gb.ns_max(e).value
+        assert (results[-1].status, results[-1].pivots) == ("optimal", 0)
+        assert gb.classical_max(e).value <= value
+
+
 def test_ns_max_size_guard_before_rows(monkeypatch):
     """The guard bounds the orbit sums the model build counts, Collins-Gisin
     coordinates times orbits, and is checked before any is counted:
