@@ -9,9 +9,16 @@ Collins-Gisin coordinates, one equality row per coordinate but the
 constant; the TOBL LP over the table entries and the weights of its
 deterministic components.  Either model's equality rows are one
 :class:`lp.Rows` of integer numpy arrays (row, column, value, right-hand
-side) from the model build to the solver: orbits and orbit sums are
-integer array work, and duplicate rows and the invariance checks look up
-the bytes of integer arrays in Python sets and dicts.
+side) from the model build to the solver.  Both collapse onto symmetry
+orbits the same way: the orbit sums are counted exactly into dense integer
+blocks (TOBL's with the right-hand side as one more column; the
+no-signaling right-hand sides are zero); the first of each set of rows
+equal up to a nonzero factor is kept by looking up the bytes of the
+normalized dense rows in one Python set (:func:`_new_rows`); and
+:func:`_dense_rows` turns the kept rows into one :class:`lp.Rows`.  The TOBL invariance checks are
+sparse, since the 404 uncollapsed rows over 1600 variables hold 14272
+nonzeros: they look up the keys of the permuted rows in the set of the
+rows' own keys.
 Every optimizer hands back a certificate (an optimal box, a convex
 decomposition, or a separating inequality) that is re-verified with exact
 arithmetic before being returned.
@@ -182,29 +189,21 @@ def _row_starts(rows: Rows) -> np.ndarray:
     return np.searchsorted(rows.row, np.arange(len(rows) + 1))
 
 
-def _select(rows: Rows, keep) -> Rows:
-    """The rows ``keep`` (ascending), renumbered from 0."""
-    new = np.full(len(rows), -1)
-    new[keep] = np.arange(len(keep))
-    at = new[rows.row] >= 0
-    return Rows(new[rows.row[at]], rows.col[at], rows.val[at], rows.rhs[keep])
-
-
 def _byte_keys(a: np.ndarray) -> list:
-    """The bytes of each row of a 2-D int64 array, one ``bytes`` per row."""
-    a = np.ascontiguousarray(a)
+    """The bytes of each row of a 2-D integer array as int64, one ``bytes``
+    per row.  Object arrays raise: their bytes are pointers, not values."""
+    if a.dtype == object:
+        raise TypeError("row keys need integer arrays, not object arrays")
+    a = np.ascontiguousarray(a, dtype=np.int64)
     return a.view(np.dtype((np.void, a.shape[1] * a.itemsize))).ravel().tolist()
 
 
 def _row_keys(rows: Rows):
-    """Yields (row id, key) for every nonempty row, ids ascending within
-    each row length.  The key is the row up to a nonzero factor: the bytes
-    of its columns, then of its coefficients and right-hand side divided by
-    their gcd and by the sign of its first coefficient, all int64, so rows
-    of different lengths have keys of different lengths.  Object arrays
-    raise: their bytes are pointers, not values."""
-    if any(a.dtype == object for a in (rows.col, rows.val, rows.rhs)):
-        raise TypeError("row keys need integer arrays, not object arrays")
+    """Yields the key of every nonempty row: the row up to a nonzero
+    factor, as the bytes of its columns, then of its coefficients and
+    right-hand side divided by their gcd and by the sign of its first
+    coefficient, so rows of different lengths have keys of different
+    lengths."""
     starts = _row_starts(rows)
     length = starts[1:] - starts[:-1]
     ids = np.flatnonzero(length)
@@ -215,56 +214,41 @@ def _row_keys(rows: Rows):
     for n in np.flatnonzero(np.bincount(length[ids])).tolist():
         group = np.flatnonzero(length[ids] == n)
         at = first[group, None] + np.arange(n)
-        keys = np.column_stack((rows.col[at], val[at], rhs[group])).astype(np.int64, copy=False)
-        yield from zip(ids[group].tolist(), _byte_keys(keys))
+        yield from _byte_keys(np.column_stack((rows.col[at], val[at], rhs[group])))
 
 
-def _run_starts(changed) -> np.ndarray:
-    """Where the runs of equal sorted keys start, given for each key after
-    the first whether it differs from the one before."""
-    return np.flatnonzero(np.concatenate(([True], changed)))
+def _new_rows(block: np.ndarray, seen: set) -> list:
+    """Ids, ascending, of the nonzero rows of a dense integer block whose
+    key, the bytes of the row divided by its gcd and by the sign of its
+    first nonzero entry, is not in ``seen`` yet; their keys join ``seen``."""
+    ids = np.flatnonzero(block.any(axis=1))
+    rows = block[ids]
+    lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
+    rows //= (np.gcd.reduce(rows, axis=1) * np.sign(lead))[:, None]
+    keep = []
+    for i, key in zip(ids.tolist(), _byte_keys(rows)):
+        if key not in seen:
+            seen.add(key)
+            keep.append(i)
+    return keep
 
 
-def _orbit_sums(rows: Rows, orbit: np.ndarray) -> Rows:
-    """The rows on orbit-constant variables: columns map to their orbits,
-    coefficients landing on one orbit add up (a stable sort, then one
-    ``reduceat``) and zero sums drop out.  The sort's temporaries end with
-    this call."""
-    width = int(orbit.max()) + 1
-    slot = orbit[rows.col]
-    slot += rows.row * width
-    order = np.argsort(slot, kind="stable")
-    slot = slot[order]
-    start = _run_starts(slot[1:] != slot[:-1])
-    val = np.add.reduceat(rows.val[order], start)
-    del order
-    nonzero = val != 0
-    row, col = np.divmod(slot[start[nonzero]], width)
-    return Rows(row, col, val[nonzero], rows.rhs)
-
-
-def _first_distinct(rows: Rows) -> np.ndarray:
-    """Ids, ascending, of the first of every set of nonempty rows that agree
-    up to a nonzero factor: one dict from each key of :func:`_row_keys` to
-    the first id that has it."""
-    first = {}
-    for i, key in _row_keys(rows):
-        first.setdefault(key, i)
-    return np.sort(np.fromiter(first.values(), dtype=np.intp, count=len(first)))
-
-
-def _collapse_rows(rows: Rows, orbit: np.ndarray) -> Rows:
-    """Project equality rows onto orbit-constant variables.
-
-    A row left empty must have a zero right-hand side.  Of rows that agree
-    up to a nonzero factor only the first is kept, as it stands; the kept
-    rows stay in their order."""
-    collapsed = _orbit_sums(rows, orbit)
-    empty = np.ones(len(rows), dtype=bool)
-    empty[collapsed.row] = False
-    if rows.rhs[empty].any():
+def _dense_rows(blocks) -> Rows:
+    """One :class:`lp.Rows` from blocks of consecutive rows, each a dense
+    int64 (rows x columns) array of coefficients and an int64 array of
+    right-hand sides.  A row with no coefficient and a nonzero right-hand
+    side cannot hold and raises."""
+    parts, rhs, n_rows = [], [], 0
+    for coeffs, b in blocks:
+        row, col = np.nonzero(coeffs)
+        parts.append((row + n_rows, col, coeffs[row, col]))
+        rhs.append(b)
+        n_rows += len(coeffs)
+    row, col, val = map(np.concatenate, zip(*parts))
+    rhs = np.concatenate(rhs)
+    if rhs[np.bincount(row, minlength=n_rows) == 0].any():
         raise lp.LPError("inconsistent collapsed row")
-    return _select(collapsed, _first_distinct(collapsed))
+    return Rows(row, col, val, rhs)
 
 
 def _orbits_of_permutations(n: int, perms) -> np.ndarray:
@@ -302,7 +286,7 @@ def _integers(values):
     return np.array([v.numerator * (den // v.denominator) for v in values], dtype=object), den
 
 
-def _solve_collapsed(n, objective, rows, perms, label):
+def _solve_collapsed(n, objective, rows, perms):
     """Maximize ``objective`` (a map from variable to coefficient) over the
     equality rows ``rows`` (``n`` variables >= 0) on the variables that are
     constant on the orbits of the verified symmetry permutations ``perms``;
@@ -310,20 +294,29 @@ def _solve_collapsed(n, objective, rows, perms, label):
 
     Every permutation must fix both the objective and the feasible set:
     group averaging then maps any optimum to an orbit-constant one, so the
-    collapsed optimum equals the full one.  With no permutations every
-    orbit is one variable and the collapse only drops rows that repeat an
-    earlier one up to a factor; the TOBL rows repeat none, so the
-    uncollapsed LP is posed exactly as built.
+    collapsed optimum equals the full one.  The collapsed rows are the
+    orbit sums, added exactly into one dense int64 (rows x (orbits + 1))
+    block by one ``np.add.at``, the right-hand side last, of which only
+    the first of each set equal up to a nonzero factor is kept
+    (:func:`_new_rows`), as it stands and in order.  When every orbit is
+    one variable the LP is posed on the rows as built, none compared.
     """
     orbit = _orbits_of_permutations(n, perms)
-    rows = _collapse_rows(rows, orbit)
+    n_orbits = int(orbit.max()) + 1
+    if n_orbits < n:
+        width = n_orbits + 1
+        dense = np.zeros((len(rows), width), dtype=np.int64)
+        dense[:, -1] = rows.rhs
+        np.add.at(dense.reshape(-1), rows.row * width + orbit[rows.col], rows.val)
+        kept = dense[_new_rows(dense, set())]
+        rows = _dense_rows([(kept[:, :-1], kept[:, -1])])
     orbit = orbit.tolist()
-    collapsed = [_ZERO] * (max(orbit) + 1)
+    collapsed = [_ZERO] * n_orbits
     for j, c in objective.items():
         collapsed[orbit[j]] += c
     res = lp.solve(lp.make_problem(collapsed, rows))
     if res.status != "optimal":
-        raise lp.LPError(f"{label} LP returned {res.status}")
+        raise lp.LPError(f"TOBL LP returned {res.status}")
     return res.value, list(map(res.solution.__getitem__, orbit))
 
 
@@ -331,46 +324,30 @@ def _solve_collapsed(n, objective, rows, perms, label):
 # no-signaling LP in Collins-Gisin coordinates
 
 
-def _new_rows(block: np.ndarray, seen: set) -> list:
-    """Ids, ascending, of the nonzero rows of a dense int64 block whose key,
-    the bytes of the row divided by its gcd and by the sign of its first
-    nonzero entry, is not in ``seen`` yet; their keys join ``seen``."""
-    ids = np.flatnonzero(block.any(axis=1))
-    rows = block[ids]
-    lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
-    rows //= (np.gcd.reduce(rows, axis=1) * np.sign(lead))[:, None]
-    keep = []
-    for i, key in zip(ids.tolist(), _byte_keys(rows)):
-        if key not in seen:
-            seen.add(key)
-            keep.append(i)
-    return keep
-
-
 def _cg_rows(scenario: Scenario, orbit: np.ndarray, n_orbits: int):
     """The orbit sums of :func:`_cg_map.orbit_sums` split: the constant
     coordinate's row, t0 summed per orbit, as a dense object array, and
     the other rows, of which only the first of each set equal up to a
     nonzero factor is kept, as it stands and in order (right-hand sides
-    zero).  Rows equal under a symmetry lie in different blocks, so one
-    set of the kept rows' keys (:func:`_new_rows`) serves every block,
-    and only a block's kept rows become entries: one dense block is held
-    at a time.  On identity orbits no row is dropped, since T has full
-    column rank."""
+    zero, so the coefficients alone are keyed).  Rows equal under a
+    symmetry lie in different blocks, so one set of the kept rows' keys
+    (:func:`_new_rows`) serves every block, and only a block's kept rows
+    reach :func:`_dense_rows`: one dense block is held at a time.  On
+    identity orbits no row is dropped or compared, since T has full column
+    rank."""
     blocks = _cg_map.orbit_sums(scenario, orbit, n_orbits)
     first = next(blocks)
     t0 = np.array(first[0].tolist(), dtype=object)
     dedupe = n_orbits < scenario.table_size
     seen = set()
-    parts, n_rows = [], 0
-    for block in itertools.chain([first[1:]], blocks):
-        if dedupe:
-            block = block[_new_rows(block, seen)]
-        row, col = np.nonzero(block)
-        parts.append((row + n_rows, col, block[row, col]))
-        n_rows += len(block)
-    row, col, val = map(np.concatenate, zip(*parts))
-    return t0, Rows(row, col, val, np.zeros(n_rows, dtype=np.int64))
+
+    def kept():
+        for block in itertools.chain([first[1:]], blocks):
+            if dedupe:
+                block = block[_new_rows(block, seen)]
+            yield block, np.zeros(len(block), dtype=np.int64)
+
+    return t0, _dense_rows(kept())
 
 
 class NsOptimum(NamedTuple):
@@ -669,7 +646,7 @@ def _rows_invariant_under(rows: Rows, perm, keys: set) -> bool:
     every permuted row's key from :func:`_row_keys` is in ``keys``, the
     set of the rows' own keys."""
     permuted = _sorted_rows(rows.row, np.asarray(perm)[rows.col], rows.val, rows.rhs)
-    return all(key in keys for _, key in _row_keys(permuted))
+    return all(key in keys for key in _row_keys(permuted))
 
 
 def tobl_max(expression: BellExpression) -> ToblOptimum:
@@ -698,20 +675,21 @@ def tobl_max(expression: BellExpression) -> ToblOptimum:
     layout = _ToblLayout(scen)
     rows = layout.rows()
     objective = _table_objective(expression)
-    # the objective's numerators, one per variable, for the invariance checks
-    obj_nums = np.zeros(layout.n_vars, dtype=object)
-    obj_nums[list(objective)] = _integers(objective.values())[0]
-
-    keys = {key for _, key in _row_keys(rows)}
     perms = []
-    for sym in expression.party_symmetries:
-        if not expression_invariant_under(expression, sym):
-            continue
-        perm = layout.variable_permutation(sym)
-        if (obj_nums[perm] == obj_nums).all() and _rows_invariant_under(rows, perm, keys):
-            perms.append(perm)
+    if expression.party_symmetries:
+        # the objective's numerators, one per variable, and the rows' keys,
+        # for the invariance checks
+        obj_nums = np.zeros(layout.n_vars, dtype=object)
+        obj_nums[list(objective)] = _integers(objective.values())[0]
+        keys = set(_row_keys(rows))
+        for sym in expression.party_symmetries:
+            if not expression_invariant_under(expression, sym):
+                continue
+            perm = layout.variable_permutation(sym)
+            if (obj_nums[perm] == obj_nums).all() and _rows_invariant_under(rows, perm, keys):
+                perms.append(perm)
 
-    value, solution = _solve_collapsed(layout.n_vars, objective, rows, perms, "TOBL")
+    value, solution = _solve_collapsed(layout.n_vars, objective, rows, perms)
 
     # full-model feasibility recheck of the (possibly expanded) solution, in
     # integers over the solution's common denominator

@@ -7,8 +7,9 @@ outcome of the other parties, as integer arrays built from mixed-radix
 strides; ``test_polytope`` checks them against the per-tuple rows of
 ``ns_oracle.ns_rows``.  ``ns_lp_max`` solves the LP over the table entries
 themselves on those rows, collapsed onto the orbits of the expression's
-symmetries (each permutation from ``Symmetry.table_permutation``), with the
-exact simplex.  It shares no model-building code with ``ns_max``.
+symmetries (each permutation from ``Symmetry.table_permutation``) by
+``collapse``, one row at a time in Python numbers, with the exact simplex.
+It shares no model-building, orbit-sum or dedupe code with ``ns_max``.
 """
 
 from __future__ import annotations
@@ -55,19 +56,43 @@ def ns_equality_rows(scenario) -> lp.Rows:
     )
 
 
+def collapse(rows, orbit):
+    """``(coeffs, rhs)`` pairs summed per orbit; a row is dropped when empty
+    (its right-hand side must be zero) or when it equals an earlier row
+    after division by its leading coefficient."""
+    seen = set()
+    out = []
+    for coeffs, rhs in rows:
+        acc = {}
+        for j, v in coeffs.items():
+            acc[orbit[j]] = acc.get(orbit[j], 0) + v
+        items = tuple(sorted((o, v) for o, v in acc.items() if v))
+        if not items:
+            assert rhs == 0
+            continue
+        lead = items[0][1]
+        key = (tuple((o, Fraction(v, lead)) for o, v in items), Fraction(rhs, lead))
+        if key not in seen:
+            seen.add(key)
+            out.append((dict(items), rhs))
+    return out
+
+
 def ns_lp_max(expression):
     """The no-signaling maximum and an optimal table (a list of
     ``Fraction``s), from the LP over the table entries, collapsed onto the
     orbits of the expression's symmetries."""
     scen = expression.scenario
     perms = [sym.table_permutation(scen) for sym in expression.party_symmetries]
-    orbit = polytope._orbits_of_permutations(scen.table_size, perms)
-    rows = polytope._collapse_rows(ns_equality_rows(scen), orbit)
-    orbit = orbit.tolist()
+    orbit = polytope._orbits_of_permutations(scen.table_size, perms).tolist()
+    rows = ns_equality_rows(scen)
+    pairs = [({}, b) for b in rows.rhs.tolist()]
+    for i, j, v in zip(rows.row.tolist(), rows.col.tolist(), rows.val.tolist()):
+        pairs[i][0][j] = v
     objective = [Fraction(0)] * (max(orbit) + 1)
     na = scen.n_outputs
     for (x, a), c in expression.coeffs.items():
         objective[orbit[x * na + a]] += c
-    res = lp.solve(lp.make_problem(objective, rows))
+    res = lp.solve(lp.make_problem(objective, collapse(pairs, orbit)))
     assert res.status == "optimal"
     return res.value, [res.solution[o] for o in orbit]

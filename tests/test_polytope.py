@@ -15,6 +15,8 @@ from gynibell import core
 from gynibell.core import Scenario
 from gynibell.polytope import affine_rank_of_strategies
 
+from conftest import requires_slow
+
 F = Fraction
 
 
@@ -277,6 +279,16 @@ def test_ns_max_matches_full_probability_lp():
         assert len(set(opt.box._values)) == len(opt.box._values)
 
 
+@requires_slow
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_ns_max_matches_full_probability_lp_on_binary_n5(seed):
+    """Seeded random binary N = 5 expressions without symmetry: the
+    Collins-Gisin LP gives the value of the LP over the 1024 table entries,
+    which takes 6-10 s each."""
+    e = _random_expression(gb.binary_scenario(5), random.Random(seed), 12)
+    assert gb.ns_max(e).value == ns_full_lp.ns_lp_max(e)[0]
+
+
 def test_ns_max_on_binary_n5_without_symmetry_takes_the_float_basis(monkeypatch):
     """The 242-row, 1024-column Collins-Gisin LP of a seeded random
     expression on binary N = 5 with no symmetry: the float pass's basis
@@ -434,28 +446,6 @@ def _orbits_oracle(n, perms):
     return orbit
 
 
-def _collapse_oracle(rows, orbit):
-    """``(coeffs, rhs)`` pairs summed per orbit; a row is dropped when empty
-    or when it equals an earlier row after division by its leading
-    coefficient."""
-    seen = set()
-    out = []
-    for coeffs, rhs in rows:
-        acc = {}
-        for j, v in coeffs.items():
-            acc[orbit[j]] = acc.get(orbit[j], 0) + v
-        items = tuple(sorted((o, v) for o, v in acc.items() if v))
-        if not items:
-            assert rhs == 0
-            continue
-        lead = items[0][1]
-        key = (tuple((o, F(v, lead)) for o, v in items), F(rhs, lead))
-        if key not in seen:
-            seen.add(key)
-            out.append((dict(items), rhs))
-    return out
-
-
 def _cg_orbit_sums_oracle(scen, orbit):
     """``(coeffs, 0)`` pairs, one per Collins-Gisin coordinate, accumulated
     one table entry at a time: outcome a < d - 1 of input x has coefficient
@@ -498,7 +488,7 @@ def test_collapse_rows_match_fraction_oracle_gyni(n):
     assert _pairs(sums) == oracle
     t0, rows = polytope._cg_rows(scen, orbit, n_orbits)
     assert t0.tolist() == [oracle[0][0].get(o, 0) for o in range(n_orbits)]
-    assert _pairs(rows) == _collapse_oracle(oracle[1:], list(range(n_orbits)))
+    assert _pairs(rows) == ns_full_lp.collapse(oracle[1:], list(range(n_orbits)))
     assert len(rows) < len(oracle) - 1
 
 
@@ -543,14 +533,32 @@ def test_tobl_rows_and_collapse_match_fraction_oracle():
     oracle = _tobl_rows_oracle(layout)
     assert _pairs(rows) == oracle
     perms = [layout.variable_permutation(sym) for sym in e.party_symmetries]
-    keys = {key for _, key in polytope._row_keys(rows)}
+    keys = set(polytope._row_keys(rows))
     assert perms and all(polytope._rows_invariant_under(rows, p, keys) for p in perms)
     swap = list(range(layout.n_vars))
     swap[0], swap[layout.n_table - 1] = layout.n_table - 1, 0
     assert not polytope._rows_invariant_under(rows, swap, keys)
     orbit = polytope._orbits_of_permutations(layout.n_vars, perms)
     assert orbit.tolist() == _orbits_oracle(layout.n_vars, perms)
-    assert _pairs(polytope._collapse_rows(rows, orbit)) == _collapse_oracle(oracle, orbit.tolist())
+    posed = _posed_rows(layout.n_vars, rows, perms)
+    assert _pairs(posed) == ns_full_lp.collapse(oracle, orbit.tolist())
+
+
+class _Posed(Exception):
+    pass
+
+
+def _posed_rows(n, rows, perms):
+    """The rows ``polytope._solve_collapsed`` poses to the LP for the
+    permutations ``perms`` of ``n`` variables, the solve stopped there."""
+
+    def stop(objective, rows):
+        raise _Posed(rows)
+
+    with pytest.MonkeyPatch.context() as m, pytest.raises(_Posed) as posed:
+        m.setattr(lp, "make_problem", stop)
+        polytope._solve_collapsed(n, {}, rows, perms)
+    return posed.value.args[0]
 
 
 def _ns_identity(scenario):
@@ -560,13 +568,15 @@ def _ns_identity(scenario):
     orbit = polytope._orbits_of_permutations(n, [])
     assert orbit.tolist() == list(range(n))
     sums = _orbit_sum_rows(scenario, orbit, n)
-    return polytope._select(sums, np.arange(1, len(sums))), polytope._cg_rows(scenario, orbit, n)[1]
+    at = sums.row > 0
+    built = lp.Rows(sums.row[at] - 1, sums.col[at], sums.val[at], sums.rhs[1:])
+    return built, polytope._cg_rows(scenario, orbit, n)[1]
 
 
 def _tobl_identity():
     layout = polytope._ToblLayout(gb.binary_scenario(3))
     rows = layout.rows()
-    return rows, polytope._collapse_rows(rows, polytope._orbits_of_permutations(layout.n_vars, []))
+    return rows, _posed_rows(layout.n_vars, rows, [])
 
 
 @pytest.mark.parametrize(
@@ -596,7 +606,7 @@ def test_collapse_on_identity_orbits_returns_the_rows(model, n_rows):
 def test_collapse_rows_keeps_first_of_proportional_rows():
     """With x0 ~ x2 and x1 ~ x3: row 1 is row 0 negated, row 3 is row 2
     halved, row 4 vanishes with a zero right-hand side.  Rows 0 and 2 are
-    kept as they stand; a vanished row with a nonzero right-hand side
+    posed as they stand; a vanished row with a nonzero right-hand side
     raises."""
     rows = lp.Rows(
         row=np.array([0, 0, 1, 1, 2, 2, 3, 3, 4, 4]),
@@ -604,11 +614,11 @@ def test_collapse_rows_keeps_first_of_proportional_rows():
         val=np.array([-1, 1, 1, -1, 2, 2, 1, 1, 1, -1]),
         rhs=np.array([0, 0, 2, 1, 0]),
     )
-    orbit = np.array([0, 1, 0, 1])
+    perms = [[2, 3, 0, 1]]
     kept = [({0: -1, 1: 1}, 0), ({0: 2, 1: 2}, 2)]
-    assert _pairs(polytope._collapse_rows(rows, orbit)) == kept
+    assert _pairs(_posed_rows(4, rows, perms)) == kept
     with pytest.raises(lp.LPError, match="inconsistent collapsed row"):
-        polytope._collapse_rows(dataclasses.replace(rows, rhs=np.array([0, 0, 2, 1, 1])), orbit)
+        _posed_rows(4, dataclasses.replace(rows, rhs=np.array([0, 0, 2, 1, 1])), perms)
 
 
 def _from_pairs(pairs):
@@ -619,21 +629,16 @@ def _from_pairs(pairs):
     return lp.Rows(row, col, val, np.array([b for _, b in pairs], dtype=np.int64))
 
 
-def test_first_distinct_tells_rows_apart_by_rhs_and_length():
-    """Equal coefficients with right-hand sides 1 and 2 are distinct rows,
-    and so are rows of different lengths, even where one's key is the start
-    of the other's ({0: 1} = 2 is the int64s 0, 1, 2; {0: 2, 1: 3} = 1 is
-    0, 1, 2, 3, 1).  Rows -2 times an earlier one, right-hand side
-    included, are dropped."""
-    rows = _from_pairs([
-        ({0: 1, 1: 1}, 1),
-        ({0: 1, 1: 1}, 2),
-        ({0: 1}, 2),
-        ({0: 2, 1: 3}, 1),
-        ({0: -2, 1: -2}, -4),
-        ({0: -2}, -4),
-    ])
-    assert polytope._first_distinct(rows).tolist() == [0, 1, 2, 3]
+def test_new_rows_tell_rows_apart_by_rhs():
+    """Dense rows, the right-hand side last: equal coefficients with
+    right-hand sides 1 and 2 are distinct rows, and so are x0 = 2 and
+    2 x0 + 3 x1 = 1.  Rows -2 times an earlier one, right-hand side
+    included, are dropped, also when the earlier one came in a previous
+    block; a zero row is not kept."""
+    block = np.array([[1, 1, 1], [1, 1, 2], [1, 0, 2], [2, 3, 1], [-2, -2, -4], [0, 0, 0]])
+    seen = set()
+    assert polytope._new_rows(block, seen) == [0, 1, 2, 3]
+    assert polytope._new_rows(np.array([[-2, 0, -4], [0, 1, 1]]), seen) == [1]
 
 
 def test_rows_invariant_under_a_permutation_that_negates_a_row():
@@ -641,10 +646,10 @@ def test_rows_invariant_under_a_permutation_that_negates_a_row():
     constraint, so the rows are invariant; x0 - x1 = 1 maps onto
     x1 - x0 = 1, which is not among the rows."""
     rows = _from_pairs([({0: 1, 1: -1}, 0), ({2: 1}, 1)])
-    keys = {key for _, key in polytope._row_keys(rows)}
+    keys = set(polytope._row_keys(rows))
     assert polytope._rows_invariant_under(rows, [1, 0, 2], keys)
     rows = _from_pairs([({0: 1, 1: -1}, 1), ({2: 1}, 1)])
-    keys = {key for _, key in polytope._row_keys(rows)}
+    keys = set(polytope._row_keys(rows))
     assert not polytope._rows_invariant_under(rows, [1, 0, 2], keys)
     assert polytope._rows_invariant_under(rows, [0, 1, 2], keys)
 
@@ -652,15 +657,20 @@ def test_rows_invariant_under_a_permutation_that_negates_a_row():
 @pytest.mark.parametrize("field", ["col", "val", "rhs"])
 def test_row_keys_refuse_object_arrays(field):
     """The keys are the bytes of int64 arrays; an object array's bytes are
-    pointers, so it raises instead of comparing them."""
+    pointers, so the row keys of the invariance check and of dense blocks
+    raise instead of comparing them."""
     rows = _from_pairs([({0: 1, 1: 2}, 3), ({0: 2, 1: 4}, 6)])
-    assert polytope._first_distinct(rows).tolist() == [0]
+    assert len(set(polytope._row_keys(rows))) == 1
     bad = dataclasses.replace(rows, **{field: getattr(rows, field).astype(object)})
     with pytest.raises(TypeError, match="object arrays"):
-        polytope._first_distinct(bad)
+        list(polytope._row_keys(bad))
     if field != "col":
         with pytest.raises(TypeError, match="object arrays"):
             polytope._rows_invariant_under(bad, [1, 0], set())
+    block = np.array([[1, 2, 3], [2, 4, 6]])
+    assert polytope._new_rows(block, set()) == [0]
+    with pytest.raises(TypeError, match="object arrays"):
+        polytope._new_rows(block.astype(object), set())
 
 
 # ---------------------------------------------------------------------------
