@@ -15,10 +15,10 @@ blocks (TOBL's with the right-hand side as one more column; the
 no-signaling right-hand sides are zero); the first of each set of rows
 equal up to a nonzero factor is kept by looking up the bytes of the
 normalized dense rows in one Python set (:func:`_new_rows`); and
-:func:`_dense_rows` turns the kept rows into one :class:`lp.Rows`.  The TOBL invariance checks are
-sparse, since the 404 uncollapsed rows over 1600 variables hold 14272
-nonzeros: they look up the keys of the permuted rows in the set of the
-rows' own keys.
+:func:`_dense_rows` turns the kept rows into one :class:`lp.Rows`.  The
+TOBL invariance checks are sparse, since the 404 uncollapsed rows over
+1600 variables hold 14272 nonzeros: they look up the keys of the permuted
+rows in the set of the rows' own keys.
 Every optimizer hands back a certificate (an optimal box, a convex
 decomposition, or a separating inequality) that is re-verified with exact
 arithmetic before being returned.
@@ -675,19 +675,21 @@ def tobl_max(expression: BellExpression) -> ToblOptimum:
     layout = _ToblLayout(scen)
     rows = layout.rows()
     objective = _table_objective(expression)
+    # the objective's numerators, one per variable, and the set of the rows'
+    # keys, built at the first symmetry that fixes the expression, for the
+    # invariance checks
+    obj_nums = np.zeros(layout.n_vars, dtype=object)
+    obj_nums[list(objective)] = _integers(objective.values())[0]
+    keys = None
     perms = []
-    if expression.party_symmetries:
-        # the objective's numerators, one per variable, and the rows' keys,
-        # for the invariance checks
-        obj_nums = np.zeros(layout.n_vars, dtype=object)
-        obj_nums[list(objective)] = _integers(objective.values())[0]
-        keys = set(_row_keys(rows))
-        for sym in expression.party_symmetries:
-            if not expression_invariant_under(expression, sym):
-                continue
-            perm = layout.variable_permutation(sym)
-            if (obj_nums[perm] == obj_nums).all() and _rows_invariant_under(rows, perm, keys):
-                perms.append(perm)
+    for sym in expression.party_symmetries:
+        if not expression_invariant_under(expression, sym):
+            continue
+        perm = layout.variable_permutation(sym)
+        if keys is None:
+            keys = set(_row_keys(rows))
+        if (obj_nums[perm] == obj_nums).all() and _rows_invariant_under(rows, perm, keys):
+            perms.append(perm)
 
     value, solution = _solve_collapsed(layout.n_vars, objective, rows, perms)
 

@@ -592,12 +592,14 @@ def _tobl_identity():
 )
 def test_collapse_on_identity_orbits_returns_the_rows(model, n_rows):
     """With no permutations every variable is its own orbit, and no row of
-    the uncollapsed models repeats another up to a factor: the LP gets the
-    Collins-Gisin rows (one per coordinate but the constant) and the TOBL
-    rows as built, row, column, value and right-hand side arrays equal,
-    dtype included."""
+    the uncollapsed models is empty or repeats another up to a factor (the
+    reference collapse keeps them all): the LP gets the Collins-Gisin rows
+    (one per coordinate but the constant) and the TOBL rows as built, row,
+    column, value and right-hand side arrays equal, dtype included."""
     built, kept = model()
     assert len(built) == n_rows
+    pairs = _pairs(built)
+    assert ns_full_lp.collapse(pairs, range(int(built.col.max()) + 1)) == pairs
     for field in dataclasses.fields(lp.Rows):
         a, b = getattr(kept, field.name), getattr(built, field.name)
         assert a.dtype == b.dtype and np.array_equal(a, b), field.name
