@@ -3,10 +3,16 @@
 One problem form: maximize ``c.x`` subject to equality rows ``A x = b`` over
 ``x >= 0``.  An inequality or a variable bound is written as an equality
 row with its own slack column.  The rows are one :class:`Rows`: integer
-coefficients as COO arrays and one rational right-hand side per row.  The
-model builders of :mod:`gynibell.polytope` hand theirs over as they are;
-:func:`make_problem` converts hand-written ``(coeffs, rhs)`` pairs,
-multiplying each by the lcm of its coefficients' denominators.
+coefficients as COO arrays and the right-hand sides as integer numerators
+over one positive denominator; the objective is integer numerators over one
+positive denominator too.  The model builders of :mod:`gynibell.polytope`
+hand theirs over as they are; :func:`make_problem` converts hand-written
+``(coeffs, rhs)`` pairs once, multiplying each by the lcm of its
+coefficients' denominators.  Integers stay integers from there to the
+result: an :class:`LPResult` holds every vector as integer numerators over
+one denominator, and builds ``Fraction`` views of them only when they are
+read.  ``make_problem`` and those views are the only places this module
+makes a ``Fraction``.
 
 Floats propose, integers decide.  An LP with a nonzero objective first runs
 a revised float64 two-phase simplex over the standard form's compressed
@@ -15,7 +21,7 @@ one rank-1 update per pivot and holds no tableau.  The basis it stops at
 gives candidate exact values: the basic values and the duals are solved in
 floats from the original right-hand sides and costs with the inverse it
 carried, and each is rounded to the nearest fraction with a bounded
-denominator (:func:`_candidate`).  The candidate is returned only if
+denominator, in integers (:func:`_candidate`).  The candidate is returned only if
 :func:`_verify_optimal` accepts it.  Anything else (a float verdict of
 infeasible or unbounded, the float pass's pivot ceiling, a failed
 verification) runs the exact simplex below from the all-artificial basis,
@@ -58,9 +64,9 @@ Correctness posture:
 * unbounded problems come with a verified improving ray.
 
 The verifiers read only the :class:`LPProblem` and the result, never the
-solver's standard form: the rows are integer, the right-hand sides and
-each vector become integer numerators over one common denominator, and
-every check is a Python-integer sum.
+solver's standard form: the rows are integer, the right-hand sides, the
+objective and each vector are integer numerators over one denominator as
+they are posed and returned, and every check is a Python-integer sum.
 
 Anti-cycling: pricing is best-in-first-improving-block by default (the most
 improving column, first on ties, of the first block of ``PRICE_BLOCK``
@@ -79,6 +85,7 @@ There is no presolve; exactness of the returned fractions is the point.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -87,9 +94,6 @@ import numpy as np
 
 from . import config
 from ._rank import _INT64_SAFE, _REDUCE_AT
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 #: consecutive degenerate pivots tolerated before Bland's rule engages.
 #: the primary tie-break is lexicographic, which already makes cycling all
@@ -137,48 +141,82 @@ class LPError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class Rows:
-    """Equality rows ``sum_k val[k] * x[col[k]] = rhs[i]``, the sum over the
-    entries k with ``row[k] == i``: integer COO arrays sorted by row, then
-    column, with nonzero values (int64, or Python integers past
-    ``_INT64_SAFE``), and a 1-D array of one ``int`` or ``Fraction``
-    right-hand side per row.  ``len`` is the row count."""
+    """Equality rows ``sum_k val[k] * x[col[k]] = rhs[i] / rhs_den``, the
+    sum over the entries k with ``row[k] == i``: integer COO arrays sorted
+    by row, then column, with nonzero values (int64, or Python integers past
+    ``_INT64_SAFE``), a 1-D integer array (int64, or Python integers in an
+    object array) of one right-hand side numerator per row, and their one
+    positive denominator ``rhs_den``.  ``len`` is the row count."""
 
     row: np.ndarray
     col: np.ndarray
     val: np.ndarray
     rhs: np.ndarray
+    rhs_den: int = 1
 
     def __len__(self):
         return len(self.rhs)
 
 
+def _integral(values) -> bool:
+    """Whether every value is a Python ``int``."""
+    return {int}.issuperset(map(type, values))
+
+
 @dataclass(frozen=True)
 class LPProblem:
-    """max of objective . x subject to equality rows, over x >= 0.
+    """max of ``(objective / objective_den) . x`` subject to equality rows,
+    over x >= 0: ``objective`` is a tuple of Python-integer numerators over
+    the positive integer ``objective_den``.
 
     An inequality is written as an equality row with its own slack column;
     any other bound on a variable is written as such a row.  A minimum is
-    the negated maximum of the negated objective.
+    the negated maximum of the negated objective.  Construction checks that
+    every column index lies in ``[0, n)``, every row index in ``[0,
+    len(constraints))``, and that the numerators are integers over positive
+    denominators.
     """
 
     n: int
     objective: tuple
     constraints: Rows
+    objective_den: int = 1
 
     def __post_init__(self):
+        rows = self.constraints
         if len(self.objective) != self.n:
             raise ValueError("objective length mismatch")
+        if not len(rows.row) == len(rows.col) == len(rows.val):
+            raise ValueError("row, column and value arrays differ in length")
+        if rows.col.size and not (0 <= rows.col.min() and rows.col.max() < self.n):
+            raise ValueError(f"a column index lies outside [0, {self.n})")
+        if rows.row.size and not (0 <= rows.row.min() and rows.row.max() < len(rows)):
+            raise ValueError(f"a row index lies outside the {len(rows)} right-hand sides")
+        if rows.rhs.dtype.kind != "i" and not _integral(rows.rhs.tolist()):
+            raise ValueError("right-hand sides must be integer numerators over rhs_den")
+        if not _integral(self.objective):
+            raise ValueError("objective must be integer numerators over objective_den")
+        if not (self.objective_den > 0 and rows.rhs_den > 0):
+            raise ValueError("denominators must be positive")
 
 
-def make_problem(objective, constraints) -> LPProblem:
-    """The LP max ``objective . x`` over ``constraints``: a :class:`Rows`,
-    or ``(coeffs, rhs)`` pairs whose coefficients are a dense sequence or an
-    ``{index: value}`` dict of rationals.  Each pair is multiplied by the
-    lcm of its coefficients' denominators, so certificates refer to the
-    integer rows in ``problem.constraints``."""
-    obj = tuple(Fraction(c) for c in objective)
+def make_problem(objective, constraints, objective_den: int = 1) -> LPProblem:
+    """The LP max ``objective . x / objective_den`` over ``constraints``: a
+    :class:`Rows`, or ``(coeffs, rhs)`` pairs whose coefficients are a dense
+    sequence or an ``{index: value}`` dict of rationals.  Each pair is
+    multiplied by the lcm of its coefficients' denominators, so certificates
+    refer to the integer rows in ``problem.constraints``, and the
+    right-hand sides become numerators over their lcm.  An objective of
+    integers is taken as it is; other rationals become numerators over
+    their lcm."""
+    obj = list(objective)
+    if not _integral(obj):
+        obj = [Fraction(c) for c in obj]
+        den = math.lcm(*(c.denominator for c in obj))
+        obj = [int(c.numerator) * (den // c.denominator) for c in obj]
+        objective_den *= den
     if isinstance(constraints, Rows):
-        return LPProblem(len(obj), obj, constraints)
+        return LPProblem(len(obj), tuple(obj), constraints, objective_den)
     row, col, val, rhs = [], [], [], []
     for i, (coeffs, b) in enumerate(constraints):
         items = sorted(coeffs.items()) if isinstance(coeffs, dict) else enumerate(coeffs)
@@ -188,19 +226,47 @@ def make_problem(objective, constraints) -> LPProblem:
         col += [j for j, _ in items]
         val += [v.numerator * (scale // v.denominator) for _, v in items]
         rhs.append(Fraction(b) * scale)
+    den = math.lcm(*(b.denominator for b in rhs))
     big = max(map(abs, val), default=0) >= _INT64_SAFE
     rows = Rows(
         np.array(row, dtype=np.intp),
         np.array(col, dtype=np.intp),
         np.array(val, dtype=object if big else np.int64),
-        np.array(rhs, dtype=object),
+        np.array([int(b.numerator) * (den // b.denominator) for b in rhs], dtype=object),
+        den,
     )
-    return LPProblem(len(obj), obj, rows)
+    return LPProblem(len(obj), tuple(obj), rows, objective_den)
+
+
+def _lowest(nums, den) -> tuple:
+    """``(nums, den)`` divided by the gcd of ``den`` and every numerator,
+    the numerators as a tuple of Python integers: the one form of a vector
+    of rationals over a common positive denominator with nothing left to
+    cancel, so equal vectors compare equal."""
+    g = math.gcd(den, *nums)
+    return tuple(v // g for v in nums), den // g
+
+
+def _over_one_denominator(nums, dens) -> tuple:
+    """The rationals ``nums[i] / dens[i]`` (every ``dens[i] > 0``) as
+    numerators over their least common denominator (:func:`_lowest`)."""
+    den = math.lcm(*set(dens))
+    return _lowest([v * (den // d) for v, d in zip(nums, dens)], den)
 
 
 @dataclass
 class LPResult:
     """Solver outcome with exact certificates.
+
+    Every rational is held as integers: ``value_ints`` is ``(numerator,
+    denominator)``, and ``solution_ints``, ``dual_ints``, ``farkas_ints``
+    and ``ray_ints`` are each ``(numerators, denominator)``, a tuple of
+    Python integers over one positive denominator, in lowest terms (no
+    common factor of the denominator and every numerator), so equal results
+    compare equal.  ``value``, ``solution``, ``dual``, ``farkas`` and
+    ``ray`` are their ``Fraction`` views, built the first time they are
+    read, with equal values one object: LP solutions and certificates repeat
+    a few distinct values many times, and callers keep them.
 
     ``dual`` (optimal): one multiplier per constraint, with
     ``value == dual . rhs``.
@@ -216,16 +282,46 @@ class LPResult:
     """
 
     status: str
-    value: Fraction | None = None
-    solution: tuple | None = None
-    dual: tuple | None = None
-    farkas: tuple | None = None
-    ray: tuple | None = None
+    value_ints: tuple | None = None
+    solution_ints: tuple | None = None
+    dual_ints: tuple | None = None
+    farkas_ints: tuple | None = None
+    ray_ints: tuple | None = None
     pivots: int = 0
     phase1_pivots: int = 0
     degenerate_pivots: int = 0
     bland_engaged: bool = False
     float_pivots: int = 0
+
+    @functools.cached_property
+    def value(self) -> Fraction | None:
+        return None if self.value_ints is None else Fraction(*self.value_ints)
+
+    @functools.cached_property
+    def solution(self) -> tuple | None:
+        return self._fractions(self.solution_ints)
+
+    @functools.cached_property
+    def dual(self) -> tuple | None:
+        return self._fractions(self.dual_ints)
+
+    @functools.cached_property
+    def farkas(self) -> tuple | None:
+        return self._fractions(self.farkas_ints)
+
+    @functools.cached_property
+    def ray(self) -> tuple | None:
+        return self._fractions(self.ray_ints)
+
+    @staticmethod
+    def _fractions(ints) -> tuple | None:
+        """The ``Fraction`` tuple of ``(numerators, denominator)``, one
+        object per distinct value."""
+        if ints is None:
+            return None
+        nums, den = ints
+        made = {k: Fraction(k, den) for k in set(nums)}
+        return tuple(map(made.__getitem__, nums))
 
 
 # ---------------------------------------------------------------------------
@@ -236,15 +332,22 @@ class LPResult:
 
 
 class _Standard:
-    __slots__ = ("m", "n", "indptr", "indices", "data", "colabs", "b", "phase2_cost", "row_mult")
+    __slots__ = (
+        "m", "n", "indptr", "indices", "data", "colabs", "b", "b_scale", "phase2_cost",
+        "c_scale", "row_mult",
+    )
 
 
 def _standardize(problem: LPProblem) -> _Standard:
     """Convert to ``min -objective.x, A x = b, x >= 0`` with ``b >= 0``.
 
-    Each row with a negative right-hand side is negated; ``row_mult``
-    records the signs so duals and Farkas certificates map back to the rows
-    as given.  The columns are stored once, compressed: column ``j`` holds
+    ``b`` and ``phase2_cost`` are lists of integer numerators over the
+    positive ``b_scale`` and ``c_scale``, read off the problem's and
+    divided by their gcd, so each scale is the lcm of the denominators of
+    its rationals in lowest terms, however the problem was posed.  Each row
+    with a negative right-hand side is negated; ``row_mult`` records the
+    signs so duals and Farkas certificates map back to the rows as
+    given.  The columns are stored once, compressed: column ``j`` holds
     rows ``indices[indptr[j]:indptr[j + 1]]`` (ascending) with the integers
     ``data`` at the same positions (int64 if every one is below the guard);
     ``colabs[j]`` is the sum of the column's absolute values.
@@ -254,7 +357,8 @@ def _standardize(problem: LPProblem) -> _Standard:
     std.m, std.n = len(rows), n
     rhs = rows.rhs.tolist()
     std.row_mult = [-1 if b < 0 else 1 for b in rhs]
-    std.b = [k * b for k, b in zip(std.row_mult, rhs)]
+    rhs, std.b_scale = _lowest(rhs, rows.rhs_den)
+    std.b = [abs(b) for b in rhs]
     # a stable sort by column keeps each column's rows ascending
     order = np.argsort(rows.col, kind="stable")
     std.indices = rows.row[order]
@@ -272,17 +376,9 @@ def _standardize(problem: LPProblem) -> _Standard:
     if nonempty.size:
         colabs[nonempty] = np.add.reduceat(absd, std.indptr[nonempty])
     std.colabs = colabs.tolist()
-    std.phase2_cost = [-c for c in problem.objective]
+    cost, std.c_scale = _lowest(problem.objective, problem.objective_den)
+    std.phase2_cost = [-c for c in cost]
     return std
-
-
-def _scaled_integers(values):
-    """Integers ``values * scale`` and the least positive ``scale`` making
-    every one of the rationals integral."""
-    scale = 1
-    for v in values:
-        scale = math.lcm(scale, v.denominator)
-    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +406,8 @@ class _Simplex:
     ``M[:, :m]`` holds the numerators of the basis inverse, row ``i`` over
     the positive denominator ``bden[i]``; a row is reduced by its gcd with
     the denominator once its entries reach ``_REDUCE_AT``.  The last column
-    ``M[:, m]`` is the inverse applied to the right-hand side scaled to
-    integers (``b_scale * b``), so basic value ``i`` is
+    ``M[:, m]`` is the inverse applied to the right-hand side numerators
+    ``b_scale * b`` of the standard form, so basic value ``i`` is
     ``M[i, m] / (bden[i] * b_scale)`` and the row operations of a pivot keep
     it current.  A pivot updates the touched rows of ``M`` in place, a block
     of rows at a time, and allocates nothing of size m x m.  The duals are
@@ -349,13 +445,13 @@ class _Simplex:
         self.colabs = std.colabs
         self.colabs_max = max(std.colabs, default=0)
 
-        b_int, self.b_scale = _scaled_integers(std.b)
-        self.big = std.data.dtype == object or max(map(abs, b_int), default=0) >= _INT64_SAFE
+        self.b_scale = std.b_scale
+        self.big = std.data.dtype == object or max(std.b, default=0) >= _INT64_SAFE
         dtype = object if self.big else np.int64
         self.data = std.data.astype(dtype, copy=False)
         self.M = np.zeros((m, m + 1), dtype=dtype)
         np.fill_diagonal(self.M, 1)
-        self.M[:, m] = b_int
+        self.M[:, m] = std.b
         self.bden = np.ones(m, dtype=dtype)
         self.cost = np.zeros(0, dtype=dtype)
         self.ynum = np.zeros(m, dtype=dtype)
@@ -380,10 +476,11 @@ class _Simplex:
 
     # -- duals and pricing
 
-    def _set_cost(self, cost):
-        """Integer costs over one scale, and the duals of the current basis
-        computed from scratch: ``y = c_B B^-1``."""
-        ints, self.cscale = _scaled_integers(cost)
+    def _set_cost(self, ints, cscale):
+        """The cost numerators ``ints`` over the positive ``cscale``, and
+        the duals of the current basis computed from scratch:
+        ``y = c_B B^-1``."""
+        self.cscale = cscale
         self.cmax = max(map(abs, ints), default=0)
         self._fits(self.cmax, self.cscale)
         self.cost = np.array(ints, dtype=self.M.dtype)
@@ -638,9 +735,10 @@ class _Simplex:
             bden[t] //= g
             self.rowmax[t] = np.abs(sub).max(axis=1)
 
-    def run(self, cost) -> str:
-        """Minimize ``cost`` from the current basis; 'optimal' or 'unbounded'."""
-        self._set_cost(cost)
+    def run(self, cost, cscale) -> str:
+        """Minimize ``cost / cscale`` (integer numerators over a positive
+        scale) from the current basis; 'optimal' or 'unbounded'."""
+        self._set_cost(cost, cscale)
         streak = 0
         bland = False
         while True:
@@ -679,9 +777,6 @@ class _Simplex:
             bland_engaged=self.bland_engaged,
             float_pivots=float_pivots,
         )
-
-    def basic_value(self, i) -> Fraction:
-        return Fraction(int(self.M[i, self.m]), int(self.bden[i]) * self.b_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -788,18 +883,16 @@ def _refined(inverse, row, col, val, rhs):
     return z + (inverse * residual).sum(axis=1)
 
 
-def _candidate(
-    problem: LPProblem, std: _Standard, data, b, b_scale, cost, c_scale, basis, inverse
-):
+def _candidate(problem: LPProblem, std: _Standard, data, b, cost, basis, inverse):
     """The optimum that a basis of the float standard form (the columns of
     ``std`` with float ``data``, ``b``, ``cost``) and its float ``inverse``
     propose, exact but unverified; None if a float solved from them is not
     finite (an inverse grown past the float range).  ``b`` and ``cost`` are
-    the integers ``std.b * b_scale`` and ``std.phase2_cost * c_scale``: the
-    basic values and the duals are solved from them in floats, each rounded
-    to the nearest fraction with a denominator of at most
-    ``_GUIDE_DENOMINATOR``, and divided by the scale, so the right-hand
-    sides' and costs' own denominators do not count against that bound."""
+    the numerators ``std.b`` and ``std.phase2_cost`` as floats: the basic
+    values and the duals are solved from them in floats and rounded
+    (:func:`_rounded`) over ``std.b_scale`` and ``std.c_scale``, so the
+    right-hand sides' and costs' own denominators do not count against the
+    rounding's bound."""
     m, n = std.m, std.n
     structural = (basis < n).nonzero()[0]
     artificial = (basis >= n).nonzero()[0]
@@ -819,48 +912,81 @@ def _candidate(
     y = _refined(inverse.T, col, row, val, cost_b) * -np.array(std.row_mult)
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         return None
-    solution = [_ZERO] * n
-    for j, v in zip(cols.tolist(), _rounded(x[structural], b_scale)):
+    basic, xden = _rounded(x[structural], std.b_scale)
+    solution = [0] * n
+    for j, v in zip(cols.tolist(), basic):
         solution[j] = v
-    value = sum((c * v for c, v in zip(problem.objective, solution) if v), _ZERO)
     return LPResult(
         status="optimal",
-        value=value,
-        solution=_shared(solution),
-        dual=_shared(_rounded(y, c_scale)),
+        value_ints=_value(problem, solution, xden),
+        solution_ints=(tuple(solution), xden),
+        dual_ints=_rounded(y, std.c_scale),
     )
 
 
-def _rounded(values: np.ndarray, scale: int) -> list:
+def _nearest(p: int, q: int) -> tuple:
+    """``(numerator, denominator)`` in lowest terms of the fraction nearest
+    to ``p / q`` (in lowest terms, ``q > 0``) among those with a denominator
+    of at most ``_GUIDE_DENOMINATOR``, the one with the smaller denominator
+    on a tie: the choice of ``Fraction.limit_denominator``, from the same
+    continued fraction convergents, in integers."""
+    bound = _GUIDE_DENOMINATOR
+    if q <= bound:
+        return p, q
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = p, q
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > bound:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (bound - q0) // q1
+    p2, q2 = p0 + k * p1, q0 + k * q1
+    # |p1/q1 - p/q| <= |p2/q2 - p/q|, cleared of denominators
+    if abs(p1 * q - p * q1) * q2 <= abs(p2 * q - p * q2) * q1:
+        return p1, q1
+    return p2, q2
+
+
+def _rounded(values: np.ndarray, scale: int) -> tuple:
     """Each float of ``values`` rounded to the nearest fraction with a
-    denominator of at most ``_GUIDE_DENOMINATOR``, over ``scale``; equal
-    floats give one object, and one too small to round to anything but
-    zero gives zero at once."""
-    rounded, out = {}, []
-    for v in values.tolist():
-        if abs(v) * 2 * _GUIDE_DENOMINATOR < 1:
-            out.append(_ZERO)
-            continue
-        if v not in rounded:
-            rounded[v] = Fraction(v).limit_denominator(_GUIDE_DENOMINATOR) / scale
-        out.append(rounded[v])
-    return out
+    denominator of at most ``_GUIDE_DENOMINATOR`` (:func:`_nearest`), over
+    ``scale``: numerators over one denominator, in lowest terms.  Each
+    distinct float is rounded once, and one too small to round to anything
+    but zero gives zero at once."""
+    values = values.tolist()
+    nearest = {
+        v: (0, 1) if abs(v) * 2 * _GUIDE_DENOMINATOR < 1 else _nearest(*v.as_integer_ratio())
+        for v in set(values)
+    }
+    den = math.lcm(*(q for _, q in nearest.values()))
+    scaled = {v: p * (den // q) for v, (p, q) in nearest.items()}
+    return _lowest([scaled[v] for v in values], den * scale)
+
+
+def _value(problem: LPProblem, x, xden: int) -> tuple:
+    """``(numerator, denominator)`` in lowest terms of the objective at the
+    point ``x / xden``."""
+    num = sum(c * v for c, v in zip(problem.objective, x) if v)
+    den = problem.objective_den * xden
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def _guided(problem: LPProblem, std: _Standard):
     """The optimum that the float pass proposes if it verifies, else None,
     and the float pivots spent."""
-    b, b_scale = _scaled_integers(std.b)
-    cost, c_scale = _scaled_integers(std.phase2_cost)
     try:
         data = std.data.astype(float)
-        b, cost = np.array(b, dtype=float), np.array(cost, dtype=float)
+        b, cost = np.array(std.b, dtype=float), np.array(std.phase2_cost, dtype=float)
     except OverflowError:  # an entry past the float range
         return None, 0
     basis, inverse, float_pivots = _float_basis(std.indptr, std.indices, data, b, cost)
     if basis is None:
         return None, float_pivots
-    res = _candidate(problem, std, data, b, b_scale, cost, c_scale, basis, inverse)
+    res = _candidate(problem, std, data, b, cost, basis, inverse)
     if res is None:
         return None, float_pivots
     res.float_pivots = float_pivots
@@ -890,7 +1016,7 @@ def solve(problem: LPProblem) -> LPResult:
     sx = _Simplex(std)
     n, m = std.n, std.m
 
-    status = sx.run([0] * n + [1] * m)
+    status = sx.run([0] * n + [1] * m, 1)
     if status == "unbounded":
         raise LPError("phase 1 cannot be unbounded; solver invariant broken")
     phase1 = sx.pivots
@@ -899,72 +1025,60 @@ def solve(problem: LPProblem) -> LPResult:
         farkas = _row_multipliers(std, sx, 1)
         _verify_infeasible(problem, farkas)
         return LPResult(
-            status="infeasible", farkas=_shared(farkas), **sx.counts(phase1, float_pivots)
+            status="infeasible", farkas_ints=farkas, **sx.counts(phase1, float_pivots)
         )
 
-    status = sx.run(std.phase2_cost + [0] * m)
+    status = sx.run(std.phase2_cost + [0] * m, std.c_scale)
     if status == "unbounded":
         ray = _recover_ray(std, sx)
         _verify_ray(problem, ray)
-        return LPResult(status="unbounded", ray=_shared(ray), **sx.counts(phase1, float_pivots))
+        return LPResult(status="unbounded", ray_ints=ray, **sx.counts(phase1, float_pivots))
 
-    solution = [_ZERO] * n
-    for i, bj in enumerate(sx.basis.tolist()):
+    # basic value i is M[i, m] / (bden[i] * b_scale)
+    nums, dens = [0] * n, [1] * n
+    for bj, v, d in zip(sx.basis.tolist(), sx.M[:, m].tolist(), sx.bden.tolist()):
         if bj < n:
-            solution[bj] = sx.basic_value(i)
-    value = sum((c * v for c, v in zip(problem.objective, solution) if v), _ZERO)
+            nums[bj], dens[bj] = v, d * sx.b_scale
+    x, xden = _over_one_denominator(nums, dens)
     res = LPResult(
         status="optimal",
-        value=value,
-        solution=_shared(solution),
-        dual=_shared(_row_multipliers(std, sx, -1)),
+        value_ints=_value(problem, x, xden),
+        solution_ints=(x, xden),
+        dual_ints=_row_multipliers(std, sx, -1),
         **sx.counts(phase1, float_pivots),
     )
     _verify_optimal(problem, res)
     return res
 
 
-def _shared(values) -> tuple:
-    """``values`` as a tuple in which equal fractions are one object: LP
-    solutions and certificates repeat a few distinct values many times, and
-    callers keep them (an optimal box, a separating inequality)."""
-    seen = {}
-    return tuple(seen.setdefault(v, v) for v in values)
-
-
 def feasible_point(constraints, n: int) -> LPResult:
     """Find any feasible point of the rows over x >= 0 (zero objective)."""
-    return solve(make_problem([_ZERO] * n, constraints))
+    return solve(make_problem([0] * n, constraints))
 
 
 # ---------------------------------------------------------------------------
 # certificate recovery and verification
 
 
-def _row_multipliers(std: _Standard, sx: _Simplex, sign: int):
+def _row_multipliers(std: _Standard, sx: _Simplex, sign: int) -> tuple:
     """``sign`` times the simplex duals, with the sign flips undone: one
-    multiplier per row as given."""
-    return [Fraction(sign * y * k, sx.yden) for y, k in zip(sx.ynum.tolist(), std.row_mult)]
+    multiplier per row as given, as numerators over ``yden`` (already in
+    lowest terms)."""
+    return tuple(sign * y * k for y, k in zip(sx.ynum.tolist(), std.row_mult)), sx.yden
 
 
-def _recover_ray(std: _Standard, sx: _Simplex):
-    ray = [_ZERO] * std.n
-    ray[sx.last_ray_col] = _ONE
-    for i, bj in enumerate(sx.basis.tolist()):
-        if bj < std.n and sx.last_ray_u[i]:
-            ray[bj] = Fraction(-int(sx.last_ray_u[i]), int(sx.bden[i]))
-    return ray
+def _recover_ray(std: _Standard, sx: _Simplex) -> tuple:
+    nums, dens = [0] * std.n, [1] * std.n
+    nums[sx.last_ray_col] = 1
+    for bj, u, d in zip(sx.basis.tolist(), sx.last_ray_u.tolist(), sx.bden.tolist()):
+        if bj < std.n and u:
+            nums[bj], dens[bj] = -u, d
+    return _over_one_denominator(nums, dens)
 
 
 # The verifiers share no scaling code with the solver (see the module
-# docstring): they read only the problem and the result.
-
-
-def _integer_vector(values):
-    """Integers ``k_i`` and the least positive ``den`` with ``k_i / den ==
-    values[i]``."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+# docstring): they read only the problem and the result, numerators and
+# denominators as they are.
 
 
 def _entries(problem: LPProblem):
@@ -989,18 +1103,28 @@ def _column_sums(problem: LPProblem, z) -> list:
     return sums
 
 
+def _checked(ints, size: int, what: str) -> tuple:
+    """The numerators and denominator of ``ints``, refused unless there are
+    ``size`` numerators over a positive denominator."""
+    nums, den = ints
+    if len(nums) != size or den <= 0:
+        raise LPError(f"verification failed: malformed {what}")
+    return nums, den
+
+
 def _verify_optimal(problem: LPProblem, res: LPResult) -> None:
-    x, xden = _integer_vector(res.solution)
+    rows = problem.constraints
+    x, xden = _checked(res.solution_ints, problem.n, "solution")
     if any(v < 0 for v in x):
         raise LPError("verification failed: negative variable")
-    b, bden = _integer_vector(problem.constraints.rhs.tolist())
+    b, bden = rows.rhs.tolist(), rows.rhs_den
     if any(s * bden != bi * xden for s, bi in zip(_row_sums(problem, x), b)):
         raise LPError("verification failed: constraint violated")
 
     # reduced costs c - A^T y in original coordinates, times cden * yden > 0
-    y, yden = _integer_vector(res.dual)
+    y, yden = _checked(res.dual_ints, len(rows), "dual")
     aty = _column_sums(problem, y)
-    c, cden = _integer_vector(problem.objective)
+    c, cden = problem.objective, problem.objective_den
     for j in range(problem.n):
         d = c[j] * yden - cden * aty[j]
         if d > 0:
@@ -1010,27 +1134,30 @@ def _verify_optimal(problem: LPProblem, res: LPResult) -> None:
 
     # the dual objective y . b is over yden * bden
     dual_obj = sum(yi * bi for yi, bi in zip(y, b))
-    if dual_obj * res.value.denominator != res.value.numerator * yden * bden:
+    num, den = res.value_ints
+    if den <= 0 or dual_obj * den != num * yden * bden:
         raise LPError("verification failed: strong duality")
 
 
 def _verify_infeasible(problem: LPProblem, farkas) -> None:
-    """The multipliers must combine the rows into an impossibility:
-    combination <= 0 on every column, yet positive on the right-hand side."""
-    z, _ = _integer_vector(farkas)
+    """The multipliers ``farkas``, numerators over a denominator, must
+    combine the rows into an impossibility: combination <= 0 on every
+    column, yet positive on the right-hand side."""
+    z, _ = _checked(farkas, len(problem.constraints), "farkas")
     if any(c > 0 for c in _column_sums(problem, z)):
         raise LPError("farkas verification failed: positive column")
-    b, _ = _integer_vector(problem.constraints.rhs.tolist())
-    if sum(zi * bi for zi, bi in zip(z, b)) <= 0:
+    if sum(zi * bi for zi, bi in zip(z, problem.constraints.rhs.tolist())) <= 0:
         raise LPError("farkas verification failed: rhs not positive")
 
 
 def _verify_ray(problem: LPProblem, ray) -> None:
-    r, _ = _integer_vector(ray)
+    """``ray``, numerators over a denominator, must be a nonnegative
+    direction that every row leaves at zero and that raises the
+    objective."""
+    r, _ = _checked(ray, problem.n, "ray")
     if any(v < 0 for v in r):
         raise LPError("ray verification failed: negative component")
     if any(_row_sums(problem, r)):
         raise LPError("ray verification failed: leaves feasible cone")
-    c, _ = _integer_vector(problem.objective)
-    if sum(cj * rj for cj, rj in zip(c, r)) <= 0:
+    if sum(cj * rj for cj, rj in zip(problem.objective, r)) <= 0:
         raise LPError("ray verification failed: not improving")

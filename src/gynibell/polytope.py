@@ -217,27 +217,38 @@ def _row_keys(rows: Rows):
         yield from _byte_keys(np.column_stack((rows.col[at], val[at], rhs[group])))
 
 
+#: most entries of a dense block that :func:`_new_rows` normalizes and keys
+#: at a time
+_KEY_BLOCK = 1 << 13
+
+
 def _new_rows(block: np.ndarray, seen: set) -> list:
     """Ids, ascending, of the nonzero rows of a dense integer block whose
     key, the bytes of the row divided by its gcd and by the sign of its
-    first nonzero entry, is not in ``seen`` yet; their keys join ``seen``."""
-    ids = np.flatnonzero(block.any(axis=1))
-    rows = block[ids]
-    lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
-    rows //= (np.gcd.reduce(rows, axis=1) * np.sign(lead))[:, None]
+    first nonzero entry, is not in ``seen`` yet; their keys join ``seen``.
+    The rows are normalized and keyed a chunk of at most ``_KEY_BLOCK``
+    entries at a time, so beside the block only one chunk's copy and keys
+    and the kept rows' keys are held."""
+    step = max(1, _KEY_BLOCK // max(1, block.shape[1]))
     keep = []
-    for i, key in zip(ids.tolist(), _byte_keys(rows)):
-        if key not in seen:
-            seen.add(key)
-            keep.append(i)
+    for s in range(0, len(block), step):
+        chunk = block[s : s + step]
+        ids = np.flatnonzero(chunk.any(axis=1))
+        rows = chunk[ids]
+        lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
+        rows //= (np.gcd.reduce(rows, axis=1) * np.sign(lead))[:, None]
+        for i, key in zip((ids + s).tolist(), _byte_keys(rows)):
+            if key not in seen:
+                seen.add(key)
+                keep.append(i)
     return keep
 
 
-def _dense_rows(blocks) -> Rows:
+def _dense_rows(blocks, rhs_den: int = 1) -> Rows:
     """One :class:`lp.Rows` from blocks of consecutive rows, each a dense
     int64 (rows x columns) array of coefficients and an int64 array of
-    right-hand sides.  A row with no coefficient and a nonzero right-hand
-    side cannot hold and raises."""
+    right-hand side numerators, all over ``rhs_den``.  A row with no
+    coefficient and a nonzero right-hand side cannot hold and raises."""
     parts, rhs, n_rows = [], [], 0
     for coeffs, b in blocks:
         row, col = np.nonzero(coeffs)
@@ -248,7 +259,7 @@ def _dense_rows(blocks) -> Rows:
     rhs = np.concatenate(rhs)
     if rhs[np.bincount(row, minlength=n_rows) == 0].any():
         raise lp.LPError("inconsistent collapsed row")
-    return Rows(row, col, val, rhs)
+    return Rows(row, col, val, rhs, rhs_den)
 
 
 def _orbits_of_permutations(n: int, perms) -> np.ndarray:
@@ -286,11 +297,13 @@ def _integers(values):
     return np.array([v.numerator * (den // v.denominator) for v in values], dtype=object), den
 
 
-def _solve_collapsed(n, objective, rows, perms):
-    """Maximize ``objective`` (a map from variable to coefficient) over the
-    equality rows ``rows`` (``n`` variables >= 0) on the variables that are
-    constant on the orbits of the verified symmetry permutations ``perms``;
-    returns the value and the expanded solution.
+def _solve_collapsed(objective, den, rows, perms):
+    """Maximize ``objective / den`` (an object array of integer numerators,
+    one per variable) over the equality rows ``rows`` (variables >= 0) on
+    the variables that are constant on the orbits of the verified symmetry
+    permutations ``perms``; returns the LP result on the orbits and the
+    orbit of every variable, so the expanded solution is the result's
+    solution read at ``orbit``.
 
     Every permutation must fix both the objective and the feasible set:
     group averaging then maps any optimum to an orbit-constant one, so the
@@ -301,6 +314,7 @@ def _solve_collapsed(n, objective, rows, perms):
     (:func:`_new_rows`), as it stands and in order.  When every orbit is
     one variable the LP is posed on the rows as built, none compared.
     """
+    n = len(objective)
     orbit = _orbits_of_permutations(n, perms)
     n_orbits = int(orbit.max()) + 1
     if n_orbits < n:
@@ -309,15 +323,13 @@ def _solve_collapsed(n, objective, rows, perms):
         dense[:, -1] = rows.rhs
         np.add.at(dense.reshape(-1), rows.row * width + orbit[rows.col], rows.val)
         kept = dense[_new_rows(dense, set())]
-        rows = _dense_rows([(kept[:, :-1], kept[:, -1])])
-    orbit = orbit.tolist()
-    collapsed = [_ZERO] * n_orbits
-    for j, c in objective.items():
-        collapsed[orbit[j]] += c
-    res = lp.solve(lp.make_problem(collapsed, rows))
+        rows = _dense_rows([(kept[:, :-1], kept[:, -1])], rows.rhs_den)
+    collapsed = np.zeros(n_orbits, dtype=object)
+    np.add.at(collapsed, orbit, objective)
+    res = lp.solve(lp.make_problem(collapsed.tolist(), rows, den))
     if res.status != "optimal":
         raise lp.LPError(f"TOBL LP returned {res.status}")
-    return res.value, list(map(res.solution.__getitem__, orbit))
+    return res, orbit
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +379,10 @@ def ns_max(expression: BellExpression) -> NsOptimum:
     constant column, T' the rest and c the objective, one row per
     coordinate but the constant (Pironio, J. Math. Phys. 46, 062112
     (2005)).  The bound is c . t0 minus its optimum, and the verified
-    duals are the coordinates q of an optimal table.
+    duals are the coordinates q of an optimal table.  The LP is posed and
+    read in integers: its right-hand sides are numerators over the lcm of
+    the objective's denominators, and the box entries are computed from the
+    duals' numerators, one ``Fraction`` per distinct entry value.
 
     When the expression carries relabeling symmetries they are verified
     exactly and z is taken constant on the orbits of the table entries:
@@ -408,23 +423,25 @@ def ns_max(expression: BellExpression) -> NsOptimum:
     c[orbit[list(objective)]] = nums
     rhs = np.zeros(len(rows), dtype=object)
     np.add.at(rhs, rows.row, rows.val * c[rows.col])
-    rhs = np.array([Fraction(-b, den) for b in rhs], dtype=object)
-    rows = Rows(rows.row, rows.col, rows.val, rhs)
+    rows = Rows(rows.row, rows.col, rows.val, -rhs, den)
     res = lp.solve(lp.make_problem((-t0).tolist(), rows))
     if res.status != "optimal":
         raise lp.LPError(f"no-signaling LP returned {res.status}")
-    value = Fraction(int(t0 @ c), den) - res.value
+    vnum, vden = res.value_ints
+    value = Fraction(int(t0 @ c) * vden - vnum * den, den * vden)
 
     # orbit sums of T q, q = (1, duals), over ynum / yden; each entry of
-    # an orbit is the orbit's average, and equal values are one object
-    ynum, yden = _integers(res.dual)
+    # an orbit is the orbit's average, keyed in lowest terms, and each
+    # distinct value is one Fraction
+    ynum, yden = res.dual_ints
     total = t0 * yden
-    np.add.at(total, rows.col, rows.val * ynum[rows.row])
-    values = {}
-    slot = [
-        values.setdefault(Fraction(s, k * yden), len(values))
-        for s, k in zip(total.tolist(), np.bincount(orbit, minlength=n_orbits).tolist())
-    ]
+    np.add.at(total, rows.col, rows.val * np.array(ynum, dtype=object)[rows.row])
+    slots = {}
+    slot = []
+    for s, k in zip(total.tolist(), np.bincount(orbit, minlength=n_orbits).tolist()):
+        g = math.gcd(s, k * yden)
+        slot.append(slots.setdefault((s // g, k * yden // g), len(slots)))
+    values = [Fraction(*key) for key in slots]
     box = Box._from_values(scen, values, np.array(slot)[orbit].tolist())
     report = is_nonsignaling(box)
     if not report.is_nonsignaling:
@@ -493,7 +510,7 @@ def local_membership(box: Box, cap: int | None = None) -> LocalMembership:
         np.concatenate((flat[order], np.full(n, scen.table_size))),
         np.concatenate((order // scen.n_inputs, np.arange(n))),
         np.ones(flat.size + n, dtype=np.int64),
-        np.array(table + [1], dtype=object),
+        *_integers(table + [1]),
     )
     res = lp.feasible_point(rows, n)
     if res.status == "optimal":
@@ -675,11 +692,11 @@ def tobl_max(expression: BellExpression) -> ToblOptimum:
     layout = _ToblLayout(scen)
     rows = layout.rows()
     objective = _table_objective(expression)
-    # the objective's numerators, one per variable, and the set of the rows'
-    # keys, built at the first symmetry that fixes the expression, for the
-    # invariance checks
+    # the objective's numerators over obj_den, one per variable, and the set
+    # of the rows' keys, built at the first symmetry that fixes the
+    # expression, for the invariance checks
     obj_nums = np.zeros(layout.n_vars, dtype=object)
-    obj_nums[list(objective)] = _integers(objective.values())[0]
+    obj_nums[list(objective)], obj_den = _integers(objective.values())
     keys = None
     perms = []
     for sym in expression.party_symmetries:
@@ -691,18 +708,19 @@ def tobl_max(expression: BellExpression) -> ToblOptimum:
         if (obj_nums[perm] == obj_nums).all() and _rows_invariant_under(rows, perm, keys):
             perms.append(perm)
 
-    value, solution = _solve_collapsed(layout.n_vars, objective, rows, perms)
+    res, orbit = _solve_collapsed(obj_nums, obj_den, rows, perms)
 
     # full-model feasibility recheck of the (possibly expanded) solution, in
     # integers over the solution's common denominator
-    nums, den = _integers(solution)
+    xnum, den = res.solution_ints
+    nums = np.array(xnum, dtype=object)[orbit]
     lhs = np.zeros(len(rows), dtype=object)
     np.add.at(lhs, rows.row, rows.val * nums[rows.col])
-    if (lhs != rows.rhs.astype(object) * den).any():
+    if (lhs * rows.rhs_den != rows.rhs.astype(object) * den).any():
         raise lp.LPError("TOBL solution failed the full-model recheck")
 
-    table = solution[: layout.n_table]
-    box = Box(scen, table)
+    value = res.value
+    box = Box(scen, list(map(res.solution.__getitem__, orbit[: layout.n_table].tolist())))
     if bell_value(expression, box) != value:
         raise lp.LPError("TOBL optimal box does not achieve the LP value")
 

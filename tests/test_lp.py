@@ -85,7 +85,8 @@ def test_redundant_equalities():
 
 
 def _dual_objective(problem, res):
-    return sum(y * b for y, b in zip(res.dual, problem.constraints.rhs.tolist()))
+    rows = problem.constraints
+    return sum(y * F(b, rows.rhs_den) for y, b in zip(res.dual, rows.rhs.tolist()))
 
 
 def test_lower_bounds_shift():
@@ -255,11 +256,93 @@ def test_random_fractional_lps_against_vertex_enumeration():
         assert best == res.value, f"trial {trial}"
 
 
-def _sign_flips(values):
-    """Each copy of ``values`` with one nonzero entry negated."""
-    for i, v in enumerate(values):
+def _sign_flips(ints):
+    """Each copy of ``(numerators, denominator)`` with one nonzero numerator
+    negated."""
+    nums, den = ints
+    for i, v in enumerate(nums):
         if v:
-            yield values[:i] + (-v,) + values[i + 1 :]
+            yield nums[:i] + (-v,) + nums[i + 1 :], den
+
+
+def test_problem_refuses_indices_outside_its_shape():
+    """A column index outside [0, n), a row index outside the right-hand
+    sides, a right-hand side or objective entry that is not an integer
+    numerator, or a denominator that is not positive is refused with a
+    ValueError when the problem is built, not deep inside the solver."""
+    with pytest.raises(ValueError, match="column index"):
+        lp.solve(lp.make_problem([1], [([1, 1], 1)]))
+
+    def rows(row=(0, 0), col=(0, 1), rhs=(1,), den=1):
+        return lp.Rows(
+            np.array(row), np.array(col), np.array([1, 1]), np.array(rhs, dtype=object), den
+        )
+
+    for bad, match in (
+        (rows(col=(0, 2)), "column index"),
+        (rows(col=(-1, 0)), "column index"),
+        (rows(row=(0, 1)), "row index"),
+        (rows(row=(-1, 0)), "row index"),
+        (rows(rhs=(F(1, 2),)), "integer numerators"),
+        (rows(den=0), "positive"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            lp.make_problem([1, 1], bad)
+    with pytest.raises(ValueError, match="positive"):
+        lp.make_problem([1, 1], rows(), 0)
+    with pytest.raises(ValueError, match="objective"):
+        lp.LPProblem(2, (F(1, 2), 1), rows())
+    assert lp.solve(lp.make_problem([1, 1], rows(den=2))).value == F(1, 2)
+
+
+def test_fraction_views_are_the_numerators_over_their_denominator():
+    """A result holds each rational vector as Python-integer numerators over
+    one positive denominator with no common factor, and the value as one
+    such pair; the Fraction views equal them, are built once, and hold
+    equal values as one object.  Guided and cold optima, a Farkas vector
+    and a ray."""
+    (problem,) = _posed_problems(lambda: polytope.ns_max(upb.four_partite_tight_inequality()))
+    guided, cold = lp.solve(problem), _cold_solve(problem)
+    infeasible = lp.solve(lp.make_problem([1, 0, 0], [([1, -1, 0], 2), ([1, 0, 1], 1)]))
+    unbounded = lp.solve(lp.make_problem([1, 0, 0], [([1, -1, 1], F(1, 3))]))
+    views = [(guided, "solution"), (guided, "dual"), (cold, "solution"), (cold, "dual")]
+    views += [(infeasible, "farkas"), (unbounded, "ray")]
+    for res, name in views:
+        nums, den = getattr(res, name + "_ints")
+        view = getattr(res, name)
+        assert {type(k) for k in nums} | {type(den)} == {int} and den > 0
+        assert math.gcd(den, *nums) == 1
+        assert view == tuple(F(k, den) for k in nums)
+        assert getattr(res, name) is view
+        assert len({id(v) for v in view}) == len(set(view))
+    assert len(set(guided.solution)) < len(guided.solution)
+    for res in (guided, cold):
+        num, den = res.value_ints
+        assert res.value == F(num, den) and math.gcd(num, den) == 1 and den > 0
+
+
+def test_nearest_matches_limit_denominator():
+    """The candidate rounds in integers to what
+    ``Fraction.limit_denominator(2**16)`` picks: on seeded floats of every
+    size, on fractions with large denominators, and on the exact midpoints
+    of neighbouring fractions a/b < c/d in the Farey sequence of the bound
+    (bc - ad = 1, d the largest denominator up to the bound), a tie that
+    the one with the smaller denominator wins."""
+    rng = random.Random(8)
+    bound = lp._GUIDE_DENOMINATOR
+    values = [F(rng.uniform(-5, 5)) for _ in range(3000)]
+    values += [F(rng.uniform(-1e-3, 1e-3)) for _ in range(1000)]
+    values += [F(rng.randint(-10**6, 10**6), rng.randint(1, 2**20)) for _ in range(3000)]
+    for _ in range(2000):
+        left = F(rng.randint(-3 * bound, 3 * bound), rng.randint(1, bound))
+        a, b = left.numerator, left.denominator
+        d0 = -pow(a, -1, b) % b
+        d = d0 + b * ((bound - d0) // b)
+        right = F((1 + a * d) // b, d)
+        values.append((left + right) / 2)
+    for v in values:
+        f = v.limit_denominator(bound)
+        assert lp._nearest(v.numerator, v.denominator) == (f.numerator, f.denominator), v
 
 
 def _optimal_problems():
@@ -275,26 +358,35 @@ def _optimal_problems():
 
 
 def test_verify_optimal_rejects_tampered_dual():
+    """Negating one dual numerator, or giving the duals a denominator that
+    is not positive, fails the check."""
     for problem in _optimal_problems():
         res = lp.solve(problem)
-        flips = list(_sign_flips(res.dual))
+        nums, den = res.dual_ints
+        flips = list(_sign_flips(res.dual_ints))
         assert flips
-        for dual in flips:
+        for dual in flips + [(nums, 0), (nums, -den)]:
             with pytest.raises(lp.LPError):
-                lp._verify_optimal(problem, dataclasses.replace(res, dual=dual))
+                lp._verify_optimal(problem, dataclasses.replace(res, dual_ints=dual))
 
 
 def test_verify_optimal_rejects_tampered_solution():
+    """Negating one solution numerator, raising one value by 1, dropping a
+    value or negating the denominator fails the check."""
     for problem in _optimal_problems():
         res = lp.solve(problem)
-        x = res.solution
-        flips = list(_sign_flips(x))
-        raised = [x[:i] + (v + 1,) + x[i + 1 :] for i, v in enumerate(x)]
+        x, den = res.solution_ints
+        flips = list(_sign_flips(res.solution_ints))
+        raised = [(x[:i] + (v + den,) + x[i + 1 :], den) for i, v in enumerate(x)]
         assert flips
-        for solutions, message in ((flips, "negative variable"), (raised, "constraint violated")):
+        for solutions, message in (
+            (flips, "negative variable"),
+            (raised, "constraint violated"),
+            ([(x[:-1], den), (x, -den)], "malformed solution"),
+        ):
             for solution in solutions:
                 with pytest.raises(lp.LPError, match=message):
-                    lp._verify_optimal(problem, dataclasses.replace(res, solution=solution))
+                    lp._verify_optimal(problem, dataclasses.replace(res, solution_ints=solution))
 
 
 def test_verify_infeasible_rejects_tampered_farkas():
@@ -305,9 +397,10 @@ def test_verify_infeasible_rejects_tampered_farkas():
     )
     res = lp.solve(problem)
     assert res.status == "infeasible"
-    flips = list(_sign_flips(res.farkas))
+    nums, den = res.farkas_ints
+    flips = list(_sign_flips(res.farkas_ints))
     assert flips
-    for farkas in flips:
+    for farkas in flips + [(nums, -den)]:
         with pytest.raises(lp.LPError):
             lp._verify_infeasible(problem, farkas)
 
@@ -317,7 +410,7 @@ def test_verify_ray_rejects_tampered_ray():
     problem = lp.make_problem([1, 1, 0], [([1, -1, 1], 1)])
     res = lp.solve(problem)
     assert res.status == "unbounded"
-    flips = list(_sign_flips(res.ray))
+    flips = list(_sign_flips(res.ray_ints))
     assert flips
     for ray in flips:
         with pytest.raises(lp.LPError):
@@ -541,23 +634,26 @@ def test_verify_optimal_on_fractional_rows_with_huge_dual_denominators():
     assert res.status == "optimal"
     assert all(y.denominator > 2**63 for y in res.dual)
     lp._verify_optimal(problem, res)
-    for i, y in enumerate(res.dual):
+    nums, den = res.dual_ints
+    for i, y in enumerate(nums):
         for step in (1, -1):
-            dual = res.dual[:i] + (F(y.numerator + step, y.denominator),) + res.dual[i + 1 :]
+            dual = nums[:i] + (y + step,) + nums[i + 1 :], den
             with pytest.raises(lp.LPError):
-                lp._verify_optimal(problem, dataclasses.replace(res, dual=dual))
+                lp._verify_optimal(problem, dataclasses.replace(res, dual_ints=dual))
+    num, den = res.value_ints
+    value = num * 2**70 + den, den * 2**70  # res.value + 2**-70
     with pytest.raises(lp.LPError, match="strong duality"):
-        lp._verify_optimal(problem, dataclasses.replace(res, value=res.value + F(1, 2**70)))
+        lp._verify_optimal(problem, dataclasses.replace(res, value_ints=value))
 
 
 def _with_fractions(problem):
     """The same LP posed as ``(coeffs, rhs)`` pairs with every coefficient
     and right-hand side a Fraction."""
     rows = problem.constraints
-    pairs = [({}, F(b)) for b in rows.rhs.tolist()]
+    pairs = [({}, F(b, rows.rhs_den)) for b in rows.rhs.tolist()]
     for i, j, v in zip(rows.row.tolist(), rows.col.tolist(), rows.val.tolist()):
         pairs[i][0][j] = F(v)
-    return lp.make_problem(problem.objective, pairs)
+    return lp.make_problem([F(c, problem.objective_den) for c in problem.objective], pairs)
 
 
 def _random_integer_lps(seed, count, rows=6, cols=8):
@@ -814,9 +910,9 @@ def test_uncollapsed_tobl_lp_certifies_guided(monkeypatch):
 @pytest.mark.parametrize("tamper", ["basis", "solution", "dual"])
 def test_tampered_candidate_falls_back_to_the_cold_result(monkeypatch, tamper):
     """A candidate that fails verification (the all-artificial basis, or the
-    float basis's candidate with one solution value or one dual moved by
-    2**-30) is discarded, and the result is the cold exact simplex's, with
-    the float pivots spent."""
+    float basis's candidate with one nonzero solution value or dual moved by
+    2**-30, in its numerators) is discarded, and the result is the cold
+    exact simplex's, with the float pivots spent."""
     (problem,) = _posed_problems(lambda: polytope.ns_max(_random_promise_game(random.Random(5))))
     guided, cold = lp.solve(problem), _cold_solve(problem)
     candidate, verify = lp._candidate, lp._verify_optimal
@@ -831,10 +927,13 @@ def test_tampered_candidate_falls_back_to_the_cold_result(monkeypatch, tamper):
 
         def nudged(*args):
             res = candidate(*args)
-            values = list(getattr(res, tamper))
+            nums, den = getattr(res, tamper + "_ints")
+            values = [v * 2**30 for v in nums]
             k = next(i for i, v in enumerate(values) if v)
-            values[k] += F(1, 2**30)
-            return dataclasses.replace(res, **{tamper: tuple(values)})
+            values[k] += den
+            nudged = dataclasses.replace(res, **{tamper + "_ints": (tuple(values), den * 2**30)})
+            assert getattr(nudged, tamper)[k] == getattr(res, tamper)[k] + F(1, 2**30)
+            return nudged
 
         monkeypatch.setattr(lp, "_candidate", nudged)
     verdicts = []

@@ -552,12 +552,12 @@ def _posed_rows(n, rows, perms):
     """The rows ``polytope._solve_collapsed`` poses to the LP for the
     permutations ``perms`` of ``n`` variables, the solve stopped there."""
 
-    def stop(objective, rows):
+    def stop(objective, rows, den):
         raise _Posed(rows)
 
     with pytest.MonkeyPatch.context() as m, pytest.raises(_Posed) as posed:
         m.setattr(lp, "make_problem", stop)
-        polytope._solve_collapsed(n, {}, rows, perms)
+        polytope._solve_collapsed(np.zeros(n, dtype=object), 1, rows, perms)
     return posed.value.args[0]
 
 
@@ -600,9 +600,35 @@ def test_collapse_on_identity_orbits_returns_the_rows(model, n_rows):
     assert len(built) == n_rows
     pairs = _pairs(built)
     assert ns_full_lp.collapse(pairs, range(int(built.col.max()) + 1)) == pairs
-    for field in dataclasses.fields(lp.Rows):
-        a, b = getattr(kept, field.name), getattr(built, field.name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+    assert kept.rhs_den == built.rhs_den == 1
+    for field in ("row", "col", "val", "rhs"):
+        a, b = getattr(kept, field), getattr(built, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+
+
+def test_identity_orbits_key_no_row(monkeypatch):
+    """With no symmetry every variable is its own orbit, and no row is
+    keyed or compared: with ``_new_rows`` barred, ``ns_max`` still solves a
+    random N = 3 game (the full-probability LP's value) and the four-partite
+    inequality, and ``_solve_collapsed`` with no permutations still solves
+    the uncollapsed TOBL LP of the GYNI-3 sum form (the paper's 7/6)."""
+    game = _random_expression(gb.binary_scenario(3), random.Random(4), 12)
+    four = upb.four_partite_tight_inequality()
+    assert not game.party_symmetries and not four.party_symmetries
+    expected = [ns_full_lp.ns_lp_max(game)[0], gb.ns_max(four).value]
+
+    def barred(block, seen):
+        raise AssertionError("rows keyed on identity orbits")
+
+    monkeypatch.setattr(polytope, "_new_rows", barred)
+    assert [gb.ns_max(game).value, gb.ns_max(four).value] == expected
+    layout = polytope._ToblLayout(gb.binary_scenario(3))
+    coeffs = polytope._table_objective(gb.gyni_sum_expression(3))
+    objective = np.zeros(layout.n_vars, dtype=object)
+    objective[list(coeffs)], den = polytope._integers(coeffs.values())
+    res, orbit = polytope._solve_collapsed(objective, den, layout.rows(), [])
+    assert (res.status, res.value, len(res.solution)) == ("optimal", F(7, 6), layout.n_vars)
+    assert orbit.tolist() == list(range(layout.n_vars))
 
 
 def test_collapse_rows_keeps_first_of_proportional_rows():
@@ -641,6 +667,43 @@ def test_new_rows_tell_rows_apart_by_rhs():
     seen = set()
     assert polytope._new_rows(block, seen) == [0, 1, 2, 3]
     assert polytope._new_rows(np.array([[-2, 0, -4], [0, 1, 1]]), seen) == [1]
+
+
+def _first_of_each_ray(block):
+    """Oracle: the ids of the nonzero rows of ``block`` that equal no
+    earlier row up to a nonzero factor, from each row divided by its first
+    nonzero entry in Fractions."""
+    seen, keep = set(), []
+    for i, row in enumerate(block.tolist()):
+        lead = next((v for v in row if v), None)
+        key = lead and tuple(F(v, lead) for v in row)
+        if key and key not in seen:
+            seen.add(key)
+            keep.append(i)
+    return keep
+
+
+@pytest.mark.parametrize("key_block", [1, 16, 64])
+def test_new_rows_in_chunks_keep_the_same_ids(monkeypatch, key_block):
+    """Normalized and keyed a chunk of rows at a time (1, 3 and 12 rows of
+    five entries here), ``_new_rows`` keeps the ids it keeps on the whole
+    block, in the same order, with rows repeated up to a factor within a
+    chunk, across chunks and across blocks; the oracle divides each row by
+    its first entry in Fractions."""
+    rng = np.random.default_rng(3)
+    base = rng.integers(-2, 3, size=(12, 5))
+    blocks = []
+    for _ in range(3):
+        zero, fresh = np.zeros((3, 5), dtype=np.int64), rng.integers(-2, 3, size=(9, 5))
+        block = np.concatenate([base, -2 * base[::-1], zero, fresh])
+        blocks.append(block[rng.permutation(len(block))])
+    whole_seen = set()
+    whole = [polytope._new_rows(block, whole_seen) for block in blocks]
+    assert whole[0] == _first_of_each_ray(blocks[0])
+    monkeypatch.setattr(polytope, "_KEY_BLOCK", key_block)
+    seen = set()
+    assert [polytope._new_rows(block, seen) for block in blocks] == whole
+    assert seen == whole_seen
 
 
 def test_rows_invariant_under_a_permutation_that_negates_a_row():
@@ -716,8 +779,8 @@ def test_separating_inequality_is_rechecked_on_every_vertex(ns_optima, monkeypat
 
     def lowered(rows, n):
         res = feasible_point(rows, n)
-        farkas = res.farkas[:-1] + (res.farkas[-1] + 1,)
-        return dataclasses.replace(res, farkas=farkas)
+        nums, den = res.farkas_ints
+        return dataclasses.replace(res, farkas_ints=(nums[:-1] + (nums[-1] + den,), den))
 
     monkeypatch.setattr(lp, "feasible_point", lowered)
     with pytest.raises(lp.LPError, match="separating inequality failed vertex recheck"):
@@ -784,14 +847,19 @@ def test_tobl_recheck_rejects_a_tampered_optimum(monkeypatch):
     solve = polytope._solve_collapsed
 
     def tampered(*args):
-        value, solution = solve(*args)
-        weights = np.array(solution[layout.n_table :], dtype=object).reshape(layout.shape)
+        # the expanded solution over twice its denominator, as the result
+        # of an LP posed on identity orbits
+        res, orbit = solve(*args)
+        nums, den = res.solution_ints
+        nums = 2 * np.array(nums, dtype=object)[orbit]
+        weights = nums[layout.n_table :].reshape(layout.shape)
         h, p = np.argwhere(weights[0, 0])[0]
         q = (p + 1) % len(polytope._PAIRS)
-        moved = weights[0, 0, h, p] / 2
+        moved = weights[0, 0, h, p] // 2
         weights[0, 0, h, p] -= moved
         weights[0, 0, h, q] += moved
-        return value, solution[: layout.n_table] + weights.ravel().tolist()
+        solution = (tuple(nums.tolist()), 2 * den)
+        return dataclasses.replace(res, solution_ints=solution), np.arange(layout.n_vars)
 
     monkeypatch.setattr(polytope, "_solve_collapsed", tampered)
     with pytest.raises(lp.LPError, match="full-model recheck"):
