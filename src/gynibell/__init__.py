@@ -54,6 +54,7 @@ from .upb import (
     niset_cerf,
     shifts,
     tiles,
+    tiles_set,
     wupb_example,
 )
 from .witness import (

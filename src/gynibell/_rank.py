@@ -276,9 +276,9 @@ def _annihilates(diffs, cols, delta, kernel_p) -> bool:
     return True
 
 
-def _scaled_inverse(diffs, rows, cols, delta):
-    """X = rint(delta * A^-1) for the minor A = D[rows][:, cols], in float32,
-    or None at a zero pivot.
+def _scaled_inverse(minor, delta):
+    """X = rint(delta * A^-1) for the integer minor A, in float32, or None at
+    a zero pivot.
 
     Gauss-Jordan in place on the one r x r array, with the pivots on the
     diagonal in the given order: the float pass found a nonzero pivot at
@@ -288,10 +288,8 @@ def _scaled_inverse(diffs, rows, cols, delta):
     (A_KK)^-1 [I, A_KR], and every other row i subtracts A_iK times that
     after its own K entries are cleared.  Nothing here is trusted:
     :func:`_inverts` checks X."""
-    r = len(rows)
-    x = np.empty((r, r), dtype=np.float32)
-    for start in range(0, r, _CHECK_ROWS):
-        x[start : start + _CHECK_ROWS] = diffs[np.ix_(rows[start : start + _CHECK_ROWS], cols)]
+    r = len(minor)
+    x = minor.astype(np.float32)
     for start in range(0, r, _FLOAT_BLOCK):
         end = min(start + _FLOAT_BLOCK, r)
         inv = x[start:end, start:end].copy()
@@ -319,16 +317,16 @@ def _scaled_inverse(diffs, rows, cols, delta):
     return x
 
 
-def _inverts(diffs, rows, cols, delta, x) -> bool:
-    """Whether A X = delta I holds exactly for the minor A = D[rows][:, cols];
-    with delta != 0, det A det X = delta^r, so A is nonsingular.
+def _inverts(minor, delta, x) -> bool:
+    """Whether A X = delta I holds exactly for the integer minor A; with
+    delta != 0, det A det X = delta^r, so A is nonsingular.
 
     The product runs in float32, a block of ``_CHECK_ROWS`` rows of A at a
     time, and only for an integer X and each block only while its largest
     row L1 norm times max |X| stays below 2**24: every partial sum is then
     an integer that float32 holds exactly, the argument of
     :func:`_annihilates`."""
-    r = len(rows)
+    r = len(minor)
     if x is None or x.shape != (r, r):
         return False
     if not (1 <= delta < _FLOAT32_EXACT and float(delta).is_integer()):
@@ -339,7 +337,7 @@ def _inverts(diffs, rows, cols, delta, x) -> bool:
             return False
     xmax = float(np.maximum(x.max(initial=0), -x.min(initial=0)))  # NaN if X holds one
     for start in range(0, r, _CHECK_ROWS):
-        part = diffs[np.ix_(rows[start : start + _CHECK_ROWS], cols)].astype(np.float32)
+        part = minor[start : start + _CHECK_ROWS].astype(np.float32)
         if not float(np.abs(part).sum(axis=1).max()) * xmax < _FLOAT32_EXACT:
             return False
         width = max(1, _GEMM_MACS // part.size)
@@ -360,15 +358,16 @@ def _certified_rank(diffs):
     rank <= m - nf, which is at most r because r pivot columns leave at
     least m - r free.  Lower bound: rank >= r by A X = delta I, checked by
     :func:`_inverts` for the minor A = D[S][:, P] (rows in order, columns in
-    the order the float pass chose them) and X = rint(delta A^-1) from
-    :func:`_scaled_inverse`."""
+    the order the float pass chose them), gathered once in the dtype of D,
+    and X = rint(delta A^-1) from :func:`_scaled_inverse`."""
     rows, cols, delta, kernel_p = _propose(diffs)
     r = len(rows)
     if len(cols) != r or not _annihilates(diffs, cols, delta, kernel_p):
         return None
     del kernel_p  # not held while the minor is inverted
-    x = _scaled_inverse(diffs, rows, cols, delta)
-    return r if _inverts(diffs, rows, cols, delta, x) else None
+    minor = diffs[np.ix_(rows, cols)]
+    x = _scaled_inverse(minor, delta)
+    return r if _inverts(minor, delta, x) else None
 
 
 def affine_rank(matrix) -> int:

@@ -15,9 +15,12 @@ read.  ``make_problem`` and those views are the only places this module
 makes a ``Fraction``.
 
 Floats propose, integers decide.  An LP with a nonzero objective first runs
-a revised float64 two-phase simplex over the standard form's compressed
-columns (:func:`_float_basis`): it carries an explicit basis inverse with
-one rank-1 update per pivot and holds no tableau.  The basis it stops at
+a float64 two-phase simplex (:func:`_float_basis`).  A small LP pivots in
+one dense tableau, one outer-product update per pivot; a larger one runs
+the revised form over the standard form's compressed columns, which
+carries an explicit basis inverse with one rank-1 update per pivot and
+holds no tableau.  The tableau's entry count selects the form; both share
+every pivot rule and end with ``B^-1``.  The basis the pass stops at
 gives candidate exact values: the basic values and the duals are solved in
 floats from the original right-hand sides and costs with the inverse it
 carried, and each is rounded to the nearest fraction with a bounded
@@ -129,6 +132,16 @@ _INFEASIBLE = 1e-4
 
 #: the float pass gives up after this many pivots per row and column
 _FLOAT_PIVOTS_PER_DIMENSION = 4
+
+#: the float pass pivots in a dense tableau of (m + 2)(n + m + 1) entries
+#: when it has at most this many, else in the revised form.  Below it the
+#: tableau pass took 0.64-0.84 of the revised pass's time (GYNI-7 at 16 x
+#: 40, the random-promise N = 3 games at 26 x 64, TOBL at 36 x 144, GYNI-6
+#: at 64 x 128: 12.7 k entries); above it 1.5 (random N = 4 games at 80 x
+#: 256: 27.6 k entries), 1.5-1.7 (four-partite, 107 x 384), 1.5-1.7
+#: (GYNI-8, 256 x 512) and 4.1 (binary N = 5, 242 x 1024), in-process,
+#: best of 9 (2-vCPU Xeon)
+_TABLEAU_ENTRIES = 1 << 14
 
 #: the float basic values and duals are rounded to the nearest fraction
 #: with at most this denominator
@@ -780,56 +793,147 @@ class _Simplex:
 
 
 # ---------------------------------------------------------------------------
-# float guide: a revised float64 simplex proposes the basis
+# float guide: a float64 simplex proposes the basis
+
+
+class _FloatTableau:
+    """The float pass's state as one dense (m + 2) x (n + m + 1) tableau:
+    ``B^-1 [A | I | b]`` over the phase-1 and phase-2 reduced-cost rows.
+    The artificial block is ``B^-1``.  A pivot is one ``np.multiply.outer``
+    update of the whole array, after which the entering column is set to
+    the unit column it equals, so every basic column stays exactly a unit
+    column with reduced costs exactly 0."""
+
+    def __init__(self, indptr, indices, data, column, x, costs):
+        m, n = len(x), costs.shape[1]
+        t = np.zeros((m + 2, n + m + 1))
+        t[indices, column] = data
+        t[np.arange(m), np.arange(n, n + m)] = 1.0
+        t[:m, -1] = x
+        t[m:, :n] = costs
+        self.t, self.n = t, n
+        self.x, self.costs = t[:m, -1], t[m:, :n]
+
+    def column(self, q):
+        return self.t[:-2, q]
+
+    def pivot(self, q, r, alpha, left):
+        t = self.t
+        prow = t[r] / alpha[r]
+        col = t[:, q].copy()
+        col[r] -= 1.0  # row r becomes the pivot row itself
+        t -= np.multiply.outer(col, prow)
+        t[:, q] = 0.0
+        t[r, q] = 1.0
+        return prow[: self.n]
+
+    def inverse(self):
+        return self.t[:-2, self.n : -1]
+
+
+class _FloatRevised:
+    """The float pass's state as one (m + 1) x m array, the explicit basis
+    inverse stored by columns (row k is column k of ``B^-1``, so I at the
+    all-artificial start) over the basic values as its last row, and the
+    2 x n reduced costs of the structural columns; no tableau is held.
+    Column ``alpha = B^-1 A_q`` is formed from that column's few entries,
+    and the pivot row ``rho A``, with ``rho`` the row r of ``[B^-1 | x]``
+    over ``alpha_r``, by one ``np.bincount`` over the nonzeros; there a
+    basic column's entry is set to 0, the leaving one's to ``1 / alpha_r``
+    and the entering one's to 1, as a tableau would hold them, so the basic
+    reduced costs stay exactly 0.  The inverse and the basic values change
+    by one rank-1 update that touches only the stored rows where ``rho`` is
+    nonzero, and then the stored column r becomes ``rho``."""
+
+    def __init__(self, indptr, indices, data, column, x, costs):
+        m, n = len(x), costs.shape[1]
+        self.indptr, self.indices, self.data, self.col_of = indptr, indices, data, column
+        self.inv = np.eye(m + 1, m)
+        self.x = self.inv[m]
+        self.x[:] = x
+        self.costs = costs
+        self.basic = np.zeros(n, dtype=bool)
+
+    def column(self, q):
+        lo, hi = self.indptr[q], self.indptr[q + 1]
+        return (self.inv[self.indices[lo:hi]] * self.data[lo:hi, None]).sum(axis=0)
+
+    def pivot(self, q, r, alpha, left):
+        inverse, basic, n = self.inv, self.basic, len(self.basic)
+        rho = inverse[:, r] / alpha[r]
+        prow = np.bincount(self.col_of, rho[self.indices] * self.data, minlength=n)
+        prow[basic] = 0.0
+        if left < n:
+            prow[left] = 1.0 / alpha[r]
+            basic[left] = False
+        prow[q] = 1.0
+        self.costs -= np.multiply.outer(self.costs[:, q], prow)
+        nz = rho.nonzero()[0]
+        inverse[nz] -= np.multiply.outer(rho[nz], alpha)
+        inverse[:, r] = rho
+        basic[q] = True
+        return prow
+
+    def inverse(self):
+        return self.inv[:-1].T
 
 
 def _float_basis(indptr, indices, data, b, cost):
-    """The basis at which a revised float64 two-phase simplex minimizing
-    ``cost . x`` over ``A x = b``, ``x >= 0`` (``b >= 0``) stops optimal,
-    the float inverse of that basis, and the pivots it took.  ``A`` is
-    given by its compressed columns, laid out as in :class:`_Standard` with
-    float ``data``.  Basis position i holds column ``j``, or ``n + i`` for
-    row i's artificial; the basis and the inverse are None if the pass ends
+    """The basis at which a float64 two-phase simplex minimizing ``cost .
+    x`` over ``A x = b``, ``x >= 0`` (``b >= 0``) stops optimal, the float
+    inverse of that basis, and the pivots it took.  ``A`` is given by its
+    compressed columns, laid out as in :class:`_Standard` with float
+    ``data``.  Basis position i holds column ``j``, or ``n + i`` for row
+    i's artificial; the basis and the inverse are None if the pass ends
     infeasible, unbounded or at its ceiling.
 
-    The state is one (m + 1) x m array, the explicit basis inverse stored
-    by columns (row k is column k of ``B^-1``, so I at the all-artificial
-    start) over the perturbed basic values as its last row, one 2 x n array
-    of the phase-1 and phase-2 reduced costs of the structural columns, and
-    their Devex weights; no tableau is held.  There are no artificial
-    columns: an artificial that leaves the basis never returns, so phase 1
-    needs only its reduced costs, minus the column sums of A at the start.
-    A pivot forms the entering column ``alpha = B^-1 A_q`` from that
-    column's few entries, and the pivot row ``rho A``, with ``rho`` the row
-    r of ``[B^-1 | x]`` over ``alpha_r``, by one ``np.bincount`` over the
-    nonzeros; there a basic column's entry is set to 0, the leaving one's
-    to ``1 / alpha_r`` and the entering one's to 1, as a tableau would hold
-    them, so the basic reduced costs stay exactly 0.  The reduced costs and
-    the weights change by the pivot row, and the inverse and the basic
-    values by one rank-1 update, element-wise, so no matrix product decides
-    a pivot; the update touches only the stored rows where ``rho`` is
-    nonzero, and then the stored column r becomes ``rho``.  Pricing is Devex
-    (the largest d_j^2 over a reference weight), the ratio test takes the
-    least ratio (first on ties), a basic value that rounding leaves below
-    zero is set to zero, and right-hand side i is raised by ``(_PERTURB +
-    _PERTURB_SPREAD * frac(i * phi)) * (1 + max|b|)`` against degeneracy.
-    An artificial still basic in phase 2 (on a redundant row it stays at
-    the perturbation's residue) is priced like any basic variable; if the
-    basis leaves one off zero, the exact solution of the basis breaks its
-    row and the check refuses it."""
+    An LP whose dense tableau has at most ``_TABLEAU_ENTRIES`` entries
+    pivots in it (:class:`_FloatTableau`); a larger one runs the revised
+    pass (:class:`_FloatRevised`), which carries only the basis inverse
+    over sparse columns.  Both run :func:`_float_simplex`, so they share
+    every pivot rule and differ only in how a pivot forms the entering
+    column and the pivot row and in the update."""
+    m, n = len(b), len(cost)
+    form = _FloatTableau if (m + 2) * (n + m + 1) <= _TABLEAU_ENTRIES else _FloatRevised
+    return _float_simplex(form, indptr, indices, data, b, cost)
+
+
+def _float_simplex(form, indptr, indices, data, b, cost):
+    """:func:`_float_basis` on the state ``form``, one of
+    :class:`_FloatTableau` and :class:`_FloatRevised`.
+
+    The state holds the perturbed basic values ``x``, the 2 x n phase-1 and
+    phase-2 reduced costs of the structural columns, and ``B^-1``; the
+    Devex weights of those columns are kept here.  There are no artificial
+    columns to price: an artificial that leaves the basis never returns, so
+    phase 1 needs only the structural columns' reduced costs, minus the
+    column sums of A at the start.  Pricing is Devex (the largest d_j^2
+    over a reference weight), the ratio test takes the least ratio (first
+    on ties), a basic value that rounding leaves below zero is set to zero,
+    and right-hand side i is raised by ``(_PERTURB + _PERTURB_SPREAD *
+    frac(i * phi)) * (1 + max|b|)`` against degeneracy.  Every step is
+    element-wise, so no matrix product decides a pivot.  An artificial
+    still basic in phase 2 (on a redundant row it stays at the
+    perturbation's residue) is priced like any basic variable; if the basis
+    leaves one off zero, the exact solution of the basis breaks its row and
+    the check refuses it."""
     m, n = len(b), len(cost)
     column = np.repeat(np.arange(n), np.diff(indptr))
     scale = 1.0 + np.abs(b).max(initial=0.0)
-    inverse = np.eye(m + 1, m)
-    x = inverse[m]
-    x[:] = b + (_PERTURB + _PERTURB_SPREAD * np.modf(np.arange(m) * _GOLDEN)[0]) * scale
-    costs = np.array([-np.bincount(column, data, minlength=n), cost])
+    state = form(
+        indptr,
+        indices,
+        data,
+        column,
+        b + (_PERTURB + _PERTURB_SPREAD * np.modf(np.arange(m) * _GOLDEN)[0]) * scale,
+        np.array([-np.bincount(column, data, minlength=n), cost]),
+    )
+    x = state.x
     basis = np.arange(n, n + m)
-    basic = np.zeros(n, dtype=bool)
     weights = np.ones(n)
     ceiling = _FLOAT_PIVOTS_PER_DIMENSION * (m + n)
     pivots = 0
-    for phase2, reduced in enumerate(costs):
+    for phase2, reduced in enumerate(state.costs):
         if phase2 and np.any(x[basis >= n] > _INFEASIBLE * scale):
             return None, None, pivots
         while True:
@@ -839,30 +943,17 @@ def _float_basis(indptr, indices, data, b, cost):
                 break
             if pivots == ceiling:
                 return None, None, pivots
-            lo, hi = indptr[q], indptr[q + 1]
-            alpha = (inverse[indices[lo:hi]] * data[lo:hi, None]).sum(axis=0)
+            alpha = state.column(q)
             pos = alpha > _FLOAT_TOL
             if not pos.any():
                 return None, None, pivots
             r = int(np.divide(x, alpha, out=np.full(m, np.inf), where=pos).argmin())
-            rho = inverse[:, r] / alpha[r]
-            prow = np.bincount(column, rho[indices] * data, minlength=n)
-            prow[basic] = 0.0
-            left = int(basis[r])
-            if left < n:
-                prow[left] = 1.0 / alpha[r]
-                basic[left] = False
-            prow[q] = 1.0
-            costs -= np.multiply.outer(costs[:, q], prow)
+            prow = state.pivot(q, r, alpha, int(basis[r]))
             np.maximum(weights, prow * prow * weights[q], out=weights)
-            nz = rho.nonzero()[0]
-            inverse[nz] -= np.multiply.outer(rho[nz], alpha)
-            inverse[:, r] = rho
             np.maximum(x, 0.0, out=x)
-            basic[q] = True
             basis[r] = q
             pivots += 1
-    return basis, inverse[:m].T, pivots
+    return basis, state.inverse(), pivots
 
 
 def _refined(inverse, row, col, val, rhs):

@@ -685,6 +685,15 @@ def tiles() -> list[tuple[np.ndarray, np.ndarray]]:
     ]
 
 
+def tiles_set() -> ProductVectorSet:
+    """The TILES set from its local sets alone, with no local subsets: they
+    are ambiguous (:func:`build_local_subsets` raises), and the
+    unextendibility verdicts need none.  At each site the five factors are
+    distinct, so they are the local set."""
+    vectors = tiles()
+    return _product_set(vectors, (3, 3), list(zip(*vectors)), None, "tiles")
+
+
 def four_partite_tight_inequality() -> BellExpression:
     """A known tight four-partite inequality with no quantum violation, on
     the scenario with inputs (2, 2, 2, 3) and binary outputs: the sum of

@@ -2,6 +2,8 @@ import io
 import json
 import sys
 
+import pytest
+
 from gynibell import cli, witness
 
 
@@ -77,6 +79,28 @@ def test_upb_shifts_check_all():
 
 def test_upb_tiles_ambiguity_is_domain_error(capsys):
     code, _ = run_cli(["upb", "tiles", "--check", "indep"])
+    assert code == 1
+    assert "ambiguous" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("check", ["upb", "wupb", "all"])
+def test_upb_tiles_verdicts_need_no_subsets(check):
+    """TILES is a UPB: its verdicts come from the local sets alone, and the
+    local independence, which needs the ambiguous subsets, is left out."""
+    code, text = run_cli(["upb", "tiles", "--check", check])
+    assert code == 0
+    payload = json.loads(text)
+    assert (payload["label"], payload["size"], payload["dims"]) == ("tiles", 5, [3, 3])
+    assert payload["is_wupb"] is True
+    assert payload.get("is_upb") is (None if check == "wupb" else True)
+    assert "local_independence" not in payload
+
+
+@pytest.mark.parametrize(
+    "argv", [["upb", "tiles", "--check", "all", "--emit-bell"], ["witness", "--set", "tiles"]]
+)
+def test_tiles_calls_that_need_subsets_are_domain_errors(capsys, argv):
+    code, _ = run_cli(argv)
     assert code == 1
     assert "ambiguous" in capsys.readouterr().err
 

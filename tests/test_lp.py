@@ -520,13 +520,14 @@ def test_pivot_counts_are_pinned(cold):
     assert pivots_and_columns(lambda: polytope.ns_max(ns6)) == ("optimal", 38, 128)
 
 
-def _random_promise_game(rng):
-    """A GYNI N = 3 game whose promise is a seeded random distribution."""
-    scen = core.binary_scenario(3)
+def _random_promise_game(rng, n=3):
+    """A GYNI game of n parties whose promise is a seeded random
+    distribution."""
+    scen = core.binary_scenario(n)
     raw = [rng.randint(0, 8) for _ in range(scen.n_inputs)]
     raw[0] += not sum(raw)
     q = core.InputDistribution(scen, {x: F(v, sum(raw)) for x, v in enumerate(raw) if v})
-    return gyni.gyni_expression(3, q).expression
+    return gyni.gyni_expression(n, q).expression
 
 
 @pytest.mark.parametrize("reduce_at", [2**8, 2**16])
@@ -814,7 +815,7 @@ def test_guided_counters_are_pinned():
     four = upb.four_partite_tight_inequality()
     assert counters(lambda: polytope.ns_max(four)) == ("optimal", 0, 326, 384)
     tobl = gyni.gyni_sum_expression(3)
-    assert counters(lambda: polytope.tobl_max(tobl)) == ("optimal", 0, 40, 144)
+    assert counters(lambda: polytope.tobl_max(tobl)) == ("optimal", 0, 41, 144)
     ns6, ns7 = gyni.gyni_expression(6).expression, gyni.gyni_expression(7).expression
     assert counters(lambda: polytope.ns_max(ns6)) == ("optimal", 0, 29, 128)
     assert counters(lambda: polytope.ns_max(ns7)) == ("optimal", 0, 11, 40)
@@ -864,9 +865,10 @@ def test_repeated_solves_are_identical():
 
 
 def test_carried_inverse_inverts_the_basis(monkeypatch):
-    """The inverse the float pass carries through its rank-1 updates is the
-    inverse of the basis it stops at, to 1e-9, on the four-partite, GYNI-8
-    and TOBL LPs; ``numpy.linalg.inv`` of the basis is the oracle."""
+    """The inverse the float pass carries through its updates is the inverse
+    of the basis it stops at, to 1e-9, on the four-partite and GYNI-8 LPs
+    (the revised pass) and on the TOBL LP and a random-promise N = 3 game
+    (the tableau); ``numpy.linalg.inv`` of the basis is the oracle."""
     passes = []
     float_basis = lp._float_basis
 
@@ -878,7 +880,8 @@ def test_carried_inverse_inverts_the_basis(monkeypatch):
     polytope.ns_max(upb.four_partite_tight_inequality())
     polytope.ns_max(gyni.gyni_expression(8).expression)
     polytope.tobl_max(gyni.gyni_sum_expression(3))
-    assert len(passes) == 3
+    polytope.ns_max(_random_promise_game(random.Random(3)))
+    assert len(passes) == 4
     for indptr, indices, data, (basis, inverse, _) in passes:
         m, n = inverse.shape[0], len(indptr) - 1
         B = np.zeros((m, m))
@@ -890,6 +893,54 @@ def test_carried_inverse_inverts_the_basis(monkeypatch):
         assert np.abs(B @ inverse - np.eye(m)).max() <= 1e-9
         oracle = np.linalg.inv(B)
         assert np.abs(inverse - oracle).max() <= 1e-9 * np.abs(oracle).max()
+
+
+_SIDES_OF_THE_TABLEAU_BOUND = {
+    "seed-3 N = 3 game": (
+        lambda: polytope.ns_max(_random_promise_game(random.Random(3))),
+        lp._FloatTableau,
+    ),
+    "GYNI-6": (lambda: polytope.ns_max(gyni.gyni_expression(6).expression), lp._FloatTableau),
+    "TOBL": (lambda: polytope.tobl_max(gyni.gyni_sum_expression(3)), lp._FloatTableau),
+    "N = 4 game": (
+        lambda: polytope.ns_max(_random_promise_game(random.Random(3), 4)),
+        lp._FloatRevised,
+    ),
+    "four-partite": (
+        lambda: polytope.ns_max(upb.four_partite_tight_inequality()),
+        lp._FloatRevised,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _SIDES_OF_THE_TABLEAU_BOUND)
+def test_tableau_and_revised_passes_both_certify(monkeypatch, name):
+    """The float pass runs in the dense tableau up to ``_TABLEAU_ENTRIES``
+    entries and in the revised form past it: the 26 x 64 game and the
+    collapsed GYNI-6 (64 x 128) and TOBL (36 x 144) LPs below the bound,
+    the 80 x 256 N = 4 game and four-partite (107 x 384) above it.  Either
+    form, run directly on either side, stops at a basis whose candidate
+    verifies, with the cold exact simplex's value."""
+    call, side = _SIDES_OF_THE_TABLEAU_BOUND[name]
+    passes = []
+    float_simplex = lp._float_simplex
+
+    def recording(form, *args):
+        passes.append((form, args))
+        return float_simplex(form, *args)
+
+    monkeypatch.setattr(lp, "_float_simplex", recording)
+    (problem,) = _posed_problems(call)
+    ((form, args),) = passes
+    assert form is side
+    std, cold = lp._standardize(problem), _cold_solve(problem)
+    data, b, cost = args[2:]
+    for form in (lp._FloatTableau, lp._FloatRevised):
+        basis, inverse, pivots = float_simplex(form, *args)
+        assert pivots
+        res = lp._candidate(problem, std, data, b, cost, basis, inverse)
+        lp._verify_optimal(problem, res)
+        assert res.value == cold.value
 
 
 def test_uncollapsed_tobl_lp_certifies_guided(monkeypatch):

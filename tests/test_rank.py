@@ -352,8 +352,9 @@ def test_a_wrong_inverse_falls_back(monkeypatch, tamper):
     """X = rint(delta A^-1) with one entry moved by 1, or doubled, breaks
     A X = delta I."""
     diffs, points, (rows, cols, delta, _) = _gyni5_points_and_proposal()
-    x = _real_scaled_inverse(diffs, rows, cols, delta)
-    assert _rank._inverts(diffs, rows, cols, delta, x)
+    minor = diffs[np.ix_(rows, cols)]
+    x = _real_scaled_inverse(minor, delta)
+    assert _rank._inverts(minor, delta, x)
     monkeypatch.setattr(_rank, "_scaled_inverse", lambda *args: tamper(_real_scaled_inverse(*args)))
     fallbacks = _count_fallbacks(monkeypatch)
     assert _rank._certified_rank(diffs) is None
@@ -367,7 +368,7 @@ def test_a_zero_pivot_in_the_inverse_falls_back(monkeypatch):
     diffs, points, (rows, cols, delta, kernel_p) = _gyni5_points_and_proposal()
     first = int(np.flatnonzero(diffs[rows, cols[0]] == 0)[0])
     rows = np.concatenate([rows[first : first + 1], np.delete(rows, first)])
-    assert _real_scaled_inverse(diffs, rows, cols, delta) is None
+    assert _real_scaled_inverse(diffs[np.ix_(rows, cols)], delta) is None
     monkeypatch.setattr(_rank, "_propose", lambda d: (rows, cols, delta, kernel_p))
     fallbacks = _count_fallbacks(monkeypatch)
     assert _rank._certified_rank(diffs) is None
@@ -381,13 +382,11 @@ def test_an_inverse_past_the_float32_bound_falls_back(monkeypatch):
     nothing and the check refuses it."""
     diffs, points, (rows, cols, delta, _) = _gyni5_points_and_proposal()
     scale = 2**22
-    x = _real_scaled_inverse(diffs, rows, cols, delta) * scale
-    minor = diffs[np.ix_(rows, cols)].astype(np.int64)
-    assert np.array_equal(minor @ x.astype(np.int64), delta * scale * np.eye(len(rows)))
-    assert not _real_inverts(diffs, rows, cols, delta * scale, x)
-    monkeypatch.setattr(
-        _rank, "_inverts", lambda d, r, c, dt, x: _real_inverts(d, r, c, dt * scale, x * scale)
-    )
+    minor = diffs[np.ix_(rows, cols)]
+    x = _real_scaled_inverse(minor, delta) * scale
+    assert np.array_equal(minor.astype(np.int64) @ x.astype(np.int64), delta * scale * np.eye(len(rows)))
+    assert not _real_inverts(minor, delta * scale, x)
+    monkeypatch.setattr(_rank, "_inverts", lambda a, dt, x: _real_inverts(a, dt * scale, x * scale))
     fallbacks = _count_fallbacks(monkeypatch)
     assert _rank._certified_rank(diffs) is None
     assert affine_rank(points) == 241
@@ -479,10 +478,10 @@ def test_the_kernel_check_accepts_an_integer_kernel():
     ],
 )
 def test_the_inverse_check_takes_only_integer_inverses_with_nonzero_scale(delta, entry):
-    diffs = np.array([[3]], dtype=np.int8)
+    minor = np.array([[3]], dtype=np.int8)
     x = np.array([[entry]], dtype=np.float32)
-    assert (diffs.astype(np.float32) @ x).item() == np.float32(delta)
-    assert not _rank._inverts(diffs, np.array([0]), np.array([0]), delta, x)
+    assert (minor.astype(np.float32) @ x).item() == np.float32(delta)
+    assert not _rank._inverts(minor, delta, x)
 
 
 _CATALOGUE = {
