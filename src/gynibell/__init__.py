@@ -45,6 +45,7 @@ from .upb import (
     ProductVectorSet,
     UpbVerdict,
     bell_from_set,
+    build_local_sets,
     build_local_subsets,
     check_local_independence,
     four_partite_tight_inequality,

@@ -14,6 +14,14 @@ and on small sets, fraction-free elimination runs over every row.  No
 tolerance decides a rank (the certifying-algorithm pattern of McConnell,
 Mehlhorn, Naeher and Schweitzer, Comput. Sci. Rev. 5, 119 (2011)).
 
+Every float32 product runs in tiles of at most ``_GEMM_MACS``
+multiply-adds, so each stays on the calling thread, and a tile's operands
+stay in cache while it runs (Goto and van de Geijn, ACM Trans. Math.
+Softw. 34, 12 (2008)).  The two checks share one tiled product,
+:func:`_product_is`, in tiles of rows x inner x columns; the float pass and
+the inverse subtract their products, whose inner dimension is at most
+``_FLOAT_BLOCK``, in tiles of rows x columns (:func:`_subtract_product`).
+
 A row is reduced against a pivot row as ``row = pivot_value * row -
 row[pivot_col] * pivot_row``, in place, which keeps everything in
 integers.  A row is divided by the gcd of its entries only when a
@@ -53,9 +61,17 @@ _FLOAT32_EXACT = 2**24
 #: multiply-adds on the calling thread alone; a larger one hands parts to
 #: worker threads, which on a small shared host cost more than they save
 #: (the same product took from 0.2 ms to 16 ms) and keep their own
-#: buffers resident (about 1.4 MB against 0.25 MB)
+#: buffers resident (about 1.4 MB against 0.25 MB).  Every product is cut
+#: into tiles of at most this many.  Measured on a 2-vCPU Xeon against
+#: column slices with every row of ``a``: at Niset-Cerf(4,3) (728 x 625,
+#: rank 415) the checks' 64 x 128 x 64 tiles took the kernel check 4.8 ->
+#: 2.9 ms and the inverse check 4.4 -> 2.6 ms (64 x 256 x 32: 3.2 ms), and
+#: at GYNI-7 (rank 2185) the inverse check 0.99 -> 0.40 s and the inverse's
+#: 64 x 32 x 256 tiles 1.5 -> 0.6 s; 3-D tiles made the float pass's
+#: block reduction 14-21 % slower, so it keeps the inner dimension whole
 _GEMM_MACS = 2**19
-#: rows per float32 block of the kernel and inverse checks
+#: rows per tile of every product, per float32 block of the checks' L1
+#: bound, and columns per tile of the checks
 _CHECK_ROWS = 64
 #: difference matrices of at most this many entries go straight to the
 #: all-rows loop, which is exact too: at GYNI-3 (31 x 27) it costs what the
@@ -152,11 +168,20 @@ def integer_rank(matrix) -> int:
 
 
 def _subtract_product(out, a, b):
-    """``out -= a @ b`` in column slices of at most ``_GEMM_MACS``
-    multiply-adds each."""
-    width = max(1, _GEMM_MACS // max(1, a.size))
-    for j in range(0, b.shape[1], width):
-        out[:, j : j + width] -= a @ b[:, j : j + width]
+    """``out -= a @ b`` in tiles of at most ``_CHECK_ROWS`` rows of ``a``,
+    all of its columns, and as many columns of ``b`` as keep a tile within
+    ``_GEMM_MACS`` multiply-adds.
+
+    This is the form for the float pass and the inverse, whose inner
+    dimension is at most ``_FLOAT_BLOCK``: the block reduction in
+    :func:`_propose` (``a`` has ``_FLOAT_BLOCK`` rows) takes column slices
+    of one row tile, and the rank-32 updates of the other rows in
+    :func:`_scaled_inverse` take 64 x 32 x 256 tiles.  ``out`` may be ``b``
+    itself only when ``a`` is one row tile."""
+    width = max(1, _GEMM_MACS // max(1, min(len(a), _CHECK_ROWS) * a.shape[1]))
+    for i in range(0, len(a), _CHECK_ROWS):
+        for j in range(0, b.shape[1], width):
+            out[i : i + _CHECK_ROWS, j : j + width] -= a[i : i + _CHECK_ROWS] @ b[:, j : j + width]
 
 
 def _propose(diffs):
@@ -237,18 +262,45 @@ def _propose(diffs):
     return np.array(rows, dtype=np.intp), order[:r].copy(), delta, kernel_p
 
 
+def _product_is(a, b, bmax, delta) -> bool:
+    """Whether ``a @ b`` is exactly delta I, or zero when delta = 0, for an
+    integer ``a`` and an integer-valued float32 ``b`` with max |b| =
+    ``bmax``: the product of both checks.
+
+    It runs in float32 tiles of ``_CHECK_ROWS`` rows x ``_CHECK_ROWS``
+    columns x as much of the inner dimension as keeps a tile within
+    ``_GEMM_MACS`` multiply-adds (64 x 128 x 64; a kernel of two columns
+    takes 64 x 4096 x 2), summed over the inner tiles.  Each block of
+    ``_CHECK_ROWS`` rows of ``a`` runs only while its largest row L1 norm
+    times ``bmax`` stays below 2**24: then every product and partial sum
+    is an integer that float32 holds exactly, in any summation order.  The L1 norms are
+    float32 sums of magnitudes too, exact below 2**24 and never below it
+    once the true sum reaches it, and a NaN ``bmax`` fails the test."""
+    inner, cols = b.shape
+    depth = _GEMM_MACS // (_CHECK_ROWS * max(1, min(cols, _CHECK_ROWS)))
+    for i in range(0, len(a), _CHECK_ROWS):
+        part = a[i : i + _CHECK_ROWS].astype(np.float32)
+        if not float(np.abs(part).sum(axis=1).max()) * bmax < _FLOAT32_EXACT:
+            return False
+        for j in range(0, cols, _CHECK_ROWS):
+            tile = b[:, j : j + _CHECK_ROWS]
+            acc = part[:, :depth] @ tile[:depth]
+            for k in range(depth, inner, depth):
+                acc += part[:, k : k + depth] @ tile[k : k + depth]
+            if delta:
+                diag = np.arange(max(i, j), min(i + len(part), j + acc.shape[1]))
+                acc[diag - i, diag - j] -= np.float32(delta)
+            if acc.any():
+                return False
+    return True
+
+
 def _annihilates(diffs, cols, delta, kernel_p) -> bool:
     """Whether D K = 0 holds exactly for the integer matrix K that has
     delta * I on the nf columns not in ``cols`` (ascending) and the rows of
     ``kernel_p`` on ``cols``; K's columns are then nf independent vectors
-    orthogonal to every row of D, and rank D <= m - nf.
-
-    The product runs in float32, a block of ``_CHECK_ROWS`` rows at a time,
-    each block only while its largest row L1 norm times max |K| stays
-    below 2**24: then every product and partial sum is an integer that
-    float32 holds exactly, in any summation order.  The L1 norms are
-    float32 sums of magnitudes too, exact below 2**24 and never below it
-    once the true sum reaches it."""
+    orthogonal to every row of D, and rank D <= m - nf.  The product is
+    :func:`_product_is`, exact by its bound."""
     n, m = diffs.shape
     free = np.ones(m, dtype=bool)
     free[cols] = False
@@ -265,15 +317,7 @@ def _annihilates(diffs, cols, delta, kernel_p) -> bool:
     kernel = np.zeros((m, nf), dtype=np.float32)
     kernel[np.flatnonzero(free), np.arange(nf)] = delta
     kernel[cols] = kernel_p
-    for start in range(0, n, _CHECK_ROWS):
-        part = diffs[start : start + _CHECK_ROWS].astype(np.float32)
-        if not float(np.abs(part).sum(axis=1).max()) * kmax < _FLOAT32_EXACT:
-            return False
-        width = max(1, _GEMM_MACS // part.size)
-        for j in range(0, nf, width):
-            if (part @ kernel[:, j : j + width]).any():
-                return False
-    return True
+    return _product_is(diffs, kernel, kmax, 0)
 
 
 def _scaled_inverse(minor, delta):
@@ -319,13 +363,9 @@ def _scaled_inverse(minor, delta):
 
 def _inverts(minor, delta, x) -> bool:
     """Whether A X = delta I holds exactly for the integer minor A; with
-    delta != 0, det A det X = delta^r, so A is nonsingular.
-
-    The product runs in float32, a block of ``_CHECK_ROWS`` rows of A at a
-    time, and only for an integer X and each block only while its largest
-    row L1 norm times max |X| stays below 2**24: every partial sum is then
-    an integer that float32 holds exactly, the argument of
-    :func:`_annihilates`."""
+    delta != 0, det A det X = delta^r, so A is nonsingular.  The product is
+    :func:`_product_is`, run only for an integer X and exact by its
+    bound."""
     r = len(minor)
     if x is None or x.shape != (r, r):
         return False
@@ -336,18 +376,7 @@ def _inverts(minor, delta, x) -> bool:
         if not np.array_equal(part, np.rint(part)):
             return False
     xmax = float(np.maximum(x.max(initial=0), -x.min(initial=0)))  # NaN if X holds one
-    for start in range(0, r, _CHECK_ROWS):
-        part = minor[start : start + _CHECK_ROWS].astype(np.float32)
-        if not float(np.abs(part).sum(axis=1).max()) * xmax < _FLOAT32_EXACT:
-            return False
-        width = max(1, _GEMM_MACS // part.size)
-        for j in range(0, r, width):
-            prod = part @ x[:, j : j + width]
-            diag = np.arange(max(start, j), min(start + len(part), j + prod.shape[1]))
-            prod[diag - start, diag - j] -= np.float32(delta)
-            if prod.any():
-                return False
-    return True
+    return _product_is(minor, x, xmax, delta)
 
 
 def _certified_rank(diffs):

@@ -98,12 +98,20 @@ def _named_set(name: str, args):
     if name == "wupb":
         return upb.wupb_example()
     if name == "tiles":
-        # its local subsets are ambiguous: building them raises, and only the
-        # UPB verdicts, which need none, take the set without them
+        return _vector_set(upb.tiles(), (3, 3), "tiles", args)
+    return _load(name, lambda document: _vector_set(*upb.vectors_from_json(document), "", args))
+
+
+def _vector_set(vectors, dims, label: str, args):
+    """The set with its local subsets.  Where they are ambiguous (TILES),
+    building them raises, and only the UPB verdicts, which need none, take
+    the set with its local sets alone."""
+    try:
+        return upb.build_local_subsets(vectors, dims, label)
+    except upb.AmbiguousSubsetsError:
         if args.command == "upb" and args.check != "indep" and not args.emit_bell:
-            return upb.tiles_set()
-        return upb.build_local_subsets(upb.tiles(), (3, 3))
-    return _load(name, upb.ProductVectorSet.from_json)
+            return upb.build_local_sets(vectors, dims, label)
+        raise
 
 
 # ---------------------------------------------------------------------------

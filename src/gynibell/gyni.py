@@ -179,24 +179,24 @@ def orthogonality_certificate(expression: BellExpression) -> bool:
 
     Two terms are orthogonal when some party receives the same input in
     both but must answer differently; no deterministic (or projective)
-    strategy can then satisfy both.  The non-orthogonal pairs are found at
-    once, by one broadcast comparison of every pair of terms' input and
-    outcome tuples, party by party.  Two disjoint sufficient patterns are
-    accepted:
+    strategy can then satisfy both.  Two sufficient patterns are accepted,
+    as alternatives, so the cheaper one is tested first:
 
-    * every pair of terms is orthogonal and all coefficients are 1, which
-      pins both bounds at exactly 1 (the unextendible-product-basis shape);
     * the expression is a GYNI game: binary scenario, outcome tuple equal
       to the cyclic left shift of the input tuple, coefficients a
       probability distribution.  Its only non-orthogonal pairs are then
-      complement pairs (x, complement x), so that pattern needs no check
-      of its own: the terms of distinct inputs x and y answer x_{p+1} and
-      y_{p+1} at party p, so unless they are orthogonal, agreeing at party
-      p forces agreement at party p + 1, cyclically at every party, and
-      they would be equal.  Non-orthogonal terms agree at no party.  The Bell
-      operator splits into orthogonal blocks of norm at most q(x) +
-      q(complement x), reproducing the classical bound max_x [q(x) +
-      q(complement x)].
+      complement pairs (x, complement x), so that pattern needs no pair of
+      terms compared: the terms of distinct inputs x and y answer x_{p+1}
+      and y_{p+1} at party p, so unless they are orthogonal, agreeing at
+      party p forces agreement at party p + 1, cyclically at every party,
+      and they would be equal.  Non-orthogonal terms agree at no party.
+      The Bell operator splits into orthogonal blocks of norm at most q(x)
+      + q(complement x), reproducing the classical bound max_x [q(x) +
+      q(complement x)];
+    * every pair of terms is orthogonal and all coefficients are 1, which
+      pins both bounds at exactly 1 (the unextendible-product-basis shape).
+      The pairs are compared at once, by one broadcast comparison of every
+      pair of terms' input and outcome tuples, party by party.
 
     Anything else returns False.  Negative coefficients invalidate both
     arguments and raise."""
@@ -208,13 +208,11 @@ def orthogonality_certificate(expression: BellExpression) -> bool:
     xs = np.array([x for x, _, _ in terms], dtype=np.int64).reshape(shape)
     aa = np.array([a for _, a, _ in terms], dtype=np.int64).reshape(shape)
     coeffs = [c for _, _, c in terms]
-    same_input = xs[:, None, :] == xs[None, :, :]
-    orthogonal = (same_input & (aa[:, None, :] != aa[None, :, :])).any(axis=2)
-
-    if orthogonal[np.triu_indices(len(terms), 1)].all() and all(c == 1 for c in coeffs):
-        return True
 
     binary = all(m == 2 for m in scen.inputs) and all(d == 2 for d in scen.outputs)
-    if not binary:
-        return False
-    return bool(np.array_equal(aa, np.roll(xs, -1, axis=1))) and sum(coeffs) == 1
+    if binary and np.array_equal(aa, np.roll(xs, -1, axis=1)) and sum(coeffs) == 1:
+        return True
+
+    same_input = xs[:, None, :] == xs[None, :, :]
+    orthogonal = (same_input & (aa[:, None, :] != aa[None, :, :])).any(axis=2)
+    return bool(orthogonal[np.triu_indices(len(terms), 1)].all()) and all(c == 1 for c in coeffs)

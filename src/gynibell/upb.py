@@ -157,14 +157,19 @@ class ProductVectorSet:
 
     @staticmethod
     def from_json(obj: dict) -> "ProductVectorSet":
-        dims = tuple(obj["dims"])
-        vectors = []
-        for vec in obj["vectors"]:
-            sites = tuple(
-                np.array([complex(re, im) for re, im in site]) for site in vec
-            )
-            vectors.append(sites)
-        return build_local_subsets(vectors, dims)
+        """The set of a :meth:`to_json` document, with the local subsets
+        :func:`build_local_subsets` derives."""
+        return build_local_subsets(*vectors_from_json(obj))
+
+
+def vectors_from_json(obj: dict) -> tuple[list, tuple]:
+    """The raw product vectors and the site dimensions of a
+    :meth:`ProductVectorSet.to_json` document."""
+    vectors = [
+        tuple(np.array([complex(re, im) for re, im in site]) for site in vec)
+        for vec in obj["vectors"]
+    ]
+    return vectors, tuple(obj["dims"])
 
 
 def _check_unit_norm(vectors, dims, eps) -> None:
@@ -223,6 +228,26 @@ def _product_set(vectors, dims, local_sets, local_subsets, label: str) -> Produc
     return ProductVectorSet(dims, vectors, local_sets, local_subsets, index, label=label)
 
 
+def _local_classes(vectors, dims):
+    """The vectors as complex arrays, checked for unit norm, and per site the
+    factors, their overlap table and the first factor of each class of
+    factors equal modulo a global phase, in first-appearance order (the
+    extension witness's SVD depends on it)."""
+    eps = config.TOLERANCE
+    vectors = tuple(tuple(np.asarray(v, dtype=complex) for v in vec) for vec in vectors)
+    _check_unit_norm(vectors, dims, eps)  # the per-site tables need the shapes
+    sites = []
+    for i, d in enumerate(dims):
+        factors = [vec[i] for vec in vectors]
+        table = np.abs(_overlaps(factors, factors, d))
+        reps = []
+        for m in range(len(factors)):
+            if not np.any(table[m, reps] > 1.0 - eps):
+                reps.append(m)
+        sites.append((factors, table, reps))
+    return vectors, sites
+
+
 def build_local_subsets(vectors, dims, label: str = "") -> ProductVectorSet:
     """Derive local sets and subsets from raw orthogonal product vectors.
 
@@ -232,21 +257,13 @@ def build_local_subsets(vectors, dims, label: str = "") -> ProductVectorSet:
     vector's subset is itself with its partners.  Otherwise the grouping is
     ambiguous (the TILES situation) and :class:`AmbiguousSubsetsError` is
     raised with the first such pair and their first common partner.  Local
-    sets keep first-appearance order (the extension witness's SVD depends on
-    it), and so do subset order and positions.
+    sets keep first-appearance order, and so do subset order and positions.
     """
     eps = config.TOLERANCE
-    vectors = tuple(tuple(np.asarray(v, dtype=complex) for v in vec) for vec in vectors)
-    _check_unit_norm(vectors, dims, eps)  # the per-site tables need the shapes
+    vectors, sites = _local_classes(vectors, dims)
     local_sets = []
     local_subsets = []
-    for i, d in enumerate(dims):
-        factors = [vec[i] for vec in vectors]
-        table = np.abs(_overlaps(factors, factors, d))
-        reps = []
-        for m in range(len(factors)):
-            if not np.any(table[m, reps] > 1.0 - eps):
-                reps.append(m)
+    for i, (factors, table, reps) in enumerate(sites):
         adj = table[np.ix_(reps, reps)] <= eps
         # non-adjacent pairs with a common partner
         conflicts = np.argwhere(np.triu((adj @ adj) & ~adj, 1))
@@ -258,6 +275,16 @@ def build_local_subsets(vectors, dims, label: str = "") -> ProductVectorSet:
         local_sets.append([factors[m] for m in reps])
         local_subsets.append(list(dict.fromkeys(cliques)))  # first appearance
     return _product_set(vectors, dims, local_sets, local_subsets, label)
+
+
+def build_local_sets(vectors, dims, label: str) -> ProductVectorSet:
+    """Raw orthogonal product vectors with their local sets alone, each
+    deduplicated modulo a global phase as :func:`build_local_subsets` does,
+    and no local subsets: the form of a set whose subsets are ambiguous for
+    the unextendibility verdicts, which need none."""
+    vectors, sites = _local_classes(vectors, dims)
+    local_sets = [[factors[m] for m in reps] for factors, _, reps in sites]
+    return _product_set(vectors, dims, local_sets, None, label)
 
 
 def _from_explicit_subsets(vectors, dims, site_subsets, label: str) -> ProductVectorSet:
@@ -690,8 +717,7 @@ def tiles_set() -> ProductVectorSet:
     are ambiguous (:func:`build_local_subsets` raises), and the
     unextendibility verdicts need none.  At each site the five factors are
     distinct, so they are the local set."""
-    vectors = tiles()
-    return _product_set(vectors, (3, 3), list(zip(*vectors)), None, "tiles")
+    return build_local_sets(tiles(), (3, 3), "tiles")
 
 
 def four_partite_tight_inequality() -> BellExpression:

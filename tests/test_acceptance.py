@@ -143,6 +143,17 @@ def test_criterion_5_tightness():
         assert rep.is_tight and rep.affine_rank == 106 and rep.polytope_dimension == 107
 
 
+@requires_slow
+def test_criterion_5_gyni_7_facet_opt_in():
+    """GYNI-7 is a facet: the 8191 saturating vertices have affine rank
+    2185, one below the dimension; about 2 s, nearly all of it the rank."""
+    with criterion(5, "GYNI-7 facet (opt-in)", 60):
+        g7 = gyni.gyni_expression(7).expression
+        rep = gb.facet_check(g7, g7.classical_bound)
+        assert rep.is_tight and rep.bound_attained
+        assert (rep.affine_rank, rep.polytope_dimension) == (2185, 2186)
+
+
 def test_criterion_6_upb_verdicts():
     with criterion(6, "unextendibility verdicts", 60):
         assert gb.is_upb(upb.shifts()).is_upb

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from gynibell import cli, witness
+from gynibell import cli, upb, witness
 
 
 def run_cli(argv):
@@ -96,11 +96,44 @@ def test_upb_tiles_verdicts_need_no_subsets(check):
     assert "local_independence" not in payload
 
 
+def _tiles_file(tmp_path) -> str:
+    path = tmp_path / "tiles.json"
+    path.write_text(json.dumps(upb.tiles_set().to_json()))
+    return str(path)
+
+
+@pytest.mark.parametrize("check", [[], ["--check", "upb"], ["--check", "wupb"]])
+def test_upb_tiles_from_file_gives_the_named_verdicts(tmp_path, check):
+    """TILES written by ``to_json`` and read back: its subsets are ambiguous
+    there too, and the UPB verdicts are those of the named set."""
+    named = run_cli(["upb", "tiles", *check])
+    code, text = run_cli(["upb", _tiles_file(tmp_path), *check])
+    assert (code, named[0]) == (0, 0)
+    payload, expect = json.loads(text), json.loads(named[1])
+    assert (payload.pop("label"), expect.pop("label")) == ("", "tiles")
+    assert payload == expect
+
+
 @pytest.mark.parametrize(
     "argv", [["upb", "tiles", "--check", "all", "--emit-bell"], ["witness", "--set", "tiles"]]
 )
 def test_tiles_calls_that_need_subsets_are_domain_errors(capsys, argv):
     code, _ = run_cli(argv)
+    assert code == 1
+    assert "ambiguous" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["upb", "FILE", "--check", "indep"],
+        ["upb", "FILE", "--check", "all", "--emit-bell"],
+        ["witness", "--set", "FILE"],
+    ],
+)
+def test_tiles_from_file_calls_that_need_subsets_are_domain_errors(capsys, tmp_path, argv):
+    path = _tiles_file(tmp_path)
+    code, _ = run_cli([path if arg == "FILE" else arg for arg in argv])
     assert code == 1
     assert "ambiguous" in capsys.readouterr().err
 

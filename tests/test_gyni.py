@@ -275,6 +275,19 @@ def test_certificate_agrees_with_the_pairwise_oracle_on_criterion_7():
         assert gyni.orthogonality_certificate(e) is _certificate_oracle(e) is True
 
 
+@pytest.mark.parametrize("promise", ["parity", "uniform"])
+def test_certificate_agrees_with_the_pairwise_oracle_on_unnormalized_gyni_shapes(promise):
+    """The GYNI shape with unit coefficients, which sum to 2**(N-1) or 2**N:
+    the shape is tested first and fails on the sum, and the pairwise
+    pattern decides; it accepts the parity promise, whose terms are all
+    orthogonal, and refuses the uniform one, which holds complement pairs."""
+    for n in range(2, 6):
+        q = gyni.parity_promise(n) if promise == "parity" else gyni.uniform_promise(n)
+        e = gyni.gyni_sum_expression(n, q)
+        assert sum(e.coeffs.values()) > 1
+        assert gyni.orthogonality_certificate(e) is _certificate_oracle(e) is (promise == "parity")
+
+
 def _random_terms(rng, scen, n_terms):
     """Terms drawn near one input string, so that many pairs share inputs."""
     base = [rng.randrange(m) for m in scen.inputs]

@@ -484,6 +484,75 @@ def test_the_inverse_check_takes_only_integer_inverses_with_nonzero_scale(delta,
     assert not _rank._inverts(minor, delta, x)
 
 
+def _planted_product(n, k, c, delta):
+    """Integer a (n x k) and an integer-valued float32 b (k x c) with a @ b
+    = delta I (n = c) or 0 (delta = 0), and the inner index I[j] at which
+    column j of b holds its -1: b's other rows are random, its rows I hold
+    -I, and a[:, I] = a[:, others] @ b[others] (minus delta at (j, I[j])),
+    so a[r, I[j]] + 1 moves entry (r, j) of the product alone.  Column j
+    meets the inner index k - 1 - 2 j: the first columns in the last inner
+    tile, the last ones in the first."""
+    rng = np.random.default_rng(29)
+    inner = k - 1 - 2 * np.arange(c)
+    others = np.setdiff1d(np.arange(k), inner)
+    b = np.zeros((k, c), dtype=np.int64)
+    b[others] = rng.integers(-1, 2, size=(len(others), c))
+    b[inner, np.arange(c)] = -1
+    a = np.zeros((n, k), dtype=np.int64)
+    a[:, others] = rng.integers(-1, 2, size=(n, len(others)))
+    a[:, inner] = a[:, others] @ b[others]
+    if delta:
+        a[np.arange(c), inner] -= delta
+    assert np.array_equal(a @ b, delta * np.eye(n, c, dtype=np.int64))
+    return a, b.astype(np.float32), inner
+
+
+# (n, k, c): 150 x 300 x 150 leaves a short last tile in every dimension
+# (64 x 128 x 64 tiles); a two-column b takes 64 x 4096 x 2 tiles
+_PLANTED_WRONG = {
+    "last inner tile": ((150, 300, 150), 3, (70, 5)),
+    "last inner tile, zero": ((150, 300, 150), 0, (70, 5)),
+    "last column tile": ((150, 300, 150), 3, (10, 140)),
+    "last column tile, zero": ((150, 300, 150), 0, (10, 140)),
+    "last row block": ((150, 300, 150), 3, (149, 70)),
+    "last row block, zero": ((150, 300, 150), 0, (149, 70)),
+    "two columns, last inner tile": ((130, 4200, 2), 0, (100, 1)),
+}
+
+
+@pytest.mark.parametrize("shape, delta, entry", _PLANTED_WRONG.values(), ids=_PLANTED_WRONG.keys())
+def test_the_tiled_check_refuses_one_wrong_entry_in_any_tile(shape, delta, entry):
+    """Operands whose sizes are no multiple of the tiles: the exact product
+    passes, and one entry moved by 1 is refused wherever its tile lies."""
+    a, b, inner = _planted_product(*shape, delta)
+    assert _rank._product_is(a, b, 1.0, delta)
+    r, j = entry
+    a[r, inner[j]] += 1
+    wrong = np.argwhere(a @ b.astype(np.int64) != delta * np.eye(len(a), b.shape[1]))
+    assert wrong.tolist() == [[r, j]]
+    assert not _rank._product_is(a, b, 1.0, delta)
+
+
+def test_the_tiled_check_refuses_a_block_past_the_float32_bound():
+    """The last row of a @ b = 0 times 2**14 is still exactly 0, but its L1
+    norm times max |b| passes 2**24, so the check refuses; so does a NaN
+    bound."""
+    a, b, _ = _planted_product(150, 300, 150, 0)
+    a[-1] *= 2**14
+    assert not (a @ b.astype(np.int64)).any()
+    assert np.abs(a[-1]).sum() >= 2**24 > np.abs(a[:-1]).sum(axis=1).max()
+    assert not _rank._product_is(a, b, 1.0, 0)
+    assert not _rank._product_is(a[:-1], b, float("nan"), 0)
+
+
+def _column_slices(out, a, b):
+    """``out -= a @ b`` in column slices of at most ``_GEMM_MACS``
+    multiply-adds with every row of ``a``: the form the tiles replaced."""
+    width = max(1, _rank._GEMM_MACS // max(1, a.size))
+    for j in range(0, b.shape[1], width):
+        out[:, j : j + width] -= a @ b[:, j : j + width]
+
+
 _CATALOGUE = {
     "GYNI-5": (lambda: gyni.gyni_expression(5).expression, 241),
     "Niset-Cerf(4,3)": (lambda: upb.niset_cerf_inequality(4, 3), 415),
@@ -504,6 +573,28 @@ def test_catalogue_ranks_certify_without_the_fallback(monkeypatch, name):
     monkeypatch.setattr(_rank, "integer_rank", no_fallback)
     report = polytope.facet_check(expression, expression.classical_bound)
     assert report.affine_rank == rank
+
+
+@pytest.mark.parametrize("name", ["GYNI-5", "Niset-Cerf(4,3)", "four-partite"])
+def test_the_tiled_inverse_equals_the_column_slice_inverse(monkeypatch, name):
+    """X from the row tiles is X from the column slices, entry by entry.
+    (Its bytes match too on these three; at gen_shifts(3) and GYNI-7 the
+    last bits before rounding differ, so some zero entries differ in sign,
+    which no check reads.)"""
+    build, rank = _CATALOGUE[name]
+    expression = build()
+    diffs = []
+    certified = _rank._certified_rank
+    monkeypatch.setattr(_rank, "_certified_rank", lambda d: diffs.append(d) or certified(d))
+    polytope.facet_check(expression, expression.classical_bound)
+    (d,) = diffs
+    rows, cols, delta, _ = _real_propose(d)
+    minor = d[np.ix_(rows, cols)]
+    x = _real_scaled_inverse(minor, delta)
+    monkeypatch.setattr(_rank, "_subtract_product", _column_slices)
+    expect = _real_scaled_inverse(minor, delta)
+    assert len(rows) == rank and x.dtype == expect.dtype
+    assert np.array_equal(x, expect)
 
 
 def test_small_sets_take_the_all_rows_loop(monkeypatch):
