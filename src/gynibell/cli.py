@@ -114,6 +114,15 @@ def _vector_set(vectors, dims, label: str, args):
         raise
 
 
+def _optimum(kind: str, expression: BellExpression, args):
+    """The maximum of ``expression`` over the correlation set ``kind``
+    (classical, ns or tobl); the classical one enumerates strategies up to
+    ``--cap``."""
+    if kind == "classical":
+        return polytope.classical_max(expression, cap=args.cap)
+    return (polytope.ns_max if kind == "ns" else polytope.tobl_max)(expression)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -127,32 +136,21 @@ def _cmd_gyni(args) -> dict:
         "classical_bound": str(game.expression.classical_bound),
         "orthogonality_certificate": gyni.orthogonality_certificate(game.expression),
     }
-    if args.bound == "classical":
-        opt = polytope.classical_max(game.expression, cap=args.cap)
-        out["value"] = str(opt.value)
-    elif args.bound == "ns":
-        opt = polytope.ns_max(game.expression)
-        out["value"] = str(opt.value)
-    elif args.bound == "tobl":
-        opt = polytope.tobl_max(gyni.gyni_sum_expression(args.n, q))
-        out["value"] = str(opt.value)
+    if args.bound is not None:
+        expression = game.expression
+        if args.bound == "tobl":  # the time-ordered bilocal LP takes the sum form
+            expression = gyni.gyni_sum_expression(args.n, q)
+        out["value"] = str(_optimum(args.bound, expression, args).value)
     return out
 
 
 def _cmd_bounds(args) -> dict:
     expression = _resolve_expression(args)
-    out = {"label": expression.label, "set": args.set}
+    opt = _optimum(args.set, expression, args)
+    out = {"label": expression.label, "set": args.set, "value": str(opt.value)}
     if args.set == "classical":
-        opt = polytope.classical_max(expression, cap=args.cap)
-        out["value"] = str(opt.value)
         out["strategy"] = [list(r) for r in opt.strategy.responses]
-    elif args.set == "ns":
-        opt = polytope.ns_max(expression)
-        out["value"] = str(opt.value)
-        out["box"] = opt.box.to_json()
-    elif args.set == "tobl":
-        opt = polytope.tobl_max(expression)
-        out["value"] = str(opt.value)
+    else:
         out["box"] = opt.box.to_json()
     return out
 
@@ -162,7 +160,7 @@ def _cmd_tobl(args) -> dict:
         expression = gyni.gyni_sum_expression(args.gyni)
     else:
         expression = _load(args.expr, BellExpression.from_json)
-    opt = polytope.tobl_max(expression)
+    opt = _optimum("tobl", expression, args)
     return {
         "label": expression.label,
         "value": str(opt.value),
@@ -174,7 +172,7 @@ def _cmd_facet(args) -> dict:
     expression = _resolve_expression(args)
     bound = expression.classical_bound
     if bound is None:
-        bound = polytope.classical_max(expression, cap=args.cap).value
+        bound = _optimum("classical", expression, args).value
     report = polytope.facet_check(expression, bound, cap=args.cap)
     out = report.to_json()
     out["label"] = expression.label

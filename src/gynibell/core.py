@@ -27,7 +27,7 @@ from typing import Iterator, NamedTuple
 from . import config
 
 # ---------------------------------------------------------------------------
-# rationals in JSON
+# rationals
 
 
 def _parse_fraction(s: str) -> Fraction:
@@ -35,6 +35,14 @@ def _parse_fraction(s: str) -> Fraction:
     ``p`` and ``q`` are integer literals, so ``"0.5"`` is rejected."""
     num, slash, den = s.strip().partition("/")
     return Fraction(int(num), int(den) if slash else 1)
+
+
+def integer_numerators(values) -> tuple[list[int], int]:
+    """The rationals ``values`` as Python-integer numerators over their
+    least common denominator, in order, and that denominator (1 for no
+    values)."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [int(v.numerator) * (den // v.denominator) for v in values], den
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +239,7 @@ class Box:
         """The entries as integer numerators over their least common
         denominator, in table order, and that denominator; each distinct
         value is converted once."""
-        den = math.lcm(*(v.denominator for v in self._values))
-        per_value = [v.numerator * (den // v.denominator) for v in self._values]
+        per_value, den = integer_numerators(self._values)
         return list(map(per_value.__getitem__, self._index)), den
 
     def validate(self) -> None:

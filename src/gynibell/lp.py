@@ -41,20 +41,20 @@ rational normalization; a row is divided by its gcd only once its entries
 grow large.  A pivot has no per-row Python loop.  A touched row whose
 tableau entry the pivot entry divides keeps its denominator, the others are
 scaled whole first; then every touched row changes only in the pivot row's
-nonzero columns, through one flat-index gather and scatter per block of
-rows, and the grown rows are gcd-reduced one numpy operation per block.
-The lexicographic ratio tie-break gathers one column chunk of the tied rows
-at a time, in chunks that grow geometrically.  The arrays are int64 while
+nonzero columns, through one gather and scatter over all touched rows, and
+the grown rows are gcd-reduced in one numpy operation.  The lexicographic
+ratio tie-break is a pairwise tournament over the tied rows' whole inverse
+rows (Dantzig, Orden and Wolfe 1955).  The arrays are int64 while
 the magnitude guard of :mod:`gynibell._rank` shows that no product can
 reach 2**62; past it they switch to Python integers (``dtype=object``) for
 the rest of the solve.  Every pivot choice depends only on rationals
 (ratios and lexicographic rows cancel each row's denominator), so none
 depends on how a row is scaled or when it switches.  The duals are integer
 numerators over one common denominator, and each pivot prices every column
-with one exact sparse integer product.  The problems solved here
-(no-signaling bounds, membership tests, time-ordered bilocal
-decompositions) have modest row counts and wide, very sparse column sets,
-so columns are stored once, compressed.
+with one exact sparse integer product.  What still runs here is the
+feasibility LPs of membership tests and the rare LP whose float basis does
+not verify; like every LP of the models, they have modest row counts and
+wide, very sparse column sets, so columns are stored once, compressed.
 
 Correctness posture:
 
@@ -97,6 +97,7 @@ import numpy as np
 
 from . import config
 from ._rank import _INT64_SAFE, _REDUCE_AT
+from .core import integer_numerators
 
 #: consecutive degenerate pivots tolerated before Bland's rule engages.
 #: the primary tie-break is lexicographic, which already makes cycling all
@@ -105,17 +106,15 @@ DEGENERACY_STREAK = 500
 
 #: column block size for lazy pricing.  An LP with at most this many columns
 #: is priced over all of them (plain Dantzig), as is every LP the benchmark
-#: workloads solve (at most 384 columns).  Blocks stay for wide LPs: on the
-#: uncollapsed TOBL LP (1600 columns) full pricing had not finished after
-#: 7 minutes, and block pricing solves it in 8-19 s (2-vCPU Xeon)
+#: workloads solve (at most 384 columns).  Blocks stay for wide LPs: cold,
+#: the uncollapsed TOBL LP (1600 columns) takes 4.5 s with them and had not
+#: finished after 300 s with full pricing (2-vCPU Xeon)
 PRICE_BLOCK = 512
 
-#: most entries of the basis inverse that one block of a pivot's row update,
-#: or of the lexicographic tie-break, copies at a time
+#: most entries of the basis inverse that one block of ``_set_cost``'s dual
+#: sum copies at a time: as one whole-array product its self time over 40
+#: membership solves went from 7.6 to 25 ms (2-vCPU Xeon)
 _BLOCK_ELEMS = 1 << 13
-
-#: columns in the first chunk the lexicographic tie-break compares
-_LEX_CHUNK = 32
 
 #: the float pass raises right-hand side i by (_PERTURB + _PERTURB_SPREAD *
 #: frac(i * _GOLDEN)) * (1 + max|b|): a fixed perturbation, so reruns pivot
@@ -224,9 +223,7 @@ def make_problem(objective, constraints, objective_den: int = 1) -> LPProblem:
     their lcm."""
     obj = list(objective)
     if not _integral(obj):
-        obj = [Fraction(c) for c in obj]
-        den = math.lcm(*(c.denominator for c in obj))
-        obj = [int(c.numerator) * (den // c.denominator) for c in obj]
+        obj, den = integer_numerators([Fraction(c) for c in obj])
         objective_den *= den
     if isinstance(constraints, Rows):
         return LPProblem(len(obj), tuple(obj), constraints, objective_den)
@@ -234,18 +231,18 @@ def make_problem(objective, constraints, objective_den: int = 1) -> LPProblem:
     for i, (coeffs, b) in enumerate(constraints):
         items = sorted(coeffs.items()) if isinstance(coeffs, dict) else enumerate(coeffs)
         items = [(int(j), Fraction(v)) for j, v in items if v]
-        scale = math.lcm(*(v.denominator for _, v in items))
+        nums, scale = integer_numerators([v for _, v in items])
         row += [i] * len(items)
         col += [j for j, _ in items]
-        val += [v.numerator * (scale // v.denominator) for _, v in items]
+        val += nums
         rhs.append(Fraction(b) * scale)
-    den = math.lcm(*(b.denominator for b in rhs))
+    rhs, den = integer_numerators(rhs)
     big = max(map(abs, val), default=0) >= _INT64_SAFE
     rows = Rows(
         np.array(row, dtype=np.intp),
         np.array(col, dtype=np.intp),
         np.array(val, dtype=object if big else np.int64),
-        np.array([int(b.numerator) * (den // b.denominator) for b in rhs], dtype=object),
+        np.array(rhs, dtype=object),
         den,
     )
     return LPProblem(len(obj), tuple(obj), rows, objective_den)
@@ -422,8 +419,8 @@ class _Simplex:
     ``M[:, m]`` is the inverse applied to the right-hand side numerators
     ``b_scale * b`` of the standard form, so basic value ``i`` is
     ``M[i, m] / (bden[i] * b_scale)`` and the row operations of a pivot keep
-    it current.  A pivot updates the touched rows of ``M`` in place, a block
-    of rows at a time, and allocates nothing of size m x m.  The duals are
+    it current.  A pivot updates the touched rows of ``M`` in place, each
+    step one numpy operation over all of them.  The duals are
     integer numerators ``ynum`` over one common denominator ``yden``, and
     every pivot prices all columns with one sparse integer product
     ``A^T ynum``, so the reduced costs are integers over one positive
@@ -443,8 +440,6 @@ class _Simplex:
         self.pivots = 0
         self.degenerate = 0
         self.bland_engaged = False
-        # rows of M (m + 1 entries each) that one block of an update holds
-        self.block_rows = max(1, _BLOCK_ELEMS // (m + 1))
         self.basis = np.arange(n, n + m)
         self.artificials = m  # basic artificial variables
         self.nonbasic = np.ones(n, dtype=bool)
@@ -504,7 +499,7 @@ class _Simplex:
         w = np.array(w, dtype=self.M.dtype)
         basic = w.nonzero()[0]
         ynum = np.zeros(self.m, dtype=self.M.dtype)
-        step = self.block_rows
+        step = max(1, _BLOCK_ELEMS // (self.m + 1))
         for s in range(0, basic.size, step):
             t = basic[s : s + step]
             ynum += (w[t, None] * self.M[t, : self.m]).sum(axis=0)
@@ -580,53 +575,25 @@ class _Simplex:
         lexicographically least; the row denominators cancel against the
         entries' own, so this compares integer cross products.
 
-        Each round finds the first column from ``col`` on where some row's
-        scaled entry differs from the first row's, and keeps the rows with
-        the least scaled entry there: the least among the rows below the
-        first row's entry, or, if there are none, the rows equal to it.
-        Only one column chunk of the remaining rows is gathered at a time,
-        and its columns past the differing one serve the next round.  A new
-        chunk has ``_LEX_CHUNK`` columns, four times more after each chunk
-        without a difference (that column is mostly among the first few),
-        and at most ``_BLOCK_ELEMS`` entries unless that is fewer than
-        ``_LEX_CHUNK`` columns.  Where the int64 guard cannot bound the
-        cross products, each chunk is compared in Python integers.
+        A pairwise tournament over the rows' whole inverse rows keeps the
+        best row so far and takes row k when the first nonzero entry of
+        ``M[k] * u_best - M[best] * u_k`` is negative.  The basis inverse is
+        nonsingular, so the least row is unique and the order of the
+        comparisons cannot change it.  Where the int64 guard cannot bound
+        the cross products, they are taken in Python integers.
         """
-        m, M = self.m, self.M
-        us = unum[rows]
-        wide = not self.big and 2 * int(self.rowmax[rows].max()) * int(us.max()) >= _INT64_SAFE
-        if wide:
-            us = us.astype(object)
-        # chunk holds the columns col, col + 1, ... of the remaining rows
-        col, width = 0, _LEX_CHUNK
-        chunk = M[rows, :0]
-        while rows.size > 1:
-            if not chunk.shape[1]:
-                if col == m:
-                    raise LPError("equal rows in the basis inverse; solver invariant broken")
-                width = min(width, max(_LEX_CHUNK, _BLOCK_ELEMS // rows.size))
-                chunk = M[rows, col : min(col + width, m)]
-                if wide:
-                    chunk = chunk.astype(object)
-            cross = chunk * us[0] - chunk[0] * us[:, None]
-            differ = cross.any(axis=0).nonzero()[0]
-            if not differ.size:
-                col += chunk.shape[1]
-                chunk = chunk[:, :0]
-                width *= 4
-                continue
-            d = int(differ[0])
-            # a row above the first one in column d cannot be least
-            c = cross[:, d]
-            below = (c < 0).nonzero()[0]
-            if below.size:
-                keep = below[_least_ratios(chunk[below, d].tolist(), us[below].tolist())]
-            else:
-                keep = (c == 0).nonzero()[0]
-            rows, us, chunk = rows[keep], us[keep], chunk[keep, d + 1 :]
-            col += d + 1
-            width = _LEX_CHUNK
-        return int(rows[0])
+        us, inv = unum[rows], self.M[rows, : self.m]
+        if not self.big and 2 * int(self.rowmax[rows].max()) * int(us.max()) >= _INT64_SAFE:
+            us, inv = us.astype(object), inv.astype(object)
+        best = 0
+        for k in range(1, rows.size):
+            cross = inv[k] * us[best] - inv[best] * us[k]
+            first = cross[(cross != 0).argmax()]
+            if not first:
+                raise LPError("equal rows in the basis inverse; solver invariant broken")
+            if first < 0:
+                best = k
+        return int(rows[best])
 
     def _ratio_test(self, unum, bland):
         m = self.m
@@ -666,9 +633,10 @@ class _Simplex:
         is taken, and either way only the pivot row's nonzero columns are
         then updated (:meth:`_sparse_update`).  ``rowmax`` bounds each row's
         entries from above; the rows whose bound or denominator reaches
-        ``_REDUCE_AT`` are reduced (:meth:`_reduce`).  Every update runs a
-        block of rows at a time, at most ``_BLOCK_ELEMS`` entries of ``M``,
-        so no transient is of size m x m.
+        ``_REDUCE_AT`` are reduced (:meth:`_reduce`).  Each of these steps
+        is one numpy operation over all the rows it touches.  The divisible
+        rows' shortcut measured worth its code: without it the cold
+        uncollapsed TOBL LP took 5.7 s against 4.5 s (2-vCPU Xeon).
         """
         M, bden, rowmax = self.M, self.bden, self.rowmax
         piv = int(unum[row])
@@ -717,36 +685,27 @@ class _Simplex:
 
     def _scale_rows(self, rows, pden):
         """Multiply ``rows`` of ``M``, their denominators and their bounds by
-        ``pden``, a block of rows at a time."""
-        M, step = self.M, self.block_rows
+        ``pden``."""
+        self.M[rows] *= pden
         self.bden[rows] *= pden
         self.rowmax[rows] *= pden
-        for s in range(0, rows.size, step):
-            t = rows[s : s + step]
-            M[t] *= pden
 
     def _sparse_update(self, rows, a, cols, pvals):
-        """``M[i, cols] -= a_i * pvals`` for each of ``rows``, through flat
-        indices into ``M`` (one gather and one scatter per block of rows)."""
-        flat, width = self.M.reshape(-1), self.m + 1  # a view: M is C-contiguous
-        step = max(1, _BLOCK_ELEMS // cols.size)
-        for s in range(0, rows.size, step):
-            at = (rows[s : s + step, None] * width + cols).reshape(-1)
-            flat[at] -= (a[s : s + step, None] * pvals).reshape(-1)
+        """``M[i, cols] -= a_i * pvals`` for each of ``rows``: one gather and
+        one scatter, through flat indices into ``M``."""
+        flat = self.M.reshape(-1)  # a view: M is C-contiguous
+        at = rows[:, None] * (self.m + 1) + cols
+        flat[at.reshape(-1)] -= (a[:, None] * pvals).reshape(-1)
 
     def _reduce(self, rows):
         """Divide each of ``rows`` by the gcd of its entries and denominator,
-        and give it its exact maximum: one vectorised reduction per block of
-        rows."""
-        M, bden, step = self.M, self.bden, self.block_rows
-        for s in range(0, rows.size, step):
-            t = rows[s : s + step]
-            sub = M[t]
-            g = np.gcd(np.gcd.reduce(sub, axis=1), bden[t])
-            sub //= g[:, None]
-            M[t] = sub
-            bden[t] //= g
-            self.rowmax[t] = np.abs(sub).max(axis=1)
+        and give it its exact maximum."""
+        sub = self.M[rows]
+        g = np.gcd(np.gcd.reduce(sub, axis=1), self.bden[rows])
+        sub //= g[:, None]
+        self.M[rows] = sub
+        self.bden[rows] //= g
+        self.rowmax[rows] = np.abs(sub).max(axis=1)
 
     def run(self, cost, cscale) -> str:
         """Minimize ``cost / cscale`` (integer numerators over a positive

@@ -55,6 +55,7 @@ from .core import (
     bell_value,
     checked_strategy_count,
     expression_invariant_under,
+    integer_numerators,
     is_nonsignaling,
     strategy_at,
 )
@@ -108,8 +109,7 @@ def _strategy_values(expression: BellExpression, cap: int | None = None):
     scen = expression.scenario
     checked_strategy_count(scen, cap)
     coeffs = [(k, Fraction(c)) for k, c in expression.coeffs.items()]
-    den = math.lcm(*(c.denominator for _, c in coeffs))
-    nums = [c.numerator * (den // c.denominator) for _, c in coeffs]
+    nums, den = integer_numerators([c for _, c in coeffs])
     dtype = object if sum(map(abs, nums)) >= _INT64_SAFE else np.int64
     xs = np.unravel_index([x for (x, _), _ in coeffs], scen.inputs)
     aa = np.unravel_index([a for (_, a), _ in coeffs], scen.outputs)
@@ -290,13 +290,6 @@ def _table_objective(expression: BellExpression) -> dict:
     return {x * na + a: c for (x, a), c in expression.coeffs.items()}
 
 
-def _integers(values):
-    """Integer numerators of ``values`` over their least common denominator,
-    as an object array, and that denominator."""
-    den = math.lcm(*(v.denominator for v in values))
-    return np.array([v.numerator * (den // v.denominator) for v in values], dtype=object), den
-
-
 def _solve_collapsed(objective, den, rows, perms):
     """Maximize ``objective / den`` (an object array of integer numerators,
     one per variable) over the equality rows ``rows`` (variables >= 0) on
@@ -418,7 +411,7 @@ def ns_max(expression: BellExpression) -> NsOptimum:
     # the objective per orbit (equal on every entry of an orbit), as
     # integer numerators over den
     objective = _table_objective(expression)
-    nums, den = _integers(objective.values())
+    nums, den = integer_numerators(objective.values())
     c = np.zeros(n_orbits, dtype=object)
     c[orbit[list(objective)]] = nums
     rhs = np.zeros(len(rows), dtype=object)
@@ -506,11 +499,13 @@ def local_membership(box: Box, cap: int | None = None) -> LocalMembership:
     flat = entries.ravel()
     order = np.argsort(flat, kind="stable")
     table = box.exact_table()
+    rhs, den = integer_numerators(table + [1])
     rows = Rows(
         np.concatenate((flat[order], np.full(n, scen.table_size))),
         np.concatenate((order // scen.n_inputs, np.arange(n))),
         np.ones(flat.size + n, dtype=np.int64),
-        *_integers(table + [1]),
+        np.array(rhs, dtype=object),
+        den,
     )
     res = lp.feasible_point(rows, n)
     if res.status == "optimal":
@@ -696,7 +691,7 @@ def tobl_max(expression: BellExpression) -> ToblOptimum:
     # of the rows' keys, built at the first symmetry that fixes the
     # expression, for the invariance checks
     obj_nums = np.zeros(layout.n_vars, dtype=object)
-    obj_nums[list(objective)], obj_den = _integers(objective.values())
+    obj_nums[list(objective)], obj_den = integer_numerators(objective.values())
     keys = None
     perms = []
     for sym in expression.party_symmetries:

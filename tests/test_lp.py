@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import ns_full_lp
+from conftest import requires_slow
 from gynibell import core, gyni, lp, polytope, upb
 
 F = Fraction
@@ -520,6 +521,56 @@ def test_pivot_counts_are_pinned(cold):
     assert pivots_and_columns(lambda: polytope.ns_max(ns6)) == ("optimal", 38, 128)
 
 
+def _wide_lp():
+    """41 rows over 741 columns: 40 ``<=`` rows, each over 60 of 700 seeded
+    columns with coefficients 1-6 and a right-hand side of 50-200, and one
+    cap row over all 700 with right-hand side 1000, each row with a slack."""
+    rng = random.Random(3)
+    n, rows = 700, 40
+    constraints = []
+    for i in range(rows):
+        coeffs = {j: rng.randint(1, 6) for j in rng.sample(range(n), 60)}
+        coeffs[n + i] = 1
+        constraints.append((coeffs, rng.randint(50, 200)))
+    cap = dict.fromkeys(range(n), 1)
+    cap[n + rows] = 1
+    constraints.append((cap, 1000))
+    objective = [rng.randint(-3, 5) for _ in range(n)] + [0] * (rows + 1)
+    return lp.make_problem(objective, constraints)
+
+
+def test_block_pricing_pivots_are_pinned(monkeypatch, cold):
+    """An LP wider than ``PRICE_BLOCK`` columns is priced a block at a time,
+    which no LP of the models reaches cold.  Every pricing of this one takes
+    the block branch (none is Bland's), and its pivot counts are pinned like
+    those of ``test_pivot_counts_are_pinned``."""
+    problem = _wide_lp()
+    assert problem.n > lp.PRICE_BLOCK
+    blocks = []
+    price = lp._Simplex._price
+
+    def recording_price(self, dnum, bland):
+        blocks.append(self.n > lp.PRICE_BLOCK and not bland)
+        return price(self, dnum, bland)
+
+    monkeypatch.setattr(lp._Simplex, "_price", recording_price)
+    res = lp.solve(problem)
+    assert (res.status, res.value) == ("optimal", F(1270963643, 268650))
+    assert (res.pivots, res.phase1_pivots, res.degenerate_pivots) == (550, 184, 0)
+    # one pricing per pivot and one that ends each phase
+    assert blocks == [True] * 552
+
+
+@requires_slow
+def test_cold_uncollapsed_tobl_lp_opt_in(cold):
+    """The 404-row, 1600-column TOBL LP of GYNI-3 without symmetry, solved
+    by the exact simplex alone: block pricing and the lexicographic ratio
+    test carry it to the paper's 7/6."""
+    expr = dataclasses.replace(gyni.gyni_sum_expression(3), party_symmetries=())
+    (res,) = _solve_results(lambda: polytope.tobl_max(expr))
+    assert (res.status, res.value, res.pivots) == ("optimal", F(7, 6), 14721)
+
+
 def _random_promise_game(rng, n=3):
     """A GYNI game of n parties whose promise is a seeded random
     distribution."""
@@ -583,11 +634,12 @@ def _lex_least_oracle(M, rows, unum):
 def test_lex_least_matches_fraction_oracle(big, depth):
     """Sixty candidate rows whose scaled rows all agree up to column
     ``depth``.  There half of them lose; the other half agree for another
-    hundred columns, past the first chunks of the scan.  On int64 arrays,
-    on Python integers past 2**63, and (``wide``) on int64 arrays whose
-    cross products at column ``depth`` are 2**64, which wraps to 0 in int64:
-    only the guard, which compares such chunks in Python integers, keeps the
-    scan from passing over that column to one where the losers win."""
+    hundred columns, so the tournament's comparisons among them run deep
+    into the rows.  On int64 arrays, on Python integers past 2**63, and
+    (``wide``) on int64 arrays whose cross products at column ``depth`` are
+    2**64, which wraps to 0 in int64: only the guard, which takes such
+    cross products in Python integers, keeps a comparison from passing over
+    that column to one where the losers win."""
     rng = np.random.default_rng(depth)
     m = 300
     M = rng.integers(-6, 7, size=(m, m + 1))

@@ -625,7 +625,7 @@ def test_identity_orbits_key_no_row(monkeypatch):
     layout = polytope._ToblLayout(gb.binary_scenario(3))
     coeffs = polytope._table_objective(gb.gyni_sum_expression(3))
     objective = np.zeros(layout.n_vars, dtype=object)
-    objective[list(coeffs)], den = polytope._integers(coeffs.values())
+    objective[list(coeffs)], den = core.integer_numerators(coeffs.values())
     res, orbit = polytope._solve_collapsed(objective, den, layout.rows(), [])
     assert (res.status, res.value, len(res.solution)) == ("optimal", F(7, 6), layout.n_vars)
     assert orbit.tolist() == list(range(layout.n_vars))
