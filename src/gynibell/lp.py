@@ -20,17 +20,17 @@ one dense tableau, one outer-product update per pivot; a larger one runs
 the revised form over the standard form's compressed columns, which
 carries an explicit basis inverse with one rank-1 update per pivot and
 holds no tableau.  The tableau's entry count selects the form; both share
-every pivot rule and end with ``B^-1``.  The basis the pass stops at
-gives candidate exact values: the basic values and the duals are solved in
-floats from the original right-hand sides and costs with the inverse it
-carried, and each is rounded to the nearest fraction with a bounded
-denominator, in integers (:func:`_candidate`).  The candidate is returned only if
+every pivot rule and end with ``B^-1``.  The basis the pass stops at is
+solved exactly, its basic values and duals from the original right-hand
+sides and costs, by numeric lifting in integers with the inverse it
+carried (:func:`_candidate`).  The candidate is returned only if
 :func:`_verify_optimal` accepts it.  Anything else (a float verdict of
-infeasible or unbounded, the float pass's pivot ceiling, a failed
-verification) runs the exact simplex below from the all-artificial basis,
-as does every LP with a zero objective (feasibility: its exact solve is
-phase 1 alone, on sparse pivots, and beats the float pass).  So no float is
-ever returned, and which path ran shows only in the counters.  No matrix
+infeasible or unbounded, the float pass's pivot ceiling, a basis the
+lifting cannot solve, a failed verification) runs the exact simplex below
+from the all-artificial basis, as does every LP with a zero objective
+(feasibility: its exact solve is phase 1 alone, on sparse pivots, and
+beats the float pass).  So no float is ever returned, and which path ran
+shows only in the counters.  No matrix
 product and no ``numpy.linalg`` call appears in this module: every float
 and integer step is element-wise, so no threaded BLAS decides a pivot.
 
@@ -142,9 +142,9 @@ _FLOAT_PIVOTS_PER_DIMENSION = 4
 #: best of 9 (2-vCPU Xeon)
 _TABLEAU_ENTRIES = 1 << 14
 
-#: the float basic values and duals are rounded to the nearest fraction
-#: with at most this denominator
-_GUIDE_DENOMINATOR = 1 << 16
+#: each step of the exact lifting of the float basis (:func:`_lifted`)
+#: gathers this many bits of every basic value and dual
+_LIFT_BITS = 20
 
 
 class LPError(RuntimeError):
@@ -915,105 +915,106 @@ def _float_simplex(form, indptr, indices, data, b, cost):
     return basis, state.inverse(), pivots
 
 
-def _refined(inverse, row, col, val, rhs):
-    """The solution of ``M z = rhs`` from a float inverse of ``M``, whose
-    entries are ``val`` at (``row``, ``col``), after one step of iterative
-    refinement, element-wise.  ``M`` and ``rhs`` are integers, so the
-    residual is taken against the integer part of ``z`` first: ``(rhs - M
-    rint(z)) - M (z - rint(z))``, whose first term is exact while every
-    partial sum stays below 2**53 and whose second is small.  A residual
-    taken in one go is only good to about |M| |z| 2**-53, too coarse for
-    the rounding of :func:`_rounded` once |z| nears 10**6; either way the
-    verifier decides."""
-    m = len(rhs)
-    z = (inverse * rhs).sum(axis=1)
-    whole = np.rint(z)
-    residual = rhs - np.bincount(row, val * whole[col], minlength=m)
-    residual -= np.bincount(row, val * (z - whole)[col], minlength=m)
-    return z + (inverse * residual).sum(axis=1)
-
-
-def _candidate(problem: LPProblem, std: _Standard, data, b, cost, basis, inverse):
-    """The optimum that a basis of the float standard form (the columns of
-    ``std`` with float ``data``, ``b``, ``cost``) and its float ``inverse``
-    propose, exact but unverified; None if a float solved from them is not
-    finite (an inverse grown past the float range).  ``b`` and ``cost`` are
-    the numerators ``std.b`` and ``std.phase2_cost`` as floats: the basic
-    values and the duals are solved from them in floats and rounded
-    (:func:`_rounded`) over ``std.b_scale`` and ``std.c_scale``, so the
-    right-hand sides' and costs' own denominators do not count against the
-    rounding's bound."""
-    m, n = std.m, std.n
-    structural = (basis < n).nonzero()[0]
-    artificial = (basis >= n).nonzero()[0]
+def _candidate(problem: LPProblem, std: _Standard, basis, inverse):
+    """The optimum that a basis of the standard form and its float
+    ``inverse`` propose, exact but unverified, or None if :func:`_lifted`
+    cannot solve its basic values from ``std.b`` and its duals from
+    ``std.phase2_cost`` (one system), put over ``std.b_scale`` and ``std.c_scale``."""
+    structural = (basis < std.n).nonzero()[0]
+    artificial = (basis >= std.n).nonzero()[0]
     # the basis matrix's entries, (row, basis position, value): the
     # structural columns' compressed entries, then one 1 per artificial
     cols = basis[structural]
     counts = np.diff(std.indptr)[cols]
     ends = np.cumsum(counts)
     at = np.arange(counts.sum()) + np.repeat(std.indptr[cols] - ends + counts, counts)
-    row = np.concatenate((std.indices[at], basis[artificial] - n))
+    row = np.concatenate((std.indices[at], basis[artificial] - std.n))
     col = np.concatenate((np.repeat(structural, counts), artificial))
-    val = np.concatenate((data[at], np.ones(artificial.size)))
-    x = _refined(inverse, row, col, val, b)
-    cost_b = np.zeros(m)
-    cost_b[structural] = cost[cols]
-    # the duals of the rows as given: signs flipped back, and of the maximum
-    y = _refined(inverse.T, col, row, val, cost_b) * -np.array(std.row_mult)
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+    val = np.concatenate((std.data[at], np.ones(artificial.size, dtype=std.data.dtype)))
+    # B x = b and B^T y = c_B as one block-diagonal system
+    m = len(basis)
+    both = np.zeros((2 * m, 2 * m))
+    both[:m, :m], both[m:, m:] = inverse, inverse.T
+    cost_b = [std.phase2_cost[j] if j < std.n else 0 for j in basis.tolist()]
+    block_row, block_col = np.concatenate((row, col + m)), np.concatenate((col, row + m))
+    lifted = _lifted(both, block_row, block_col, np.concatenate((val, val)), std.b + cost_b)
+    if lifted is None:
         return None
-    basic, xden = _rounded(x[structural], std.b_scale)
-    solution = [0] * n
-    for j, v in zip(cols.tolist(), basic):
-        solution[j] = v
+    values, den = lifted
+    basic = dict(zip(basis.tolist(), values[:m]))
+    solution, xden = [basic.get(j, 0) for j in range(std.n)], den * std.b_scale
+    # the duals of the rows as given: signs flipped back, and of the maximum
+    dual = [-v * k for v, k in zip(values[m:], std.row_mult)]
     return LPResult(
         status="optimal",
         value_ints=_value(problem, solution, xden),
-        solution_ints=(tuple(solution), xden),
-        dual_ints=_rounded(y, std.c_scale),
+        solution_ints=_lowest(solution, xden),
+        dual_ints=_lowest(dual, den * std.c_scale),
     )
 
 
-def _nearest(p: int, q: int) -> tuple:
-    """``(numerator, denominator)`` in lowest terms of the fraction nearest
-    to ``p / q`` (in lowest terms, ``q > 0``) among those with a denominator
-    of at most ``_GUIDE_DENOMINATOR``, the one with the smaller denominator
-    on a tie: the choice of ``Fraction.limit_denominator``, from the same
-    continued fraction convergents, in integers."""
-    bound = _GUIDE_DENOMINATOR
-    if q <= bound:
-        return p, q
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    n, d = p, q
+def _lifted(inverse, row, col, val, rhs):
+    """The solution of ``M x = rhs`` by numeric lifting (Dixon 1982, Wan
+    2006) from a float ``inverse`` of ``M`` (integers ``val`` at ``row``,
+    ``col``; integer ``rhs``): integer numerators over one denominator, or
+    None.  From ``r = rhs``, a step sets ``z = rint(2**k inverse r)`` (k =
+    ``_LIFT_BITS``), ``r <- 2**k r - M z`` exactly and ``p <- 2**k p + z``
+    over ``q <- 2**k q``, so ``M p = q rhs - r``; ``r = 0`` returns ``p /
+    q``.  While each ``z`` is within 1/2 of ``2**k M^-1 r``, ``|p - q x| <
+    1`` and ``|r_i|`` stays below row i's absolute sum, so a step past that
+    ends the lifting.  Each step rebuilds the values (:func:`_convergent`)
+    and returns them if ``M x = rhs``.  Each denominator divides ``det M``,
+    at most Hadamard's bound H (the product of the rows' norms), so the
+    values are rebuilt exactly by ``q > 2 H**2``; the lifting stops there."""
+    m = len(rhs)
+
+    def times(entries, x):  # the matrix of ``entries`` at (row, col) times x, exactly
+        prod = entries * x[col]
+        out = np.zeros(m, dtype=prod.dtype)
+        np.add.at(out, row, prod)
+        return out
+
+    rowabs = times(np.abs(val), np.ones(m, dtype=val.dtype))
+    hadamard = np.log2(np.bincount(row, np.abs(val).astype(float) ** 2, minlength=m)).sum() / 2
+    limit, p, q, r = 1 << _LIFT_BITS, 0, 1, np.array(rhs, dtype=object)
+    widest, rmax = int(rowabs.max(initial=0)), max(map(abs, rhs), default=0)
     while True:
+        z = np.rint((inverse * r.astype(float)).sum(axis=1) * limit)
+        zmax = np.abs(z).max(initial=0)
+        if not np.isfinite(zmax):
+            return None
+        dtype = np.int64 if limit * rmax + widest * int(zmax) < _INT64_SAFE else object
+        z = z.astype(dtype) if dtype is np.int64 else np.array([int(v) for v in z.tolist()], dtype)
+        r = r.astype(dtype) * limit - times(val, z)
+        p, q, rmax = p * limit + z.astype(object), q * limit, widest
+        if not r.any():
+            return p.tolist(), q
+        if (np.abs(r) >= rowabs).any():
+            return None
+        rebuilt = {v: _convergent(v, q) for v in set(p.tolist())}
+        den = math.lcm(*(d for _, d in rebuilt.values()))
+        if den.bit_length() <= hadamard + 2:  # else den > H >= |det M|: a wrong rebuild
+            x = [a * (den // d) for a, d in map(rebuilt.__getitem__, p.tolist())]
+            if (times(val, np.array(x, dtype=object)) == [b * den for b in rhs]).all():
+                return x, den
+        if q.bit_length() > 2 + 2 * hadamard:  # q > 2 H**2
+            return None
+
+
+def _convergent(p: int, q: int) -> tuple:
+    """``(numerator, denominator)`` of the last continued-fraction convergent
+    of ``p / q`` (``q >= 2``) with a denominator at most ``sqrt(q / 2)``: by
+    Legendre's theorem, any ``a / d`` with such a ``d`` and ``|p - q a / d| < 1``."""
+    bound = math.isqrt(q // 2)
+    p0, q0, p1, q1, n, d = 0, 1, 1, 0, p, q
+    while d:
         a = n // d
         q2 = q0 + a * q1
         if q2 > bound:
             break
         p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
         n, d = d, n - a * d
-    k = (bound - q0) // q1
-    p2, q2 = p0 + k * p1, q0 + k * q1
-    # |p1/q1 - p/q| <= |p2/q2 - p/q|, cleared of denominators
-    if abs(p1 * q - p * q1) * q2 <= abs(p2 * q - p * q2) * q1:
-        return p1, q1
-    return p2, q2
-
-
-def _rounded(values: np.ndarray, scale: int) -> tuple:
-    """Each float of ``values`` rounded to the nearest fraction with a
-    denominator of at most ``_GUIDE_DENOMINATOR`` (:func:`_nearest`), over
-    ``scale``: numerators over one denominator, in lowest terms.  Each
-    distinct float is rounded once, and one too small to round to anything
-    but zero gives zero at once."""
-    values = values.tolist()
-    nearest = {
-        v: (0, 1) if abs(v) * 2 * _GUIDE_DENOMINATOR < 1 else _nearest(*v.as_integer_ratio())
-        for v in set(values)
-    }
-    den = math.lcm(*(q for _, q in nearest.values()))
-    scaled = {v: p * (den // q) for v, (p, q) in nearest.items()}
-    return _lowest([scaled[v] for v in values], den * scale)
+    return p1, q1
 
 
 def _value(problem: LPProblem, x, xden: int) -> tuple:
@@ -1027,23 +1028,21 @@ def _value(problem: LPProblem, x, xden: int) -> tuple:
 
 def _guided(problem: LPProblem, std: _Standard):
     """The optimum that the float pass proposes if it verifies, else None,
-    and the float pivots spent."""
+    and the float pivots spent.  A basis that :func:`_candidate` cannot
+    solve exactly proposes nothing, like one the pass does not reach."""
     try:
         data = std.data.astype(float)
         b, cost = np.array(std.b, dtype=float), np.array(std.phase2_cost, dtype=float)
     except OverflowError:  # an entry past the float range
         return None, 0
     basis, inverse, float_pivots = _float_basis(std.indptr, std.indices, data, b, cost)
-    if basis is None:
-        return None, float_pivots
-    res = _candidate(problem, std, data, b, cost, basis, inverse)
-    if res is None:
-        return None, float_pivots
-    res.float_pivots = float_pivots
-    try:
-        _verify_optimal(problem, res)
-    except LPError:
-        return None, float_pivots
+    res = None if basis is None else _candidate(problem, std, basis, inverse)
+    if res is not None:
+        res.float_pivots = float_pivots
+        try:
+            _verify_optimal(problem, res)
+        except LPError:
+            res = None
     return res, float_pivots
 
 

@@ -27,6 +27,21 @@ def test_simple_max():
     assert res.solution[2] == 0
 
 
+def test_lps_without_rows_or_with_zero_right_hand_sides():
+    """An LP with no rows (an empty basis), and LPs whose right-hand sides
+    are all 0: the exact lifting ends at its first step on a zero residual,
+    and each optimum verifies without an exact pivot."""
+    cases = [
+        (lp.make_problem([-1, 0], []), (0, 0), (), 0),
+        (lp.make_problem([-1, -2, 0], [([1, -1, 1], 0)]), (0, 0, 0), (0,), 2),
+        (lp.make_problem([1, 0, 0], [([1, 1, 1], 0)]), (0, 0, 0), (1,), 1),
+    ]
+    for problem, solution, dual, float_pivots in cases:
+        res = lp.solve(problem)
+        assert (res.status, res.value, res.solution, res.dual) == ("optimal", 0, solution, dual)
+        assert (res.pivots, res.float_pivots) == (0, float_pivots)
+
+
 def test_infeasible_with_certificate():
     # x >= 2 (surplus s1) and x <= 1 (slack s2)
     res = lp.solve(lp.make_problem([1, 0, 0], [([1, -1, 0], 2), ([1, 0, 1], 1)]))
@@ -322,28 +337,28 @@ def test_fraction_views_are_the_numerators_over_their_denominator():
         assert res.value == F(num, den) and math.gcd(num, den) == 1 and den > 0
 
 
-def test_nearest_matches_limit_denominator():
-    """The candidate rounds in integers to what
-    ``Fraction.limit_denominator(2**16)`` picks: on seeded floats of every
-    size, on fractions with large denominators, and on the exact midpoints
-    of neighbouring fractions a/b < c/d in the Farey sequence of the bound
-    (bc - ad = 1, d the largest denominator up to the bound), a tie that
-    the one with the smaller denominator wins."""
+def test_convergent_recovers_every_close_fraction():
+    """The lifting's reconstruction: for a fraction a/d in lowest terms with
+    d <= sqrt(q/2), and either integer p with |p - q a/d| < 1, the last
+    convergent of p/q with a denominator that small is a/d.  Seeded over
+    powers of two (the lifting's q) and other q, with negative values, 0,
+    exact dyadics and d at the bound."""
     rng = random.Random(8)
-    bound = lp._GUIDE_DENOMINATOR
-    values = [F(rng.uniform(-5, 5)) for _ in range(3000)]
-    values += [F(rng.uniform(-1e-3, 1e-3)) for _ in range(1000)]
-    values += [F(rng.randint(-10**6, 10**6), rng.randint(1, 2**20)) for _ in range(3000)]
-    for _ in range(2000):
-        left = F(rng.randint(-3 * bound, 3 * bound), rng.randint(1, bound))
-        a, b = left.numerator, left.denominator
-        d0 = -pow(a, -1, b) % b
-        d = d0 + b * ((bound - d0) // b)
-        right = F((1 + a * d) // b, d)
-        values.append((left + right) / 2)
-    for v in values:
-        f = v.limit_denominator(bound)
-        assert lp._nearest(v.numerator, v.denominator) == (f.numerator, f.denominator), v
+    cases = []
+    for _ in range(4000):
+        q = 2 ** rng.randint(1, 160) if rng.random() < 0.7 else rng.randint(2, 2**90)
+        bound = math.isqrt(q // 2)
+        d = rng.choice([1, bound, rng.randint(1, bound), 2 ** rng.randint(0, bound.bit_length() - 1)])
+        a = rng.choice([0, rng.randint(-d, d), rng.randint(-(10**6) * d, 10**6 * d)])
+        cases.append((F(a, d), q))
+    for v, q in cases:
+        a, d = v.numerator, v.denominator
+        assert d <= math.isqrt(q // 2)
+        for p in {(q * a) // d, -((-q * a) // d)}:  # floor and ceiling of q a / d
+            assert abs(p - F(q * a, d)) < 1
+            assert lp._convergent(p, q) == (a, d), (p, q, v)
+    assert any(v == 0 for v, _ in cases) and any(v < 0 for v, _ in cases)
+    assert any(v.denominator > 1 and q % v.denominator == 0 for v, q in cases)
 
 
 def _optimal_problems():
@@ -559,6 +574,21 @@ def test_block_pricing_pivots_are_pinned(monkeypatch, cold):
     assert (res.pivots, res.phase1_pivots, res.degenerate_pivots) == (550, 184, 0)
     # one pricing per pivot and one that ends each phase
     assert blocks == [True] * 552
+
+
+def test_wide_lp_certifies_guided(monkeypatch):
+    """The LP of ``test_block_pricing_pivots_are_pinned`` given the float
+    guide: the float pass stops at an optimal basis after 205 pivots, whose
+    basic values have denominators up to 23641200, and the exact lifting
+    solves it, so no exact pivot runs."""
+
+    def cold(std):
+        raise AssertionError("the float basis did not verify")
+
+    monkeypatch.setattr(lp, "_Simplex", cold)
+    res = lp.solve(_wide_lp())
+    assert (res.status, res.value) == ("optimal", F(1270963643, 268650))
+    assert (res.pivots, res.float_pivots) == (0, 205)
 
 
 @requires_slow
@@ -986,11 +1016,10 @@ def test_tableau_and_revised_passes_both_certify(monkeypatch, name):
     ((form, args),) = passes
     assert form is side
     std, cold = lp._standardize(problem), _cold_solve(problem)
-    data, b, cost = args[2:]
     for form in (lp._FloatTableau, lp._FloatRevised):
         basis, inverse, pivots = float_simplex(form, *args)
         assert pivots
-        res = lp._candidate(problem, std, data, b, cost, basis, inverse)
+        res = lp._candidate(problem, std, basis, inverse)
         lp._verify_optimal(problem, res)
         assert res.value == cold.value
 
@@ -1010,15 +1039,17 @@ def test_uncollapsed_tobl_lp_certifies_guided(monkeypatch):
     assert (len(res.dual), len(res.solution)) == (404, 1600)
 
 
-@pytest.mark.parametrize("tamper", ["basis", "solution", "dual"])
+@pytest.mark.parametrize("tamper", ["basis", "inverse", "solution", "dual"])
 def test_tampered_candidate_falls_back_to_the_cold_result(monkeypatch, tamper):
     """A candidate that fails verification (the all-artificial basis, or the
     float basis's candidate with one nonzero solution value or dual moved by
-    2**-30, in its numerators) is discarded, and the result is the cold
-    exact simplex's, with the float pivots spent."""
+    2**-30, in its numerators) is discarded, and so is a float inverse
+    scaled by 1.5, whose lifting misses at its first step and proposes no
+    candidate (scaled by 1 + 1e-9 it still lifts to the guided result).  The
+    result is the cold exact simplex's, with the float pivots spent."""
     (problem,) = _posed_problems(lambda: polytope.ns_max(_random_promise_game(random.Random(5))))
     guided, cold = lp.solve(problem), _cold_solve(problem)
-    candidate, verify = lp._candidate, lp._verify_optimal
+    candidate, verify, float_basis = lp._candidate, lp._verify_optimal, lp._float_basis
     if tamper == "basis":
 
         def all_artificial(indptr, indices, data, b, cost):
@@ -1026,6 +1057,19 @@ def test_tampered_candidate_falls_back_to_the_cold_result(monkeypatch, tamper):
             return np.arange(n, n + m), np.eye(m), 7
 
         monkeypatch.setattr(lp, "_float_basis", all_artificial)
+    elif tamper == "inverse":
+        std = lp._standardize(problem)
+        b, cost = np.array(std.b, float), np.array(std.phase2_cost, float)
+        basis, inverse, _ = float_basis(std.indptr, std.indices, std.data.astype(float), b, cost)
+        res = candidate(problem, std, basis, inverse * (1 + 1e-9))
+        assert dataclasses.replace(res, float_pivots=guided.float_pivots) == guided
+        assert candidate(problem, std, basis, inverse * 1.5) is None
+
+        def scaled(*args):
+            basis, inverse, pivots = float_basis(*args)
+            return basis, inverse * 1.5, pivots
+
+        monkeypatch.setattr(lp, "_float_basis", scaled)
     else:
 
         def nudged(*args):
@@ -1051,7 +1095,7 @@ def test_tampered_candidate_falls_back_to_the_cold_result(monkeypatch, tamper):
 
     monkeypatch.setattr(lp, "_verify_optimal", recording_verify)
     res = lp.solve(problem)
-    assert verdicts == [False, True]
+    assert verdicts == ([True] if tamper == "inverse" else [False, True])
     assert res.float_pivots == (7 if tamper == "basis" else guided.float_pivots)
     assert dataclasses.replace(res, float_pivots=0) == cold
 

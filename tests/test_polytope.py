@@ -293,8 +293,8 @@ def test_ns_max_on_binary_n5_without_symmetry_takes_the_float_basis(monkeypatch)
     """The 242-row, 1024-column Collins-Gisin LP of a seeded random
     expression on binary N = 5 with no symmetry: the float pass's basis
     verifies, so no exact pivot runs (the cold exact simplex takes 10-20 s
-    on it and gives the same value).  Without the refinement step its
-    basic values round to a point that breaks a row."""
+    on it and gives the same value).  The exact lifting solves its basic
+    values and duals in one step."""
     e = _random_expression(gb.binary_scenario(5), random.Random(2), 12)
     results, solve = [], lp.solve
     monkeypatch.setattr(lp, "solve", lambda problem: results.append(solve(problem)) or results[-1])
@@ -307,8 +307,8 @@ def test_ns_max_on_binary_n5_seeds_certifies_guided(monkeypatch):
     """Seeds 1..12 of the random binary N = 5 expressions without symmetry:
     each float basis verifies, so no exact pivot runs.  The cold path is
     barred, so a miss fails here at once instead of taking 10-20 s.  Seeds 4,
-    9 and 10 missed while the candidate's residual was taken in one float
-    sum."""
+    9 and 10 missed while the candidate rounded float values with the
+    residual taken in one float sum; the exact lifting has no such bound."""
 
     def cold(std):
         raise AssertionError("the float basis did not verify")
@@ -321,6 +321,25 @@ def test_ns_max_on_binary_n5_seeds_certifies_guided(monkeypatch):
         value = gb.ns_max(e).value
         assert (results[-1].status, results[-1].pivots) == ("optimal", 0)
         assert gb.classical_max(e).value <= value
+
+
+@requires_slow
+def test_ns_max_on_binary_n6_without_symmetry_certifies_guided(monkeypatch):
+    """The 728-row, 4096-column Collins-Gisin LP of a seeded random
+    expression on binary N = 6 with no symmetry: the float pass stops at an
+    optimal basis (7-18 s), whose basic values have denominators near
+    10**27, and the exact lifting solves it, so no exact pivot runs."""
+
+    def cold(std):
+        raise AssertionError("the float basis did not verify")
+
+    monkeypatch.setattr(lp, "_Simplex", cold)
+    e = _random_expression(gb.binary_scenario(6), random.Random(1), 12)
+    results, solve = [], lp.solve
+    monkeypatch.setattr(lp, "solve", lambda problem: results.append(solve(problem)) or results[-1])
+    assert gb.ns_max(e).value == F(688927, 9240)
+    (res,) = results
+    assert (len(res.dual), len(res.solution), res.pivots) == (728, 4096, 0)
 
 
 def test_ns_max_size_guard_before_rows(monkeypatch):
