@@ -14,6 +14,15 @@ and on small sets, fraction-free elimination runs over every row.  No
 tolerance decides a rank (the certifying-algorithm pattern of McConnell,
 Mehlhorn, Naeher and Schweitzer, Comput. Sci. Rev. 5, 119 (2011)).
 
+The rank is taken on D', the distinct nonzero columns of the differences
+D, in ascending order (:func:`_distinct_columns`): a float32 weighted sum
+of each column groups them, and exact integer tests decide which go.  A
+dropped column is zero or equal to a kept one, so D and D' have the same
+rank, D' K = 0 bounds rank D as it bounds rank D', and a minor of D' is a
+minor of D: neither certificate changes.  At Niset-Cerf(4,3) 121 of 625
+columns go (97 zero, 24 copies), elsewhere in the catalogue only the
+constant one.
+
 Every float32 product runs in tiles of at most ``_GEMM_MACS``
 multiply-adds, so each stays on the calling thread, and a tile's operands
 stay in cache while it runs (Goto and van de Geijn, ACM Trans. Math.
@@ -71,13 +80,14 @@ _FLOAT32_EXACT = 2**24
 #: block reduction 14-21 % slower, so it keeps the inner dimension whole
 _GEMM_MACS = 2**19
 #: rows per tile of every product, per float32 block of the checks' L1
-#: bound, and columns per tile of the checks
+#: bound and of the column keys, and columns per tile of the checks
 _CHECK_ROWS = 64
-#: difference matrices of at most this many entries go straight to the
-#: all-rows loop, which is exact too: at GYNI-3 (31 x 27) it costs what the
-#: float pass's few dozen numpy calls cost.  wupb (71 x 45) would certify
-#: in about 1.7 ms against 3.0 ms, but it is the only rank the CLI workload
-#: of perfbench takes, and its traced run requires the span ``rank.add_row``
+#: reduced difference matrices of at most this many entries go straight to
+#: the all-rows loop, which is exact too.  Both run below 2 ms there: at
+#: GYNI-3 (31 x 26) the float pass and its checks take 0.37 ms against
+#: 0.51 ms for the loop, at wupb (71 x 44) 0.73 ms against 1.62 ms (medians
+#: of 200 calls).  wupb is the only rank the CLI workload of perfbench
+#: takes, and its traced run requires the span ``rank.add_row``
 _SMALL = 4096
 
 
@@ -399,14 +409,76 @@ def _certified_rank(diffs):
     return r if _inverts(minor, delta, x) else None
 
 
+def _column_keys(diffs):
+    """A fingerprint of each column of ``diffs``: its sum with row i
+    weighted by 1 + (3 i**2 + 5003 i mod 8191), taken as float32 products
+    of ``_CHECK_ROWS`` rows at a time and summed in float64.
+
+    A zero column gets 0.  While every entry is at most 32 in magnitude,
+    each partial sum is an integer below 2**24, which float32 holds
+    exactly in any summation order, so equal columns get equal keys; past
+    that they may not, which only keeps both.  (With weights linear in i,
+    distinct catalogue columns shared keys: 9 pairs at Niset-Cerf(4,3) for
+    5003 i mod 8191; with these, none.)"""
+    n, m = diffs.shape
+    rows = np.arange(n, dtype=np.int64)
+    weights = (1 + (3 * rows * rows + 5003 * rows) % 8191).astype(np.float32)
+    step = max(1, min(_CHECK_ROWS, _GEMM_MACS // max(1, m)))
+    keys = np.zeros(m)
+    for i in range(0, n, step):
+        keys += weights[i : i + step] @ diffs[i : i + step].astype(np.float32)
+    return keys
+
+
+def _distinct_columns(diffs):
+    """The first of each set of equal nonzero columns of ``diffs``, as
+    ascending column indices.
+
+    The keys of :func:`_column_keys` only group the columns; exact integer
+    tests decide.  A column whose key is 0 is kept if ``any(axis=0)`` finds
+    a nonzero entry in it.  Among the nonzero columns that share a key, in
+    ascending order, a column is dropped only if it equals the first of
+    them, or one kept after it, entry for entry.  Distinct columns with one
+    key thus cost a comparison, and equal columns with different keys are
+    both kept: no tolerance decides which columns go."""
+    keys = _column_keys(diffs)
+    nonzero = keys != 0
+    maybe_zero = np.flatnonzero(~nonzero)
+    nonzero[maybe_zero] = diffs[:, maybe_zero].any(axis=0)
+    cols = np.flatnonzero(nonzero)
+    order = cols[np.argsort(keys[cols], kind="stable")]
+    tied = keys[order[1:]] == keys[order[:-1]]
+    if not tied.any():
+        return cols
+    # first[p]: the position in ``order`` where the key at position p starts
+    starts = np.concatenate(([True], ~tied))
+    first = np.maximum.accumulate(np.where(starts, np.arange(len(order)), 0))
+    tied = np.flatnonzero(tied) + 1
+    keep = np.ones(len(order), dtype=bool)
+    keep[tied] = (diffs[:, order[tied]] != diffs[:, order[first[tied]]]).any(axis=0)
+    kept = {}  # start of a key -> the columns kept after its first
+    for p in tied[keep[tied]]:
+        mates = kept.setdefault(first[p], [])
+        if any(np.array_equal(diffs[:, order[p]], diffs[:, c]) for c in mates):
+            keep[p] = False
+        else:
+            mates.append(order[p])
+    return np.sort(order[keep])
+
+
 def affine_rank(matrix) -> int:
     """Exact affine rank (dimension of the affine hull) of integer points.
 
-    The rank of the differences from the first point, as the float pass
-    proposes and :func:`_certified_rank` proves it, or, when a check fails
-    or the differences have at most ``_SMALL`` entries, as
-    :func:`integer_rank` finds it over every row.  An integer array is kept
-    in its dtype while the differences fit it."""
+    The rank of the differences D from the first point.  It is taken on
+    D', the columns :func:`_distinct_columns` keeps: every other column of
+    D is zero or equal to a kept one, so D and D' have the same column
+    space and the same rank.  Both certificates carry over: D' K = 0 for
+    nf independent columns of K proves rank D = rank D' <= m' - nf, and a
+    minor A of D' is a minor of D, so A X = delta I proves rank D >= r.
+    The rank comes from the float pass and :func:`_certified_rank` or,
+    when a check fails or D' has at most ``_SMALL`` entries, from
+    :func:`integer_rank` over every row of D'.  An integer array is kept in
+    its dtype while the differences fit it."""
     points = matrix
     if not (isinstance(points, np.ndarray) and points.dtype.kind == "i"):
         points = np.asarray(matrix, dtype=np.int64)
@@ -415,5 +487,8 @@ def affine_rank(matrix) -> int:
     if points.size and int(points.max()) - int(points.min()) > np.iinfo(points.dtype).max:
         points = points.astype(np.int64)
     diffs = points[1:] - points[0]
+    cols = _distinct_columns(diffs)
+    if len(cols) < diffs.shape[1]:
+        diffs = diffs[:, cols]
     rank = None if diffs.size <= _SMALL else _certified_rank(diffs)
     return integer_rank(diffs) if rank is None else rank

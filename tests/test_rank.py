@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -265,6 +266,110 @@ def test_int8_points_widen_when_their_differences_would_wrap():
     assert affine_rank(points) == 1
 
 
+# ---------------------------------------------------------------------------
+# the distinct nonzero columns the rank is taken on
+
+
+def _reference_distinct_columns(diffs):
+    """The first of each set of equal nonzero columns, found by Python
+    tuples; shares no code with the column keys."""
+    first = {}
+    for j, col in enumerate(map(tuple, diffs.T.tolist())):
+        if any(col):
+            first.setdefault(col, j)
+    return sorted(first.values())
+
+
+@functools.cache
+def _planted_columns():
+    """Zero columns and copies of columns planted among those of seeded
+    matrices, each with its rational-oracle rank.  The first is a 0/1
+    matrix that stays at most the small-set size; the others are from
+    :func:`_planted_rank_matrices`: the 60-row one passes the small-set size
+    only before its columns are reduced, and the last two pass it after and
+    certify with minors of |det| 16 and 8."""
+    rng = np.random.default_rng(32)
+    graphs = list(_planted_rank_matrices())
+    out = []
+    for base in [rng.integers(0, 2, size=(20, 20)), graphs[4], graphs[0], graphs[5]]:
+        m = base.shape[1]
+        source = np.concatenate([np.arange(m), rng.integers(0, m, size=m // 4), np.full(m // 8, -1)])
+        source = rng.permutation(source)
+        diffs = np.where(source >= 0, base[:, source], 0)
+        out.append((diffs, _fraction_rank(diffs.tolist())))
+    return out
+
+
+def test_planted_zero_and_equal_columns_leave_the_rank_unchanged(monkeypatch):
+    """The columns kept are the reference's, and the affine rank, taken on
+    them by the all-rows loop or by the certified path, is the rational
+    oracle's rank of every column."""
+    certified = []
+    real_certified = _rank._certified_rank
+
+    def record(diffs):
+        certified.append((diffs.shape, real_certified(diffs)))
+        return certified[-1][1]
+
+    monkeypatch.setattr(_rank, "_certified_rank", record)
+    reduced = []
+    for diffs, rank in _planted_columns():
+        kept = _rank._distinct_columns(diffs)
+        assert kept.tolist() == _reference_distinct_columns(diffs)
+        reduced.append((len(diffs), len(kept)))
+        points = np.vstack([np.zeros((1, diffs.shape[1]), dtype=diffs.dtype), diffs]) - 2
+        assert affine_rank(points) == rank
+    small = _rank._SMALL
+    assert [diffs.size > small for diffs, _ in _planted_columns()] == [False, True, True, True]
+    assert [n * m > small for n, m in reduced] == [False, False, True, True]
+    ranks = [rank for _, rank in _planted_columns()]
+    assert certified == list(zip(reduced[2:], ranks[2:]))
+
+
+@pytest.mark.parametrize("keys", ["every key 0", "every key its own"])
+def test_only_exact_tests_decide_which_columns_go(monkeypatch, keys):
+    """With every key equal, the exact comparisons alone find the
+    reference's columns; with every key different, no column is dropped
+    (a zero one neither, its key being nonzero) and the rank is still
+    exact."""
+    if keys == "every key 0":
+        monkeypatch.setattr(_rank, "_column_keys", lambda d: np.zeros(d.shape[1]))
+    else:
+        monkeypatch.setattr(_rank, "_column_keys", lambda d: np.arange(1.0, d.shape[1] + 1))
+    for diffs, rank in _planted_columns():
+        kept = _rank._distinct_columns(diffs).tolist()
+        if keys == "every key 0":
+            assert kept == _reference_distinct_columns(diffs)
+        else:
+            assert kept == list(range(diffs.shape[1]))
+        points = np.vstack([np.zeros((1, diffs.shape[1]), dtype=diffs.dtype), diffs])
+        assert affine_rank(points) == rank
+
+
+@pytest.mark.parametrize("shape", [(6, 9), (300, 50)])
+def test_equal_points_keep_no_column(shape):
+    """Every difference is zero, so no column is kept and the rank is 0,
+    on both sides of the small-set size."""
+    points = np.tile(np.arange(shape[1], dtype=np.int64) - 4, (shape[0], 1))
+    assert not len(_rank._distinct_columns(points[1:] - points[0]))
+    assert affine_rank(points) == affine_rank(points.astype(np.int8).tolist()) == 0
+
+
+def test_niset_cerf_4_3_certifies_on_its_distinct_columns(monkeypatch):
+    """Of Niset-Cerf(4,3)'s 625 difference columns 97 are zero and 24 copy
+    another over the 729 saturating vertices: the certified rank, 415,
+    runs on the 728 x 504 rest, with no fallback."""
+    expression = upb.niset_cerf_inequality(4, 3)
+    shapes = []
+    certified = _rank._certified_rank
+    monkeypatch.setattr(_rank, "_certified_rank", lambda d: shapes.append(d.shape) or certified(d))
+    fallbacks = _count_fallbacks(monkeypatch)
+    report = polytope.facet_check(expression, expression.classical_bound)
+    assert (report.affine_rank, report.is_tight, report.saturating_vertex_count) == (415, False, 729)
+    assert shapes == [(728, 504)]
+    assert not fallbacks
+
+
 _real_propose = _rank._propose
 
 
@@ -364,8 +469,12 @@ def test_a_wrong_inverse_falls_back(monkeypatch, tamper):
 
 def test_a_zero_pivot_in_the_inverse_falls_back(monkeypatch):
     """The proposed rows reordered so that the minor's first entry is 0: the
-    kernel still checks, and the inverse, which searches no pivot, stops."""
-    diffs, points, (rows, cols, delta, kernel_p) = _gyni5_points_and_proposal()
+    kernel still checks, and the inverse, which searches no pivot, stops.
+    The proposal is built on the distinct nonzero columns, the matrix
+    affine_rank hands the certified rank."""
+    diffs, points, _ = _gyni5_points_and_proposal()
+    diffs = diffs[:, _rank._distinct_columns(diffs)]
+    rows, cols, delta, kernel_p = _real_propose(diffs)
     first = int(np.flatnonzero(diffs[rows, cols[0]] == 0)[0])
     rows = np.concatenate([rows[first : first + 1], np.delete(rows, first)])
     assert _real_scaled_inverse(diffs[np.ix_(rows, cols)], delta) is None
@@ -557,6 +666,7 @@ _CATALOGUE = {
     "GYNI-5": (lambda: gyni.gyni_expression(5).expression, 241),
     "Niset-Cerf(4,3)": (lambda: upb.niset_cerf_inequality(4, 3), 415),
     "four-partite": (upb.four_partite_tight_inequality, 106),
+    "Niset-Cerf(3,3)": (lambda: upb.niset_cerf_inequality(3, 3), 105),
     "gen_shifts(3)": (lambda: upb.bell_from_set(upb.gen_shifts(3)), 997),
 }
 
@@ -598,8 +708,9 @@ def test_the_tiled_inverse_equals_the_column_slice_inverse(monkeypatch, name):
 
 
 def test_small_sets_take_the_all_rows_loop(monkeypatch):
-    """The wupb facet's saturating set (71 x 45 differences) is at most the
-    small-set size: the all-rows loop alone gives its rank, 43."""
+    """The wupb facet's saturating set (71 x 45 differences, 44 distinct
+    nonzero columns) is at most the small-set size: the all-rows loop
+    alone gives its rank, 43."""
     expression = upb.bell_from_set(upb.wupb_example())
     fallbacks = _count_fallbacks(monkeypatch)
 
@@ -609,4 +720,4 @@ def test_small_sets_take_the_all_rows_loop(monkeypatch):
     monkeypatch.setattr(_rank, "_certified_rank", no_float_pass)
     report = polytope.facet_check(expression, expression.classical_bound)
     assert (report.affine_rank, report.is_tight) == (43, True)
-    assert [d.shape for d in fallbacks] == [(71, 45)]
+    assert [d.shape for d in fallbacks] == [(71, 44)]
