@@ -71,17 +71,28 @@ solver's standard form: the rows are integer, the right-hand sides, the
 objective and each vector are integer numerators over one denominator as
 they are posed and returned, and every check is a Python-integer sum.
 
-Anti-cycling: pricing is best-in-first-improving-block by default (the most
-improving column, first on ties, of the first block of ``PRICE_BLOCK``
-nonbasic columns that holds an improving one); after a
-run of consecutive degenerate pivots the solver switches to Bland's rule
-until a strict improvement happens, which guarantees termination.  An
-artificial variable sitting at zero is pivoted out the moment an entering
-column touches its row, so artificials can never rise again after phase 1;
-each such forced pivot removes one artificial for good, so they cannot loop.
-Each :class:`LPResult` counts the float pass's pivots, the exact pivots in
-all and in phase 1, the degenerate (zero-step) ones, and whether Bland's
-rule engaged.
+Pricing takes the most improving column, first on ties, of the first block
+of ``PRICE_BLOCK`` enterable columns that holds one.  The lexicographic
+ratio rule is the only anti-cycling rule, and it is enough:
+
+(a) Each pivot is on a positive entry, in the row whose ``[x_B | B^-1]``
+    row over that entry is lexicographically least.  From ``[b | I]``,
+    ``b >= 0``, every such row stays lexico-positive (first nonzero entry
+    positive), and each pivot makes ``[c_B x_B | c_B B^-1]``
+    lexicographically smaller, so no basis repeats in either phase.  Of
+    the rows tied at ratio 0 the least is one whose first nonzero inverse
+    entry lies furthest right, so only those are compared.
+(b) Phase 1 ends at w = 0 (w the sum of the artificials, which are never
+    priced once they leave) with duals y1 and reduced costs d1 >= 0.  At
+    every point of the rows with the nonbasic artificials at zero, w =
+    y1.b + d1.x = d1.x, so a column with d1_j > 0 is zero at every
+    feasible point.  Phase 2 prices only the columns with d1_j = 0; w stays
+    0, so every basic artificial stays at zero unforced, and an unbounded
+    ray moves none.
+(c) The result's duals are y2 + t y1, y2 the phase-2 duals and t >= 0 the
+    least rational that makes each excluded column's d2_j + t d1_j
+    nonnegative.  As y1.b = 0, the dual objective is y2's, and
+    :func:`_verify_optimal` checks them like any duals.
 
 There is no presolve; exactness of the returned fractions is the point.
 """
@@ -99,16 +110,11 @@ from . import config
 from ._rank import _INT64_SAFE, _REDUCE_AT
 from .core import integer_numerators
 
-#: consecutive degenerate pivots tolerated before Bland's rule engages.
-#: the primary tie-break is lexicographic, which already makes cycling all
-#: but impossible, so this is a deep safety net rather than a tuning knob
-DEGENERACY_STREAK = 500
-
 #: column block size for lazy pricing.  An LP with at most this many columns
 #: is priced over all of them (plain Dantzig), as is every LP the benchmark
 #: workloads solve (at most 384 columns).  Blocks stay for wide LPs: cold,
-#: the uncollapsed TOBL LP (1600 columns) takes 4.5 s with them and had not
-#: finished after 300 s with full pricing (2-vCPU Xeon)
+#: the uncollapsed TOBL LP (1600 columns) takes 3092 pivots and 1.3-1.5 s
+#: with them, 1917 pivots and 58 s with full pricing (2-vCPU Xeon)
 PRICE_BLOCK = 512
 
 #: most entries of the basis inverse that one block of ``_set_cost``'s dual
@@ -285,10 +291,8 @@ class LPResult:
 
     The counters are the same on every run: ``float_pivots`` the float pass
     made (0 if it did not run); ``pivots`` the exact simplex made, 0 when
-    the float pass's basis verified, of them ``phase1_pivots`` before the
-    artificial variables were driven out, and ``degenerate_pivots`` that
-    left a basic variable at zero (no step); ``bland_engaged`` tells
-    whether a run of degenerate pivots switched pricing to Bland's rule.
+    the float pass's basis verified, of them ``phase1_pivots`` in phase 1,
+    and ``degenerate_pivots`` that left a basic variable at zero (no step).
     """
 
     status: str
@@ -300,7 +304,6 @@ class LPResult:
     pivots: int = 0
     phase1_pivots: int = 0
     degenerate_pivots: int = 0
-    bland_engaged: bool = False
     float_pivots: int = 0
 
     @functools.cached_property
@@ -424,7 +427,8 @@ class _Simplex:
     integer numerators ``ynum`` over one common denominator ``yden``, and
     every pivot prices all columns with one sparse integer product
     ``A^T ynum``, so the reduced costs are integers over one positive
-    denominator and compare exactly.
+    denominator and compare exactly.  ``enterable`` marks the nonbasic
+    columns that pricing may pick (module docstring, (b)).
 
     The arrays are int64 while a magnitude guard (the bound of
     :mod:`gynibell._rank`, fed by ``rowmax``, an upper bound on each row's
@@ -439,10 +443,8 @@ class _Simplex:
         self.m, self.n = m, n
         self.pivots = 0
         self.degenerate = 0
-        self.bland_engaged = False
         self.basis = np.arange(n, n + m)
-        self.artificials = m  # basic artificial variables
-        self.nonbasic = np.ones(n, dtype=bool)
+        self.enterable = np.ones(n, dtype=bool)
         self.last_ray_col = None
         self.last_ray_u = None
 
@@ -525,25 +527,23 @@ class _Simplex:
             aty[self.nonempty] = np.add.reduceat(prod, self.starts)
         return self.cost[: self.n] * yden - c * aty
 
-    def _price(self, dnum, bland):
-        """Bland: the first improving column.  Otherwise the most improving
-        column (first on ties) of the first block of ``PRICE_BLOCK``
-        consecutive nonbasic columns that holds an improving one."""
-        if not bland and self.n <= PRICE_BLOCK:
+    def _price(self, dnum):
+        """The most improving column (first on ties) of the first block of
+        ``PRICE_BLOCK`` consecutive enterable columns that holds an
+        improving one, or None."""
+        dnum = np.where(self.enterable, dnum, 0)
+        if self.n <= PRICE_BLOCK:
             # one block holds every column
             j = int(dnum.argmin())
             return j if dnum[j] < 0 else None
         neg = (dnum < 0).nonzero()[0]
         if neg.size == 0:
             return None
-        first = int(neg[0])
-        if bland:
-            return first
-        nonbasic = self.nonbasic.nonzero()[0]
-        k = int(np.count_nonzero(self.nonbasic[:first]))
+        enterable = self.enterable.nonzero()[0]
+        k = int(np.count_nonzero(self.enterable[: neg[0]]))
         start = k - k % PRICE_BLOCK
-        stop = min(start + PRICE_BLOCK, nonbasic.size)
-        lo, hi = int(nonbasic[start]), int(nonbasic[stop - 1]) + 1
+        stop = min(start + PRICE_BLOCK, enterable.size)
+        lo, hi = int(enterable[start]), int(enterable[stop - 1]) + 1
         return lo + int(np.argmin(dnum[lo:hi]))
 
     def _update_duals(self, dn, row):
@@ -595,29 +595,23 @@ class _Simplex:
                 best = k
         return int(rows[best])
 
-    def _ratio_test(self, unum, bland):
-        m = self.m
-        x = self.M[:, m]
-        # force out any zero-valued basic artificial whose row is touched;
-        # the entering variable replaces it at value 0, so feasibility holds
-        # regardless of the sign of the pivot entry
-        if self.artificials:
-            forced = ((unum != 0) & (self.basis >= self.n) & (x == 0)).nonzero()[0]
-            if forced.size:
-                return int(forced[0]), True
+    def _ratio_test(self, unum):
+        """The leaving row of the lexicographic rule for the tableau column
+        ``unum``, or None if no entry is positive (module docstring, (a))."""
+        x = self.M[:, self.m]
         pos = (unum > 0).nonzero()[0]
         if pos.size == 0:
-            return None, False
+            return None
         # ratio i is x[i] / (b_scale * unum[i]); basic values are >= 0, so a
         # zero ratio is the minimum
         ties = pos[x[pos] == 0]
-        if ties.size == 0:
+        if ties.size:
+            # their inverse rows are lexico-positive: the least starts last
+            lead = (self.M[ties, : self.m] != 0).argmax(axis=1)
+            ties = ties[lead == lead.max()]
+        else:
             ties = pos[_least_ratios(x[pos].tolist(), unum[pos].tolist())]
-        if ties.size == 1:
-            return int(ties[0]), False
-        if bland:
-            return int(ties[np.argmin(self.basis[ties])]), False
-        return self._lex_least(ties, unum), False
+        return int(ties[0]) if ties.size == 1 else self._lex_least(ties, unum)
 
     def _pivot(self, enter, row, unum):
         """Make ``enter`` basic in ``row``.
@@ -636,7 +630,7 @@ class _Simplex:
         ``_REDUCE_AT`` are reduced (:meth:`_reduce`).  Each of these steps
         is one numpy operation over all the rows it touches.  The divisible
         rows' shortcut measured worth its code: without it the cold
-        uncollapsed TOBL LP took 5.7 s against 4.5 s (2-vCPU Xeon).
+        uncollapsed TOBL LP took 1.5-1.7 s against 1.3-1.4 s (2-vCPU Xeon).
         """
         M, bden, rowmax = self.M, self.bden, self.rowmax
         piv = int(unum[row])
@@ -676,11 +670,9 @@ class _Simplex:
 
         left = int(self.basis[row])
         self.basis[row] = enter
-        self.nonbasic[enter] = False
+        self.enterable[enter] = False
         if left < self.n:
-            self.nonbasic[left] = True
-        else:
-            self.artificials -= 1
+            self.enterable[left] = True
         self.pivots += 1
 
     def _scale_rows(self, rows, pden):
@@ -711,34 +703,37 @@ class _Simplex:
         """Minimize ``cost / cscale`` (integer numerators over a positive
         scale) from the current basis; 'optimal' or 'unbounded'."""
         self._set_cost(cost, cscale)
-        streak = 0
-        bland = False
         while True:
             if self.pivots > config.LP_MAX_PIVOTS:
                 raise LPError(f"pivot limit exceeded ({config.LP_MAX_PIVOTS})")
             dnum = self._reduced_costs()
-            enter = self._price(dnum, bland)
+            enter = self._price(dnum)
             if enter is None:
                 return "optimal"
             unum = self.tableau_numerators(enter)
-            row, forced = self._ratio_test(unum, bland)
+            row = self._ratio_test(unum)
             if row is None:
                 self.last_ray_col = enter
                 self.last_ray_u = unum
                 return "unbounded"
-            degenerate = not self.M[row, self.m]
+            self.degenerate += not self.M[row, self.m]
             self._pivot(enter, row, unum)
             self._update_duals(int(dnum[enter]), row)
-            self.degenerate += degenerate
-            if forced:
-                continue
-            if degenerate:
-                streak += 1
-                if streak > DEGENERACY_STREAK:
-                    bland = self.bland_engaged = True
-            else:
-                streak = 0
-                bland = False
+
+    def lift_duals(self, d1, y1num):
+        """Replace the phase-2 duals y2 by ``y2 + t y1`` (module docstring,
+        (c)), ``y1num`` the phase-1 duals over the denominator of the
+        phase-1 reduced costs ``d1``."""
+        d2 = self._reduced_costs()
+        low = ((d1 > 0) & (d2 < 0)).nonzero()[0]
+        if not low.size:
+            return
+        k = low[_least_ratios(d2[low].tolist(), d1[low].tolist())[0]]
+        # t = -d2[k] / (cscale * yden) over d1[k] / y1den, so y2 + t y1 is
+        # (ynum * a + y1num * b) / (yden * a)
+        a, b = self.cscale * int(d1[k]), -int(d2[k])
+        self._fits(self.ymax * a + b * int(np.abs(y1num).max()), self.yden * a)
+        self._set_duals(self.ynum * a + y1num.astype(self.ynum.dtype) * b, self.yden * a)
 
     def counts(self, phase1_pivots: int, float_pivots: int) -> dict:
         """The solve counters of :class:`LPResult` so far."""
@@ -746,7 +741,6 @@ class _Simplex:
             pivots=self.pivots,
             phase1_pivots=phase1_pivots,
             degenerate_pivots=self.degenerate,
-            bland_engaged=self.bland_engaged,
             float_pivots=float_pivots,
         )
 
@@ -1077,6 +1071,10 @@ def solve(problem: LPProblem) -> LPResult:
             status="infeasible", farkas_ints=farkas, **sx.counts(phase1, float_pivots)
         )
 
+    # phase 2 prices only the columns of zero phase-1 reduced cost; the
+    # phase-1 duals lift the duals on the others (module docstring, (b), (c))
+    d1, y1num = sx._reduced_costs(), sx.ynum
+    sx.enterable &= d1 == 0
     status = sx.run(std.phase2_cost + [0] * m, std.c_scale)
     if status == "unbounded":
         ray = _recover_ray(std, sx)
@@ -1089,6 +1087,7 @@ def solve(problem: LPProblem) -> LPResult:
         if bj < n:
             nums[bj], dens[bj] = v, d * sx.b_scale
     x, xden = _over_one_denominator(nums, dens)
+    sx.lift_duals(d1, y1num)
     res = LPResult(
         status="optimal",
         value_ints=_value(problem, x, xden),

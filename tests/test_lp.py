@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -500,40 +501,65 @@ def _gyni4_mixture():
     )
 
 
-def test_pivot_counts_are_pinned(cold):
-    """Pricing (best in the first improving block, Bland's rule after a
-    degenerate streak) and the lexicographic ratio test fix the pivot
-    sequence; these counts change only if a pivot choice changes.  So do
-    the phase-1 and zero-step pivot counts, and none of these LPs has a
-    degenerate streak long enough for Bland's rule.  The infeasible
-    membership LP tests the GYNI-4 NS box of the full-probability LP, a
-    fixed input whatever optimum ``ns_max`` picks."""
+def _pinned_cold_calls():
+    """The model solves whose cold pivot counts are pinned, by name.  The
+    infeasible membership LP tests the GYNI-4 NS box of the full-probability
+    LP, a fixed input whatever optimum ``ns_max`` picks; TOBL, GYNI-7 and
+    GYNI-6 are collapsed under the games' relabeling symmetries."""
     mixture = _gyni4_mixture()
     ns_box = core.Box(mixture.scenario, ns_full_lp.ns_lp_max(gyni.gyni_expression(4).expression)[1])
+    tobl = gyni.gyni_sum_expression(3)
+    ns7, ns6 = gyni.gyni_expression(7).expression, gyni.gyni_expression(6).expression
+    return {
+        "four-partite": lambda: polytope.ns_max(upb.four_partite_tight_inequality()),
+        "mixture": lambda: polytope.local_membership(mixture),
+        "GYNI-4 NS box": lambda: polytope.local_membership(ns_box),
+        "TOBL": lambda: polytope.tobl_max(tobl),
+        "GYNI-7": lambda: polytope.ns_max(ns7),
+        "GYNI-6": lambda: polytope.ns_max(ns6),
+    }
 
-    results = []
 
-    def pivots(call):
+def test_pivot_counts_are_pinned(cold):
+    """Pricing (best in the first improving block) and the lexicographic
+    ratio test fix the pivot sequence; these counts change only if a pivot
+    choice changes.  So do the phase-1 and zero-step pivot counts.  The
+    last entry is the LP's column count (None when infeasible)."""
+    counters = {}
+    for name, call in _pinned_cold_calls().items():
         (res,) = _solve_results(call)
-        results.append(res)
-        return res.status, res.pivots
+        columns = res.solution and len(res.solution)
+        counters[name] = res.status, res.pivots, res.phase1_pivots, res.degenerate_pivots, columns
+    assert counters == {
+        "four-partite": ("optimal", 531, 263, 379, 384),
+        "mixture": ("optimal", 52, 52, 46, 256),
+        "GYNI-4 NS box": ("infeasible", 56, 56, 56, None),
+        "TOBL": ("optimal", 52, 32, 39, 144),
+        "GYNI-7": ("optimal", 14, 7, 11, 40),
+        "GYNI-6": ("optimal", 30, 17, 26, 128),
+    }
 
-    assert pivots(lambda: polytope.ns_max(upb.four_partite_tight_inequality())) == ("optimal", 523)
-    assert pivots(lambda: polytope.local_membership(mixture)) == ("optimal", 69)
-    assert pivots(lambda: polytope.local_membership(ns_box)) == ("infeasible", 50)
-    counters = [(r.phase1_pivots, r.degenerate_pivots, r.bland_engaged) for r in results]
-    assert counters == [(182, 414, False), (69, 63, False), (50, 50, False)]
 
-    def pivots_and_columns(call):
-        (res,) = _solve_results(call)
-        return res.status, res.pivots, len(res.solution)
+def test_zero_ratio_ties_take_the_lexicographically_least_row(monkeypatch, cold):
+    """Among rows tied at ratio 0 the ratio test compares only those whose
+    first nonzero inverse entry lies furthest right.  At every pivot with
+    two or more such ties, in the pinned cold solves and the wide LP, the
+    row it picks is the one ``_lex_least`` picks over all of them."""
+    agree = []
+    ratio_test = lp._Simplex._ratio_test
 
-    # LPs collapsed under the games' relabeling symmetries
-    tobl, ns7 = gyni.gyni_sum_expression(3), gyni.gyni_expression(7).expression
-    assert pivots_and_columns(lambda: polytope.tobl_max(tobl)) == ("optimal", 36, 144)
-    assert pivots_and_columns(lambda: polytope.ns_max(ns7)) == ("optimal", 11, 40)
-    ns6 = gyni.gyni_expression(6).expression
-    assert pivots_and_columns(lambda: polytope.ns_max(ns6)) == ("optimal", 38, 128)
+    def checked(self, unum):
+        row = ratio_test(self, unum)
+        ties = ((unum > 0) & (self.M[:, self.m] == 0)).nonzero()[0]
+        if ties.size > 1:
+            agree.append(row == self._lex_least(ties, unum))
+        return row
+
+    monkeypatch.setattr(lp._Simplex, "_ratio_test", checked)
+    for call in _pinned_cold_calls().values():
+        call()
+    lp.solve(_wide_lp())
+    assert len(agree) > 100 and all(agree)
 
 
 def _wide_lp():
@@ -557,16 +583,16 @@ def _wide_lp():
 def test_block_pricing_pivots_are_pinned(monkeypatch, cold):
     """An LP wider than ``PRICE_BLOCK`` columns is priced a block at a time,
     which no LP of the models reaches cold.  Every pricing of this one takes
-    the block branch (none is Bland's), and its pivot counts are pinned like
-    those of ``test_pivot_counts_are_pinned``."""
+    the block branch, and its pivot counts are pinned like those of
+    ``test_pivot_counts_are_pinned``."""
     problem = _wide_lp()
     assert problem.n > lp.PRICE_BLOCK
     blocks = []
     price = lp._Simplex._price
 
-    def recording_price(self, dnum, bland):
-        blocks.append(self.n > lp.PRICE_BLOCK and not bland)
-        return price(self, dnum, bland)
+    def recording_price(self, dnum):
+        blocks.append(self.n > lp.PRICE_BLOCK)
+        return price(self, dnum)
 
     monkeypatch.setattr(lp._Simplex, "_price", recording_price)
     res = lp.solve(problem)
@@ -598,7 +624,162 @@ def test_cold_uncollapsed_tobl_lp_opt_in(cold):
     test carry it to the paper's 7/6."""
     expr = dataclasses.replace(gyni.gyni_sum_expression(3), party_symmetries=())
     (res,) = _solve_results(lambda: polytope.tobl_max(expr))
-    assert (res.status, res.value, res.pivots) == ("optimal", F(7, 6), 14721)
+    assert (res.status, res.value, res.pivots) == ("optimal", F(7, 6), 3092)
+
+
+def _unique_solution(aug, k):
+    """The one solution of the augmented Fraction system ``aug`` in ``k``
+    unknowns, or None if it has none or many."""
+    aug = [row[:] for row in aug]
+    for c in range(k):
+        p = next((r for r in range(c, len(aug)) if aug[r][c]), None)
+        if p is None:
+            return None
+        aug[c], aug[p] = aug[p], aug[c]
+        aug[c] = [v / aug[c][c] for v in aug[c]]
+        for r in range(len(aug)):
+            if r != c and aug[r][c]:
+                f = aug[r][c]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[c])]
+    if any(row[k] for row in aug[k:]):
+        return None
+    return [aug[c][k] for c in range(k)]
+
+
+def _vertex_optimum(problem):
+    """The largest objective value over the vertices of ``{x >= 0 : A x =
+    b}``, by brute force over every set of columns on which ``A x = b`` has
+    one solution, kept if it is nonnegative; None if there is no vertex."""
+    rows = problem.constraints
+    A = [[F(0)] * problem.n for _ in range(len(rows))]
+    for i, j, v in zip(rows.row.tolist(), rows.col.tolist(), rows.val.tolist()):
+        A[i][j] = F(v)
+    b = [F(v, rows.rhs_den) for v in rows.rhs.tolist()]
+    c = [F(v, problem.objective_den) for v in problem.objective]
+    best = None
+    for size in range(len(rows) + 1):
+        for cols in itertools.combinations(range(problem.n), size):
+            x = _unique_solution([[r[j] for j in cols] + [bi] for r, bi in zip(A, b)], size)
+            if x is not None and all(v >= 0 for v in x):
+                value = sum((c[j] * v for j, v in zip(cols, x)), F(0))
+                best = value if best is None else max(best, value)
+    return best
+
+
+def _homogeneous_lps(seed, count, rows=3, cols=4):
+    """Seeded LPs over ``rows`` equality rows with zero right-hand sides and
+    integer coefficients in [-3, 3], as pairs: the cone ``{x >= 0 : A x =
+    0}`` alone, and capped by one more row ``sum x + s = K`` (K in 1..4)
+    with a slack s."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        homogeneous = [({j: rng.randint(-3, 3) for j in range(cols)}, 0) for _ in range(rows)]
+        objective = [rng.randint(-3, 4) for _ in range(cols)]
+        cap = dict.fromkeys(range(cols + 1), 1)
+        yield (
+            lp.make_problem(objective, homogeneous),
+            lp.make_problem(objective + [0], homogeneous + [(cap, rng.randint(1, 4))]),
+        )
+
+
+def test_homogeneous_rows_exclude_columns_and_lift_the_duals(monkeypatch, cold):
+    """Zero right-hand sides leave artificials basic at zero after phase 1,
+    so phase 2 prices only the columns of zero phase-1 reduced cost, and on
+    many of these LPs the phase-2 duals y2 price an excluded column as
+    improving: the returned duals are y2 + t y1 with t > 0.  Each capped
+    LP's value is the vertex enumeration's, and each cone is unbounded
+    exactly when its capped LP's optimum is positive, else its optimum is
+    0.  Without the lift, the LPs that needed it fail verification."""
+    lifted, needed = [], []
+    lift = lp._Simplex.lift_duals
+
+    def recording(self, d1, y1num):
+        before = self.ynum.tolist(), self.yden
+        lift(self, d1, y1num)
+        lifted.append((self.ynum.tolist(), self.yden) != before)
+
+    def solved(problem):
+        lifted.clear()
+        res = lp.solve(problem)
+        if any(lifted):
+            needed.append(problem)
+        return res
+
+    monkeypatch.setattr(lp._Simplex, "lift_duals", recording)
+    for cone, capped in _homogeneous_lps(8, 150):
+        best = _vertex_optimum(capped)
+        res = solved(capped)
+        assert (res.status, res.value) == ("optimal", best)
+        res = solved(cone)
+        assert (res.status, res.value) == (("unbounded", None) if best > 0 else ("optimal", 0))
+    assert len(needed) > 100
+    monkeypatch.setattr(lp._Simplex, "lift_duals", lambda self, d1, y1num: None)
+    for problem in needed:
+        with pytest.raises(lp.LPError, match="improving direction remains"):
+            lp.solve(problem)
+
+
+def test_dual_lift_on_a_hand_made_lp(monkeypatch):
+    """max x2 + 2 x3 subject to -x2 - x3 = 0 and x1 + x2 + x3 = 1.  Phase 1
+    enters x1 in the second row and ends with the first row's artificial
+    basic at zero, duals y1 = (1, 0) and reduced costs d1 = (0, 1, 1) (in
+    the solver's minimization of -x2 - 2 x3), so phase 2 excludes x2 and
+    x3.  Its duals y2 = 0 price them at -1 and -2; the least t that makes
+    both nonnegative is 2, and the maximum's duals are -(y2 + 2 y1) =
+    (-2, 0).  The phase-2 duals alone fail verification."""
+    problem = lp.make_problem([0, 1, 2], [([0, -1, -1], 0), ([1, 1, 1], 1)])
+    res = _cold_solve(problem)
+    assert (res.status, res.value, res.solution, res.dual) == ("optimal", 0, (1, 0, 0), (-2, 0))
+    assert (res.pivots, res.phase1_pivots) == (1, 1)
+    monkeypatch.setattr(lp._Simplex, "lift_duals", lambda self, d1, y1num: None)
+    with pytest.raises(lp.LPError, match="improving direction remains"):
+        _cold_solve(problem)
+
+
+def _cg_membership_problem(box):
+    """The membership LP of a binary-scenario box posed in Collins-Gisin
+    rows: one row per subset-marginal coordinate (constant first, the
+    layout of ``cg_coordinates_of_strategies``), one 0/1 column per
+    deterministic strategy, and as right-hand side the box's marginal
+    P(a_S = 0 | x_S) at that coordinate (the constant row's is 1)."""
+    scen = box.scenario
+    parties = len(scen.inputs)
+    strategies = math.prod(d**m for m, d in zip(scen.inputs, scen.outputs))
+    coords = polytope.cg_coordinates_of_strategies(scen, np.arange(strategies))
+    table = np.array(box.exact_table(), dtype=object).reshape((2,) * (2 * parties))
+    rhs = []
+    for digits in itertools.product(range(3), repeat=parties):
+        # digit 0 sums the party's outcomes at input 0; digit 1 + x fixes
+        # input x and outcome 0
+        inputs = tuple(max(d - 1, 0) for d in digits)
+        outcomes = tuple(0 if d else slice(None) for d in digits)
+        rhs.append(F(np.sum(table[inputs + outcomes])))
+    nums, den = core.integer_numerators(rhs)
+    row, col = coords.T.nonzero()
+    rows = lp.Rows(row, col, np.ones(row.size, dtype=np.int64), np.array(nums, dtype=object), den)
+    return lp.make_problem([0] * coords.shape[0], rows)
+
+
+@pytest.mark.parametrize(
+    "n, pivots", [(4, 303), pytest.param(5, 8317, marks=requires_slow)]
+)
+def test_cg_row_membership_lp_of_the_gyni_ns_box(n, pivots):
+    """The GYNI-N NS box is not local, and its membership LP posed in
+    Collins-Gisin rows (3**N rows over 4**N 0/1 columns, most pivots
+    degenerate) ends infeasible with a verified Farkas certificate after a
+    pinned number of cold pivots.  N = 5 (243 x 1024) takes a few seconds,
+    so it is opt-in.  The same rows for a mixture of three vertices are
+    feasible, which checks the right-hand sides."""
+    scen = core.binary_scenario(n)
+    vertices = [core.box_from_strategy(scen, s) for s in core.enumerate_deterministic_strategies(scen)[3:201:98]]
+    mixture = core.mix_boxes(vertices, [F(1, 2), F(1, 3), F(1, 6)])
+    assert lp.solve(_cg_membership_problem(mixture)).status == "optimal"
+    box = polytope.ns_max(gyni.gyni_expression(n).expression).box
+    problem = _cg_membership_problem(box)
+    assert (len(problem.constraints), problem.n) == (3**n, 4**n)
+    res = lp.solve(problem)
+    assert (res.status, res.pivots, res.float_pivots) == ("infeasible", pivots, 0)
+    lp._verify_infeasible(problem, res.farkas_ints)
 
 
 def _random_promise_game(rng, n=3):
@@ -789,19 +970,6 @@ def test_int_and_fraction_coefficients_give_equal_results():
         assert lp.solve(_with_fractions(problem)) == res
         statuses.add(res.status)
     assert statuses == {"optimal", "infeasible", "unbounded"}
-
-
-def test_bland_rule_engagement_is_reported(monkeypatch, cold):
-    """With no degenerate streak tolerated, Bland's rule engages on the
-    first zero-step pivot and the result says so; the optimum and its
-    certificate are still exact."""
-    game = _random_promise_game(random.Random(5))
-    (default,) = _solve_results(lambda: polytope.ns_max(game))
-    assert default.degenerate_pivots and not default.bland_engaged
-    monkeypatch.setattr(lp, "DEGENERACY_STREAK", 0)
-    (bland,) = _solve_results(lambda: polytope.ns_max(game))
-    assert bland.bland_engaged and bland.value == default.value
-    assert bland.degenerate_pivots
 
 
 def _fraction_inverse(columns, m):
@@ -1027,7 +1195,7 @@ def test_tableau_and_revised_passes_both_certify(monkeypatch, name):
 def test_uncollapsed_tobl_lp_certifies_guided(monkeypatch):
     """The 404-row, 1600-column TOBL LP of GYNI-3 without symmetry: the float
     pass's basis verifies, so no exact pivot runs (the cold exact simplex
-    takes 14721 pivots on it), and the value is the paper's 7/6."""
+    takes 3092 pivots on it), and the value is the paper's 7/6."""
 
     def cold(std):
         raise AssertionError("the float basis did not verify")
