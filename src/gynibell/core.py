@@ -16,6 +16,7 @@ functions, so values can be shared freely between concurrent tasks.
 from __future__ import annotations
 
 import array
+import functools
 import itertools
 import math
 import operator
@@ -89,17 +90,11 @@ class Scenario:
 
     @property
     def n_inputs(self) -> int:
-        n = 1
-        for m in self.inputs:
-            n *= m
-        return n
+        return math.prod(self.inputs)
 
     @property
     def n_outputs(self) -> int:
-        n = 1
-        for d in self.outputs:
-            n *= d
-        return n
+        return math.prod(self.outputs)
 
     @property
     def table_size(self) -> int:
@@ -124,10 +119,7 @@ class Scenario:
         return itertools.product(*(range(d) for d in self.outputs))
 
     def strategy_count(self) -> int:
-        n = 1
-        for m, d in zip(self.inputs, self.outputs):
-            n *= d**m
-        return n
+        return math.prod(d**m for m, d in zip(self.inputs, self.outputs))
 
     def to_json(self) -> dict:
         return {"inputs": list(self.inputs), "outputs": list(self.outputs)}
@@ -266,13 +258,7 @@ class Box:
 
     def to_json(self) -> dict:
         na = self.scenario.n_outputs
-        entries = self._table
-        table = {}
-        for x in range(self.scenario.n_inputs):
-            for a in range(na):
-                v = entries[x * na + a]
-                if v:
-                    table[f"{x}:{a}"] = str(v)
+        table = {f"{t // na}:{t % na}": str(v) for t, v in enumerate(self._table) if v}
         return {"scenario": self.scenario.to_json(), "mode": "exact", "table": table}
 
     @staticmethod
@@ -398,32 +384,17 @@ class NsReport(NamedTuple):
     violations: list
 
 
-def _outcome_marginals(nums: list, d: int, a_stride: int) -> list:
-    """Outcome marginals of the party whose outcome has ``d`` values and
-    stride ``a_stride`` in ``a_idx``: each sums ``d`` table entries
-    ``a_stride`` apart.  Entry ``x_idx * (n_outputs // d) + ao`` is the one
-    at input ``x_idx`` and outcome index ``ao`` of the other parties.  The
-    ``d`` outcome slices are added element-wise; the slice of outcome ``a``
-    interleaves the ``a_stride`` strided slices that start in its first run
-    (the last party's is ``nums[a::d]``)."""
-    block = d * a_stride
-    marg = None
-    for a in range(d):
-        part = nums[a::d] if a_stride == 1 else list(itertools.chain.from_iterable(
-            zip(*(nums[s::block] for s in range(a * a_stride, (a + 1) * a_stride)))
-        ))
-        marg = part if marg is None else list(map(operator.add, marg, part))
-    return marg
-
-
 def is_nonsignaling(box: Box) -> NsReport:
     """Check the per-party no-signaling equalities, reporting any violations.
 
     For every party i, every context of the other inputs and every pair of
     inputs (0, x_i) for i, the marginal over party i's outcome must agree
-    exactly.  The marginals are sums of integer numerators over the common
-    denominator of the table; violations come by party, then x_i, then
-    context, then outcome of the other parties.
+    exactly, in integer numerators over the table's common denominator.  At
+    each outcome ``lo`` of the parties after i, the marginal is the sum of
+    ``d`` strided slices of the table, with one entry per input and outcome
+    of the parties before i; contexts x_i = 0 and x_i = k are compared as
+    whole slices.  Only a failing party's violations are listed: by party,
+    then x_i, then context, then outcome of the other parties.
     """
     scen = box.scenario
     nums, _ = box._numerators()
@@ -433,24 +404,35 @@ def is_nonsignaling(box: Box) -> NsReport:
         if m < 2:
             continue
         x_stride = math.prod(scen.inputs[party + 1 :])
-        k = na // d
-        marg = _outcome_marginals(nums, d, math.prod(scen.outputs[party + 1 :]))
-        other_outputs = scen.outputs[:party] + scen.outputs[party + 1 :]
-        for x_i in range(1, m):
-            for xb in range(nx):
-                if xb // x_stride % m:
-                    continue
-                xa = xb + x_i * x_stride
-                base, alt = marg[xb * k : (xb + 1) * k], marg[xa * k : (xa + 1) * k]
-                if base == alt:
-                    continue
-                xs = scen.decode_input(xb)
-                xo = xs[:party] + xs[party + 1 :]
-                violations += [
-                    NsViolation(party, xo, (0, x_i), decode_tuple(ao, other_outputs))
-                    for ao, (u, v) in enumerate(zip(base, alt))
-                    if u != v
-                ]
+        lows = math.prod(scen.outputs[party + 1 :])
+        highs = na // (d * lows)
+        margs = []
+        for lo in range(lows):
+            marg = nums[lo :: d * lows]
+            for a in range(1, d):
+                marg = list(map(operator.add, marg, nums[lo + a * lows :: d * lows]))
+            margs.append(marg)
+        run = x_stride * highs  # the contexts x_i = 0 of a block of inputs
+        if all(
+            marg[b : b + run] == marg[b + k * run : b + (k + 1) * run]
+            for marg in margs
+            for b in range(0, nx * highs, m * run)
+            for k in range(1, m)
+        ):
+            continue
+
+        def at(x, ao):  # the marginal at input x and outcome ao of the others
+            return margs[ao % lows][x * highs + ao // lows]
+
+        violations += [
+            NsViolation(party, _without(scen.decode_input(xb), party), (0, x_i),
+                        decode_tuple(ao, _without(scen.outputs, party)))
+            for x_i in range(1, m)
+            for xb in range(nx)
+            if not xb // x_stride % m
+            for ao in range(na // d)
+            if at(xb, ao) != at(xb + x_i * x_stride, ao)
+        ]
     return NsReport(not violations, violations)
 
 
@@ -533,14 +515,11 @@ def relabel_outcomes(
     scen = expression.scenario
     new_coeffs = {}
     for (x, a), c in expression.coeffs.items():
-        xs = scen.decode_input(x)
-        aa = scen.decode_outcome(a)
-        if xs[party] == x_value:
-            aa = aa[:party] + (perm[aa[party]],) + aa[party + 1 :]
+        aa = list(scen.decode_outcome(a))
+        if scen.decode_input(x)[party] == x_value:
+            aa[party] = perm[aa[party]]
         new_coeffs[(x, scen.encode_outcome(aa))] = c
-    return BellExpression(
-        scen, new_coeffs, expression.classical_bound, expression.label
-    )
+    return BellExpression(scen, new_coeffs, expression.classical_bound, expression.label)
 
 
 # ---------------------------------------------------------------------------
@@ -556,47 +535,64 @@ class Symmetry:
     ``party_perm[p]`` of the original, with input ``x`` renamed to
     ``input_maps[p][x]`` and outcome ``a`` to ``output_maps[p][a]``.
     Relabelings of this shape map the no-signaling polytope, the local
-    polytope and the quantum set onto themselves.
+    polytope and the quantum set onto themselves.  Each of ``party_perm``
+    and the maps must be a permutation (``ValueError`` otherwise).
     """
 
     party_perm: tuple[int, ...]
     input_maps: tuple[tuple[int, ...], ...]
     output_maps: tuple[tuple[int, ...], ...]
 
+    def __post_init__(self):
+        if not len(self.party_perm) == len(self.input_maps) == len(self.output_maps):
+            raise ValueError("a symmetry needs one input map and one outcome map per party")
+        for perm in (self.party_perm, *self.input_maps, *self.output_maps):
+            if sorted(perm) != list(range(len(perm))):
+                raise ValueError(f"symmetry map {perm} is not a permutation")
+
     def index_terms(self, scen: Scenario) -> list[tuple[int, ...]]:
         """The relabeling as per-axis index terms.  The table's axes are the
         parties' inputs, then the parties' outcomes; where axis ``k`` holds
         value ``v``, the image table index ``x_idx * n_outputs + a_idx``
-        gains ``terms[k][v]``."""
-        image_of = [self.party_perm.index(q) for q in range(scen.parties)]
-        terms = []
-        for maps, radices, stride in (
-            (self.input_maps, scen.inputs, scen.n_outputs),
-            (self.output_maps, scen.outputs, 1),
+        gains ``terms[k][v]``.  Maps not sized to the scenario raise."""
+        n = scen.parties
+        axes = ((self.input_maps, scen.inputs, scen.n_outputs), (self.output_maps, scen.outputs, 1))
+        if len(self.party_perm) != n or any(
+            len(maps[p]) != radices[p] or radices[self.party_perm[p]] != radices[p]
+            for maps, radices, _ in axes
+            for p in range(n)
         ):
-            strides = [0] * scen.parties
-            for p in range(scen.parties - 1, -1, -1):
+            raise ValueError("symmetry maps do not match the scenario")
+        image_of = [self.party_perm.index(q) for q in range(n)]
+        terms = []
+        for maps, radices, stride in axes:
+            strides = [0] * n
+            for p in range(n - 1, -1, -1):
                 strides[p] = stride
                 stride *= radices[p]
             terms += [tuple(strides[p] * m for m in maps[p]) for p in image_of]
         return terms
 
+    def index_tables(self, scen: Scenario) -> list[list[int]]:
+        """The relabeling as two tables, ``[X, A]``: table entry
+        ``x_idx * n_outputs + a_idx`` maps to ``X[x_idx] + A[a_idx]``.  Each
+        sums :meth:`index_terms` over its axes, the last axis fastest."""
+        terms, n = self.index_terms(scen), scen.parties
+        return [
+            functools.reduce(lambda im, t: [v + i for v in t for i in im], reversed(axes), [0])
+            for axes in (terms[:n], terms[n:])
+        ]
+
     def table_permutation(self, scen: Scenario) -> list[int]:
-        """Image of every flattened table index, in table order: the index
-        terms summed axis by axis, the last axis fastest."""
-        image = [0]
-        for terms in self.index_terms(scen):
-            image = [i + t for i in image for t in terms]
-        return image
+        """Image of every flattened table index, in table order."""
+        xs, aa = self.index_tables(scen)
+        return [x + a for x in xs for a in aa]
 
 
 def apply_symmetry_to_expression(expression: BellExpression, sym: Symmetry) -> BellExpression:
     scen = expression.scenario
-    terms = sym.index_terms(scen)
-    coeffs = {}
-    for (x, a), c in expression.coeffs.items():
-        axes = scen.decode_input(x) + scen.decode_outcome(a)
-        coeffs[divmod(sum(t[v] for t, v in zip(terms, axes)), scen.n_outputs)] = c
+    (xs, aa), na = sym.index_tables(scen), scen.n_outputs
+    coeffs = {divmod(xs[x] + aa[a], na): c for (x, a), c in expression.coeffs.items()}
     return BellExpression(scen, coeffs, expression.classical_bound, expression.label)
 
 
@@ -609,11 +605,15 @@ def apply_symmetry_to_box(box: Box, sym: Symmetry) -> Box:
 
 
 def expression_invariant_under(expression: BellExpression, sym: Symmetry) -> bool:
-    """Exact check that the symmetry maps the expression onto itself."""
-    image = apply_symmetry_to_expression(expression, sym)
-    a = {k: v for k, v in expression.coeffs.items() if v}
-    b = {k: v for k, v in image.coeffs.items() if v}
-    return a == b
+    """Exact check that the symmetry maps the expression onto itself: every
+    coefficient equals the one at its image (0 where none is given).  The
+    symmetry permutes the table, so a cycle through a given coefficient
+    holds only given ones and this covers the whole table.  List equality
+    tries identity first, and equal coefficients often are one object."""
+    (xs, aa), na = sym.index_tables(expression.scenario), expression.scenario.n_outputs
+    get = expression.coeffs.get
+    images = [get(divmod(xs[x] + aa[a], na), 0) for x, a in expression.coeffs]
+    return images == list(expression.coeffs.values())
 
 
 # ---------------------------------------------------------------------------
@@ -720,14 +720,11 @@ class InputDistribution:
     q: dict  # x_idx -> Fraction
 
     def __post_init__(self):
-        total = Fraction(0)
-        for x, v in self.q.items():
-            if not (0 <= x < self.scenario.n_inputs):
-                raise ValueError("input index out of range")
-            if v < 0:
-                raise ValueError("negative input probability")
-            total += v
-        if total != 1:
+        if not all(0 <= x < self.scenario.n_inputs for x in self.q):
+            raise ValueError("input index out of range")
+        if any(v < 0 for v in self.q.values()):
+            raise ValueError("negative input probability")
+        if sum(self.q.values()) != 1:
             raise ValueError("input distribution must sum to 1")
 
     def prob(self, x_idx: int) -> Fraction:

@@ -27,7 +27,6 @@ from .core import (
     expression_invariant_under,
 )
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -54,21 +53,16 @@ def parity_promise(n_parties: int) -> InputDistribution:
 def uniform_promise(n_parties: int) -> InputDistribution:
     scen = binary_scenario(n_parties)
     weight = Fraction(1, 2**n_parties)
-    q = {x: weight for x in range(scen.n_inputs)}
-    return InputDistribution(scen, q)
+    return InputDistribution(scen, {x: weight for x in range(scen.n_inputs)})
 
 
 def classical_bound_formula(q: InputDistribution) -> Fraction:
     """max over x of q(x) + q(bitwise complement of x), exactly."""
     scen = q.scenario
-    best = _ZERO
-    for x in range(scen.n_inputs):
-        xs = scen.decode_input(x)
-        comp = scen.encode_input(tuple(1 - b for b in xs))
-        cand = q.prob(x) + q.prob(comp)
-        if cand > best:
-            best = cand
-    return best
+    return max(
+        q.prob(x) + q.prob(scen.encode_input(tuple(1 - b for b in scen.decode_input(x))))
+        for x in range(scen.n_inputs)
+    )
 
 
 def _shift_left(xs: tuple[int, ...]) -> tuple[int, ...]:
@@ -89,16 +83,8 @@ def _parity_translations(n_parties: int) -> list[Symmetry]:
     bit so that winning configurations map to winning configurations."""
     nhat = _hatted(n_parties)
     gens = []
-    basis = []
-    for i in range(1, nhat):
-        c = [0] * n_parties
-        c[0] = 1
-        c[i] = 1
-        basis.append(tuple(c))
-    for i in range(nhat, n_parties):
-        c = [0] * n_parties
-        c[i] = 1
-        basis.append(tuple(c))
+    basis = [tuple(int(p in (0, i)) for p in range(n_parties)) for i in range(1, nhat)]
+    basis += [tuple(int(p == i) for p in range(n_parties)) for i in range(nhat, n_parties)]
     identity = tuple(range(n_parties))
     for c in basis:
         in_maps = tuple((c[p], 1 - c[p]) if c[p] else (0, 1) for p in range(n_parties))

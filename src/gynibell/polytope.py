@@ -38,7 +38,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -159,10 +159,7 @@ def classical_max(expression: BellExpression, cap: int | None = None) -> Classic
 
 def cg_dimension(scenario: Scenario) -> int:
     """Number of subset-marginal coordinates, constant included."""
-    n = 1
-    for m, d in zip(scenario.inputs, scenario.outputs):
-        n *= 1 + m * (d - 1)
-    return n
+    return math.prod(1 + m * (d - 1) for m, d in zip(scenario.inputs, scenario.outputs))
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +181,6 @@ def _sorted_rows(row, col, val, rhs) -> Rows:
     return Rows(row[order], col[order], val[order], rhs)
 
 
-def _row_starts(rows: Rows) -> np.ndarray:
-    """Entry offsets: row i holds the entries ``starts[i]:starts[i + 1]``."""
-    return np.searchsorted(rows.row, np.arange(len(rows) + 1))
-
-
 def _byte_keys(a: np.ndarray) -> list:
     """The bytes of each row of a 2-D integer array as int64, one ``bytes``
     per row.  Object arrays raise: their bytes are pointers, not values."""
@@ -204,7 +196,7 @@ def _row_keys(rows: Rows):
     right-hand side divided by their gcd and by the sign of its first
     coefficient, so rows of different lengths have keys of different
     lengths."""
-    starts = _row_starts(rows)
+    starts = np.searchsorted(rows.row, np.arange(len(rows) + 1))  # row i: starts[i]:starts[i + 1]
     length = starts[1:] - starts[:-1]
     ids = np.flatnonzero(length)
     first = starts[ids]
@@ -396,10 +388,9 @@ def ns_max(expression: BellExpression) -> NsOptimum:
             raise ValueError("declared symmetry does not fix the expression")
     orbit = None
     if syms:
-        orbit = _orbits_of_permutations(n, [
-            functools.reduce(np.add.outer, map(np.array, sym.index_terms(scen))).ravel()
-            for sym in syms
-        ])
+        orbit = _orbits_of_permutations(
+            n, [np.add.outer(*sym.index_tables(scen)).ravel() for sym in syms]
+        )
     n_orbits = n if orbit is None else int(orbit.max()) + 1
     dim = cg_dimension(scen)
     if dim * n_orbits > config.NS_LP_MAX_ORBIT_SUMS:
@@ -545,13 +536,59 @@ _RESPONDERS = list(itertools.product((0, 1), repeat=2))
 _PAIRS = list(itertools.product(_RESPONDERS, itertools.product((0, 1), repeat=4)))
 
 
-class ToblOptimum(NamedTuple):
+_BIPARTITIONS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+#: the weight variables' indices: (bipartition, direction, responder, one-way pair)
+_WEIGHT_SHAPE = (len(_BIPARTITIONS), 2, len(_RESPONDERS), len(_PAIRS))
+
+
+def _couplings(fwd: np.ndarray, bwd: np.ndarray):
+    """One bipartition's coupling of its two directions' (responder,
+    one-way pair) weight numerators: the triples (h, p1, p2) with both
+    nonzero, in order, as the rows of one array, and each triple's weight
+    fwd[h, p1] * bwd[h, p2] / marg[h] as ``num / div``, in numerators."""
+    triples = np.array([
+        (h, p1, p2)
+        for h, p1 in np.argwhere(fwd).tolist()
+        for p2 in np.flatnonzero(bwd[h]).tolist()
+    ]).T
+    h, p1, p2 = triples
+    return triples, fwd[h, p1] * bwd[h, p2], fwd.sum(axis=1)[h]
+
+
+@dataclass(frozen=True, eq=False)
+class ToblOptimum:
+    """A TOBL optimum, its box, and the shared-weight model certifying it,
+    held as the nonzero one-way weights: ``one_way`` their flat indices in
+    the ``_WEIGHT_SHAPE`` array, ``numerators`` their integer numerators
+    over ``den``.  ``model``, bipartition ``(i, (j, k))`` -> list of ``((h,
+    fwd pair, bwd pair), Fraction weight)``, is built on first read, equal
+    weights, keys and entries one object.  Optima compare by identity."""
+
     value: Fraction
     box: Box
-    model: dict  # bipartition -> list of ((h, fwd pair, bwd pair), weight)
+    one_way: np.ndarray
+    numerators: np.ndarray
+    den: int
 
+    @functools.cached_property
+    def model(self) -> dict:
+        weights = np.zeros(math.prod(_WEIGHT_SHAPE), dtype=object)
+        weights[self.one_way] = self.numerators.tolist()
+        shared = {}
 
-_BIPARTITIONS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+        def share(v):
+            return shared.setdefault(v, v)
+
+        model = {}
+        for (i, j, k), (fwd, bwd) in zip(_BIPARTITIONS, weights.reshape(_WEIGHT_SHAPE)):
+            triples, num, div = _couplings(fwd, bwd)
+            dens = (div * self.den).tolist()
+            model[(i, (j, k))] = [
+                share((share((_RESPONDERS[h], _PAIRS[p1], _PAIRS[p2])), share(Fraction(w, q))))
+                for h, p1, p2, w, q in zip(*triples.tolist(), num.tolist(), dens)
+            ]
+        return model
 
 
 class _ToblLayout:
@@ -564,17 +601,18 @@ class _ToblLayout:
         self.scen = scen
         self.na = scen.n_outputs
         self.n_table = scen.table_size
-        self.shape = (len(_BIPARTITIONS), 2, len(_RESPONDERS), len(_PAIRS))
+        self.shape = _WEIGHT_SHAPE
         self.n_vars = self.n_table + math.prod(self.shape)
-        # supports[index]: the table indices, ascending, where the weight
-        # variable's deterministic component puts mass 1;
-        # var_of[(bipartition, direction, support)]: the variable
+        # supports[index]: the table indices, one per input tuple, where the
+        # weight variable's component puts mass 1; keys[bip, direction]: the
+        # block's supports' outcomes, each as one number in radix n_outputs,
+        # sorted by order (variables counted from the block's first)
         self.supports = self._support_table()
-        flat = self.supports.reshape(-1, scen.n_inputs).tolist()
-        self.var_of = {
-            index[:2] + (tuple(support),): var
-            for var, (index, support) in enumerate(zip(np.ndindex(self.shape), flat), self.n_table)
-        }
+        self.outcomes = self.supports % self.na
+        self.radix = self.na ** np.arange(scen.n_inputs - 1, -1, -1)
+        keys = (self.outcomes * self.radix).sum(axis=-1).reshape(self.shape[:2] + (-1,))
+        self.order = np.argsort(keys, axis=-1)
+        self.keys = np.take_along_axis(keys, self.order, axis=-1)
 
     def _support_table(self) -> np.ndarray:
         """``shape`` + (input tuples,) array: the table indices where each
@@ -622,32 +660,35 @@ class _ToblLayout:
         rhs[:nx] = 1
         return _sorted_rows(*_coo(parts), rhs)
 
-    def variable_permutation(self, sym: Symmetry) -> list[int]:
+    def variable_permutation(self, sym: Symmetry) -> np.ndarray:
         """The permutation a relabeling induces on the LP variables.
 
-        Table entries permute by :meth:`Symmetry.table_permutation`.  Blocks
-        of one bipartition and direction map to blocks structurally: the
-        image lone party fixes the bipartition, the image leader fixes the
+        Table entries permute by :meth:`Symmetry.index_tables` ``X, A``.
+        Blocks of one bipartition and direction map to blocks structurally:
+        the image lone party fixes the bipartition, the image leader the
         direction.  Within a block a weight variable's support fixes its
         component (h, f, g), so each variable maps to the variable of the
-        image block whose support is the permuted support.  Distinct blocks
-        can share a support, which is why the block is not read off the
-        support.
+        image block whose support is the permuted one (outcome ``A[a]`` at
+        input ``X[x]`` for ``a`` at ``x``), keyed as ``keys`` and found by
+        one ``searchsorted`` per block.  Distinct blocks can share a
+        support, which is why the block is not read off the support.
         """
-        table = sym.table_permutation(self.scen)
+        xs, aa = map(np.array, sym.index_tables(self.scen))
+        image = (aa[self.outcomes] * self.radix[xs // self.na]).sum(axis=-1)
         image_of = [sym.party_perm.index(q) for q in range(3)]
-        images = np.sort(np.array(table)[self.supports], axis=-1).tolist()
-        perm = list(table)
+        per_block = self.keys.shape[-1]
+        perm = [np.add.outer(xs, aa).ravel()]
         for bip, (_, *leaders) in enumerate(_BIPARTITIONS):
             bip2 = image_of[bip]  # bipartition b has lone party b
             for direction, leader in enumerate(leaders):
                 direction2 = _BIPARTITIONS[bip2].index(image_of[leader]) - 1
-                perm += [
-                    self.var_of[(bip2, direction2, tuple(image))]
-                    for per_h in images[bip][direction]
-                    for image in per_h
-                ]
-        if len(set(perm)) != self.n_vars:
+                keys, order = self.keys[bip2, direction2], self.order[bip2, direction2]
+                wanted = image[bip, direction].ravel()
+                at = np.searchsorted(keys, wanted).clip(max=per_block - 1)
+                first = self.n_table + (2 * bip2 + direction2) * per_block
+                perm.append(np.where(keys[at] == wanted, first + order[at], -1))
+        perm = np.concatenate(perm)
+        if (np.sort(perm) != np.arange(self.n_vars)).any():
             raise lp.LPError("induced variable map is not a permutation")
         return perm
 
@@ -658,7 +699,7 @@ def _rows_invariant_under(rows: Rows, perm, keys: set) -> bool:
     every permuted row's key from :func:`_row_keys` is in ``keys``, the
     set of the rows' own keys."""
     permuted = _sorted_rows(rows.row, np.asarray(perm)[rows.col], rows.val, rows.rhs)
-    return all(key in keys for key in _row_keys(permuted))
+    return keys.issuperset(_row_keys(permuted))
 
 
 def tobl_max(expression: BellExpression) -> ToblOptimum:
@@ -692,8 +733,7 @@ def tobl_max(expression: BellExpression) -> ToblOptimum:
     # expression, for the invariance checks
     obj_nums = np.zeros(layout.n_vars, dtype=object)
     obj_nums[list(objective)], obj_den = integer_numerators(objective.values())
-    keys = None
-    perms = []
+    keys, perms = None, []
     for sym in expression.party_symmetries:
         if not expression_invariant_under(expression, sym):
             continue
@@ -719,29 +759,15 @@ def tobl_max(expression: BellExpression) -> ToblOptimum:
     if bell_value(expression, box) != value:
         raise lp.LPError("TOBL optimal box does not achieve the LP value")
 
-    # build and verify the shared-weight model per bipartition, in the
-    # solution's numerators: the coupling weight of (h, p1, p2) is
+    # verify the shared-weight model per bipartition, in the solution's
+    # numerators: the coupling weight of (h, p1, p2) is
     # fwd[h, p1] * bwd[h, p2] / (marg[h] * den)
     tnums = nums[: layout.n_table]
     weights = nums[layout.n_table :].reshape(layout.shape)
-    shared = {}
-
-    def share(v):  # equal weights, keys and entries of the model: one object
-        return shared.setdefault(v, v)
-
-    model = {}
-    for bip, (i, j, k) in enumerate(_BIPARTITIONS):
-        fwd, bwd = weights[bip]  # (responder, pair) numerators per direction
-        marg = fwd.sum(axis=1)
-        if (marg != bwd.sum(axis=1)).any():
+    for bip, (fwd, bwd) in enumerate(weights):
+        if (fwd.sum(axis=1) != bwd.sum(axis=1)).any():
             raise lp.LPError("mismatched responder marginals in TOBL solution")
-        triples = np.array([
-            (h, p1, p2)
-            for h, p1 in np.argwhere(fwd).tolist()
-            for p2 in np.flatnonzero(bwd[h]).tolist()
-        ])
-        h, p1, p2 = triples.T
-        num, div = fwd[h, p1] * bwd[h, p2], marg[h]
+        (h, p1, p2), num, div = _couplings(fwd, bwd)
         # both induced mixtures must reproduce the table exactly, over the
         # common denominator den * scale
         scale = math.lcm(*set(div.tolist()))
@@ -750,13 +776,10 @@ def tobl_max(expression: BellExpression) -> ToblOptimum:
         np.add.at(mixture, (np.arange(2)[:, None, None], supports), (num * (scale // div))[:, None])
         if (mixture != tnums * scale).any():
             raise lp.LPError("TOBL coupling failed the mixture recheck")
-        model[(i, (j, k))] = [
-            share((share((_RESPONDERS[h], _PAIRS[p1], _PAIRS[p2])), share(w)))
-            for (h, p1, p2), w in zip(
-                triples.tolist(), map(Fraction, num.tolist(), (div * den).tolist())
-            )
-        ]
-    return ToblOptimum(value, box, model)
+    one_way = np.flatnonzero(weights)
+    nonzero = weights.ravel()[one_way]  # kept in the smallest integer types
+    small = [a.astype(np.min_scalar_type(a.max())) for a in (one_way, nonzero)]
+    return ToblOptimum(value, box, *small, den)
 
 
 # ---------------------------------------------------------------------------
@@ -811,13 +834,7 @@ class FacetReport:
     bound_attained: bool
 
     def to_json(self) -> dict:
-        return {
-            "is_tight": self.is_tight,
-            "saturating_vertex_count": self.saturating_vertex_count,
-            "affine_rank": self.affine_rank,
-            "polytope_dimension": self.polytope_dimension,
-            "bound_attained": self.bound_attained,
-        }
+        return asdict(self)
 
 
 def facet_check(

@@ -147,10 +147,22 @@ def _random_boxes(scen, rng):
         yield gb.Box(scen, table)
 
 
+def _relay_box(scen):
+    """The deterministic box in which every party answers the sum of the
+    other parties' inputs modulo its outcome count: party i signals to
+    every other party with more than one outcome, from every context."""
+    table = [0] * scen.table_size
+    for xs in scen.input_tuples():
+        aa = tuple((sum(xs) - x) % d for x, d in zip(xs, scen.outputs))
+        table[scen.encode_input(xs) * scen.n_outputs + scen.encode_outcome(aa)] = 1
+    return gb.Box(scen, table)
+
+
 @pytest.mark.parametrize("scenario", ns_oracle.SCENARIOS)
 def test_is_nonsignaling_matches_oracle(scenario):
     """Verdict and the full, ordered violation list equal the per-tuple
-    oracle on seeded no-signaling and perturbed boxes."""
+    oracle on seeded no-signaling and perturbed boxes, and on a box that
+    signals from every party that can."""
     rng = random.Random(scenario.table_size)
     verdicts = set()
     for box in _random_boxes(scenario, rng):
@@ -160,6 +172,12 @@ def test_is_nonsignaling_matches_oracle(scenario):
         assert report.is_nonsignaling == (not oracle)
         verdicts.add(report.is_nonsignaling)
     assert verdicts == {True, False}
+    report = gb.is_nonsignaling(_relay_box(scenario))
+    assert report.violations == ns_oracle.ns_violations(_relay_box(scenario))
+    assert {v.party for v in report.violations} == {
+        p for p, (m, d) in enumerate(zip(scenario.inputs, scenario.outputs))
+        if m > 1 and scenario.n_outputs > d
+    }
 
 
 def test_gyni_strategy_wins_exactly_y_and_complement():
@@ -536,6 +554,105 @@ def test_table_permutation_matches_oracle_mixed():
         ins = tuple(tuple(rng.sample(range(m), m)) for m in scen.inputs)
         outs = tuple(tuple(rng.sample(range(d), d)) for d in scen.outputs)
         _assert_matches_oracle(e, gb.Symmetry(perm, ins, outs))
+
+
+def _oracle_image(scen, sym, xs, aa):
+    """The image input and outcome tuples of one table entry, party by
+    party, as the :class:`Symmetry` docstring states."""
+    ys = tuple(sym.input_maps[p][xs[q]] for p, q in enumerate(sym.party_perm))
+    bs = tuple(sym.output_maps[p][aa[q]] for p, q in enumerate(sym.party_perm))
+    return ys, bs
+
+
+def _oracle_invariant(expression, sym):
+    """Invariance by the nonzero coefficients and their decoded images."""
+    scen = expression.scenario
+    own = {k: c for k, c in expression.coeffs.items() if c}
+    image = {}
+    for (x, a), c in own.items():
+        ys, bs = _oracle_image(scen, sym, core.decode_tuple(x, scen.inputs),
+                               core.decode_tuple(a, scen.outputs))
+        image[(core.encode_tuple(ys, scen.inputs), core.encode_tuple(bs, scen.outputs))] = c
+    return image == own
+
+
+def test_index_tables_and_invariance_match_oracle_mixed_radix():
+    """On inputs (2, 3, 2) and outputs (3, 2, 2), random relabelings: the
+    index tables, the table permutation and the invariance verdict equal a
+    decode_tuple oracle, for orbit-constant (invariant) expressions and for
+    random ones (mostly not invariant)."""
+    scen = Scenario((2, 3, 2), (3, 2, 2))
+    na = scen.n_outputs
+    rng = random.Random(5)
+    verdicts = []
+    for _ in range(60):
+        sym = gb.Symmetry(
+            (0, 1, 2),
+            tuple(tuple(rng.sample(range(m), m)) for m in scen.inputs),
+            tuple(tuple(rng.sample(range(d), d)) for d in scen.outputs),
+        )
+        xs_table, aa_table = sym.index_tables(scen)
+        for x in range(scen.n_inputs):
+            ys, _ = _oracle_image(scen, sym, core.decode_tuple(x, scen.inputs), (0, 0, 0))
+            assert xs_table[x] == core.encode_tuple(ys, scen.inputs) * na
+        for a in range(na):
+            _, bs = _oracle_image(scen, sym, (0, 0, 0), core.decode_tuple(a, scen.outputs))
+            assert aa_table[a] == core.encode_tuple(bs, scen.outputs)
+        perm = sym.table_permutation(scen)
+        assert perm == [_relabeled_index(scen, sym, t) for t in range(scen.table_size)]
+        # an orbit-constant expression: one random value per orbit of perm
+        orbit_value, coeffs = {}, {}
+        for t in range(scen.table_size):
+            cycle, u = [t], perm[t]
+            while u != t:
+                cycle.append(u)
+                u = perm[u]
+            value = orbit_value.setdefault(min(cycle), Fraction(rng.randint(-2, 2), 3))
+            if value:
+                coeffs[divmod(t, na)] = value
+        coeffs = coeffs or {(0, 0): Fraction(0)}
+        keys = [(rng.randrange(scen.n_inputs), rng.randrange(na)) for _ in range(12)]
+        for e in (
+            gb.BellExpression(scen, coeffs),
+            gb.BellExpression(scen, {k: Fraction(rng.randint(-2, 2)) for k in keys}),
+        ):
+            verdict = core.expression_invariant_under(e, sym)
+            assert verdict == _oracle_invariant(e, sym)
+            verdicts.append(verdict)
+    assert verdicts[::2] == [True] * 60
+    assert False in verdicts[1::2]
+
+
+def test_symmetry_refuses_maps_that_are_not_permutations():
+    """Party 0's input map (0, 0) sent every GYNI-3 coefficient restricted to
+    x_0 = 0 onto itself, so the false symmetry passed the invariance check;
+    a map that is not a permutation is refused where it is built."""
+    ident = ((0, 1),) * 3
+    for perm, ins, outs in (
+        ((0, 1, 2), ((0, 0), (0, 1), (0, 1)), ident),
+        ((0, 1, 2), ident, ((1, 1), (0, 1), (0, 1))),
+        ((0, 0, 2), ident, ident),
+        ((0, 1, 3), ident, ident),
+        ((0, 1, 2), ident[:2], ident),
+    ):
+        with pytest.raises(ValueError):
+            gb.Symmetry(perm, ins, outs)
+
+
+def test_index_terms_refuses_maps_that_do_not_match_the_scenario():
+    binary = gb.binary_scenario(3)
+    mixed = Scenario((2, 3), (2, 2))
+    ident = ((0, 1),) * 3
+    for scen, sym in (
+        (binary, gb.Symmetry((0, 1, 2), ((0, 1, 2),) + ident[1:], ident)),
+        (binary, gb.Symmetry((0, 1, 2), ident, ((0,),) + ident[1:])),
+        (binary, gb.Symmetry((0, 1), ident[:2], ident[:2])),
+        (mixed, gb.Symmetry((1, 0), ((0, 1), (0, 1, 2)), ((0, 1), (0, 1)))),
+        (mixed, gb.Symmetry((1, 0), ((0, 1, 2), (0, 1)), ((0, 1), (0, 1)))),
+    ):
+        for call in (sym.index_terms, sym.index_tables, sym.table_permutation):
+            with pytest.raises(ValueError, match="do not match the scenario"):
+                call(scen)
 
 
 def test_relabel_outcomes_involution():

@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -857,6 +859,79 @@ def test_tobl_model_shares_equal_entries(tobl_result):
         assert len(set(map(id, objects))) == len(set(objects)) < len(objects)
 
 
+def _eager_model(solution, layout):
+    """The shared-weight model of an expanded TOBL solution, entry by entry
+    in Fractions: per bipartition, for each responder h, forward pair p1 and
+    backward pair p2 with both weights nonzero, the coupling weight
+    fwd[h][p1] * bwd[h][p2] / sum(fwd[h])."""
+    model = {}
+    for bip_idx, (i, j, k) in enumerate(polytope._BIPARTITIONS):
+        fwd, bwd = (
+            [
+                [solution[_tobl_var(layout, bip_idx, d, h, p)] for p in range(_N_PAIRS)]
+                for h in range(_N_RESPONDERS)
+            ]
+            for d in (0, 1)
+        )
+        model[(i, (j, k))] = [
+            ((polytope._RESPONDERS[h], polytope._PAIRS[p1], polytope._PAIRS[p2]),
+             fwd[h][p1] * bwd[h][p2] / sum(fwd[h]))
+            for h in range(_N_RESPONDERS)
+            for p1 in range(_N_PAIRS) if fwd[h][p1]
+            for p2 in range(_N_PAIRS) if bwd[h][p2]
+        ]
+    return model
+
+
+def test_tobl_model_equals_the_eager_reference(monkeypatch):
+    """The model read from the kept one-way weights equals the one built
+    entry by entry from the expanded LP solution, in order."""
+    expr = gb.gyni_sum_expression(3)
+    solve, seen = polytope._solve_collapsed, []
+
+    def recording(*args):
+        res, orbit = solve(*args)
+        seen.append([res.solution[o] for o in orbit.tolist()])
+        return res, orbit
+
+    monkeypatch.setattr(polytope, "_solve_collapsed", recording)
+    result = gb.tobl_max(expr)
+    (solution,) = seen
+    reference = _eager_model(solution, polytope._ToblLayout(expr.scenario))
+    assert result.model == reference
+    assert sum(map(len, reference.values())) == 288
+
+
+def test_tobl_model_is_built_once_on_first_read(monkeypatch):
+    """tobl_max couples each bipartition once for its rechecks; the model is
+    coupled again only when first read, and is the same object after."""
+    couplings, calls = polytope._couplings, []
+    monkeypatch.setattr(polytope, "_couplings", lambda *a: calls.append(a) or couplings(*a))
+    result = gb.tobl_max(gb.gyni_sum_expression(3))
+    assert len(calls) == 3
+    model = result.model
+    assert len(calls) == 6
+    assert result.model is model and len(calls) == 6
+
+
+def test_tobl_results_retain_little_until_the_model_is_read():
+    """Twenty optima whose model was never read hold under 2 KB each: the
+    one-way weights are kept as two small integer arrays."""
+    expr = gb.gyni_sum_expression(3)
+    gb.tobl_max(expr)  # module-level caches are filled by the first call
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = [gb.tobl_max(expr) for _ in range(20)]
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held / len(kept) < 2048
+    assert all(len(r.model) == 3 for r in kept)
+
+
 def test_tobl_recheck_rejects_a_tampered_optimum(monkeypatch):
     """Half the weight of a one-way pair in use moves to the next pair of the
     same bipartition, direction and responder: the responder marginals still
@@ -925,7 +1000,7 @@ def test_tobl_variable_permutation_maps_supports(binary3_relabelings):
 
     for sym in binary3_relabelings:
         table = sym.table_permutation(layout.scen)
-        perm = layout.variable_permutation(sym)
+        perm = layout.variable_permutation(sym).tolist()
         assert sorted(perm) == list(range(layout.n_vars))
         assert perm[: layout.n_table] == table
         for v, support in enumerate(supports):
@@ -955,8 +1030,9 @@ def _component_entries(layout, bip_idx, direction, h, f, g):
 
 
 def test_tobl_supports_match_encoded_components():
-    """The strided supports and the variable lookup equal the ones built by
-    encoding every input and outcome tuple of every component."""
+    """The strided supports equal the ones built by encoding every input and
+    outcome tuple of every component, and each block's sorted keys find
+    every variable of the block by its support's outcome indices."""
     layout = polytope._ToblLayout(gb.binary_scenario(3))
     supports = [
         _component_entries(layout, bip_idx, direction, h, f, g)
@@ -968,13 +1044,21 @@ def test_tobl_supports_match_encoded_components():
     assert layout.supports.shape == layout.shape + (layout.scen.n_inputs,)
     assert list(map(tuple, layout.supports.reshape(len(supports), -1).tolist())) == supports
     assert len(supports) == 1536
+    per_block = _N_RESPONDERS * _N_PAIRS
+    assert layout.keys.shape == layout.order.shape == (3, 2, per_block)
+    blocks = [[keys.tolist() for keys in per_bip] for per_bip in layout.keys]
+    assert all(keys == sorted(set(keys)) for per_bip in blocks for keys in per_bip)
     for bip_idx, direction, h_idx, pair_idx in itertools.product(
         range(3), (0, 1), range(_N_RESPONDERS), range(_N_PAIRS)
     ):
         var = _tobl_var(layout, bip_idx, direction, h_idx, pair_idx)
         support = supports[var - layout.n_table]
-        assert layout.var_of[(bip_idx, direction, support)] == var
-    assert len(layout.var_of) == len(supports)
+        key = core.encode_tuple(
+            tuple(t % layout.na for t in support), (layout.na,) * layout.scen.n_inputs
+        )
+        at = blocks[bip_idx][direction].index(key)
+        first = layout.n_table + (2 * bip_idx + direction) * per_block
+        assert first + int(layout.order[bip_idx, direction][at]) == var
 
 
 def test_tobl_rejects_wrong_scenario():
