@@ -236,14 +236,17 @@ class Box:
 
     def validate(self) -> None:
         """Each row is nonnegative and sums to 1, in integer numerators over
-        the table's common denominator; the first failing row raises."""
+        the table's common denominator; the first failing row raises.  Each
+        distinct value is converted once and each row summed from its slice
+        of the index, so no per-entry list is built."""
         na = self.scenario.n_outputs
-        nums, den = self._numerators()
+        per_value, den = integer_numerators(self._values)
+        negative = {k for k, v in enumerate(per_value) if v < 0}
         for x in range(self.scenario.n_inputs):
-            row = nums[x * na : (x + 1) * na]
-            if min(row) < 0:
+            row = self._index[x * na : (x + 1) * na]
+            if negative and not negative.isdisjoint(row):
                 raise ValueError(f"negative probability at input {x}")
-            if sum(row) != den:
+            if sum(map(per_value.__getitem__, row)) != den:
                 raise ValueError(f"row {x} does not sum to 1")
 
     def __eq__(self, other):
@@ -589,6 +592,14 @@ class Symmetry:
         return [x + a for x in xs for a in aa]
 
 
+@functools.lru_cache(maxsize=64)
+def _index_tables(sym: Symmetry, scen: Scenario) -> tuple:
+    """:meth:`Symmetry.index_tables` as two tuples, built once per symmetry
+    and scenario: the invariance check and the orbit search of a solve
+    share them, and a solve asked again builds none."""
+    return tuple(map(tuple, sym.index_tables(scen)))
+
+
 def apply_symmetry_to_expression(expression: BellExpression, sym: Symmetry) -> BellExpression:
     scen = expression.scenario
     (xs, aa), na = sym.index_tables(scen), scen.n_outputs
@@ -610,7 +621,7 @@ def expression_invariant_under(expression: BellExpression, sym: Symmetry) -> boo
     symmetry permutes the table, so a cycle through a given coefficient
     holds only given ones and this covers the whole table.  List equality
     tries identity first, and equal coefficients often are one object."""
-    (xs, aa), na = sym.index_tables(expression.scenario), expression.scenario.n_outputs
+    (xs, aa), na = _index_tables(sym, expression.scenario), expression.scenario.n_outputs
     get = expression.coeffs.get
     images = [get(divmod(xs[x] + aa[a], na), 0) for x, a in expression.coeffs]
     return images == list(expression.coeffs.values())

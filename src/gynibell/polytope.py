@@ -52,6 +52,7 @@ from .core import (
     DeterministicStrategy,
     Scenario,
     Symmetry,
+    _index_tables,
     bell_value,
     checked_strategy_count,
     expression_invariant_under,
@@ -347,6 +348,57 @@ def _cg_rows(scenario: Scenario, orbit: np.ndarray, n_orbits: int):
     return t0, _dense_rows(kept())
 
 
+class _NsModel(NamedTuple):
+    """The no-signaling LP of a scenario and a declared symmetry group,
+    everything the expression does not enter: the orbit label of every
+    table entry (in the smallest unsigned dtype), the orbit count, the
+    constant column t0 and the other Collins-Gisin rows of
+    :func:`_cg_rows`.  Its arrays are read-only, since models are shared
+    between calls."""
+
+    orbit: np.ndarray
+    n_orbits: int
+    t0: np.ndarray
+    rows: Rows
+
+
+#: most no-signaling models :func:`_ns_model` keeps, least recently used
+#: dropped first
+_NS_MODELS_KEPT = 8
+
+
+def _check_ns_size(scenario: Scenario, n_orbits: int) -> None:
+    """The size guard: coordinates times orbits, the orbit sums the model
+    build counts, at most ``config.NS_LP_MAX_ORBIT_SUMS``."""
+    dim = cg_dimension(scenario)
+    if dim * n_orbits > config.NS_LP_MAX_ORBIT_SUMS:
+        raise ValueError(f"no-signaling LP too large: {dim} coordinates x {n_orbits} orbits")
+
+
+@functools.lru_cache(maxsize=_NS_MODELS_KEPT)
+def _ns_model(scenario: Scenario, symmetries: tuple) -> _NsModel:
+    """The no-signaling model of a scenario whose table the relabelings
+    ``symmetries`` permute, built at the first call for the pair and kept
+    while it is among the last ``_NS_MODELS_KEPT`` pairs asked for.  The
+    orbits are those of the group the symmetries generate, every entry its
+    own without any; the size guard is checked before any orbit sum is
+    built."""
+    n = scenario.table_size
+    if symmetries:
+        orbit = _orbits_of_permutations(
+            n, [np.add.outer(*_index_tables(sym, scenario)).ravel() for sym in symmetries]
+        )
+        n_orbits = int(orbit.max()) + 1
+    else:
+        orbit, n_orbits = np.arange(n), n
+    _check_ns_size(scenario, n_orbits)
+    t0, rows = _cg_rows(scenario, orbit, n_orbits)
+    model = _NsModel(orbit.astype(np.min_scalar_type(n_orbits - 1)), n_orbits, t0, rows)
+    for a in (model.orbit, t0, rows.row, rows.col, rows.val, rows.rhs):
+        a.flags.writeable = False
+    return model
+
+
 class NsOptimum(NamedTuple):
     value: Fraction
     box: Box
@@ -379,26 +431,20 @@ def ns_max(expression: BellExpression) -> NsOptimum:
     before any of them is built.  The optimal box is always re-checked
     exactly: nonnegative, normalized, no-signaling, and achieving the
     claimed value.
+
+    The model, orbits and rows, depends only on the scenario and the
+    declared symmetries, and is kept per pair (:func:`_ns_model`); the
+    invariance checks, the size guard, the LP and every recheck run on
+    each call.
     """
     scen = expression.scenario
-    n = scen.table_size
-    syms = list(expression.party_symmetries)
+    syms = tuple(expression.party_symmetries)
     for sym in syms:
         if not expression_invariant_under(expression, sym):
             raise ValueError("declared symmetry does not fix the expression")
-    orbit = None
-    if syms:
-        orbit = _orbits_of_permutations(
-            n, [np.add.outer(*sym.index_tables(scen)).ravel() for sym in syms]
-        )
-    n_orbits = n if orbit is None else int(orbit.max()) + 1
-    dim = cg_dimension(scen)
-    if dim * n_orbits > config.NS_LP_MAX_ORBIT_SUMS:
-        raise ValueError(f"no-signaling LP too large: {dim} coordinates x {n_orbits} orbits")
-    if orbit is None:
-        orbit = np.arange(n)
+    orbit, n_orbits, t0, rows = _ns_model(scen, syms)
+    _check_ns_size(scen, n_orbits)  # a kept model was checked against an older bound
 
-    t0, rows = _cg_rows(scen, orbit, n_orbits)
     # the objective per orbit (equal on every entry of an orbit), as
     # integer numerators over den
     objective = _table_objective(expression)
@@ -673,7 +719,7 @@ class _ToblLayout:
         one ``searchsorted`` per block.  Distinct blocks can share a
         support, which is why the block is not read off the support.
         """
-        xs, aa = map(np.array, sym.index_tables(self.scen))
+        xs, aa = map(np.array, _index_tables(sym, self.scen))
         image = (aa[self.outcomes] * self.radix[xs // self.na]).sum(axis=-1)
         image_of = [sym.party_perm.index(q) for q in range(3)]
         per_block = self.keys.shape[-1]

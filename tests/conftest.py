@@ -7,12 +7,21 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 
 import gynibell as gb
+from gynibell import core, polytope
 
 RUN_SLOW = bool(os.environ.get("GYNIBELL_SLOW"))
 
 requires_slow = pytest.mark.skipif(
     not RUN_SLOW, reason="long-running; set GYNIBELL_SLOW=1 to enable"
 )
+
+
+@pytest.fixture(autouse=True)
+def fresh_ns_models():
+    """Each test starts with no kept no-signaling model and no kept
+    relabeling tables, so a test that bars the model build sees it run."""
+    polytope._ns_model.cache_clear()
+    core._index_tables.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -371,6 +371,124 @@ def test_ns_max_size_guard_before_rows(monkeypatch):
     assert gb.ns_max(e4).value == F(1, 6)
 
 
+def _benchmark_queries():
+    """The no-signaling queries of the benchmark's ``ns-symmetric`` workload
+    (parity GYNI N = 3..7, uniform GYNI N = 3, 4) and the 20 random-promise
+    N = 3 games of its ``lp-raw`` workload at seed 1: 6 models with
+    symmetries (uniform N = 3 declares the symmetries of parity N = 3) and
+    one, binary N = 3 without, that the 20 games share."""
+    rng = random.Random(1)
+    return (
+        [gyni.gyni_expression(n).expression for n in range(3, 8)]
+        + [gyni.gyni_expression(n, gyni.uniform_promise(n)).expression for n in (3, 4)]
+        + [_random_promise_game(rng) for _ in range(20)]
+    )
+
+
+def test_ns_max_warm_calls_equal_cold_calls():
+    """A call on a kept model gives the value and box of a call that built
+    it, for every query, the games sharing one model included."""
+    queries = _benchmark_queries()
+    cold = []
+    for e in queries:
+        polytope._ns_model.cache_clear()
+        cold.append(gb.ns_max(e))
+    polytope._ns_model.cache_clear()
+    first = [gb.ns_max(e) for e in queries]
+    assert polytope._ns_model.cache_info().misses == 7 <= polytope._NS_MODELS_KEPT
+    warm = [gb.ns_max(e) for e in queries]
+    assert polytope._ns_model.cache_info().misses == 7
+    for c, f, w in zip(cold, first, warm):
+        assert c.value == f.value == w.value and c.box == f.box == w.box
+
+
+def test_ns_max_checks_invariance_on_a_kept_model():
+    """A kept model for the scenario and symmetries does not spare the
+    invariance check of an expression that a declared symmetry moves."""
+    e = gyni.gyni_expression(4).expression
+    gb.ns_max(e)
+    (key, c), *rest = e.coeffs.items()
+    moved = dataclasses.replace(e, coeffs={key: 2 * c, **dict(rest)})
+    assert moved.party_symmetries == e.party_symmetries
+    assert polytope._ns_model.cache_info().currsize == 1
+    with pytest.raises(ValueError, match="declared symmetry does not fix the expression"):
+        gb.ns_max(moved)
+
+
+def test_ns_max_size_guard_on_a_kept_model(monkeypatch):
+    """The size guard reads the bound on every call: lowered after the
+    model is kept, it refuses the next call, which builds nothing."""
+    e4 = gyni.gyni_expression(4).expression
+    assert gb.ns_max(e4).value == F(1, 6)
+
+    def never(*args):
+        raise AssertionError("model built again")
+
+    monkeypatch.setattr(polytope, "_orbits_of_permutations", never)
+    monkeypatch.setattr(_cg_map, "orbit_sums", never)
+    monkeypatch.setattr(config, "NS_LP_MAX_ORBIT_SUMS", 81 * 32 - 1)
+    hits = polytope._ns_model.cache_info().hits
+    with pytest.raises(ValueError, match="too large: 81 coordinates x 32 orbits"):
+        gb.ns_max(e4)
+    assert polytope._ns_model.cache_info().hits == hits + 1
+    monkeypatch.setattr(config, "NS_LP_MAX_ORBIT_SUMS", 81 * 32)
+    assert gb.ns_max(e4).value == F(1, 6)
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_kept_ns_model_is_read_only(symmetric):
+    """Every array of a kept model refuses writes, and the orbit labels are
+    in the smallest unsigned dtype that holds them."""
+    e = gyni.gyni_expression(4).expression
+    if not symmetric:
+        e = dataclasses.replace(e, party_symmetries=())
+    gb.ns_max(e)
+    model = polytope._ns_model(e.scenario, e.party_symmetries)
+    assert model.orbit.dtype == np.min_scalar_type(model.n_orbits - 1) == np.uint8
+    rows = model.rows
+    for a in (model.orbit, model.t0, rows.row, rows.col, rows.val, rows.rhs):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
+
+
+def test_ns_model_cache_drops_the_oldest_model():
+    """Past ``_NS_MODELS_KEPT`` models the least recently used one goes:
+    asked again it is built again, while the others are still kept."""
+    rng = random.Random(5)
+    scenarios = [Scenario((2, m), (2, d)) for m in (1, 2, 3) for d in (1, 2, 3)]
+    exprs = [_random_expression(s, rng, 9) for s in scenarios[: polytope._NS_MODELS_KEPT + 1]]
+    for e in exprs:
+        gb.ns_max(e)
+    info = polytope._ns_model.cache_info()
+    assert info.currsize == polytope._NS_MODELS_KEPT and info.misses == len(exprs)
+    gb.ns_max(exprs[1])
+    assert polytope._ns_model.cache_info().misses == len(exprs)
+    gb.ns_max(exprs[0])
+    assert polytope._ns_model.cache_info().misses == len(exprs) + 1
+
+
+def test_ns_max_builds_tables_and_numerators_once(monkeypatch):
+    """At GYNI-7 a call that builds the model makes each declared
+    symmetry's index tables once, shared by the invariance check and the
+    orbit search, and a call on the kept model makes none; either call
+    converts the optimal box to per-entry numerators once, for the
+    no-signaling recheck."""
+    e = gyni.gyni_expression(7).expression
+    core._index_tables.cache_clear()  # the constructor's invariance checks made them
+    tables, numerators = [], []
+    index_tables, to_numerators = core.Symmetry.index_tables, core.Box._numerators
+    monkeypatch.setattr(
+        core.Symmetry, "index_tables", lambda s, scen: tables.append(s) or index_tables(s, scen)
+    )
+    monkeypatch.setattr(core.Box, "_numerators", lambda b: numerators.append(b) or to_numerators(b))
+    gb.ns_max(e)
+    assert sorted(tables, key=e.party_symmetries.index) == list(e.party_symmetries)
+    assert len(numerators) == 1
+    tables.clear()
+    gb.ns_max(e)
+    assert tables == [] and len(numerators) == 2
+
+
 def _pairs(rows):
     """An ``lp.Rows`` as ``({column: coefficient}, rhs)`` pairs of Python
     numbers, after checking that its entries are sorted by row, then
@@ -637,6 +755,7 @@ def test_identity_orbits_key_no_row(monkeypatch):
     four = upb.four_partite_tight_inequality()
     assert not game.party_symmetries and not four.party_symmetries
     expected = [ns_full_lp.ns_lp_max(game)[0], gb.ns_max(four).value]
+    polytope._ns_model.cache_clear()  # so the barred calls build their models
 
     def barred(block, seen):
         raise AssertionError("rows keyed on identity orbits")
