@@ -23,18 +23,16 @@ def _emit(payload: dict, args) -> None:
     meta = {
         "command": args.command,
         "seed": getattr(args, "seed", None),
-        "cap": getattr(args, "cap", None),
         "tolerance": config.TOLERANCE,
     }
     payload = dict(payload)
     payload["meta"] = {k: v for k, v in meta.items() if v is not None}
     out = json.dumps(payload, sort_keys=True, indent=2)
-    stream = sys.stdout
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "w") as fh:
             fh.write(out + "\n")
     else:
-        stream.write(out + "\n")
+        sys.stdout.write(out + "\n")
 
 
 def _load(path: str, parse):
@@ -114,12 +112,12 @@ def _vector_set(vectors, dims, label: str, args):
         raise
 
 
-def _optimum(kind: str, expression: BellExpression, args):
+def _optimum(kind: str, expression: BellExpression):
     """The maximum of ``expression`` over the correlation set ``kind``
     (classical, ns or tobl); the classical one enumerates strategies up to
-    ``--cap``."""
+    :data:`config.STRATEGY_CAP`."""
     if kind == "classical":
-        return polytope.classical_max(expression, cap=args.cap)
+        return polytope.classical_max(expression)
     return (polytope.ns_max if kind == "ns" else polytope.tobl_max)(expression)
 
 
@@ -140,13 +138,13 @@ def _cmd_gyni(args) -> dict:
         expression = game.expression
         if args.bound == "tobl":  # the time-ordered bilocal LP takes the sum form
             expression = gyni.gyni_sum_expression(args.n, q)
-        out["value"] = str(_optimum(args.bound, expression, args).value)
+        out["value"] = str(_optimum(args.bound, expression).value)
     return out
 
 
 def _cmd_bounds(args) -> dict:
     expression = _resolve_expression(args)
-    opt = _optimum(args.set, expression, args)
+    opt = _optimum(args.set, expression)
     out = {"label": expression.label, "set": args.set, "value": str(opt.value)}
     if args.set == "classical":
         out["strategy"] = [list(r) for r in opt.strategy.responses]
@@ -160,7 +158,7 @@ def _cmd_tobl(args) -> dict:
         expression = gyni.gyni_sum_expression(args.gyni)
     else:
         expression = _load(args.expr, BellExpression.from_json)
-    opt = _optimum("tobl", expression, args)
+    opt = _optimum("tobl", expression)
     return {
         "label": expression.label,
         "value": str(opt.value),
@@ -172,8 +170,8 @@ def _cmd_facet(args) -> dict:
     expression = _resolve_expression(args)
     bound = expression.classical_bound
     if bound is None:
-        bound = _optimum("classical", expression, args).value
-    report = polytope.facet_check(expression, bound, cap=args.cap)
+        bound = _optimum("classical", expression).value
+    report = polytope.facet_check(expression, bound)
     out = report.to_json()
     out["label"] = expression.label
     out["bound"] = str(Fraction(bound))
@@ -189,7 +187,7 @@ def _cmd_upb(args) -> dict:
     if args.check in ("upb", "wupb", "all"):
         out["is_wupb"] = upb.is_wupb(pvs)
     if args.check in ("upb", "all"):
-        verdict = upb.is_upb(pvs, cap=args.cap)
+        verdict = upb.is_upb(pvs)
         out["is_upb"] = verdict.is_upb
         if verdict.extension_witness is not None:
             out["extension_witness"] = [
@@ -209,7 +207,7 @@ def _cmd_witness(args) -> dict:
         raise ValueError("set is empty: a witness needs at least one product vector")
     if pvs.local_subsets is None:
         raise ValueError("set carries no local subset structure")
-    verdict = upb.is_upb(pvs, cap=args.cap)
+    verdict = upb.is_upb(pvs)
     if verdict.is_upb:
         pi = witness.projector_onto_span(pvs)
         eps = witness.epsilon_min(pi, starts=args.starts, seed=args.seed)
@@ -230,7 +228,7 @@ def _cmd_witness(args) -> dict:
 
 def _cmd_membership(args) -> dict:
     box = _load(args.box, Box.from_json)
-    result = polytope.local_membership(box, cap=args.cap)
+    result = polytope.local_membership(box)
     out = {"is_local": result.is_local}
     if result.is_local:
         out["weights"] = [
@@ -265,10 +263,6 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="gynibell")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--cap", type=int, default=None)
-        p.add_argument("--output", default=None)
-
     def expression_source(p, known=True):
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--expr")
@@ -280,14 +274,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--promise", default="parity")
     p.add_argument("--bound", choices=["classical", "ns", "tobl"], default=None)
-    common(p)
+    p.add_argument("--output", default=None)
 
     p = sub.add_parser("bounds", help="optimize an expression over a correlation set")
     expression_source(p)
     p.add_argument("--promise", default="parity")
     p.add_argument("--form", choices=["weighted", "sum"], default="weighted")
     p.add_argument("--set", choices=["classical", "ns", "tobl"], required=True)
-    common(p)
+    p.add_argument("--output", default=None)
 
     p = sub.add_parser("tobl", help="time-ordered bilocal maximum")
     expression_source(p, known=False)
@@ -297,7 +291,7 @@ def _build_parser() -> _Parser:
     expression_source(p)
     p.add_argument("--promise", default="parity")
     p.add_argument("--form", choices=["weighted", "sum"], default="weighted")
-    common(p)
+    p.add_argument("--output", default=None)
 
     p = sub.add_parser("upb", help="product-set checks and Bell synthesis")
     p.add_argument("set", help="shifts|genshifts|nc|wupb|tiles|<json file>")
@@ -306,7 +300,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--d", type=int, default=2)
-    common(p)
+    p.add_argument("--output", default=None)
 
     p = sub.add_parser("witness", help="witness operator and bound-entangled state")
     p.add_argument("--set", default="shifts")
@@ -315,11 +309,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--d", type=int, default=2)
-    common(p)
+    p.add_argument("--output", default=None)
 
     p = sub.add_parser("membership", help="local-polytope membership of a box")
     p.add_argument("--box", required=True)
-    common(p)
+    p.add_argument("--output", default=None)
 
     return parser
 
@@ -343,11 +337,10 @@ def run(argv) -> int:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
     try:
-        payload = _DISPATCH[args.command](args)
-    except (ValueError, ZeroDivisionError, FileNotFoundError, RuntimeError) as err:
+        _emit(_DISPATCH[args.command](args), args)
+    except (ValueError, ZeroDivisionError, OSError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    _emit(payload, args)
     return 0
 
 

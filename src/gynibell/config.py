@@ -3,9 +3,12 @@
 There is a single floating-point tolerance for the whole package: every
 numeric comparison (the measured witness table's normalization, orthogonality
 of product vectors, PPT eigenvalue cutoffs, Hermiticity, ...) reads
-:data:`TOLERANCE`, and no function takes a per-call override.  Exact-rational code paths never consult
-it.  The simplex pivot ceiling :data:`LP_MAX_PIVOTS` is global in the same
-way.
+:data:`TOLERANCE`, and no function takes a per-call override.  Exact-rational
+code paths never consult it.  The four work limits, :data:`STRATEGY_CAP`,
+:data:`ASSIGNMENT_CAP`, :data:`LP_MAX_PIVOTS` and
+:data:`NS_LP_MAX_ORBIT_SUMS`, are global in the same way: each is read from
+this module on every call that checks it, so setting the attribute takes
+effect at once.
 """
 
 from __future__ import annotations

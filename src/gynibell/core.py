@@ -81,6 +81,9 @@ class Scenario:
             raise ValueError("inputs and outputs must have one entry per party")
         if len(self.inputs) < 1:
             raise ValueError("at least one party required")
+        # bool is an int subclass, and a float would pass the range check
+        if any(type(m) is not int for m in itertools.chain(self.inputs, self.outputs)):
+            raise ValueError("all cardinalities must be integers")
         if any(m < 1 for m in self.inputs) or any(d < 1 for d in self.outputs):
             raise ValueError("all cardinalities must be >= 1")
 
@@ -313,11 +316,10 @@ class DeterministicStrategy:
         return tuple(r[x] for r, x in zip(self.responses, xs))
 
 
-def checked_strategy_count(scenario: Scenario, cap: int | None = None) -> int:
-    """Number of deterministic strategies; ValueError if it exceeds ``cap``
-    (default :data:`config.STRATEGY_CAP`)."""
-    cap = config.STRATEGY_CAP if cap is None else cap
-    count = scenario.strategy_count()
+def checked_strategy_count(scenario: Scenario) -> int:
+    """Number of deterministic strategies; ValueError if it exceeds
+    :data:`config.STRATEGY_CAP`, read on each call."""
+    cap, count = config.STRATEGY_CAP, scenario.strategy_count()
     if count > cap:
         raise ValueError(f"strategy enumeration cap exceeded: {count} > {cap}")
     return count
@@ -343,13 +345,11 @@ def strategy_at(scenario: Scenario, position: int) -> DeterministicStrategy:
     return DeterministicStrategy(tuple(t[k] for t, k in zip(tables, picks)))
 
 
-def enumerate_deterministic_strategies(
-    scenario: Scenario, cap: int | None = None
-) -> list[DeterministicStrategy]:
+def enumerate_deterministic_strategies(scenario: Scenario) -> list[DeterministicStrategy]:
     """All deterministic strategies, duplicate-free, in lexicographic order
     of the response tables (the order :func:`strategy_at` indexes).  The cap
     on their number is checked before any is built."""
-    checked_strategy_count(scenario, cap)
+    checked_strategy_count(scenario)
     return [DeterministicStrategy(c) for c in itertools.product(*_response_tables(scenario))]
 
 

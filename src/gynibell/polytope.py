@@ -94,7 +94,7 @@ def _response_indicators(m: int, d: int) -> np.ndarray:
     return out.reshape(len(resp), m * d)
 
 
-def _strategy_values(expression: BellExpression, cap: int | None = None):
+def _strategy_values(expression: BellExpression):
     """Every deterministic strategy's value as an integer numerator over one
     common denominator: returns ``(den, blocks)``, where ``blocks`` yields
     ``(start, values)`` for consecutive runs of strategies in enumeration
@@ -108,7 +108,7 @@ def _strategy_values(expression: BellExpression, cap: int | None = None):
     sum, stays below ``_INT64_SAFE``, and Python integers otherwise.  The
     cap is checked before any array is built."""
     scen = expression.scenario
-    checked_strategy_count(scen, cap)
+    checked_strategy_count(scen)
     coeffs = [(k, Fraction(c)) for k, c in expression.coeffs.items()]
     nums, den = integer_numerators([c for _, c in coeffs])
     dtype = object if sum(map(abs, nums)) >= _INT64_SAFE else np.int64
@@ -140,12 +140,12 @@ def _strategy_values(expression: BellExpression, cap: int | None = None):
     return den, blocks()
 
 
-def classical_max(expression: BellExpression, cap: int | None = None) -> ClassicalOptimum:
+def classical_max(expression: BellExpression) -> ClassicalOptimum:
     """Exact maximum over deterministic strategies, with an argmax strategy
     (the first one in enumeration order that attains the maximum).  Every
     strategy is valued at once by :func:`_strategy_values`, in integers;
     only the argmax is built as a :class:`DeterministicStrategy`."""
-    den, blocks = _strategy_values(expression, cap)
+    den, blocks = _strategy_values(expression)
     best = at = None
     for start, vals in blocks:
         i = int(np.argmax(vals))
@@ -492,13 +492,13 @@ class LocalMembership(NamedTuple):
     separating: tuple | None        # (BellExpression, local bound, value at box)
 
 
-def _strategy_table_indices(scenario: Scenario, cap: int | None = None) -> np.ndarray:
+def _strategy_table_indices(scenario: Scenario) -> np.ndarray:
     """(strategies x input tuples) int64 array: row k holds the table indices
     ``x_idx * n_outputs + a_idx`` where the k-th deterministic strategy
     (enumeration order) is 1, one per input, in input order, as
     :func:`core.strategy_entries` gives them.  Built from the response functions
     with mixed-radix strides; the cap is checked first."""
-    checked_strategy_count(scenario, cap)
+    checked_strategy_count(scenario)
     n, na = scenario.parties, scenario.n_outputs
     idx = np.zeros((1,) * (2 * n), dtype=np.int64)
     for p, (m, d) in enumerate(zip(scenario.inputs, scenario.outputs)):
@@ -519,7 +519,7 @@ def _table_keys(scenario: Scenario) -> tuple:
     return tuple(divmod(t, scenario.n_outputs) for t in range(scenario.table_size))
 
 
-def local_membership(box: Box, cap: int | None = None) -> LocalMembership:
+def local_membership(box: Box) -> LocalMembership:
     """Decide membership in the local polytope by exact feasibility LP.
 
     Local boxes come with an exact convex decomposition over deterministic
@@ -529,7 +529,7 @@ def local_membership(box: Box, cap: int | None = None) -> LocalMembership:
     indices where it is 1, one per input (:func:`_strategy_table_indices`).
     """
     scen = box.scenario
-    entries = _strategy_table_indices(scen, cap)
+    entries = _strategy_table_indices(scen)
     n = entries.shape[0]
     # row t sums the weights of the vertices holding table index t, in
     # ascending order (a stable sort); the last row sums every weight
@@ -563,7 +563,7 @@ def local_membership(box: Box, cap: int | None = None) -> LocalMembership:
     bound = -farkas[scen.table_size]
     separating = BellExpression(scen, coeffs, label="separating inequality")
     value_at_box = bell_value(separating, box)
-    if not classical_max(separating, cap).value <= bound:
+    if not classical_max(separating).value <= bound:
         raise lp.LPError("separating inequality failed vertex recheck")
     if not value_at_box > bound:
         raise lp.LPError("separating inequality does not separate the box")
@@ -765,29 +765,31 @@ def tobl_max(expression: BellExpression) -> ToblOptimum:
     Relabeling symmetries carried by the expression are used to collapse the
     LP onto orbit-constant variables after exact invariance checks (on both
     the objective and the constraint multiset); an expression with
-    ``party_symmetries=()`` gets the uncollapsed LP.  The expanded solution
-    is verified against the full model either way.
+    ``party_symmetries=()`` gets the uncollapsed LP.  As in :func:`ns_max`,
+    a declared symmetry that does not fix the expression raises
+    ``ValueError``; one whose induced variable permutation fails the
+    objective or row check raises :class:`lp.LPError`.  The expanded
+    solution is verified against the full model either way.
     """
     scen = expression.scenario
     if scen.parties != 3 or scen.inputs != (2, 2, 2) or scen.outputs != (2, 2, 2):
         raise ValueError("tobl_max supports the 3-party binary scenario only")
+    syms = expression.party_symmetries
+    for sym in syms:
+        if not expression_invariant_under(expression, sym):
+            raise ValueError("declared symmetry does not fix the expression")
     layout = _ToblLayout(scen)
     rows = layout.rows()
     objective = _table_objective(expression)
     # the objective's numerators over obj_den, one per variable, and the set
-    # of the rows' keys, built at the first symmetry that fixes the
-    # expression, for the invariance checks
+    # of the rows' keys, for the invariance checks
     obj_nums = np.zeros(layout.n_vars, dtype=object)
     obj_nums[list(objective)], obj_den = integer_numerators(objective.values())
-    keys, perms = None, []
-    for sym in expression.party_symmetries:
-        if not expression_invariant_under(expression, sym):
-            continue
-        perm = layout.variable_permutation(sym)
-        if keys is None:
-            keys = set(_row_keys(rows))
-        if (obj_nums[perm] == obj_nums).all() and _rows_invariant_under(rows, perm, keys):
-            perms.append(perm)
+    keys = set(_row_keys(rows)) if syms else None
+    perms = [layout.variable_permutation(sym) for sym in syms]
+    for perm in perms:
+        if not ((obj_nums[perm] == obj_nums).all() and _rows_invariant_under(rows, perm, keys)):
+            raise lp.LPError("declared symmetry does not fix the TOBL model")
 
     res, orbit = _solve_collapsed(obj_nums, obj_den, rows, perms)
 
@@ -883,9 +885,7 @@ class FacetReport:
         return asdict(self)
 
 
-def facet_check(
-    expression: BellExpression, bound: Fraction, cap: int | None = None
-) -> FacetReport:
+def facet_check(expression: BellExpression, bound: Fraction) -> FacetReport:
     """Certify or refute tightness: the inequality is a facet of the local
     polytope iff the bound is attained and the saturating vertices have
     affine rank exactly one below the polytope dimension.
@@ -897,7 +897,7 @@ def facet_check(
     rank, so no :class:`DeterministicStrategy` object is built."""
     scen = expression.scenario
     bound = Fraction(bound)
-    den, blocks = _strategy_values(expression, cap)
+    den, blocks = _strategy_values(expression)
     target = bound * den  # an integer numerator, or no strategy attains it
     tops, hits = [], []
     for start, vals in blocks:

@@ -337,7 +337,7 @@ def _null_vector(vectors, dim: int, eps) -> np.ndarray | None:
     return vh[rank].conj() if rank < dim else None
 
 
-def is_upb(pvs: ProductVectorSet, cap: int | None = None) -> UpbVerdict:
+def is_upb(pvs: ProductVectorSet) -> UpbVerdict:
     """Decide unextendibility by exhaustive assignment search.
 
     A product vector orthogonal to every member of S must, for each member,
@@ -346,11 +346,11 @@ def is_upb(pvs: ProductVectorSet, cap: int | None = None) -> UpbVerdict:
     local vectors short of full rank.  The first extension found (lowest
     assignment in lexicographic site order) is returned and re-verified by
     direct inner products.  The search raises once it has visited more than
-    ``cap`` nodes (partial assignments that keep every site short of full
-    rank).
+    :data:`config.ASSIGNMENT_CAP` nodes (partial assignments that keep every
+    site short of full rank), a limit read on each call.
     """
     eps = config.TOLERANCE
-    cap = config.ASSIGNMENT_CAP if cap is None else cap
+    cap = config.ASSIGNMENT_CAP
     n_sites = len(pvs.dims)
     size = len(pvs)
     if size >= pvs.total_dim:

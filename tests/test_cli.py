@@ -346,6 +346,56 @@ def test_witness_without_subsets_fails_before_the_search(monkeypatch, capsys):
     assert "error: set carries no local subset structure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gyni", "--n", "3", "--bound", "classical"],
+        ["bounds", "--gyni", "3", "--set", "classical"],
+        ["facet", "--gyni", "3"],
+        ["upb", "shifts"],
+        ["witness", "--set", "shifts", "--starts", "1"],
+        ["membership", "--box", "box.json"],
+    ],
+)
+def test_cap_is_a_usage_error(argv, capsys):
+    """The work limits are ``gynibell.config`` constants, not options."""
+    code, text = run_cli([*argv, "--cap", "10"])
+    assert code == 2
+    assert text == ""
+    assert "--cap" in capsys.readouterr().err
+
+
+def test_box_path_is_a_directory(tmp_path, capsys):
+    code, text = run_cli(["membership", "--box", str(tmp_path)])
+    assert code == 1
+    assert text == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_output_into_missing_directory(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    code, text = run_cli(["bounds", "--gyni", "3", "--set", "ns", "--output", str(out)])
+    assert code == 1
+    assert text == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("cardinality", [2.0, True])
+@pytest.mark.parametrize(
+    "argv", [["bounds", "--set", "classical"], ["bounds", "--set", "ns"], ["facet"]]
+)
+def test_non_integer_scenario_is_a_domain_error(tmp_path, capsys, cardinality, argv):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps({
+        "scenario": {"inputs": [cardinality, 2], "outputs": [2, 2]},
+        "coeffs": {"0:0": "1"},
+    }))
+    code, text = run_cli([*argv, "--expr", str(path)])
+    assert code == 1
+    assert text == ""
+    assert "cardinalities must be integers" in capsys.readouterr().err
+
+
 def test_output_file(tmp_path):
     out = tmp_path / "res.json"
     code, text = run_cli(["facet", "--gyni", "3", "--output", str(out)])

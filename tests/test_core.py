@@ -6,7 +6,7 @@ import pytest
 
 import gynibell as gb
 import ns_oracle
-from gynibell import core, gyni
+from gynibell import config, core, gyni
 from gynibell.core import (
     Scenario,
     apply_symmetry_to_box,
@@ -34,6 +34,14 @@ def test_scenario_validation():
         Scenario((2,), (2, 2))
 
 
+@pytest.mark.parametrize(
+    "inputs, outputs", [((2.0, 2), (2, 2)), ((2, 2), (True, 2)), ((2, "2"), (2, 2))]
+)
+def test_scenario_refuses_non_integer_cardinalities(inputs, outputs):
+    with pytest.raises(ValueError, match="must be integers"):
+        Scenario(inputs, outputs)
+
+
 def test_mixed_radix_round_trip():
     s = Scenario((2, 3, 2), (2, 2, 4))
     for xs in s.input_tuples():
@@ -51,9 +59,10 @@ def test_strategy_enumeration_counts():
     assert len(gb.enumerate_deterministic_strategies(s)) == 512
 
 
-def test_strategy_enumeration_cap():
+def test_strategy_enumeration_cap(monkeypatch):
+    monkeypatch.setattr(config, "STRATEGY_CAP", 1000)
     with pytest.raises(ValueError, match="1048576"):
-        gb.enumerate_deterministic_strategies(gb.binary_scenario(10), cap=1000)
+        gb.enumerate_deterministic_strategies(gb.binary_scenario(10))
 
 
 def test_strategy_enumeration_lexicographic_and_unique():

@@ -50,10 +50,10 @@ def test_classical_max_uniform_promise():
     assert gb.classical_max(game.expression).value == F(2, 8)
 
 
-def _strategy_values(expression, cap=None):
+def _strategy_values(expression):
     """Every strategy's value from ``polytope._strategy_values``, as
     Fractions in enumeration order."""
-    den, blocks = polytope._strategy_values(expression, cap)
+    den, blocks = polytope._strategy_values(expression)
     return [F(v, den) for _, vals in blocks for v in vals.tolist()]
 
 
@@ -142,14 +142,25 @@ def test_strategy_cap_checked_before_any_array(gyni_games, monkeypatch):
 
     for name in ("zeros", "indices", "unravel_index"):
         monkeypatch.setattr(np, name, no_arrays)
+    monkeypatch.setattr(config, "STRATEGY_CAP", 63)
     e = gyni_games[3].expression  # 64 strategies
     for call in (
-        lambda: polytope._strategy_values(e, cap=63),
-        lambda: gb.classical_max(e, cap=63),
-        lambda: gb.facet_check(e, e.classical_bound, cap=63),
+        lambda: polytope._strategy_values(e),
+        lambda: gb.classical_max(e),
+        lambda: gb.facet_check(e, e.classical_bound),
     ):
         with pytest.raises(ValueError, match="cap exceeded: 64 > 63"):
             call()
+
+
+def test_strategy_cap_read_on_each_call(gyni_games, monkeypatch):
+    """The limit is read when the count is checked, not bound at import."""
+    e = gyni_games[3].expression  # 64 strategies
+    monkeypatch.setattr(config, "STRATEGY_CAP", 63)
+    with pytest.raises(ValueError, match="cap exceeded: 64 > 63"):
+        gb.classical_max(e)
+    monkeypatch.setattr(config, "STRATEGY_CAP", 64)
+    assert gb.classical_max(e).value == e.classical_bound
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +255,25 @@ def test_ns_max_rejects_false_symmetry():
 
     with pytest.raises(ValueError):
         gb.ns_max(replace(e, party_symmetries=(bogus,)))
+
+
+def test_tobl_max_rejects_false_symmetry(monkeypatch):
+    """A declared symmetry that does not fix the expression raises, as in
+    ns_max, before any model is built; one whose variable permutation fails
+    the model checks raises LPError instead of being dropped."""
+    e = gyni.gyni_sum_expression(3)
+    bogus = gb.Symmetry((1, 0, 2), ((0, 1),) * 3, ((0, 1),) * 3)
+
+    def never(*args, **kwargs):
+        raise AssertionError("TOBL model built for a false symmetry")
+
+    with monkeypatch.context() as m:
+        m.setattr(polytope, "_ToblLayout", never)
+        with pytest.raises(ValueError, match="declared symmetry does not fix the expression"):
+            gb.tobl_max(dataclasses.replace(e, party_symmetries=(bogus,)))
+    monkeypatch.setattr(polytope, "_rows_invariant_under", lambda *args: False)
+    with pytest.raises(lp.LPError, match="does not fix the TOBL model"):
+        gb.tobl_max(e)
 
 
 def _random_promise_game(rng):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import gynibell as gb
-from gynibell import gyni, upb
+from gynibell import config, gyni, upb
 from gynibell.upb import (
     basis_ket,
     build_local_subsets,
@@ -324,9 +324,10 @@ def test_upb_implies_wupb_across_suite():
             assert gb.is_wupb(pvs)
 
 
-def test_assignment_cap():
+def test_assignment_cap(monkeypatch):
+    monkeypatch.setattr(config, "ASSIGNMENT_CAP", 10)
     with pytest.raises(ValueError, match="cap"):
-        gb.is_upb(upb.gen_shifts(3), cap=10)
+        gb.is_upb(upb.gen_shifts(3))
 
 
 def test_assignment_cap_counts_visited_nodes():
