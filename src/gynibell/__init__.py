@@ -16,7 +16,6 @@ from .core import (
     binary_scenario,
     box_from_strategy,
     enumerate_deterministic_strategies,
-    is_nonsignaling,
     lift_box,
     mix_boxes,
     postselect,
@@ -26,6 +25,7 @@ from .polytope import (
     FacetReport,
     classical_max,
     facet_check,
+    is_nonsignaling,
     local_membership,
     ns_max,
     polytope_dimension,

@@ -19,7 +19,6 @@ import array
 import functools
 import itertools
 import math
-import operator
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -139,6 +138,13 @@ def binary_scenario(n_parties: int) -> Scenario:
 # ---------------------------------------------------------------------------
 # boxes
 
+def _index_typecode(n_values: int) -> str:
+    """The ``array`` type code of a box index over ``n_values`` distinct
+    values: a byte per entry while there are at most 256, then two bytes,
+    then eight.  An index given as ``bytes`` holds items of this size."""
+    return "B" if n_values <= 1 << 8 else "H" if n_values <= 1 << 16 else "Q"
+
+
 #: the per-entry index of every live box, keyed by its type code and the
 #: hash of its contents; an index lives as long as a box holds it
 _INDEXES = weakref.WeakValueDictionary()
@@ -180,17 +186,17 @@ class Box:
     def _from_values(cls, scenario: Scenario, values, index) -> "Box":
         """The box whose entry ``t`` is ``values[index[t]]``: a table known
         by its distinct values and per-entry index, stored as given with
-        no search for the distinct values."""
+        no search for the distinct values.  ``index`` is a sequence of
+        integers, or their bytes in items of the size
+        :func:`_index_typecode` gives for ``len(values)``."""
         box = cls.__new__(cls)
         box._store(scenario, tuple(values), index)
         return box
 
     def _store(self, scenario: Scenario, values: tuple, index) -> None:
-        n = len(values)
-        code = "B" if n <= 1 << 8 else "H" if n <= 1 << 16 else "Q"
         self.scenario = scenario
         self._values = values
-        self._index = array.array(code, index)
+        self._index = array.array(_index_typecode(len(values)), index)
         if len(self._index) != scenario.table_size:
             raise ValueError("table size mismatch")
         if not all(isinstance(v, (int, Fraction)) for v in values):
@@ -372,7 +378,8 @@ def box_from_strategy(scenario: Scenario, strategy: DeterministicStrategy) -> Bo
 
 
 # ---------------------------------------------------------------------------
-# no-signaling check
+# no-signaling reports (the check itself, an array computation, is
+# :func:`gynibell.polytope.is_nonsignaling`)
 
 
 class NsViolation(NamedTuple):
@@ -385,58 +392,6 @@ class NsViolation(NamedTuple):
 class NsReport(NamedTuple):
     is_nonsignaling: bool
     violations: list
-
-
-def is_nonsignaling(box: Box) -> NsReport:
-    """Check the per-party no-signaling equalities, reporting any violations.
-
-    For every party i, every context of the other inputs and every pair of
-    inputs (0, x_i) for i, the marginal over party i's outcome must agree
-    exactly, in integer numerators over the table's common denominator.  At
-    each outcome ``lo`` of the parties after i, the marginal is the sum of
-    ``d`` strided slices of the table, with one entry per input and outcome
-    of the parties before i; contexts x_i = 0 and x_i = k are compared as
-    whole slices.  Only a failing party's violations are listed: by party,
-    then x_i, then context, then outcome of the other parties.
-    """
-    scen = box.scenario
-    nums, _ = box._numerators()
-    nx, na = scen.n_inputs, scen.n_outputs
-    violations = []
-    for party, (m, d) in enumerate(zip(scen.inputs, scen.outputs)):
-        if m < 2:
-            continue
-        x_stride = math.prod(scen.inputs[party + 1 :])
-        lows = math.prod(scen.outputs[party + 1 :])
-        highs = na // (d * lows)
-        margs = []
-        for lo in range(lows):
-            marg = nums[lo :: d * lows]
-            for a in range(1, d):
-                marg = list(map(operator.add, marg, nums[lo + a * lows :: d * lows]))
-            margs.append(marg)
-        run = x_stride * highs  # the contexts x_i = 0 of a block of inputs
-        if all(
-            marg[b : b + run] == marg[b + k * run : b + (k + 1) * run]
-            for marg in margs
-            for b in range(0, nx * highs, m * run)
-            for k in range(1, m)
-        ):
-            continue
-
-        def at(x, ao):  # the marginal at input x and outcome ao of the others
-            return margs[ao % lows][x * highs + ao // lows]
-
-        violations += [
-            NsViolation(party, _without(scen.decode_input(xb), party), (0, x_i),
-                        decode_tuple(ao, _without(scen.outputs, party)))
-            for x_i in range(1, m)
-            for xb in range(nx)
-            if not xb // x_stride % m
-            for ao in range(na // d)
-            if at(xb, ao) != at(xb + x_i * x_stride, ao)
-        ]
-    return NsReport(not violations, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -501,13 +456,16 @@ class BellExpression:
 
 
 def bell_value(expression: BellExpression, box: Box) -> Fraction:
-    """Exact value of sum of coefficient * P(a|x)."""
+    """Exact value of sum of coefficient * P(a|x): the coefficients'
+    integer numerators times the box's per-value numerators, summed over
+    the product of the two common denominators, and one ``Fraction``."""
     if expression.scenario != box.scenario:
         raise ValueError("expression and box live on different scenarios")
-    total = Fraction(0)
-    for (x, a), c in expression.coeffs.items():
-        total += c * box.value(x, a)
-    return total
+    coeffs, coeff_den = integer_numerators(expression.coeffs.values())
+    values, value_den = integer_numerators(box._values)
+    na, index = box.scenario.n_outputs, box._index
+    total = sum(c * values[index[x * na + a]] for (x, a), c in zip(expression.coeffs, coeffs))
+    return Fraction(total, coeff_den * value_den)
 
 
 def relabel_outcomes(
@@ -684,8 +642,8 @@ def drop_party(box: Box, party: int, x_value: int = 0) -> Box:
     """Marginalize a party away, summing its outcome at a fixed input.
 
     Only well defined when the box does not signal from that party; callers
-    wanting a safety net should run :func:`is_nonsignaling` first.  A party
-    or input out of range raises ``ValueError``.
+    wanting a safety net should run :func:`gynibell.polytope.is_nonsignaling`
+    first.  A party or input out of range raises ``ValueError``.
     """
     scen = box.scenario
     new = _reduced_scenario(scen, party)

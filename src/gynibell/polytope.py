@@ -21,7 +21,10 @@ TOBL invariance checks are sparse, since the 404 uncollapsed rows over
 rows in the set of the rows' own keys.
 Every optimizer hands back a certificate (an optimal box, a convex
 decomposition, or a separating inequality) that is re-verified with exact
-arithmetic before being returned.
+arithmetic before being returned.  The no-signaling check of a box,
+:func:`is_nonsignaling`, is one array pass in integer numerators; it and
+the TOBL rechecks run in int64 while a bound on every value they make
+stays below ``_INT64_SAFE``, and on Python integers past it.
 
 The polytope dimension has a closed form.  Affine ranks for facet
 (tightness) checks run in subset marginal coordinates: the linear map
@@ -50,19 +53,29 @@ from .core import (
     BellExpression,
     Box,
     DeterministicStrategy,
+    NsReport,
+    NsViolation,
     Scenario,
     Symmetry,
     _index_tables,
+    _index_typecode,
+    _without,
     bell_value,
     checked_strategy_count,
     expression_invariant_under,
     integer_numerators,
-    is_nonsignaling,
     strategy_at,
 )
 from .lp import Rows
 
 _ZERO = Fraction(0)
+
+
+def _exact_dtype(bound: int):
+    """The dtype of an exact integer array computation none of whose values
+    exceeds ``bound`` in absolute value: int64 below ``_INT64_SAFE``, Python
+    integers in an object array past it."""
+    return np.int64 if bound < _INT64_SAFE else object
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +124,7 @@ def _strategy_values(expression: BellExpression):
     checked_strategy_count(scen)
     coeffs = [(k, Fraction(c)) for k, c in expression.coeffs.items()]
     nums, den = integer_numerators([c for _, c in coeffs])
-    dtype = object if sum(map(abs, nums)) >= _INT64_SAFE else np.int64
+    dtype = _exact_dtype(sum(map(abs, nums)))
     xs = np.unravel_index([x for (x, _), _ in coeffs], scen.inputs)
     aa = np.unravel_index([a for (_, a), _ in coeffs], scen.outputs)
     tensor = np.zeros([m * d for m, d in zip(scen.inputs, scen.outputs)], dtype=dtype)
@@ -399,6 +412,46 @@ def _ns_model(scenario: Scenario, symmetries: tuple) -> _NsModel:
     return model
 
 
+def is_nonsignaling(box: Box) -> NsReport:
+    """Check the per-party no-signaling equalities, reporting any violations.
+
+    For every party i, every context of the other inputs and every pair of
+    inputs (0, x_i) for i, the marginal over party i's outcome must agree
+    exactly (Collins and Gisin, J. Phys. A 37, 1775 (2004)), in integer
+    numerators over the table's common denominator.  Each distinct value is
+    converted once and gathered through the box's stored index into one
+    array of the table.  Party i's marginal is the sum of the table's
+    strided slices at each of i's outcomes, and every x_i is compared with
+    x_i = 0 as whole arrays.  The numerators are int64 while the
+    denominator is below ``_INT64_SAFE`` (a box's entries are nonnegative
+    and each row sums to the denominator, so no marginal exceeds it),
+    Python integers past it.  Only a failing party's mismatches are
+    listed: by party, then x_i, then context, then outcome of the other
+    parties.
+    """
+    scen, n = box.scenario, box.scenario.parties
+    per_value, den = integer_numerators(box._values)
+    index = np.frombuffer(box._index, dtype=box._index.typecode)
+    nums = np.array(per_value, dtype=_exact_dtype(den))[index]
+    violations = []
+    for party, (m, d) in enumerate(zip(scen.inputs, scen.outputs)):
+        by_outcome = nums.reshape(-1, d, math.prod(scen.outputs[party + 1 :]))
+        marg = sum((by_outcome[:, a] for a in range(1, d)), by_outcome[:, 0])
+        # (inputs before i, x_i, the rest), compared at x_i = 0
+        marg = marg.reshape(math.prod(scen.inputs[:party]), m, -1)
+        differs = marg[:, 1:] != marg[:, :1]
+        if differs.any():
+            # (x_i - 1, other inputs..., other outcomes...)
+            shape = scen.inputs[:party] + (m - 1,) + scen.inputs[party + 1 :]
+            differs = differs.reshape(shape + _without(scen.outputs, party))
+            differs = np.moveaxis(differs, party, 0)
+            violations += [
+                NsViolation(party, tuple(at[1:n]), (0, at[0] + 1), tuple(at[n:]))
+                for at in np.argwhere(differs).tolist()
+            ]
+    return NsReport(not violations, violations)
+
+
 class NsOptimum(NamedTuple):
     value: Fraction
     box: Box
@@ -472,7 +525,8 @@ def ns_max(expression: BellExpression) -> NsOptimum:
         g = math.gcd(s, k * yden)
         slot.append(slots.setdefault((s // g, k * yden // g), len(slots)))
     values = [Fraction(*key) for key in slots]
-    box = Box._from_values(scen, values, np.array(slot)[orbit].tolist())
+    index = np.array(slot, dtype=_index_typecode(len(values)))[orbit]
+    box = Box._from_values(scen, values, index.tobytes())
     report = is_nonsignaling(box)
     if not report.is_nonsignaling:
         raise lp.LPError("optimal box failed the no-signaling recheck")
@@ -536,12 +590,12 @@ def local_membership(box: Box) -> LocalMembership:
     flat = entries.ravel()
     order = np.argsort(flat, kind="stable")
     table = box.exact_table()
-    rhs, den = integer_numerators(table + [1])
+    rhs, den = box._numerators()
     rows = Rows(
         np.concatenate((flat[order], np.full(n, scen.table_size))),
         np.concatenate((order // scen.n_inputs, np.arange(n))),
         np.ones(flat.size + n, dtype=np.int64),
-        np.array(rhs, dtype=object),
+        np.array(rhs + [den], dtype=object),
         den,
     )
     res = lp.feasible_point(rows, n)
@@ -592,14 +646,12 @@ def _couplings(fwd: np.ndarray, bwd: np.ndarray):
     """One bipartition's coupling of its two directions' (responder,
     one-way pair) weight numerators: the triples (h, p1, p2) with both
     nonzero, in order, as the rows of one array, and each triple's weight
-    fwd[h, p1] * bwd[h, p2] / marg[h] as ``num / div``, in numerators."""
-    triples = np.array([
-        (h, p1, p2)
-        for h, p1 in np.argwhere(fwd).tolist()
-        for p2 in np.flatnonzero(bwd[h]).tolist()
-    ]).T
-    h, p1, p2 = triples
-    return triples, fwd[h, p1] * bwd[h, p2], fwd.sum(axis=1)[h]
+    fwd[h, p1] * bwd[h, p2] / marg[h] as ``num / div``, in numerators and
+    in the weights' dtype."""
+    h, p1 = np.nonzero(fwd)
+    pair, p2 = np.nonzero(bwd[h])  # row i of bwd[h] pairs with (h[i], p1[i])
+    h, p1 = h[pair], p1[pair]
+    return np.array((h, p1, p2)), fwd[h, p1] * bwd[h, p2], fwd.sum(axis=1)[h]
 
 
 @dataclass(frozen=True, eq=False)
@@ -748,6 +800,56 @@ def _rows_invariant_under(rows: Rows, perm, keys: set) -> bool:
     return keys.issuperset(_row_keys(permuted))
 
 
+def _check_tobl_rows(rows: Rows, nums: np.ndarray, den: int) -> None:
+    """Full-model feasibility recheck: the variables ``nums / den``, one
+    integer numerator per variable in an int64 or object array, satisfy
+    every equality row exactly, ``lhs * rhs_den == rhs * den``;
+    :class:`lp.LPError` otherwise.  The sums are int64 while neither side
+    can reach ``_INT64_SAFE`` (a left side is at most the largest
+    numerator times the rows' absolute coefficient sum), Python integers
+    past it."""
+    top = int(np.abs(nums).max(initial=0))
+    bound = max(
+        top * int(np.abs(rows.val).sum()) * rows.rhs_den, int(np.abs(rows.rhs).max()) * den
+    )
+    nums = nums.astype(_exact_dtype(bound), copy=False)
+    lhs = np.zeros(len(rows), dtype=nums.dtype)
+    np.add.at(lhs, rows.row, rows.val * nums[rows.col])
+    if (lhs * rows.rhs_den != rows.rhs.astype(nums.dtype) * den).any():
+        raise lp.LPError("TOBL solution failed the full-model recheck")
+
+
+def _check_couplings(layout: _ToblLayout, nums: np.ndarray) -> None:
+    """Shared-weight recheck of a TOBL solution, given as one integer
+    numerator per variable (int64 or object) over a common denominator:
+    per bipartition both directions give every responder h the same
+    weight, and the coupling of :func:`_couplings`, whose (h, p1, p2)
+    weight is fwd[h, p1] * bwd[h, p2] / (marg[h] * den), reproduces the
+    table in both directions.  The weight products and marginals are int64
+    while they stay below ``_INT64_SAFE``, and a bipartition's mixtures,
+    summed over ``den * scale`` (scale the lcm of its marginals), while no
+    sum can reach it; Python integers past it.  Raises :class:`lp.LPError`
+    at the first failure."""
+    top = int(np.abs(nums).max(initial=0))
+    nums = nums.astype(_exact_dtype(len(_PAIRS) * top * top), copy=False)
+    tnums = nums[: layout.n_table]
+    weights = nums[layout.n_table :].reshape(layout.shape)
+    for bip, (fwd, bwd) in enumerate(weights):
+        if (fwd.sum(axis=1) != bwd.sum(axis=1)).any():
+            raise lp.LPError("mismatched responder marginals in TOBL solution")
+        (h, p1, p2), num, div = _couplings(fwd, bwd)
+        scale = math.lcm(*set(div.tolist()))
+        # a mixture entry sums at most len(num) terms num * (scale // div),
+        # each at most top**2 * scale
+        dtype = _exact_dtype(len(num) * top * top * scale)
+        mixture = np.zeros((2, layout.n_table), dtype=dtype)
+        supports = np.stack((layout.supports[bip, 0, h, p1], layout.supports[bip, 1, h, p2]))
+        terms = num.astype(dtype) * (scale // div.astype(dtype))
+        np.add.at(mixture, (np.arange(2)[:, None, None], supports), terms[:, None])
+        if (mixture != tnums.astype(dtype) * scale).any():
+            raise lp.LPError("TOBL coupling failed the mixture recheck")
+
+
 def tobl_max(expression: BellExpression) -> ToblOptimum:
     """Exact maximum over tripartite time-ordered bilocal correlations.
 
@@ -793,39 +895,21 @@ def tobl_max(expression: BellExpression) -> ToblOptimum:
 
     res, orbit = _solve_collapsed(obj_nums, obj_den, rows, perms)
 
-    # full-model feasibility recheck of the (possibly expanded) solution, in
-    # integers over the solution's common denominator
+    # the (possibly expanded) solution's numerators over den, rechecked
+    # against the full model
     xnum, den = res.solution_ints
-    nums = np.array(xnum, dtype=object)[orbit]
-    lhs = np.zeros(len(rows), dtype=object)
-    np.add.at(lhs, rows.row, rows.val * nums[rows.col])
-    if (lhs * rows.rhs_den != rows.rhs.astype(object) * den).any():
-        raise lp.LPError("TOBL solution failed the full-model recheck")
+    nums = np.array(xnum, dtype=_exact_dtype(max(map(abs, xnum))))[orbit]
+    _check_tobl_rows(rows, nums, den)
 
     value = res.value
     box = Box(scen, list(map(res.solution.__getitem__, orbit[: layout.n_table].tolist())))
     if bell_value(expression, box) != value:
         raise lp.LPError("TOBL optimal box does not achieve the LP value")
 
-    # verify the shared-weight model per bipartition, in the solution's
-    # numerators: the coupling weight of (h, p1, p2) is
-    # fwd[h, p1] * bwd[h, p2] / (marg[h] * den)
-    tnums = nums[: layout.n_table]
-    weights = nums[layout.n_table :].reshape(layout.shape)
-    for bip, (fwd, bwd) in enumerate(weights):
-        if (fwd.sum(axis=1) != bwd.sum(axis=1)).any():
-            raise lp.LPError("mismatched responder marginals in TOBL solution")
-        (h, p1, p2), num, div = _couplings(fwd, bwd)
-        # both induced mixtures must reproduce the table exactly, over the
-        # common denominator den * scale
-        scale = math.lcm(*set(div.tolist()))
-        mixture = np.zeros((2, layout.n_table), dtype=object)
-        supports = np.stack((layout.supports[bip, 0, h, p1], layout.supports[bip, 1, h, p2]))
-        np.add.at(mixture, (np.arange(2)[:, None, None], supports), (num * (scale // div))[:, None])
-        if (mixture != tnums * scale).any():
-            raise lp.LPError("TOBL coupling failed the mixture recheck")
+    _check_couplings(layout, nums)
+    weights = nums[layout.n_table :]
     one_way = np.flatnonzero(weights)
-    nonzero = weights.ravel()[one_way]  # kept in the smallest integer types
+    nonzero = weights[one_way]  # kept in the smallest integer types
     small = [a.astype(np.min_scalar_type(a.max())) for a in (one_way, nonzero)]
     return ToblOptimum(value, box, *small, den)
 

@@ -24,6 +24,17 @@ def fresh_ns_models():
     core._index_tables.cache_clear()
 
 
+@pytest.fixture
+def exact_dtypes(monkeypatch):
+    """Every dtype ``polytope._exact_dtype`` picks during the test, in
+    order: int64, or object for Python integers."""
+    chosen, pick = [], polytope._exact_dtype
+    monkeypatch.setattr(
+        polytope, "_exact_dtype", lambda bound: chosen.append(pick(bound)) or chosen[-1]
+    )
+    return chosen
+
+
 @pytest.fixture(scope="session")
 def gyni_games():
     """GYNI games with the parity promise, N = 2..6."""

@@ -1,12 +1,15 @@
+import array
 import itertools
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import gynibell as gb
 import ns_oracle
-from gynibell import config, core, gyni
+from gynibell import config, core, gyni, polytope
 from gynibell.core import (
     Scenario,
     apply_symmetry_to_box,
@@ -168,10 +171,11 @@ def _relay_box(scen):
 
 
 @pytest.mark.parametrize("scenario", ns_oracle.SCENARIOS)
-def test_is_nonsignaling_matches_oracle(scenario):
+def test_is_nonsignaling_matches_oracle(scenario, exact_dtypes):
     """Verdict and the full, ordered violation list equal the per-tuple
     oracle on seeded no-signaling and perturbed boxes, and on a box that
-    signals from every party that can."""
+    signals from every party that can; their small denominators keep the
+    check on int64 numerators."""
     rng = random.Random(scenario.table_size)
     verdicts = set()
     for box in _random_boxes(scenario, rng):
@@ -187,6 +191,42 @@ def test_is_nonsignaling_matches_oracle(scenario):
         p for p, (m, d) in enumerate(zip(scenario.inputs, scenario.outputs))
         if m > 1 and scenario.n_outputs > d
     }
+    assert exact_dtypes and set(exact_dtypes) == {np.int64}
+
+
+def test_is_nonsignaling_past_int64_matches_oracle(exact_dtypes):
+    """A mixture of three deterministic boxes with weights 1/3**45,
+    (1 + 2**64)/3**45 and the rest has a common denominator past int64, so
+    the check runs on Python integers: it passes, as the oracle does.  With
+    the first two weights swapped in one row where they are two entries, it
+    signals, and its ordered violations equal the oracle's, although every
+    marginal moved by 2**64 numerators, which int64 arithmetic would not
+    see."""
+    scen = Scenario((2, 3, 2, 3), (3, 2, 3, 2))
+    rng = random.Random(45)
+    boxes = [
+        gb.box_from_strategy(scen, core.strategy_at(scen, rng.randrange(scen.strategy_count())))
+        for _ in range(3)
+    ]
+    tiny = Fraction(1, 3**45)
+    weights = [tiny, (1 + 2**64) * tiny]
+    mixture = gb.mix_boxes(boxes, weights + [1 - sum(weights)])
+    table = mixture.exact_table()
+    assert math.lcm(*(v.denominator for v in table)) > 2**63 > polytope._INT64_SAFE
+    report = gb.is_nonsignaling(mixture)
+    assert report == (True, []) and ns_oracle.ns_violations(mixture) == []
+    na = scen.n_outputs
+    a, b = next(
+        (x * na + table[x * na : (x + 1) * na].index(w) for w in weights)
+        for x in range(scen.n_inputs)
+        if all(w in table[x * na : (x + 1) * na] for w in weights)
+    )
+    table[a], table[b] = table[b], table[a]
+    signaling = gb.Box(scen, table)
+    report = gb.is_nonsignaling(signaling)
+    assert not report.is_nonsignaling
+    assert report.violations == ns_oracle.ns_violations(signaling)
+    assert exact_dtypes == [object, object]
 
 
 def test_gyni_strategy_wins_exactly_y_and_complement():
@@ -475,6 +515,48 @@ def test_box_from_distinct_values_and_index():
         gb.Box._from_values(scen, [0.5, 0.25], [0, 0, 1, 1] * 4)
     with pytest.raises(ValueError, match="table size mismatch"):
         gb.Box._from_values(scen, [quarter], [0] * 4)
+
+
+def test_box_from_values_takes_its_index_as_bytes():
+    """An index given as bytes, in items of the size ``_index_typecode``
+    gives for the value count, makes the box the same index given as a
+    list makes, and the two share one index; two-byte items serve more
+    than 256 values, and bytes of the wrong item size miscount the
+    entries."""
+    scen = gb.binary_scenario(2)
+    values = [Fraction(1, 2), 0, Fraction(1, 4)]
+    index = [0, 0, 1, 1, 2, 2, 2, 2] * 2
+    listed = gb.Box._from_values(scen, values, index)
+    packed = gb.Box._from_values(scen, values, array.array("B", index).tobytes())
+    assert core._index_typecode(len(values)) == "B"
+    assert packed == listed and packed._index is listed._index
+    wide = Scenario((1,), (300,))
+    values = [Fraction(k, 45150) for k in range(1, 301)]
+    assert core._index_typecode(len(values)) == "H"
+    packed = gb.Box._from_values(wide, values, array.array("H", range(300)).tobytes())
+    assert packed == gb.Box._from_values(wide, values, range(300))
+    assert packed._index.itemsize == 2
+    with pytest.raises(ValueError, match="table size mismatch"):
+        gb.Box._from_values(wide, values, bytes(range(256)) + bytes(44))
+
+
+def test_bell_value_matches_the_fraction_sum():
+    """On seeded random boxes and expressions with Fraction, int, zero and
+    negative coefficients, the value summed in integer numerators equals
+    the Fraction sum of coefficient * P(a|x)."""
+    rng = random.Random(11)
+    for scen in ns_oracle.SCENARIOS:
+        keys = [(x, a) for x in range(scen.n_inputs) for a in range(scen.n_outputs)]
+        for box in _random_boxes(scen, rng):
+            picked = rng.sample(keys, rng.randint(1, min(len(keys), 48)))
+            coeffs = {}
+            for k in picked:
+                coeffs[k] = rng.choice([Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+                                        rng.randint(-3, 3)])
+            e = gb.BellExpression(scen, coeffs)
+            expect = sum((c * box.value(x, a) for (x, a), c in coeffs.items()), Fraction(0))
+            got = gb.bell_value(e, box)
+            assert got == expect and type(got) is Fraction
 
 
 def test_box_rejects_non_rational_entries():

@@ -500,9 +500,9 @@ def test_ns_model_cache_drops_the_oldest_model():
 def test_ns_max_builds_tables_and_numerators_once(monkeypatch):
     """At GYNI-7 a call that builds the model makes each declared
     symmetry's index tables once, shared by the invariance check and the
-    orbit search, and a call on the kept model makes none; either call
-    converts the optimal box to per-entry numerators once, for the
-    no-signaling recheck."""
+    orbit search, and a call on the kept model makes none; neither call
+    converts the optimal box to per-entry numerators: the no-signaling
+    recheck gathers the per-value numerators through the box's index."""
     e = gyni.gyni_expression(7).expression
     core._index_tables.cache_clear()  # the constructor's invariance checks made them
     tables, numerators = [], []
@@ -513,10 +513,10 @@ def test_ns_max_builds_tables_and_numerators_once(monkeypatch):
     monkeypatch.setattr(core.Box, "_numerators", lambda b: numerators.append(b) or to_numerators(b))
     gb.ns_max(e)
     assert sorted(tables, key=e.party_symmetries.index) == list(e.party_symmetries)
-    assert len(numerators) == 1
+    assert numerators == []
     tables.clear()
     gb.ns_max(e)
-    assert tables == [] and len(numerators) == 2
+    assert tables == [] and numerators == []
 
 
 def _pairs(rows):
@@ -1132,6 +1132,70 @@ def test_tobl_mixture_recheck_rejects_wrong_supports(monkeypatch):
     monkeypatch.setattr(polytope, "_solve_collapsed", solve_then_roll)
     with pytest.raises(lp.LPError, match="mixture recheck"):
         gb.tobl_max(gb.gyni_sum_expression(3))
+
+
+@pytest.mark.parametrize("guard", [None, 1], ids=["int64", "python-int"])
+def test_tobl_rechecks_give_one_answer_on_both_paths(guard, monkeypatch, tobl_result, exact_dtypes):
+    """With the int64 guard at its value every recheck of tobl_max runs in
+    int64; with it set to 1 every one runs on Python integers, and the
+    value, box and shared-weight model are the same."""
+    if guard is not None:
+        monkeypatch.setattr(polytope, "_INT64_SAFE", guard)
+    result = gb.tobl_max(gb.gyni_sum_expression(3))
+    assert set(exact_dtypes) == ({np.int64} if guard is None else {object})
+    assert result.value == tobl_result.value and result.box == tobl_result.box
+    assert result.model == tobl_result.model
+
+
+@pytest.mark.parametrize("guard", [None, 1], ids=["int64", "python-int"])
+def test_tobl_recheck_failures_on_both_paths(guard, monkeypatch, tobl_result, exact_dtypes):
+    """The optimum's numerators pass both rechecks on either path.  One
+    weight numerator moved to an unused pair of its block fails the
+    full-model recheck; one moved to another responder unbalances the
+    responder marginals, and mass moved between two entries of a table row
+    breaks the mixtures, both caught by the coupling recheck."""
+    layout = polytope._ToblLayout(gb.binary_scenario(3))
+    rows, den = layout.rows(), tobl_result.den
+    nums = np.zeros(layout.n_vars, dtype=object)
+    nums[: layout.n_table] = [int(v * den) for v in tobl_result.box.exact_table()]
+    nums[layout.n_table + tobl_result.one_way.astype(np.intp)] = tobl_result.numerators.tolist()
+    if guard is not None:
+        monkeypatch.setattr(polytope, "_INT64_SAFE", guard)
+
+    def as_array(values):
+        return np.array(values.tolist(), dtype=polytope._exact_dtype(max(values)))
+
+    def changed(change):
+        out = nums.copy()
+        change(out[: layout.n_table], out[layout.n_table :].reshape(layout.shape))
+        return as_array(out)
+
+    polytope._check_tobl_rows(rows, as_array(nums), den)
+    polytope._check_couplings(layout, as_array(nums))
+    block = nums[layout.n_table :].reshape(layout.shape)[0, 0]
+    h, p = np.argwhere(block)[0].tolist()
+    q = int(np.flatnonzero(block[h] == 0)[0])
+
+    def to_unused_pair(table, weights):
+        weights[0, 0, h, q], weights[0, 0, h, p] = weights[0, 0, h, p], 0
+
+    def to_other_responder(table, weights):
+        weights[0, 0, (h + 1) % 4, p] += weights[0, 0, h, p]
+        weights[0, 0, h, p] = 0
+
+    def within_a_row(table, weights):
+        t = int(np.flatnonzero(table)[0])
+        u = t ^ 1  # the other outcome of the last party, in the same row
+        table[u] += table[t]
+        table[t] = 0
+
+    with pytest.raises(lp.LPError, match="full-model recheck"):
+        polytope._check_tobl_rows(rows, changed(to_unused_pair), den)
+    with pytest.raises(lp.LPError, match="mismatched responder marginals"):
+        polytope._check_couplings(layout, changed(to_other_responder))
+    with pytest.raises(lp.LPError, match="mixture recheck"):
+        polytope._check_couplings(layout, changed(within_a_row))
+    assert set(exact_dtypes) == ({np.int64} if guard is None else {object})
 
 
 def test_tobl_variable_permutation_maps_supports(binary3_relabelings):
